@@ -21,7 +21,7 @@ from . import benchmark, validation
 from .config import build_manifest, load_config_file, preset_config
 from .errors import ConfigError, NumericalFailure
 from .experiments import (StudyConfig, convergence_study, expectation_study,
-                          format_float, splitting_error_study,
+                          format_float, require_finite, splitting_error_study,
                           write_error_csv, write_expectation_csv, write_fit_csv)
 from .linalg import ShiftedSolver
 from .scheme import SchemeParams, dump_trajectory_csv, run_trajectory
@@ -35,6 +35,8 @@ EXIT_NUMERICAL = 3
 
 COMMANDS = ("table-repro", "simulate", "expectation", "convergence",
             "splitting-error", "validate")
+# The Monte Carlo studies draw their own paths from (seed, path index).
+PATH_FILE_COMMANDS = ("table-repro", "simulate")
 
 
 def _workers() -> int:
@@ -115,6 +117,7 @@ def cmd_simulate(config: StudyConfig) -> int:
     solver = ShiftedSolver(mass, stiffness, params.tau)
     traj = run_trajectory(u0, aggregate_increments(fine, n_steps), params, solver,
                           keep_history=True)
+    require_finite([traj.final], params.amplitude, n_steps)
     target = os.path.join(out_dir, "trajectory.csv")
     dump_trajectory_csv(traj, u0, target)
     print(f"wrote {target} ({n_steps} steps, variant {config.variant}, "
@@ -190,6 +193,8 @@ def main(argv=None) -> int:
             seed = args.seed if args.seed is not None else 20252
             return cmd_validate(seed)
         config = _resolve_config(args)
+        if config.path_file is not None and args.command not in PATH_FILE_COMMANDS:
+            raise ConfigError(f"{args.command} draws its own paths and takes no path_file")
         handler = {
             "table-repro": cmd_table_repro,
             "simulate": cmd_simulate,
@@ -202,7 +207,8 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalFailure as exc:
-        print(f"numerical failure: {exc} (residual {exc.residual})", file=sys.stderr)
+        detail = "" if exc.residual is None else f" (residual {exc.residual})"
+        print(f"numerical failure: {exc}{detail}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -21,7 +21,8 @@ Recognized keys::
     seed               base seed of the path generator
     variant            'splitting', 'coupled' or 'heat'
     checkpoints        comma-separated step indices to record
-    path_file          CSV of driving increments to inject
+    path_file          CSV of driving increments to inject (table-repro
+                       and simulate; the other commands reject it)
     out_dir            output directory
 
 Relative ``path_file`` entries are resolved against the directory of

@@ -7,9 +7,10 @@ is available in closed form and acts componentwise, which is what makes
 the two-substep scheme cheap: after the linear heat substep, every cell
 value is pulled back toward [0, 1] independently.
 
-Values exactly at 0 or 1 are routed to the identity branch.  All three
-branch formulas agree there, so the choice is unobservable, but fixing
-it keeps results bit-reproducible.
+Both maps are written through the clip c = clip(v, 0, 1): the penalty
+is (v - c)/eps and the resolvent c + eps/(eps + tau) (r - c).  On
+[0, 1] the correction term is exactly zero, so values inside the band
+pass through bit for bit.
 """
 
 from __future__ import annotations
@@ -17,12 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["psi_eps", "resolvent", "resolvent_field"]
-
-
-def _branches(v, below, inside, above):
-    v = np.asarray(v, dtype=float)
-    out = np.where(v < 0, below(v), np.where(v > 1, above(v), inside(v)))
-    return float(out) if out.ndim == 0 else out
 
 
 def psi_eps(v, eps):
@@ -33,8 +28,9 @@ def psi_eps(v, eps):
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return _branches(v, lambda x: x / eps, lambda x: np.zeros_like(x),
-                     lambda x: (x - 1.0) / eps)
+    v = np.asarray(v, dtype=float)
+    out = (v - np.clip(v, 0.0, 1.0)) / eps
+    return float(out) if out.ndim == 0 else out
 
 
 def resolvent(r, tau, eps):
@@ -46,8 +42,10 @@ def resolvent(r, tau, eps):
     """
     if tau <= 0 or eps <= 0:
         raise ValueError("tau and eps must be positive")
-    return _branches(r, lambda x: eps * x / (eps + tau), lambda x: x,
-                     lambda x: (eps * x + tau) / (eps + tau))
+    r = np.asarray(r, dtype=float)
+    c = np.clip(r, 0.0, 1.0)
+    out = c + eps / (eps + tau) * (r - c)
+    return float(out) if out.ndim == 0 else out
 
 
 def resolvent_field(u, tau, eps):

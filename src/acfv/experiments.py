@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .assembly import assemble_mass, assemble_stiffness
-from .errors import ConfigError
+from .errors import ConfigError, NumericalFailure
 from .linalg import ShiftedSolver
 from .mesh import build_uniform_mesh, default_initial_state
 from .scheme import (EpsilonSchedule, SchemeParams, VARIANTS, coupled_step,
@@ -54,6 +54,7 @@ __all__ = [
     "write_fit_csv",
     "format_float",
     "PATH_BLOCK",
+    "require_finite",
 ]
 
 # Paths per vectorized block.  Fixed (never derived from the worker
@@ -144,6 +145,22 @@ def _blocks(n_paths):
     return [(lo, min(lo + PATH_BLOCK, n_paths)) for lo in range(0, n_paths, PATH_BLOCK)]
 
 
+def require_finite(states, amplitude, n_steps, first_path=0):
+    """Raise NumericalFailure unless every per-path row of ``states`` is finite.
+
+    Row i belongs to path ``first_path + i``; the message names the
+    amplitude, the step count and the first path with a non-finite value.
+    A non-finite value never turns finite again in any step, so checking
+    the final state covers the whole run.
+    """
+    states = np.asarray(states, dtype=float)
+    bad = ~np.isfinite(states.reshape(len(states), -1)).all(axis=1)
+    if bad.any():
+        raise NumericalFailure(
+            f"non-finite state at a={format_float(amplitude)}, N={n_steps}, "
+            f"path {first_path + int(np.argmax(bad))}")
+
+
 def _map_blocks(fn, args_list, workers):
     if workers <= 1 or len(args_list) <= 1:
         return [fn(*args) for args in args_list]
@@ -185,6 +202,7 @@ def _expectation_block(config: StudyConfig, amplitude, lo, hi):
     start = np.tile(u0, (hi - lo, 1))
     cps = config.checkpoints or (n_steps,)
     traj = run_trajectory(start, inc, params, solver, checkpoints=cps)
+    require_finite(traj.final, amplitude, n_steps, lo)
     return {n: traj.checkpoints[n] for n in cps}
 
 
@@ -265,7 +283,9 @@ def _error_block(config: StudyConfig, amplitude, n_list, initial_state, lo, hi):
                               epsilon=config.epsilon, amplitude=amplitude,
                               variant=config.variant)
         solver = ShiftedSolver(mass, stiffness, params.tau)
-        return run_trajectory(start, increments, params, solver).final
+        final = run_trajectory(start, increments, params, solver).final
+        require_finite(final, amplitude, n_steps, lo)
+        return final
 
     reference = final_state(n_fine, fine)
     out = np.empty((hi - lo, len(n_list)))
@@ -362,6 +382,7 @@ def _splitting_gap_block(config: StudyConfig, amplitude, n_list, initial_state, 
     n_fine = config.resolved_n_fine()
     fine = sample_increment_block(config.seed, range(lo, hi),
                                   config.horizon, n_fine)
+    start = np.tile(u0, (hi - lo, 1))
     out = {}
     for n_steps in n_list:
         base = dict(horizon=config.horizon, n_steps=n_steps,
@@ -371,14 +392,12 @@ def _splitting_gap_block(config: StudyConfig, amplitude, n_list, initial_state, 
         solver = ShiftedSolver(mass, stiffness, p_split.tau)
         inc = aggregate_increments(fine, n_steps)
         gaps = np.empty((hi - lo, n_steps))
-        for row in range(hi - lo):
-            u_split = u0.copy()
-            u_coupled = u0.copy()
-            for n in range(n_steps):
-                d_w = inc[row, n]
-                u_split = splitting_step(u_split, d_w, p_split, solver)
-                u_coupled = coupled_step(u_coupled, d_w, p_coupled, solver)
-                gaps[row, n] = np.max(np.abs(u_coupled - u_split))
+        u_split = u_coupled = start
+        for n in range(n_steps):
+            u_split = splitting_step(u_split, inc[:, n], p_split, solver)
+            u_coupled = coupled_step(u_coupled, inc[:, n], p_coupled, solver)
+            gaps[:, n] = np.max(np.abs(u_coupled - u_split), axis=1)
+        require_finite(np.hstack([u_split, u_coupled]), amplitude, n_steps, lo)
         out[n_steps] = gaps
     return out
 

@@ -1,10 +1,15 @@
-"""Solvers for the shifted system (M + tau A) x = b.
+"""One prefactored operator for the shifted system (M + tau A) x = b.
 
 The shifted matrix is symmetric positive definite (positive diagonal
-mass plus a positive semi-definite stiffness), so two solution paths
-are enough: a prefactored dense Cholesky for small meshes, which also
-serves as the exact-oracle path in the tests, and preconditioned
-conjugate gradients with a Jacobi preconditioner for everything else.
+mass plus a positive semi-definite stiffness) and fixed per (mesh, tau),
+so it is factored once and every later call only applies the factor to
+a whole stack of right-hand sides.  The cell count d selects the form:
+
+* d <= DENSE_LIMIT: a dense Cholesky factor, plus the dense Markov
+  propagator (M + tau A)^{-1} M, so one heat substep on a (p, d) stack
+  is a single matrix product;
+* larger d: a banded Cholesky factor whose bandwidth is read from the
+  assembled sparsity (L on the uniform L x L grid).
 """
 
 from __future__ import annotations
@@ -13,59 +18,10 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sps
 
-from .errors import NumericalFailure
+__all__ = ["ShiftedSolver", "DENSE_LIMIT"]
 
-__all__ = ["ShiftedSolver", "pcg", "solve_spd", "DENSE_LIMIT"]
-
-# Systems up to this size are solved by dense Cholesky factorization.
+# Systems up to this size are held as dense matrices, larger ones as bands.
 DENSE_LIMIT = 64
-
-
-def pcg(matrix, b, precond_diag, rtol=1e-12, max_iter=None):
-    """Preconditioned conjugate gradients for a symmetric positive definite system.
-
-    Iterates until |matrix x - b|_2 <= rtol |b|_2 or the iteration cap
-    (10 times the dimension by default) is hit, in which case a
-    NumericalFailure carrying the last residual norm is raised.
-    """
-    b = np.asarray(b, dtype=float)
-    n = b.shape[0]
-    if max_iter is None:
-        max_iter = 10 * n
-    b_norm = np.linalg.norm(b)
-    if b_norm == 0.0:
-        return np.zeros(n)
-
-    x = np.zeros(n)
-    r = b.copy()
-    z = r / precond_diag
-    p = z.copy()
-    rz = r @ z
-    for _ in range(max_iter):
-        Ap = matrix @ p
-        alpha = rz / (p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        if np.linalg.norm(r) <= rtol * b_norm:
-            return x
-        z = r / precond_diag
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise NumericalFailure(
-        f"conjugate gradients did not reach rtol={rtol:g} within {max_iter} iterations",
-        residual=float(np.linalg.norm(r)),
-    )
-
-
-def solve_spd(matrix, b, rtol=1e-12):
-    """Solve an SPD system, dense Cholesky when small, PCG otherwise."""
-    n = b.shape[0]
-    if n <= DENSE_LIMIT:
-        dense = matrix.toarray() if sps.issparse(matrix) else np.asarray(matrix)
-        return sla.cho_solve(sla.cho_factor(dense), b)
-    diag = matrix.diagonal() if sps.issparse(matrix) else np.diagonal(matrix)
-    return pcg(matrix, b, diag, rtol=rtol)
 
 
 class ShiftedSolver:
@@ -80,50 +36,63 @@ class ShiftedSolver:
     fields of shape (p, d); the output matches the input shape.
     """
 
-    def __init__(self, mass_diag, stiffness, tau, rtol=1e-12):
+    def __init__(self, mass_diag, stiffness, tau):
         if tau <= 0:
             raise ValueError("tau must be positive")
         self.mass_diag = np.asarray(mass_diag, dtype=float)
         self.stiffness = stiffness
         self.tau = float(tau)
-        self.rtol = float(rtol)
         self.n = self.mass_diag.shape[0]
+        self.shifted = (sps.diags(self.mass_diag) + tau * stiffness).tocsr()
 
-        shifted = sps.diags(self.mass_diag) + tau * stiffness
-        self.shifted = shifted.tocsr()
         if self.n <= DENSE_LIMIT:
-            self._chol = sla.cho_factor(self.shifted.toarray())
-            self._precond = None
+            self._dense = self.shifted.toarray()
+            self._chol = sla.cho_factor(self._dense)
+            self._markov = sla.cho_solve(self._chol, np.diag(self.mass_diag))
         else:
-            self._chol = None
-            self._precond = self.mass_diag + tau * stiffness.diagonal()
+            # Upper band storage: entry (i, j), i <= j, sits at [u + i - j, j].
+            coo = self.shifted.tocoo()
+            upper = coo.row <= coo.col
+            row, col = coo.row[upper], coo.col[upper]
+            u = int((col - row).max())
+            self._band = np.zeros((u + 1, self.n))
+            self._band[u + row - col, col] = coo.data[upper]
+            self._band_chol = sla.cholesky_banded(self._band)
 
     @property
     def m_min(self) -> float:
         return float(self.mass_diag.min())
 
     def solve(self, b):
-        """Solve (M + tau A) x = b to relative residual ``rtol``."""
+        """Solve (M + tau A) x = b for one field or a (p, d) stack."""
         b = np.asarray(b, dtype=float)
-        if b.ndim == 1:
-            return self._solve_one(b)
-        if b.ndim == 2:
-            if self._chol is not None:
-                return sla.cho_solve(self._chol, b.T).T
-            return np.vstack([self._solve_one(row) for row in b])
-        raise ValueError("right-hand side must be 1-d or 2-d")
+        if b.ndim not in (1, 2):
+            raise ValueError("right-hand side must be 1-d or 2-d")
+        if self.n <= DENSE_LIMIT:
+            return sla.cho_solve(self._chol, b.T).T
+        return sla.cho_solve_banded((self._band_chol, False), b.T).T
 
-    def _solve_one(self, b):
-        if self._chol is not None:
-            x = sla.cho_solve(self._chol, b)
-            # One refinement step in the unlikely case rounding in the
-            # factorization leaves the residual above the contract.
-            r = b - self.shifted @ x
-            b_norm = np.linalg.norm(b)
-            if b_norm > 0 and np.linalg.norm(r) > self.rtol * b_norm:
-                x = x + sla.cho_solve(self._chol, r)
-            return x
-        return pcg(self.shifted, b, self._precond, rtol=self.rtol)
+    def solve_with_diagonal(self, extra, b):
+        """Solve (M + tau A + diag(extra[i])) x[i] = b[i] for each row i.
+
+        ``extra`` and ``b`` have shape (k, d); ``extra`` must be
+        nonnegative, which keeps every system positive definite.  These
+        are the semismooth Newton systems of the coupled step, one per
+        path, each with its own active set.
+        """
+        extra = np.asarray(extra, dtype=float)
+        b = np.asarray(b, dtype=float)
+        if self.n <= DENSE_LIMIT:
+            jac = np.broadcast_to(self._dense, (len(b), self.n, self.n)).copy()
+            cells = np.arange(self.n)
+            jac[:, cells, cells] += extra
+            return np.linalg.solve(jac, b[..., None])[..., 0]
+        out = np.empty_like(b)
+        band = self._band.copy()
+        for i, (shift, rhs) in enumerate(zip(extra, b)):
+            band[-1] = self._band[-1] + shift
+            out[i] = sla.cho_solve_banded((sla.cholesky_banded(band), False), rhs)
+        return out
 
     def apply_markov(self, x):
         """Apply (M + tau A)^{-1} M, the monotone one-step heat propagator.
@@ -133,4 +102,6 @@ class ShiftedSolver:
         mass-weighted total.
         """
         x = np.asarray(x, dtype=float)
+        if self.n <= DENSE_LIMIT:
+            return x @ self._markov.T
         return self.solve(x * self.mass_diag)

@@ -14,10 +14,10 @@ solver) -> state:
   heat flow.
 
 States may be a single field of shape (d,) or a stack of per-path
-fields of shape (p, d) with one increment per row; all linear-solver
-work is then batched, which is what keeps Monte Carlo studies fast.
-The coupled step handles stacks by looping, since its active sets
-differ per path.
+fields of shape (p, d) with one increment per row.  Every step works on
+the whole stack at once: the heat substep is one application of the
+prefactored operator, and the coupled step runs its Newton iteration
+on all rows together, freezing each row once it has converged.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sps
 
 from .constraint import psi_eps, resolvent_field
 from .errors import NumericalFailure
-from .linalg import ShiftedSolver, solve_spd
+from .linalg import ShiftedSolver
 from .stochastic import diffusion_g
 
 __all__ = [
@@ -56,9 +55,10 @@ NEWTON_TOL = 1e-11
 class EpsilonSchedule:
     """Regularization parameter as a function of the time step.
 
-    Either a fixed value or a power law c * tau^p.  Exponents below 2
-    keep the time step asymptotically small against eps^2, the coupling
-    regime in which the scheme is known to converge.
+    Either a fixed value or a power law c * tau^p.  Since
+    tau/eps^2 = tau^(1 - 2p)/c^2, exponents below 1/2 keep the time step
+    asymptotically small against eps^2, the coupling regime in which the
+    scheme is known to converge.
     """
 
     rule: str
@@ -146,31 +146,32 @@ def coupled_step(u_prev, d_w, params: SchemeParams, solver: ShiftedSolver):
     inactive at the solution the guess already solves the equation and
     the loop exits without iterating.  The equation is strictly
     monotone, so the solution is unique.
+
+    A stack of states is iterated together; a row leaves the iteration
+    once its residual is within tolerance.  A row whose residual is not
+    finite never counts as converged, so it ends in NumericalFailure.
     """
     u_prev = np.asarray(u_prev, dtype=float)
-    if u_prev.ndim == 2:
-        d_w = np.broadcast_to(np.asarray(d_w, dtype=float), (u_prev.shape[0],))
-        return np.vstack([coupled_step(row, d_w[i], params, solver)
-                          for i, row in enumerate(u_prev)])
-
     tau, eps = params.tau, params.eps
     mass = solver.mass_diag
-    w = _noisy_state(u_prev, d_w, params.amplitude)
-    rhs = mass * w
+    rhs = np.atleast_2d(mass * _noisy_state(u_prev, d_w, params.amplitude))
     tol = NEWTON_TOL * solver.m_min
 
-    u = splitting_step(u_prev, d_w, params, solver)
+    u = np.atleast_2d(splitting_step(u_prev, d_w, params, solver))
+    rows = np.arange(u.shape[0])
     for _ in range(NEWTON_MAX_ITER):
-        residual = solver.shifted @ u + tau * mass * psi_eps(u, eps) - rhs
-        res_norm = np.max(np.abs(residual))
-        if res_norm <= tol:
-            return u
-        active = (u < 0.0) | (u > 1.0)
-        jac = solver.shifted + sps.diags((tau / eps) * mass * active)
-        u = u - solve_spd(jac, residual)
+        v = u[rows]
+        residual = (solver.shifted @ v.T).T + tau * mass * psi_eps(v, eps) - rhs[rows]
+        res_norm = np.max(np.abs(residual), axis=1)
+        open_rows = ~(res_norm <= tol)
+        if not open_rows.any():
+            return u.reshape(u_prev.shape)
+        rows, v, residual = rows[open_rows], v[open_rows], residual[open_rows]
+        active = (v < 0.0) | (v > 1.0)
+        u[rows] = v - solver.solve_with_diagonal((tau / eps) * mass * active, residual)
     raise NumericalFailure(
         f"semismooth Newton did not converge in {NEWTON_MAX_ITER} iterations",
-        residual=float(res_norm),
+        residual=float(np.max(res_norm[open_rows])),
     )
 
 

@@ -120,10 +120,12 @@ def diffusion_g(x, amplitude):
 
     Continuous with support in [0, 1] and Lipschitz constant equal to
     the amplitude.  Vanishing outside [0, 1] means fields that have
-    left the constraint band evolve deterministically.
+    left the constraint band evolve deterministically.  Written as
+    a c (1 - c) with c = clip(x, 0, 1): bit for bit a x (1 - x) on
+    [0, 1], exactly 0 outside, and NaN for NaN, so it masks no NaN.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.where((x >= 0.0) & (x <= 1.0), amplitude * x * (1.0 - x), 0.0)
+    c = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+    out = amplitude * c * (1.0 - c)
     return float(out) if out.ndim == 0 else out
 
 

@@ -139,6 +139,29 @@ def test_simulate_writes_trajectory(tmp_path):
     assert len(lines) == 1 + 5 * 4  # steps 0..4 on four cells
 
 
+def test_simulate_non_finite_path_exits_numerical(tmp_path):
+    (tmp_path / "paths.csv").write_text("0.1\nnan\n-0.2\n0.3\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("L = 2\nN = 4\na = 5\npath_file = paths.csv\n")
+    out = tmp_path / "sim"
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 3
+    assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("expectation", "N = 8\n"),
+    ("convergence", "N_max = 32\nN_list = 8,16\n"),
+    ("splitting-error", "N_max = 32\nN_list = 8,16\neps_rule = fixed\neps_c = 0.05\n"),
+])
+def test_monte_carlo_commands_reject_path_file(tmp_path, command, keys):
+    (tmp_path / "paths.csv").write_text("0.1\n0.2\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(keys + "L = 2\nN_p = 2\na = 10\npath_file = paths.csv\n")
+    assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    cfg.write_text(keys + "L = 2\nN_p = 2\na = 10\n")
+    assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
+
+
 def test_expectation_zero_amplitude(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("L = 3\nN = 16\nN_max = 16\nN_p = 6\na = 0\n"

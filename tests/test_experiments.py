@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from acfv.errors import ConfigError
+from acfv.errors import ConfigError, NumericalFailure
 from acfv.experiments import (ErrorCurve, StudyConfig, convergence_study,
                               estimate_error, estimate_expectation,
                               expectation_study, fit_convergence_order,
@@ -116,6 +116,18 @@ def test_splitting_gap_positive_on_active_states():
                          epsilon=EpsilonSchedule.fixed(0.05), seed=2).validate()
     _, errs = splitting_gap_errors(config, initial_state=start)
     assert min(errs) > 0
+
+
+def test_non_finite_states_fail_loudly():
+    start = np.full(9, 0.4)
+    start[4] = np.nan
+    config = StudyConfig(cells_per_axis=3, n_fine=16, n_steps_list=(8, 16),
+                         n_paths=3, amplitudes=(2.0,),
+                         epsilon=EpsilonSchedule.fixed(0.05), seed=1).validate()
+    with pytest.raises(NumericalFailure, match="a=2, N=16, path 0"):
+        convergence_study(config, initial_state=start)
+    with pytest.raises(NumericalFailure):
+        splitting_error_study(config, initial_state=start)
 
 
 def test_splitting_error_study_needs_fixed_eps():

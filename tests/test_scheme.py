@@ -7,13 +7,14 @@ import pytest
 
 from acfv import benchmark
 from acfv.assembly import assemble_mass, assemble_stiffness
-from acfv.constraint import resolvent
+from acfv.constraint import psi_eps, resolvent
 from acfv.linalg import ShiftedSolver
 from acfv.mesh import build_uniform_mesh, default_initial_state
 from acfv.scheme import (EpsilonSchedule, SchemeParams, coupled_step,
                          dump_trajectory_csv, heat_step, run_trajectory,
                          splitting_step)
-from acfv.stochastic import aggregate_increments
+from acfv.stochastic import (aggregate_increments, diffusion_g,
+                             sample_increment_block)
 
 QUARTERS = np.array(benchmark.QUARTER_INCREMENTS)
 
@@ -236,6 +237,60 @@ def test_coupled_step_stacked_rows():
                            params, solver)
     np.testing.assert_allclose(stacked[0], coupled_step(u0, inc[0], params, solver))
     np.testing.assert_allclose(stacked[1], coupled_step(u0, inc[1], params, solver))
+
+
+def rowwise_newton(u_prev, d_w, params, solver):
+    """Reference coupled step: one path at a time, dense Jacobian solves."""
+    dense = solver.shifted.toarray()
+    mass, tau, eps = solver.mass_diag, params.tau, params.eps
+    rhs = mass * (u_prev + diffusion_g(u_prev, params.amplitude) * d_w)
+    u = resolvent(np.linalg.solve(dense, rhs), tau, eps)
+    for _ in range(100):
+        residual = dense @ u + tau * mass * psi_eps(u, eps) - rhs
+        if np.max(np.abs(residual)) <= 1e-11 * mass.min():
+            return u
+        active = (u < 0.0) | (u > 1.0)
+        u = u - np.linalg.solve(dense + np.diag((tau / eps) * mass * active), residual)
+    raise AssertionError("reference Newton did not converge")
+
+
+def test_batched_newton_matches_rowwise_above_dense_limit():
+    mesh = build_uniform_mesh(12)
+    params = SchemeParams(horizon=1.0, n_steps=16, epsilon=EpsilonSchedule.fixed(0.05),
+                          amplitude=10.0, variant="coupled")
+    solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), params.tau)
+    rng = np.random.default_rng(15)
+    start = rng.uniform(-0.6, 1.6, size=(6, mesh.n_cells))
+    d_w = rng.standard_normal(6) * np.sqrt(params.tau)
+    batched = coupled_step(start, d_w, params, solver)
+    assert ((batched < 0) | (batched > 1)).any()
+    for row in range(6):
+        np.testing.assert_allclose(
+            batched[row], rowwise_newton(start[row], d_w[row], params, solver), atol=1e-10)
+
+
+@pytest.mark.parametrize("L", [4, 8])
+@pytest.mark.parametrize("variant", ["splitting", "coupled"])
+def test_path_result_independent_of_block_size_and_position(L, variant):
+    # Block composition may move the last bits of a GEMM row, never more.
+    mesh = build_uniform_mesh(L)
+    params = SchemeParams(horizon=1.0, n_steps=64, epsilon=EpsilonSchedule.fixed(0.05),
+                          amplitude=10.0, variant=variant)
+    solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), params.tau)
+    n_paths = 37
+    inc = sample_increment_block(3, range(n_paths), params.horizon, params.n_steps)
+    start = np.tile(default_initial_state(mesh) - 0.3, (n_paths, 1))
+
+    def final(rows):
+        return run_trajectory(start[rows], inc[rows], params, solver).final
+
+    whole = final(np.arange(n_paths))
+    for size in (1, 7):
+        blocks = [final(np.arange(lo, min(lo + size, n_paths)))
+                  for lo in range(0, n_paths, size)]
+        np.testing.assert_allclose(np.vstack(blocks), whole, rtol=0, atol=1e-13)
+    order = np.random.default_rng(L).permutation(n_paths)
+    np.testing.assert_allclose(final(order), whole[order], rtol=0, atol=1e-13)
 
 
 def test_trajectory_checkpoints_and_validation():
