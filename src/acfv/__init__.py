@@ -24,8 +24,8 @@ from .mesh import (Mesh, build_uniform_mesh, cell_average,
                    squared_l2_distance)
 from .scheme import (EpsilonSchedule, SchemeParams, Trajectory, coupled_step,
                      heat_step, run_trajectory, splitting_step)
-from .stochastic import (NoisePath, aggregate_increments, diffusion_g,
-                         dump_increments, load_increments, sample_path)
+from .stochastic import (aggregate_increments, diffusion_g, dump_increments,
+                         load_increments, sample_increment_block)
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,7 @@ __all__ = [
     "assemble_mass", "assemble_stiffness",
     "ShiftedSolver",
     "psi_eps", "resolvent", "resolvent_field",
-    "NoisePath", "sample_path", "aggregate_increments", "diffusion_g",
+    "sample_increment_block", "aggregate_increments", "diffusion_g",
     "dump_increments", "load_increments",
     "EpsilonSchedule", "SchemeParams", "Trajectory",
     "splitting_step", "coupled_step", "heat_step", "run_trajectory",

@@ -18,15 +18,16 @@ from dataclasses import replace
 import numpy as np
 
 from . import benchmark, validation
+from .assembly import assemble_mass, assemble_stiffness
 from .config import build_manifest, load_config_file, preset_config
 from .errors import ConfigError, NumericalFailure
 from .experiments import (StudyConfig, convergence_study, expectation_study,
                           format_float, require_finite, splitting_error_study,
                           write_error_csv, write_expectation_csv, write_fit_csv)
 from .linalg import ShiftedSolver
+from .mesh import build_uniform_mesh, default_initial_state
 from .scheme import SchemeParams, dump_trajectory_csv, run_trajectory
-from .stochastic import aggregate_increments, load_increments, sample_path
-from .experiments import _setup  # shared mesh/operator construction
+from .stochastic import aggregate_increments, load_increments, sample_increment_block
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -106,15 +107,16 @@ def cmd_simulate(config: StudyConfig) -> int:
         n_fine = fine.shape[0]
     else:
         n_fine = config.resolved_n_fine()
-        fine = sample_path(config.seed, 0, config.horizon, n_fine).increments
+        fine = sample_increment_block(config.seed, [0], config.horizon, n_fine)[0]
     n_steps = config.n_steps or n_fine
     if n_fine % n_steps:
         raise ConfigError(f"N={n_steps} must divide the {n_fine} fine increments")
     params = SchemeParams(horizon=config.horizon, n_steps=n_steps,
                           epsilon=config.epsilon, amplitude=config.amplitudes[0],
                           variant=config.variant)
-    mesh, u0, mass, stiffness = _setup(config)
-    solver = ShiftedSolver(mass, stiffness, params.tau)
+    mesh = build_uniform_mesh(config.cells_per_axis, config.half_width)
+    u0 = default_initial_state(mesh)
+    solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), params.tau)
     traj = run_trajectory(u0, aggregate_increments(fine, n_steps), params, solver,
                           keep_history=True)
     require_finite([traj.final], params.amplitude, n_steps)

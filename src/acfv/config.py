@@ -9,7 +9,6 @@ Recognized keys::
     domain_half_width  half side length of the square domain (default 1)
     T                  time horizon
     L                  cells per axis
-    L_max              reference resolution, must equal L when given
     N                  step count for single-resolution commands
     N_max              finest step count (defaults to N or max of N_list)
     N_list             comma-separated step counts for refinement studies
@@ -49,7 +48,7 @@ __all__ = [
     "build_manifest",
 ]
 
-_INT_KEYS = {"L", "L_max", "N", "N_max", "N_p", "seed"}
+_INT_KEYS = {"L", "N", "N_max", "N_p", "seed"}
 _FLOAT_KEYS = {"T", "domain_half_width", "eps_c", "eps_p"}
 _INT_LIST_KEYS = {"N_list", "checkpoints"}
 _FLOAT_LIST_KEYS = {"a"}
@@ -111,7 +110,7 @@ def config_from_mapping(mapping: dict, base_dir: str = ".") -> StudyConfig:
         path_file = os.path.normpath(os.path.join(base_dir, path_file))
 
     renames = {
-        "T": "horizon", "L": "cells_per_axis", "L_max": "cells_per_axis_ref",
+        "T": "horizon", "L": "cells_per_axis",
         "N": "n_steps", "N_max": "n_fine", "N_list": "n_steps_list",
         "N_p": "n_paths", "a": "amplitudes",
         "domain_half_width": "half_width",

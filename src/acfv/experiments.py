@@ -15,7 +15,9 @@ Three studies are provided.
   one on shared paths, as a function of the step size.
 
 Paths are processed in fixed-size blocks so per-path work is batched
-through the linear solver.  The block size is a constant, deliberately
+through the linear solver.  One block runner sets up and steps a block
+for every study; the studies differ only in how they reduce the
+per-path states it yields.  The block size is a constant, deliberately
 not tied to the worker count: per-path results land in arrays indexed
 by path, and reductions run over those fixed arrays, so a study result
 is bit-identical no matter how many workers computed it.  Worker pools
@@ -34,9 +36,9 @@ from .assembly import assemble_mass, assemble_stiffness
 from .errors import ConfigError, NumericalFailure
 from .linalg import ShiftedSolver
 from .mesh import build_uniform_mesh, default_initial_state
-from .scheme import (EpsilonSchedule, SchemeParams, VARIANTS, coupled_step,
-                     run_trajectory, splitting_step)
+from .scheme import _STEPS, EpsilonSchedule, SchemeParams, VARIANTS
 from .stochastic import aggregate_increments, sample_increment_block
+from .textio import text_stream
 
 __all__ = [
     "StudyConfig",
@@ -68,14 +70,11 @@ class StudyConfig:
 
     ``n_fine`` is the finest step count; every entry of
     ``n_steps_list`` (and ``n_steps``, when set) must divide it, since
-    coarse runs are driven by aggregated fine increments.  The
-    reference resolution ``cells_per_axis_ref`` must currently equal
-    ``cells_per_axis``: mixed spatial resolutions are out of scope.
+    coarse runs are driven by aggregated fine increments.
     """
 
     horizon: float = 1.0
     cells_per_axis: int = 4
-    cells_per_axis_ref: int | None = None
     n_steps: int | None = None
     n_steps_list: tuple = ()
     n_fine: int | None = None
@@ -104,8 +103,6 @@ class StudyConfig:
             raise ConfigError("T must be positive")
         if self.cells_per_axis < 1:
             raise ConfigError("L must be >= 1")
-        if self.cells_per_axis_ref is not None and self.cells_per_axis_ref != self.cells_per_axis:
-            raise ConfigError("L and L_max must agree (mixed spatial resolutions unsupported)")
         if self.n_paths < 1:
             raise ConfigError("N_p must be >= 1")
         if self.half_width <= 0:
@@ -133,18 +130,6 @@ class StudyConfig:
         return self
 
 
-def _setup(config: StudyConfig):
-    mesh = build_uniform_mesh(config.cells_per_axis, config.half_width)
-    u0 = default_initial_state(mesh)
-    mass = assemble_mass(mesh)
-    stiffness = assemble_stiffness(mesh)
-    return mesh, u0, mass, stiffness
-
-
-def _blocks(n_paths):
-    return [(lo, min(lo + PATH_BLOCK, n_paths)) for lo in range(0, n_paths, PATH_BLOCK)]
-
-
 def require_finite(states, amplitude, n_steps, first_path=0):
     """Raise NumericalFailure unless every per-path row of ``states`` is finite.
 
@@ -161,12 +146,54 @@ def require_finite(states, amplitude, n_steps, first_path=0):
             f"path {first_path + int(np.argmax(bad))}")
 
 
-def _map_blocks(fn, args_list, workers):
-    if workers <= 1 or len(args_list) <= 1:
-        return [fn(*args) for args in args_list]
+def _map_blocks(fn, config: StudyConfig, args, workers):
+    """fn(config, *args, lo, hi) for each path block, in path order."""
+    calls = [(config, *args, lo, min(lo + PATH_BLOCK, config.n_paths))
+             for lo in range(0, config.n_paths, PATH_BLOCK)]
+    if workers <= 1 or len(calls) <= 1:
+        return [fn(*call) for call in calls]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *args) for args in args_list]
+        futures = [pool.submit(fn, *call) for call in calls]
         return [f.result() for f in futures]
+
+
+def _run_block(config: StudyConfig, amplitude, initial_state, lo, hi, n_list, variants):
+    """Set up paths lo..hi-1 once and step them at every step count of ``n_list``.
+
+    The mesh, the start field and the operators are built, and the
+    block's fine increments sampled, once.  Returns the mesh, the start
+    field and a generator over the runs: for each N it builds one
+    SchemeParams per variant and one ShiftedSolver, steps every variant
+    as its own (hi - lo, d) stack from the start, and yields
+    (N, n, states) after step n, with one stack per variant in
+    ``states``.  Each N ends with a finiteness check.
+    """
+    mesh = build_uniform_mesh(config.cells_per_axis, config.half_width)
+    u0 = (default_initial_state(mesh) if initial_state is None
+          else np.asarray(initial_state, dtype=float))
+    mass, stiffness = assemble_mass(mesh), assemble_stiffness(mesh)
+    n_fine = config.resolved_n_fine()
+    fine = sample_increment_block(config.seed, range(lo, hi), config.horizon, n_fine)
+    start = np.tile(u0, (hi - lo, 1))
+
+    def runs():
+        for n_steps in n_list:
+            params = [SchemeParams(horizon=config.horizon, n_steps=n_steps,
+                                   epsilon=config.epsilon, amplitude=amplitude,
+                                   variant=variant) for variant in variants]
+            solver = ShiftedSolver(mass, stiffness, params[0].tau)
+            # The fine block drives N_max itself: a copy would double the
+            # block's largest array.
+            inc = fine if n_steps == n_fine else aggregate_increments(fine, n_steps)
+            states = [start] * len(variants)
+            for n in range(n_steps):
+                states = [_STEPS[p.variant](u, inc[:, n], p, solver)
+                          for u, p in zip(states, params)]
+                yield n_steps, n + 1, states
+            del inc  # freed before the next N aggregates its own
+            require_finite(np.hstack(states), amplitude, n_steps, lo)
+
+    return mesh, u0, runs()
 
 
 # ---------------------------------------------------------------------------
@@ -190,30 +217,11 @@ class ExpectationResult:
 
 
 def _expectation_block(config: StudyConfig, amplitude, lo, hi):
-    mesh, u0, mass, stiffness = _setup(config)
-    n_steps = config.n_steps
-    params = SchemeParams(horizon=config.horizon, n_steps=n_steps,
-                          epsilon=config.epsilon, amplitude=amplitude,
-                          variant=config.variant)
-    solver = ShiftedSolver(mass, stiffness, params.tau)
-    fine = sample_increment_block(config.seed, range(lo, hi),
-                                  config.horizon, config.resolved_n_fine())
-    inc = aggregate_increments(fine, n_steps)
-    start = np.tile(u0, (hi - lo, 1))
-    cps = config.checkpoints or (n_steps,)
-    traj = run_trajectory(start, inc, params, solver, checkpoints=cps)
-    require_finite(traj.final, amplitude, n_steps, lo)
-    return {n: traj.checkpoints[n] for n in cps}
-
-
-def _expectation_sweep(config: StudyConfig, amplitude, workers=1):
-    """Per-path states at every checkpoint: maps n -> (N_p, d) array."""
-    if config.n_steps is None:
-        raise ConfigError("expectation study needs a step count N")
-    args = [(config, amplitude, lo, hi) for lo, hi in _blocks(config.n_paths)]
-    parts = _map_blocks(_expectation_block, args, workers)
+    """Initial mean, and the per-path states at every checkpoint."""
     cps = config.checkpoints or (config.n_steps,)
-    return {n: np.vstack([part[n] for part in parts]) for n in cps}
+    _, u0, runs = _run_block(config, amplitude, None, lo, hi,
+                             (config.n_steps,), (config.variant,))
+    return float(u0.mean()), {n: states[0] for _, n, states in runs if n in cps}
 
 
 def estimate_expectation(config: StudyConfig, checkpoint, amplitude,
@@ -224,20 +232,8 @@ def estimate_expectation(config: StudyConfig, checkpoint, amplitude,
     convention used throughout; on uniform meshes it coincides with the
     mass-weighted mean.
     """
-    config = replace(config, checkpoints=tuple(sorted({int(checkpoint),
-                                                       *config.checkpoints})))
-    config.validate()
-    _, u0, _, _ = _setup(config)
-    states = _expectation_sweep(config, amplitude, workers)[int(checkpoint)]
-    cell_means = states.mean(axis=0)
-    return ExpectationResult(
-        amplitude=float(amplitude),
-        checkpoint=int(checkpoint),
-        n_steps=config.n_steps,
-        cell_means=cell_means,
-        mean=float(cell_means.mean()),
-        initial_mean=float(u0.mean()),
-    )
+    config = replace(config, amplitudes=(amplitude,), checkpoints=(int(checkpoint),))
+    return expectation_study(config, workers)[0]
 
 
 def expectation_study(config: StudyConfig, workers=1) -> list:
@@ -250,14 +246,12 @@ def expectation_study(config: StudyConfig, workers=1) -> list:
     config.validate()
     if config.n_steps is None:
         raise ConfigError("expectation study needs a step count N")
-    _, u0, _, _ = _setup(config)
-    initial_mean = float(u0.mean())
-    cps = config.checkpoints or (config.n_steps,)
     results = []
     for amplitude in config.amplitudes:
-        states = _expectation_sweep(config, amplitude, workers)
-        for n in cps:
-            cell_means = states[n].mean(axis=0)
+        parts = _map_blocks(_expectation_block, config, (amplitude,), workers)
+        initial_mean = parts[0][0]
+        for n in config.checkpoints or (config.n_steps,):
+            cell_means = np.vstack([states[n] for _, states in parts]).mean(axis=0)
             results.append(ExpectationResult(
                 amplitude=float(amplitude), checkpoint=int(n),
                 n_steps=config.n_steps, cell_means=cell_means,
@@ -270,36 +264,19 @@ def expectation_study(config: StudyConfig, workers=1) -> list:
 # ---------------------------------------------------------------------------
 
 def _error_block(config: StudyConfig, amplitude, n_list, initial_state, lo, hi):
-    mesh, u0, mass, stiffness = _setup(config)
-    if initial_state is not None:
-        u0 = np.asarray(initial_state, dtype=float)
+    """Per-path squared L2 gap between the N_max run and each N of ``n_list``."""
     n_fine = config.resolved_n_fine()
-    fine = sample_increment_block(config.seed, range(lo, hi),
-                                  config.horizon, n_fine)
-    start = np.tile(u0, (hi - lo, 1))
-
-    def final_state(n_steps, increments):
-        params = SchemeParams(horizon=config.horizon, n_steps=n_steps,
-                              epsilon=config.epsilon, amplitude=amplitude,
-                              variant=config.variant)
-        solver = ShiftedSolver(mass, stiffness, params.tau)
-        final = run_trajectory(start, increments, params, solver).final
-        require_finite(final, amplitude, n_steps, lo)
-        return final
-
-    reference = final_state(n_fine, fine)
-    out = np.empty((hi - lo, len(n_list)))
-    for j, n_steps in enumerate(n_list):
-        coarse = final_state(n_steps, aggregate_increments(fine, n_steps))
-        diff = reference - coarse
-        out[:, j] = (diff * diff) @ mesh.cell_measures
-    return out
+    # N_max runs once, also when n_list holds it (its error is then zero).
+    mesh, _, runs = _run_block(config, amplitude, initial_state, lo, hi,
+                               tuple(dict.fromkeys((n_fine, *n_list))), (config.variant,))
+    final = {n_steps: states[0] for n_steps, n, states in runs if n == n_steps}
+    diffs = [final[n_fine] - final[n_steps] for n_steps in n_list]
+    return np.column_stack([(diff * diff) @ mesh.cell_measures for diff in diffs])
 
 
 def _error_sweep(config: StudyConfig, amplitude, n_list, initial_state, workers=1):
-    args = [(config, amplitude, tuple(n_list), initial_state, lo, hi)
-            for lo, hi in _blocks(config.n_paths)]
-    parts = _map_blocks(_error_block, args, workers)
+    parts = _map_blocks(_error_block, config,
+                        (amplitude, tuple(n_list), initial_state), workers)
     return np.vstack(parts)
 
 
@@ -376,30 +353,13 @@ def convergence_study(config: StudyConfig, initial_state=None, workers=1) -> lis
 # ---------------------------------------------------------------------------
 
 def _splitting_gap_block(config: StudyConfig, amplitude, n_list, initial_state, lo, hi):
-    mesh, u0, mass, stiffness = _setup(config)
-    if initial_state is not None:
-        u0 = np.asarray(initial_state, dtype=float)
-    n_fine = config.resolved_n_fine()
-    fine = sample_increment_block(config.seed, range(lo, hi),
-                                  config.horizon, n_fine)
-    start = np.tile(u0, (hi - lo, 1))
-    out = {}
-    for n_steps in n_list:
-        base = dict(horizon=config.horizon, n_steps=n_steps,
-                    epsilon=config.epsilon, amplitude=amplitude)
-        p_split = SchemeParams(variant="splitting", **base)
-        p_coupled = SchemeParams(variant="coupled", **base)
-        solver = ShiftedSolver(mass, stiffness, p_split.tau)
-        inc = aggregate_increments(fine, n_steps)
-        gaps = np.empty((hi - lo, n_steps))
-        u_split = u_coupled = start
-        for n in range(n_steps):
-            u_split = splitting_step(u_split, inc[:, n], p_split, solver)
-            u_coupled = coupled_step(u_coupled, inc[:, n], p_coupled, solver)
-            gaps[:, n] = np.max(np.abs(u_coupled - u_split), axis=1)
-        require_finite(np.hstack([u_split, u_coupled]), amplitude, n_steps, lo)
-        out[n_steps] = gaps
-    return out
+    """Per-path maximum cell gap between the two methods after every step."""
+    gaps = {n_steps: np.empty((hi - lo, n_steps)) for n_steps in n_list}
+    _, _, runs = _run_block(config, amplitude, initial_state, lo, hi,
+                            n_list, ("splitting", "coupled"))
+    for n_steps, n, (u_split, u_coupled) in runs:
+        gaps[n_steps][:, n - 1] = np.max(np.abs(u_coupled - u_split), axis=1)
+    return gaps
 
 
 def splitting_error_study(config: StudyConfig, initial_state=None,
@@ -441,9 +401,8 @@ def splitting_gap_errors(config: StudyConfig, initial_state=None, workers=1):
         raise ConfigError("the gap study runs one amplitude at a time")
     amplitude = config.amplitudes[0]
     n_list = tuple(sorted(config.n_steps_list))
-    args = [(config, amplitude, n_list, initial_state, lo, hi)
-            for lo, hi in _blocks(config.n_paths)]
-    parts = _map_blocks(_splitting_gap_block, args, workers)
+    parts = _map_blocks(_splitting_gap_block, config,
+                        (amplitude, n_list, initial_state), workers)
     errors = []
     for n_steps in n_list:
         gaps = np.vstack([part[n_steps] for part in parts])
@@ -461,17 +420,10 @@ def format_float(x) -> str:
 
 
 def _write_rows(target, header, rows):
-    close = False
-    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-        target = open(target, "w", encoding="ascii")
-        close = True
-    try:
-        target.write(header + "\n")
+    with text_stream(target, "w") as out:
+        out.write(header + "\n")
         for row in rows:
-            target.write(",".join(row) + "\n")
-    finally:
-        if close:
-            target.close()
+            out.write(",".join(row) + "\n")
 
 
 def write_expectation_csv(target, results) -> None:

@@ -13,10 +13,12 @@ condition and are therefore not stored at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
+
+from .textio import text_stream
 
 __all__ = [
     "Mesh",
@@ -54,16 +56,10 @@ class Mesh:
         Edge lengths m_sigma.
     edge_distances : (n_edges,) float array
         Center distances d_{K|L}.
-    edge_cell_gaps : (n_edges, 2) float array
-        Distances d(x_K, sigma) and d(x_L, sigma) from each center to
-        the shared edge.
     h : float
         Mesh size, the largest cell diameter.
     cells_per_axis : int or None
         Grid parameter L for uniform meshes, None otherwise.
-    max_edges_per_vertex : int or None
-        Largest number of stored edges meeting at a mesh vertex.
-        Recorded as a regularity diagnostic; nothing computes with it.
     """
 
     cell_centers: np.ndarray
@@ -72,15 +68,12 @@ class Mesh:
     edge_cells: np.ndarray
     edge_measures: np.ndarray
     edge_distances: np.ndarray
-    edge_cell_gaps: np.ndarray
     h: float
     cells_per_axis: int | None = None
-    max_edges_per_vertex: int | None = field(default=None)
 
     def __post_init__(self):
         for arr in (self.cell_centers, self.cell_measures, self.cell_bounds,
-                    self.edge_cells, self.edge_measures, self.edge_distances,
-                    self.edge_cell_gaps):
+                    self.edge_cells, self.edge_measures, self.edge_distances):
             if arr is not None:
                 arr.setflags(write=False)
 
@@ -103,13 +96,6 @@ class Mesh:
     @property
     def domain_measure(self) -> float:
         return float(self.cell_measures.sum())
-
-    @property
-    def center_edge_ratio(self) -> float:
-        """min over (K, sigma) of d(x_K, sigma) / h, the mesh regularity ratio."""
-        if self.n_edges == 0:
-            return np.inf
-        return float(self.edge_cell_gaps.min() / self.h)
 
     def validate(self):
         """Check the structural mesh invariants, raising ValueError on failure."""
@@ -180,10 +166,8 @@ def build_uniform_mesh(cells_per_axis: int, half_width: float = 1.0) -> Mesh:
         edge_cells=edge_cells,
         edge_measures=np.full(n_edges, side),
         edge_distances=np.full(n_edges, side),
-        edge_cell_gaps=np.full((n_edges, 2), side / 2),
         h=side * np.sqrt(2.0),
         cells_per_axis=L,
-        max_edges_per_vertex=4 if L >= 2 else 0,
     )
 
 
@@ -229,15 +213,8 @@ def squared_l2_distance(u, v, mesh: Mesh) -> float:
 
 def export_mesh_csv(mesh: Mesh, target) -> None:
     """Write a cell summary (index, center, measure) as CSV for debugging."""
-    close = False
-    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-        target = open(target, "w", encoding="ascii")
-        close = True
-    try:
-        target.write("cell_index,center_x,center_y,m_K\n")
+    with text_stream(target, "w") as out:
+        out.write("cell_index,center_x,center_y,m_K\n")
         for n in range(mesh.n_cells):
             cx, cy = mesh.cell_centers[n]
-            target.write(f"{n},{cx:.17g},{cy:.17g},{mesh.cell_measures[n]:.17g}\n")
-    finally:
-        if close:
-            target.close()
+            out.write(f"{n},{cx:.17g},{cy:.17g},{mesh.cell_measures[n]:.17g}\n")

@@ -30,6 +30,7 @@ from .constraint import psi_eps, resolvent_field
 from .errors import NumericalFailure
 from .linalg import ShiftedSolver
 from .stochastic import diffusion_g
+from .textio import text_stream
 
 __all__ = [
     "EpsilonSchedule",
@@ -182,25 +183,23 @@ _STEPS = {"splitting": splitting_step, "coupled": coupled_step, "heat": heat_ste
 class Trajectory:
     """Result of a trajectory run.
 
-    ``final`` is the state after the last step; ``checkpoints`` maps a
-    step index to the state after that step; ``states`` holds the full
-    history (one entry per step, the initial state excluded) when it
-    was requested, else None.
+    ``final`` is the state after the last step; ``states`` holds the
+    full history (one entry per step, the initial state excluded) when
+    it was requested, else None.
     """
 
     final: np.ndarray
-    checkpoints: dict
     states: list | None = None
 
 
 def run_trajectory(u0, increments, params: SchemeParams, solver: ShiftedSolver,
-                   checkpoints=(), keep_history=False) -> Trajectory:
+                   keep_history=False) -> Trajectory:
     """Iterate the selected step over a full increment sequence.
 
     ``increments`` has the step count on its last axis; a leading axis
     turns the run into a batch of paths evolved side by side (one
-    increment row per path).  By default only the final state and the
-    requested checkpoints are retained.
+    increment row per path).  By default only the final state is
+    retained.
     """
     u = np.array(u0, dtype=float)
     increments = np.asarray(increments, dtype=float)
@@ -208,17 +207,13 @@ def run_trajectory(u0, increments, params: SchemeParams, solver: ShiftedSolver,
         raise ValueError(
             f"expected {params.n_steps} increments, got {increments.shape[-1]}")
     step = _STEPS[params.variant]
-    wanted = set(int(n) for n in checkpoints)
 
-    saved = {}
     history = [] if keep_history else None
     for n in range(1, params.n_steps + 1):
         u = step(u, increments[..., n - 1], params, solver)
-        if n in wanted:
-            saved[n] = u.copy()
         if keep_history:
             history.append(u.copy())
-    return Trajectory(final=u, checkpoints=saved, states=history)
+    return Trajectory(final=u, states=history)
 
 
 def dump_trajectory_csv(trajectory: Trajectory, u0, target) -> None:
@@ -231,15 +226,8 @@ def dump_trajectory_csv(trajectory: Trajectory, u0, target) -> None:
         raise ValueError("trajectory was run without history")
     if trajectory.final.ndim != 1:
         raise ValueError("CSV dump covers single-path trajectories only")
-    close = False
-    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-        target = open(target, "w", encoding="ascii")
-        close = True
-    try:
-        target.write("n,cell_index,value\n")
+    with text_stream(target, "w") as out:
+        out.write("n,cell_index,value\n")
         for n, state in enumerate([np.asarray(u0)] + trajectory.states):
             for k, value in enumerate(state):
-                target.write(f"{n},{k},{value:.17g}\n")
-    finally:
-        if close:
-            target.close()
+                out.write(f"{n},{k},{value:.17g}\n")

@@ -21,37 +21,18 @@ interval; the requested step count must divide the fine one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import ndtri
 
+from .textio import text_stream
+
 __all__ = [
-    "NoisePath",
-    "sample_path",
     "sample_increment_block",
     "aggregate_increments",
     "diffusion_g",
     "dump_increments",
     "load_increments",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class NoisePath:
-    """Finest-resolution Brownian increments of one sample path."""
-
-    increments: np.ndarray
-    horizon: float
-    seed: int
-    path_index: int
-
-    def __post_init__(self):
-        self.increments.setflags(write=False)
-
-    @property
-    def n_fine(self) -> int:
-        return self.increments.shape[0]
 
 
 def _raw_increments(seed, path_index, horizon, n_fine):
@@ -68,43 +49,31 @@ def _raw_increments(seed, path_index, horizon, n_fine):
     return np.round(z / quantum) * quantum
 
 
-def sample_path(seed, path_index, horizon, n_fine) -> NoisePath:
-    """Draw one path of ``n_fine`` increments with variance horizon/n_fine.
+def sample_increment_block(seed, path_indices, horizon, n_fine) -> np.ndarray:
+    """Fine increments of several paths, one row of ``n_fine`` per path.
 
-    Deterministic in (seed, path_index, n_fine); distinct keys give
-    independent streams.
+    Each increment has variance horizon/n_fine.  Row i is a pure function
+    of (seed, path_indices[i], n_fine): distinct keys give independent
+    streams, and a row does not depend on the other rows of the block.
     """
     if n_fine < 1:
         raise ValueError("n_fine must be >= 1")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    inc = _raw_increments(int(seed), int(path_index), float(horizon), int(n_fine))
-    return NoisePath(increments=inc, horizon=float(horizon),
-                     seed=int(seed), path_index=int(path_index))
-
-
-def sample_increment_block(seed, path_indices, horizon, n_fine) -> np.ndarray:
-    """Fine increments for several paths, stacked as rows.
-
-    Row i equals sample_path(seed, path_indices[i], ...).increments
-    exactly; the block form just saves object overhead in Monte Carlo
-    loops.
-    """
     out = np.empty((len(path_indices), n_fine))
     for row, idx in enumerate(path_indices):
         out[row] = _raw_increments(int(seed), int(idx), float(horizon), int(n_fine))
     return out
 
 
-def aggregate_increments(path, n_coarse) -> np.ndarray:
+def aggregate_increments(increments, n_coarse) -> np.ndarray:
     """Sum fine increments into ``n_coarse`` coarse ones (last axis).
 
-    Accepts a NoisePath or a plain array whose last axis is the fine
-    grid.  The coarse step count must divide the fine one.  The total
-    sum is preserved, so coarse and fine grids are driven by the same
-    Brownian path.
+    The last axis of ``increments`` is the fine grid; the coarse step
+    count must divide it.  The total sum is preserved, so coarse and
+    fine grids are driven by the same Brownian path.
     """
-    arr = path.increments if isinstance(path, NoisePath) else np.asarray(path, dtype=float)
+    arr = np.asarray(increments, dtype=float)
     n_fine = arr.shape[-1]
     n_coarse = int(n_coarse)
     if n_coarse < 1 or n_fine % n_coarse:
@@ -131,17 +100,9 @@ def diffusion_g(x, amplitude):
 
 def dump_increments(increments, target) -> None:
     """Write increments as CSV, one value per row, full precision."""
-    arr = increments.increments if isinstance(increments, NoisePath) else np.asarray(increments)
-    close = False
-    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-        target = open(target, "w", encoding="ascii")
-        close = True
-    try:
-        for v in arr:
-            target.write(f"{v:.17g}\n")
-    finally:
-        if close:
-            target.close()
+    with text_stream(target, "w") as out:
+        for v in np.asarray(increments):
+            out.write(f"{v:.17g}\n")
 
 
 def load_increments(source) -> np.ndarray:
@@ -150,16 +111,9 @@ def load_increments(source) -> np.ndarray:
     Blank lines and lines starting with '#' are ignored, so injected
     reference paths can carry comments.
     """
-    close = False
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        source = open(source, "r", encoding="ascii")
-        close = True
-    try:
-        values = [float(line) for line in source
+    with text_stream(source) as lines:
+        values = [float(line) for line in lines
                   if line.strip() and not line.lstrip().startswith("#")]
-    finally:
-        if close:
-            source.close()
     if not values:
         raise ValueError("increment file contains no values")
     return np.array(values)

@@ -1,15 +1,19 @@
 """Configuration parsing, presets, manifests and the command-line interface."""
 
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from acfv import cli
+from acfv import config as config_module
 from acfv.config import (build_manifest, config_from_mapping, load_config_file,
                          packaged_increments_path, parse_config_text,
                          preset_config)
 from acfv.errors import ConfigError
+from acfv.experiments import PATH_BLOCK
 from acfv.scheme import EpsilonSchedule
 
 
@@ -41,6 +45,16 @@ def test_parse_config_text():
 def test_parse_rejects_malformed_input(bad, match):
     with pytest.raises(ConfigError, match=match):
         parse_config_text(bad)
+
+
+def test_documented_keys_match_parser():
+    table = config_module.__doc__.split("Recognized keys::")[1]
+    doc_keys = {line.split()[0] for line in table.splitlines()
+                if re.match(r"    \S", line)}
+    assert doc_keys == config_module._ALL_KEYS
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"the keys\s*\(([^)]*)\)", readme).group(1)
+    assert set(re.findall(r"`([^`]+)`", listed)) == config_module._ALL_KEYS
 
 
 def test_mapping_to_config():
@@ -210,17 +224,23 @@ def test_config_and_preset_are_exclusive(tmp_path):
     assert run_cli("simulate") == 2
 
 
-def test_outputs_identical_across_worker_counts(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command, keys, outputs", [
+    ("convergence", "N_max = 32\nN_list = 8,16\n", ("error.csv", "fit.csv")),
+    ("expectation", "N = 16\ncheckpoints = 2,16\n", ("expectation.csv",)),
+    ("splitting-error", "N_max = 32\nN_list = 8,16\neps_rule = fixed\neps_c = 0.05\n",
+     ("splitting_error.csv", "splitting_error_fit.csv")),
+], ids=["convergence", "expectation", "splitting-error"])
+def test_outputs_identical_across_worker_counts(tmp_path, monkeypatch, command, keys,
+                                                outputs):
+    # More paths than two blocks, so the pool really splits the work.
+    assert 600 > 2 * PATH_BLOCK
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("L = 2\nN_max = 32\nN_list = 8,16\nN_p = 600\na = 3\nseed = 9\n")
-    monkeypatch.setenv("ACFV_WORKERS", "1")
-    assert run_cli("convergence", "--config", str(cfg), "--out", str(tmp_path / "w1")) == 0
-    monkeypatch.setenv("ACFV_WORKERS", "2")
-    assert run_cli("convergence", "--config", str(cfg), "--out", str(tmp_path / "w2")) == 0
-    assert ((tmp_path / "w1" / "error.csv").read_bytes()
-            == (tmp_path / "w2" / "error.csv").read_bytes())
-    assert ((tmp_path / "w1" / "fit.csv").read_bytes()
-            == (tmp_path / "w2" / "fit.csv").read_bytes())
+    cfg.write_text(keys + "L = 2\nN_p = 600\na = 3\nseed = 9\n")
+    for workers in ("1", "2"):
+        monkeypatch.setenv("ACFV_WORKERS", workers)
+        assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / workers)) == 0
+    for name in outputs:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_bad_worker_env(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+from acfv import cli
 from acfv.errors import ConfigError, NumericalFailure
 from acfv.experiments import (ErrorCurve, StudyConfig, convergence_study,
                               estimate_error, estimate_expectation,
@@ -22,13 +23,11 @@ def small_config(**overrides):
     return StudyConfig(**base).validate()
 
 
-def test_config_validation_errors():
+def test_config_validation_errors(tmp_path, capsys):
     with pytest.raises(ConfigError):
         small_config(n_steps=12, n_fine=16)           # 12 does not divide 16
     with pytest.raises(ConfigError):
         small_config(n_paths=0)
-    with pytest.raises(ConfigError):
-        small_config(cells_per_axis_ref=4)            # L_max != L
     with pytest.raises(ConfigError):
         small_config(variant="magic")
     with pytest.raises(ConfigError):
@@ -37,7 +36,11 @@ def test_config_validation_errors():
         small_config(amplitudes=(-1.0,))
     with pytest.raises(ConfigError):
         StudyConfig(n_paths=3).validate()             # no step counts at all
-    assert small_config(cells_per_axis_ref=3).cells_per_axis_ref == 3
+    # L_max (a reference resolution that could only equal L) is gone.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("L = 3\nL_max = 3\nN = 8\nN_p = 2\n")
+    assert cli.main(["expectation", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "unknown key 'L_max'" in capsys.readouterr().err
 
 
 def test_initial_mean_is_exact():

@@ -37,7 +37,6 @@ def test_single_cell_mesh():
     assert mesh.n_cells == 1
     assert mesh.cell_measures[0] == pytest.approx(4.0, rel=1e-15)
     assert mesh.n_edges == 0
-    assert mesh.max_edges_per_vertex == 0
 
 
 def test_two_by_two_geometry():
@@ -79,7 +78,6 @@ def test_uniform_mesh_invariants(L):
         counts[Lc] += 1
     if L > 1:
         assert set(np.unique(counts)) <= {2, 3, 4}
-        assert mesh.center_edge_ratio == pytest.approx(1 / (2 * np.sqrt(2)), rel=1e-12)
 
 
 def test_rejects_degenerate_parameters():
@@ -98,7 +96,6 @@ def test_validate_catches_broken_edges():
         edge_cells=np.array([[0, 0], [1, 2], [2, 3], [1, 3]]),
         edge_measures=mesh.edge_measures.copy(),
         edge_distances=mesh.edge_distances.copy(),
-        edge_cell_gaps=mesh.edge_cell_gaps.copy(),
         h=mesh.h,
     )
     with pytest.raises(ValueError, match="distinct"):
@@ -110,7 +107,6 @@ def test_validate_catches_broken_edges():
         edge_cells=np.array([[0, 1], [1, 0], [2, 3], [1, 3]]),
         edge_measures=mesh.edge_measures.copy(),
         edge_distances=mesh.edge_distances.copy(),
-        edge_cell_gaps=mesh.edge_cell_gaps.copy(),
         h=mesh.h,
     )
     with pytest.raises(ValueError, match="duplicate"):

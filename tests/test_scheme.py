@@ -293,12 +293,12 @@ def test_path_result_independent_of_block_size_and_position(L, variant):
     np.testing.assert_allclose(final(order), whole[order], rtol=0, atol=1e-13)
 
 
-def test_trajectory_checkpoints_and_validation():
+def test_trajectory_history_and_validation():
     u0, params, solver = benchmark_setup(4)
-    traj = run_trajectory(u0, QUARTERS, params, solver, checkpoints=(2, 4))
-    assert set(traj.checkpoints) == {2, 4}
-    np.testing.assert_allclose(traj.checkpoints[4], traj.final)
-    assert traj.states is None
+    traj = run_trajectory(u0, QUARTERS, params, solver, keep_history=True)
+    assert len(traj.states) == 4
+    np.testing.assert_array_equal(traj.states[-1], traj.final)
+    assert run_trajectory(u0, QUARTERS, params, solver).states is None
     with pytest.raises(ValueError):
         run_trajectory(u0, QUARTERS[:3], params, solver)
 

@@ -7,38 +7,44 @@ import pytest
 
 from acfv.benchmark import QUARTER_INCREMENTS
 from acfv.stochastic import (aggregate_increments, diffusion_g,
-                             dump_increments, load_increments, sample_path,
+                             dump_increments, load_increments,
                              sample_increment_block)
 
 
+def one_path(seed, path_index, horizon, n_fine):
+    """The fine increments of one path, as a one-row block."""
+    return sample_increment_block(seed, [path_index], horizon, n_fine)[0]
+
+
 def test_paths_are_deterministic_per_key():
-    a = sample_path(42, 7, 1.0, 64)
-    sample_path(42, 8, 1.0, 64)  # interleaved draw must not matter
-    b = sample_path(42, 7, 1.0, 64)
-    np.testing.assert_array_equal(a.increments, b.increments)
+    a = one_path(42, 7, 1.0, 64)
+    one_path(42, 8, 1.0, 64)  # interleaved draw must not matter
+    b = one_path(42, 7, 1.0, 64)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_distinct_paths_differ():
-    a = sample_path(42, 0, 1.0, 64).increments
-    b = sample_path(42, 1, 1.0, 64).increments
+    a = one_path(42, 0, 1.0, 64)
+    b = one_path(42, 1, 1.0, 64)
     assert np.any(a != b)
-    c = sample_path(43, 0, 1.0, 64).increments
+    c = one_path(43, 0, 1.0, 64)
     assert np.any(a != c)
 
 
 def test_increment_variance():
     n = 100_000
-    path = sample_path(2024, 0, 1.0, n)
-    normalized = path.increments ** 2 * n / 1.0
+    path = one_path(2024, 0, 1.0, n)
+    normalized = path ** 2 * n / 1.0
     assert 0.98 <= normalized.mean() <= 1.02
-    assert abs(path.increments.mean()) <= 5.0 / np.sqrt(n)
+    assert abs(path.mean()) <= 5.0 / np.sqrt(n)
 
 
 def test_block_matches_individual_paths():
+    # A row does not depend on the other rows drawn with it.
     block = sample_increment_block(5, range(3, 6), 2.0, 32)
     for row, idx in enumerate(range(3, 6)):
         np.testing.assert_array_equal(block[row],
-                                      sample_path(5, idx, 2.0, 32).increments)
+                                      sample_increment_block(5, [idx], 2.0, 32)[0])
 
 
 def test_aggregate_benchmark_quarters():
@@ -50,18 +56,18 @@ def test_aggregate_benchmark_quarters():
 
 
 def test_aggregate_identity_and_total_sum():
-    path = sample_path(1, 2, 1.0, 240)
-    np.testing.assert_array_equal(aggregate_increments(path, 240), path.increments)
+    path = one_path(1, 2, 1.0, 240)
+    np.testing.assert_array_equal(aggregate_increments(path, 240), path)
     for n in (1, 2, 6, 30, 120):
         coarse = aggregate_increments(path, n)
         # lattice-valued increments make these sums exact
-        assert coarse.sum() == path.increments.sum()
+        assert coarse.sum() == path.sum()
 
 
 def test_aggregation_is_exactly_coherent():
     # Aggregating fine -> mid -> coarse equals fine -> coarse bitwise,
     # for divisor chains that are not powers of two.
-    path = sample_path(9, 4, 1.0, 360)
+    path = one_path(9, 4, 1.0, 360)
     for n_mid, n_coarse in ((120, 24), (90, 6), (180, 12), (60, 4)):
         mid = aggregate_increments(path, n_mid)
         staged = aggregate_increments(mid, n_coarse)
@@ -70,7 +76,7 @@ def test_aggregation_is_exactly_coherent():
 
 
 def test_aggregate_rejects_non_divisors():
-    path = sample_path(0, 0, 1.0, 16)
+    path = one_path(0, 0, 1.0, 16)
     with pytest.raises(ValueError):
         aggregate_increments(path, 3)
     with pytest.raises(ValueError):
@@ -106,12 +112,12 @@ def test_diffusion_lipschitz():
 
 
 def test_dump_load_roundtrip():
-    path = sample_path(6, 1, 1.0, 50)
+    path = one_path(6, 1, 1.0, 50)
     buf = io.StringIO()
     dump_increments(path, buf)
     buf.seek(0)
     back = load_increments(buf)
-    np.testing.assert_array_equal(back, path.increments)
+    np.testing.assert_array_equal(back, path)
 
 
 def test_load_skips_comments_and_blanks():
@@ -123,9 +129,9 @@ def test_load_skips_comments_and_blanks():
 
 def test_invalid_sampling_parameters():
     with pytest.raises(ValueError):
-        sample_path(0, 0, 1.0, 0)
+        sample_increment_block(0, [0], 1.0, 0)
     with pytest.raises(ValueError):
-        sample_path(0, 0, -1.0, 4)
+        sample_increment_block(0, [0], -1.0, 4)
 
 
 def test_packaged_increments_match_embedded_constants():
