@@ -12,7 +12,7 @@ empirical convergence orders.
 """
 
 from .assembly import assemble_mass, assemble_stiffness
-from .constraint import psi_eps, resolvent, resolvent_field
+from .constraint import psi_eps, resolvent
 from .errors import ConfigError, NumericalFailure
 from .experiments import (ErrorCurve, ExpectationResult, StudyConfig,
                           convergence_study, estimate_error,
@@ -34,7 +34,7 @@ __all__ = [
     "squared_l2_distance", "export_mesh_csv",
     "assemble_mass", "assemble_stiffness",
     "ShiftedSolver",
-    "psi_eps", "resolvent", "resolvent_field",
+    "psi_eps", "resolvent",
     "sample_increment_block", "aggregate_increments", "diffusion_g",
     "dump_increments", "load_increments",
     "EpsilonSchedule", "SchemeParams", "Trajectory",

@@ -26,7 +26,7 @@ from .experiments import (StudyConfig, convergence_study, expectation_study,
                           write_error_csv, write_expectation_csv, write_fit_csv)
 from .linalg import ShiftedSolver
 from .mesh import build_uniform_mesh, default_initial_state
-from .scheme import SchemeParams, dump_trajectory_csv, run_trajectory
+from .scheme import SchemeParams, dump_trajectory_csv, run_trajectory, write_states_csv
 from .stochastic import aggregate_increments, load_increments, sample_increment_block
 
 EXIT_OK = 0
@@ -88,12 +88,9 @@ def cmd_table_repro(config: StudyConfig) -> int:
     report = benchmark.run_benchmark_tables(path_file)
     for name, states in report.tables.items():
         print(name)
-        with open(os.path.join(out_dir, f"{name}.csv"), "w", encoding="ascii") as fh:
-            fh.write("n,cell_index,value\n")
-            for n, state in enumerate(states, start=1):
-                print(f"  n={n}  " + "  ".join(f"{v: .8f}" for v in state))
-                for k, value in enumerate(state):
-                    fh.write(f"{n},{k},{value:.17g}\n")
+        for n, state in enumerate(states, start=1):
+            print(f"  n={n}  " + "  ".join(f"{v: .8f}" for v in state))
+        write_states_csv(os.path.join(out_dir, f"{name}.csv"), states, first_step=1)
     verdict = "PASS" if report.passed else "FAIL"
     print(f"max deviation from reference tables: {report.max_deviation:.3g} "
           f"(tolerance {benchmark.TABLE_TOLERANCE:g}) {verdict}")
@@ -139,6 +136,8 @@ def cmd_expectation(config: StudyConfig) -> int:
 
 
 def cmd_convergence(config: StudyConfig) -> int:
+    if config.checkpoints:
+        raise ConfigError("convergence takes no 'checkpoints': it compares final states")
     out_dir = _prepare_out("convergence", config)
     curves = convergence_study(config, workers=_workers())
     errors_target = os.path.join(out_dir, "error.csv")
@@ -152,6 +151,9 @@ def cmd_convergence(config: StudyConfig) -> int:
 
 
 def cmd_splitting_error(config: StudyConfig) -> int:
+    if config.variant != "splitting":
+        raise ConfigError(f"splitting-error takes no 'variant' = {config.variant}: "
+                          "it always runs splitting against coupled")
     out_dir = _prepare_out("splitting-error", config)
     curve = splitting_error_study(config, workers=_workers())
     errors_target = os.path.join(out_dir, "splitting_error.csv")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["psi_eps", "resolvent", "resolvent_field"]
+__all__ = ["psi_eps", "resolvent"]
 
 
 def psi_eps(v, eps):
@@ -47,7 +47,3 @@ def resolvent(r, tau, eps):
     out = c + eps / (eps + tau) * (r - c)
     return float(out) if out.ndim == 0 else out
 
-
-def resolvent_field(u, tau, eps):
-    """Resolvent applied to a field (or stack of fields)."""
-    return resolvent(np.asarray(u, dtype=float), tau, eps)

@@ -21,8 +21,8 @@ per-path states it yields.  The block size is a constant, deliberately
 not tied to the worker count: per-path results land in arrays indexed
 by path, and reductions run over those fixed arrays, so a study result
 is bit-identical no matter how many workers computed it.  Worker pools
-operate on whole blocks (set workers > 1, or the ACFV_WORKERS
-environment variable for the command-line tools).
+operate on whole blocks, one pool per study call (set workers > 1, or
+the ACFV_WORKERS environment variable for the command-line tools).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .assembly import assemble_mass, assemble_stiffness
 from .errors import ConfigError, NumericalFailure
 from .linalg import ShiftedSolver
 from .mesh import build_uniform_mesh, default_initial_state
-from .scheme import _STEPS, EpsilonSchedule, SchemeParams, VARIANTS
+from .scheme import EpsilonSchedule, SchemeParams, StepKernel, VARIANTS
 from .stochastic import aggregate_increments, sample_increment_block
 from .textio import text_stream
 
@@ -146,15 +146,21 @@ def require_finite(states, amplitude, n_steps, first_path=0):
             f"path {first_path + int(np.argmax(bad))}")
 
 
-def _map_blocks(fn, config: StudyConfig, args, workers):
-    """fn(config, *args, lo, hi) for each path block, in path order."""
-    calls = [(config, *args, lo, min(lo + PATH_BLOCK, config.n_paths))
-             for lo in range(0, config.n_paths, PATH_BLOCK)]
-    if workers <= 1 or len(calls) <= 1:
-        return [fn(*call) for call in calls]
+def _map_blocks(fn, config: StudyConfig, arg_sets, reduce, workers):
+    """reduce([fn(config, *args, lo, hi) for each path block]) for each args.
+
+    One worker pool serves all of ``arg_sets``; each entry's block results
+    are reduced, in path order, and released as soon as they are all in.
+    """
+    blocks = [(lo, min(lo + PATH_BLOCK, config.n_paths))
+              for lo in range(0, config.n_paths, PATH_BLOCK)]
+    if workers <= 1 or len(arg_sets) * len(blocks) <= 1:
+        return [reduce([fn(config, *args, lo, hi) for lo, hi in blocks])
+                for args in arg_sets]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *call) for call in calls]
-        return [f.result() for f in futures]
+        futures = [[pool.submit(fn, config, *args, lo, hi) for lo, hi in blocks]
+                   for args in arg_sets]
+        return [reduce([f.result() for f in futures.pop(0)]) for _ in arg_sets]
 
 
 def _run_block(config: StudyConfig, amplitude, initial_state, lo, hi, n_list, variants):
@@ -163,10 +169,12 @@ def _run_block(config: StudyConfig, amplitude, initial_state, lo, hi, n_list, va
     The mesh, the start field and the operators are built, and the
     block's fine increments sampled, once.  Returns the mesh, the start
     field and a generator over the runs: for each N it builds one
-    SchemeParams per variant and one ShiftedSolver, steps every variant
+    ShiftedSolver and one StepKernel per variant, steps every variant
     as its own (hi - lo, d) stack from the start, and yields
     (N, n, states) after step n, with one stack per variant in
     ``states``.  Each N ends with a finiteness check.
+    The stacks in ``states`` are kernel buffers that the next step of
+    the same N overwrites; a caller keeping one across steps copies it.
     """
     mesh = build_uniform_mesh(config.cells_per_axis, config.half_width)
     u0 = (default_initial_state(mesh) if initial_state is None
@@ -178,17 +186,17 @@ def _run_block(config: StudyConfig, amplitude, initial_state, lo, hi, n_list, va
 
     def runs():
         for n_steps in n_list:
-            params = [SchemeParams(horizon=config.horizon, n_steps=n_steps,
-                                   epsilon=config.epsilon, amplitude=amplitude,
-                                   variant=variant) for variant in variants]
-            solver = ShiftedSolver(mass, stiffness, params[0].tau)
+            params = SchemeParams(horizon=config.horizon, n_steps=n_steps,
+                                  epsilon=config.epsilon, amplitude=amplitude)
+            solver = ShiftedSolver(mass, stiffness, params.tau)
+            kernels = [StepKernel(variant, params, solver, start.shape)
+                       for variant in variants]
             # The fine block drives N_max itself: a copy would double the
             # block's largest array.
             inc = fine if n_steps == n_fine else aggregate_increments(fine, n_steps)
             states = [start] * len(variants)
             for n in range(n_steps):
-                states = [_STEPS[p.variant](u, inc[:, n], p, solver)
-                          for u, p in zip(states, params)]
+                states = [step(u, inc[:, n]) for step, u in zip(kernels, states)]
                 yield n_steps, n + 1, states
             del inc  # freed before the next N aggregates its own
             require_finite(np.hstack(states), amplitude, n_steps, lo)
@@ -221,7 +229,7 @@ def _expectation_block(config: StudyConfig, amplitude, lo, hi):
     cps = config.checkpoints or (config.n_steps,)
     _, u0, runs = _run_block(config, amplitude, None, lo, hi,
                              (config.n_steps,), (config.variant,))
-    return float(u0.mean()), {n: states[0] for _, n, states in runs if n in cps}
+    return float(u0.mean()), {n: states[0].copy() for _, n, states in runs if n in cps}
 
 
 def estimate_expectation(config: StudyConfig, checkpoint, amplitude,
@@ -246,12 +254,17 @@ def expectation_study(config: StudyConfig, workers=1) -> list:
     config.validate()
     if config.n_steps is None:
         raise ConfigError("expectation study needs a step count N")
+    checkpoints = config.checkpoints or (config.n_steps,)
+
+    def reduce(parts):
+        return parts[0][0], [np.vstack([states[n] for _, states in parts]).mean(axis=0)
+                             for n in checkpoints]
+
+    per_amplitude = _map_blocks(_expectation_block, config,
+                                [(a,) for a in config.amplitudes], reduce, workers)
     results = []
-    for amplitude in config.amplitudes:
-        parts = _map_blocks(_expectation_block, config, (amplitude,), workers)
-        initial_mean = parts[0][0]
-        for n in config.checkpoints or (config.n_steps,):
-            cell_means = np.vstack([states[n] for _, states in parts]).mean(axis=0)
+    for amplitude, (initial_mean, means) in zip(config.amplitudes, per_amplitude):
+        for n, cell_means in zip(checkpoints, means):
             results.append(ExpectationResult(
                 amplitude=float(amplitude), checkpoint=int(n),
                 n_steps=config.n_steps, cell_means=cell_means,
@@ -274,10 +287,11 @@ def _error_block(config: StudyConfig, amplitude, n_list, initial_state, lo, hi):
     return np.column_stack([(diff * diff) @ mesh.cell_measures for diff in diffs])
 
 
-def _error_sweep(config: StudyConfig, amplitude, n_list, initial_state, workers=1):
-    parts = _map_blocks(_error_block, config,
-                        (amplitude, tuple(n_list), initial_state), workers)
-    return np.vstack(parts)
+def _mean_errors(config: StudyConfig, amplitudes, n_list, initial_state, workers=1):
+    """Per amplitude, the mean over paths of each N's squared L2 gap to N_max."""
+    return _map_blocks(_error_block, config,
+                       [(a, tuple(n_list), initial_state) for a in amplitudes],
+                       lambda parts: np.vstack(parts).mean(axis=0), workers)
 
 
 def estimate_error(config: StudyConfig, n_steps, amplitude, initial_state=None,
@@ -293,8 +307,8 @@ def estimate_error(config: StudyConfig, n_steps, amplitude, initial_state=None,
     n_fine = config.resolved_n_fine()
     if n_steps < 1 or n_fine % n_steps:
         raise ConfigError(f"step count {n_steps} must divide N_max={n_fine}")
-    errors = _error_sweep(config, amplitude, [int(n_steps)], initial_state, workers)
-    return float(errors[:, 0].mean())
+    errors = _mean_errors(config, (amplitude,), [int(n_steps)], initial_state, workers)
+    return float(errors[0][0])
 
 
 @dataclass
@@ -341,11 +355,9 @@ def convergence_study(config: StudyConfig, initial_state=None, workers=1) -> lis
     if len(config.n_steps_list) < 2:
         raise ConfigError("convergence study needs at least two entries in N_list")
     n_list = tuple(sorted(config.n_steps_list))
-    curves = []
-    for amplitude in config.amplitudes:
-        per_path = _error_sweep(config, amplitude, n_list, initial_state, workers)
-        curves.append(_curve(config, amplitude, n_list, per_path.mean(axis=0)))
-    return curves
+    errors = _mean_errors(config, config.amplitudes, n_list, initial_state, workers)
+    return [_curve(config, amplitude, n_list, mean)
+            for amplitude, mean in zip(config.amplitudes, errors)]
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +413,10 @@ def splitting_gap_errors(config: StudyConfig, initial_state=None, workers=1):
         raise ConfigError("the gap study runs one amplitude at a time")
     amplitude = config.amplitudes[0]
     n_list = tuple(sorted(config.n_steps_list))
-    parts = _map_blocks(_splitting_gap_block, config,
-                        (amplitude, n_list, initial_state), workers)
-    errors = []
-    for n_steps in n_list:
-        gaps = np.vstack([part[n_steps] for part in parts])
-        errors.append(float(gaps.mean(axis=0).max()))
+    [errors] = _map_blocks(
+        _splitting_gap_block, config, [(amplitude, n_list, initial_state)],
+        lambda parts: [float(np.vstack([part[n] for part in parts]).mean(axis=0).max())
+                       for n in n_list], workers)
     return n_list, errors
 
 

@@ -59,18 +59,16 @@ class ShiftedSolver:
             self._band[u + row - col, col] = coo.data[upper]
             self._band_chol = sla.cholesky_banded(self._band)
 
-    @property
-    def m_min(self) -> float:
-        return float(self.mass_diag.min())
-
     def solve(self, b):
         """Solve (M + tau A) x = b for one field or a (p, d) stack."""
         b = np.asarray(b, dtype=float)
         if b.ndim not in (1, 2):
             raise ValueError("right-hand side must be 1-d or 2-d")
+        # Non-finite values pass through, so the callers' finiteness
+        # checks report them as NumericalFailure.
         if self.n <= DENSE_LIMIT:
-            return sla.cho_solve(self._chol, b.T).T
-        return sla.cho_solve_banded((self._band_chol, False), b.T).T
+            return sla.cho_solve(self._chol, b.T, check_finite=False).T
+        return sla.cho_solve_banded((self._band_chol, False), b.T, check_finite=False).T
 
     def solve_with_diagonal(self, extra, b):
         """Solve (M + tau A + diag(extra[i])) x[i] = b[i] for each row i.
@@ -91,17 +89,22 @@ class ShiftedSolver:
         band = self._band.copy()
         for i, (shift, rhs) in enumerate(zip(extra, b)):
             band[-1] = self._band[-1] + shift
-            out[i] = sla.cho_solve_banded((sla.cholesky_banded(band), False), rhs)
+            out[i] = sla.cho_solve_banded((sla.cholesky_banded(band), False), rhs,
+                                          check_finite=False)
         return out
 
-    def apply_markov(self, x):
+    def apply_markov(self, x, out=None):
         """Apply (M + tau A)^{-1} M, the monotone one-step heat propagator.
 
         The matrix is entrywise nonnegative and fixes constants, so it
         maps nonnegative fields to nonnegative fields and conserves the
-        mass-weighted total.
+        mass-weighted total.  ``out``, an array of the input's shape,
+        receives the result; on the dense path it is written directly.
         """
         x = np.asarray(x, dtype=float)
         if self.n <= DENSE_LIMIT:
-            return x @ self._markov.T
-        return self.solve(x * self.mass_diag)
+            return np.matmul(x, self._markov.T, out=out)
+        if out is None:
+            return self.solve(x * self.mass_diag)
+        out[...] = self.solve(x * self.mass_diag)
+        return out

@@ -17,7 +17,9 @@ States may be a single field of shape (d,) or a stack of per-path
 fields of shape (p, d) with one increment per row.  Every step works on
 the whole stack at once: the heat substep is one application of the
 prefactored operator, and the coupled step runs its Newton iteration
-on all rows together, freezing each row once it has converged.
+on all rows together, freezing each row once it has converged.  All
+three are ``StepKernel`` calls; a loop over many steps builds one kernel
+and calls it per step, and the state a kernel returns is its own buffer.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraint import psi_eps, resolvent_field
+from .constraint import psi_eps
 from .errors import NumericalFailure
 from .linalg import ShiftedSolver
-from .stochastic import diffusion_g
 from .textio import text_stream
 
 __all__ = [
@@ -38,9 +39,11 @@ __all__ = [
     "splitting_step",
     "coupled_step",
     "heat_step",
+    "StepKernel",
     "run_trajectory",
     "Trajectory",
     "dump_trajectory_csv",
+    "write_states_csv",
 ]
 
 VARIANTS = ("splitting", "coupled", "heat")
@@ -118,24 +121,82 @@ class SchemeParams:
         return self.epsilon.value(self.tau)
 
 
-def _noisy_state(u_prev, d_w, amplitude):
-    """w = u + g(u) dW, broadcasting one increment per stacked row."""
-    u_prev = np.asarray(u_prev, dtype=float)
-    d_w = np.asarray(d_w, dtype=float)
-    if u_prev.ndim == 2 and d_w.ndim == 1:
-        d_w = d_w[:, None]
-    return u_prev + diffusion_g(u_prev, amplitude) * d_w
+class StepKernel:
+    """The one-step map of one variant, built once per (variant, params, solver, shape).
+
+    It holds the step's scalars (a, tau, eps, kappa = eps/(eps + tau))
+    and scratch buffers of the state shape, and advances a state with
+    in-place ufuncs in the order of ``diffusion_g`` and ``resolvent``:
+    w = u + ((a c)(1 - c)) dW, the heat propagator, then c + kappa (r - c),
+    each c a clip to [0, 1].  So a step equals those formulas bit for bit.
+    The returned state is a kernel buffer, valid until the next call
+    overwrites it; a caller that keeps a state copies it.  A splitting
+    step fed its own last output reuses the clip of that output for the
+    noise term: clip(resolvent(r)) == clip(r) for every finite r.
+    """
+
+    def __init__(self, variant, params: SchemeParams, solver: ShiftedSolver, shape):
+        self.variant = variant
+        self.amplitude, self.tau, self.eps = params.amplitude, params.tau, params.eps
+        self.kappa = self.eps / (self.eps + self.tau)
+        self.solver = solver
+        self._clip, self._noisy, self._tmp, self._out = (np.empty(shape) for _ in range(4))
+        self._clip_is_current = False  # _clip holds clip(_out, 0, 1)
+
+    def __call__(self, u_prev, d_w):
+        u_prev = np.asarray(u_prev, dtype=float)
+        d_w = np.asarray(d_w, dtype=float)
+        if u_prev.ndim == 2 and d_w.ndim == 1:
+            d_w = d_w[:, None]
+        c, w, tmp, out = self._clip, self._noisy, self._tmp, self._out
+        if not (self._clip_is_current and u_prev is out):
+            u_prev.clip(0.0, 1.0, out=c)
+        np.multiply(c, self.amplitude, out=w)
+        np.subtract(1.0, c, out=tmp)
+        w *= tmp
+        w *= d_w
+        w += u_prev
+        self.solver.apply_markov(w, out=out)
+        self._clip_is_current = self.variant == "splitting"
+        if self.variant == "heat":
+            return out
+        out.clip(0.0, 1.0, out=c)
+        np.subtract(out, c, out=tmp)
+        tmp *= self.kappa
+        np.add(c, tmp, out=out)
+        if self.variant == "coupled":
+            rhs = np.atleast_2d(self.solver.mass_diag * w)
+            self._newton(out.reshape(-1, out.shape[-1]), rhs)
+        return out
+
+    def _newton(self, u, rhs):
+        """Semismooth Newton for the coupled step, in place on the (k, d) stack u."""
+        solver, tau, eps, mass = self.solver, self.tau, self.eps, self.solver.mass_diag
+        tol = NEWTON_TOL * mass.min()
+        rows = np.arange(u.shape[0])
+        for _ in range(NEWTON_MAX_ITER):
+            v = u[rows]
+            residual = (solver.shifted @ v.T).T + tau * mass * psi_eps(v, eps) - rhs[rows]
+            res_norm = np.max(np.abs(residual), axis=1)
+            open_rows = ~(res_norm <= tol)
+            if not open_rows.any():
+                return
+            rows, v, residual = rows[open_rows], v[open_rows], residual[open_rows]
+            active = (v < 0.0) | (v > 1.0)
+            u[rows] = v - solver.solve_with_diagonal((tau / eps) * mass * active, residual)
+        raise NumericalFailure(
+            f"semismooth Newton did not converge in {NEWTON_MAX_ITER} iterations",
+            residual=float(np.max(res_norm[open_rows])))
 
 
 def heat_step(u_prev, d_w, params: SchemeParams, solver: ShiftedSolver):
     """One step of the unconstrained stochastic heat flow."""
-    return solver.apply_markov(_noisy_state(u_prev, d_w, params.amplitude))
+    return StepKernel("heat", params, solver, np.shape(u_prev))(u_prev, d_w)
 
 
 def splitting_step(u_prev, d_w, params: SchemeParams, solver: ShiftedSolver):
     """Heat substep followed by the componentwise penalty resolvent."""
-    u_hat = heat_step(u_prev, d_w, params, solver)
-    return resolvent_field(u_hat, params.tau, params.eps)
+    return StepKernel("splitting", params, solver, np.shape(u_prev))(u_prev, d_w)
 
 
 def coupled_step(u_prev, d_w, params: SchemeParams, solver: ShiftedSolver):
@@ -152,31 +213,7 @@ def coupled_step(u_prev, d_w, params: SchemeParams, solver: ShiftedSolver):
     once its residual is within tolerance.  A row whose residual is not
     finite never counts as converged, so it ends in NumericalFailure.
     """
-    u_prev = np.asarray(u_prev, dtype=float)
-    tau, eps = params.tau, params.eps
-    mass = solver.mass_diag
-    rhs = np.atleast_2d(mass * _noisy_state(u_prev, d_w, params.amplitude))
-    tol = NEWTON_TOL * solver.m_min
-
-    u = np.atleast_2d(splitting_step(u_prev, d_w, params, solver))
-    rows = np.arange(u.shape[0])
-    for _ in range(NEWTON_MAX_ITER):
-        v = u[rows]
-        residual = (solver.shifted @ v.T).T + tau * mass * psi_eps(v, eps) - rhs[rows]
-        res_norm = np.max(np.abs(residual), axis=1)
-        open_rows = ~(res_norm <= tol)
-        if not open_rows.any():
-            return u.reshape(u_prev.shape)
-        rows, v, residual = rows[open_rows], v[open_rows], residual[open_rows]
-        active = (v < 0.0) | (v > 1.0)
-        u[rows] = v - solver.solve_with_diagonal((tau / eps) * mass * active, residual)
-    raise NumericalFailure(
-        f"semismooth Newton did not converge in {NEWTON_MAX_ITER} iterations",
-        residual=float(np.max(res_norm[open_rows])),
-    )
-
-
-_STEPS = {"splitting": splitting_step, "coupled": coupled_step, "heat": heat_step}
+    return StepKernel("coupled", params, solver, np.shape(u_prev))(u_prev, d_w)
 
 
 @dataclass
@@ -206,11 +243,11 @@ def run_trajectory(u0, increments, params: SchemeParams, solver: ShiftedSolver,
     if increments.shape[-1] != params.n_steps:
         raise ValueError(
             f"expected {params.n_steps} increments, got {increments.shape[-1]}")
-    step = _STEPS[params.variant]
+    step = StepKernel(params.variant, params, solver, u.shape)
 
     history = [] if keep_history else None
     for n in range(1, params.n_steps + 1):
-        u = step(u, increments[..., n - 1], params, solver)
+        u = step(u, increments[..., n - 1])
         if keep_history:
             history.append(u.copy())
     return Trajectory(final=u, states=history)
@@ -226,8 +263,13 @@ def dump_trajectory_csv(trajectory: Trajectory, u0, target) -> None:
         raise ValueError("trajectory was run without history")
     if trajectory.final.ndim != 1:
         raise ValueError("CSV dump covers single-path trajectories only")
+    write_states_csv(target, [np.asarray(u0)] + trajectory.states, first_step=0)
+
+
+def write_states_csv(target, states, first_step) -> None:
+    """Write single-field states as CSV rows (n, cell_index, value) from n = first_step."""
     with text_stream(target, "w") as out:
         out.write("n,cell_index,value\n")
-        for n, state in enumerate([np.asarray(u0)] + trajectory.states):
+        for n, state in enumerate(states, start=first_step):
             for k, value in enumerate(state):
                 out.write(f"{n},{k},{value:.17g}\n")

@@ -176,6 +176,22 @@ def test_monte_carlo_commands_reject_path_file(tmp_path, command, keys):
     assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
 
 
+@pytest.mark.parametrize("command, keys, key", [
+    ("convergence", "N_max = 32\nN_list = 8,16\ncheckpoints = 5\n", "checkpoints"),
+    ("splitting-error", "N_max = 32\nN_list = 8,16\neps_rule = fixed\neps_c = 0.05\n"
+     "variant = heat\n", "variant"),
+    ("splitting-error", "N_max = 32\nN_list = 8,16\neps_rule = fixed\neps_c = 0.05\n"
+     "variant = coupled\n", "variant"),
+], ids=["convergence-checkpoints", "splitting-error-heat", "splitting-error-coupled"])
+def test_commands_reject_keys_they_ignore(tmp_path, capsys, command, keys, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(keys + "L = 2\nN_p = 2\na = 10\n")
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_expectation_zero_amplitude(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("L = 3\nN = 16\nN_max = 16\nN_p = 6\na = 0\n"

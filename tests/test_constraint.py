@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from acfv.constraint import psi_eps, resolvent, resolvent_field
+from acfv.constraint import psi_eps, resolvent
 
 # Heat-flow state after two steps in the benchmark scenario and the
 # value the resolvent must map it to (tau = 1/2, eps = 0.1 (1/2)^(1/3)).
@@ -74,17 +76,17 @@ def test_resolvent_approaches_projection():
 def test_resolvent_field_benchmark_state():
     tau = 0.5
     eps = 0.1 * tau ** (1.0 / 3.0)
-    got = resolvent_field(HEAT_STATE, tau, eps)
+    got = resolvent(HEAT_STATE, tau, eps)
     np.testing.assert_allclose(got, RESOLVED_STATE, atol=1e-6)
 
 
 def test_resolvent_field_identity_and_scaling():
     rng = np.random.default_rng(15)
     inside = rng.uniform(0.0, 1.0, size=30)
-    np.testing.assert_array_equal(resolvent_field(inside, 0.3, 0.02), inside)
+    np.testing.assert_array_equal(resolvent(inside, 0.3, 0.02), inside)
     negative = -rng.uniform(0.1, 3.0, size=30)
     tau, eps = 0.3, 0.02
-    np.testing.assert_allclose(resolvent_field(negative, tau, eps),
+    np.testing.assert_allclose(resolvent(negative, tau, eps),
                                negative * eps / (eps + tau), rtol=1e-14)
 
 
@@ -95,3 +97,14 @@ def test_invalid_parameters_rejected():
         resolvent(0.5, tau=-1.0, eps=0.1)
     with pytest.raises(ValueError):
         resolvent(0.5, tau=0.1, eps=0.0)
+
+
+positive = st.floats(min_value=5e-324, max_value=1e300, allow_nan=False)
+
+
+@given(r=st.floats(allow_nan=False, allow_infinity=False), tau=positive, eps=positive)
+def test_resolvent_keeps_the_clip(r, tau, eps):
+    # The step kernel reuses clip(resolvent output) as clip of the next
+    # step's input; that is only sound if the resolvent never moves a
+    # value across 0 or 1.
+    assert np.clip(resolvent(r, tau, eps), 0.0, 1.0) == np.clip(r, 0.0, 1.0)

@@ -1,6 +1,7 @@
 """Monte Carlo studies: configs, oracles, determinism and CSV output."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,6 +54,21 @@ def test_zero_amplitude_conserves_mean():
     assert len(results) == 2
     for r in results:
         assert r.drift <= 1e-9
+
+
+def test_checkpoint_states_are_not_overwritten_by_later_steps():
+    # The block runner hands out step buffers that the next step
+    # overwrites; every kept checkpoint must still hold its own step.
+    config = small_config(n_steps=8, n_fine=8, n_paths=10, checkpoints=(2, 4, 8),
+                          amplitudes=(0.5, 4.0))
+    together = expectation_study(config)
+    alone = {(r.amplitude, r.checkpoint): r for n in (2, 4, 8)
+             for r in expectation_study(replace(config, checkpoints=(n,)))}
+    assert sorted(alone) == [(r.amplitude, r.checkpoint) for r in together]
+    for r in together:
+        np.testing.assert_array_equal(r.cell_means, alone[r.amplitude, r.checkpoint].cell_means)
+        assert r.mean == alone[r.amplitude, r.checkpoint].mean
+    assert len({r.mean for r in together if r.amplitude == 4.0}) == 3
 
 
 def test_expectation_study_shape_and_order():

@@ -8,9 +8,11 @@ import pytest
 from acfv import benchmark
 from acfv.assembly import assemble_mass, assemble_stiffness
 from acfv.constraint import psi_eps, resolvent
-from acfv.linalg import ShiftedSolver
+from acfv.errors import NumericalFailure
+from acfv.experiments import require_finite
+from acfv.linalg import DENSE_LIMIT, ShiftedSolver
 from acfv.mesh import build_uniform_mesh, default_initial_state
-from acfv.scheme import (EpsilonSchedule, SchemeParams, coupled_step,
+from acfv.scheme import (EpsilonSchedule, SchemeParams, StepKernel, coupled_step,
                          dump_trajectory_csv, heat_step, run_trajectory,
                          splitting_step)
 from acfv.stochastic import (aggregate_increments, diffusion_g,
@@ -291,6 +293,100 @@ def test_path_result_independent_of_block_size_and_position(L, variant):
         np.testing.assert_allclose(np.vstack(blocks), whole, rtol=0, atol=1e-13)
     order = np.random.default_rng(L).permutation(n_paths)
     np.testing.assert_allclose(final(order), whole[order], rtol=0, atol=1e-13)
+
+
+def oracle_heat(u, d_w, params, solver):
+    """u + a c (1 - c) dW with c = clip(u, 0, 1), then the heat propagator."""
+    c = np.clip(u, 0.0, 1.0)
+    return solver.apply_markov(u + params.amplitude * c * (1.0 - c) * d_w[:, None])
+
+
+def oracle_splitting(u, d_w, params, solver):
+    """The heat substep, then c + eps/(eps + tau) (r - c) with c = clip(r, 0, 1)."""
+    r = oracle_heat(u, d_w, params, solver)
+    c = np.clip(r, 0.0, 1.0)
+    return c + params.eps / (params.eps + params.tau) * (r - c)
+
+
+def oracle_coupled(u, d_w, params, solver):
+    """Batched semismooth Newton from the splitting guess, freezing converged rows."""
+    tau, eps, mass = params.tau, params.eps, solver.mass_diag
+    c = np.clip(u, 0.0, 1.0)
+    rhs = mass * (u + params.amplitude * c * (1.0 - c) * d_w[:, None])
+    out = oracle_splitting(u, d_w, params, solver)
+    rows = np.arange(len(out))
+    for _ in range(100):
+        v = out[rows]
+        residual = ((solver.shifted @ v.T).T + tau * mass * ((v - np.clip(v, 0.0, 1.0)) / eps)
+                    - rhs[rows])
+        res_norm = np.max(np.abs(residual), axis=1)
+        open_rows = ~(res_norm <= 1e-11 * mass.min())
+        if not open_rows.any():
+            return out
+        rows, v, residual = rows[open_rows], v[open_rows], residual[open_rows]
+        active = (v < 0.0) | (v > 1.0)
+        out[rows] = v - solver.solve_with_diagonal((tau / eps) * mass * active, residual)
+    raise NumericalFailure("oracle Newton did not converge")
+
+
+ORACLES = {"splitting": oracle_splitting, "heat": oracle_heat, "coupled": oracle_coupled}
+PUBLIC_STEPS = {"splitting": splitting_step, "heat": heat_step, "coupled": coupled_step}
+
+
+def edge_case_setup(L, amplitude):
+    """Solver and a stack with values below 0, above 1, signed zeros, 0 and 1."""
+    mesh = build_uniform_mesh(L)
+    params = SchemeParams(horizon=1.0, n_steps=16, epsilon=EpsilonSchedule.fixed(0.05),
+                          amplitude=amplitude)
+    solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), params.tau)
+    d = mesh.n_cells
+    rng = np.random.default_rng(L)
+    pattern = [-0.0, 0.0, 1.0, -0.25, 1.25, 0.5, -1e-300, 1.0 + 2.0 ** -52, 5e-324, -3.0]
+    stack = np.vstack([np.resize(pattern, d), np.full(d, -0.0), np.zeros(d), np.ones(d),
+                       rng.uniform(-1.0, 2.0, d), np.linspace(-0.5, 1.5, d)])
+    d_w = rng.standard_normal((len(stack), 6)) * np.sqrt(params.tau)
+    d_w[1, :] = 0.0
+    return params, solver, stack, d_w
+
+
+@pytest.mark.parametrize("L", [4, 9])
+@pytest.mark.parametrize("amplitude", [0.0, 7.0])
+@pytest.mark.parametrize("variant", ["splitting", "heat", "coupled"])
+def test_step_kernel_matches_oracle_bitwise(L, amplitude, variant):
+    assert (L * L <= DENSE_LIMIT) == (L == 4)  # one dense, one banded solver
+    params, solver, stack, d_w = edge_case_setup(L, amplitude)
+    kernel, oracle = StepKernel(variant, params, solver, stack.shape), ORACLES[variant]
+    # Several steps, so the splitting kernel reuses the clip it carries.
+    # Bytes, not values, are compared, so signed zeros must match too.
+    got, expected = stack, stack
+    for n in range(d_w.shape[1]):
+        got = kernel(got, d_w[:, n])
+        expected = oracle(expected, d_w[:, n], params, solver)
+        assert got.tobytes() == expected.tobytes()
+    # A state the kernel did not produce gets its own clip.
+    first = oracle(stack, d_w[:, 0], params, solver).tobytes()
+    assert kernel(stack, d_w[:, 0]).tobytes() == first
+    assert PUBLIC_STEPS[variant](stack, d_w[:, 0], params, solver).tobytes() == first
+
+
+@pytest.mark.parametrize("L", [4, 9])
+@pytest.mark.parametrize("variant", ["splitting", "heat", "coupled"])
+def test_step_kernel_nan_row_ends_in_numerical_failure(L, variant):
+    params, solver, stack, d_w = edge_case_setup(L, 7.0)
+    stack[4, 3] = np.nan
+    kernel = StepKernel(variant, params, solver, stack.shape)
+    if variant == "coupled":
+        with pytest.raises(NumericalFailure):
+            kernel(stack, d_w[:, 0])
+        return
+    got, expected = stack, stack
+    for n in range(d_w.shape[1]):
+        got = kernel(got, d_w[:, n])
+        expected = ORACLES[variant](expected, d_w[:, n], params, solver)
+        assert np.array_equal(got, expected, equal_nan=True)
+    assert np.isnan(got).any(axis=1).tolist() == [False] * 4 + [True, False]
+    with pytest.raises(NumericalFailure, match="path 4"):
+        require_finite(got, params.amplitude, params.n_steps)
 
 
 def test_trajectory_history_and_validation():
