@@ -19,7 +19,7 @@ import numpy as np
 
 from . import benchmark, validation
 from .assembly import assemble_mass, assemble_stiffness
-from .config import build_manifest, load_config_file, preset_config
+from .config import build_manifest, key_of, load_config_file, preset_config
 from .errors import ConfigError, NumericalFailure
 from .experiments import (StudyConfig, convergence_study, expectation_study,
                           format_float, require_finite, splitting_error_study,
@@ -36,8 +36,24 @@ EXIT_NUMERICAL = 3
 
 COMMANDS = ("table-repro", "simulate", "expectation", "convergence",
             "splitting-error", "validate")
-# The Monte Carlo studies draw their own paths from (seed, path index).
-PATH_FILE_COMMANDS = ("table-repro", "simulate")
+
+# StudyConfig fields each command does not read, with the value it runs
+# with instead where that value is fixed (table-repro's benchmark
+# scenario).  A field holding neither its default nor that value is
+# rejected, so no key is silently ignored.  The Monte Carlo studies draw
+# their own paths from (seed, path index), so they take no path_file.
+_SCENARIO = {"cells_per_axis": benchmark.CELLS_PER_AXIS, "horizon": benchmark.HORIZON,
+             "n_steps": len(benchmark.QUARTER_INCREMENTS),
+             "n_fine": len(benchmark.QUARTER_INCREMENTS),
+             "amplitudes": (benchmark.AMPLITUDE,), "epsilon": benchmark.EPS_SCHEDULE}
+_UNREAD = {
+    "table-repro": {**_SCENARIO, **dict.fromkeys(
+        ("n_steps_list", "n_paths", "seed", "variant", "checkpoints", "half_width"))},
+    "simulate": dict.fromkeys(("n_steps_list", "n_paths", "checkpoints")),
+    "expectation": dict.fromkeys(("n_steps_list", "path_file")),
+    "convergence": dict.fromkeys(("n_steps", "checkpoints", "path_file")),
+    "splitting-error": dict.fromkeys(("n_steps", "checkpoints", "variant", "path_file")),
+}
 
 
 def _workers() -> int:
@@ -69,6 +85,16 @@ def _resolve_config(args) -> StudyConfig:
     return config.validate()
 
 
+def _reject_unread(command: str, config: StudyConfig) -> None:
+    """ConfigError naming the first key that ``command`` would not honour."""
+    default = StudyConfig()
+    for field, fixed in _UNREAD[command].items():
+        value = getattr(config, field)
+        if value != getattr(default, field) and value != fixed:
+            scenario = "" if fixed is None else f": its benchmark scenario fixes {fixed}"
+            raise ConfigError(f"{command} does not read {key_of(field)!r} = {value}{scenario}")
+
+
 def _prepare_out(command: str, config: StudyConfig) -> str:
     manifest = build_manifest(command, config)
     os.makedirs(config.out_dir, exist_ok=True)
@@ -98,16 +124,24 @@ def cmd_table_repro(config: StudyConfig) -> int:
 
 
 def cmd_simulate(config: StudyConfig) -> int:
-    out_dir = _prepare_out("simulate", config)
+    if len(config.amplitudes) != 1:
+        raise ConfigError(f"simulate runs one amplitude, got 'a' = {config.amplitudes}")
     if config.path_file is not None:
+        # The injected path replaces the one sampled from 'seed' on N_max steps.
         fine = load_increments(config.path_file)
         n_fine = fine.shape[0]
+        if config.seed != StudyConfig().seed:
+            raise ConfigError(f"simulate with path_file does not read 'seed' = {config.seed}")
+        if config.n_fine not in (None, n_fine):
+            raise ConfigError(f"'N_max' = {config.n_fine}, but path_file holds "
+                              f"{n_fine} increments")
     else:
         n_fine = config.resolved_n_fine()
         fine = sample_increment_block(config.seed, [0], config.horizon, n_fine)[0]
     n_steps = config.n_steps or n_fine
     if n_fine % n_steps:
         raise ConfigError(f"N={n_steps} must divide the {n_fine} fine increments")
+    out_dir = _prepare_out("simulate", config)
     params = SchemeParams(horizon=config.horizon, n_steps=n_steps,
                           epsilon=config.epsilon, amplitude=config.amplitudes[0],
                           variant=config.variant)
@@ -136,8 +170,6 @@ def cmd_expectation(config: StudyConfig) -> int:
 
 
 def cmd_convergence(config: StudyConfig) -> int:
-    if config.checkpoints:
-        raise ConfigError("convergence takes no 'checkpoints': it compares final states")
     out_dir = _prepare_out("convergence", config)
     curves = convergence_study(config, workers=_workers())
     errors_target = os.path.join(out_dir, "error.csv")
@@ -151,9 +183,6 @@ def cmd_convergence(config: StudyConfig) -> int:
 
 
 def cmd_splitting_error(config: StudyConfig) -> int:
-    if config.variant != "splitting":
-        raise ConfigError(f"splitting-error takes no 'variant' = {config.variant}: "
-                          "it always runs splitting against coupled")
     out_dir = _prepare_out("splitting-error", config)
     curve = splitting_error_study(config, workers=_workers())
     errors_target = os.path.join(out_dir, "splitting_error.csv")
@@ -197,8 +226,7 @@ def main(argv=None) -> int:
             seed = args.seed if args.seed is not None else 20252
             return cmd_validate(seed)
         config = _resolve_config(args)
-        if config.path_file is not None and args.command not in PATH_FILE_COMMANDS:
-            raise ConfigError(f"{args.command} draws its own paths and takes no path_file")
+        _reject_unread(args.command, config)
         handler = {
             "table-repro": cmd_table_repro,
             "simulate": cmd_simulate,

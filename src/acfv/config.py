@@ -42,6 +42,7 @@ __all__ = [
     "parse_config_text",
     "load_config_file",
     "config_from_mapping",
+    "key_of",
     "preset_config",
     "packaged_increments_path",
     "RunManifest",
@@ -86,6 +87,23 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
+# Config key -> StudyConfig field, where the two names differ.  The eps
+# keys together set ``epsilon``.
+_FIELDS = {
+    "T": "horizon", "L": "cells_per_axis",
+    "N": "n_steps", "N_max": "n_fine", "N_list": "n_steps_list",
+    "N_p": "n_paths", "a": "amplitudes",
+    "domain_half_width": "half_width",
+}
+
+
+def key_of(field: str) -> str:
+    """The config key that sets a StudyConfig field."""
+    if field == "epsilon":
+        return "eps_rule/eps_c/eps_p"
+    return next((key for key, name in _FIELDS.items() if name == field), field)
+
+
 def config_from_mapping(mapping: dict, base_dir: str = ".") -> StudyConfig:
     """Build a validated StudyConfig from a parsed mapping."""
     mapping = dict(mapping)
@@ -109,15 +127,9 @@ def config_from_mapping(mapping: dict, base_dir: str = ".") -> StudyConfig:
     if path_file is not None and not os.path.isabs(path_file):
         path_file = os.path.normpath(os.path.join(base_dir, path_file))
 
-    renames = {
-        "T": "horizon", "L": "cells_per_axis",
-        "N": "n_steps", "N_max": "n_fine", "N_list": "n_steps_list",
-        "N_p": "n_paths", "a": "amplitudes",
-        "domain_half_width": "half_width",
-    }
     kwargs = {"epsilon": epsilon, "path_file": path_file}
     for key, value in mapping.items():
-        kwargs[renames.get(key, key)] = value
+        kwargs[_FIELDS.get(key, key)] = value
     try:
         config = StudyConfig(**kwargs)
     except (TypeError, ValueError) as exc:

@@ -16,13 +16,15 @@ Three studies are provided.
 
 Paths are processed in fixed-size blocks so per-path work is batched
 through the linear solver.  One block runner sets up and steps a block
-for every study; the studies differ only in how they reduce the
-per-path states it yields.  The block size is a constant, deliberately
-not tied to the worker count: per-path results land in arrays indexed
-by path, and reductions run over those fixed arrays, so a study result
-is bit-identical no matter how many workers computed it.  Worker pools
-operate on whole blocks, one pool per study call (set workers > 1, or
-the ACFV_WORKERS environment variable for the command-line tools).
+for every study; only the steps a study reads (convergence: the last,
+expectation: the checkpoints, the gap: all) leave its step loop, and
+every number it reduces them to is checked to be finite.  The block
+size is a constant, deliberately not tied to the worker count: per-path
+results land in arrays indexed by path, and reductions run over those
+fixed arrays, so a study result is bit-identical no matter how many
+workers computed it.  Worker pools operate on whole blocks, one pool
+per study call (set workers > 1, or the ACFV_WORKERS environment
+variable for the command-line tools).
 """
 
 from __future__ import annotations
@@ -146,6 +148,18 @@ def require_finite(states, amplitude, n_steps, first_path=0):
             f"path {first_path + int(np.argmax(bad))}")
 
 
+def _require_finite_results(what, amplitude, places, values):
+    """Raise NumericalFailure at the first non-finite value, named by its place.
+
+    Finite states can still reduce to a non-finite number (a squared
+    error or a sum that overflows), so every reduced number is checked.
+    """
+    for place, value in zip(places, values):
+        if not np.isfinite(value).all():
+            raise NumericalFailure(
+                f"non-finite {what} at a={format_float(amplitude)}, {place}")
+
+
 def _map_blocks(fn, config: StudyConfig, arg_sets, reduce, workers):
     """reduce([fn(config, *args, lo, hi) for each path block]) for each args.
 
@@ -163,18 +177,18 @@ def _map_blocks(fn, config: StudyConfig, arg_sets, reduce, workers):
         return [reduce([f.result() for f in futures.pop(0)]) for _ in arg_sets]
 
 
-def _run_block(config: StudyConfig, amplitude, initial_state, lo, hi, n_list, variants):
-    """Set up paths lo..hi-1 once and step them at every step count of ``n_list``.
+def _run_block(config: StudyConfig, amplitude, initial_state, lo, hi, at, variants):
+    """Set up paths lo..hi-1 once and run them at every step count N of ``at``.
 
-    The mesh, the start field and the operators are built, and the
-    block's fine increments sampled, once.  Returns the mesh, the start
-    field and a generator over the runs: for each N it builds one
-    ShiftedSolver and one StepKernel per variant, steps every variant
-    as its own (hi - lo, d) stack from the start, and yields
-    (N, n, states) after step n, with one stack per variant in
-    ``states``.  Each N ends with a finiteness check.
-    The stacks in ``states`` are kernel buffers that the next step of
-    the same N overwrites; a caller keeping one across steps copies it.
+    ``at[N]`` names the steps whose states the caller reads (None: every
+    step).  The mesh, the start field and the operators are built, and
+    the block's fine increments sampled, once.  Returns the mesh, the
+    start field and a generator over the runs: for each N it builds one
+    ShiftedSolver and one StepKernel per variant, runs each variant as its
+    own (hi - lo, d) stack from the start, and yields (N, n, states) after
+    each named step n, one stack per variant, the last of them checked to
+    be finite.  The stacks are kernel buffers (see ``StepKernel.run``);
+    the last one yielded for an N stays valid, as each N has its own.
     """
     mesh = build_uniform_mesh(config.cells_per_axis, config.half_width)
     u0 = (default_initial_state(mesh) if initial_state is None
@@ -185,19 +199,17 @@ def _run_block(config: StudyConfig, amplitude, initial_state, lo, hi, n_list, va
     start = np.tile(u0, (hi - lo, 1))
 
     def runs():
-        for n_steps in n_list:
+        for n_steps, steps in at.items():
             params = SchemeParams(horizon=config.horizon, n_steps=n_steps,
                                   epsilon=config.epsilon, amplitude=amplitude)
             solver = ShiftedSolver(mass, stiffness, params.tau)
-            kernels = [StepKernel(variant, params, solver, start.shape)
-                       for variant in variants]
             # The fine block drives N_max itself: a copy would double the
             # block's largest array.
             inc = fine if n_steps == n_fine else aggregate_increments(fine, n_steps)
-            states = [start] * len(variants)
-            for n in range(n_steps):
-                states = [step(u, inc[:, n]) for step, u in zip(kernels, states)]
-                yield n_steps, n + 1, states
+            for taken in zip(*(StepKernel(variant, params, solver, start.shape)
+                               .run(start, inc, steps) for variant in variants)):
+                states = [state for _, state in taken]
+                yield n_steps, taken[0][0], states
             del inc  # freed before the next N aggregates its own
             require_finite(np.hstack(states), amplitude, n_steps, lo)
 
@@ -228,8 +240,8 @@ def _expectation_block(config: StudyConfig, amplitude, lo, hi):
     """Initial mean, and the per-path states at every checkpoint."""
     cps = config.checkpoints or (config.n_steps,)
     _, u0, runs = _run_block(config, amplitude, None, lo, hi,
-                             (config.n_steps,), (config.variant,))
-    return float(u0.mean()), {n: states[0].copy() for _, n, states in runs if n in cps}
+                             {config.n_steps: cps}, (config.variant,))
+    return float(u0.mean()), {n: states[0].copy() for _, n, states in runs}
 
 
 def estimate_expectation(config: StudyConfig, checkpoint, amplitude,
@@ -265,10 +277,12 @@ def expectation_study(config: StudyConfig, workers=1) -> list:
     results = []
     for amplitude, (initial_mean, means) in zip(config.amplitudes, per_amplitude):
         for n, cell_means in zip(checkpoints, means):
+            mean = float(cell_means.mean())
+            _require_finite_results("mean E", amplitude, [f"N={config.n_steps}, n={n}"], [mean])
             results.append(ExpectationResult(
                 amplitude=float(amplitude), checkpoint=int(n),
                 n_steps=config.n_steps, cell_means=cell_means,
-                mean=float(cell_means.mean()), initial_mean=initial_mean))
+                mean=mean, initial_mean=initial_mean))
     return results
 
 
@@ -281,17 +295,20 @@ def _error_block(config: StudyConfig, amplitude, n_list, initial_state, lo, hi):
     n_fine = config.resolved_n_fine()
     # N_max runs once, also when n_list holds it (its error is then zero).
     mesh, _, runs = _run_block(config, amplitude, initial_state, lo, hi,
-                               tuple(dict.fromkeys((n_fine, *n_list))), (config.variant,))
-    final = {n_steps: states[0] for n_steps, n, states in runs if n == n_steps}
+                               {n: (n,) for n in (n_fine, *n_list)}, (config.variant,))
+    final = {n_steps: states[0] for n_steps, _, states in runs}
     diffs = [final[n_fine] - final[n_steps] for n_steps in n_list]
     return np.column_stack([(diff * diff) @ mesh.cell_measures for diff in diffs])
 
 
 def _mean_errors(config: StudyConfig, amplitudes, n_list, initial_state, workers=1):
     """Per amplitude, the mean over paths of each N's squared L2 gap to N_max."""
-    return _map_blocks(_error_block, config,
-                       [(a, tuple(n_list), initial_state) for a in amplitudes],
-                       lambda parts: np.vstack(parts).mean(axis=0), workers)
+    errors = _map_blocks(_error_block, config,
+                         [(a, tuple(n_list), initial_state) for a in amplitudes],
+                         lambda parts: np.vstack(parts).mean(axis=0), workers)
+    for amplitude, mean in zip(amplitudes, errors):
+        _require_finite_results("error", amplitude, [f"N={n}" for n in n_list], mean)
+    return errors
 
 
 def estimate_error(config: StudyConfig, n_steps, amplitude, initial_state=None,
@@ -344,6 +361,8 @@ def fit_convergence_order(taus, errors) -> float:
 def _curve(config, amplitude, n_list, errors):
     taus = np.array([config.horizon / n for n in n_list])
     slope, intercept = _fit_loglog(taus, errors)
+    _require_finite_results("fit", amplitude, [f"N={min(n_list)}..{max(n_list)}"],
+                            [(slope, intercept)])
     return ErrorCurve(amplitude=float(amplitude), n_steps=tuple(n_list),
                       taus=taus, errors=np.asarray(errors, dtype=float),
                       slope=slope, intercept=intercept)
@@ -368,7 +387,7 @@ def _splitting_gap_block(config: StudyConfig, amplitude, n_list, initial_state, 
     """Per-path maximum cell gap between the two methods after every step."""
     gaps = {n_steps: np.empty((hi - lo, n_steps)) for n_steps in n_list}
     _, _, runs = _run_block(config, amplitude, initial_state, lo, hi,
-                            n_list, ("splitting", "coupled"))
+                            dict.fromkeys(n_list), ("splitting", "coupled"))
     for n_steps, n, (u_split, u_coupled) in runs:
         gaps[n_steps][:, n - 1] = np.max(np.abs(u_coupled - u_split), axis=1)
     return gaps
@@ -417,6 +436,7 @@ def splitting_gap_errors(config: StudyConfig, initial_state=None, workers=1):
         _splitting_gap_block, config, [(amplitude, n_list, initial_state)],
         lambda parts: [float(np.vstack([part[n] for part in parts]).mean(axis=0).max())
                        for n in n_list], workers)
+    _require_finite_results("gap", amplitude, [f"N={n}" for n in n_list], errors)
     return n_list, errors
 
 

@@ -48,7 +48,7 @@ class ShiftedSolver:
         if self.n <= DENSE_LIMIT:
             self._dense = self.shifted.toarray()
             self._chol = sla.cho_factor(self._dense)
-            self._markov = sla.cho_solve(self._chol, np.diag(self.mass_diag))
+            self._markov_t = sla.cho_solve(self._chol, np.diag(self.mass_diag)).T
         else:
             # Upper band storage: entry (i, j), i <= j, sits at [u + i - j, j].
             coo = self.shifted.tocoo()
@@ -101,9 +101,8 @@ class ShiftedSolver:
         mass-weighted total.  ``out``, an array of the input's shape,
         receives the result; on the dense path it is written directly.
         """
-        x = np.asarray(x, dtype=float)
         if self.n <= DENSE_LIMIT:
-            return np.matmul(x, self._markov.T, out=out)
+            return np.matmul(x, self._markov_t, out=out)
         if out is None:
             return self.solve(x * self.mass_diag)
         out[...] = self.solve(x * self.mass_diag)

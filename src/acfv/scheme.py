@@ -17,9 +17,9 @@ States may be a single field of shape (d,) or a stack of per-path
 fields of shape (p, d) with one increment per row.  Every step works on
 the whole stack at once: the heat substep is one application of the
 prefactored operator, and the coupled step runs its Newton iteration
-on all rows together, freezing each row once it has converged.  All
-three are ``StepKernel`` calls; a loop over many steps builds one kernel
-and calls it per step, and the state a kernel returns is its own buffer.
+on all rows together, freezing each row once it has converged.  Each
+is a one-increment ``StepKernel.run``; a longer run is one such loop
+that yields its buffer only after the steps its caller names.
 """
 
 from __future__ import annotations
@@ -122,58 +122,64 @@ class SchemeParams:
 
 
 class StepKernel:
-    """The one-step map of one variant, built once per (variant, params, solver, shape).
+    """The step map of one variant, built once per (variant, params, solver, shape).
 
     It holds the step's scalars (a, tau, eps, kappa = eps/(eps + tau))
-    and scratch buffers of the state shape, and advances a state with
-    in-place ufuncs in the order of ``diffusion_g`` and ``resolvent``:
+    and scratch buffers of the state shape.  ``run`` steps with in-place
+    ufuncs in the order of ``diffusion_g`` and ``resolvent``:
     w = u + ((a c)(1 - c)) dW, the heat propagator, then c + kappa (r - c),
-    each c a clip to [0, 1].  So a step equals those formulas bit for bit.
-    The returned state is a kernel buffer, valid until the next call
-    overwrites it; a caller that keeps a state copies it.  A splitting
-    step fed its own last output reuses the clip of that output for the
-    noise term: clip(resolvent(r)) == clip(r) for every finite r.
+    each c a clip to [0, 1], so every step equals those formulas bit for bit.
     """
 
     def __init__(self, variant, params: SchemeParams, solver: ShiftedSolver, shape):
-        self.variant = variant
+        self.variant, self.solver = variant, solver
         self.amplitude, self.tau, self.eps = params.amplitude, params.tau, params.eps
         self.kappa = self.eps / (self.eps + self.tau)
-        self.solver = solver
         self._clip, self._noisy, self._tmp, self._out = (np.empty(shape) for _ in range(4))
-        self._clip_is_current = False  # _clip holds clip(_out, 0, 1)
 
     def __call__(self, u_prev, d_w):
-        u_prev = np.asarray(u_prev, dtype=float)
-        d_w = np.asarray(d_w, dtype=float)
-        if u_prev.ndim == 2 and d_w.ndim == 1:
-            d_w = d_w[:, None]
-        c, w, tmp, out = self._clip, self._noisy, self._tmp, self._out
-        if not (self._clip_is_current and u_prev is out):
-            u_prev.clip(0.0, 1.0, out=c)
-        np.multiply(c, self.amplitude, out=w)
-        np.subtract(1.0, c, out=tmp)
-        w *= tmp
-        w *= d_w
-        w += u_prev
-        self.solver.apply_markov(w, out=out)
-        self._clip_is_current = self.variant == "splitting"
-        if self.variant == "heat":
-            return out
-        out.clip(0.0, 1.0, out=c)
-        np.subtract(out, c, out=tmp)
-        tmp *= self.kappa
-        np.add(c, tmp, out=out)
-        if self.variant == "coupled":
-            rhs = np.atleast_2d(self.solver.mass_diag * w)
-            self._newton(out.reshape(-1, out.shape[-1]), rhs)
-        return out
+        return next(self.run(u_prev, np.asarray(d_w, dtype=float)[..., None]))[1]
 
-    def _newton(self, u, rhs):
-        """Semismooth Newton for the coupled step, in place on the (k, d) stack u."""
+    def run(self, u0, increments, at=None):
+        """Step u0 once per increment column; yield (n, state) after each step n in ``at``.
+
+        ``increments`` has the step count on its last axis, one row per path
+        of a (p, d) stack, and step n reads column n - 1 as a view; ``at``
+        None yields every step.  The state is the kernel's output buffer,
+        read-only to the caller and valid until the generator resumes (the
+        last one until the kernel runs again).
+        """
+        variant, amplitude, kappa = self.variant, self.amplitude, self.kappa
+        apply_markov = self.solver.apply_markov
+        c, w, tmp, out = self._clip, self._noisy, self._tmp, self._out
+        lo, hi = np.zeros(()), np.ones(())  # ndarray.clip is quicker with array bounds
+        # carried: c == clip(u), left by a splitting step as clip(resolvent(r)) == clip(r)
+        u, carried = np.asarray(u0, dtype=float), False
+        for n, d_w in enumerate(np.asarray(increments, dtype=float).T[..., None], 1):
+            if not carried:
+                u.clip(lo, hi, out=c)
+            np.multiply(c, amplitude, out=w)
+            np.subtract(1.0, c, out=tmp)
+            w *= tmp
+            w *= d_w
+            w += u
+            apply_markov(w, out=out)
+            if variant != "heat":
+                out.clip(lo, hi, out=c)
+                np.subtract(out, c, out=tmp)
+                tmp *= kappa
+                np.add(c, tmp, out=out)
+                if variant == "coupled":
+                    self._newton(out, w)
+            u, carried = out, variant == "splitting"
+            if at is None or n in at:
+                yield n, out
+
+    def _newton(self, out, w):
+        """Semismooth Newton for the coupled step, in place on ``out``, from noisy state w."""
         solver, tau, eps, mass = self.solver, self.tau, self.eps, self.solver.mass_diag
-        tol = NEWTON_TOL * mass.min()
-        rows = np.arange(u.shape[0])
+        u, rhs = out.reshape(-1, out.shape[-1]), np.atleast_2d(mass * w)
+        tol, rows = NEWTON_TOL * mass.min(), np.arange(len(u))
         for _ in range(NEWTON_MAX_ITER):
             v = u[rows]
             residual = (solver.shifted @ v.T).T + tau * mass * psi_eps(v, eps) - rhs[rows]
@@ -238,19 +244,14 @@ def run_trajectory(u0, increments, params: SchemeParams, solver: ShiftedSolver,
     increment row per path).  By default only the final state is
     retained.
     """
-    u = np.array(u0, dtype=float)
     increments = np.asarray(increments, dtype=float)
     if increments.shape[-1] != params.n_steps:
         raise ValueError(
             f"expected {params.n_steps} increments, got {increments.shape[-1]}")
-    step = StepKernel(params.variant, params, solver, u.shape)
-
-    history = [] if keep_history else None
-    for n in range(1, params.n_steps + 1):
-        u = step(u, increments[..., n - 1])
-        if keep_history:
-            history.append(u.copy())
-    return Trajectory(final=u, states=history)
+    step = StepKernel(params.variant, params, solver, np.shape(u0))
+    states = [u.copy() for _, u in
+              step.run(u0, increments, None if keep_history else (params.n_steps,))]
+    return Trajectory(final=states[-1], states=states if keep_history else None)
 
 
 def dump_trajectory_csv(trajectory: Trajectory, u0, target) -> None:

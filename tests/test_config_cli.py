@@ -176,20 +176,68 @@ def test_monte_carlo_commands_reject_path_file(tmp_path, command, keys):
     assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
 
 
+# What each command needs to run; a case adds the key under test.
+BASE_KEYS = {
+    "table-repro": f"path_file = {packaged_increments_path()}\nN = 4\n",
+    "simulate": "L = 2\nN = 4\n",
+}
+MONTE_CARLO_BASE = "L = 2\nN_p = 2\na = 10\n"
+
+
 @pytest.mark.parametrize("command, keys, key", [
     ("convergence", "N_max = 32\nN_list = 8,16\ncheckpoints = 5\n", "checkpoints"),
     ("splitting-error", "N_max = 32\nN_list = 8,16\neps_rule = fixed\neps_c = 0.05\n"
      "variant = heat\n", "variant"),
     ("splitting-error", "N_max = 32\nN_list = 8,16\neps_rule = fixed\neps_c = 0.05\n"
      "variant = coupled\n", "variant"),
-], ids=["convergence-checkpoints", "splitting-error-heat", "splitting-error-coupled"])
+    ("table-repro", "L = 3\n", "L"),
+    ("table-repro", "T = 2\n", "T"),
+    ("table-repro", "a = 3\n", "a"),
+    ("table-repro", "variant = heat\n", "variant"),
+    ("table-repro", "eps_rule = fixed\neps_c = 0.05\n", "eps_rule/eps_c/eps_p"),
+    ("table-repro", "seed = 3\n", "seed"),
+    ("simulate", "a = 10,20\n", "a"),
+    ("simulate", "N_p = 7\n", "N_p"),
+    ("simulate", "checkpoints = 2\n", "checkpoints"),
+    ("simulate", f"path_file = {packaged_increments_path()}\nseed = 3\n", "seed"),
+    ("simulate", f"path_file = {packaged_increments_path()}\nN_max = 8\n", "N_max"),
+    ("expectation", "N = 8\nN_list = 8\n", "N_list"),
+    ("convergence", "N = 8\nN_max = 32\nN_list = 8,16\n", "N"),
+], ids=["convergence-checkpoints", "splitting-error-heat", "splitting-error-coupled",
+        "table-repro-L", "table-repro-T", "table-repro-a", "table-repro-variant",
+        "table-repro-eps", "table-repro-seed", "simulate-a", "simulate-N_p",
+        "simulate-checkpoints", "simulate-path-seed", "simulate-path-N_max",
+        "expectation-N_list", "convergence-N"])
 def test_commands_reject_keys_they_ignore(tmp_path, capsys, command, keys, key):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(keys + "L = 2\nN_p = 2\na = 10\n")
+    cfg.write_text(keys + BASE_KEYS.get(command, MONTE_CARLO_BASE))
     out = tmp_path / "o"
     assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
     assert f"'{key}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_shipped_configs_and_presets_pass_the_key_check():
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    for name, command in [("table_repro", "table-repro"), ("desk_expectation", "expectation"),
+                          ("desk_convergence", "convergence"),
+                          ("full_convergence", "convergence"),
+                          ("desk_splitting_error", "splitting-error")]:
+        cli._reject_unread(command, load_config_file(configs / f"{name}.cfg"))
+    for command in cli._UNREAD:
+        for preset in ("desk", "paper"):
+            cli._reject_unread(command, preset_config(command, preset))
+
+
+def test_non_finite_results_exit_numerical(tmp_path, capsys):
+    # Every state stays finite, but the squared errors overflow.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("L = 4\nN_max = 64\nN_list = 8,16,32\nN_p = 6\na = 1e160\n")
+    out = tmp_path / "o"
+    with np.errstate(over="ignore"):
+        assert run_cli("convergence", "--config", str(cfg), "--out", str(out)) == 3
+    assert "non-finite error at a=1e+160, N=8" in capsys.readouterr().err
+    assert not (out / "error.csv").exists() and not (out / "fit.csv").exists()
 
 
 def test_expectation_zero_amplitude(tmp_path):

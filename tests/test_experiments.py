@@ -8,7 +8,7 @@ import pytest
 
 from acfv import cli
 from acfv.errors import ConfigError, NumericalFailure
-from acfv.experiments import (ErrorCurve, StudyConfig, convergence_study,
+from acfv.experiments import (ErrorCurve, StudyConfig, _run_block, convergence_study,
                               estimate_error, estimate_expectation,
                               expectation_study, fit_convergence_order,
                               format_float, splitting_error_study,
@@ -69,6 +69,26 @@ def test_checkpoint_states_are_not_overwritten_by_later_steps():
         np.testing.assert_array_equal(r.cell_means, alone[r.amplitude, r.checkpoint].cell_means)
         assert r.mean == alone[r.amplitude, r.checkpoint].mean
     assert len({r.mean for r in together if r.amplitude == 4.0}) == 3
+
+
+@pytest.mark.parametrize("variants", [("splitting",), ("heat",), ("splitting", "coupled")])
+def test_block_runner_yields_exactly_the_steps_asked_for(variants):
+    config = small_config(n_steps=None, n_fine=64, n_steps_list=(16, 64), checkpoints=(),
+                          epsilon=EpsilonSchedule.fixed(0.05), amplitudes=(7.0,))
+    start = np.linspace(-0.4, 1.3, 9)  # the penalty is active from the first step
+
+    def collect(at):
+        _, _, runs = _run_block(config, 7.0, start, 0, 5, at, variants)
+        return {(n_steps, n): [state.tobytes() for state in states]
+                for n_steps, n, states in runs}
+
+    every = collect(dict.fromkeys((64, 16)))
+    assert list(every) == [(64, n) for n in range(1, 65)] + [(16, n) for n in range(1, 17)]
+    assert all(len(states) == len(variants) for states in every.values())
+    some = collect({64: (1, 30), 16: (16,)})
+    assert list(some) == [(64, 1), (64, 30), (16, 16)]
+    for key, states in some.items():
+        assert states == every[key]
 
 
 def test_expectation_study_shape_and_order():

@@ -1,6 +1,7 @@
 """Steppers against the frozen benchmark tables and the structure theorems."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -356,7 +357,7 @@ def test_step_kernel_matches_oracle_bitwise(L, amplitude, variant):
     assert (L * L <= DENSE_LIMIT) == (L == 4)  # one dense, one banded solver
     params, solver, stack, d_w = edge_case_setup(L, amplitude)
     kernel, oracle = StepKernel(variant, params, solver, stack.shape), ORACLES[variant]
-    # Several steps, so the splitting kernel reuses the clip it carries.
+    # Several steps, each fed the kernel's own output buffer.
     # Bytes, not values, are compared, so signed zeros must match too.
     got, expected = stack, stack
     for n in range(d_w.shape[1]):
@@ -367,6 +368,35 @@ def test_step_kernel_matches_oracle_bitwise(L, amplitude, variant):
     first = oracle(stack, d_w[:, 0], params, solver).tobytes()
     assert kernel(stack, d_w[:, 0]).tobytes() == first
     assert PUBLIC_STEPS[variant](stack, d_w[:, 0], params, solver).tobytes() == first
+
+
+@pytest.mark.parametrize("L", [4, 9])
+@pytest.mark.parametrize("variant", ["splitting", "heat", "coupled"])
+def test_kernel_run_matches_per_step_oracle_bitwise(L, variant):
+    # A long run carries the splitting clip from step to step in locals;
+    # every step must still equal the oracle byte for byte.
+    params, solver, stack, _ = edge_case_setup(L, 7.0)
+    n_steps = 64
+    d_w = np.random.default_rng(L + 1).standard_normal((len(stack), n_steps))
+    d_w *= np.sqrt(params.tau)
+    kernel, oracle = StepKernel(variant, params, solver, stack.shape), ORACLES[variant]
+    expected, every = stack, []
+    for n, got in kernel.run(stack, d_w):
+        expected = oracle(expected, d_w[:, n - 1], params, solver)
+        assert got.tobytes() == expected.tobytes(), f"step {n}"
+        every.append(got.copy())
+    assert n == n_steps
+    # Asking for some steps yields exactly those, with the same bytes.
+    asked = (1, 2, 33, 40)
+    taken = [(n, state.tobytes()) for n, state in kernel.run(stack, d_w, at=asked)]
+    assert taken == [(n, every[n - 1].tobytes()) for n in asked]
+    # The same tau over 64 steps, through the public trajectory runner.
+    long_params = replace(params, horizon=params.tau * n_steps, n_steps=n_steps,
+                          variant=variant)
+    assert long_params.tau == params.tau
+    traj = run_trajectory(stack, d_w, long_params, solver, keep_history=True)
+    assert [state.tobytes() for state in traj.states] == [s.tobytes() for s in every]
+    assert traj.final.tobytes() == every[-1].tobytes()
 
 
 @pytest.mark.parametrize("L", [4, 9])
