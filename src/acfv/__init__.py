@@ -15,8 +15,7 @@ from .assembly import assemble_mass, assemble_stiffness
 from .constraint import psi_eps, resolvent
 from .errors import ConfigError, NumericalFailure
 from .experiments import (ErrorCurve, ExpectationResult, StudyConfig,
-                          convergence_study, estimate_error,
-                          estimate_expectation, expectation_study,
+                          convergence_study, expectation_study,
                           fit_convergence_order, splitting_error_study)
 from .linalg import ShiftedSolver
 from .mesh import (Mesh, build_uniform_mesh, cell_average,
@@ -40,7 +39,7 @@ __all__ = [
     "EpsilonSchedule", "SchemeParams", "Trajectory",
     "splitting_step", "coupled_step", "heat_step", "run_trajectory",
     "StudyConfig", "ExpectationResult", "ErrorCurve",
-    "estimate_expectation", "expectation_study", "estimate_error",
+    "expectation_study",
     "convergence_study", "fit_convergence_order", "splitting_error_study",
     "ConfigError", "NumericalFailure",
 ]

@@ -82,6 +82,10 @@ def _resolve_config(args) -> StudyConfig:
         config = replace(config, n_paths=args.paths)
     if args.out is not None:
         config = replace(config, out_dir=args.out)
+    _reject_unread(args.command, config)
+    if args.command == "table-repro":
+        # The manifest records the scenario that runs, not the defaults.
+        config = replace(config, **_SCENARIO)
     return config.validate()
 
 
@@ -210,12 +214,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         cmd = sub.add_parser(name)
-        cmd.add_argument("--config", help="flat key-value configuration file")
-        cmd.add_argument("--preset", choices=("desk", "paper"),
-                         help="built-in configuration: desk scale or full scale")
-        cmd.add_argument("--out", help="output directory (overrides out_dir)")
+        if name != "validate":
+            cmd.add_argument("--config", help="flat key-value configuration file")
+            cmd.add_argument("--preset", choices=("desk", "paper"),
+                             help="built-in configuration: desk scale or full scale")
+            cmd.add_argument("--out", help="output directory (overrides out_dir)")
+            cmd.add_argument("--paths", type=int, help="path count override")
         cmd.add_argument("--seed", type=int, help="seed override")
-        cmd.add_argument("--paths", type=int, help="path count override")
     return parser
 
 
@@ -226,7 +231,6 @@ def main(argv=None) -> int:
             seed = args.seed if args.seed is not None else 20252
             return cmd_validate(seed)
         config = _resolve_config(args)
-        _reject_unread(args.command, config)
         handler = {
             "table-repro": cmd_table_repro,
             "simulate": cmd_simulate,

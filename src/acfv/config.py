@@ -105,7 +105,11 @@ def key_of(field: str) -> str:
 
 
 def config_from_mapping(mapping: dict, base_dir: str = ".") -> StudyConfig:
-    """Build a validated StudyConfig from a parsed mapping."""
+    """Build a StudyConfig from a parsed mapping; its ``validate`` checks the values.
+
+    Validation waits for the command to resolve the config: table-repro
+    fills in its fixed scenario first.
+    """
     mapping = dict(mapping)
     rule = mapping.pop("eps_rule", None)
     eps_c = mapping.pop("eps_c", None)
@@ -134,7 +138,7 @@ def config_from_mapping(mapping: dict, base_dir: str = ".") -> StudyConfig:
         config = StudyConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    return config.validate()
+    return config
 
 
 def load_config_file(path) -> StudyConfig:
@@ -151,9 +155,8 @@ def packaged_increments_path() -> str:
     return str(increments_file())
 
 
-# Step counts of the two refinement ladders used by the full-scale studies.
+# Step counts of the refinement ladder used by the full-scale studies.
 FULL_N_LIST = (210, 280, 360, 504, 630, 840, 1008, 1260, 1680, 2520, 3360, 4032, 5040)
-FULL_N_LIST_EXTENDED = (6300, 8400, 10080, 12600, 16800, 25200, 33600, 40320, 50400)
 
 _PRESETS = {
     ("table-repro", "desk"): lambda: StudyConfig(

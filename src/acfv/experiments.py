@@ -15,22 +15,24 @@ Three studies are provided.
   one on shared paths, as a function of the step size.
 
 Paths are processed in fixed-size blocks so per-path work is batched
-through the linear solver.  One block runner sets up and steps a block
-for every study; only the steps a study reads (convergence: the last,
-expectation: the checkpoints, the gap: all) leave its step loop, and
-every number it reduces them to is checked to be finite.  The block
-size is a constant, deliberately not tied to the worker count: per-path
-results land in arrays indexed by path, and reductions run over those
-fixed arrays, so a study result is bit-identical no matter how many
-workers computed it.  Worker pools operate on whole blocks, one pool
-per study call (set workers > 1, or the ACFV_WORKERS environment
+through the linear solver.  The path block is the unit of work, and one
+block serves every amplitude: one block runner samples its increments
+once, aggregates them and factors one solver once per step count, and
+steps the block at each amplitude on those shared paths.  Only the steps
+a study reads (convergence: the last, expectation: the checkpoints, the
+gap: all) leave its step loop, and every number it reduces them to is
+checked to be finite.  The block size is a constant, deliberately not
+tied to the worker count: block results come back in path order and
+are reduced in that order, so a study result is bit-identical no matter
+how many workers computed it.  Worker pools operate on whole blocks, one
+pool per study call (set workers > 1, or the ACFV_WORKERS environment
 variable for the command-line tools).
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,9 +48,7 @@ __all__ = [
     "StudyConfig",
     "ExpectationResult",
     "ErrorCurve",
-    "estimate_expectation",
     "expectation_study",
-    "estimate_error",
     "convergence_study",
     "fit_convergence_order",
     "splitting_error_study",
@@ -160,35 +160,31 @@ def _require_finite_results(what, amplitude, places, values):
                 f"non-finite {what} at a={format_float(amplitude)}, {place}")
 
 
-def _map_blocks(fn, config: StudyConfig, arg_sets, reduce, workers):
-    """reduce([fn(config, *args, lo, hi) for each path block]) for each args.
-
-    One worker pool serves all of ``arg_sets``; each entry's block results
-    are reduced, in path order, and released as soon as they are all in.
-    """
+def _map_blocks(fn, config: StudyConfig, args, workers):
+    """[fn(config, *args, lo, hi) for each path block], in path order, from one pool."""
     blocks = [(lo, min(lo + PATH_BLOCK, config.n_paths))
               for lo in range(0, config.n_paths, PATH_BLOCK)]
-    if workers <= 1 or len(arg_sets) * len(blocks) <= 1:
-        return [reduce([fn(config, *args, lo, hi) for lo, hi in blocks])
-                for args in arg_sets]
+    if workers <= 1 or len(blocks) <= 1:
+        return [fn(config, *args, lo, hi) for lo, hi in blocks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [[pool.submit(fn, config, *args, lo, hi) for lo, hi in blocks]
-                   for args in arg_sets]
-        return [reduce([f.result() for f in futures.pop(0)]) for _ in arg_sets]
+        futures = [pool.submit(fn, config, *args, lo, hi) for lo, hi in blocks]
+        return [future.result() for future in futures]
 
 
-def _run_block(config: StudyConfig, amplitude, initial_state, lo, hi, at, variants):
-    """Set up paths lo..hi-1 once and run them at every step count N of ``at``.
+def _run_block(config: StudyConfig, initial_state, lo, hi, at, variants):
+    """Set up paths lo..hi-1 once and run them at every amplitude and step count N of ``at``.
 
     ``at[N]`` names the steps whose states the caller reads (None: every
     step).  The mesh, the start field and the operators are built, and
-    the block's fine increments sampled, once.  Returns the mesh, the
-    start field and a generator over the runs: for each N it builds one
-    ShiftedSolver and one StepKernel per variant, runs each variant as its
-    own (hi - lo, d) stack from the start, and yields (N, n, states) after
-    each named step n, one stack per variant, the last of them checked to
-    be finite.  The stacks are kernel buffers (see ``StepKernel.run``);
-    the last one yielded for an N stays valid, as each N has its own.
+    the block's fine increments sampled, once for all amplitudes.
+    Returns the mesh, the start field and a generator over the runs: for
+    each N it aggregates the increments and builds one ShiftedSolver, then
+    for each amplitude (index k into ``config.amplitudes``) one StepKernel
+    per variant, runs each variant as its own (hi - lo, d) stack from the
+    start, and yields (k, N, n, states) after each named step n, one stack
+    per variant, the last of them checked to be finite.  The stacks are
+    kernel buffers (see ``StepKernel.run``); the last one yielded for a
+    (k, N) stays valid, as each has its own kernels.
     """
     mesh = build_uniform_mesh(config.cells_per_axis, config.half_width)
     u0 = (default_initial_state(mesh) if initial_state is None
@@ -200,18 +196,19 @@ def _run_block(config: StudyConfig, amplitude, initial_state, lo, hi, at, varian
 
     def runs():
         for n_steps, steps in at.items():
-            params = SchemeParams(horizon=config.horizon, n_steps=n_steps,
-                                  epsilon=config.epsilon, amplitude=amplitude)
-            solver = ShiftedSolver(mass, stiffness, params.tau)
+            solver = ShiftedSolver(mass, stiffness, config.horizon / n_steps)
             # The fine block drives N_max itself: a copy would double the
             # block's largest array.
             inc = fine if n_steps == n_fine else aggregate_increments(fine, n_steps)
-            for taken in zip(*(StepKernel(variant, params, solver, start.shape)
-                               .run(start, inc, steps) for variant in variants)):
-                states = [state for _, state in taken]
-                yield n_steps, taken[0][0], states
+            for k, amplitude in enumerate(config.amplitudes):
+                params = SchemeParams(horizon=config.horizon, n_steps=n_steps,
+                                      epsilon=config.epsilon, amplitude=amplitude)
+                for taken in zip(*(StepKernel(variant, params, solver, start.shape)
+                                   .run(start, inc, steps) for variant in variants)):
+                    states = [state for _, state in taken]
+                    yield k, n_steps, taken[0][0], states
+                require_finite(np.hstack(states), amplitude, n_steps, lo)
             del inc  # freed before the next N aggregates its own
-            require_finite(np.hstack(states), amplitude, n_steps, lo)
 
     return mesh, u0, runs()
 
@@ -236,24 +233,13 @@ class ExpectationResult:
         return abs(self.initial_mean - self.mean)
 
 
-def _expectation_block(config: StudyConfig, amplitude, lo, hi):
-    """Initial mean, and the per-path states at every checkpoint."""
+def _expectation_block(config: StudyConfig, lo, hi):
+    """Initial mean, and per (amplitude, checkpoint) the cell sums over the block's paths."""
     cps = config.checkpoints or (config.n_steps,)
-    _, u0, runs = _run_block(config, amplitude, None, lo, hi,
-                             {config.n_steps: cps}, (config.variant,))
-    return float(u0.mean()), {n: states[0].copy() for _, n, states in runs}
-
-
-def estimate_expectation(config: StudyConfig, checkpoint, amplitude,
-                         workers=1) -> ExpectationResult:
-    """Monte Carlo cell means at one checkpoint, plus the drift from the start.
-
-    The scalar mean is the plain average of the per-cell means, the
-    convention used throughout; on uniform meshes it coincides with the
-    mass-weighted mean.
-    """
-    config = replace(config, amplitudes=(amplitude,), checkpoints=(int(checkpoint),))
-    return expectation_study(config, workers)[0]
+    _, u0, runs = _run_block(config, None, lo, hi, {config.n_steps: cps}, (config.variant,))
+    sums = {(k, n): state.sum(axis=0) for k, _, n, (state,) in runs}
+    return float(u0.mean()), np.array([[sums[k, n] for n in cps]
+                                       for k in range(len(config.amplitudes))])
 
 
 def expectation_study(config: StudyConfig, workers=1) -> list:
@@ -261,22 +247,19 @@ def expectation_study(config: StudyConfig, workers=1) -> list:
 
     Each amplitude runs one simulation sweep; all checkpoints are taken
     from it.  All amplitudes share the same driving paths, so drifts
-    are directly comparable across amplitudes.
+    are directly comparable across amplitudes.  The cell means add the
+    blocks' path sums in path order; the scalar mean is the plain average
+    of the cell means, which on uniform meshes is the mass-weighted mean.
     """
     config.validate()
     if config.n_steps is None:
         raise ConfigError("expectation study needs a step count N")
     checkpoints = config.checkpoints or (config.n_steps,)
-
-    def reduce(parts):
-        return parts[0][0], [np.vstack([states[n] for _, states in parts]).mean(axis=0)
-                             for n in checkpoints]
-
-    per_amplitude = _map_blocks(_expectation_block, config,
-                                [(a,) for a in config.amplitudes], reduce, workers)
+    parts = _map_blocks(_expectation_block, config, (), workers)
+    initial_mean, sums = parts[0][0], sum(part_sums for _, part_sums in parts)
     results = []
-    for amplitude, (initial_mean, means) in zip(config.amplitudes, per_amplitude):
-        for n, cell_means in zip(checkpoints, means):
+    for amplitude, per_checkpoint in zip(config.amplitudes, sums / config.n_paths):
+        for n, cell_means in zip(checkpoints, per_checkpoint):
             mean = float(cell_means.mean())
             _require_finite_results("mean E", amplitude, [f"N={config.n_steps}, n={n}"], [mean])
             results.append(ExpectationResult(
@@ -290,42 +273,30 @@ def expectation_study(config: StudyConfig, workers=1) -> list:
 # Time-refinement error and convergence order
 # ---------------------------------------------------------------------------
 
-def _error_block(config: StudyConfig, amplitude, n_list, initial_state, lo, hi):
-    """Per-path squared L2 gap between the N_max run and each N of ``n_list``."""
+def _error_block(config: StudyConfig, n_list, initial_state, lo, hi):
+    """Per amplitude, the per-path squared L2 gap between the N_max run and each N of ``n_list``."""
     n_fine = config.resolved_n_fine()
     # N_max runs once, also when n_list holds it (its error is then zero).
-    mesh, _, runs = _run_block(config, amplitude, initial_state, lo, hi,
+    mesh, _, runs = _run_block(config, initial_state, lo, hi,
                                {n: (n,) for n in (n_fine, *n_list)}, (config.variant,))
-    final = {n_steps: states[0] for n_steps, _, states in runs}
-    diffs = [final[n_fine] - final[n_steps] for n_steps in n_list]
-    return np.column_stack([(diff * diff) @ mesh.cell_measures for diff in diffs])
+    finest, errors = {}, {}
+    for k, n_steps, _, (state,) in runs:
+        if n_steps == n_fine:
+            finest[k] = state
+        diff = finest[k] - state
+        errors[k, n_steps] = (diff * diff) @ mesh.cell_measures
+    return np.array([np.column_stack([errors[k, n] for n in n_list])
+                     for k in range(len(config.amplitudes))])
 
 
-def _mean_errors(config: StudyConfig, amplitudes, n_list, initial_state, workers=1):
+def _mean_errors(config: StudyConfig, n_list, initial_state, workers=1):
     """Per amplitude, the mean over paths of each N's squared L2 gap to N_max."""
-    errors = _map_blocks(_error_block, config,
-                         [(a, tuple(n_list), initial_state) for a in amplitudes],
-                         lambda parts: np.vstack(parts).mean(axis=0), workers)
-    for amplitude, mean in zip(amplitudes, errors):
+    parts = _map_blocks(_error_block, config, (tuple(n_list), initial_state), workers)
+    errors = [np.vstack([part[k] for part in parts]).mean(axis=0)
+              for k in range(len(config.amplitudes))]
+    for amplitude, mean in zip(config.amplitudes, errors):
         _require_finite_results("error", amplitude, [f"N={n}" for n in n_list], mean)
     return errors
-
-
-def estimate_error(config: StudyConfig, n_steps, amplitude, initial_state=None,
-                   workers=1) -> float:
-    """Mean squared L2 gap between the finest run and the run at ``n_steps``.
-
-    Both runs are driven by the same fine Brownian path per sample, the
-    coarse one through increment aggregation; identical step counts
-    therefore give exactly zero.  ``initial_state`` overrides the
-    default initial field.
-    """
-    config.validate()
-    n_fine = config.resolved_n_fine()
-    if n_steps < 1 or n_fine % n_steps:
-        raise ConfigError(f"step count {n_steps} must divide N_max={n_fine}")
-    errors = _mean_errors(config, (amplitude,), [int(n_steps)], initial_state, workers)
-    return float(errors[0][0])
 
 
 @dataclass
@@ -374,7 +345,7 @@ def convergence_study(config: StudyConfig, initial_state=None, workers=1) -> lis
     if len(config.n_steps_list) < 2:
         raise ConfigError("convergence study needs at least two entries in N_list")
     n_list = tuple(sorted(config.n_steps_list))
-    errors = _mean_errors(config, config.amplitudes, n_list, initial_state, workers)
+    errors = _mean_errors(config, n_list, initial_state, workers)
     return [_curve(config, amplitude, n_list, mean)
             for amplitude, mean in zip(config.amplitudes, errors)]
 
@@ -383,12 +354,12 @@ def convergence_study(config: StudyConfig, initial_state=None, workers=1) -> lis
 # Splitting-vs-coupled gap
 # ---------------------------------------------------------------------------
 
-def _splitting_gap_block(config: StudyConfig, amplitude, n_list, initial_state, lo, hi):
+def _splitting_gap_block(config: StudyConfig, n_list, initial_state, lo, hi):
     """Per-path maximum cell gap between the two methods after every step."""
     gaps = {n_steps: np.empty((hi - lo, n_steps)) for n_steps in n_list}
-    _, _, runs = _run_block(config, amplitude, initial_state, lo, hi,
+    _, _, runs = _run_block(config, initial_state, lo, hi,
                             dict.fromkeys(n_list), ("splitting", "coupled"))
-    for n_steps, n, (u_split, u_coupled) in runs:
+    for _, n_steps, n, (u_split, u_coupled) in runs:
         gaps[n_steps][:, n - 1] = np.max(np.abs(u_coupled - u_split), axis=1)
     return gaps
 
@@ -432,10 +403,9 @@ def splitting_gap_errors(config: StudyConfig, initial_state=None, workers=1):
         raise ConfigError("the gap study runs one amplitude at a time")
     amplitude = config.amplitudes[0]
     n_list = tuple(sorted(config.n_steps_list))
-    [errors] = _map_blocks(
-        _splitting_gap_block, config, [(amplitude, n_list, initial_state)],
-        lambda parts: [float(np.vstack([part[n] for part in parts]).mean(axis=0).max())
-                       for n in n_list], workers)
+    parts = _map_blocks(_splitting_gap_block, config, (n_list, initial_state), workers)
+    errors = [float(np.vstack([part[n] for part in parts]).mean(axis=0).max())
+              for n in n_list]
     _require_finite_results("gap", amplitude, [f"N={n}" for n in n_list], errors)
     return n_list, errors
 

@@ -27,9 +27,8 @@ DENSE_LIMIT = 64
 class ShiftedSolver:
     """Solver for (M + tau A) x = b on a fixed mesh and time step.
 
-    Holds references to the mass diagonal and the stiffness matrix so
-    the step functions can reach them, and prefactors the shifted
-    matrix once.  All per-call state is local, so one solver instance
+    Holds the mass diagonal and the shifted matrix so the step functions
+    can reach them, and prefactors the shifted matrix once.  All per-call state is local, so one solver instance
     can serve concurrent solves.
 
     Right-hand sides may be a single field of shape (d,) or a stack of
@@ -40,7 +39,6 @@ class ShiftedSolver:
         if tau <= 0:
             raise ValueError("tau must be positive")
         self.mass_diag = np.asarray(mass_diag, dtype=float)
-        self.stiffness = stiffness
         self.tau = float(tau)
         self.n = self.mass_diag.shape[0]
         self.shifted = (sps.diags(self.mass_diag) + tau * stiffness).tocsr()

@@ -90,10 +90,6 @@ class Mesh:
         return float(self.cell_measures.min())
 
     @property
-    def m_max(self) -> float:
-        return float(self.cell_measures.max())
-
-    @property
     def domain_measure(self) -> float:
         return float(self.cell_measures.sum())
 

@@ -13,7 +13,7 @@ from acfv.config import (build_manifest, config_from_mapping, load_config_file,
                          packaged_increments_path, parse_config_text,
                          preset_config)
 from acfv.errors import ConfigError
-from acfv.experiments import PATH_BLOCK
+from acfv.experiments import PATH_BLOCK, format_float
 from acfv.scheme import EpsilonSchedule
 
 
@@ -111,6 +111,15 @@ def test_validate_command(capsys):
     assert "[FAIL]" not in out
 
 
+def test_validate_takes_only_a_seed(tmp_path):
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text("N = 4\n")
+    for option in ("--config", "--preset", "--out", "--paths"):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("validate", option, str(cfg) if option == "--config" else "desk")
+        assert exit_info.value.code == 2
+
+
 def test_table_repro_preset_passes(tmp_path, capsys):
     out = str(tmp_path / "run")
     assert run_cli("table-repro", "--preset", "desk", "--out", out) == 0
@@ -121,6 +130,19 @@ def test_table_repro_preset_passes(tmp_path, capsys):
     first = (tmp_path / "run" / "splitting_n4.csv").read_bytes()
     assert run_cli("table-repro", "--preset", "desk", "--out", out) == 0
     assert (tmp_path / "run" / "splitting_n4.csv").read_bytes() == first
+
+
+def test_table_repro_manifest_records_the_scenario_that_ran(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"path_file = {packaged_increments_path()}\n")
+    out = tmp_path / "run"
+    assert run_cli("table-repro", "--config", str(cfg), "--out", str(out)) == 0
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert "cells_per_axis = 2" in manifest
+    assert "amplitudes = 10" in manifest
+    assert "n_steps = 4" in manifest
+    assert (f"epsilon = power(c={format_float(0.1)}, p={format_float(1.0 / 3.0)})"
+            in manifest)
 
 
 def test_table_repro_requires_path_file(tmp_path):
@@ -289,17 +311,21 @@ def test_config_and_preset_are_exclusive(tmp_path):
 
 
 @pytest.mark.parametrize("command, keys, outputs", [
-    ("convergence", "N_max = 32\nN_list = 8,16\n", ("error.csv", "fit.csv")),
-    ("expectation", "N = 16\ncheckpoints = 2,16\n", ("expectation.csv",)),
-    ("splitting-error", "N_max = 32\nN_list = 8,16\neps_rule = fixed\neps_c = 0.05\n",
+    ("convergence", "N_max = 32\nN_list = 8,16\na = 3\n", ("error.csv", "fit.csv")),
+    ("expectation", "N = 16\ncheckpoints = 2,16\na = 3\n", ("expectation.csv",)),
+    ("splitting-error",
+     "N_max = 32\nN_list = 8,16\neps_rule = fixed\neps_c = 0.05\na = 3\n",
      ("splitting_error.csv", "splitting_error_fit.csv")),
-], ids=["convergence", "expectation", "splitting-error"])
+    ("convergence", "N_max = 32\nN_list = 8,16\na = 1,3\n", ("error.csv", "fit.csv")),
+    ("expectation", "N = 16\ncheckpoints = 2,16\na = 1,3\n", ("expectation.csv",)),
+], ids=["convergence", "expectation", "splitting-error", "convergence-two-amplitudes",
+        "expectation-two-amplitudes"])
 def test_outputs_identical_across_worker_counts(tmp_path, monkeypatch, command, keys,
                                                 outputs):
     # More paths than two blocks, so the pool really splits the work.
     assert 600 > 2 * PATH_BLOCK
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(keys + "L = 2\nN_p = 600\na = 3\nseed = 9\n")
+    cfg.write_text(keys + "L = 2\nN_p = 600\nseed = 9\n")
     for workers in ("1", "2"):
         monkeypatch.setenv("ACFV_WORKERS", workers)
         assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / workers)) == 0

@@ -6,11 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from acfv import cli
+from acfv import cli, experiments
 from acfv.errors import ConfigError, NumericalFailure
-from acfv.experiments import (ErrorCurve, StudyConfig, _run_block, convergence_study,
-                              estimate_error, estimate_expectation,
-                              expectation_study, fit_convergence_order,
+from acfv.experiments import (PATH_BLOCK, ErrorCurve, StudyConfig, _mean_errors, _run_block,
+                              convergence_study, expectation_study, fit_convergence_order,
                               format_float, splitting_error_study,
                               splitting_gap_errors, write_error_csv,
                               write_expectation_csv, write_fit_csv)
@@ -45,7 +44,8 @@ def test_config_validation_errors(tmp_path, capsys):
 
 
 def test_initial_mean_is_exact():
-    result = estimate_expectation(small_config(cells_per_axis=5), 2, 0.0)
+    [result] = expectation_study(small_config(cells_per_axis=5, amplitudes=(0.0,),
+                                              checkpoints=(2,)))
     assert result.initial_mean == pytest.approx(0.29333333, abs=1e-7)
 
 
@@ -74,21 +74,51 @@ def test_checkpoint_states_are_not_overwritten_by_later_steps():
 @pytest.mark.parametrize("variants", [("splitting",), ("heat",), ("splitting", "coupled")])
 def test_block_runner_yields_exactly_the_steps_asked_for(variants):
     config = small_config(n_steps=None, n_fine=64, n_steps_list=(16, 64), checkpoints=(),
-                          epsilon=EpsilonSchedule.fixed(0.05), amplitudes=(7.0,))
+                          epsilon=EpsilonSchedule.fixed(0.05), amplitudes=(7.0, 2.0))
     start = np.linspace(-0.4, 1.3, 9)  # the penalty is active from the first step
 
     def collect(at):
-        _, _, runs = _run_block(config, 7.0, start, 0, 5, at, variants)
-        return {(n_steps, n): [state.tobytes() for state in states]
-                for n_steps, n, states in runs}
+        _, _, runs = _run_block(config, start, 0, 5, at, variants)
+        return {(k, n_steps, n): [state.tobytes() for state in states]
+                for k, n_steps, n, states in runs}
 
     every = collect(dict.fromkeys((64, 16)))
-    assert list(every) == [(64, n) for n in range(1, 65)] + [(16, n) for n in range(1, 17)]
+    assert list(every) == [(k, n_steps, n) for n_steps in (64, 16) for k in (0, 1)
+                           for n in range(1, n_steps + 1)]
     assert all(len(states) == len(variants) for states in every.values())
+    assert every[0, 64, 64] != every[1, 64, 64]
     some = collect({64: (1, 30), 16: (16,)})
-    assert list(some) == [(64, 1), (64, 30), (16, 16)]
+    assert list(some) == [(0, 64, 1), (0, 64, 30), (1, 64, 1), (1, 64, 30),
+                          (0, 16, 16), (1, 16, 16)]
     for key, states in some.items():
         assert states == every[key]
+
+
+def test_a_block_samples_and_factors_once_for_all_amplitudes(monkeypatch):
+    # Two path blocks, three amplitudes: the increments are sampled once
+    # per block and one solver is factored per (block, N).
+    calls = {"sample": 0, "solver": 0}
+    sample, solver = experiments.sample_increment_block, experiments.ShiftedSolver
+
+    def counting_sample(*args):
+        calls["sample"] += 1
+        return sample(*args)
+
+    def counting_solver(*args):
+        calls["solver"] += 1
+        return solver(*args)
+
+    monkeypatch.setattr(experiments, "sample_increment_block", counting_sample)
+    monkeypatch.setattr(experiments, "ShiftedSolver", counting_solver)
+    config = StudyConfig(cells_per_axis=2, n_fine=16, n_steps_list=(4, 8),
+                         n_paths=PATH_BLOCK + 3, amplitudes=(1.0, 3.0, 10.0)).validate()
+    assert len(convergence_study(config)) == 3
+    assert calls == {"sample": 2, "solver": 2 * 3}  # N = 16, 4 and 8
+
+    calls.update(sample=0, solver=0)
+    config = replace(config, n_steps=16, n_steps_list=(), checkpoints=(2, 16))
+    assert len(expectation_study(config)) == 3 * 2
+    assert calls == {"sample": 2, "solver": 2}
 
 
 def test_expectation_study_shape_and_order():
@@ -101,15 +131,15 @@ def test_expectation_study_shape_and_order():
         assert r.mean == pytest.approx(r.cell_means.mean(), rel=1e-15)
 
 
-def test_estimate_error_zero_at_fine_resolution():
-    config = small_config()
-    assert estimate_error(config, 16, 2.0) == 0.0
+def test_mean_error_zero_at_fine_resolution():
+    [errors] = _mean_errors(small_config(), [16], None)
+    assert errors.tolist() == [0.0]
 
 
-def test_estimate_error_zero_noise_constant_state():
-    config = small_config(epsilon=EpsilonSchedule.fixed(0.05))
-    err = estimate_error(config, 4, 0.0, initial_state=np.full(9, 0.37))
-    assert err <= 1e-12
+def test_mean_error_zero_noise_constant_state():
+    config = small_config(epsilon=EpsilonSchedule.fixed(0.05), amplitudes=(0.0,))
+    [errors] = _mean_errors(config, [4], np.full(9, 0.37))
+    assert errors[0] <= 1e-12
 
 
 def test_errors_decrease_with_refinement():
@@ -178,12 +208,11 @@ def test_splitting_error_study_needs_fixed_eps():
 
 
 def test_study_results_are_reproducible():
-    config = small_config(n_paths=20)
-    first = estimate_error(config, 4, 2.0)
-    second = estimate_error(config, 4, 2.0)
-    assert first == second
-    r1 = estimate_expectation(config, 16, 2.0)
-    r2 = estimate_expectation(config, 16, 2.0)
+    config = small_config(n_paths=20, n_steps_list=(4, 8))
+    [first], [second] = convergence_study(config), convergence_study(config)
+    np.testing.assert_array_equal(first.errors, second.errors)
+    config = replace(config, checkpoints=(16,))
+    [r1], [r2] = expectation_study(config), expectation_study(config)
     np.testing.assert_array_equal(r1.cell_means, r2.cell_means)
 
 
