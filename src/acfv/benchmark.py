@@ -20,11 +20,9 @@ from importlib import resources
 
 import numpy as np
 
-from .assembly import assemble_mass, assemble_stiffness
-from .linalg import ShiftedSolver
-from .mesh import build_uniform_mesh, default_initial_state
-from .scheme import EpsilonSchedule, SchemeParams, run_trajectory
-from .stochastic import aggregate_increments, load_increments
+from .experiments import StudyConfig, run_block
+from .scheme import EpsilonSchedule
+from .stochastic import load_increments
 
 __all__ = [
     "QUARTER_INCREMENTS",
@@ -32,10 +30,7 @@ __all__ = [
     "SPLITTING_N2",
     "HEAT_N2",
     "SPLITTING_N4",
-    "CELLS_PER_AXIS",
-    "AMPLITUDE",
-    "HORIZON",
-    "EPS_SCHEDULE",
+    "SCENARIO",
     "TABLE_TOLERANCE",
     "increments_file",
     "run_benchmark_tables",
@@ -50,11 +45,10 @@ QUARTER_INCREMENTS = (
     0.24606633895637547,
 )
 
-# Scenario parameters.
-CELLS_PER_AXIS = 2
-AMPLITUDE = 10.0
-HORIZON = 1.0
-EPS_SCHEDULE = EpsilonSchedule.power(0.1, 1.0 / 3.0)
+# The scenario: 2 x 2 mesh, T = 1, four steps of the quarter path,
+# amplitude 10 and eps = 0.1 tau^(1/3).
+SCENARIO = StudyConfig(cells_per_axis=2, n_steps=4, n_fine=4, amplitudes=(10.0,),
+                       epsilon=EpsilonSchedule.power(0.1, 1.0 / 3.0))
 
 # Reference outputs, frozen to the eight digits they are known to.
 INITIAL_STATE_L2 = (0.20088542, 0.05244792, 0.72953125, 0.19046875)
@@ -85,10 +79,9 @@ def increments_file():
 
 @dataclass
 class BenchmarkReport:
-    """Computed benchmark tables next to their frozen references."""
+    """Computed benchmark tables and their largest deviation from the references."""
 
     tables: dict          # name -> list of computed state arrays
-    expected: dict        # name -> tuple of reference rows
     max_deviation: float
 
     @property
@@ -102,6 +95,7 @@ def run_benchmark_tables(path_file=None) -> BenchmarkReport:
     ``path_file`` may point at a CSV with four increments; by default
     the packaged ones are used.  The same fine path drives both step
     counts: the two-step run uses pairwise sums of the four increments.
+    The start field is compared with its frozen values too.
     """
     if path_file is None:
         with resources.as_file(increments_file()) as p:
@@ -111,28 +105,18 @@ def run_benchmark_tables(path_file=None) -> BenchmarkReport:
     if fine.shape != (4,):
         raise ValueError(f"benchmark driving path must have 4 increments, got {fine.shape[0]}")
 
-    mesh = build_uniform_mesh(CELLS_PER_AXIS)
-    u0 = default_initial_state(mesh)
-    mass = assemble_mass(mesh)
-    stiffness = assemble_stiffness(mesh)
-
-    runs = {
-        "splitting_n2": ("splitting", 2, SPLITTING_N2),
-        "heat_n2": ("heat", 2, HEAT_N2),
-        "splitting_n4": ("splitting", 4, SPLITTING_N4),
-    }
-    tables, expected = {}, {}
-    max_dev = 0.0
-    for name, (variant, n_steps, reference) in runs.items():
-        params = SchemeParams(horizon=HORIZON, n_steps=n_steps,
-                              epsilon=EPS_SCHEDULE, amplitude=AMPLITUDE,
-                              variant=variant)
-        solver = ShiftedSolver(mass, stiffness, params.tau)
-        inc = aggregate_increments(fine, n_steps)
-        traj = run_trajectory(u0, inc, params, solver, keep_history=True)
-        tables[name] = traj.states
-        expected[name] = reference
-        dev = max(float(np.max(np.abs(state - np.asarray(ref))))
-                  for state, ref in zip(traj.states, reference))
-        max_dev = max(max_dev, dev)
-    return BenchmarkReport(tables=tables, expected=expected, max_deviation=max_dev)
+    # One path through both step counts, splitting and heat side by side;
+    # the heat run at N = 4 is not a table.
+    variants = ("splitting", "heat")
+    _, u0, runs = run_block(SCENARIO, None, fine[None], 0, dict.fromkeys((2, 4)), variants)
+    references = {"splitting_n2": SPLITTING_N2, "heat_n2": HEAT_N2,
+                  "splitting_n4": SPLITTING_N4}
+    tables = {name: [] for name in references}
+    for _, n_steps, _, states in runs:
+        for variant, state in zip(variants, states):
+            if f"{variant}_n{n_steps}" in tables:
+                tables[f"{variant}_n{n_steps}"].append(state[0].copy())
+    max_dev = float(np.max(np.abs(u0 - INITIAL_STATE_L2)))
+    for name, rows in tables.items():
+        max_dev = max(max_dev, float(np.max(np.abs(np.array(rows) - references[name]))))
+    return BenchmarkReport(tables=tables, max_deviation=max_dev)

@@ -18,16 +18,13 @@ from dataclasses import replace
 import numpy as np
 
 from . import benchmark, validation
-from .assembly import assemble_mass, assemble_stiffness
-from .config import build_manifest, key_of, load_config_file, preset_config
+from .config import build_manifest, keys_read, load_config_file, preset_config
 from .errors import ConfigError, NumericalFailure
 from .experiments import (StudyConfig, convergence_study, expectation_study,
-                          format_float, require_finite, splitting_error_study,
+                          format_float, run_block, splitting_error_study,
                           write_error_csv, write_expectation_csv, write_fit_csv)
-from .linalg import ShiftedSolver
-from .mesh import build_uniform_mesh, default_initial_state
-from .scheme import SchemeParams, dump_trajectory_csv, run_trajectory, write_states_csv
-from .stochastic import aggregate_increments, load_increments, sample_increment_block
+from .scheme import write_states_csv
+from .stochastic import load_increments, sample_increment_block
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -36,24 +33,6 @@ EXIT_NUMERICAL = 3
 
 COMMANDS = ("table-repro", "simulate", "expectation", "convergence",
             "splitting-error", "validate")
-
-# StudyConfig fields each command does not read, with the value it runs
-# with instead where that value is fixed (table-repro's benchmark
-# scenario).  A field holding neither its default nor that value is
-# rejected, so no key is silently ignored.  The Monte Carlo studies draw
-# their own paths from (seed, path index), so they take no path_file.
-_SCENARIO = {"cells_per_axis": benchmark.CELLS_PER_AXIS, "horizon": benchmark.HORIZON,
-             "n_steps": len(benchmark.QUARTER_INCREMENTS),
-             "n_fine": len(benchmark.QUARTER_INCREMENTS),
-             "amplitudes": (benchmark.AMPLITUDE,), "epsilon": benchmark.EPS_SCHEDULE}
-_UNREAD = {
-    "table-repro": {**_SCENARIO, **dict.fromkeys(
-        ("n_steps_list", "n_paths", "seed", "variant", "checkpoints", "half_width"))},
-    "simulate": dict.fromkeys(("n_steps_list", "n_paths", "checkpoints")),
-    "expectation": dict.fromkeys(("n_steps_list", "path_file")),
-    "convergence": dict.fromkeys(("n_steps", "checkpoints", "path_file")),
-    "splitting-error": dict.fromkeys(("n_steps", "checkpoints", "variant", "path_file")),
-}
 
 
 def _workers() -> int:
@@ -71,32 +50,27 @@ def _resolve_config(args) -> StudyConfig:
     if args.config and args.preset:
         raise ConfigError("give either --config or --preset, not both")
     if args.config:
-        config = load_config_file(args.config)
+        config = load_config_file(args.config, args.command)
     elif args.preset:
         config = preset_config(args.command, args.preset)
     else:
         raise ConfigError("a configuration is required (--config FILE or --preset NAME)")
+    read = keys_read(args.command, config.path_file is not None)
+    for key, option, value in (("seed", "--seed", args.seed), ("N_p", "--paths", args.paths)):
+        if value is not None and key not in read:
+            raise ConfigError(f"{args.command} does not read {key!r} ({option})")
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if args.paths is not None:
         config = replace(config, n_paths=args.paths)
     if args.out is not None:
         config = replace(config, out_dir=args.out)
-    _reject_unread(args.command, config)
     if args.command == "table-repro":
-        # The manifest records the scenario that runs, not the defaults.
-        config = replace(config, **_SCENARIO)
+        # The benchmark scenario runs on the injected path, and the
+        # manifest records it.
+        config = replace(benchmark.SCENARIO, path_file=config.path_file,
+                         out_dir=config.out_dir)
     return config.validate()
-
-
-def _reject_unread(command: str, config: StudyConfig) -> None:
-    """ConfigError naming the first key that ``command`` would not honour."""
-    default = StudyConfig()
-    for field, fixed in _UNREAD[command].items():
-        value = getattr(config, field)
-        if value != getattr(default, field) and value != fixed:
-            scenario = "" if fixed is None else f": its benchmark scenario fixes {fixed}"
-            raise ConfigError(f"{command} does not read {key_of(field)!r} = {value}{scenario}")
 
 
 def _prepare_out(command: str, config: StudyConfig) -> str:
@@ -132,33 +106,24 @@ def cmd_simulate(config: StudyConfig) -> int:
         raise ConfigError(f"simulate runs one amplitude, got 'a' = {config.amplitudes}")
     if config.path_file is not None:
         # The injected path replaces the one sampled from 'seed' on N_max steps.
-        fine = load_increments(config.path_file)
-        n_fine = fine.shape[0]
-        if config.seed != StudyConfig().seed:
-            raise ConfigError(f"simulate with path_file does not read 'seed' = {config.seed}")
-        if config.n_fine not in (None, n_fine):
+        fine = load_increments(config.path_file)[None]
+        if config.n_fine not in (None, fine.shape[1]):
             raise ConfigError(f"'N_max' = {config.n_fine}, but path_file holds "
-                              f"{n_fine} increments")
+                              f"{fine.shape[1]} increments")
     else:
-        n_fine = config.resolved_n_fine()
-        fine = sample_increment_block(config.seed, [0], config.horizon, n_fine)[0]
-    n_steps = config.n_steps or n_fine
-    if n_fine % n_steps:
-        raise ConfigError(f"N={n_steps} must divide the {n_fine} fine increments")
+        fine = sample_increment_block(config.seed, [0], config.horizon,
+                                      config.resolved_n_fine())
+    n_steps = config.n_steps or fine.shape[1]
+    if fine.shape[1] % n_steps:
+        raise ConfigError(f"N={n_steps} must divide the {fine.shape[1]} fine increments")
     out_dir = _prepare_out("simulate", config)
-    params = SchemeParams(horizon=config.horizon, n_steps=n_steps,
-                          epsilon=config.epsilon, amplitude=config.amplitudes[0],
-                          variant=config.variant)
-    mesh = build_uniform_mesh(config.cells_per_axis, config.half_width)
-    u0 = default_initial_state(mesh)
-    solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), params.tau)
-    traj = run_trajectory(u0, aggregate_increments(fine, n_steps), params, solver,
-                          keep_history=True)
-    require_finite([traj.final], params.amplitude, n_steps)
+    # The path runs as a one-row block.
+    _, u0, runs = run_block(config, None, fine, 0, {n_steps: None}, (config.variant,))
+    states = [u0] + [state[0].copy() for _, _, _, (state,) in runs]
     target = os.path.join(out_dir, "trajectory.csv")
-    dump_trajectory_csv(traj, u0, target)
+    write_states_csv(target, states, first_step=0)
     print(f"wrote {target} ({n_steps} steps, variant {config.variant}, "
-          f"final mean {format_float(float(np.mean(traj.final)))})")
+          f"final mean {format_float(float(np.mean(states[-1])))})")
     return EXIT_OK
 
 
@@ -174,6 +139,10 @@ def cmd_expectation(config: StudyConfig) -> int:
 
 
 def cmd_convergence(config: StudyConfig) -> int:
+    n_fine = config.resolved_n_fine()
+    if n_fine in config.n_steps_list:
+        raise ConfigError(f"'N_list' holds N_max = {n_fine}, the reference run "
+                          "every error is measured against")
     out_dir = _prepare_out("convergence", config)
     curves = convergence_study(config, workers=_workers())
     errors_target = os.path.join(out_dir, "error.csv")

@@ -21,8 +21,12 @@ Recognized keys::
     variant            'splitting', 'coupled' or 'heat'
     checkpoints        comma-separated step indices to record
     path_file          CSV of driving increments to inject (table-repro
-                       and simulate; the other commands reject it)
+                       and simulate)
     out_dir            output directory
+
+A file read for a command holds only keys that command reads (see
+``keys_read``); any other key is rejected with its line, even at its
+default.  table-repro reads ``path_file`` and ``out_dir`` only.
 
 Relative ``path_file`` entries are resolved against the directory of
 the configuration file.
@@ -32,8 +36,9 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
+from . import benchmark
 from .errors import ConfigError
 from .experiments import StudyConfig, format_float
 from .scheme import EpsilonSchedule
@@ -42,7 +47,7 @@ __all__ = [
     "parse_config_text",
     "load_config_file",
     "config_from_mapping",
-    "key_of",
+    "keys_read",
     "preset_config",
     "packaged_increments_path",
     "RunManifest",
@@ -56,10 +61,32 @@ _FLOAT_LIST_KEYS = {"a"}
 _STR_KEYS = {"eps_rule", "variant", "path_file", "out_dir"}
 _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _INT_LIST_KEYS | _FLOAT_LIST_KEYS | _STR_KEYS
 
+# The keys each command reads.  The Monte Carlo studies draw their own
+# paths from (seed, path index), so they take no path_file.
+_STUDY_KEYS = {"T", "L", "N_max", "a", "eps_rule", "eps_c", "eps_p", "seed",
+               "domain_half_width", "out_dir"}
+_KEYS_READ = {
+    "table-repro": {"path_file", "out_dir"},
+    "simulate": _STUDY_KEYS | {"N", "variant", "path_file"},
+    "expectation": _STUDY_KEYS | {"N", "N_p", "variant", "checkpoints"},
+    "convergence": _STUDY_KEYS | {"N_list", "N_p", "variant"},
+    "splitting-error": _STUDY_KEYS | {"N_list", "N_p"},
+}
 
-def parse_config_text(text: str) -> dict:
-    """Parse flat key-value text into a typed mapping."""
-    out = {}
+
+def keys_read(command: str, with_path_file: bool = False) -> set:
+    """The config keys ``command`` reads; simulate on an injected path reads no seed."""
+    if command == "simulate" and with_path_file:
+        return _KEYS_READ[command] - {"seed"}
+    return _KEYS_READ[command]
+
+
+def parse_config_text(text: str, command: str | None = None) -> dict:
+    """Parse flat key-value text into a typed mapping.
+
+    With a ``command``, a key that command does not read is an error.
+    """
+    out, key_lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -71,6 +98,7 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        key_lines[key] = lineno
         try:
             if key in _INT_KEYS:
                 out[key] = int(value)
@@ -84,6 +112,11 @@ def parse_config_text(text: str) -> dict:
                 out[key] = value
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+    if command is not None:
+        read = keys_read(command, "path_file" in out)
+        for key, lineno in key_lines.items():
+            if key not in read:
+                raise ConfigError(f"line {lineno}: {command} does not read {key!r}")
     return out
 
 
@@ -95,13 +128,6 @@ _FIELDS = {
     "N_p": "n_paths", "a": "amplitudes",
     "domain_half_width": "half_width",
 }
-
-
-def key_of(field: str) -> str:
-    """The config key that sets a StudyConfig field."""
-    if field == "epsilon":
-        return "eps_rule/eps_c/eps_p"
-    return next((key for key, name in _FIELDS.items() if name == field), field)
 
 
 def config_from_mapping(mapping: dict, base_dir: str = ".") -> StudyConfig:
@@ -141,32 +167,33 @@ def config_from_mapping(mapping: dict, base_dir: str = ".") -> StudyConfig:
     return config
 
 
-def load_config_file(path) -> StudyConfig:
+def load_config_file(path, command: str | None = None) -> StudyConfig:
+    """The StudyConfig of a config file; with a ``command``, only keys it reads pass."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     with open(path, "r", encoding="utf-8") as handle:
-        mapping = parse_config_text(handle.read())
+        mapping = parse_config_text(handle.read(), command)
     return config_from_mapping(mapping, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def packaged_increments_path() -> str:
     """Filesystem path of the packaged benchmark driving increments."""
-    from .benchmark import increments_file
-    return str(increments_file())
+    return str(benchmark.increments_file())
 
 
 # Step counts of the refinement ladder used by the full-scale studies.
 FULL_N_LIST = (210, 280, 360, 504, 630, 840, 1008, 1260, 1680, 2520, 3360, 4032, 5040)
 
+
+def _benchmark_run() -> StudyConfig:
+    """The benchmark scenario on its packaged driving path."""
+    return replace(benchmark.SCENARIO, path_file=packaged_increments_path(), out_dir="out")
+
+
 _PRESETS = {
-    ("table-repro", "desk"): lambda: StudyConfig(
-        cells_per_axis=2, n_steps=4, n_fine=4, amplitudes=(10.0,),
-        epsilon=EpsilonSchedule.power(0.1, 1.0 / 3.0),
-        path_file=packaged_increments_path(), out_dir="out"),
-    ("simulate", "desk"): lambda: StudyConfig(
-        cells_per_axis=2, n_steps=4, n_fine=4, amplitudes=(10.0,),
-        epsilon=EpsilonSchedule.power(0.1, 1.0 / 3.0),
-        path_file=packaged_increments_path(), out_dir="out"),
+    ("table-repro", "desk"): _benchmark_run,
+    ("table-repro", "paper"): _benchmark_run,
+    ("simulate", "desk"): _benchmark_run,
     ("simulate", "paper"): lambda: StudyConfig(
         cells_per_axis=5, n_steps=2048, n_fine=2048, amplitudes=(10.0,),
         out_dir="out"),
@@ -198,7 +225,6 @@ _PRESETS[("splitting-error", "paper")] = lambda: StudyConfig(
     cells_per_axis=4, n_fine=256, n_steps_list=(16, 32, 64, 128, 256),
     n_paths=500, amplitudes=(10.0,),
     epsilon=EpsilonSchedule.fixed(0.05), out_dir="out")
-_PRESETS[("table-repro", "paper")] = _PRESETS[("table-repro", "desk")]
 
 
 def preset_config(command: str, name: str) -> StudyConfig:

@@ -16,11 +16,13 @@ Three studies are provided.
 
 Paths are processed in fixed-size blocks so per-path work is batched
 through the linear solver.  The path block is the unit of work, and one
-block serves every amplitude: one block runner samples its increments
-once, aggregates them and factors one solver once per step count, and
-steps the block at each amplitude on those shared paths.  Only the steps
-a study reads (convergence: the last, expectation: the checkpoints, the
-gap: all) leave its step loop, and every number it reduces them to is
+block serves every amplitude: it samples its increments once, and the
+block runner ``run_block`` aggregates them and factors one solver once
+per step count and steps the block at each amplitude on those shared
+paths.  ``simulate`` and the benchmark tables run their single path
+through the same runner as a one-row block.  Only the steps a study
+reads (convergence: the last, expectation: the checkpoints, the gap:
+all) leave its step loop, and every number it reduces them to is
 checked to be finite.  The block size is a constant, deliberately not
 tied to the worker count: block results come back in path order and
 are reduced in that order, so a study result is bit-identical no matter
@@ -59,6 +61,7 @@ __all__ = [
     "format_float",
     "PATH_BLOCK",
     "require_finite",
+    "run_block",
 ]
 
 # Paths per vectorized block.  Fixed (never derived from the worker
@@ -171,35 +174,39 @@ def _map_blocks(fn, config: StudyConfig, args, workers):
         return [future.result() for future in futures]
 
 
-def _run_block(config: StudyConfig, initial_state, lo, hi, at, variants):
-    """Set up paths lo..hi-1 once and run them at every amplitude and step count N of ``at``.
+def _sample_block(config: StudyConfig, lo, hi):
+    """Fine increments of paths lo..hi-1, one row per path."""
+    return sample_increment_block(config.seed, range(lo, hi), config.horizon,
+                                  config.resolved_n_fine())
 
-    ``at[N]`` names the steps whose states the caller reads (None: every
-    step).  The mesh, the start field and the operators are built, and
-    the block's fine increments sampled, once for all amplitudes.
-    Returns the mesh, the start field and a generator over the runs: for
-    each N it aggregates the increments and builds one ShiftedSolver, then
-    for each amplitude (index k into ``config.amplitudes``) one StepKernel
-    per variant, runs each variant as its own (hi - lo, d) stack from the
-    start, and yields (k, N, n, states) after each named step n, one stack
-    per variant, the last of them checked to be finite.  The stacks are
-    kernel buffers (see ``StepKernel.run``); the last one yielded for a
+
+def run_block(config: StudyConfig, initial_state, fine, lo, at, variants):
+    """Run the paths of ``fine`` at every amplitude and step count N of ``at``.
+
+    ``fine`` holds one row of fine increments per path, row i for path
+    lo + i, and every N must divide its length.  ``at[N]`` names the steps
+    whose states the caller reads (None: every step).  The mesh, the start
+    field and the operators are built once.  Returns the mesh, the start
+    field and a generator over the runs: per N it aggregates the
+    increments and builds one ShiftedSolver, per amplitude (index k into
+    ``config.amplitudes``) one StepKernel per variant, each stepping its own
+    (p, d) stack, and yields (k, N, n, states) after each named step n, one
+    stack per variant, the last of them checked to be finite.  The stacks
+    are kernel buffers (see ``StepKernel.run``); the last one yielded for a
     (k, N) stays valid, as each has its own kernels.
     """
     mesh = build_uniform_mesh(config.cells_per_axis, config.half_width)
     u0 = (default_initial_state(mesh) if initial_state is None
           else np.asarray(initial_state, dtype=float))
     mass, stiffness = assemble_mass(mesh), assemble_stiffness(mesh)
-    n_fine = config.resolved_n_fine()
-    fine = sample_increment_block(config.seed, range(lo, hi), config.horizon, n_fine)
-    start = np.tile(u0, (hi - lo, 1))
+    start = np.tile(u0, (len(fine), 1))
 
     def runs():
         for n_steps, steps in at.items():
             solver = ShiftedSolver(mass, stiffness, config.horizon / n_steps)
-            # The fine block drives N_max itself: a copy would double the
-            # block's largest array.
-            inc = fine if n_steps == n_fine else aggregate_increments(fine, n_steps)
+            # The fine block drives its own step count: a copy would double
+            # the block's largest array.
+            inc = fine if n_steps == fine.shape[-1] else aggregate_increments(fine, n_steps)
             for k, amplitude in enumerate(config.amplitudes):
                 params = SchemeParams(horizon=config.horizon, n_steps=n_steps,
                                       epsilon=config.epsilon, amplitude=amplitude)
@@ -236,7 +243,8 @@ class ExpectationResult:
 def _expectation_block(config: StudyConfig, lo, hi):
     """Initial mean, and per (amplitude, checkpoint) the cell sums over the block's paths."""
     cps = config.checkpoints or (config.n_steps,)
-    _, u0, runs = _run_block(config, None, lo, hi, {config.n_steps: cps}, (config.variant,))
+    _, u0, runs = run_block(config, None, _sample_block(config, lo, hi), lo,
+                            {config.n_steps: cps}, (config.variant,))
     sums = {(k, n): state.sum(axis=0) for k, _, n, (state,) in runs}
     return float(u0.mean()), np.array([[sums[k, n] for n in cps]
                                        for k in range(len(config.amplitudes))])
@@ -277,8 +285,8 @@ def _error_block(config: StudyConfig, n_list, initial_state, lo, hi):
     """Per amplitude, the per-path squared L2 gap between the N_max run and each N of ``n_list``."""
     n_fine = config.resolved_n_fine()
     # N_max runs once, also when n_list holds it (its error is then zero).
-    mesh, _, runs = _run_block(config, initial_state, lo, hi,
-                               {n: (n,) for n in (n_fine, *n_list)}, (config.variant,))
+    mesh, _, runs = run_block(config, initial_state, _sample_block(config, lo, hi), lo,
+                              {n: (n,) for n in (n_fine, *n_list)}, (config.variant,))
     finest, errors = {}, {}
     for k, n_steps, _, (state,) in runs:
         if n_steps == n_fine:
@@ -330,12 +338,17 @@ def fit_convergence_order(taus, errors) -> float:
 
 
 def _curve(config, amplitude, n_list, errors):
+    errors = np.asarray(errors, dtype=float)
+    for n, error in zip(n_list, errors):
+        if not error > 0:
+            raise NumericalFailure(f"error {format_float(error)} at a={format_float(amplitude)}, "
+                                   f"N={n} is not positive, so it has no log-log fit")
     taus = np.array([config.horizon / n for n in n_list])
     slope, intercept = _fit_loglog(taus, errors)
     _require_finite_results("fit", amplitude, [f"N={min(n_list)}..{max(n_list)}"],
                             [(slope, intercept)])
     return ErrorCurve(amplitude=float(amplitude), n_steps=tuple(n_list),
-                      taus=taus, errors=np.asarray(errors, dtype=float),
+                      taus=taus, errors=errors,
                       slope=slope, intercept=intercept)
 
 
@@ -357,8 +370,8 @@ def convergence_study(config: StudyConfig, initial_state=None, workers=1) -> lis
 def _splitting_gap_block(config: StudyConfig, n_list, initial_state, lo, hi):
     """Per-path maximum cell gap between the two methods after every step."""
     gaps = {n_steps: np.empty((hi - lo, n_steps)) for n_steps in n_list}
-    _, _, runs = _run_block(config, initial_state, lo, hi,
-                            dict.fromkeys(n_list), ("splitting", "coupled"))
+    _, _, runs = run_block(config, initial_state, _sample_block(config, lo, hi), lo,
+                           dict.fromkeys(n_list), ("splitting", "coupled"))
     for _, n_steps, n, (u_split, u_coupled) in runs:
         gaps[n_steps][:, n - 1] = np.max(np.abs(u_coupled - u_split), axis=1)
     return gaps

@@ -58,8 +58,6 @@ class Mesh:
         Center distances d_{K|L}.
     h : float
         Mesh size, the largest cell diameter.
-    cells_per_axis : int or None
-        Grid parameter L for uniform meshes, None otherwise.
     """
 
     cell_centers: np.ndarray
@@ -69,7 +67,6 @@ class Mesh:
     edge_measures: np.ndarray
     edge_distances: np.ndarray
     h: float
-    cells_per_axis: int | None = None
 
     def __post_init__(self):
         for arr in (self.cell_centers, self.cell_measures, self.cell_bounds,
@@ -84,10 +81,6 @@ class Mesh:
     @property
     def n_edges(self) -> int:
         return self.edge_cells.shape[0]
-
-    @property
-    def m_min(self) -> float:
-        return float(self.cell_measures.min())
 
     @property
     def domain_measure(self) -> float:
@@ -163,7 +156,6 @@ def build_uniform_mesh(cells_per_axis: int, half_width: float = 1.0) -> Mesh:
         edge_measures=np.full(n_edges, side),
         edge_distances=np.full(n_edges, side),
         h=side * np.sqrt(2.0),
-        cells_per_axis=L,
     )
 
 

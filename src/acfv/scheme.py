@@ -40,9 +40,6 @@ __all__ = [
     "coupled_step",
     "heat_step",
     "StepKernel",
-    "run_trajectory",
-    "Trajectory",
-    "dump_trajectory_csv",
     "write_states_csv",
 ]
 
@@ -98,7 +95,6 @@ class SchemeParams:
     n_steps: int
     epsilon: EpsilonSchedule
     amplitude: float
-    variant: str = "splitting"
 
     def __post_init__(self):
         if self.horizon <= 0:
@@ -107,8 +103,6 @@ class SchemeParams:
             raise ValueError("n_steps must be >= 1")
         if self.amplitude < 0:
             raise ValueError("amplitude must be >= 0")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
         if isinstance(self.epsilon, (int, float)):
             object.__setattr__(self, "epsilon", EpsilonSchedule.fixed(self.epsilon))
 
@@ -220,51 +214,6 @@ def coupled_step(u_prev, d_w, params: SchemeParams, solver: ShiftedSolver):
     finite never counts as converged, so it ends in NumericalFailure.
     """
     return StepKernel("coupled", params, solver, np.shape(u_prev))(u_prev, d_w)
-
-
-@dataclass
-class Trajectory:
-    """Result of a trajectory run.
-
-    ``final`` is the state after the last step; ``states`` holds the
-    full history (one entry per step, the initial state excluded) when
-    it was requested, else None.
-    """
-
-    final: np.ndarray
-    states: list | None = None
-
-
-def run_trajectory(u0, increments, params: SchemeParams, solver: ShiftedSolver,
-                   keep_history=False) -> Trajectory:
-    """Iterate the selected step over a full increment sequence.
-
-    ``increments`` has the step count on its last axis; a leading axis
-    turns the run into a batch of paths evolved side by side (one
-    increment row per path).  By default only the final state is
-    retained.
-    """
-    increments = np.asarray(increments, dtype=float)
-    if increments.shape[-1] != params.n_steps:
-        raise ValueError(
-            f"expected {params.n_steps} increments, got {increments.shape[-1]}")
-    step = StepKernel(params.variant, params, solver, np.shape(u0))
-    states = [u.copy() for _, u in
-              step.run(u0, increments, None if keep_history else (params.n_steps,))]
-    return Trajectory(final=states[-1], states=states if keep_history else None)
-
-
-def dump_trajectory_csv(trajectory: Trajectory, u0, target) -> None:
-    """Write a full trajectory as CSV rows (n, cell_index, value).
-
-    Step 0 is the initial state.  Requires a trajectory run with
-    keep_history=True.
-    """
-    if trajectory.states is None:
-        raise ValueError("trajectory was run without history")
-    if trajectory.final.ndim != 1:
-        raise ValueError("CSV dump covers single-path trajectories only")
-    write_states_csv(target, [np.asarray(u0)] + trajectory.states, first_step=0)
 
 
 def write_states_csv(target, states, first_step) -> None:

@@ -1,19 +1,21 @@
 """Configuration parsing, presets, manifests and the command-line interface."""
 
+import dataclasses
 import os
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from acfv import cli
+from acfv import benchmark, cli
 from acfv import config as config_module
-from acfv.config import (build_manifest, config_from_mapping, load_config_file,
+from acfv.config import (build_manifest, config_from_mapping, keys_read, load_config_file,
                          packaged_increments_path, parse_config_text,
                          preset_config)
 from acfv.errors import ConfigError
-from acfv.experiments import PATH_BLOCK, format_float
+from acfv.experiments import PATH_BLOCK, StudyConfig, format_float
 from acfv.scheme import EpsilonSchedule
 
 
@@ -45,6 +47,15 @@ def test_parse_config_text():
 def test_parse_rejects_malformed_input(bad, match):
     with pytest.raises(ConfigError, match=match):
         parse_config_text(bad)
+
+
+def test_parser_names_the_line_of_an_unread_key():
+    # With a path_file simulate reads no seed, wherever the two lines stand.
+    with pytest.raises(ConfigError, match="line 2: simulate does not read 'seed'"):
+        parse_config_text("N = 4\nseed = 3\npath_file = p.csv\n", "simulate")
+    assert parse_config_text("N = 4\nseed = 3\n", "simulate") == {"N": 4, "seed": 3}
+    with pytest.raises(ConfigError, match="line 1: table-repro does not read 'N'"):
+        parse_config_text("N = 4\npath_file = p.csv\n", "table-repro")
 
 
 def test_documented_keys_match_parser():
@@ -94,7 +105,6 @@ def test_manifest_hash_tracks_content():
     m2 = build_manifest("expectation", config)
     assert m1.run_id == m2.run_id
     assert m1.text() == m2.text()
-    from dataclasses import replace
     m3 = build_manifest("expectation", replace(config, seed=99))
     assert m3.run_id != m1.run_id
     assert "seed = 99" in m3.text()
@@ -147,10 +157,10 @@ def test_table_repro_manifest_records_the_scenario_that_ran(tmp_path):
 
 def test_table_repro_requires_path_file(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("L = 2\nN = 4\n")
+    cfg.write_text("out_dir = o\n")
     assert run_cli("table-repro", "--config", str(cfg), "--out", str(tmp_path)) == 2
 
-    cfg.write_text("L = 2\nN = 4\npath_file = nowhere.csv\n")
+    cfg.write_text("path_file = nowhere.csv\n")
     assert run_cli("table-repro", "--config", str(cfg), "--out", str(tmp_path)) == 2
 
 
@@ -161,7 +171,7 @@ def test_table_repro_detects_perturbed_increments(tmp_path, capsys):
     perturbed = tmp_path / "paths.csv"
     perturbed.write_text("".join(f"{v:.17g}\n" for v in values))
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("path_file = paths.csv\nN = 4\n")
+    cfg.write_text("path_file = paths.csv\n")
     code = run_cli("table-repro", "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
@@ -200,7 +210,7 @@ def test_monte_carlo_commands_reject_path_file(tmp_path, command, keys):
 
 # What each command needs to run; a case adds the key under test.
 BASE_KEYS = {
-    "table-repro": f"path_file = {packaged_increments_path()}\nN = 4\n",
+    "table-repro": f"path_file = {packaged_increments_path()}\n",
     "simulate": "L = 2\nN = 4\n",
 }
 MONTE_CARLO_BASE = "L = 2\nN_p = 2\na = 10\n"
@@ -213,21 +223,25 @@ MONTE_CARLO_BASE = "L = 2\nN_p = 2\na = 10\n"
     ("splitting-error", "N_max = 32\nN_list = 8,16\neps_rule = fixed\neps_c = 0.05\n"
      "variant = coupled\n", "variant"),
     ("table-repro", "L = 3\n", "L"),
+    ("table-repro", "L = 4\n", "L"),
     ("table-repro", "T = 2\n", "T"),
     ("table-repro", "a = 3\n", "a"),
     ("table-repro", "variant = heat\n", "variant"),
-    ("table-repro", "eps_rule = fixed\neps_c = 0.05\n", "eps_rule/eps_c/eps_p"),
+    ("table-repro", "eps_rule = fixed\neps_c = 0.05\n", "eps_rule"),
     ("table-repro", "seed = 3\n", "seed"),
+    ("table-repro", "seed = 0\n", "seed"),
     ("simulate", "a = 10,20\n", "a"),
     ("simulate", "N_p = 7\n", "N_p"),
+    ("simulate", "N_p = 1\n", "N_p"),
     ("simulate", "checkpoints = 2\n", "checkpoints"),
     ("simulate", f"path_file = {packaged_increments_path()}\nseed = 3\n", "seed"),
     ("simulate", f"path_file = {packaged_increments_path()}\nN_max = 8\n", "N_max"),
     ("expectation", "N = 8\nN_list = 8\n", "N_list"),
     ("convergence", "N = 8\nN_max = 32\nN_list = 8,16\n", "N"),
 ], ids=["convergence-checkpoints", "splitting-error-heat", "splitting-error-coupled",
-        "table-repro-L", "table-repro-T", "table-repro-a", "table-repro-variant",
-        "table-repro-eps", "table-repro-seed", "simulate-a", "simulate-N_p",
+        "table-repro-L", "table-repro-L-default", "table-repro-T", "table-repro-a",
+        "table-repro-variant", "table-repro-eps", "table-repro-seed",
+        "table-repro-seed-default", "simulate-a", "simulate-N_p", "simulate-N_p-default",
         "simulate-checkpoints", "simulate-path-seed", "simulate-path-N_max",
         "expectation-N_list", "convergence-N"])
 def test_commands_reject_keys_they_ignore(tmp_path, capsys, command, keys, key):
@@ -239,16 +253,42 @@ def test_commands_reject_keys_they_ignore(tmp_path, capsys, command, keys, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, option, value, key", [
+    ("table-repro", "--seed", "0", "seed"),
+    ("table-repro", "--paths", "1", "N_p"),
+    ("simulate", "--paths", "1", "N_p"),
+    ("simulate", "--seed", "0", "seed"),  # the desk preset injects its path
+])
+def test_overrides_reject_keys_the_command_does_not_read(tmp_path, capsys, command, option,
+                                                         value, key):
+    out = tmp_path / "o"
+    assert run_cli(command, "--preset", "desk", option, value, "--out", str(out)) == 2
+    assert f"'{key}' ({option})" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_shipped_configs_and_presets_pass_the_key_check():
     configs = Path(__file__).resolve().parents[1] / "configs"
     for name, command in [("table_repro", "table-repro"), ("desk_expectation", "expectation"),
                           ("desk_convergence", "convergence"),
                           ("full_convergence", "convergence"),
                           ("desk_splitting_error", "splitting-error")]:
-        cli._reject_unread(command, load_config_file(configs / f"{name}.cfg"))
-    for command in cli._UNREAD:
+        load_config_file(configs / f"{name}.cfg", command)
+    # A preset sets only fields its command reads; table-repro's is the scenario.
+    fields = {"T": "horizon", "L": "cells_per_axis", "N": "n_steps", "N_max": "n_fine",
+              "N_list": "n_steps_list", "N_p": "n_paths", "a": "amplitudes",
+              "domain_half_width": "half_width", "eps_rule": "epsilon"}
+    default = StudyConfig()
+    for command in ("simulate", "expectation", "convergence", "splitting-error"):
         for preset in ("desk", "paper"):
-            cli._reject_unread(command, preset_config(command, preset))
+            config = preset_config(command, preset)
+            read = {fields.get(key, key)
+                    for key in keys_read(command, config.path_file is not None)}
+            assert all(getattr(config, f.name) == getattr(default, f.name)
+                       for f in dataclasses.fields(config) if f.name not in read)
+    for preset in ("desk", "paper"):
+        assert preset_config("table-repro", preset) == replace(
+            benchmark.SCENARIO, path_file=packaged_increments_path(), out_dir="out")
 
 
 def test_non_finite_results_exit_numerical(tmp_path, capsys):
@@ -260,6 +300,29 @@ def test_non_finite_results_exit_numerical(tmp_path, capsys):
         assert run_cli("convergence", "--config", str(cfg), "--out", str(out)) == 3
     assert "non-finite error at a=1e+160, N=8" in capsys.readouterr().err
     assert not (out / "error.csv").exists() and not (out / "fit.csv").exists()
+
+
+@pytest.mark.parametrize("keys", ["N_max = 64\nN_list = 8,16,64\n", "N_list = 8,16,64\n"],
+                         ids=["N_max", "N_max-unset"])
+def test_convergence_rejects_n_max_in_n_list(tmp_path, capsys, keys):
+    # The N_max run is the reference, so its error is zero and no fit can take it.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(keys + "L = 2\nN_p = 2\na = 1\n")
+    out = tmp_path / "o"
+    assert run_cli("convergence", "--config", str(cfg), "--out", str(out)) == 2
+    assert "'N_list' holds N_max = 64" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_gap_exits_numerical(tmp_path, capsys):
+    # Without noise the state stays in [0, 1], so both methods agree exactly.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("L = 2\nN_max = 32\nN_list = 16,32\nN_p = 2\na = 0\n"
+                   "eps_rule = fixed\neps_c = 0.05\n")
+    out = tmp_path / "gap"
+    assert run_cli("splitting-error", "--config", str(cfg), "--out", str(out)) == 3
+    assert "error 0 at a=0, N=16 is not positive" in capsys.readouterr().err
+    assert not (out / "splitting_error.csv").exists()
 
 
 def test_expectation_zero_amplitude(tmp_path):
@@ -348,7 +411,7 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "convergence_study", explode)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("L = 2\nN_max = 16\nN_list = 8,16\nN_p = 2\na = 1\n")
+    cfg.write_text("L = 2\nN_max = 32\nN_list = 8,16\nN_p = 2\na = 1\n")
     assert run_cli("convergence", "--config", str(cfg), "--out", str(tmp_path / "o")) == 3
 
 

@@ -8,12 +8,13 @@ import pytest
 
 from acfv import cli, experiments
 from acfv.errors import ConfigError, NumericalFailure
-from acfv.experiments import (PATH_BLOCK, ErrorCurve, StudyConfig, _mean_errors, _run_block,
+from acfv.experiments import (PATH_BLOCK, ErrorCurve, StudyConfig, _mean_errors,
                               convergence_study, expectation_study, fit_convergence_order,
-                              format_float, splitting_error_study,
+                              format_float, run_block, splitting_error_study,
                               splitting_gap_errors, write_error_csv,
                               write_expectation_csv, write_fit_csv)
 from acfv.scheme import EpsilonSchedule
+from acfv.stochastic import sample_increment_block
 
 
 def small_config(**overrides):
@@ -76,9 +77,10 @@ def test_block_runner_yields_exactly_the_steps_asked_for(variants):
     config = small_config(n_steps=None, n_fine=64, n_steps_list=(16, 64), checkpoints=(),
                           epsilon=EpsilonSchedule.fixed(0.05), amplitudes=(7.0, 2.0))
     start = np.linspace(-0.4, 1.3, 9)  # the penalty is active from the first step
+    fine = sample_increment_block(config.seed, range(3, 8), config.horizon, 64)
 
     def collect(at):
-        _, _, runs = _run_block(config, start, 0, 5, at, variants)
+        _, _, runs = run_block(config, start, fine, 3, at, variants)
         return {(k, n_steps, n): [state.tobytes() for state in states]
                 for k, n_steps, n, states in runs}
 

@@ -1,7 +1,6 @@
 """Steppers against the frozen benchmark tables and the structure theorems."""
 
 import io
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,21 +13,25 @@ from acfv.experiments import require_finite
 from acfv.linalg import DENSE_LIMIT, ShiftedSolver
 from acfv.mesh import build_uniform_mesh, default_initial_state
 from acfv.scheme import (EpsilonSchedule, SchemeParams, StepKernel, coupled_step,
-                         dump_trajectory_csv, heat_step, run_trajectory,
-                         splitting_step)
+                         heat_step, splitting_step, write_states_csv)
 from acfv.stochastic import (aggregate_increments, diffusion_g,
                              sample_increment_block)
 
 QUARTERS = np.array(benchmark.QUARTER_INCREMENTS)
 
 
-def benchmark_setup(n_steps, variant="splitting"):
+def benchmark_setup(n_steps):
     mesh = build_uniform_mesh(2)
     params = SchemeParams(horizon=1.0, n_steps=n_steps,
-                          epsilon=benchmark.EPS_SCHEDULE, amplitude=10.0,
-                          variant=variant)
+                          epsilon=benchmark.SCENARIO.epsilon, amplitude=10.0)
     solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), params.tau)
     return default_initial_state(mesh), params, solver
+
+
+def run_states(variant, u0, increments, params, solver):
+    """Copies of the state after every step of one StepKernel run."""
+    kernel = StepKernel(variant, params, solver, np.shape(u0))
+    return [state.copy() for _, state in kernel.run(u0, increments)]
 
 
 def test_epsilon_schedules():
@@ -53,9 +56,6 @@ def test_scheme_params_validation():
         SchemeParams(horizon=1.0, n_steps=0, epsilon=eps, amplitude=1.0)
     with pytest.raises(ValueError):
         SchemeParams(horizon=1.0, n_steps=4, epsilon=eps, amplitude=-1.0)
-    with pytest.raises(ValueError):
-        SchemeParams(horizon=1.0, n_steps=4, epsilon=eps, amplitude=1.0,
-                     variant="implicit")
     # bare floats are promoted to a fixed schedule
     assert SchemeParams(horizon=1.0, n_steps=2, epsilon=0.25, amplitude=0.0).eps == 0.25
 
@@ -70,7 +70,7 @@ def test_splitting_two_step_table():
 
 
 def test_heat_two_step_table():
-    u0, params, solver = benchmark_setup(2, variant="heat")
+    u0, params, solver = benchmark_setup(2)
     inc = aggregate_increments(QUARTERS, 2)
     u1 = heat_step(u0, inc[0], params, solver)
     np.testing.assert_allclose(u1, benchmark.HEAT_N2[0], atol=1e-6)
@@ -87,15 +87,14 @@ def test_splitting_four_step_first_row():
 
 def test_full_four_step_trajectory():
     u0, params, solver = benchmark_setup(4)
-    traj = run_trajectory(u0, QUARTERS, params, solver, keep_history=True)
-    assert len(traj.states) == 4
-    for state, expected in zip(traj.states, benchmark.SPLITTING_N4):
+    states = run_states("splitting", u0, QUARTERS, params, solver)
+    assert len(states) == 4
+    for state, expected in zip(states, benchmark.SPLITTING_N4):
         np.testing.assert_allclose(state, expected, atol=1e-6)
-    np.testing.assert_array_equal(traj.final, traj.states[-1])
 
 
 def test_coupled_matches_splitting_when_penalty_inactive():
-    u0, params, solver = benchmark_setup(2, variant="coupled")
+    u0, params, solver = benchmark_setup(2)
     inc = aggregate_increments(QUARTERS, 2)
     split = splitting_step(u0, inc[0], params, solver)
     assert np.all((split >= 0) & (split <= 1))
@@ -153,8 +152,8 @@ def test_coupled_scalar_case_matches_bisection_oracle():
 
 def test_stationary_extremes():
     for c in (0.0, 1.0):
-        for variant, step in (("splitting", splitting_step), ("coupled", coupled_step)):
-            u0, params, solver = benchmark_setup(2, variant=variant)
+        for step in (splitting_step, coupled_step):
+            u0, params, solver = benchmark_setup(2)
             state = np.full(4, c)
             out = step(state, 0.73, params, solver)
             np.testing.assert_allclose(out, c, atol=1e-12)
@@ -226,15 +225,20 @@ def test_heat_step_mass_identity():
 def test_stacked_states_match_single_paths():
     u0, params, solver = benchmark_setup(4)
     inc = np.vstack([QUARTERS, -QUARTERS, 0.5 * QUARTERS])
-    stacked = run_trajectory(np.tile(u0, (3, 1)), inc, params, solver)
+    stacked = run_states("splitting", np.tile(u0, (3, 1)), inc, params, solver)[-1]
     for row in range(3):
-        single = run_trajectory(u0, inc[row], params, solver)
-        np.testing.assert_allclose(stacked.final[row], single.final,
-                                   rtol=1e-12, atol=1e-14)
+        single = run_states("splitting", u0, inc[row], params, solver)[-1]
+        np.testing.assert_allclose(stacked[row], single, rtol=1e-12, atol=1e-14)
+    # simulate and the benchmark tables run their path as a one-row block,
+    # which steps bit for bit like the single field.
+    for variant in ("splitting", "heat", "coupled"):
+        field = run_states(variant, u0, QUARTERS, params, solver)
+        row = run_states(variant, u0[None], QUARTERS[None], params, solver)
+        assert [s.tobytes() for s in row] == [s.tobytes() for s in field]
 
 
 def test_coupled_step_stacked_rows():
-    u0, params, solver = benchmark_setup(2, variant="coupled")
+    u0, params, solver = benchmark_setup(2)
     inc = aggregate_increments(QUARTERS, 2)
     stacked = coupled_step(np.tile(u0, (2, 1)), np.array([inc[0], inc[1]]),
                            params, solver)
@@ -260,7 +264,7 @@ def rowwise_newton(u_prev, d_w, params, solver):
 def test_batched_newton_matches_rowwise_above_dense_limit():
     mesh = build_uniform_mesh(12)
     params = SchemeParams(horizon=1.0, n_steps=16, epsilon=EpsilonSchedule.fixed(0.05),
-                          amplitude=10.0, variant="coupled")
+                          amplitude=10.0)
     solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), params.tau)
     rng = np.random.default_rng(15)
     start = rng.uniform(-0.6, 1.6, size=(6, mesh.n_cells))
@@ -278,14 +282,14 @@ def test_path_result_independent_of_block_size_and_position(L, variant):
     # Block composition may move the last bits of a GEMM row, never more.
     mesh = build_uniform_mesh(L)
     params = SchemeParams(horizon=1.0, n_steps=64, epsilon=EpsilonSchedule.fixed(0.05),
-                          amplitude=10.0, variant=variant)
+                          amplitude=10.0)
     solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), params.tau)
     n_paths = 37
     inc = sample_increment_block(3, range(n_paths), params.horizon, params.n_steps)
     start = np.tile(default_initial_state(mesh) - 0.3, (n_paths, 1))
 
     def final(rows):
-        return run_trajectory(start[rows], inc[rows], params, solver).final
+        return run_states(variant, start[rows], inc[rows], params, solver)[-1]
 
     whole = final(np.arange(n_paths))
     for size in (1, 7):
@@ -390,13 +394,6 @@ def test_kernel_run_matches_per_step_oracle_bitwise(L, variant):
     asked = (1, 2, 33, 40)
     taken = [(n, state.tobytes()) for n, state in kernel.run(stack, d_w, at=asked)]
     assert taken == [(n, every[n - 1].tobytes()) for n in asked]
-    # The same tau over 64 steps, through the public trajectory runner.
-    long_params = replace(params, horizon=params.tau * n_steps, n_steps=n_steps,
-                          variant=variant)
-    assert long_params.tau == params.tau
-    traj = run_trajectory(stack, d_w, long_params, solver, keep_history=True)
-    assert [state.tobytes() for state in traj.states] == [s.tobytes() for s in every]
-    assert traj.final.tobytes() == every[-1].tobytes()
 
 
 @pytest.mark.parametrize("L", [4, 9])
@@ -420,13 +417,14 @@ def test_step_kernel_nan_row_ends_in_numerical_failure(L, variant):
 
 
 def test_trajectory_history_and_validation():
+    # One step per increment column, and the final state alone on request.
     u0, params, solver = benchmark_setup(4)
-    traj = run_trajectory(u0, QUARTERS, params, solver, keep_history=True)
-    assert len(traj.states) == 4
-    np.testing.assert_array_equal(traj.states[-1], traj.final)
-    assert run_trajectory(u0, QUARTERS, params, solver).states is None
-    with pytest.raises(ValueError):
-        run_trajectory(u0, QUARTERS[:3], params, solver)
+    kernel = StepKernel("splitting", params, solver, u0.shape)
+    history = [(n, state.copy()) for n, state in kernel.run(u0, QUARTERS)]
+    assert [n for n, _ in history] == [1, 2, 3, 4]
+    [(n, final)] = kernel.run(u0, QUARTERS, at=(4,))
+    assert n == 4 and final.tobytes() == history[-1][1].tobytes()
+    assert [n for n, _ in kernel.run(u0, QUARTERS[:3])] == [1, 2, 3]
 
 
 def test_constant_start_stays_constant_along_noisy_trajectory():
@@ -436,8 +434,7 @@ def test_constant_start_stays_constant_along_noisy_trajectory():
     solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), params.tau)
     rng = np.random.default_rng(14)
     inc = rng.standard_normal(12) * np.sqrt(params.tau)
-    traj = run_trajectory(np.full(16, 0.58), inc, params, solver, keep_history=True)
-    for state in traj.states:
+    for state in run_states("splitting", np.full(16, 0.58), inc, params, solver):
         assert state.max() - state.min() <= 1e-10
 
 
@@ -447,23 +444,20 @@ def test_zero_noise_constant_trajectory():
                           epsilon=EpsilonSchedule.fixed(0.1), amplitude=0.0)
     solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), params.tau)
     u0 = np.full(9, 0.42)
-    traj = run_trajectory(u0, np.zeros(5), params, solver, keep_history=True)
-    for state in traj.states:
+    for state in run_states("splitting", u0, np.zeros(5), params, solver):
         np.testing.assert_allclose(state, 0.42, atol=1e-13)
 
 
 def test_trajectory_csv_dump():
+    # simulate's trajectory.csv: step 0 is the start field.
     u0, params, solver = benchmark_setup(2)
-    inc = aggregate_increments(QUARTERS, 2)
-    traj = run_trajectory(u0, inc, params, solver, keep_history=True)
+    states = run_states("splitting", u0, aggregate_increments(QUARTERS, 2), params, solver)
     buf = io.StringIO()
-    dump_trajectory_csv(traj, u0, buf)
+    write_states_csv(buf, [u0] + states, first_step=0)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "n,cell_index,value"
     assert len(lines) == 1 + 3 * 4
     n, cell, value = lines[1].split(",")
     assert (n, cell) == ("0", "0")
     assert float(value) == u0[0]
-    bare = run_trajectory(u0, inc, params, solver)
-    with pytest.raises(ValueError):
-        dump_trajectory_csv(bare, u0, io.StringIO())
+    assert lines[-1] == f"2,3,{states[-1][3]:.17g}"
