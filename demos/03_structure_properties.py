@@ -16,14 +16,15 @@ Run:  python demos/03_structure_properties.py
 
 import numpy as np
 
-from acfv import (EpsilonSchedule, SchemeParams, ShiftedSolver, assemble_mass,
-                  assemble_stiffness, build_uniform_mesh, coupled_step,
-                  splitting_step)
+from acfv import (EpsilonSchedule, ShiftedSolver, StepKernel, assemble_mass,
+                  assemble_stiffness, build_uniform_mesh)
 
 mesh = build_uniform_mesh(4)
-params = SchemeParams(horizon=1.0, n_steps=16,
-                      epsilon=EpsilonSchedule.fixed(0.05), amplitude=8.0)
-solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), params.tau)
+solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), tau=1.0 / 16)
+# One kernel per method for a single 16-cell field, with a = 8 and eps = 0.05.
+# A call takes one step and returns the kernel's buffer, valid until its next call.
+split, coupled = (StepKernel(variant, 8.0, EpsilonSchedule.fixed(0.05), solver, (16,))
+                  for variant in ("splitting", "coupled"))
 rng = np.random.default_rng(0)
 
 x = rng.uniform(0, 2, size=16)
@@ -34,15 +35,15 @@ print("constants:  propagator applied to 0.37 * ones deviates by",
 
 c = 0.642
 d_w = float(rng.standard_normal())
-out_split = splitting_step(np.full(16, c), d_w, params, solver)
-out_coupled = coupled_step(np.full(16, c), d_w, params, solver)
+out_split = split(np.full(16, c), d_w)
+out_coupled = coupled(np.full(16, c), d_w)
 print(f"\nconstant state c={c} after one noisy step:")
 print(f"  splitting spread {out_split.max() - out_split.min():.2e}, "
       f"coupled spread {out_coupled.max() - out_coupled.min():.2e}")
 print("  (both stay constant; the constant itself moves with the noise)")
 
 for c in (0.0, 1.0):
-    out = splitting_step(np.full(16, c), d_w, params, solver)
+    out = split(np.full(16, c), d_w)
     print(f"pure state {c}: max |step(c) - c| = {np.max(np.abs(out - c)):.2e}")
 
 below = -rng.uniform(0.1, 2.0, size=16)
@@ -50,7 +51,7 @@ trajectory = below
 print("\ntrapping below 0: per-step maximum over 8 steps:")
 maxima = []
 for _ in range(8):
-    trajectory = splitting_step(trajectory, float(rng.standard_normal()), params, solver)
+    trajectory = split(trajectory, float(rng.standard_normal()))
     maxima.append(trajectory.max())
 print("  " + "  ".join(f"{m:+.4f}" for m in maxima))
 print("  (monotone approach to 0, never crossing it)")

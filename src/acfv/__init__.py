@@ -21,8 +21,7 @@ from .linalg import ShiftedSolver
 from .mesh import (Mesh, build_uniform_mesh, cell_average,
                    default_initial_state, export_mesh_csv,
                    squared_l2_distance)
-from .scheme import (EpsilonSchedule, SchemeParams, StepKernel, coupled_step,
-                     heat_step, splitting_step)
+from .scheme import EpsilonSchedule, StepKernel
 from .stochastic import (aggregate_increments, diffusion_g, dump_increments,
                          load_increments, sample_increment_block)
 
@@ -36,8 +35,7 @@ __all__ = [
     "psi_eps", "resolvent",
     "sample_increment_block", "aggregate_increments", "diffusion_g",
     "dump_increments", "load_increments",
-    "EpsilonSchedule", "SchemeParams", "StepKernel",
-    "splitting_step", "coupled_step", "heat_step",
+    "EpsilonSchedule", "StepKernel",
     "StudyConfig", "ExpectationResult", "ErrorCurve",
     "expectation_study",
     "convergence_study", "fit_convergence_order", "splitting_error_study",

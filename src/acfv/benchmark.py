@@ -20,6 +20,7 @@ from importlib import resources
 
 import numpy as np
 
+from .errors import ConfigError
 from .experiments import StudyConfig, run_block
 from .scheme import EpsilonSchedule
 from .stochastic import load_increments
@@ -92,18 +93,17 @@ class BenchmarkReport:
 def run_benchmark_tables(path_file=None) -> BenchmarkReport:
     """Run the three benchmark tables and compare against the references.
 
-    ``path_file`` may point at a CSV with four increments; by default
-    the packaged ones are used.  The same fine path drives both step
-    counts: the two-step run uses pairwise sums of the four increments.
+    ``path_file`` may point at a CSV with four increments, and any other
+    file is a ConfigError; by default the packaged ones are used.  The
+    same fine path drives both step counts: the two-step run uses
+    pairwise sums of the four increments.
     The start field is compared with its frozen values too.
     """
-    if path_file is None:
-        with resources.as_file(increments_file()) as p:
-            fine = load_increments(p)
-    else:
-        fine = load_increments(path_file)
+    path_file = path_file or increments_file()
+    fine = load_increments(path_file)
     if fine.shape != (4,):
-        raise ValueError(f"benchmark driving path must have 4 increments, got {fine.shape[0]}")
+        raise ConfigError(f"benchmark driving path {path_file} must have 4 increments, "
+                          f"got {fine.shape[0]}")
 
     # One path through both step counts, splitting and heat side by side;
     # the heat run at N = 4 is not a table.

@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Commands bind configuration files (or built-in presets) to the study
-drivers and write CSV artifacts plus a run manifest into the output
-directory.  Exit codes: 0 success, 1 a check failed, 2 configuration
-error, 3 numerical failure.  The worker count for Monte Carlo path
+drivers and, once the run has succeeded, write CSV artifacts plus a run
+manifest into the output directory: a failed command writes nothing.
+Exit codes: 0 success, 1 a check failed, 2 configuration error, 3
+numerical failure.  The worker count for Monte Carlo path
 blocks is taken from the ACFV_WORKERS environment variable; everything
 else comes from the configuration.
 """
@@ -22,8 +23,8 @@ from .config import build_manifest, keys_read, load_config_file, preset_config
 from .errors import ConfigError, NumericalFailure
 from .experiments import (StudyConfig, convergence_study, expectation_study,
                           format_float, run_block, splitting_error_study,
-                          write_error_csv, write_expectation_csv, write_fit_csv)
-from .scheme import write_states_csv
+                          write_error_csv, write_expectation_csv, write_fit_csv,
+                          write_states_csv)
 from .stochastic import load_increments, sample_increment_block
 
 EXIT_OK = 0
@@ -83,13 +84,10 @@ def _prepare_out(command: str, config: StudyConfig) -> str:
 
 
 def cmd_table_repro(config: StudyConfig) -> int:
-    path_file = config.path_file
-    if path_file is None:
+    if config.path_file is None:
         raise ConfigError("table-repro needs path_file (the injected driving increments)")
-    if not os.path.exists(path_file):
-        raise ConfigError(f"path file not found: {path_file}")
+    report = benchmark.run_benchmark_tables(config.path_file)
     out_dir = _prepare_out("table-repro", config)
-    report = benchmark.run_benchmark_tables(path_file)
     for name, states in report.tables.items():
         print(name)
         for n, state in enumerate(states, start=1):
@@ -116,11 +114,10 @@ def cmd_simulate(config: StudyConfig) -> int:
     n_steps = config.n_steps or fine.shape[1]
     if fine.shape[1] % n_steps:
         raise ConfigError(f"N={n_steps} must divide the {fine.shape[1]} fine increments")
-    out_dir = _prepare_out("simulate", config)
     # The path runs as a one-row block.
     _, u0, runs = run_block(config, None, fine, 0, {n_steps: None}, (config.variant,))
     states = [u0] + [state[0].copy() for _, _, _, (state,) in runs]
-    target = os.path.join(out_dir, "trajectory.csv")
+    target = os.path.join(_prepare_out("simulate", config), "trajectory.csv")
     write_states_csv(target, states, first_step=0)
     print(f"wrote {target} ({n_steps} steps, variant {config.variant}, "
           f"final mean {format_float(float(np.mean(states[-1])))})")
@@ -128,9 +125,8 @@ def cmd_simulate(config: StudyConfig) -> int:
 
 
 def cmd_expectation(config: StudyConfig) -> int:
-    out_dir = _prepare_out("expectation", config)
     results = expectation_study(config, workers=_workers())
-    target = os.path.join(out_dir, "expectation.csv")
+    target = os.path.join(_prepare_out("expectation", config), "expectation.csv")
     write_expectation_csv(target, results)
     for r in results:
         print(f"a={r.amplitude:g} n={r.checkpoint} E={r.mean:.8f} drift={r.drift:.8f}")
@@ -143,8 +139,8 @@ def cmd_convergence(config: StudyConfig) -> int:
     if n_fine in config.n_steps_list:
         raise ConfigError(f"'N_list' holds N_max = {n_fine}, the reference run "
                           "every error is measured against")
-    out_dir = _prepare_out("convergence", config)
     curves = convergence_study(config, workers=_workers())
+    out_dir = _prepare_out("convergence", config)
     errors_target = os.path.join(out_dir, "error.csv")
     fit_target = os.path.join(out_dir, "fit.csv")
     write_error_csv(errors_target, curves)
@@ -156,8 +152,8 @@ def cmd_convergence(config: StudyConfig) -> int:
 
 
 def cmd_splitting_error(config: StudyConfig) -> int:
-    out_dir = _prepare_out("splitting-error", config)
     curve = splitting_error_study(config, workers=_workers())
+    out_dir = _prepare_out("splitting-error", config)
     errors_target = os.path.join(out_dir, "splitting_error.csv")
     fit_target = os.path.join(out_dir, "splitting_error_fit.csv")
     write_error_csv(errors_target, [curve])

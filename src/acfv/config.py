@@ -221,10 +221,8 @@ _PRESETS = {
 }
 # The gap study has no larger reference-scale variant; the full preset
 # just adds paths.
-_PRESETS[("splitting-error", "paper")] = lambda: StudyConfig(
-    cells_per_axis=4, n_fine=256, n_steps_list=(16, 32, 64, 128, 256),
-    n_paths=500, amplitudes=(10.0,),
-    epsilon=EpsilonSchedule.fixed(0.05), out_dir="out")
+_PRESETS[("splitting-error", "paper")] = lambda: replace(
+    _PRESETS[("splitting-error", "desk")](), n_paths=500)
 
 
 def preset_config(command: str, name: str) -> StudyConfig:

@@ -42,7 +42,7 @@ from .assembly import assemble_mass, assemble_stiffness
 from .errors import ConfigError, NumericalFailure
 from .linalg import ShiftedSolver
 from .mesh import build_uniform_mesh, default_initial_state
-from .scheme import EpsilonSchedule, SchemeParams, StepKernel, VARIANTS
+from .scheme import EpsilonSchedule, StepKernel, VARIANTS
 from .stochastic import aggregate_increments, sample_increment_block
 from .textio import text_stream
 
@@ -58,6 +58,7 @@ __all__ = [
     "write_expectation_csv",
     "write_error_csv",
     "write_fit_csv",
+    "write_states_csv",
     "format_float",
     "PATH_BLOCK",
     "require_finite",
@@ -124,6 +125,9 @@ class StudyConfig:
         for n in (*self.n_steps_list, *( (self.n_steps,) if self.n_steps else () )):
             if n < 1 or n_fine % n:
                 raise ConfigError(f"step count {n} must divide N_max={n_fine}")
+        for i, n in enumerate(self.n_steps_list):
+            if n in self.n_steps_list[:i]:
+                raise ConfigError(f"'N_list' repeats step count {n}")
         if self.n_steps is not None:
             for n in self.checkpoints:
                 if not 1 <= n <= self.n_steps:
@@ -208,10 +212,9 @@ def run_block(config: StudyConfig, initial_state, fine, lo, at, variants):
             # the block's largest array.
             inc = fine if n_steps == fine.shape[-1] else aggregate_increments(fine, n_steps)
             for k, amplitude in enumerate(config.amplitudes):
-                params = SchemeParams(horizon=config.horizon, n_steps=n_steps,
-                                      epsilon=config.epsilon, amplitude=amplitude)
-                for taken in zip(*(StepKernel(variant, params, solver, start.shape)
-                                   .run(start, inc, steps) for variant in variants)):
+                kernels = [StepKernel(variant, amplitude, config.epsilon, solver, start.shape)
+                           for variant in variants]
+                for taken in zip(*(kernel.run(start, inc, steps) for kernel in kernels)):
                     states = [state for _, state in taken]
                     yield k, n_steps, taken[0][0], states
                 require_finite(np.hstack(states), amplitude, n_steps, lo)
@@ -454,6 +457,14 @@ def write_error_csv(target, curves) -> None:
             rows.append((format_float(curve.amplitude), str(n_steps),
                          format_float(tau), format_float(err)))
     _write_rows(target, "a,N,tau,E", rows)
+
+
+def write_states_csv(target, states, first_step) -> None:
+    """Rows (n, cell_index, value) of single-field states, from n = first_step."""
+    _write_rows(target, "n,cell_index,value",
+                [(str(n), str(k), format_float(value))
+                 for n, state in enumerate(states, start=first_step)
+                 for k, value in enumerate(state)])
 
 
 def write_fit_csv(target, curves) -> None:

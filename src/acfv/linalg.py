@@ -27,9 +27,10 @@ DENSE_LIMIT = 64
 class ShiftedSolver:
     """Solver for (M + tau A) x = b on a fixed mesh and time step.
 
-    Holds the mass diagonal and the shifted matrix so the step functions
-    can reach them, and prefactors the shifted matrix once.  All per-call state is local, so one solver instance
-    can serve concurrent solves.
+    Holds the mass diagonal, the step size tau and the shifted matrix so
+    a step kernel can reach them, and prefactors the shifted matrix once.
+    All per-call state is local, so one solver instance can serve
+    concurrent solves.
 
     Right-hand sides may be a single field of shape (d,) or a stack of
     fields of shape (p, d); the output matches the input shape.

@@ -1,25 +1,24 @@
 """Time steppers for the constrained stochastic heat flow.
 
-Three one-step maps share the signature (state, increment, params,
-solver) -> state:
+``StepKernel`` is the one step map, built for one variant with a noise
+amplitude, an eps schedule and a ``ShiftedSolver``, whose step size tau
+it reads (eps = eps(tau)).  The variants:
 
-* ``splitting_step``: the two-substep method.  Substep one solves the
+* ``splitting``: the two-substep method.  Substep one solves the
   linear heat system with the noise loaded on the right-hand side,
   substep two applies the closed-form resolvent of the penalty to each
   cell value.  This is the workhorse of all experiments.
-* ``coupled_step``: the fully implicit step, where the heat part and
-  the penalty are solved together by a semismooth Newton iteration.
-  It serves as the reference the splitting method is measured against.
-* ``heat_step``: substep one alone (no penalty), the plain stochastic
-  heat flow.
+* ``coupled``: the fully implicit step, where the heat part and the
+  penalty are solved together by a semismooth Newton iteration.  It
+  serves as the reference the splitting method is measured against.
+* ``heat``: substep one alone (no penalty), the plain stochastic heat
+  flow.
 
 States may be a single field of shape (d,) or a stack of per-path
-fields of shape (p, d) with one increment per row.  Every step works on
-the whole stack at once: the heat substep is one application of the
-prefactored operator, and the coupled step runs its Newton iteration
-on all rows together, freezing each row once it has converged.  Each
-is a one-increment ``StepKernel.run``; a longer run is one such loop
-that yields its buffer only after the steps its caller names.
+fields of shape (p, d) with one increment per row, and every step moves
+the whole stack through the prefactored operator at once.  Calling a
+kernel takes one step; ``StepKernel.run`` steps a whole increment block
+in one loop that yields its buffer only after the steps its caller names.
 """
 
 from __future__ import annotations
@@ -31,17 +30,8 @@ import numpy as np
 from .constraint import psi_eps
 from .errors import NumericalFailure
 from .linalg import ShiftedSolver
-from .textio import text_stream
 
-__all__ = [
-    "EpsilonSchedule",
-    "SchemeParams",
-    "splitting_step",
-    "coupled_step",
-    "heat_step",
-    "StepKernel",
-    "write_states_csv",
-]
+__all__ = ["EpsilonSchedule", "StepKernel"]
 
 VARIANTS = ("splitting", "coupled", "heat")
 
@@ -87,51 +77,29 @@ class EpsilonSchedule:
         return eps
 
 
-@dataclass(frozen=True)
-class SchemeParams:
-    """Scheme parameters: horizon T, step count N, eps schedule, noise amplitude."""
-
-    horizon: float
-    n_steps: int
-    epsilon: EpsilonSchedule
-    amplitude: float
-
-    def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be >= 0")
-        if isinstance(self.epsilon, (int, float)):
-            object.__setattr__(self, "epsilon", EpsilonSchedule.fixed(self.epsilon))
-
-    @property
-    def tau(self) -> float:
-        return self.horizon / self.n_steps
-
-    @property
-    def eps(self) -> float:
-        return self.epsilon.value(self.tau)
-
-
 class StepKernel:
-    """The step map of one variant, built once per (variant, params, solver, shape).
+    """The step map of one variant, built once per (variant, a, eps schedule, solver, shape).
 
-    It holds the step's scalars (a, tau, eps, kappa = eps/(eps + tau))
-    and scratch buffers of the state shape.  ``run`` steps with in-place
-    ufuncs in the order of ``diffusion_g`` and ``resolvent``:
+    It holds the step's scalars (a, tau = solver.tau, eps = epsilon(tau),
+    kappa = eps/(eps + tau)) and scratch buffers of the state shape.
+    ``run`` steps with in-place ufuncs in the order of ``diffusion_g`` and
+    ``resolvent``:
     w = u + ((a c)(1 - c)) dW, the heat propagator, then c + kappa (r - c),
     each c a clip to [0, 1], so every step equals those formulas bit for bit.
     """
 
-    def __init__(self, variant, params: SchemeParams, solver: ShiftedSolver, shape):
+    def __init__(self, variant, amplitude, epsilon: EpsilonSchedule, solver: ShiftedSolver,
+                 shape):
+        if amplitude < 0:
+            raise ValueError("amplitude must be >= 0")
         self.variant, self.solver = variant, solver
-        self.amplitude, self.tau, self.eps = params.amplitude, params.tau, params.eps
+        self.amplitude, self.tau = amplitude, solver.tau
+        self.eps = epsilon.value(self.tau)
         self.kappa = self.eps / (self.eps + self.tau)
         self._clip, self._noisy, self._tmp, self._out = (np.empty(shape) for _ in range(4))
 
     def __call__(self, u_prev, d_w):
+        """One step with increment d_w (one per row of a stack) into the output buffer."""
         return next(self.run(u_prev, np.asarray(d_w, dtype=float)[..., None]))[1]
 
     def run(self, u0, increments, at=None):
@@ -170,7 +138,15 @@ class StepKernel:
                 yield n, out
 
     def _newton(self, out, w):
-        """Semismooth Newton for the coupled step, in place on ``out``, from noisy state w."""
+        """Semismooth Newton for the coupled step, in place on ``out``, from noisy state w.
+
+        It solves (M + tau A) u + tau M psi_eps(u) = M w, strictly monotone so
+        uniquely solvable, with the active-set Jacobian M + tau A + (tau/eps) M D
+        (D marks the cells outside [0, 1]) from the splitting step in ``out``,
+        which already solves it where the penalty is inactive: no iteration.
+        A row leaves the iteration once converged; a row whose residual is not
+        finite never converges, so it ends in NumericalFailure.
+        """
         solver, tau, eps, mass = self.solver, self.tau, self.eps, self.solver.mass_diag
         u, rhs = out.reshape(-1, out.shape[-1]), np.atleast_2d(mass * w)
         tol, rows = NEWTON_TOL * mass.min(), np.arange(len(u))
@@ -187,39 +163,3 @@ class StepKernel:
         raise NumericalFailure(
             f"semismooth Newton did not converge in {NEWTON_MAX_ITER} iterations",
             residual=float(np.max(res_norm[open_rows])))
-
-
-def heat_step(u_prev, d_w, params: SchemeParams, solver: ShiftedSolver):
-    """One step of the unconstrained stochastic heat flow."""
-    return StepKernel("heat", params, solver, np.shape(u_prev))(u_prev, d_w)
-
-
-def splitting_step(u_prev, d_w, params: SchemeParams, solver: ShiftedSolver):
-    """Heat substep followed by the componentwise penalty resolvent."""
-    return StepKernel("splitting", params, solver, np.shape(u_prev))(u_prev, d_w)
-
-
-def coupled_step(u_prev, d_w, params: SchemeParams, solver: ShiftedSolver):
-    """Fully implicit step: solve (M + tau A) u + tau M psi_eps(u) = M w.
-
-    Solved by semismooth Newton with the active-set Jacobian
-    M + tau A + (tau/eps) M D, where D marks the cells outside [0, 1].
-    The splitting step provides the initial guess; when the penalty is
-    inactive at the solution the guess already solves the equation and
-    the loop exits without iterating.  The equation is strictly
-    monotone, so the solution is unique.
-
-    A stack of states is iterated together; a row leaves the iteration
-    once its residual is within tolerance.  A row whose residual is not
-    finite never counts as converged, so it ends in NumericalFailure.
-    """
-    return StepKernel("coupled", params, solver, np.shape(u_prev))(u_prev, d_w)
-
-
-def write_states_csv(target, states, first_step) -> None:
-    """Write single-field states as CSV rows (n, cell_index, value) from n = first_step."""
-    with text_stream(target, "w") as out:
-        out.write("n,cell_index,value\n")
-        for n, state in enumerate(states, start=first_step):
-            for k, value in enumerate(state):
-                out.write(f"{n},{k},{value:.17g}\n")

@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
+from .errors import ConfigError
 from .textio import text_stream
 
 __all__ = [
@@ -109,11 +110,18 @@ def load_increments(source) -> np.ndarray:
     """Read increments written by dump_increments (or by hand).
 
     Blank lines and lines starting with '#' are ignored, so injected
-    reference paths can carry comments.
+    reference paths can carry comments.  A file that cannot be read or
+    holds no values, or a line that is not a number, is a ConfigError
+    naming the file.
     """
-    with text_stream(source) as lines:
-        values = [float(line) for line in lines
-                  if line.strip() and not line.lstrip().startswith("#")]
+    try:
+        with text_stream(source) as lines:
+            values = [float(line) for line in map(str.strip, lines)
+                      if line and not line.startswith("#")]
+    except OSError as exc:
+        raise ConfigError(f"increment file {source}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"increment file {source}: {exc}") from exc
     if not values:
-        raise ValueError("increment file contains no values")
+        raise ConfigError(f"increment file {source} contains no values")
     return np.array(values)

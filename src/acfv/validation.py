@@ -20,7 +20,7 @@ from .assembly import assemble_mass, assemble_stiffness
 from .constraint import psi_eps, resolvent
 from .linalg import ShiftedSolver
 from .mesh import build_uniform_mesh
-from .scheme import EpsilonSchedule, SchemeParams, coupled_step, splitting_step
+from .scheme import EpsilonSchedule, StepKernel
 
 __all__ = ["CheckResult", "matrix_suite", "structure_suite", "run_all"]
 
@@ -125,6 +125,17 @@ def matrix_suite(seed=20250, cases=1000) -> list:
     return results
 
 
+def _random_kernels(rng, max_steps, variants):
+    """L and a kernel per variant on a random L x L mesh, tau = 1/N (N < max_steps), eps and a."""
+    L = int(rng.integers(1, 6))
+    mesh = build_uniform_mesh(L)
+    tau = 1.0 / int(rng.integers(1, max_steps))
+    epsilon = EpsilonSchedule.fixed(float(rng.uniform(0.005, 0.2)))
+    amplitude = float(rng.uniform(0.0, 20.0))
+    solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), tau)
+    return L, [StepKernel(variant, amplitude, epsilon, solver, L * L) for variant in variants]
+
+
 def structure_suite(seed=20251, cases=200) -> list:
     """Constant propagation, stationary states and one-sided trapping."""
     rng = np.random.default_rng(seed)
@@ -132,50 +143,34 @@ def structure_suite(seed=20251, cases=200) -> list:
 
     worst = 0.0
     for _ in range(cases):
-        L = int(rng.integers(1, 6))
-        mesh = build_uniform_mesh(L)
-        n_steps = int(rng.integers(1, 5))
-        params = SchemeParams(horizon=1.0, n_steps=n_steps,
-                              epsilon=EpsilonSchedule.fixed(float(rng.uniform(0.005, 0.2))),
-                              amplitude=float(rng.uniform(0.0, 20.0)))
-        solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), params.tau)
+        L, kernels = _random_kernels(rng, 5, ("splitting", "coupled"))
         u = np.full(L * L, float(rng.uniform(0.0, 1.0)))
-        d_w = float(rng.standard_normal() * np.sqrt(params.tau))
-        for step in (splitting_step, coupled_step):
-            out = step(u, d_w, params, solver)
+        d_w = float(rng.standard_normal() * np.sqrt(kernels[0].tau))
+        for step in kernels:
+            out = step(u, d_w)
             worst = max(worst, float(out.max() - out.min()))
     results.append(CheckResult("constant states stay constant", worst <= 1e-10,
                                f"max spread after one step = {worst:.3g}"))
 
     worst = 0.0
     for _ in range(cases):
-        L = int(rng.integers(1, 6))
-        mesh = build_uniform_mesh(L)
-        params = SchemeParams(horizon=1.0, n_steps=int(rng.integers(1, 9)),
-                              epsilon=EpsilonSchedule.fixed(float(rng.uniform(0.005, 0.2))),
-                              amplitude=float(rng.uniform(0.0, 20.0)))
-        solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), params.tau)
+        L, kernels = _random_kernels(rng, 9, ("splitting", "coupled"))
         c = float(rng.integers(0, 2))
         d_w = float(rng.standard_normal())
-        for step in (splitting_step, coupled_step):
-            out = step(np.full(L * L, c), d_w, params, solver)
+        for step in kernels:
+            out = step(np.full(L * L, c), d_w)
             worst = max(worst, float(np.max(np.abs(out - c))))
     results.append(CheckResult("0 and 1 are stationary", worst <= 1e-12,
                                f"max |step(c) - c| for c in {{0,1}} = {worst:.3g}"))
 
     worst = 0.0
     for _ in range(cases):
-        L = int(rng.integers(1, 6))
-        mesh = build_uniform_mesh(L)
-        params = SchemeParams(horizon=1.0, n_steps=int(rng.integers(1, 9)),
-                              epsilon=EpsilonSchedule.fixed(float(rng.uniform(0.005, 0.2))),
-                              amplitude=float(rng.uniform(0.0, 20.0)))
-        solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), params.tau)
+        L, (step,) = _random_kernels(rng, 9, ("splitting",))
         d_w = float(rng.standard_normal())
         below = -rng.uniform(0.0, 3.0, size=L * L)
-        worst = max(worst, float(splitting_step(below, d_w, params, solver).max()))
+        worst = max(worst, float(step(below, d_w).max()))
         above = 1.0 + rng.uniform(0.0, 3.0, size=L * L)
-        worst = max(worst, float(1.0 - splitting_step(above, d_w, params, solver).min()))
+        worst = max(worst, float(1.0 - step(above, d_w).min()))
     results.append(CheckResult("one-sided states stay trapped", worst <= 1e-10,
                                f"max excursion back across the threshold = {worst:.3g}"))
     return results

@@ -191,7 +191,26 @@ def test_simulate_non_finite_path_exits_numerical(tmp_path):
     cfg.write_text("L = 2\nN = 4\na = 5\npath_file = paths.csv\n")
     out = tmp_path / "sim"
     assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 3
-    assert not (out / "trajectory.csv").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, keys, lines", [
+    ("simulate", "L = 2\nN = 4\n", None),
+    ("simulate", "L = 2\nN = 4\n", "abc\n"),
+    ("table-repro", "", "abc\n"),
+    ("table-repro", "", "0.1\n0.2\n0.3\n"),
+], ids=["simulate-missing", "simulate-not-a-number", "table-repro-not-a-number",
+        "table-repro-three-increments"])
+def test_bad_path_file_is_a_configuration_error(tmp_path, capsys, command, keys, lines):
+    path = tmp_path / "paths.csv"
+    if lines is not None:
+        path.write_text(lines)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(keys + "path_file = paths.csv\n")
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, keys", [
@@ -299,7 +318,7 @@ def test_non_finite_results_exit_numerical(tmp_path, capsys):
     with np.errstate(over="ignore"):
         assert run_cli("convergence", "--config", str(cfg), "--out", str(out)) == 3
     assert "non-finite error at a=1e+160, N=8" in capsys.readouterr().err
-    assert not (out / "error.csv").exists() and not (out / "fit.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("keys", ["N_max = 64\nN_list = 8,16,64\n", "N_list = 8,16,64\n"],
@@ -314,6 +333,30 @@ def test_convergence_rejects_n_max_in_n_list(tmp_path, capsys, keys):
     assert not out.exists()
 
 
+def test_convergence_rejects_a_repeated_step_count(tmp_path, capsys):
+    # Two equal step sizes leave the log-log fit one point short.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("L = 2\nN_max = 32\nN_list = 8,16,8\nN_p = 2\na = 1\n")
+    out = tmp_path / "o"
+    assert run_cli("convergence", "--config", str(cfg), "--out", str(out)) == 2
+    assert "'N_list' repeats step count 8" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("expectation", "N_max = 8\n"),
+    ("splitting-error", "N_max = 32\nN_list = 16,32\neps_rule = power\neps_c = 0.1\n"
+     "eps_p = 0.4\n"),
+    ("convergence", "N_max = 32\nN_list = 8\n"),
+], ids=["expectation-without-N", "splitting-error-power-eps", "convergence-one-N"])
+def test_failed_command_writes_nothing(tmp_path, command, keys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(keys + MONTE_CARLO_BASE)
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
+    assert not out.exists()
+
+
 def test_zero_gap_exits_numerical(tmp_path, capsys):
     # Without noise the state stays in [0, 1], so both methods agree exactly.
     cfg = tmp_path / "run.cfg"
@@ -322,7 +365,7 @@ def test_zero_gap_exits_numerical(tmp_path, capsys):
     out = tmp_path / "gap"
     assert run_cli("splitting-error", "--config", str(cfg), "--out", str(out)) == 3
     assert "error 0 at a=0, N=16 is not positive" in capsys.readouterr().err
-    assert not (out / "splitting_error.csv").exists()
+    assert not out.exists()
 
 
 def test_expectation_zero_amplitude(tmp_path):
@@ -413,6 +456,7 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("L = 2\nN_max = 32\nN_list = 8,16\nN_p = 2\na = 1\n")
     assert run_cli("convergence", "--config", str(cfg), "--out", str(tmp_path / "o")) == 3
+    assert not (tmp_path / "o").exists()
 
 
 def test_seed_and_paths_overrides(tmp_path):

@@ -9,28 +9,35 @@ from acfv import benchmark
 from acfv.assembly import assemble_mass, assemble_stiffness
 from acfv.constraint import psi_eps, resolvent
 from acfv.errors import NumericalFailure
-from acfv.experiments import require_finite
+from acfv.experiments import require_finite, write_states_csv
 from acfv.linalg import DENSE_LIMIT, ShiftedSolver
 from acfv.mesh import build_uniform_mesh, default_initial_state
-from acfv.scheme import (EpsilonSchedule, SchemeParams, StepKernel, coupled_step,
-                         heat_step, splitting_step, write_states_csv)
+from acfv.scheme import EpsilonSchedule, StepKernel
 from acfv.stochastic import (aggregate_increments, diffusion_g,
                              sample_increment_block)
 
 QUARTERS = np.array(benchmark.QUARTER_INCREMENTS)
 
 
+def solver_on(L, n_steps):
+    """The shifted solver of the L x L mesh at tau = 1/n_steps."""
+    mesh = build_uniform_mesh(L)
+    return ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), 1.0 / n_steps)
+
+
 def benchmark_setup(n_steps):
-    mesh = build_uniform_mesh(2)
-    params = SchemeParams(horizon=1.0, n_steps=n_steps,
-                          epsilon=benchmark.SCENARIO.epsilon, amplitude=10.0)
-    solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), params.tau)
-    return default_initial_state(mesh), params, solver
+    """Start field and solver of the benchmark scenario at n_steps steps."""
+    return default_initial_state(build_uniform_mesh(2)), solver_on(2, n_steps)
 
 
-def run_states(variant, u0, increments, params, solver):
-    """Copies of the state after every step of one StepKernel run."""
-    kernel = StepKernel(variant, params, solver, np.shape(u0))
+def benchmark_kernel(variant, solver, shape=(4,)):
+    """A kernel of the benchmark scenario: a = 10, eps = 0.1 tau^(1/3)."""
+    scenario = benchmark.SCENARIO
+    return StepKernel(variant, scenario.amplitudes[0], scenario.epsilon, solver, shape)
+
+
+def run_states(kernel, u0, increments):
+    """Copies of the state after every step of one kernel run."""
     return [state.copy() for _, state in kernel.run(u0, increments)]
 
 
@@ -45,60 +52,59 @@ def test_epsilon_schedules():
         EpsilonSchedule.fixed(0.0)
 
 
-def test_scheme_params_validation():
-    eps = EpsilonSchedule.fixed(0.1)
-    params = SchemeParams(horizon=1.0, n_steps=4, epsilon=eps, amplitude=2.0)
-    assert params.tau == 0.25
-    assert params.eps == 0.1
-    with pytest.raises(ValueError):
-        SchemeParams(horizon=0.0, n_steps=4, epsilon=eps, amplitude=1.0)
-    with pytest.raises(ValueError):
-        SchemeParams(horizon=1.0, n_steps=0, epsilon=eps, amplitude=1.0)
-    with pytest.raises(ValueError):
-        SchemeParams(horizon=1.0, n_steps=4, epsilon=eps, amplitude=-1.0)
-    # bare floats are promoted to a fixed schedule
-    assert SchemeParams(horizon=1.0, n_steps=2, epsilon=0.25, amplitude=0.0).eps == 0.25
+@pytest.mark.parametrize("epsilon", [EpsilonSchedule.fixed(0.1),
+                                     EpsilonSchedule.power(0.1, 0.4)], ids=["fixed", "power"])
+def test_step_kernel_reads_tau_from_its_solver(epsilon):
+    solver = solver_on(2, 3)
+    kernel = StepKernel("splitting", 2.0, epsilon, solver, (4,))
+    assert kernel.tau == solver.tau
+    assert kernel.eps == epsilon.value(solver.tau)
+    assert StepKernel("heat", 0.0, epsilon, solver, (4,)).amplitude == 0.0
+    with pytest.raises(ValueError, match="amplitude"):
+        StepKernel("splitting", -1.0, epsilon, solver, (4,))
 
 
 def test_splitting_two_step_table():
-    u0, params, solver = benchmark_setup(2)
+    u0, solver = benchmark_setup(2)
+    step = benchmark_kernel("splitting", solver)
     inc = aggregate_increments(QUARTERS, 2)
-    u1 = splitting_step(u0, inc[0], params, solver)
+    u1 = step(u0, inc[0])
     np.testing.assert_allclose(u1, benchmark.SPLITTING_N2[0], atol=1e-6)
-    u2 = splitting_step(u1, inc[1], params, solver)
+    u2 = step(u1, inc[1])
     np.testing.assert_allclose(u2, benchmark.SPLITTING_N2[1], atol=1e-6)
 
 
 def test_heat_two_step_table():
-    u0, params, solver = benchmark_setup(2)
+    u0, solver = benchmark_setup(2)
+    step = benchmark_kernel("heat", solver)
     inc = aggregate_increments(QUARTERS, 2)
-    u1 = heat_step(u0, inc[0], params, solver)
+    u1 = step(u0, inc[0])
     np.testing.assert_allclose(u1, benchmark.HEAT_N2[0], atol=1e-6)
     np.testing.assert_allclose(u1, benchmark.SPLITTING_N2[0], atol=1e-6)
-    u2 = heat_step(u1, inc[1], params, solver)
+    u2 = step(u1, inc[1])
     np.testing.assert_allclose(u2, benchmark.HEAT_N2[1], atol=1e-6)
 
 
 def test_splitting_four_step_first_row():
-    u0, params, solver = benchmark_setup(4)
-    u1 = splitting_step(u0, -0.60460866, params, solver)
+    u0, solver = benchmark_setup(4)
+    u1 = benchmark_kernel("splitting", solver)(u0, -0.60460866)
     np.testing.assert_allclose(u1, benchmark.SPLITTING_N4[0], atol=1e-6)
 
 
 def test_full_four_step_trajectory():
-    u0, params, solver = benchmark_setup(4)
-    states = run_states("splitting", u0, QUARTERS, params, solver)
+    u0, solver = benchmark_setup(4)
+    states = run_states(benchmark_kernel("splitting", solver), u0, QUARTERS)
     assert len(states) == 4
     for state, expected in zip(states, benchmark.SPLITTING_N4):
         np.testing.assert_allclose(state, expected, atol=1e-6)
 
 
 def test_coupled_matches_splitting_when_penalty_inactive():
-    u0, params, solver = benchmark_setup(2)
+    u0, solver = benchmark_setup(2)
     inc = aggregate_increments(QUARTERS, 2)
-    split = splitting_step(u0, inc[0], params, solver)
+    split = benchmark_kernel("splitting", solver)(u0, inc[0])
     assert np.all((split >= 0) & (split <= 1))
-    coupled = coupled_step(u0, inc[0], params, solver)
+    coupled = benchmark_kernel("coupled", solver)(u0, inc[0])
     np.testing.assert_allclose(coupled, split, atol=1e-9)
 
 
@@ -107,17 +113,16 @@ def test_methods_agree_while_state_stays_interior():
     # system, so any strictly interior outcome must match to solver
     # accuracy.  Small increments keep the state inside.
     rng = np.random.default_rng(3)
-    mesh = build_uniform_mesh(3)
-    params = SchemeParams(horizon=1.0, n_steps=8,
-                          epsilon=EpsilonSchedule.fixed(0.02), amplitude=4.0)
-    solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), params.tau)
+    solver = solver_on(3, 8)
+    step_split, step_coupled = (StepKernel(variant, 4.0, EpsilonSchedule.fixed(0.02), solver,
+                                           (9,)) for variant in ("splitting", "coupled"))
     checked = 0
     for _ in range(100):
         u = rng.uniform(0.2, 0.8, size=9)
         d_w = float(rng.standard_normal() * 0.05)
-        split = splitting_step(u, d_w, params, solver)
+        split = step_split(u, d_w)
         if np.all((split > 0) & (split < 1)):
-            coupled = coupled_step(u, d_w, params, solver)
+            coupled = step_coupled(u, d_w)
             np.testing.assert_allclose(coupled, split, atol=1e-9)
             checked += 1
     assert checked > 50
@@ -127,35 +132,30 @@ def test_coupled_scalar_case_matches_bisection_oracle():
     # On one cell the stiffness vanishes and the implicit step reduces to
     # u + tau psi_eps(u) = w per path; bisection on that monotone scalar
     # equation is the oracle.
-    mesh = build_uniform_mesh(1)
-    params = SchemeParams(horizon=1.0, n_steps=2, epsilon=EpsilonSchedule.fixed(0.03),
-                          amplitude=12.0)
-    solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), params.tau)
-    from acfv.constraint import psi_eps
-    from acfv.stochastic import diffusion_g
+    tau, eps, amplitude = 0.5, 0.03, 12.0
+    step = StepKernel("coupled", amplitude, EpsilonSchedule.fixed(eps), solver_on(1, 2), (1,))
     rng = np.random.default_rng(4)
     for _ in range(25):
         u_prev = np.array([float(rng.uniform(-0.5, 1.5))])
         d_w = float(rng.standard_normal())
-        w = u_prev[0] + diffusion_g(u_prev[0], params.amplitude) * d_w
+        w = u_prev[0] + diffusion_g(u_prev[0], amplitude) * d_w
         lo, hi = min(w, 0.0) - 1.0, max(w, 1.0) + 1.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if mid + params.tau * psi_eps(mid, params.eps) < w:
+            if mid + tau * psi_eps(mid, eps) < w:
                 lo = mid
             else:
                 hi = mid
-        got = coupled_step(u_prev, d_w, params, solver)
+        got = step(u_prev, d_w)
         assert got[0] == pytest.approx(0.5 * (lo + hi), abs=1e-10)
-        assert got[0] == pytest.approx(resolvent(w, params.tau, params.eps), abs=1e-10)
+        assert got[0] == pytest.approx(resolvent(w, tau, eps), abs=1e-10)
 
 
 def test_stationary_extremes():
+    _, solver = benchmark_setup(2)
     for c in (0.0, 1.0):
-        for step in (splitting_step, coupled_step):
-            u0, params, solver = benchmark_setup(2)
-            state = np.full(4, c)
-            out = step(state, 0.73, params, solver)
+        for variant in ("splitting", "coupled"):
+            out = benchmark_kernel(variant, solver)(np.full(4, c), 0.73)
             np.testing.assert_allclose(out, c, atol=1e-12)
 
 
@@ -163,27 +163,26 @@ def test_constant_states_stay_constant():
     rng = np.random.default_rng(6)
     for _ in range(20):
         L = int(rng.integers(1, 6))
-        mesh = build_uniform_mesh(L)
-        params = SchemeParams(horizon=1.0, n_steps=int(rng.integers(1, 6)),
-                              epsilon=EpsilonSchedule.fixed(float(rng.uniform(0.01, 0.2))),
-                              amplitude=float(rng.uniform(0, 15)))
-        solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), params.tau)
+        solver = solver_on(L, int(rng.integers(1, 6)))
+        epsilon = EpsilonSchedule.fixed(float(rng.uniform(0.01, 0.2)))
+        amplitude = float(rng.uniform(0, 15))
         c = float(rng.uniform(0, 1))
         d_w = float(rng.standard_normal())
-        for step in (splitting_step, coupled_step):
-            out = step(np.full(L * L, c), d_w, params, solver)
+        for variant in ("splitting", "coupled"):
+            kernel = StepKernel(variant, amplitude, epsilon, solver, (L * L,))
+            out = kernel(np.full(L * L, c), d_w)
             assert out.max() - out.min() <= 1e-10
 
 
 def test_sign_trapping():
     rng = np.random.default_rng(8)
-    u0, params, solver = benchmark_setup(3)
+    step = benchmark_kernel("splitting", benchmark_setup(3)[1])
     for _ in range(100):
         d_w = float(rng.standard_normal())
         below = -rng.uniform(0, 2, size=4)
-        assert splitting_step(below, d_w, params, solver).max() <= 1e-10
+        assert step(below, d_w).max() <= 1e-10
         above = 1.0 + rng.uniform(0, 2, size=4)
-        assert splitting_step(above, d_w, params, solver).min() >= 1.0 - 1e-10
+        assert step(above, d_w).min() >= 1.0 - 1e-10
 
 
 def test_method_gap_shrinks_with_larger_eps():
@@ -191,63 +190,61 @@ def test_method_gap_shrinks_with_larger_eps():
     # factor: the splitting defect scales like 1/(eps + tau), so doubling
     # eps must shrink the gap.  (Over a whole trajectory the trend washes
     # out, because larger eps also keeps the penalty active for longer.)
-    mesh = build_uniform_mesh(4)
-    mass, stiffness = assemble_mass(mesh), assemble_stiffness(mesh)
-    start = -(default_initial_state(mesh) + 0.2)
+    solver = solver_on(4, 64)
+    start = -(default_initial_state(build_uniform_mesh(4)) + 0.2)
     gaps = []
     for eps in (0.025, 0.05, 0.1):
-        params = SchemeParams(horizon=1.0, n_steps=64,
-                              epsilon=EpsilonSchedule.fixed(eps), amplitude=10.0)
-        solver = ShiftedSolver(mass, stiffness, params.tau)
-        split = splitting_step(start, 0.1, params, solver)
-        coupled = coupled_step(start, 0.1, params, solver)
+        split, coupled = (StepKernel(variant, 10.0, EpsilonSchedule.fixed(eps), solver,
+                                     start.shape)(start, 0.1)
+                          for variant in ("splitting", "coupled"))
         gaps.append(np.max(np.abs(coupled - split)))
     assert gaps[0] > gaps[1] > gaps[2] > 0
 
 
-def test_heat_step_mass_identity():
+def test_heat_kernel_mass_identity():
     # The heat substep conserves the mass-weighted total of its input.
     rng = np.random.default_rng(10)
-    mesh = build_uniform_mesh(4)
-    mass = assemble_mass(mesh)
-    params = SchemeParams(horizon=1.0, n_steps=8,
-                          epsilon=EpsilonSchedule.fixed(0.05), amplitude=6.0)
-    solver = ShiftedSolver(mass, assemble_stiffness(mesh), params.tau)
-    from acfv.stochastic import diffusion_g
+    solver = solver_on(4, 8)
+    mass = solver.mass_diag
+    step = StepKernel("heat", 6.0, EpsilonSchedule.fixed(0.05), solver, (16,))
     for _ in range(50):
         u = rng.uniform(-0.5, 1.5, size=16)
         d_w = float(rng.standard_normal())
-        loaded = u + diffusion_g(u, params.amplitude) * d_w
-        out = heat_step(u, d_w, params, solver)
+        loaded = u + diffusion_g(u, 6.0) * d_w
+        out = step(u, d_w)
         assert mass @ out == pytest.approx(mass @ loaded, rel=1e-10)
 
 
 def test_stacked_states_match_single_paths():
-    u0, params, solver = benchmark_setup(4)
+    u0, solver = benchmark_setup(4)
     inc = np.vstack([QUARTERS, -QUARTERS, 0.5 * QUARTERS])
-    stacked = run_states("splitting", np.tile(u0, (3, 1)), inc, params, solver)[-1]
+    stacked = run_states(benchmark_kernel("splitting", solver, (3, 4)),
+                         np.tile(u0, (3, 1)), inc)[-1]
     for row in range(3):
-        single = run_states("splitting", u0, inc[row], params, solver)[-1]
+        single = run_states(benchmark_kernel("splitting", solver), u0, inc[row])[-1]
         np.testing.assert_allclose(stacked[row], single, rtol=1e-12, atol=1e-14)
     # simulate and the benchmark tables run their path as a one-row block,
     # which steps bit for bit like the single field.
     for variant in ("splitting", "heat", "coupled"):
-        field = run_states(variant, u0, QUARTERS, params, solver)
-        row = run_states(variant, u0[None], QUARTERS[None], params, solver)
+        field = run_states(benchmark_kernel(variant, solver), u0, QUARTERS)
+        row = run_states(benchmark_kernel(variant, solver, (1, 4)), u0[None], QUARTERS[None])
         assert [s.tobytes() for s in row] == [s.tobytes() for s in field]
 
 
-def test_coupled_step_stacked_rows():
-    u0, params, solver = benchmark_setup(2)
+def test_coupled_kernel_stacked_rows():
+    u0, solver = benchmark_setup(2)
     inc = aggregate_increments(QUARTERS, 2)
-    stacked = coupled_step(np.tile(u0, (2, 1)), np.array([inc[0], inc[1]]),
-                           params, solver)
-    np.testing.assert_allclose(stacked[0], coupled_step(u0, inc[0], params, solver))
-    np.testing.assert_allclose(stacked[1], coupled_step(u0, inc[1], params, solver))
+    stacked = benchmark_kernel("coupled", solver, (2, 4))(np.tile(u0, (2, 1)), inc[:2])
+    single = benchmark_kernel("coupled", solver)
+    np.testing.assert_allclose(stacked[0], single(u0, inc[0]))
+    np.testing.assert_allclose(stacked[1], single(u0, inc[1]))
 
 
 def rowwise_newton(u_prev, d_w, params, solver):
-    """Reference coupled step: one path at a time, dense Jacobian solves."""
+    """Reference coupled step: one path at a time, dense Jacobian solves.
+
+    ``params`` carries the step's amplitude, tau and eps, like a StepKernel.
+    """
     dense = solver.shifted.toarray()
     mass, tau, eps = solver.mass_diag, params.tau, params.eps
     rhs = mass * (u_prev + diffusion_g(u_prev, params.amplitude) * d_w)
@@ -262,34 +259,31 @@ def rowwise_newton(u_prev, d_w, params, solver):
 
 
 def test_batched_newton_matches_rowwise_above_dense_limit():
-    mesh = build_uniform_mesh(12)
-    params = SchemeParams(horizon=1.0, n_steps=16, epsilon=EpsilonSchedule.fixed(0.05),
-                          amplitude=10.0)
-    solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), params.tau)
+    solver = solver_on(12, 16)
     rng = np.random.default_rng(15)
-    start = rng.uniform(-0.6, 1.6, size=(6, mesh.n_cells))
-    d_w = rng.standard_normal(6) * np.sqrt(params.tau)
-    batched = coupled_step(start, d_w, params, solver)
+    start = rng.uniform(-0.6, 1.6, size=(6, solver.n))
+    d_w = rng.standard_normal(6) * np.sqrt(solver.tau)
+    kernel = StepKernel("coupled", 10.0, EpsilonSchedule.fixed(0.05), solver, start.shape)
+    batched = kernel(start, d_w)
     assert ((batched < 0) | (batched > 1)).any()
     for row in range(6):
         np.testing.assert_allclose(
-            batched[row], rowwise_newton(start[row], d_w[row], params, solver), atol=1e-10)
+            batched[row], rowwise_newton(start[row], d_w[row], kernel, solver), atol=1e-10)
 
 
 @pytest.mark.parametrize("L", [4, 8])
 @pytest.mark.parametrize("variant", ["splitting", "coupled"])
 def test_path_result_independent_of_block_size_and_position(L, variant):
     # Block composition may move the last bits of a GEMM row, never more.
-    mesh = build_uniform_mesh(L)
-    params = SchemeParams(horizon=1.0, n_steps=64, epsilon=EpsilonSchedule.fixed(0.05),
-                          amplitude=10.0)
-    solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), params.tau)
+    solver = solver_on(L, 64)
     n_paths = 37
-    inc = sample_increment_block(3, range(n_paths), params.horizon, params.n_steps)
-    start = np.tile(default_initial_state(mesh) - 0.3, (n_paths, 1))
+    inc = sample_increment_block(3, range(n_paths), 1.0, 64)
+    start = np.tile(default_initial_state(build_uniform_mesh(L)) - 0.3, (n_paths, 1))
 
     def final(rows):
-        return run_states(variant, start[rows], inc[rows], params, solver)[-1]
+        kernel = StepKernel(variant, 10.0, EpsilonSchedule.fixed(0.05), solver,
+                            start[rows].shape)
+        return run_states(kernel, start[rows], inc[rows])[-1]
 
     whole = final(np.arange(n_paths))
     for size in (1, 7):
@@ -335,23 +329,24 @@ def oracle_coupled(u, d_w, params, solver):
 
 
 ORACLES = {"splitting": oracle_splitting, "heat": oracle_heat, "coupled": oracle_coupled}
-PUBLIC_STEPS = {"splitting": splitting_step, "heat": heat_step, "coupled": coupled_step}
 
 
-def edge_case_setup(L, amplitude):
+def edge_case_setup(L):
     """Solver and a stack with values below 0, above 1, signed zeros, 0 and 1."""
-    mesh = build_uniform_mesh(L)
-    params = SchemeParams(horizon=1.0, n_steps=16, epsilon=EpsilonSchedule.fixed(0.05),
-                          amplitude=amplitude)
-    solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), params.tau)
-    d = mesh.n_cells
+    solver = solver_on(L, 16)
+    d = solver.n
     rng = np.random.default_rng(L)
     pattern = [-0.0, 0.0, 1.0, -0.25, 1.25, 0.5, -1e-300, 1.0 + 2.0 ** -52, 5e-324, -3.0]
     stack = np.vstack([np.resize(pattern, d), np.full(d, -0.0), np.zeros(d), np.ones(d),
                        rng.uniform(-1.0, 2.0, d), np.linspace(-0.5, 1.5, d)])
-    d_w = rng.standard_normal((len(stack), 6)) * np.sqrt(params.tau)
+    d_w = rng.standard_normal((len(stack), 6)) * np.sqrt(solver.tau)
     d_w[1, :] = 0.0
-    return params, solver, stack, d_w
+    return solver, stack, d_w
+
+
+def edge_case_kernel(variant, amplitude, solver, shape):
+    """A kernel of the edge cases: eps = 0.05 and tau = 1/16."""
+    return StepKernel(variant, amplitude, EpsilonSchedule.fixed(0.05), solver, shape)
 
 
 @pytest.mark.parametrize("L", [4, 9])
@@ -359,19 +354,22 @@ def edge_case_setup(L, amplitude):
 @pytest.mark.parametrize("variant", ["splitting", "heat", "coupled"])
 def test_step_kernel_matches_oracle_bitwise(L, amplitude, variant):
     assert (L * L <= DENSE_LIMIT) == (L == 4)  # one dense, one banded solver
-    params, solver, stack, d_w = edge_case_setup(L, amplitude)
-    kernel, oracle = StepKernel(variant, params, solver, stack.shape), ORACLES[variant]
+    solver, stack, d_w = edge_case_setup(L)
+    kernel = edge_case_kernel(variant, amplitude, solver, stack.shape)
+    oracle = ORACLES[variant]
     # Several steps, each fed the kernel's own output buffer.
     # Bytes, not values, are compared, so signed zeros must match too.
     got, expected = stack, stack
     for n in range(d_w.shape[1]):
         got = kernel(got, d_w[:, n])
-        expected = oracle(expected, d_w[:, n], params, solver)
+        expected = oracle(expected, d_w[:, n], kernel, solver)
         assert got.tobytes() == expected.tobytes()
-    # A state the kernel did not produce gets its own clip.
-    first = oracle(stack, d_w[:, 0], params, solver).tobytes()
+    # A state the kernel did not produce gets its own clip, in a used
+    # kernel as in a fresh one.
+    first = oracle(stack, d_w[:, 0], kernel, solver).tobytes()
     assert kernel(stack, d_w[:, 0]).tobytes() == first
-    assert PUBLIC_STEPS[variant](stack, d_w[:, 0], params, solver).tobytes() == first
+    fresh = edge_case_kernel(variant, amplitude, solver, stack.shape)
+    assert fresh(stack, d_w[:, 0]).tobytes() == first
 
 
 @pytest.mark.parametrize("L", [4, 9])
@@ -379,14 +377,14 @@ def test_step_kernel_matches_oracle_bitwise(L, amplitude, variant):
 def test_kernel_run_matches_per_step_oracle_bitwise(L, variant):
     # A long run carries the splitting clip from step to step in locals;
     # every step must still equal the oracle byte for byte.
-    params, solver, stack, _ = edge_case_setup(L, 7.0)
+    solver, stack, _ = edge_case_setup(L)
     n_steps = 64
     d_w = np.random.default_rng(L + 1).standard_normal((len(stack), n_steps))
-    d_w *= np.sqrt(params.tau)
-    kernel, oracle = StepKernel(variant, params, solver, stack.shape), ORACLES[variant]
+    d_w *= np.sqrt(solver.tau)
+    kernel, oracle = edge_case_kernel(variant, 7.0, solver, stack.shape), ORACLES[variant]
     expected, every = stack, []
     for n, got in kernel.run(stack, d_w):
-        expected = oracle(expected, d_w[:, n - 1], params, solver)
+        expected = oracle(expected, d_w[:, n - 1], kernel, solver)
         assert got.tobytes() == expected.tobytes(), f"step {n}"
         every.append(got.copy())
     assert n == n_steps
@@ -399,9 +397,9 @@ def test_kernel_run_matches_per_step_oracle_bitwise(L, variant):
 @pytest.mark.parametrize("L", [4, 9])
 @pytest.mark.parametrize("variant", ["splitting", "heat", "coupled"])
 def test_step_kernel_nan_row_ends_in_numerical_failure(L, variant):
-    params, solver, stack, d_w = edge_case_setup(L, 7.0)
+    solver, stack, d_w = edge_case_setup(L)
     stack[4, 3] = np.nan
-    kernel = StepKernel(variant, params, solver, stack.shape)
+    kernel = edge_case_kernel(variant, 7.0, solver, stack.shape)
     if variant == "coupled":
         with pytest.raises(NumericalFailure):
             kernel(stack, d_w[:, 0])
@@ -409,17 +407,17 @@ def test_step_kernel_nan_row_ends_in_numerical_failure(L, variant):
     got, expected = stack, stack
     for n in range(d_w.shape[1]):
         got = kernel(got, d_w[:, n])
-        expected = ORACLES[variant](expected, d_w[:, n], params, solver)
+        expected = ORACLES[variant](expected, d_w[:, n], kernel, solver)
         assert np.array_equal(got, expected, equal_nan=True)
     assert np.isnan(got).any(axis=1).tolist() == [False] * 4 + [True, False]
     with pytest.raises(NumericalFailure, match="path 4"):
-        require_finite(got, params.amplitude, params.n_steps)
+        require_finite(got, kernel.amplitude, 16)
 
 
 def test_trajectory_history_and_validation():
     # One step per increment column, and the final state alone on request.
-    u0, params, solver = benchmark_setup(4)
-    kernel = StepKernel("splitting", params, solver, u0.shape)
+    u0, solver = benchmark_setup(4)
+    kernel = benchmark_kernel("splitting", solver)
     history = [(n, state.copy()) for n, state in kernel.run(u0, QUARTERS)]
     assert [n for n, _ in history] == [1, 2, 3, 4]
     [(n, final)] = kernel.run(u0, QUARTERS, at=(4,))
@@ -428,30 +426,24 @@ def test_trajectory_history_and_validation():
 
 
 def test_constant_start_stays_constant_along_noisy_trajectory():
-    mesh = build_uniform_mesh(4)
-    params = SchemeParams(horizon=1.0, n_steps=12,
-                          epsilon=EpsilonSchedule.fixed(0.02), amplitude=9.0)
-    solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), params.tau)
-    rng = np.random.default_rng(14)
-    inc = rng.standard_normal(12) * np.sqrt(params.tau)
-    for state in run_states("splitting", np.full(16, 0.58), inc, params, solver):
+    solver = solver_on(4, 12)
+    kernel = StepKernel("splitting", 9.0, EpsilonSchedule.fixed(0.02), solver, (16,))
+    inc = np.random.default_rng(14).standard_normal(12) * np.sqrt(solver.tau)
+    for state in run_states(kernel, np.full(16, 0.58), inc):
         assert state.max() - state.min() <= 1e-10
 
 
 def test_zero_noise_constant_trajectory():
-    mesh = build_uniform_mesh(3)
-    params = SchemeParams(horizon=1.0, n_steps=5,
-                          epsilon=EpsilonSchedule.fixed(0.1), amplitude=0.0)
-    solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), params.tau)
-    u0 = np.full(9, 0.42)
-    for state in run_states("splitting", u0, np.zeros(5), params, solver):
+    kernel = StepKernel("splitting", 0.0, EpsilonSchedule.fixed(0.1), solver_on(3, 5), (9,))
+    for state in run_states(kernel, np.full(9, 0.42), np.zeros(5)):
         np.testing.assert_allclose(state, 0.42, atol=1e-13)
 
 
 def test_trajectory_csv_dump():
     # simulate's trajectory.csv: step 0 is the start field.
-    u0, params, solver = benchmark_setup(2)
-    states = run_states("splitting", u0, aggregate_increments(QUARTERS, 2), params, solver)
+    u0, solver = benchmark_setup(2)
+    states = run_states(benchmark_kernel("splitting", solver), u0,
+                        aggregate_increments(QUARTERS, 2))
     buf = io.StringIO()
     write_states_csv(buf, [u0] + states, first_step=0)
     lines = buf.getvalue().splitlines()
