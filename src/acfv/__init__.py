@@ -22,8 +22,8 @@ from .mesh import (Mesh, build_uniform_mesh, cell_average,
                    default_initial_state, export_mesh_csv,
                    squared_l2_distance)
 from .scheme import EpsilonSchedule, StepKernel
-from .stochastic import (aggregate_increments, diffusion_g, dump_increments,
-                         load_increments, sample_increment_block)
+from .stochastic import (diffusion_g, dump_increments, load_increments,
+                         sample_increment_block)
 
 __version__ = "0.1.0"
 
@@ -33,7 +33,7 @@ __all__ = [
     "assemble_mass", "assemble_stiffness",
     "ShiftedSolver",
     "psi_eps", "resolvent",
-    "sample_increment_block", "aggregate_increments", "diffusion_g",
+    "sample_increment_block", "diffusion_g",
     "dump_increments", "load_increments",
     "EpsilonSchedule", "StepKernel",
     "StudyConfig", "ExpectationResult", "ErrorCurve",

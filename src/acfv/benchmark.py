@@ -95,8 +95,9 @@ def run_benchmark_tables(path_file=None) -> BenchmarkReport:
 
     ``path_file`` may point at a CSV with four increments, and any other
     file is a ConfigError; by default the packaged ones are used.  The
-    same fine path drives both step counts: the two-step run uses
-    pairwise sums of the four increments.
+    same fine path drives both step counts: the two-step run uses the
+    path sums S2 and S4 - S2 (for the packaged path, bit for bit the
+    pairwise sums of the four increments).
     The start field is compared with its frozen values too.
     """
     path_file = path_file or increments_file()
@@ -108,7 +109,7 @@ def run_benchmark_tables(path_file=None) -> BenchmarkReport:
     # One path through both step counts, splitting and heat side by side;
     # the heat run at N = 4 is not a table.
     variants = ("splitting", "heat")
-    _, u0, runs = run_block(SCENARIO, None, fine[None], 0, dict.fromkeys((2, 4)), variants)
+    _, u0, runs = run_block(SCENARIO, None, fine[None], dict.fromkeys((2, 4)), variants)
     references = {"splitting_n2": SPLITTING_N2, "heat_n2": HEAT_N2,
                   "splitting_n4": SPLITTING_N4}
     tables = {name: [] for name in references}

@@ -25,7 +25,7 @@ from .experiments import (StudyConfig, convergence_study, expectation_study,
                           format_float, run_block, splitting_error_study,
                           write_error_csv, write_expectation_csv, write_fit_csv,
                           write_states_csv)
-from .stochastic import load_increments, sample_increment_block
+from .stochastic import load_increments
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -71,14 +71,19 @@ def _resolve_config(args) -> StudyConfig:
         # manifest records it.
         config = replace(benchmark.SCENARIO, path_file=config.path_file,
                          out_dir=config.out_dir)
+    if os.path.exists(config.out_dir) and not os.path.isdir(config.out_dir):
+        raise ConfigError(f"output directory {config.out_dir} exists and is not a directory")
     return config.validate()
 
 
 def _prepare_out(command: str, config: StudyConfig) -> str:
     manifest = build_manifest(command, config)
-    os.makedirs(config.out_dir, exist_ok=True)
-    with open(os.path.join(config.out_dir, "manifest.txt"), "w", encoding="ascii") as fh:
-        fh.write(manifest.text())
+    try:
+        os.makedirs(config.out_dir, exist_ok=True)
+        with open(os.path.join(config.out_dir, "manifest.txt"), "w", encoding="ascii") as fh:
+            fh.write(manifest.text())
+    except OSError as exc:
+        raise ConfigError(f"output directory {config.out_dir}: {exc.strerror}") from exc
     print(f"run {manifest.run_id} [{command}] -> {config.out_dir}")
     return config.out_dir
 
@@ -104,18 +109,18 @@ def cmd_simulate(config: StudyConfig) -> int:
         raise ConfigError(f"simulate runs one amplitude, got 'a' = {config.amplitudes}")
     if config.path_file is not None:
         # The injected path replaces the one sampled from 'seed' on N_max steps.
-        fine = load_increments(config.path_file)[None]
-        if config.n_fine not in (None, fine.shape[1]):
+        path = load_increments(config.path_file)[None]
+        n_fine = path.shape[1]
+        if config.n_fine not in (None, n_fine):
             raise ConfigError(f"'N_max' = {config.n_fine}, but path_file holds "
-                              f"{fine.shape[1]} increments")
+                              f"{n_fine} increments")
     else:
-        fine = sample_increment_block(config.seed, [0], config.horizon,
-                                      config.resolved_n_fine())
-    n_steps = config.n_steps or fine.shape[1]
-    if fine.shape[1] % n_steps:
-        raise ConfigError(f"N={n_steps} must divide the {fine.shape[1]} fine increments")
-    # The path runs as a one-row block.
-    _, u0, runs = run_block(config, None, fine, 0, {n_steps: None}, (config.variant,))
+        path, n_fine = range(1), config.resolved_n_fine()
+    n_steps = config.n_steps or n_fine
+    if n_fine % n_steps:
+        raise ConfigError(f"N={n_steps} must divide the {n_fine} fine increments")
+    # Path 0 runs as a one-row block.
+    _, u0, runs = run_block(config, None, path, {n_steps: None}, (config.variant,))
     states = [u0] + [state[0].copy() for _, _, _, (state,) in runs]
     target = os.path.join(_prepare_out("simulate", config), "trajectory.csv")
     write_states_csv(target, states, first_step=0)

@@ -16,11 +16,14 @@ Three studies are provided.
 
 Paths are processed in fixed-size blocks so per-path work is batched
 through the linear solver.  The path block is the unit of work, and one
-block serves every amplitude: it samples its increments once, and the
-block runner ``run_block`` aggregates them and factors one solver once
-per step count and steps the block at each amplitude on those shared
-paths.  ``simulate`` and the benchmark tables run their single path
-through the same runner as a one-row block.  Only the steps a study
+block serves every amplitude: the block runner ``run_block`` factors one
+solver per step count and streams the block through time in chunks of
+CHUNK fine steps.  Each chunk is sampled once, summed into the coarse
+increments of every step count (differences of the running path sum,
+see ``stochastic.coarse_chunks``) and stepped at each amplitude on those
+shared paths, so a block never holds more than a chunk of its path.
+``simulate`` and the benchmark tables run their single path through the
+same runner as a one-row block.  Only the steps a study
 reads (convergence: the last, expectation: the checkpoints, the gap:
 all) leave its step loop, and every number it reduces them to is
 checked to be finite.  The block size is a constant, deliberately not
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -43,7 +47,7 @@ from .errors import ConfigError, NumericalFailure
 from .linalg import ShiftedSolver
 from .mesh import build_uniform_mesh, default_initial_state
 from .scheme import EpsilonSchedule, StepKernel, VARIANTS
-from .stochastic import aggregate_increments, sample_increment_block
+from .stochastic import MAX_FINE_STEPS, coarse_chunks, increment_chunks
 from .textio import text_stream
 
 __all__ = [
@@ -61,6 +65,7 @@ __all__ = [
     "write_states_csv",
     "format_float",
     "PATH_BLOCK",
+    "CHUNK",
     "require_finite",
     "run_block",
 ]
@@ -69,6 +74,10 @@ __all__ = [
 # count) so that results are reproducible across any parallel layout.
 PATH_BLOCK = 256
 
+# Fine steps per time chunk of a path block (2 MiB of increments for
+# PATH_BLOCK paths); results do not depend on it, see run_block.
+CHUNK = 1024
+
 
 @dataclass(frozen=True)
 class StudyConfig:
@@ -76,7 +85,7 @@ class StudyConfig:
 
     ``n_fine`` is the finest step count; every entry of
     ``n_steps_list`` (and ``n_steps``, when set) must divide it, since
-    coarse runs are driven by aggregated fine increments.
+    coarse runs are driven by sums of the fine increments.
     """
 
     horizon: float = 1.0
@@ -120,8 +129,9 @@ class StudyConfig:
         if any(a < 0 for a in self.amplitudes) or not self.amplitudes:
             raise ConfigError("amplitudes must be nonnegative and nonempty")
         n_fine = self.resolved_n_fine()
-        if n_fine < 1:
-            raise ConfigError("N_max must be >= 1")
+        if not 1 <= n_fine <= MAX_FINE_STEPS:
+            raise ConfigError(f"N_max must be in 1..{MAX_FINE_STEPS}, the longest path "
+                              f"whose sums stay exact, got {n_fine}")
         for n in (*self.n_steps_list, *( (self.n_steps,) if self.n_steps else () )):
             if n < 1 or n_fine % n:
                 raise ConfigError(f"step count {n} must divide N_max={n_fine}")
@@ -178,47 +188,62 @@ def _map_blocks(fn, config: StudyConfig, args, workers):
         return [future.result() for future in futures]
 
 
-def _sample_block(config: StudyConfig, lo, hi):
-    """Fine increments of paths lo..hi-1, one row per path."""
-    return sample_increment_block(config.seed, range(lo, hi), config.horizon,
-                                  config.resolved_n_fine())
+def run_block(config: StudyConfig, initial_state, paths, at, variants):
+    """Run a block of paths at every amplitude and step count N of ``at``.
 
-
-def run_block(config: StudyConfig, initial_state, fine, lo, at, variants):
-    """Run the paths of ``fine`` at every amplitude and step count N of ``at``.
-
-    ``fine`` holds one row of fine increments per path, row i for path
-    lo + i, and every N must divide its length.  ``at[N]`` names the steps
-    whose states the caller reads (None: every step).  The mesh, the start
-    field and the operators are built once.  Returns the mesh, the start
-    field and a generator over the runs: per N it aggregates the
-    increments and builds one ShiftedSolver, per amplitude (index k into
-    ``config.amplitudes``) one StepKernel per variant, each stepping its own
-    (p, d) stack, and yields (k, N, n, states) after each named step n, one
-    stack per variant, the last of them checked to be finite.  The stacks
-    are kernel buffers (see ``StepKernel.run``); the last one yielded for a
-    (k, N) stays valid, as each has its own kernels.
+    ``paths`` is a range of path indices, whose fine increments are
+    sampled from ``config.seed`` over ``config.resolved_n_fine()`` steps in
+    chunks of CHUNK, or an array of fine increments with one row per path
+    (path 0 first), run as one chunk; every N must divide the fine step
+    count.  ``at[N]`` names the steps whose states the caller reads (None:
+    every step).  The mesh, the start field and the operators are built
+    once.  Returns the mesh, the start field and a generator over the
+    runs: it builds one ShiftedSolver per N and, per amplitude (index k
+    into ``config.amplitudes``), one StepKernel per variant, each stepping
+    its own (p, d) stack.  Chunk by chunk, every kernel takes the steps of
+    its N that end in the chunk and resumes from its own output in the
+    next, and the generator yields (k, N, n, states) after each named
+    step n, one stack per variant: steps come in order for each (k, N),
+    while different N interleave by chunk.  The stacks are kernel buffers
+    (see ``StepKernel.run``); the last one yielded for a (k, N) stays
+    valid, as each has its own kernels.  After the last chunk, each
+    (k, N)'s final states are checked to be finite.
     """
     mesh = build_uniform_mesh(config.cells_per_axis, config.half_width)
     u0 = (default_initial_state(mesh) if initial_state is None
           else np.asarray(initial_state, dtype=float))
     mass, stiffness = assemble_mass(mesh), assemble_stiffness(mesh)
-    start = np.tile(u0, (len(fine), 1))
+    if isinstance(paths, range):
+        lo, n_fine = paths.start, config.resolved_n_fine()
+        chunks = increment_chunks(config.seed, paths, config.horizon, n_fine, CHUNK)
+    else:
+        paths = np.asarray(paths, dtype=float)
+        lo, n_fine, chunks = 0, paths.shape[1], [paths]
+    start = np.tile(u0, (len(paths), 1))
 
     def runs():
-        for n_steps, steps in at.items():
+        kernels = {}
+        for n_steps in at:
             solver = ShiftedSolver(mass, stiffness, config.horizon / n_steps)
-            # The fine block drives its own step count: a copy would double
-            # the block's largest array.
-            inc = fine if n_steps == fine.shape[-1] else aggregate_increments(fine, n_steps)
             for k, amplitude in enumerate(config.amplitudes):
-                kernels = [StepKernel(variant, amplitude, config.epsilon, solver, start.shape)
-                           for variant in variants]
-                for taken in zip(*(kernel.run(start, inc, steps) for kernel in kernels)):
-                    states = [state for _, state in taken]
-                    yield k, n_steps, taken[0][0], states
-                require_finite(np.hstack(states), amplitude, n_steps, lo)
-            del inc  # freed before the next N aggregates its own
+                kernels[k, n_steps] = [StepKernel(variant, amplitude, config.epsilon,
+                                                  solver, start.shape) for variant in variants]
+        taken = dict.fromkeys(at, 0)
+        for coarse in coarse_chunks(chunks, n_fine, at):
+            for n_steps, inc in coarse.items():
+                first = taken[n_steps] + 1
+                for k in range(len(config.amplitudes)):
+                    group = kernels[k, n_steps]
+                    # zip_longest, unlike zip, takes every kernel to the chunk's
+                    # end, past its last named step
+                    for steps in zip_longest(*(kernel.run(start if first == 1 else kernel.out,
+                                                          inc, at[n_steps], first)
+                                               for kernel in group)):
+                        yield k, n_steps, steps[0][0], [state for _, state in steps]
+                taken[n_steps] += inc.shape[1]
+        for (k, n_steps), group in kernels.items():
+            require_finite(np.hstack([kernel.out for kernel in group]),
+                           config.amplitudes[k], n_steps, lo)
 
     return mesh, u0, runs()
 
@@ -246,8 +271,8 @@ class ExpectationResult:
 def _expectation_block(config: StudyConfig, lo, hi):
     """Initial mean, and per (amplitude, checkpoint) the cell sums over the block's paths."""
     cps = config.checkpoints or (config.n_steps,)
-    _, u0, runs = run_block(config, None, _sample_block(config, lo, hi), lo,
-                            {config.n_steps: cps}, (config.variant,))
+    _, u0, runs = run_block(config, None, range(lo, hi), {config.n_steps: cps},
+                            (config.variant,))
     sums = {(k, n): state.sum(axis=0) for k, _, n, (state,) in runs}
     return float(u0.mean()), np.array([[sums[k, n] for n in cps]
                                        for k in range(len(config.amplitudes))])
@@ -288,13 +313,12 @@ def _error_block(config: StudyConfig, n_list, initial_state, lo, hi):
     """Per amplitude, the per-path squared L2 gap between the N_max run and each N of ``n_list``."""
     n_fine = config.resolved_n_fine()
     # N_max runs once, also when n_list holds it (its error is then zero).
-    mesh, _, runs = run_block(config, initial_state, _sample_block(config, lo, hi), lo,
+    mesh, _, runs = run_block(config, initial_state, range(lo, hi),
                               {n: (n,) for n in (n_fine, *n_list)}, (config.variant,))
-    finest, errors = {}, {}
-    for k, n_steps, _, (state,) in runs:
-        if n_steps == n_fine:
-            finest[k] = state
-        diff = finest[k] - state
+    final = {(k, n_steps): state for k, n_steps, _, (state,) in runs}
+    errors = {}
+    for (k, n_steps), state in final.items():
+        diff = final[k, n_fine] - state
         errors[k, n_steps] = (diff * diff) @ mesh.cell_measures
     return np.array([np.column_stack([errors[k, n] for n in n_list])
                      for k in range(len(config.amplitudes))])
@@ -373,8 +397,8 @@ def convergence_study(config: StudyConfig, initial_state=None, workers=1) -> lis
 def _splitting_gap_block(config: StudyConfig, n_list, initial_state, lo, hi):
     """Per-path maximum cell gap between the two methods after every step."""
     gaps = {n_steps: np.empty((hi - lo, n_steps)) for n_steps in n_list}
-    _, _, runs = run_block(config, initial_state, _sample_block(config, lo, hi), lo,
-                           dict.fromkeys(n_list), ("splitting", "coupled"))
+    _, _, runs = run_block(config, initial_state, range(lo, hi), dict.fromkeys(n_list),
+                           ("splitting", "coupled"))
     for _, n_steps, n, (u_split, u_coupled) in runs:
         gaps[n_steps][:, n - 1] = np.max(np.abs(u_coupled - u_split), axis=1)
     return gaps

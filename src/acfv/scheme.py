@@ -18,7 +18,8 @@ States may be a single field of shape (d,) or a stack of per-path
 fields of shape (p, d) with one increment per row, and every step moves
 the whole stack through the prefactored operator at once.  Calling a
 kernel takes one step; ``StepKernel.run`` steps a whole increment block
-in one loop that yields its buffer only after the steps its caller names.
+in one loop that yields its buffer only after the steps its caller names,
+and a later call can resume from that buffer with the next block.
 """
 
 from __future__ import annotations
@@ -81,7 +82,8 @@ class StepKernel:
     """The step map of one variant, built once per (variant, a, eps schedule, solver, shape).
 
     It holds the step's scalars (a, tau = solver.tau, eps = epsilon(tau),
-    kappa = eps/(eps + tau)) and scratch buffers of the state shape.
+    kappa = eps/(eps + tau)) and scratch buffers of the state shape, and
+    ``out``, the buffer holding the state after the last step taken.
     ``run`` steps with in-place ufuncs in the order of ``diffusion_g`` and
     ``resolvent``:
     w = u + ((a c)(1 - c)) dW, the heat propagator, then c + kappa (r - c),
@@ -96,28 +98,31 @@ class StepKernel:
         self.amplitude, self.tau = amplitude, solver.tau
         self.eps = epsilon.value(self.tau)
         self.kappa = self.eps / (self.eps + self.tau)
-        self._clip, self._noisy, self._tmp, self._out = (np.empty(shape) for _ in range(4))
+        self._clip, self._noisy, self._tmp, self.out = (np.empty(shape) for _ in range(4))
 
     def __call__(self, u_prev, d_w):
         """One step with increment d_w (one per row of a stack) into the output buffer."""
         return next(self.run(u_prev, np.asarray(d_w, dtype=float)[..., None]))[1]
 
-    def run(self, u0, increments, at=None):
+    def run(self, u0, increments, at=None, first=1):
         """Step u0 once per increment column; yield (n, state) after each step n in ``at``.
 
         ``increments`` has the step count on its last axis, one row per path
-        of a (p, d) stack, and step n reads column n - 1 as a view; ``at``
-        None yields every step.  The state is the kernel's output buffer,
-        read-only to the caller and valid until the generator resumes (the
-        last one until the kernel runs again).
+        of a (p, d) stack, and its columns are steps first, first + 1, ...
+        read as views; ``at`` None yields every step.  The state is the
+        kernel's output buffer ``out``, read-only to the caller and valid
+        until the generator resumes (the last one until the kernel runs
+        again).  ``run(kernel.out, more, at, first=n + 1)`` resumes a run
+        after its step n, bit for bit as if it had not stopped.
         """
         variant, amplitude, kappa = self.variant, self.amplitude, self.kappa
         apply_markov = self.solver.apply_markov
-        c, w, tmp, out = self._clip, self._noisy, self._tmp, self._out
+        c, w, tmp, out = self._clip, self._noisy, self._tmp, self.out
         lo, hi = np.zeros(()), np.ones(())  # ndarray.clip is quicker with array bounds
-        # carried: c == clip(u), left by a splitting step as clip(resolvent(r)) == clip(r)
+        # carried: c == clip(u), left by a splitting step as clip(resolvent(r)) == clip(r);
+        # a resumed run clips again, which gives the same c
         u, carried = np.asarray(u0, dtype=float), False
-        for n, d_w in enumerate(np.asarray(increments, dtype=float).T[..., None], 1):
+        for n, d_w in enumerate(np.asarray(increments, dtype=float).T[..., None], first):
             if not carried:
                 u.clip(lo, hi, out=c)
             np.multiply(c, amplitude, out=w)

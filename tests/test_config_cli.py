@@ -213,6 +213,31 @@ def test_bad_path_file_is_a_configuration_error(tmp_path, capsys, command, keys,
     assert not out.exists()
 
 
+def test_out_naming_a_file_is_rejected_before_the_study(tmp_path, capsys, monkeypatch):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+
+    def no_study(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(cli, "splitting_error_study", no_study)
+    assert run_cli("splitting-error", "--preset", "desk", "--paths", "4",
+                   "--out", str(afile)) == 2
+    assert f"output directory {afile} exists and is not a directory" in capsys.readouterr().err
+    assert afile.read_text() == "kept\n"
+
+
+def test_out_below_a_file_is_a_configuration_error(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("L = 2\nN = 4\nN_p = 2\n")
+    out = afile / "sub"
+    assert run_cli("expectation", "--config", str(cfg), "--out", str(out)) == 2
+    assert f"output directory {out}: Not a directory" in capsys.readouterr().err
+    assert afile.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("command, keys", [
     ("expectation", "N = 8\n"),
     ("convergence", "N_max = 32\nN_list = 8,16\n"),

@@ -1,6 +1,7 @@
 """Monte Carlo studies: configs, oracles, determinism and CSV output."""
 
 import io
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from acfv.experiments import (PATH_BLOCK, ErrorCurve, StudyConfig, _mean_errors,
                               splitting_gap_errors, write_error_csv,
                               write_expectation_csv, write_fit_csv)
 from acfv.scheme import EpsilonSchedule
-from acfv.stochastic import sample_increment_block
+from acfv.stochastic import MAX_FINE_STEPS
 
 
 def small_config(**overrides):
@@ -77,10 +78,9 @@ def test_block_runner_yields_exactly_the_steps_asked_for(variants):
     config = small_config(n_steps=None, n_fine=64, n_steps_list=(16, 64), checkpoints=(),
                           epsilon=EpsilonSchedule.fixed(0.05), amplitudes=(7.0, 2.0))
     start = np.linspace(-0.4, 1.3, 9)  # the penalty is active from the first step
-    fine = sample_increment_block(config.seed, range(3, 8), config.horizon, 64)
 
     def collect(at):
-        _, _, runs = run_block(config, start, fine, 3, at, variants)
+        _, _, runs = run_block(config, start, range(3, 8), at, variants)
         return {(k, n_steps, n): [state.tobytes() for state in states]
                 for k, n_steps, n, states in runs}
 
@@ -96,11 +96,56 @@ def test_block_runner_yields_exactly_the_steps_asked_for(variants):
         assert states == every[key]
 
 
+def test_results_do_not_depend_on_the_chunk_length(monkeypatch):
+    # Coarse steps span chunk edges (N = 8 steps over 45 fine ones); every
+    # per-path error and gap, and every yielded step, keeps its bits.
+    config = small_config(n_steps=None, n_fine=360, n_steps_list=(8, 24, 45, 120),
+                          checkpoints=(), epsilon=EpsilonSchedule.fixed(0.05),
+                          amplitudes=(1.0, 30.0), n_paths=5)
+    start = np.linspace(-0.4, 1.3, 9)
+    at = {360: (1, 200, 360), 8: None, 45: (7, 45)}
+
+    def outputs():
+        _, _, runs = run_block(config, start, range(2, 5), at, ("splitting", "coupled"))
+        steps = {(k, n_steps, n): [state.tobytes() for state in states]
+                 for k, n_steps, n, states in runs}
+        errors = experiments._error_block(config, (8, 24, 45, 120), start, 0, 5)
+        gaps = experiments._splitting_gap_block(replace(config, amplitudes=(30.0,)),
+                                                (8, 45), start, 0, 5)
+        return steps, errors.tobytes(), [gaps[n].tobytes() for n in (8, 45)]
+
+    reference = outputs()
+    for chunk in (1, 7, 64, 360):
+        monkeypatch.setattr(experiments, "CHUNK", chunk)
+        assert outputs() == reference
+
+
+def test_a_convergence_block_holds_no_whole_path():
+    # The block's increments alone take p N_max 8 bytes; streamed in
+    # chunks, its whole run stays far below that.
+    paths, n_fine = 64, 2 ** 15
+    config = StudyConfig(cells_per_axis=2, n_fine=n_fine, n_steps_list=(16, 2 ** 13),
+                         n_paths=paths).validate()
+    tracemalloc.start()
+    try:
+        experiments._error_block(config, config.n_steps_list, None, 0, paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < paths * n_fine * 8 / 4
+
+
+def test_n_max_is_bounded_by_exact_path_sums():
+    assert StudyConfig(n_fine=MAX_FINE_STEPS).validate().resolved_n_fine() == 505337
+    with pytest.raises(ConfigError, match="N_max must be in 1..505337"):
+        StudyConfig(n_fine=MAX_FINE_STEPS + 1).validate()
+
+
 def test_a_block_samples_and_factors_once_for_all_amplitudes(monkeypatch):
-    # Two path blocks, three amplitudes: the increments are sampled once
-    # per block and one solver is factored per (block, N).
+    # Two path blocks, three amplitudes: each block streams its increments
+    # once and one solver is factored per (block, N).
     calls = {"sample": 0, "solver": 0}
-    sample, solver = experiments.sample_increment_block, experiments.ShiftedSolver
+    sample, solver = experiments.increment_chunks, experiments.ShiftedSolver
 
     def counting_sample(*args):
         calls["sample"] += 1
@@ -110,7 +155,7 @@ def test_a_block_samples_and_factors_once_for_all_amplitudes(monkeypatch):
         calls["solver"] += 1
         return solver(*args)
 
-    monkeypatch.setattr(experiments, "sample_increment_block", counting_sample)
+    monkeypatch.setattr(experiments, "increment_chunks", counting_sample)
     monkeypatch.setattr(experiments, "ShiftedSolver", counting_solver)
     config = StudyConfig(cells_per_axis=2, n_fine=16, n_steps_list=(4, 8),
                          n_paths=PATH_BLOCK + 3, amplitudes=(1.0, 3.0, 10.0)).validate()

@@ -13,10 +13,11 @@ from acfv.experiments import require_finite, write_states_csv
 from acfv.linalg import DENSE_LIMIT, ShiftedSolver
 from acfv.mesh import build_uniform_mesh, default_initial_state
 from acfv.scheme import EpsilonSchedule, StepKernel
-from acfv.stochastic import (aggregate_increments, diffusion_g,
-                             sample_increment_block)
+from acfv.stochastic import diffusion_g, sample_increment_block
 
 QUARTERS = np.array(benchmark.QUARTER_INCREMENTS)
+# The two-step increments: pairwise sums of the quarters.
+HALVES = QUARTERS.reshape(2, 2).sum(axis=1)
 
 
 def solver_on(L, n_steps):
@@ -67,7 +68,7 @@ def test_step_kernel_reads_tau_from_its_solver(epsilon):
 def test_splitting_two_step_table():
     u0, solver = benchmark_setup(2)
     step = benchmark_kernel("splitting", solver)
-    inc = aggregate_increments(QUARTERS, 2)
+    inc = HALVES
     u1 = step(u0, inc[0])
     np.testing.assert_allclose(u1, benchmark.SPLITTING_N2[0], atol=1e-6)
     u2 = step(u1, inc[1])
@@ -77,7 +78,7 @@ def test_splitting_two_step_table():
 def test_heat_two_step_table():
     u0, solver = benchmark_setup(2)
     step = benchmark_kernel("heat", solver)
-    inc = aggregate_increments(QUARTERS, 2)
+    inc = HALVES
     u1 = step(u0, inc[0])
     np.testing.assert_allclose(u1, benchmark.HEAT_N2[0], atol=1e-6)
     np.testing.assert_allclose(u1, benchmark.SPLITTING_N2[0], atol=1e-6)
@@ -101,7 +102,7 @@ def test_full_four_step_trajectory():
 
 def test_coupled_matches_splitting_when_penalty_inactive():
     u0, solver = benchmark_setup(2)
-    inc = aggregate_increments(QUARTERS, 2)
+    inc = HALVES
     split = benchmark_kernel("splitting", solver)(u0, inc[0])
     assert np.all((split >= 0) & (split <= 1))
     coupled = benchmark_kernel("coupled", solver)(u0, inc[0])
@@ -231,9 +232,30 @@ def test_stacked_states_match_single_paths():
         assert [s.tobytes() for s in row] == [s.tobytes() for s in field]
 
 
+@pytest.mark.parametrize("variant", ["splitting", "heat", "coupled"])
+def test_run_resumed_across_chunks_matches_one_run(variant):
+    # A block is stepped chunk by chunk, each run resuming from the
+    # kernel's own output buffer: bit for bit one uninterrupted run.
+    solver = solver_on(3, 40)
+    start = np.tile(np.linspace(-0.4, 1.3, 9), (5, 1))  # the penalty is active at once
+    inc = sample_increment_block(8, range(5), 1.0, 40)
+    at = (1, 7, 8, 23, 40)
+
+    def kernel():
+        return StepKernel(variant, 9.0, EpsilonSchedule.fixed(0.05), solver, start.shape)
+
+    whole = [(n, state.tobytes()) for n, state in kernel().run(start, inc, at)]
+    resumed, chunked = [], kernel()
+    for lo, hi in ((0, 7), (7, 8), (8, 31), (31, 40)):
+        u = start if lo == 0 else chunked.out
+        resumed += [(n, state.tobytes())
+                    for n, state in chunked.run(u, inc[:, lo:hi], at, first=lo + 1)]
+    assert resumed == whole
+
+
 def test_coupled_kernel_stacked_rows():
     u0, solver = benchmark_setup(2)
-    inc = aggregate_increments(QUARTERS, 2)
+    inc = HALVES
     stacked = benchmark_kernel("coupled", solver, (2, 4))(np.tile(u0, (2, 1)), inc[:2])
     single = benchmark_kernel("coupled", solver)
     np.testing.assert_allclose(stacked[0], single(u0, inc[0]))
@@ -443,7 +465,7 @@ def test_trajectory_csv_dump():
     # simulate's trajectory.csv: step 0 is the start field.
     u0, solver = benchmark_setup(2)
     states = run_states(benchmark_kernel("splitting", solver), u0,
-                        aggregate_increments(QUARTERS, 2))
+                        HALVES)
     buf = io.StringIO()
     write_states_csv(buf, [u0] + states, first_step=0)
     lines = buf.getvalue().splitlines()

@@ -1,4 +1,4 @@
-"""Path generation, aggregation exactness and the diffusion coefficient."""
+"""Path generation, streamed path sums, their exactness and the diffusion coefficient."""
 
 import io
 
@@ -6,14 +6,35 @@ import numpy as np
 import pytest
 
 from acfv.benchmark import QUARTER_INCREMENTS
-from acfv.stochastic import (aggregate_increments, diffusion_g,
-                             dump_increments, load_increments,
+from scipy.special import ndtri
+
+from acfv.stochastic import (MAX_FINE_STEPS, coarse_chunks, diffusion_g,
+                             dump_increments, increment_chunks, load_increments,
                              sample_increment_block)
 
 
 def one_path(seed, path_index, horizon, n_fine):
     """The fine increments of one path, as a one-row block."""
     return sample_increment_block(seed, [path_index], horizon, n_fine)[0]
+
+
+def split(fine, chunk):
+    """The (p, n) increments ``fine`` as consecutive chunks of ``chunk`` steps."""
+    return [fine[:, lo:lo + chunk] for lo in range(0, fine.shape[1], chunk)]
+
+
+def ladders(chunks, n_fine, step_counts):
+    """Each step count's coarse increments, the chunks of coarse_chunks side by side."""
+    parts = {n: [] for n in step_counts}
+    for coarse in coarse_chunks(chunks, n_fine, step_counts):
+        for n, inc in coarse.items():
+            parts[n].append(inc)
+    return {n: np.hstack(inc) for n, inc in parts.items()}
+
+
+def reshape_sums(fine, n_coarse):
+    """Oracle: the fine increments of each coarse interval summed, per row."""
+    return fine.reshape(len(fine), n_coarse, -1).sum(axis=2)
 
 
 def test_paths_are_deterministic_per_key():
@@ -47,49 +68,93 @@ def test_block_matches_individual_paths():
                                       sample_increment_block(5, [idx], 2.0, 32)[0])
 
 
+def documented_increments(seed, path_index, horizon, n_fine):
+    """Oracle: the module docstring's map, one whole path at a time."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, path_index],
+                                                            dtype=np.uint64)))
+    bits = gen.integers(0, 2 ** 64, size=n_fine, dtype=np.uint64)
+    u = np.minimum(((bits >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53,
+                   1.0 - 2.0 ** -53)
+    sigma = np.sqrt(horizon / n_fine)
+    quantum = 2.0 ** (np.floor(np.log2(sigma)) - 30)
+    return np.round(ndtri(u) * sigma / quantum) * quantum
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 96, 100])
+def test_chunks_side_by_side_equal_the_block(chunk):
+    block = np.array([documented_increments(5, idx, 2.0, 96) for idx in range(3, 6)])
+    assert sample_increment_block(5, range(3, 6), 2.0, 96).tobytes() == block.tobytes()
+    chunks = list(increment_chunks(5, range(3, 6), 2.0, 96, chunk))
+    assert [c.shape for c in chunks[:-1]] == [(3, chunk)] * (len(chunks) - 1)
+    assert np.hstack(chunks).tobytes() == block.tobytes()
+
+
+def test_sums_below_the_fine_step_limit_are_exact():
+    # Every increment is at most 8.3 sigma, under 8.3 2^31 lattice quanta,
+    # so MAX_FINE_STEPS of them sum to less than 2^53 quanta, and one more may not.
+    assert abs(ndtri(2.0 ** -54)) < 8.3 and ndtri(1.0 - 2.0 ** -53) < 8.3
+    assert MAX_FINE_STEPS * 8.3 * 2 ** 31 < 2 ** 53 <= (MAX_FINE_STEPS + 1) * 8.3 * 2 ** 31
+    for n_fine in (1, 3, 1000):
+        path = sample_increment_block(2, [0], 1.0, n_fine)[0]
+        quantum = 2.0 ** (np.floor(np.log2(np.sqrt(1.0 / n_fine))) - 30)
+        steps = path / quantum
+        assert (steps == np.round(steps)).all()
+        assert np.abs(steps).max() < 8.3 * 2 ** 31
+
+
 def test_aggregate_benchmark_quarters():
-    coarse = aggregate_increments(np.array(QUARTER_INCREMENTS), 2)
-    np.testing.assert_allclose(coarse, [0.08910183, -0.92529078], atol=1e-7)
-    # and the sums are the plain pairwise ones
-    assert coarse[0] == QUARTER_INCREMENTS[0] + QUARTER_INCREMENTS[1]
-    assert coarse[1] == QUARTER_INCREMENTS[2] + QUARTER_INCREMENTS[3]
+    # The two-step table run uses the path sums S2 and S4 - S2; for the
+    # packaged path they are the pairwise sums bit for bit.
+    coarse = ladders([np.array(QUARTER_INCREMENTS)[None]], 4, (2, 4))
+    np.testing.assert_allclose(coarse[2][0], [0.08910183, -0.92529078], atol=1e-7)
+    assert coarse[2][0, 0] == QUARTER_INCREMENTS[0] + QUARTER_INCREMENTS[1]
+    assert coarse[2][0, 1] == QUARTER_INCREMENTS[2] + QUARTER_INCREMENTS[3]
+    assert coarse[4][0].tolist() == list(QUARTER_INCREMENTS)
 
 
 def test_aggregate_identity_and_total_sum():
-    path = one_path(1, 2, 1.0, 240)
-    np.testing.assert_array_equal(aggregate_increments(path, 240), path)
-    for n in (1, 2, 6, 30, 120):
-        coarse = aggregate_increments(path, n)
+    path = sample_increment_block(1, [2], 1.0, 240)
+    coarse = ladders(split(path, 50), 240, (240, 1, 2, 6, 30, 120))
+    np.testing.assert_array_equal(coarse[240], path)
+    for inc in coarse.values():
         # lattice-valued increments make these sums exact
-        assert coarse.sum() == path.sum()
+        assert inc.sum() == path.sum()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 50, 64, 360, 500])
+def test_path_sum_ladders_match_reshape_sums(chunk):
+    # Coarse steps longer than a chunk, and chunk edges inside a coarse
+    # interval, still give the plain sums per interval bit for bit.
+    block = sample_increment_block(4, range(3), 1.0, 360)
+    step_counts = (360, 1, 2, 3, 5, 8, 9, 24, 45, 72, 120, 180)
+    coarse = ladders(split(block, chunk), 360, step_counts)
+    for n in step_counts:
+        assert coarse[n].tobytes() == reshape_sums(block, n).tobytes()
 
 
 def test_aggregation_is_exactly_coherent():
-    # Aggregating fine -> mid -> coarse equals fine -> coarse bitwise,
-    # for divisor chains that are not powers of two.
-    path = one_path(9, 4, 1.0, 360)
+    # Summing fine -> mid -> coarse equals fine -> coarse bitwise, for
+    # divisor chains that are not powers of two.
+    path = sample_increment_block(9, [4], 1.0, 360)
+    coarse = ladders(split(path, 64), 360, (120, 24, 90, 6, 180, 12, 60, 4))
     for n_mid, n_coarse in ((120, 24), (90, 6), (180, 12), (60, 4)):
-        mid = aggregate_increments(path, n_mid)
-        staged = aggregate_increments(mid, n_coarse)
-        direct = aggregate_increments(path, n_coarse)
-        np.testing.assert_array_equal(staged, direct)
+        np.testing.assert_array_equal(reshape_sums(coarse[n_mid], n_coarse), coarse[n_coarse])
 
 
 def test_aggregate_rejects_non_divisors():
-    path = one_path(0, 0, 1.0, 16)
-    with pytest.raises(ValueError):
-        aggregate_increments(path, 3)
-    with pytest.raises(ValueError):
-        aggregate_increments(path, 0)
+    path = sample_increment_block(0, [0], 1.0, 16)
+    for n in (3, 0):
+        with pytest.raises(ValueError):
+            next(coarse_chunks([path], 16, (n,)))
 
 
 def test_aggregate_stacked_paths():
     block = sample_increment_block(3, range(4), 1.0, 24)
-    coarse = aggregate_increments(block, 6)
+    coarse = ladders(split(block, 5), 24, (6,))[6]
     assert coarse.shape == (4, 6)
     for row in range(4):
-        np.testing.assert_array_equal(coarse[row],
-                                      aggregate_increments(block[row], 6))
+        np.testing.assert_array_equal(coarse[row], ladders(split(block[row:row + 1], 5),
+                                                           24, (6,))[6][0])
 
 
 def test_diffusion_support_and_values():
