@@ -116,7 +116,7 @@ def cmd_simulate(config: StudyConfig) -> int:
                               f"{n_fine} increments")
     else:
         path, n_fine = range(1), config.resolved_n_fine()
-    n_steps = config.n_steps or n_fine
+    n_steps = n_fine if config.n_steps is None else config.n_steps
     if n_fine % n_steps:
         raise ConfigError(f"N={n_steps} must divide the {n_fine} fine increments")
     # Path 0 runs as a one-row block.

@@ -140,6 +140,10 @@ def config_from_mapping(mapping: dict, base_dir: str = ".") -> StudyConfig:
     rule = mapping.pop("eps_rule", None)
     eps_c = mapping.pop("eps_c", None)
     eps_p = mapping.pop("eps_p", None)
+    if eps_c is not None and not 0 < eps_c < float("inf"):
+        raise ConfigError(f"'eps_c' must be positive and finite, got {eps_c}")
+    if eps_p is not None and not abs(eps_p) < float("inf"):
+        raise ConfigError(f"'eps_p' must be finite, got {eps_p}")
     if rule is None:
         epsilon = StudyConfig().epsilon
     elif rule == "fixed":

@@ -20,8 +20,9 @@ block serves every amplitude: the block runner ``run_block`` factors one
 solver per step count and streams the block through time in chunks of
 CHUNK fine steps.  Each chunk is sampled once, summed into the coarse
 increments of every step count (differences of the running path sum,
-see ``stochastic.coarse_chunks``) and stepped at each amplitude on those
-shared paths, so a block never holds more than a chunk of its path.
+see ``stochastic.coarse_chunks``) and stepped at every amplitude and step
+count on those shared paths, as one stack per variant, so a block never
+holds more than a chunk of its path.
 ``simulate`` and the benchmark tables run their single path through the
 same runner as a one-row block.  Only the steps a study
 reads (convergence: the last, expectation: the checkpoints, the gap:
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import zip_longest
 
 import numpy as np
 
@@ -114,25 +114,30 @@ class StudyConfig:
         raise ConfigError("no step counts given (need N, N_list or N_max)")
 
     def validate(self) -> "StudyConfig":
-        if self.horizon <= 0:
-            raise ConfigError("T must be positive")
+        # Each check is written so that NaN fails it.
+        if not 0 < self.horizon < np.inf:
+            raise ConfigError(f"'T' must be positive and finite, got {self.horizon}")
         if self.cells_per_axis < 1:
             raise ConfigError("L must be >= 1")
         if self.n_paths < 1:
             raise ConfigError("N_p must be >= 1")
-        if self.half_width <= 0:
-            raise ConfigError("domain_half_width must be positive")
+        if not 0 < self.half_width < np.inf:
+            raise ConfigError(f"'domain_half_width' must be positive and finite, "
+                              f"got {self.half_width}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}")
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
-        if any(a < 0 for a in self.amplitudes) or not self.amplitudes:
-            raise ConfigError("amplitudes must be nonnegative and nonempty")
+        if not self.amplitudes or not all(0 <= a < np.inf for a in self.amplitudes):
+            raise ConfigError(f"'a' must be nonempty, nonnegative and finite, "
+                              f"got {self.amplitudes}")
+        if self.n_steps is not None and self.n_steps < 1:
+            raise ConfigError(f"'N' must be a positive step count, got {self.n_steps}")
         n_fine = self.resolved_n_fine()
         if not 1 <= n_fine <= MAX_FINE_STEPS:
             raise ConfigError(f"N_max must be in 1..{MAX_FINE_STEPS}, the longest path "
                               f"whose sums stay exact, got {n_fine}")
-        for n in (*self.n_steps_list, *( (self.n_steps,) if self.n_steps else () )):
+        for n in (*self.n_steps_list, *(() if self.n_steps is None else (self.n_steps,))):
             if n < 1 or n_fine % n:
                 raise ConfigError(f"step count {n} must divide N_max={n_fine}")
         for i, n in enumerate(self.n_steps_list):
@@ -198,15 +203,17 @@ def run_block(config: StudyConfig, initial_state, paths, at, variants):
     count.  ``at[N]`` names the steps whose states the caller reads (None:
     every step).  The mesh, the start field and the operators are built
     once.  Returns the mesh, the start field and a generator over the
-    runs: it builds one ShiftedSolver per N and, per amplitude (index k
-    into ``config.amplitudes``), one StepKernel per variant, each stepping
-    its own (p, d) stack.  Chunk by chunk, every kernel takes the steps of
-    its N that end in the chunk and resumes from its own output in the
-    next, and the generator yields (k, N, n, states) after each named
-    step n, one stack per variant: steps come in order for each (k, N),
-    while different N interleave by chunk.  The stacks are kernel buffers
-    (see ``StepKernel.run``); the last one yielded for a (k, N) stays
-    valid, as each has its own kernels.  After the last chunk, each
+    runs: it builds one ShiftedSolver per N and one StepKernel per
+    variant, which steps the (G, A, p, d) stack of every N (by decreasing
+    N) and every amplitude (index k into ``config.amplitudes``).  Chunk by
+    chunk, each kernel takes the steps of every N that end in the chunk in
+    lockstep rounds, so a coarse step rides along with a step of N_max, and
+    resumes from its own output in the next chunk.  The generator yields
+    (k, N, n, states) after each named step n, one (p, d) view into each
+    variant's stack: steps come in order for each (k, N), while different
+    N interleave by round.  The views are kernel buffers (see
+    ``StepKernel.run``); the last one yielded for a (k, N) stays valid, as
+    no later step of that N overwrites it.  After the last chunk, each
     (k, N)'s final states are checked to be finite.
     """
     mesh = build_uniform_mesh(config.cells_per_axis, config.half_width)
@@ -220,30 +227,27 @@ def run_block(config: StudyConfig, initial_state, paths, at, variants):
         paths = np.asarray(paths, dtype=float)
         lo, n_fine, chunks = 0, paths.shape[1], [paths]
     start = np.tile(u0, (len(paths), 1))
+    order = sorted(at, reverse=True)
 
     def runs():
-        kernels = {}
-        for n_steps in at:
-            solver = ShiftedSolver(mass, stiffness, config.horizon / n_steps)
-            for k, amplitude in enumerate(config.amplitudes):
-                kernels[k, n_steps] = [StepKernel(variant, amplitude, config.epsilon,
-                                                  solver, start.shape) for variant in variants]
-        taken = dict.fromkeys(at, 0)
-        for coarse in coarse_chunks(chunks, n_fine, at):
-            for n_steps, inc in coarse.items():
-                first = taken[n_steps] + 1
+        solvers = [ShiftedSolver(mass, stiffness, config.horizon / n) for n in order]
+        kernels = [StepKernel(variant, config.amplitudes, config.epsilon, solvers, start.shape)
+                   for variant in variants]
+        named, taken = [at[n] for n in order], [0] * len(order)
+        no_steps = np.empty((len(start), 0))
+        for coarse in coarse_chunks(chunks, n_fine, order):
+            incs, first = [coarse.get(n, no_steps) for n in order], [t + 1 for t in taken]
+            # strict: every kernel runs to the chunk's end, past its last named step
+            for steps in zip(*(kernel.run(kernel.out if any(taken) else start, incs, named, first)
+                               for kernel in kernels), strict=True):
+                g, n = steps[0][:2]
                 for k in range(len(config.amplitudes)):
-                    group = kernels[k, n_steps]
-                    # zip_longest, unlike zip, takes every kernel to the chunk's
-                    # end, past its last named step
-                    for steps in zip_longest(*(kernel.run(start if first == 1 else kernel.out,
-                                                          inc, at[n_steps], first)
-                                               for kernel in group)):
-                        yield k, n_steps, steps[0][0], [state for _, state in steps]
-                taken[n_steps] += inc.shape[1]
-        for (k, n_steps), group in kernels.items():
-            require_finite(np.hstack([kernel.out for kernel in group]),
-                           config.amplitudes[k], n_steps, lo)
+                    yield k, order[g], n, [states[k] for _, _, states in steps]
+            taken = [t + inc.shape[1] for t, inc in zip(taken, incs)]
+        for n_steps in at:
+            for k, amplitude in enumerate(config.amplitudes):
+                require_finite(np.hstack([kernel.out[order.index(n_steps), k]
+                                          for kernel in kernels]), amplitude, n_steps, lo)
 
     return mesh, u0, runs()
 

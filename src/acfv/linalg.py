@@ -6,8 +6,8 @@ so it is factored once and every later call only applies the factor to
 a whole stack of right-hand sides.  The cell count d selects the form:
 
 * d <= DENSE_LIMIT: a dense Cholesky factor, plus the dense Markov
-  propagator (M + tau A)^{-1} M, so one heat substep on a (p, d) stack
-  is a single matrix product;
+  propagator (M + tau A)^{-1} M, transposed as ``markov_t``, so one heat
+  substep on a (p, d) stack is a single matrix product;
 * larger d: a banded Cholesky factor whose bandwidth is read from the
   assembled sparsity (L on the uniform L x L grid).
 """
@@ -47,7 +47,7 @@ class ShiftedSolver:
         if self.n <= DENSE_LIMIT:
             self._dense = self.shifted.toarray()
             self._chol = sla.cho_factor(self._dense)
-            self._markov_t = sla.cho_solve(self._chol, np.diag(self.mass_diag)).T
+            self.markov_t = sla.cho_solve(self._chol, np.diag(self.mass_diag)).T
         else:
             # Upper band storage: entry (i, j), i <= j, sits at [u + i - j, j].
             coo = self.shifted.tocoo()
@@ -101,7 +101,7 @@ class ShiftedSolver:
         receives the result; on the dense path it is written directly.
         """
         if self.n <= DENSE_LIMIT:
-            return np.matmul(x, self._markov_t, out=out)
+            return np.matmul(x, self.markov_t, out=out)
         if out is None:
             return self.solve(x * self.mass_diag)
         out[...] = self.solve(x * self.mass_diag)

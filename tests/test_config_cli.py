@@ -382,6 +382,31 @@ def test_failed_command_writes_nothing(tmp_path, command, keys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, keys, message", [
+    ("expectation", "N = 0\nN_max = 8\nN_p = 2\na = 1\n", "'N' must be a positive step count"),
+    ("simulate", "N = 0\nN_max = 8\na = 1\n", "'N' must be a positive step count"),
+    ("expectation", "N = 8\nN_p = 2\na = nan\n", "'a' must be nonempty, nonnegative and finite"),
+    ("expectation", "N = 8\nN_p = 2\na = 1\ndomain_half_width = nan\n",
+     "'domain_half_width' must be positive and finite"),
+    ("expectation", "N = 8\nN_p = 2\na = 1\nT = nan\neps_rule = fixed\neps_c = 0.05\n",
+     "'T' must be positive and finite"),
+    ("expectation", "N = 8\nN_p = 2\na = 1\neps_rule = fixed\neps_c = nan\n",
+     "'eps_c' must be positive and finite"),
+    ("expectation", "N = 8\nN_p = 2\na = 1\neps_rule = power\neps_c = 0.1\neps_p = nan\n",
+     "'eps_p' must be finite"),
+], ids=["expectation-N-0", "simulate-N-0", "a-nan", "domain_half_width-nan", "T-nan-fixed-eps",
+        "eps_c-nan", "eps_p-nan"])
+def test_values_that_cannot_run_are_configuration_errors(tmp_path, capsys, command, keys,
+                                                         message):
+    # N = 0 is a step count, not an unset N; NaN fails every range check.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("L = 2\n" + keys)
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_zero_gap_exits_numerical(tmp_path, capsys):
     # Without noise the state stays in [0, 1], so both methods agree exactly.
     cfg = tmp_path / "run.cfg"

@@ -1,19 +1,20 @@
 """Steppers against the frozen benchmark tables and the structure theorems."""
 
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from acfv import benchmark
+from acfv import benchmark, experiments
 from acfv.assembly import assemble_mass, assemble_stiffness
 from acfv.constraint import psi_eps, resolvent
 from acfv.errors import NumericalFailure
-from acfv.experiments import require_finite, write_states_csv
+from acfv.experiments import StudyConfig, require_finite, write_states_csv
 from acfv.linalg import DENSE_LIMIT, ShiftedSolver
 from acfv.mesh import build_uniform_mesh, default_initial_state
 from acfv.scheme import EpsilonSchedule, StepKernel
-from acfv.stochastic import diffusion_g, sample_increment_block
+from acfv.stochastic import coarse_chunks, diffusion_g, sample_increment_block
 
 QUARTERS = np.array(benchmark.QUARTER_INCREMENTS)
 # The two-step increments: pairwise sums of the quarters.
@@ -434,6 +435,77 @@ def test_step_kernel_nan_row_ends_in_numerical_failure(L, variant):
     assert np.isnan(got).any(axis=1).tolist() == [False] * 4 + [True, False]
     with pytest.raises(NumericalFailure, match="path 4"):
         require_finite(got, kernel.amplitude, 16)
+
+
+def test_kernel_stack_shapes_and_round_yields():
+    # G solvers by A amplitudes; a group may have no step, and each group
+    # has its own first step and named steps.
+    epsilon = EpsilonSchedule.fixed(0.05)
+    solvers = [solver_on(2, n) for n in (8, 4, 2)]
+    kernel = StepKernel("splitting", (1.0, 5.0), epsilon, solvers, (3, 4))
+    assert kernel.out.shape == (3, 2, 3, 4)
+    assert kernel.tau == (1 / 8, 1 / 4, 1 / 2) and kernel.eps == (0.05,) * 3
+    assert StepKernel("heat", (1.0, 5.0), epsilon, solvers[0], (4,)).out.shape == (2, 4)
+    assert StepKernel("heat", 1.0, epsilon, solvers, (4,)).out.shape == (3, 4)
+    inc = [np.full((3, 4), 0.1), np.empty((3, 0)), np.full((3, 2), -0.1)]
+    taken = [(g, n, state.shape) for g, n, state in
+             kernel.run(np.full(4, 0.5), inc, at=(None, None, (6,)), first=(1, 3, 5))]
+    assert taken == [(0, 1, (2, 3, 4)), (0, 2, (2, 3, 4)), (2, 6, (2, 3, 4)),
+                     (0, 3, (2, 3, 4)), (0, 4, (2, 3, 4))]
+    np.testing.assert_array_equal(kernel.out[1], 0.5)  # no step: still the start
+
+
+def per_run_oracle(config, start, paths, n_steps, amplitude, variant):
+    """The state bytes after each step of one (N, a) run stepped alone by the plain formulas.
+
+    Its increments are reshape sums of the fine path, exact on the lattice.
+    """
+    mesh = build_uniform_mesh(config.cells_per_axis)
+    solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh),
+                           config.horizon / n_steps)
+    params = SimpleNamespace(amplitude=amplitude, tau=solver.tau,
+                             eps=config.epsilon.value(solver.tau))
+    fine = sample_increment_block(config.seed, paths, config.horizon, config.resolved_n_fine())
+    inc = fine.reshape(len(paths), n_steps, -1).sum(axis=2)
+    u, states = np.tile(start, (len(paths), 1)), []
+    for n in range(n_steps):
+        u = ORACLES[variant](u, inc[:, n], params, solver)
+        states.append(u.tobytes())
+    return states
+
+
+@pytest.mark.parametrize("L", [3, 9])
+def test_block_stack_matches_per_run_oracle_bitwise(monkeypatch, L):
+    # One kernel per variant steps every (N, a) run of the block; each run
+    # must still be its own run, byte for byte, on the dense (d = 9) and
+    # the banded (d = 81) solver.  In chunks of 7 fine steps, no coarse N
+    # steps in the first chunk; N = 6 and N = 4 step in the third and N = 5
+    # does not, N = 5 and N = 4 in the seventh and N = 6 does not, so the
+    # groups of a round split into runs; every run resumes eight times.
+    assert (L * L > DENSE_LIMIT) == (L == 9)
+    n_fine, ladder, chunk = 60, (6, 5, 4), 7
+    monkeypatch.setattr(experiments, "CHUNK", chunk)
+    counts = [sorted(coarse) for coarse in coarse_chunks(
+        [np.zeros((1, min(chunk, n_fine - lo))) for lo in range(0, n_fine, chunk)],
+        n_fine, ladder)]
+    assert [counts[i] for i in (0, 2, 6)] == [[], [4, 6], [4, 5]]
+    config = StudyConfig(cells_per_axis=L, n_fine=n_fine, n_steps_list=ladder, n_paths=4,
+                         amplitudes=(1.0, 9.0), epsilon=EpsilonSchedule.power(0.1, 0.4),
+                         seed=3).validate()
+    start = np.linspace(-0.4, 1.3, L * L)  # the penalty is active at once
+    paths, variants = range(2, 6), ("splitting", "heat", "coupled")
+    _, _, runs = experiments.run_block(config, start, paths, dict.fromkeys((n_fine, *ladder)),
+                                       variants)
+    got = {}
+    for k, n_steps, n, states in runs:
+        for variant, state in zip(variants, states):
+            got.setdefault((variant, k, n_steps), []).append((n, state.tobytes()))
+    for variant in variants:
+        for k, amplitude in enumerate(config.amplitudes):
+            for n_steps in (n_fine, *ladder):
+                oracle = per_run_oracle(config, start, paths, n_steps, amplitude, variant)
+                assert got[variant, k, n_steps] == list(enumerate(oracle, 1)), \
+                    (variant, amplitude, n_steps)
 
 
 def test_trajectory_history_and_validation():
