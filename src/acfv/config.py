@@ -41,7 +41,7 @@ from dataclasses import dataclass, fields, replace
 from . import benchmark
 from .errors import ConfigError
 from .experiments import StudyConfig, format_float
-from .scheme import EpsilonSchedule
+from .scheme import EpsilonSchedule, passes
 
 __all__ = [
     "parse_config_text",
@@ -239,14 +239,20 @@ def preset_config(command: str, name: str) -> StudyConfig:
 
 @dataclass
 class RunManifest:
-    """Resolved configuration of one run plus its content hash."""
+    """Resolved configuration of one run plus its content hash.
+
+    ``passes`` names the implementation of the step passes the process ran
+    (see ``scheme.passes``); it is recorded, but kept out of the hash.
+    """
 
     command: str
     config: StudyConfig
     run_id: str
+    passes: str
 
     def text(self) -> str:
-        lines = [f"command = {self.command}", f"run_id = {self.run_id}"]
+        lines = [f"command = {self.command}", f"run_id = {self.run_id}",
+                 f"passes = {self.passes}"]
         lines += _canonical_lines(self.config)
         return "\n".join(lines) + "\n"
 
@@ -271,4 +277,4 @@ def _canonical_lines(config: StudyConfig) -> list:
 def build_manifest(command: str, config: StudyConfig) -> RunManifest:
     payload = "\n".join([command] + _canonical_lines(config))
     run_id = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
-    return RunManifest(command=command, config=config, run_id=run_id)
+    return RunManifest(command=command, config=config, run_id=run_id, passes=passes()[1])

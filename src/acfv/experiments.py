@@ -231,7 +231,7 @@ def run_block(config: StudyConfig, initial_state, paths, at, variants):
 
     def runs():
         solvers = [ShiftedSolver(mass, stiffness, config.horizon / n) for n in order]
-        kernels = [StepKernel(variant, config.amplitudes, config.epsilon, solvers, start.shape)
+        kernels = [StepKernel(variant, config.amplitudes, config.epsilon, solvers, len(start))
                    for variant in variants]
         named, taken = [at[n] for n in order], [0] * len(order)
         no_steps = np.empty((len(start), 0))

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from acfv import benchmark, cli
+from acfv import benchmark, cli, scheme
 from acfv import config as config_module
 from acfv.config import (build_manifest, config_from_mapping, keys_read, load_config_file,
                          packaged_increments_path, parse_config_text,
@@ -108,6 +108,21 @@ def test_manifest_hash_tracks_content():
     m3 = build_manifest("expectation", replace(config, seed=99))
     assert m3.run_id != m1.run_id
     assert "seed = 99" in m3.text()
+
+
+def test_run_id_is_unchanged_and_the_passes_stay_out_of_it(monkeypatch):
+    # The run_ids of the desk presets from before the manifest recorded the
+    # passes (those with no path_file, whose absolute path enters the
+    # hash); the passes line follows run_id.
+    run_ids = {"convergence": "f7daef2fe3e5", "expectation": "4bdfac6f626f",
+               "splitting-error": "b46d8433821b"}
+    for passes in (scheme.passes()[1], "numpy"):
+        monkeypatch.setattr(config_module, "passes", lambda: (None, passes))
+        for command, run_id in run_ids.items():
+            manifest = build_manifest(command, preset_config(command, "desk"))
+            assert manifest.run_id == run_id
+            assert manifest.text().splitlines()[1:3] == [f"run_id = {run_id}",
+                                                         f"passes = {passes}"]
 
 
 def run_cli(*argv):

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from acfv import benchmark, experiments
+from acfv import benchmark, experiments, scheme
 from acfv.assembly import assemble_mass, assemble_stiffness
 from acfv.constraint import psi_eps, resolvent
 from acfv.errors import NumericalFailure
@@ -32,15 +32,40 @@ def benchmark_setup(n_steps):
     return default_initial_state(build_uniform_mesh(2)), solver_on(2, n_steps)
 
 
-def benchmark_kernel(variant, solver, shape=(4,)):
-    """A kernel of the benchmark scenario: a = 10, eps = 0.1 tau^(1/3)."""
+def lone_kernel(variant, amplitude, epsilon, solver, paths=1):
+    """A kernel of one run: one step size, one amplitude, ``paths`` fields."""
+    return StepKernel(variant, (amplitude,), epsilon, (solver,), paths)
+
+
+def benchmark_kernel(variant, solver, paths=1):
+    """A lone-run kernel of the benchmark scenario: a = 10, eps = 0.1 tau^(1/3)."""
     scenario = benchmark.SCENARIO
-    return StepKernel(variant, scenario.amplitudes[0], scenario.epsilon, solver, shape)
+    return lone_kernel(variant, scenario.amplitudes[0], scenario.epsilon, solver, paths)
+
+
+def lone_params(kernel):
+    """The amplitude, tau and eps of a lone-run kernel, as the oracles read them."""
+    return SimpleNamespace(amplitude=kernel.amplitude[0], tau=kernel.tau[0], eps=kernel.eps[0])
+
+
+def step(kernel, u, d_w):
+    """One step of a lone-run kernel from u with increments d_w (one per path): its (p, d) states."""
+    return kernel(u, d_w)[0, 0]
 
 
 def run_states(kernel, u0, increments):
-    """Copies of the state after every step of one kernel run."""
-    return [state.copy() for _, state in kernel.run(u0, increments)]
+    """Copies of the (p, d) states after every step of a lone-run kernel; increments (p, k)."""
+    return [state[0].copy() for _, _, state in kernel.run(u0, (np.atleast_2d(increments),))]
+
+
+def each_passes(monkeypatch):
+    """Iterate twice: kernels built in the first pass run this process's
+    passes (compiled wherever a C compiler works), in the second the numpy
+    passes."""
+    yield scheme.passes()[1]
+    with monkeypatch.context() as patched:
+        patched.setattr(scheme, "passes", lambda: (scheme._numpy_passes, "numpy"))
+        yield "numpy"
 
 
 def test_epsilon_schedules():
@@ -58,39 +83,39 @@ def test_epsilon_schedules():
                                      EpsilonSchedule.power(0.1, 0.4)], ids=["fixed", "power"])
 def test_step_kernel_reads_tau_from_its_solver(epsilon):
     solver = solver_on(2, 3)
-    kernel = StepKernel("splitting", 2.0, epsilon, solver, (4,))
-    assert kernel.tau == solver.tau
-    assert kernel.eps == epsilon.value(solver.tau)
-    assert StepKernel("heat", 0.0, epsilon, solver, (4,)).amplitude == 0.0
+    kernel = lone_kernel("splitting", 2.0, epsilon, solver)
+    assert kernel.tau == (solver.tau,)
+    assert kernel.eps == (epsilon.value(solver.tau),)
+    assert lone_kernel("heat", 0.0, epsilon, solver).amplitude == (0.0,)
     with pytest.raises(ValueError, match="amplitude"):
-        StepKernel("splitting", -1.0, epsilon, solver, (4,))
+        lone_kernel("splitting", -1.0, epsilon, solver)
 
 
 def test_splitting_two_step_table():
     u0, solver = benchmark_setup(2)
-    step = benchmark_kernel("splitting", solver)
+    kernel = benchmark_kernel("splitting", solver)
     inc = HALVES
-    u1 = step(u0, inc[0])
-    np.testing.assert_allclose(u1, benchmark.SPLITTING_N2[0], atol=1e-6)
-    u2 = step(u1, inc[1])
-    np.testing.assert_allclose(u2, benchmark.SPLITTING_N2[1], atol=1e-6)
+    u1 = step(kernel, u0, inc[0])
+    np.testing.assert_allclose(u1, benchmark.SPLITTING_N2[0:1], atol=1e-6)
+    u2 = step(kernel, u1, inc[1])
+    np.testing.assert_allclose(u2, benchmark.SPLITTING_N2[1:2], atol=1e-6)
 
 
 def test_heat_two_step_table():
     u0, solver = benchmark_setup(2)
-    step = benchmark_kernel("heat", solver)
+    kernel = benchmark_kernel("heat", solver)
     inc = HALVES
-    u1 = step(u0, inc[0])
-    np.testing.assert_allclose(u1, benchmark.HEAT_N2[0], atol=1e-6)
-    np.testing.assert_allclose(u1, benchmark.SPLITTING_N2[0], atol=1e-6)
-    u2 = step(u1, inc[1])
-    np.testing.assert_allclose(u2, benchmark.HEAT_N2[1], atol=1e-6)
+    u1 = step(kernel, u0, inc[0])
+    np.testing.assert_allclose(u1, benchmark.HEAT_N2[0:1], atol=1e-6)
+    np.testing.assert_allclose(u1, benchmark.SPLITTING_N2[0:1], atol=1e-6)
+    u2 = step(kernel, u1, inc[1])
+    np.testing.assert_allclose(u2, benchmark.HEAT_N2[1:2], atol=1e-6)
 
 
 def test_splitting_four_step_first_row():
     u0, solver = benchmark_setup(4)
-    u1 = benchmark_kernel("splitting", solver)(u0, -0.60460866)
-    np.testing.assert_allclose(u1, benchmark.SPLITTING_N4[0], atol=1e-6)
+    u1 = step(benchmark_kernel("splitting", solver), u0, -0.60460866)
+    np.testing.assert_allclose(u1, benchmark.SPLITTING_N4[0:1], atol=1e-6)
 
 
 def test_full_four_step_trajectory():
@@ -98,15 +123,15 @@ def test_full_four_step_trajectory():
     states = run_states(benchmark_kernel("splitting", solver), u0, QUARTERS)
     assert len(states) == 4
     for state, expected in zip(states, benchmark.SPLITTING_N4):
-        np.testing.assert_allclose(state, expected, atol=1e-6)
+        np.testing.assert_allclose(state[0], expected, atol=1e-6)
 
 
 def test_coupled_matches_splitting_when_penalty_inactive():
     u0, solver = benchmark_setup(2)
     inc = HALVES
-    split = benchmark_kernel("splitting", solver)(u0, inc[0])
+    split = step(benchmark_kernel("splitting", solver), u0, inc[0])
     assert np.all((split >= 0) & (split <= 1))
-    coupled = benchmark_kernel("coupled", solver)(u0, inc[0])
+    coupled = step(benchmark_kernel("coupled", solver), u0, inc[0])
     np.testing.assert_allclose(coupled, split, atol=1e-9)
 
 
@@ -116,15 +141,15 @@ def test_methods_agree_while_state_stays_interior():
     # accuracy.  Small increments keep the state inside.
     rng = np.random.default_rng(3)
     solver = solver_on(3, 8)
-    step_split, step_coupled = (StepKernel(variant, 4.0, EpsilonSchedule.fixed(0.02), solver,
-                                           (9,)) for variant in ("splitting", "coupled"))
+    split_kernel, coupled_kernel = (lone_kernel(variant, 4.0, EpsilonSchedule.fixed(0.02), solver)
+                                    for variant in ("splitting", "coupled"))
     checked = 0
     for _ in range(100):
         u = rng.uniform(0.2, 0.8, size=9)
         d_w = float(rng.standard_normal() * 0.05)
-        split = step_split(u, d_w)
+        split = step(split_kernel, u, d_w)
         if np.all((split > 0) & (split < 1)):
-            coupled = step_coupled(u, d_w)
+            coupled = step(coupled_kernel, u, d_w)
             np.testing.assert_allclose(coupled, split, atol=1e-9)
             checked += 1
     assert checked > 50
@@ -135,7 +160,7 @@ def test_coupled_scalar_case_matches_bisection_oracle():
     # u + tau psi_eps(u) = w per path; bisection on that monotone scalar
     # equation is the oracle.
     tau, eps, amplitude = 0.5, 0.03, 12.0
-    step = StepKernel("coupled", amplitude, EpsilonSchedule.fixed(eps), solver_on(1, 2), (1,))
+    kernel = lone_kernel("coupled", amplitude, EpsilonSchedule.fixed(eps), solver_on(1, 2))
     rng = np.random.default_rng(4)
     for _ in range(25):
         u_prev = np.array([float(rng.uniform(-0.5, 1.5))])
@@ -148,16 +173,16 @@ def test_coupled_scalar_case_matches_bisection_oracle():
                 lo = mid
             else:
                 hi = mid
-        got = step(u_prev, d_w)
-        assert got[0] == pytest.approx(0.5 * (lo + hi), abs=1e-10)
-        assert got[0] == pytest.approx(resolvent(w, tau, eps), abs=1e-10)
+        [[got]] = step(kernel, u_prev, d_w)
+        assert got == pytest.approx(0.5 * (lo + hi), abs=1e-10)
+        assert got == pytest.approx(resolvent(w, tau, eps), abs=1e-10)
 
 
 def test_stationary_extremes():
     _, solver = benchmark_setup(2)
     for c in (0.0, 1.0):
         for variant in ("splitting", "coupled"):
-            out = benchmark_kernel(variant, solver)(np.full(4, c), 0.73)
+            out = step(benchmark_kernel(variant, solver), np.full(4, c), 0.73)
             np.testing.assert_allclose(out, c, atol=1e-12)
 
 
@@ -171,20 +196,19 @@ def test_constant_states_stay_constant():
         c = float(rng.uniform(0, 1))
         d_w = float(rng.standard_normal())
         for variant in ("splitting", "coupled"):
-            kernel = StepKernel(variant, amplitude, epsilon, solver, (L * L,))
-            out = kernel(np.full(L * L, c), d_w)
+            out = step(lone_kernel(variant, amplitude, epsilon, solver), np.full(L * L, c), d_w)
             assert out.max() - out.min() <= 1e-10
 
 
 def test_sign_trapping():
     rng = np.random.default_rng(8)
-    step = benchmark_kernel("splitting", benchmark_setup(3)[1])
+    kernel = benchmark_kernel("splitting", benchmark_setup(3)[1])
     for _ in range(100):
         d_w = float(rng.standard_normal())
         below = -rng.uniform(0, 2, size=4)
-        assert step(below, d_w).max() <= 1e-10
+        assert step(kernel, below, d_w).max() <= 1e-10
         above = 1.0 + rng.uniform(0, 2, size=4)
-        assert step(above, d_w).min() >= 1.0 - 1e-10
+        assert step(kernel, above, d_w).min() >= 1.0 - 1e-10
 
 
 def test_method_gap_shrinks_with_larger_eps():
@@ -196,8 +220,8 @@ def test_method_gap_shrinks_with_larger_eps():
     start = -(default_initial_state(build_uniform_mesh(4)) + 0.2)
     gaps = []
     for eps in (0.025, 0.05, 0.1):
-        split, coupled = (StepKernel(variant, 10.0, EpsilonSchedule.fixed(eps), solver,
-                                     start.shape)(start, 0.1)
+        split, coupled = (step(lone_kernel(variant, 10.0, EpsilonSchedule.fixed(eps), solver),
+                               start, 0.1)
                           for variant in ("splitting", "coupled"))
         gaps.append(np.max(np.abs(coupled - split)))
     assert gaps[0] > gaps[1] > gaps[2] > 0
@@ -208,29 +232,22 @@ def test_heat_kernel_mass_identity():
     rng = np.random.default_rng(10)
     solver = solver_on(4, 8)
     mass = solver.mass_diag
-    step = StepKernel("heat", 6.0, EpsilonSchedule.fixed(0.05), solver, (16,))
+    kernel = lone_kernel("heat", 6.0, EpsilonSchedule.fixed(0.05), solver)
     for _ in range(50):
         u = rng.uniform(-0.5, 1.5, size=16)
         d_w = float(rng.standard_normal())
         loaded = u + diffusion_g(u, 6.0) * d_w
-        out = step(u, d_w)
+        [out] = step(kernel, u, d_w)
         assert mass @ out == pytest.approx(mass @ loaded, rel=1e-10)
 
 
 def test_stacked_states_match_single_paths():
     u0, solver = benchmark_setup(4)
     inc = np.vstack([QUARTERS, -QUARTERS, 0.5 * QUARTERS])
-    stacked = run_states(benchmark_kernel("splitting", solver, (3, 4)),
-                         np.tile(u0, (3, 1)), inc)[-1]
+    stacked = run_states(benchmark_kernel("splitting", solver, 3), u0, inc)[-1]
     for row in range(3):
-        single = run_states(benchmark_kernel("splitting", solver), u0, inc[row])[-1]
+        [single] = run_states(benchmark_kernel("splitting", solver), u0, inc[row])[-1]
         np.testing.assert_allclose(stacked[row], single, rtol=1e-12, atol=1e-14)
-    # simulate and the benchmark tables run their path as a one-row block,
-    # which steps bit for bit like the single field.
-    for variant in ("splitting", "heat", "coupled"):
-        field = run_states(benchmark_kernel(variant, solver), u0, QUARTERS)
-        row = run_states(benchmark_kernel(variant, solver, (1, 4)), u0[None], QUARTERS[None])
-        assert [s.tobytes() for s in row] == [s.tobytes() for s in field]
 
 
 @pytest.mark.parametrize("variant", ["splitting", "heat", "coupled"])
@@ -243,30 +260,30 @@ def test_run_resumed_across_chunks_matches_one_run(variant):
     at = (1, 7, 8, 23, 40)
 
     def kernel():
-        return StepKernel(variant, 9.0, EpsilonSchedule.fixed(0.05), solver, start.shape)
+        return lone_kernel(variant, 9.0, EpsilonSchedule.fixed(0.05), solver, len(start))
 
-    whole = [(n, state.tobytes()) for n, state in kernel().run(start, inc, at)]
+    whole = [(n, state.tobytes()) for _, n, state in kernel().run(start, (inc,), (at,))]
     resumed, chunked = [], kernel()
     for lo, hi in ((0, 7), (7, 8), (8, 31), (31, 40)):
         u = start if lo == 0 else chunked.out
         resumed += [(n, state.tobytes())
-                    for n, state in chunked.run(u, inc[:, lo:hi], at, first=lo + 1)]
+                    for _, n, state in chunked.run(u, (inc[:, lo:hi],), (at,), first=lo + 1)]
     assert resumed == whole
 
 
 def test_coupled_kernel_stacked_rows():
     u0, solver = benchmark_setup(2)
     inc = HALVES
-    stacked = benchmark_kernel("coupled", solver, (2, 4))(np.tile(u0, (2, 1)), inc[:2])
+    stacked = step(benchmark_kernel("coupled", solver, 2), u0, inc[:2])
     single = benchmark_kernel("coupled", solver)
-    np.testing.assert_allclose(stacked[0], single(u0, inc[0]))
-    np.testing.assert_allclose(stacked[1], single(u0, inc[1]))
+    np.testing.assert_allclose(stacked[0:1], step(single, u0, inc[0]))
+    np.testing.assert_allclose(stacked[1:2], step(single, u0, inc[1]))
 
 
 def rowwise_newton(u_prev, d_w, params, solver):
     """Reference coupled step: one path at a time, dense Jacobian solves.
 
-    ``params`` carries the step's amplitude, tau and eps, like a StepKernel.
+    ``params`` carries the step's amplitude, tau and eps (see ``lone_params``).
     """
     dense = solver.shifted.toarray()
     mass, tau, eps = solver.mass_diag, params.tau, params.eps
@@ -286,12 +303,13 @@ def test_batched_newton_matches_rowwise_above_dense_limit():
     rng = np.random.default_rng(15)
     start = rng.uniform(-0.6, 1.6, size=(6, solver.n))
     d_w = rng.standard_normal(6) * np.sqrt(solver.tau)
-    kernel = StepKernel("coupled", 10.0, EpsilonSchedule.fixed(0.05), solver, start.shape)
-    batched = kernel(start, d_w)
+    kernel = lone_kernel("coupled", 10.0, EpsilonSchedule.fixed(0.05), solver, len(start))
+    batched = step(kernel, start, d_w)
     assert ((batched < 0) | (batched > 1)).any()
     for row in range(6):
         np.testing.assert_allclose(
-            batched[row], rowwise_newton(start[row], d_w[row], kernel, solver), atol=1e-10)
+            batched[row], rowwise_newton(start[row], d_w[row], lone_params(kernel), solver),
+            atol=1e-10)
 
 
 @pytest.mark.parametrize("L", [4, 8])
@@ -304,8 +322,7 @@ def test_path_result_independent_of_block_size_and_position(L, variant):
     start = np.tile(default_initial_state(build_uniform_mesh(L)) - 0.3, (n_paths, 1))
 
     def final(rows):
-        kernel = StepKernel(variant, 10.0, EpsilonSchedule.fixed(0.05), solver,
-                            start[rows].shape)
+        kernel = lone_kernel(variant, 10.0, EpsilonSchedule.fixed(0.05), solver, len(rows))
         return run_states(kernel, start[rows], inc[rows])[-1]
 
     whole = final(np.arange(n_paths))
@@ -367,74 +384,114 @@ def edge_case_setup(L):
     return solver, stack, d_w
 
 
-def edge_case_kernel(variant, amplitude, solver, shape):
-    """A kernel of the edge cases: eps = 0.05 and tau = 1/16."""
-    return StepKernel(variant, amplitude, EpsilonSchedule.fixed(0.05), solver, shape)
+def edge_case_kernel(variant, amplitude, solver, paths):
+    """A lone-run kernel of the edge cases: eps = 0.05 and tau = 1/16."""
+    return lone_kernel(variant, amplitude, EpsilonSchedule.fixed(0.05), solver, paths)
 
 
 @pytest.mark.parametrize("L", [4, 9])
 @pytest.mark.parametrize("amplitude", [0.0, 7.0])
 @pytest.mark.parametrize("variant", ["splitting", "heat", "coupled"])
-def test_step_kernel_matches_oracle_bitwise(L, amplitude, variant):
+def test_step_kernel_matches_oracle_bitwise(monkeypatch, L, amplitude, variant):
     assert (L * L <= DENSE_LIMIT) == (L == 4)  # one dense, one banded solver
     solver, stack, d_w = edge_case_setup(L)
-    kernel = edge_case_kernel(variant, amplitude, solver, stack.shape)
-    oracle = ORACLES[variant]
-    # Several steps, each fed the kernel's own output buffer.
-    # Bytes, not values, are compared, so signed zeros must match too.
-    got, expected = stack, stack
-    for n in range(d_w.shape[1]):
-        got = kernel(got, d_w[:, n])
-        expected = oracle(expected, d_w[:, n], kernel, solver)
-        assert got.tobytes() == expected.tobytes()
-    # A state the kernel did not produce gets its own clip, in a used
-    # kernel as in a fresh one.
-    first = oracle(stack, d_w[:, 0], kernel, solver).tobytes()
-    assert kernel(stack, d_w[:, 0]).tobytes() == first
-    fresh = edge_case_kernel(variant, amplitude, solver, stack.shape)
-    assert fresh(stack, d_w[:, 0]).tobytes() == first
+    for _ in each_passes(monkeypatch):
+        kernel = edge_case_kernel(variant, amplitude, solver, len(stack))
+        oracle, params = ORACLES[variant], lone_params(kernel)
+        # Several steps, each fed the kernel's own output buffer.
+        # Bytes, not values, are compared, so signed zeros must match too.
+        got, expected = stack, stack
+        for n in range(d_w.shape[1]):
+            got = kernel(got, d_w[:, n])
+            expected = oracle(expected, d_w[:, n], params, solver)
+            assert got[0, 0].tobytes() == expected.tobytes()
+        # A state the kernel did not produce gets its own clip, in a used
+        # kernel as in a fresh one.
+        first = oracle(stack, d_w[:, 0], params, solver).tobytes()
+        assert step(kernel, stack, d_w[:, 0]).tobytes() == first
+        fresh = edge_case_kernel(variant, amplitude, solver, len(stack))
+        assert step(fresh, stack, d_w[:, 0]).tobytes() == first
 
 
 @pytest.mark.parametrize("L", [4, 9])
 @pytest.mark.parametrize("variant", ["splitting", "heat", "coupled"])
-def test_kernel_run_matches_per_step_oracle_bitwise(L, variant):
-    # A long run carries the splitting clip from step to step in locals;
-    # every step must still equal the oracle byte for byte.
+def test_kernel_run_matches_per_step_oracle_bitwise(monkeypatch, L, variant):
+    # A long run carries the splitting clip from step to step in its
+    # buffer; every step must still equal the oracle byte for byte.
     solver, stack, _ = edge_case_setup(L)
     n_steps = 64
     d_w = np.random.default_rng(L + 1).standard_normal((len(stack), n_steps))
     d_w *= np.sqrt(solver.tau)
-    kernel, oracle = edge_case_kernel(variant, 7.0, solver, stack.shape), ORACLES[variant]
-    expected, every = stack, []
-    for n, got in kernel.run(stack, d_w):
-        expected = oracle(expected, d_w[:, n - 1], kernel, solver)
-        assert got.tobytes() == expected.tobytes(), f"step {n}"
-        every.append(got.copy())
-    assert n == n_steps
-    # Asking for some steps yields exactly those, with the same bytes.
-    asked = (1, 2, 33, 40)
-    taken = [(n, state.tobytes()) for n, state in kernel.run(stack, d_w, at=asked)]
-    assert taken == [(n, every[n - 1].tobytes()) for n in asked]
+    for _ in each_passes(monkeypatch):
+        kernel, oracle = edge_case_kernel(variant, 7.0, solver, len(stack)), ORACLES[variant]
+        params, expected, every = lone_params(kernel), stack, []
+        for _, n, got in kernel.run(stack, (d_w,)):
+            expected = oracle(expected, d_w[:, n - 1], params, solver)
+            assert got[0].tobytes() == expected.tobytes(), f"step {n}"
+            every.append(got[0].copy())
+        assert n == n_steps
+        # Asking for some steps yields exactly those, with the same bytes.
+        asked = (1, 2, 33, 40)
+        taken = [(n, state[0].tobytes())
+                 for _, n, state in kernel.run(stack, (d_w,), at=(asked,))]
+        assert taken == [(n, every[n - 1].tobytes()) for n in asked]
 
 
 @pytest.mark.parametrize("L", [4, 9])
 @pytest.mark.parametrize("variant", ["splitting", "heat", "coupled"])
-def test_step_kernel_nan_row_ends_in_numerical_failure(L, variant):
+def test_step_kernel_nan_row_ends_in_numerical_failure(monkeypatch, L, variant):
     solver, stack, d_w = edge_case_setup(L)
     stack[4, 3] = np.nan
-    kernel = edge_case_kernel(variant, 7.0, solver, stack.shape)
-    if variant == "coupled":
-        with pytest.raises(NumericalFailure):
-            kernel(stack, d_w[:, 0])
-        return
-    got, expected = stack, stack
-    for n in range(d_w.shape[1]):
-        got = kernel(got, d_w[:, n])
-        expected = ORACLES[variant](expected, d_w[:, n], kernel, solver)
-        assert np.array_equal(got, expected, equal_nan=True)
-    assert np.isnan(got).any(axis=1).tolist() == [False] * 4 + [True, False]
-    with pytest.raises(NumericalFailure, match="path 4"):
-        require_finite(got, kernel.amplitude, 16)
+    for _ in each_passes(monkeypatch):
+        kernel = edge_case_kernel(variant, 7.0, solver, len(stack))
+        params = lone_params(kernel)
+        if variant == "coupled":
+            with pytest.raises(NumericalFailure):
+                kernel(stack, d_w[:, 0])
+            continue
+        got, expected = stack, stack
+        for n in range(d_w.shape[1]):
+            got = kernel(got, d_w[:, n])
+            expected = ORACLES[variant](expected, d_w[:, n], params, solver)
+            assert got[0, 0].tobytes() == expected.tobytes()
+        assert np.isnan(got[0, 0]).any(axis=1).tolist() == [False] * 4 + [True, False]
+        with pytest.raises(NumericalFailure, match="path 4"):
+            require_finite(got[0, 0], params.amplitude, 16)
+
+
+@pytest.mark.parametrize("L", [3, 9])
+@pytest.mark.parametrize("variant", ["splitting", "heat", "coupled"])
+def test_ragged_stack_compiled_matches_numpy_bitwise(monkeypatch, L, variant):
+    # Three step sizes by two amplitudes, the groups dropping out at
+    # different rounds of a chunk, as in run_block: in the first chunk the
+    # groups of rounds 3 and 4 are {0, 2}, two runs of one group each.  The
+    # second chunk resumes from the kernel's buffer.  Every yield of the
+    # compiled passes equals the numpy passes byte for byte.
+    if scheme.passes()[1] == "numpy":
+        pytest.skip("the compiled passes did not build here (no C compiler)")
+    solvers = [solver_on(L, n) for n in (40, 24, 16)]
+    rng = np.random.default_rng(L)
+    start = rng.uniform(-0.6, 1.6, (5, L * L))
+    start[0, :3] = (-0.0, 5e-324, 1.0 + 2.0 ** -52)
+    chunks = [[rng.standard_normal((5, k)) * 0.3 for k in counts]
+              for counts in ((7, 3, 5), (6, 6, 0))]
+
+    def yields():
+        kernel = StepKernel(variant, (2.0, 9.0), EpsilonSchedule.fixed(0.05), solvers, 5)
+        taken, got = [0, 0, 0], []
+        for incs in chunks:
+            u = kernel.out if any(taken) else start
+            got += [(g, n, state.tobytes()) for g, n, state in
+                    kernel.run(u, incs, first=[t + 1 for t in taken])]
+            taken = [t + inc.shape[1] for t, inc in zip(taken, incs)]
+        return got
+
+    compiled = yields()
+    monkeypatch.setattr(scheme, "passes", lambda: (scheme._numpy_passes, "numpy"))
+    assert yields() == compiled
+    assert [(g, n) for g, n, _ in compiled[:9]] == [(0, 1), (1, 1), (2, 1), (0, 2), (1, 2),
+                                                    (2, 2), (0, 3), (1, 3), (2, 3)]
+    assert len(compiled) == 7 + 3 + 5 + 6 + 6
 
 
 def test_kernel_stack_shapes_and_round_yields():
@@ -442,11 +499,16 @@ def test_kernel_stack_shapes_and_round_yields():
     # has its own first step and named steps.
     epsilon = EpsilonSchedule.fixed(0.05)
     solvers = [solver_on(2, n) for n in (8, 4, 2)]
-    kernel = StepKernel("splitting", (1.0, 5.0), epsilon, solvers, (3, 4))
+    kernel = StepKernel("splitting", (1.0, 5.0), epsilon, solvers, 3)
     assert kernel.out.shape == (3, 2, 3, 4)
     assert kernel.tau == (1 / 8, 1 / 4, 1 / 2) and kernel.eps == (0.05,) * 3
-    assert StepKernel("heat", (1.0, 5.0), epsilon, solvers[0], (4,)).out.shape == (2, 4)
-    assert StepKernel("heat", 1.0, epsilon, solvers, (4,)).out.shape == (3, 4)
+    assert kernel.amplitude == (1.0, 5.0)
+    assert StepKernel("heat", (1.0,), epsilon, solvers[:1], 1).out.shape == (1, 1, 1, 4)
+    with pytest.raises(ValueError, match="amplitude"):
+        StepKernel("heat", 1.0, epsilon, solvers, 1)
+    for wrong in ([np.zeros((3, 2))] * 2, [np.zeros((3, 2))] * 2 + [np.zeros((2, 2))]):
+        with pytest.raises(ValueError, match="3 blocks of 3 rows"):
+            next(kernel.run(0.5, wrong))
     inc = [np.full((3, 4), 0.1), np.empty((3, 0)), np.full((3, 2), -0.1)]
     taken = [(g, n, state.shape) for g, n, state in
              kernel.run(np.full(4, 0.5), inc, at=(None, None, (6,)), first=(1, 3, 5))]
@@ -512,23 +574,23 @@ def test_trajectory_history_and_validation():
     # One step per increment column, and the final state alone on request.
     u0, solver = benchmark_setup(4)
     kernel = benchmark_kernel("splitting", solver)
-    history = [(n, state.copy()) for n, state in kernel.run(u0, QUARTERS)]
+    history = [(n, state.copy()) for _, n, state in kernel.run(u0, (QUARTERS[None],))]
     assert [n for n, _ in history] == [1, 2, 3, 4]
-    [(n, final)] = kernel.run(u0, QUARTERS, at=(4,))
+    [(_, n, final)] = kernel.run(u0, (QUARTERS[None],), at=((4,),))
     assert n == 4 and final.tobytes() == history[-1][1].tobytes()
-    assert [n for n, _ in kernel.run(u0, QUARTERS[:3])] == [1, 2, 3]
+    assert [n for _, n, _ in kernel.run(u0, (QUARTERS[None, :3],))] == [1, 2, 3]
 
 
 def test_constant_start_stays_constant_along_noisy_trajectory():
     solver = solver_on(4, 12)
-    kernel = StepKernel("splitting", 9.0, EpsilonSchedule.fixed(0.02), solver, (16,))
+    kernel = lone_kernel("splitting", 9.0, EpsilonSchedule.fixed(0.02), solver)
     inc = np.random.default_rng(14).standard_normal(12) * np.sqrt(solver.tau)
     for state in run_states(kernel, np.full(16, 0.58), inc):
         assert state.max() - state.min() <= 1e-10
 
 
 def test_zero_noise_constant_trajectory():
-    kernel = StepKernel("splitting", 0.0, EpsilonSchedule.fixed(0.1), solver_on(3, 5), (9,))
+    kernel = lone_kernel("splitting", 0.0, EpsilonSchedule.fixed(0.1), solver_on(3, 5))
     for state in run_states(kernel, np.full(9, 0.42), np.zeros(5)):
         np.testing.assert_allclose(state, 0.42, atol=1e-13)
 
@@ -536,8 +598,7 @@ def test_zero_noise_constant_trajectory():
 def test_trajectory_csv_dump():
     # simulate's trajectory.csv: step 0 is the start field.
     u0, solver = benchmark_setup(2)
-    states = run_states(benchmark_kernel("splitting", solver), u0,
-                        HALVES)
+    states = [state[0] for state in run_states(benchmark_kernel("splitting", solver), u0, HALVES)]
     buf = io.StringIO()
     write_states_csv(buf, [u0] + states, first_step=0)
     lines = buf.getvalue().splitlines()
