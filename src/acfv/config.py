@@ -275,6 +275,20 @@ def _canonical_lines(config: StudyConfig) -> list:
 
 
 def build_manifest(command: str, config: StudyConfig) -> RunManifest:
-    payload = "\n".join([command] + _canonical_lines(config))
+    """The run's manifest; ``run_id`` hashes the command and the config.
+
+    ``path_file`` enters the hash as the sha256 of the file's bytes, not
+    as its path, so that a run has the same id in every checkout.
+    """
+    lines = _canonical_lines(config)
+    if config.path_file is not None:
+        try:
+            with open(config.path_file, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+        except OSError as exc:
+            raise ConfigError(f"increment file {config.path_file}: {exc.strerror}") from exc
+        lines = [f"path_file = sha256:{digest}" if line.startswith("path_file = ") else line
+                 for line in lines]
+    payload = "\n".join([command] + lines)
     run_id = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
     return RunManifest(command=command, config=config, run_id=run_id, passes=passes()[1])

@@ -110,19 +110,29 @@ def test_manifest_hash_tracks_content():
     assert "seed = 99" in m3.text()
 
 
-def test_run_id_is_unchanged_and_the_passes_stay_out_of_it(monkeypatch):
-    # The run_ids of the desk presets from before the manifest recorded the
-    # passes (those with no path_file, whose absolute path enters the
-    # hash); the passes line follows run_id.
+def test_run_id_is_unchanged_and_the_passes_stay_out_of_it(monkeypatch, tmp_path):
+    # The run_ids of the desk presets: the three Monte Carlo ones from before
+    # the manifest recorded the passes, and those of simulate and table-repro
+    # since their path_file enters the hash by its bytes, so the same in any
+    # checkout and for a copy of the file elsewhere.  The passes line
+    # follows run_id.
     run_ids = {"convergence": "f7daef2fe3e5", "expectation": "4bdfac6f626f",
-               "splitting-error": "b46d8433821b"}
+               "splitting-error": "b46d8433821b", "simulate": "4a604cc45d01",
+               "table-repro": "e6892db5a246"}
+    copy = tmp_path / "increments.csv"
+    copy.write_bytes(Path(packaged_increments_path()).read_bytes())
     for passes in (scheme.passes()[1], "numpy"):
         monkeypatch.setattr(config_module, "passes", lambda: (None, passes))
         for command, run_id in run_ids.items():
-            manifest = build_manifest(command, preset_config(command, "desk"))
+            config = preset_config(command, "desk")
+            manifest = build_manifest(command, config)
             assert manifest.run_id == run_id
             assert manifest.text().splitlines()[1:3] == [f"run_id = {run_id}",
                                                          f"passes = {passes}"]
+            if config.path_file is not None:
+                assert f"\npath_file = {config.path_file}\n" in manifest.text()
+                moved = build_manifest(command, replace(config, path_file=str(copy)))
+                assert moved.run_id == run_id
 
 
 def run_cli(*argv):

@@ -46,7 +46,7 @@ def test_concurrent_builds_into_an_empty_cache_both_load(tmp_path):
     outputs = [child.communicate(timeout=120)[0] for child in children]
     assert [child.returncode for child in children] == [0, 0]
     assert outputs[0] == outputs[1]
-    assert outputs[0].startswith(f"compiled ({CC}, {' '.join(FLAGS)}) ")
+    assert outputs[0].startswith(f"compiled ({CC}, {' '.join(FLAGS)}); ")
     [lib] = (cache / "acfv").iterdir()  # one library, no temporary file left
     assert lib.name.startswith("passes-") and lib.suffix == ".so"
 

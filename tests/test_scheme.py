@@ -1,6 +1,7 @@
 """Steppers against the frozen benchmark tables and the structure theorems."""
 
 import io
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
@@ -492,6 +493,130 @@ def test_ragged_stack_compiled_matches_numpy_bitwise(monkeypatch, L, variant):
     assert [(g, n) for g, n, _ in compiled[:9]] == [(0, 1), (1, 1), (2, 1), (0, 2), (1, 2),
                                                     (2, 2), (0, 3), (1, 3), (2, 3)]
     assert len(compiled) == 7 + 3 + 5 + 6 + 6
+
+
+@contextmanager
+def rebuilt_passes(monkeypatch, **attributes):
+    """``scheme.passes()`` loaded afresh with the named ``scheme`` attributes patched.
+
+    Kernels built inside the block run those passes; the next call after
+    it loads this process's own passes again.
+    """
+    with monkeypatch.context() as patched:
+        for name, value in attributes.items():
+            patched.setattr(scheme, name, value)
+        scheme.passes.cache_clear()
+        try:
+            yield scheme.passes()
+        finally:
+            scheme.passes.cache_clear()
+
+
+def needs_one_call_rounds():
+    """Skip without a C compiler or numpy's 64-bit dgemm; else the rounds must pass the self-check."""
+    if scheme.passes()[1] == "numpy" or scheme._numpy_dgemm()[0] is None:
+        pytest.skip("no compiled one-call rounds here (no C compiler or no 64-bit dgemm)")
+    assert "rounds in one call through" in scheme.passes()[1]
+
+
+@pytest.mark.parametrize("variant", ["splitting", "heat"])
+def test_one_call_rounds_match_rounds_one_by_one_and_numpy_bitwise(monkeypatch, variant):
+    # d = 16 (dense), 3 step sizes by 3 amplitudes and 6 paths.  The groups
+    # drop out in the middle of the first chunk, and each names steps in
+    # the middle of a chunk, as expectation checkpoints do, so that a
+    # stretch of rounds in one call ends there; the second chunk resumes
+    # from the kernel's buffer.  Edge cells: -0.0, 5e-324, 1 + 2^-52, NaN
+    # and a row of -0.0 whose first increment is positive, so its noisy
+    # row is -0.0.  The one-call rounds, the compiled rounds one by one (no
+    # BLAS symbol) and the numpy passes yield the same bytes.
+    needs_one_call_rounds()
+    solvers = [solver_on(4, n) for n in (40, 24, 16)]
+    rng = np.random.default_rng(4)
+    start = rng.uniform(-0.6, 1.6, (6, 16))
+    start[0, :4] = (-0.0, 5e-324, 1.0 + 2.0 ** -52, np.nan)
+    start[1] = -0.0
+    chunks = [[rng.standard_normal((6, k)) * 0.3 for k in counts]
+              for counts in ((9, 5, 7), (8, 8, 0))]
+    for inc in chunks[0]:
+        inc[1, 0] = 0.25
+    at = ((3, 7, 12, 17), (2, 9, 13), (4, 11))
+
+    def yields():
+        kernel = StepKernel(variant, (0.0, 2.0, 9.0), EpsilonSchedule.fixed(0.05), solvers, 6)
+        taken, got = [0, 0, 0], []
+        for incs in chunks:
+            u = kernel.out if any(taken) else start
+            got += [(g, n, state.tobytes()) for g, n, state in
+                    kernel.run(u, incs, at=at, first=[t + 1 for t in taken])]
+            taken = [t + inc.shape[1] for t, inc in zip(taken, incs)]
+        return got, kernel.out.tobytes()
+
+    one_call = yields()
+    with rebuilt_passes(monkeypatch, DGEMM_SYMBOLS=("acfv_no_such_dgemm",)) as (_, described):
+        assert described.endswith("rounds one by one: no 64-bit cblas_dgemm in numpy")
+        one_by_one = yields()
+    monkeypatch.setattr(scheme, "passes", lambda: (scheme._numpy_passes, "numpy"))
+    assert yields() == one_by_one == one_call
+    assert [(g, n) for g, n, _ in one_call[0]] == [(1, 2), (0, 3), (2, 4), (0, 7), (0, 12),
+                                                   (1, 9), (0, 17), (1, 13)]
+
+
+def test_resolvent_clip_serves_the_next_noise_bitwise():
+    # Without the product, round 0's resolvent and round 1's noise are one
+    # pass in C, on the clip of the resolvent's input; called round by
+    # round, the numpy passes clip the resolvent's output again.  Cells
+    # where the two clips differ (-0.0 in, +0.0 out) and the other edge
+    # cells give the same bytes.
+    needs_one_call_rounds()
+    rng = np.random.default_rng(5)
+    u = rng.uniform(-0.6, 1.6, (2, 2, 3, 8))
+    u[0, 0, 0] = (-0.0, 5e-324, -5e-324, 1.0 + 2.0 ** -52, np.nan, np.inf, -np.inf, 1.0)
+    u[1, 1, 2] = -0.0
+    args = (np.array([0.0, 7.0]), np.array([0.5, 0.25]), rng.standard_normal((2, 2, 3)))
+    calls = {scheme.passes()[0]: [(scheme.NOISE | scheme.RESOLVENT, 0, 2)],
+             scheme._numpy_passes: [(scheme.NOISE | scheme.RESOLVENT, 0, 1),
+                                    (scheme.NOISE, 1, 2), (scheme.RESOLVENT, 1, 2)]}
+    states = []
+    for bind, rounds in calls.items():
+        state, noisy = u.copy(), np.empty_like(u)
+        for call in rounds:
+            bind(state, noisy, *args, None)(*call)
+        states.append((state.tobytes(), noisy.tobytes()))
+    assert states[0] == states[1]
+
+
+def test_failed_self_check_falls_back_to_rounds_one_by_one(monkeypatch):
+    # With the probe's numpy rounds one ulp off, the self-check fails: the
+    # compiled rounds then go one by one around np.matmul, and still give
+    # the bytes of the numpy passes.
+    needs_one_call_rounds()
+    numpy_passes = scheme._numpy_passes
+
+    def one_ulp_off(u, *args):
+        rounds = numpy_passes(u, *args)
+
+        def off(*call):
+            rounds(*call)
+            np.nextafter(u, np.inf, out=u)
+        return off
+
+    solvers = [solver_on(4, n) for n in (8, 4)]
+    start = np.random.default_rng(6).uniform(-0.6, 1.6, (5, 16))
+    increments = [np.full((5, 8), 0.3), np.full((5, 4), -0.2)]
+
+    def final(kernel):
+        for _ in kernel.run(start, increments, at=((8,), (4,))):
+            pass
+        return kernel.out.tobytes()
+
+    with rebuilt_passes(monkeypatch, _numpy_passes=one_ulp_off) as (bind, described):
+        name = scheme._numpy_dgemm()[1]
+        assert described.endswith(f"rounds one by one: {name} differs from np.matmul")
+        fallback = StepKernel("splitting", (3.0,), EpsilonSchedule.fixed(0.05), solvers, 5)
+    assert bind.args[1] is None  # no BLAS call from C
+    monkeypatch.setattr(scheme, "passes", lambda: (scheme._numpy_passes, "numpy"))
+    oracle = StepKernel("splitting", (3.0,), EpsilonSchedule.fixed(0.05), solvers, 5)
+    assert final(fallback) == final(oracle)
 
 
 def test_kernel_stack_shapes_and_round_yields():
