@@ -23,8 +23,8 @@ mesh = build_uniform_mesh(4)
 solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), tau=1.0 / 16)
 # One kernel per method for one step size, one amplitude (a = 8, eps = 0.05)
 # and one path of 16 cells.  A call takes one step and returns the kernel's
-# (1, 1, 1, 16) buffer, valid until its next call.
-split, coupled = (StepKernel(variant, (8.0,), EpsilonSchedule.fixed(0.05), (solver,), 1)
+# (1, 1, 16) buffer, valid until its next call.
+split, coupled = (StepKernel(variant, (8.0,), EpsilonSchedule.fixed(0.05), solver, 1)
                   for variant in ("splitting", "coupled"))
 rng = np.random.default_rng(0)
 

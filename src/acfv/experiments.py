@@ -21,8 +21,8 @@ solver per step count and streams the block through time in chunks of
 CHUNK fine steps.  Each chunk is sampled once, summed into the coarse
 increments of every step count (differences of the running path sum,
 see ``stochastic.coarse_chunks``) and stepped at every amplitude and step
-count on those shared paths, as one stack per variant, so a block never
-holds more than a chunk of its path.
+count on those shared paths, one stack per step count and variant, so a
+block never holds more than a chunk of its path.
 ``simulate`` and the benchmark tables run their single path through the
 same runner as a one-row block.  Only the steps a study
 reads (convergence: the last, expectation: the checkpoints, the gap:
@@ -140,9 +140,12 @@ class StudyConfig:
         for n in (*self.n_steps_list, *(() if self.n_steps is None else (self.n_steps,))):
             if n < 1 or n_fine % n:
                 raise ConfigError(f"step count {n} must divide N_max={n_fine}")
-        for i, n in enumerate(self.n_steps_list):
-            if n in self.n_steps_list[:i]:
-                raise ConfigError(f"'N_list' repeats step count {n}")
+        for key, values, what in (("N_list", self.n_steps_list, "step count"),
+                                  ("checkpoints", self.checkpoints, "checkpoint"),
+                                  ("a", self.amplitudes, "amplitude")):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ConfigError(f"'{key}' repeats {what} {format_float(value)}")
         if self.n_steps is not None:
             for n in self.checkpoints:
                 if not 1 <= n <= self.n_steps:
@@ -203,18 +206,17 @@ def run_block(config: StudyConfig, initial_state, paths, at, variants):
     count.  ``at[N]`` names the steps whose states the caller reads (None:
     every step).  The mesh, the start field and the operators are built
     once.  Returns the mesh, the start field and a generator over the
-    runs: it builds one ShiftedSolver per N and one StepKernel per
-    variant, which steps the (G, A, p, d) stack of every N (by decreasing
-    N) and every amplitude (index k into ``config.amplitudes``).  Chunk by
-    chunk, each kernel takes the steps of every N that end in the chunk in
-    lockstep rounds, so a coarse step rides along with a step of N_max, and
-    resumes from its own output in the next chunk.  The generator yields
+    runs: it builds one ShiftedSolver per N and one StepKernel per (N,
+    variant), which steps the (A, p, d) stack of every amplitude (index k
+    into ``config.amplitudes``).  Chunk by chunk, N by N (by decreasing N),
+    the kernels of N take the steps of N that end in the chunk and resume
+    from their own output in the next chunk.  The generator yields
     (k, N, n, states) after each named step n, one (p, d) view into each
-    variant's stack: steps come in order for each (k, N), while different
-    N interleave by round.  The views are kernel buffers (see
-    ``StepKernel.run``); the last one yielded for a (k, N) stays valid, as
-    no later step of that N overwrites it.  After the last chunk, each
-    (k, N)'s final states are checked to be finite.
+    variant's stack: steps come in order for each (k, N), and within a
+    chunk all of one N's come before the next N's.  The views are kernel
+    buffers (see ``StepKernel.run``); the last one yielded for a (k, N)
+    stays valid, as no later step of that N overwrites it.  After the last
+    chunk, each (k, N)'s final states are checked to be finite.
     """
     mesh = build_uniform_mesh(config.cells_per_axis, config.half_width)
     u0 = (default_initial_state(mesh) if initial_state is None
@@ -230,24 +232,25 @@ def run_block(config: StudyConfig, initial_state, paths, at, variants):
     order = sorted(at, reverse=True)
 
     def runs():
-        solvers = [ShiftedSolver(mass, stiffness, config.horizon / n) for n in order]
-        kernels = [StepKernel(variant, config.amplitudes, config.epsilon, solvers, len(start))
-                   for variant in variants]
-        named, taken = [at[n] for n in order], [0] * len(order)
-        no_steps = np.empty((len(start), 0))
+        kernels = {}
+        for n in order:
+            solver = ShiftedSolver(mass, stiffness, config.horizon / n)
+            kernels[n] = [StepKernel(variant, config.amplitudes, config.epsilon, solver,
+                                     len(start)) for variant in variants]
+        taken = dict.fromkeys(order, 0)
         for coarse in coarse_chunks(chunks, n_fine, order):
-            incs, first = [coarse.get(n, no_steps) for n in order], [t + 1 for t in taken]
-            # strict: every kernel runs to the chunk's end, past its last named step
-            for steps in zip(*(kernel.run(kernel.out if any(taken) else start, incs, named, first)
-                               for kernel in kernels), strict=True):
-                g, n = steps[0][:2]
-                for k in range(len(config.amplitudes)):
-                    yield k, order[g], n, [states[k] for _, _, states in steps]
-            taken = [t + inc.shape[1] for t, inc in zip(taken, incs)]
+            for n, incs in coarse.items():
+                # strict: every kernel runs to the chunk's end, past its last named step
+                for steps in zip(*(kernel.run(kernel.out if taken[n] else start, incs, at[n],
+                                              taken[n] + 1) for kernel in kernels[n]),
+                                 strict=True):
+                    for k in range(len(config.amplitudes)):
+                        yield k, n, steps[0][0], [states[k] for _, states in steps]
+                taken[n] += incs.shape[1]
         for n_steps in at:
             for k, amplitude in enumerate(config.amplitudes):
-                require_finite(np.hstack([kernel.out[order.index(n_steps), k]
-                                          for kernel in kernels]), amplitude, n_steps, lo)
+                require_finite(np.hstack([kernel.out[k] for kernel in kernels[n_steps]]),
+                               amplitude, n_steps, lo)
 
     return mesh, u0, runs()
 

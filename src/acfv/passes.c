@@ -1,5 +1,5 @@
-/* The rounds of a StepKernel over a run of groups of a C-contiguous
- * (G, A, P, D) stack: step sizes, amplitudes, paths, cells.
+/* The rounds of a StepKernel over its C-contiguous (A, P, D) stack:
+ * amplitudes, paths, cells.
  *
  * Each value is computed by the same IEEE operations in the same order as
  * the ufuncs of scheme._numpy_passes, and the heat product by the very
@@ -17,16 +17,15 @@ typedef void dgemm64(int order, int trans_a, int trans_b, int64_t m, int64_t n, 
                      double alpha, const double *a, int64_t lda, const double *b,
                      int64_t ldb, double beta, double *c, int64_t ldc);
 
-/* A run of groups, as scheme._Run lays it out.  The increment of (g, p)
- * in round j is dw[j * dw_j + g * dw_g + p * dw_p], in elements; group g's
- * propagator is the D x D row-major matrix at markov + g * D * D, which
- * the product takes as it is (trans CblasNoTrans) or transposed
- * (CblasTrans). */
+/* A run, as scheme._Run lays it out.  The increment of path p in round j
+ * is dw[j * dw_j + p * dw_p], in elements; the propagator is the D x D
+ * row-major matrix at markov. */
 struct run {
     double *u, *w;
-    const double *amp, *kappa, *dw, *markov;
+    const double *amp, *dw, *markov;
     dgemm64 *gemm;
-    ptrdiff_t groups, amps, paths, cells, dw_j, dw_g, dw_p, trans;
+    double kappa;
+    ptrdiff_t amps, paths, cells, dw_j, dw_p;
 };
 
 /* Cells clipped at once into a local buffer. */
@@ -86,28 +85,28 @@ INLINE void pass(double *restrict u, double *restrict w, int res, double k, doub
     }
 }
 
-/* Rounds j0..j1-1 through the stages named, each (g, a) tile of p x d
- * cells through all of them in turn, so that it stays in cache: the noise
- * into w, then u = w markov_g as np.matmul computes it, then the
+/* Rounds j0..j1-1 through the stages named, each amplitude's tile of
+ * p x d cells through all of them in turn, so that it stays in cache: the
+ * noise into w, then u = w markov as np.matmul computes it, then the
  * resolvent, in one pass with the next round's noise.  Tiles are
  * independent, so the order of rounds within each is all that matters. */
 CLONES void acfv_rounds(const struct run *r, int stages, int j0, int j1)
 {
     const ptrdiff_t paths = r->paths, cells = r->cells, tile = paths * cells;
-    for (ptrdiff_t g = 0; g < r->groups; g++)
-        for (ptrdiff_t a = 0; a < r->amps; a++) {
-            double *u = r->u + (g * r->amps + a) * tile, *w = r->w + (u - r->u);
-            const double k = r->kappa[g], am = r->amp[a];
-            for (ptrdiff_t j = j0; j < j1; j++) {
-                const double *dw = r->dw + j * r->dw_j + g * r->dw_g;
-                if ((stages & NOISE) && (j == j0 || !(stages & RESOLVENT)))
-                    pass(u, w, 0, k, am, dw, r->dw_p, tile, cells);
-                if (stages & PRODUCT)  /* CblasRowMajor, CblasNoTrans */
-                    r->gemm(101, 111, (int)r->trans, paths, cells, cells, 1.0, w, cells,
-                            r->markov + g * cells * cells, cells, 0.0, u, cells);
-                if (stages & RESOLVENT)
-                    pass(u, w, 1, k, am, (stages & NOISE) && j + 1 < j1 ? dw + r->dw_j : NULL,
-                         r->dw_p, tile, cells);
-            }
+    const double k = r->kappa;
+    for (ptrdiff_t a = 0; a < r->amps; a++) {
+        double *u = r->u + a * tile, *w = r->w + a * tile;
+        const double am = r->amp[a];
+        for (ptrdiff_t j = j0; j < j1; j++) {
+            const double *dw = r->dw + j * r->dw_j;
+            if ((stages & NOISE) && (j == j0 || !(stages & RESOLVENT)))
+                pass(u, w, 0, k, am, dw, r->dw_p, tile, cells);
+            if (stages & PRODUCT)  /* CblasRowMajor, CblasNoTrans, CblasNoTrans */
+                r->gemm(101, 111, 111, paths, cells, cells, 1.0, w, cells, r->markov, cells,
+                        0.0, u, cells);
+            if (stages & RESOLVENT)
+                pass(u, w, 1, k, am, (stages & NOISE) && j + 1 < j1 ? dw + r->dw_j : NULL,
+                     r->dw_p, tile, cells);
         }
+    }
 }

@@ -128,7 +128,7 @@ def matrix_suite(seed=20250, cases=1000) -> list:
 def _random_kernels(rng, max_steps, variants):
     """L and a kernel per variant on a random L x L mesh, tau = 1/N (N < max_steps), eps and a.
 
-    Each kernel steps one field: its ``out`` is (1, 1, 1, L * L).
+    Each kernel steps one field: its ``out`` is (1, 1, L * L).
     """
     L = int(rng.integers(1, 6))
     mesh = build_uniform_mesh(L)
@@ -136,7 +136,7 @@ def _random_kernels(rng, max_steps, variants):
     epsilon = EpsilonSchedule.fixed(float(rng.uniform(0.005, 0.2)))
     amplitude = float(rng.uniform(0.0, 20.0))
     solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), tau)
-    return L, [StepKernel(variant, (amplitude,), epsilon, (solver,), 1) for variant in variants]
+    return L, [StepKernel(variant, (amplitude,), epsilon, solver, 1) for variant in variants]
 
 
 def structure_suite(seed=20251, cases=200) -> list:
@@ -148,7 +148,7 @@ def structure_suite(seed=20251, cases=200) -> list:
     for _ in range(cases):
         L, kernels = _random_kernels(rng, 5, ("splitting", "coupled"))
         u = np.full(L * L, float(rng.uniform(0.0, 1.0)))
-        d_w = float(rng.standard_normal() * np.sqrt(kernels[0].tau[0]))
+        d_w = float(rng.standard_normal() * np.sqrt(kernels[0].tau))
         for step in kernels:
             out = step(u, d_w)
             worst = max(worst, float(out.max() - out.min()))

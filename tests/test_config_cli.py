@@ -393,6 +393,20 @@ def test_convergence_rejects_a_repeated_step_count(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("keys, message", [
+    ("checkpoints = 4,2,4\na = 1\n", "'checkpoints' repeats checkpoint 4"),
+    ("a = 1,1\n", "'a' repeats amplitude 1"),
+], ids=["checkpoints", "a"])
+def test_expectation_rejects_a_repeated_checkpoint_or_amplitude(tmp_path, capsys, keys, message):
+    # A repeat would write its expectation.csv rows twice.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("L = 2\nN = 8\nN_max = 8\nN_p = 2\n" + keys)
+    out = tmp_path / "o"
+    assert run_cli("expectation", "--config", str(cfg), "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, keys", [
     ("expectation", "N_max = 8\n"),
     ("splitting-error", "N_max = 32\nN_list = 16,32\neps_rule = power\neps_c = 0.1\n"

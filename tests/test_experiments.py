@@ -84,16 +84,16 @@ def test_block_runner_yields_exactly_the_steps_asked_for(variants):
         return {(k, n_steps, n): [state.tobytes() for state in states]
                 for k, n_steps, n, states in runs}
 
-    # Round n takes step n of N = 64 and, while it has one, step n of
-    # N = 16, each at every amplitude in turn.
+    # The one chunk takes the steps of N = 64, then those of N = 16, each
+    # at every amplitude in turn.
     every = collect(dict.fromkeys((16, 64)))
-    assert list(every) == [(k, n_steps, n) for n in range(1, 65) for n_steps in (64, 16)
-                           if n <= n_steps for k in (0, 1)]
+    assert list(every) == [(k, n_steps, n) for n_steps in (64, 16) for n in range(1, n_steps + 1)
+                           for k in (0, 1)]
     assert all(len(states) == len(variants) for states in every.values())
     assert every[0, 64, 64] != every[1, 64, 64]
     some = collect({64: (1, 30), 16: (16,)})
-    assert list(some) == [(0, 64, 1), (1, 64, 1), (0, 16, 16), (1, 16, 16),
-                          (0, 64, 30), (1, 64, 30)]
+    assert list(some) == [(0, 64, 1), (1, 64, 1), (0, 64, 30), (1, 64, 30),
+                          (0, 16, 16), (1, 16, 16)]
     for key, states in some.items():
         assert states == every[key]
 

@@ -34,8 +34,8 @@ def benchmark_setup(n_steps):
 
 
 def lone_kernel(variant, amplitude, epsilon, solver, paths=1):
-    """A kernel of one run: one step size, one amplitude, ``paths`` fields."""
-    return StepKernel(variant, (amplitude,), epsilon, (solver,), paths)
+    """A kernel of one run: one amplitude, ``paths`` fields."""
+    return StepKernel(variant, (amplitude,), epsilon, solver, paths)
 
 
 def benchmark_kernel(variant, solver, paths=1):
@@ -46,17 +46,22 @@ def benchmark_kernel(variant, solver, paths=1):
 
 def lone_params(kernel):
     """The amplitude, tau and eps of a lone-run kernel, as the oracles read them."""
-    return SimpleNamespace(amplitude=kernel.amplitude[0], tau=kernel.tau[0], eps=kernel.eps[0])
+    return SimpleNamespace(amplitude=kernel.amplitude[0], tau=kernel.tau, eps=kernel.eps)
 
 
 def step(kernel, u, d_w):
     """One step of a lone-run kernel from u with increments d_w (one per path): its (p, d) states."""
-    return kernel(u, d_w)[0, 0]
+    return kernel(u, d_w)[0]
 
 
 def run_states(kernel, u0, increments):
     """Copies of the (p, d) states after every step of a lone-run kernel; increments (p, k)."""
-    return [state[0].copy() for _, _, state in kernel.run(u0, (np.atleast_2d(increments),))]
+    return [state[0].copy() for _, state in kernel.run(u0, np.atleast_2d(increments))]
+
+
+def numpy_passes(blas=True):
+    """A stand-in for ``scheme.passes``: the numpy passes."""
+    return scheme._numpy_passes, "numpy"
 
 
 def each_passes(monkeypatch):
@@ -65,7 +70,7 @@ def each_passes(monkeypatch):
     passes."""
     yield scheme.passes()[1]
     with monkeypatch.context() as patched:
-        patched.setattr(scheme, "passes", lambda: (scheme._numpy_passes, "numpy"))
+        patched.setattr(scheme, "passes", numpy_passes)
         yield "numpy"
 
 
@@ -85,8 +90,8 @@ def test_epsilon_schedules():
 def test_step_kernel_reads_tau_from_its_solver(epsilon):
     solver = solver_on(2, 3)
     kernel = lone_kernel("splitting", 2.0, epsilon, solver)
-    assert kernel.tau == (solver.tau,)
-    assert kernel.eps == (epsilon.value(solver.tau),)
+    assert kernel.tau == solver.tau
+    assert kernel.eps == epsilon.value(solver.tau)
     assert lone_kernel("heat", 0.0, epsilon, solver).amplitude == (0.0,)
     with pytest.raises(ValueError, match="amplitude"):
         lone_kernel("splitting", -1.0, epsilon, solver)
@@ -263,12 +268,12 @@ def test_run_resumed_across_chunks_matches_one_run(variant):
     def kernel():
         return lone_kernel(variant, 9.0, EpsilonSchedule.fixed(0.05), solver, len(start))
 
-    whole = [(n, state.tobytes()) for _, n, state in kernel().run(start, (inc,), (at,))]
+    whole = [(n, state.tobytes()) for n, state in kernel().run(start, inc, at)]
     resumed, chunked = [], kernel()
     for lo, hi in ((0, 7), (7, 8), (8, 31), (31, 40)):
         u = start if lo == 0 else chunked.out
         resumed += [(n, state.tobytes())
-                    for _, n, state in chunked.run(u, (inc[:, lo:hi],), (at,), first=lo + 1)]
+                    for n, state in chunked.run(u, inc[:, lo:hi], at, first=lo + 1)]
     assert resumed == whole
 
 
@@ -405,7 +410,7 @@ def test_step_kernel_matches_oracle_bitwise(monkeypatch, L, amplitude, variant):
         for n in range(d_w.shape[1]):
             got = kernel(got, d_w[:, n])
             expected = oracle(expected, d_w[:, n], params, solver)
-            assert got[0, 0].tobytes() == expected.tobytes()
+            assert got[0].tobytes() == expected.tobytes()
         # A state the kernel did not produce gets its own clip, in a used
         # kernel as in a fresh one.
         first = oracle(stack, d_w[:, 0], params, solver).tobytes()
@@ -426,15 +431,14 @@ def test_kernel_run_matches_per_step_oracle_bitwise(monkeypatch, L, variant):
     for _ in each_passes(monkeypatch):
         kernel, oracle = edge_case_kernel(variant, 7.0, solver, len(stack)), ORACLES[variant]
         params, expected, every = lone_params(kernel), stack, []
-        for _, n, got in kernel.run(stack, (d_w,)):
+        for n, got in kernel.run(stack, d_w):
             expected = oracle(expected, d_w[:, n - 1], params, solver)
             assert got[0].tobytes() == expected.tobytes(), f"step {n}"
             every.append(got[0].copy())
         assert n == n_steps
         # Asking for some steps yields exactly those, with the same bytes.
         asked = (1, 2, 33, 40)
-        taken = [(n, state[0].tobytes())
-                 for _, n, state in kernel.run(stack, (d_w,), at=(asked,))]
+        taken = [(n, state[0].tobytes()) for n, state in kernel.run(stack, d_w, at=asked)]
         assert taken == [(n, every[n - 1].tobytes()) for n in asked]
 
 
@@ -454,20 +458,37 @@ def test_step_kernel_nan_row_ends_in_numerical_failure(monkeypatch, L, variant):
         for n in range(d_w.shape[1]):
             got = kernel(got, d_w[:, n])
             expected = ORACLES[variant](expected, d_w[:, n], params, solver)
-            assert got[0, 0].tobytes() == expected.tobytes()
-        assert np.isnan(got[0, 0]).any(axis=1).tolist() == [False] * 4 + [True, False]
+            assert got[0].tobytes() == expected.tobytes()
+        assert np.isnan(got[0]).any(axis=1).tolist() == [False] * 4 + [True, False]
         with pytest.raises(NumericalFailure, match="path 4"):
-            require_finite(got[0, 0], params.amplitude, 16)
+            require_finite(got[0], params.amplitude, 16)
+
+
+def chunked_yields(kernels, start, chunks, at=None):
+    """(g, n, state bytes) of every yield, each chunk stepped kernel by kernel, as in run_block.
+
+    A chunk holds one (p, k) increment block per kernel g (k may be 0), and
+    ``at`` one tuple of named steps per kernel (None: every step).  From its
+    first step on, a kernel resumes from its own buffer.
+    """
+    taken, got = [0] * len(kernels), []
+    for incs in chunks:
+        for g, (kernel, inc) in enumerate(zip(kernels, incs)):
+            u = kernel.out if taken[g] else start
+            got += [(g, n, state.tobytes()) for n, state in
+                    kernel.run(u, inc, None if at is None else at[g], taken[g] + 1)]
+            taken[g] += inc.shape[1]
+    return got
 
 
 @pytest.mark.parametrize("L", [3, 9])
 @pytest.mark.parametrize("variant", ["splitting", "heat", "coupled"])
 def test_ragged_stack_compiled_matches_numpy_bitwise(monkeypatch, L, variant):
-    # Three step sizes by two amplitudes, the groups dropping out at
-    # different rounds of a chunk, as in run_block: in the first chunk the
-    # groups of rounds 3 and 4 are {0, 2}, two runs of one group each.  The
-    # second chunk resumes from the kernel's buffer.  Every yield of the
-    # compiled passes equals the numpy passes byte for byte.
+    # Three step sizes by two amplitudes, one kernel per step size, each
+    # taking its own number of steps in a chunk, as in run_block: 7, 3 and
+    # 5 in the first chunk, 6, 6 and none in the second, which resumes from
+    # each kernel's buffer.  Every yield of the compiled passes equals the
+    # numpy passes byte for byte.
     if scheme.passes()[1] == "numpy":
         pytest.skip("the compiled passes did not build here (no C compiler)")
     solvers = [solver_on(L, n) for n in (40, 24, 16)]
@@ -478,21 +499,17 @@ def test_ragged_stack_compiled_matches_numpy_bitwise(monkeypatch, L, variant):
               for counts in ((7, 3, 5), (6, 6, 0))]
 
     def yields():
-        kernel = StepKernel(variant, (2.0, 9.0), EpsilonSchedule.fixed(0.05), solvers, 5)
-        taken, got = [0, 0, 0], []
-        for incs in chunks:
-            u = kernel.out if any(taken) else start
-            got += [(g, n, state.tobytes()) for g, n, state in
-                    kernel.run(u, incs, first=[t + 1 for t in taken])]
-            taken = [t + inc.shape[1] for t, inc in zip(taken, incs)]
-        return got
+        return chunked_yields([StepKernel(variant, (2.0, 9.0), EpsilonSchedule.fixed(0.05),
+                                          solver, 5) for solver in solvers], start, chunks)
 
     compiled = yields()
-    monkeypatch.setattr(scheme, "passes", lambda: (scheme._numpy_passes, "numpy"))
+    monkeypatch.setattr(scheme, "passes", numpy_passes)
     assert yields() == compiled
-    assert [(g, n) for g, n, _ in compiled[:9]] == [(0, 1), (1, 1), (2, 1), (0, 2), (1, 2),
-                                                    (2, 2), (0, 3), (1, 3), (2, 3)]
-    assert len(compiled) == 7 + 3 + 5 + 6 + 6
+    assert [(g, n) for g, n, _ in compiled] == ([(0, n) for n in range(1, 8)]
+                                                + [(1, n) for n in range(1, 4)]
+                                                + [(2, n) for n in range(1, 6)]
+                                                + [(0, n) for n in range(8, 14)]
+                                                + [(1, n) for n in range(4, 10)])
 
 
 @contextmanager
@@ -521,14 +538,15 @@ def needs_one_call_rounds():
 
 @pytest.mark.parametrize("variant", ["splitting", "heat"])
 def test_one_call_rounds_match_rounds_one_by_one_and_numpy_bitwise(monkeypatch, variant):
-    # d = 16 (dense), 3 step sizes by 3 amplitudes and 6 paths.  The groups
-    # drop out in the middle of the first chunk, and each names steps in
-    # the middle of a chunk, as expectation checkpoints do, so that a
-    # stretch of rounds in one call ends there; the second chunk resumes
-    # from the kernel's buffer.  Edge cells: -0.0, 5e-324, 1 + 2^-52, NaN
-    # and a row of -0.0 whose first increment is positive, so its noisy
-    # row is -0.0.  The one-call rounds, the compiled rounds one by one (no
-    # BLAS symbol) and the numpy passes yield the same bytes.
+    # d = 16 (dense), 3 step sizes (one kernel each) by 3 amplitudes and 6
+    # paths.  The kernels take 9, 5 and 7 steps in the first chunk and 8, 8
+    # and none in the second, which resumes from each kernel's buffer, and
+    # each names steps in the middle of a chunk, as expectation checkpoints
+    # do, so that a stretch of rounds in one call ends there.  Edge cells:
+    # -0.0, 5e-324, 1 + 2^-52, NaN and a row of -0.0 whose first increment
+    # is positive, so its noisy row is -0.0.  The one-call rounds, the
+    # compiled rounds one by one (no BLAS symbol) and the numpy passes yield
+    # the same bytes.
     needs_one_call_rounds()
     solvers = [solver_on(4, n) for n in (40, 24, 16)]
     rng = np.random.default_rng(4)
@@ -542,23 +560,19 @@ def test_one_call_rounds_match_rounds_one_by_one_and_numpy_bitwise(monkeypatch, 
     at = ((3, 7, 12, 17), (2, 9, 13), (4, 11))
 
     def yields():
-        kernel = StepKernel(variant, (0.0, 2.0, 9.0), EpsilonSchedule.fixed(0.05), solvers, 6)
-        taken, got = [0, 0, 0], []
-        for incs in chunks:
-            u = kernel.out if any(taken) else start
-            got += [(g, n, state.tobytes()) for g, n, state in
-                    kernel.run(u, incs, at=at, first=[t + 1 for t in taken])]
-            taken = [t + inc.shape[1] for t, inc in zip(taken, incs)]
-        return got, kernel.out.tobytes()
+        kernels = [StepKernel(variant, (0.0, 2.0, 9.0), EpsilonSchedule.fixed(0.05), solver, 6)
+                   for solver in solvers]
+        got = chunked_yields(kernels, start, chunks, at)
+        return got, b"".join(kernel.out.tobytes() for kernel in kernels)
 
     one_call = yields()
     with rebuilt_passes(monkeypatch, DGEMM_SYMBOLS=("acfv_no_such_dgemm",)) as (_, described):
         assert described.endswith("rounds one by one: no 64-bit cblas_dgemm in numpy")
         one_by_one = yields()
-    monkeypatch.setattr(scheme, "passes", lambda: (scheme._numpy_passes, "numpy"))
+    monkeypatch.setattr(scheme, "passes", numpy_passes)
     assert yields() == one_by_one == one_call
-    assert [(g, n) for g, n, _ in one_call[0]] == [(1, 2), (0, 3), (2, 4), (0, 7), (0, 12),
-                                                   (1, 9), (0, 17), (1, 13)]
+    assert [(g, n) for g, n, _ in one_call[0]] == [(0, 3), (0, 7), (1, 2), (2, 4), (0, 12),
+                                                   (0, 17), (1, 9), (1, 13)]
 
 
 def test_resolvent_clip_serves_the_next_noise_bitwise():
@@ -569,10 +583,10 @@ def test_resolvent_clip_serves_the_next_noise_bitwise():
     # cells give the same bytes.
     needs_one_call_rounds()
     rng = np.random.default_rng(5)
-    u = rng.uniform(-0.6, 1.6, (2, 2, 3, 8))
-    u[0, 0, 0] = (-0.0, 5e-324, -5e-324, 1.0 + 2.0 ** -52, np.nan, np.inf, -np.inf, 1.0)
-    u[1, 1, 2] = -0.0
-    args = (np.array([0.0, 7.0]), np.array([0.5, 0.25]), rng.standard_normal((2, 2, 3)))
+    u = rng.uniform(-0.6, 1.6, (2, 3, 8))
+    u[0, 0] = (-0.0, 5e-324, -5e-324, 1.0 + 2.0 ** -52, np.nan, np.inf, -np.inf, 1.0)
+    u[1, 2] = -0.0
+    args = (np.array([0.0, 7.0]), 0.25, rng.standard_normal((2, 3)))
     calls = {scheme.passes()[0]: [(scheme.NOISE | scheme.RESOLVENT, 0, 2)],
              scheme._numpy_passes: [(scheme.NOISE | scheme.RESOLVENT, 0, 1),
                                     (scheme.NOISE, 1, 2), (scheme.RESOLVENT, 1, 2)]}
@@ -590,10 +604,10 @@ def test_failed_self_check_falls_back_to_rounds_one_by_one(monkeypatch):
     # compiled rounds then go one by one around np.matmul, and still give
     # the bytes of the numpy passes.
     needs_one_call_rounds()
-    numpy_passes = scheme._numpy_passes
+    numpy_rounds = scheme._numpy_passes
 
     def one_ulp_off(u, *args):
-        rounds = numpy_passes(u, *args)
+        rounds = numpy_rounds(u, *args)
 
         def off(*call):
             rounds(*call)
@@ -604,42 +618,72 @@ def test_failed_self_check_falls_back_to_rounds_one_by_one(monkeypatch):
     start = np.random.default_rng(6).uniform(-0.6, 1.6, (5, 16))
     increments = [np.full((5, 8), 0.3), np.full((5, 4), -0.2)]
 
-    def final(kernel):
-        for _ in kernel.run(start, increments, at=((8,), (4,))):
-            pass
-        return kernel.out.tobytes()
+    def kernels():
+        return [StepKernel("splitting", (3.0,), EpsilonSchedule.fixed(0.05), solver, 5)
+                for solver in solvers]
+
+    def final(kernels):
+        for kernel, inc in zip(kernels, increments):
+            for _ in kernel.run(start, inc, at=(inc.shape[1],)):
+                pass
+        return b"".join(kernel.out.tobytes() for kernel in kernels)
 
     with rebuilt_passes(monkeypatch, _numpy_passes=one_ulp_off) as (bind, described):
         name = scheme._numpy_dgemm()[1]
         assert described.endswith(f"rounds one by one: {name} differs from np.matmul")
-        fallback = StepKernel("splitting", (3.0,), EpsilonSchedule.fixed(0.05), solvers, 5)
+        fallback = kernels()
     assert bind.args[1] is None  # no BLAS call from C
-    monkeypatch.setattr(scheme, "passes", lambda: (scheme._numpy_passes, "numpy"))
-    oracle = StepKernel("splitting", (3.0,), EpsilonSchedule.fixed(0.05), solvers, 5)
-    assert final(fallback) == final(oracle)
+    monkeypatch.setattr(scheme, "passes", numpy_passes)
+    assert final(fallback) == final(kernels())
+
+
+def test_blas_self_check_waits_for_a_kernel_whose_product_can_run_in_c(monkeypatch):
+    # Banded and one-path kernels never call numpy's dgemm from C, so
+    # building them looks no symbol up and runs no probe; the first dense
+    # kernel with more than one path does both, once, and the description
+    # asked for later reuses them.
+    needs_one_call_rounds()
+    lookups, epsilon = [], EpsilonSchedule.fixed(0.05)
+    numpy_dgemm = scheme._numpy_dgemm
+    with monkeypatch.context() as patched:
+        patched.setattr(scheme, "_numpy_dgemm", lambda: lookups.append(1) or numpy_dgemm())
+        scheme.passes.cache_clear()
+        try:
+            StepKernel("splitting", (1.0,), epsilon, solver_on(9, 4), 5)
+            StepKernel("splitting", (1.0,), epsilon, solver_on(4, 4), 1)
+            assert lookups == []
+            StepKernel("splitting", (1.0,), epsilon, solver_on(4, 4), 2)
+            StepKernel("heat", (1.0,), epsilon, solver_on(4, 8), 3)
+            assert "rounds in one call through" in scheme.passes()[1]
+            assert lookups == [1]
+        finally:
+            scheme.passes.cache_clear()
 
 
 def test_kernel_stack_shapes_and_round_yields():
-    # G solvers by A amplitudes; a group may have no step, and each group
-    # has its own first step and named steps.
+    # One kernel per step size, A amplitudes by p paths; a kernel may take
+    # no step, and each has its own first step and named steps.
     epsilon = EpsilonSchedule.fixed(0.05)
-    solvers = [solver_on(2, n) for n in (8, 4, 2)]
-    kernel = StepKernel("splitting", (1.0, 5.0), epsilon, solvers, 3)
-    assert kernel.out.shape == (3, 2, 3, 4)
-    assert kernel.tau == (1 / 8, 1 / 4, 1 / 2) and kernel.eps == (0.05,) * 3
-    assert kernel.amplitude == (1.0, 5.0)
-    assert StepKernel("heat", (1.0,), epsilon, solvers[:1], 1).out.shape == (1, 1, 1, 4)
+    kernels = [StepKernel("splitting", (1.0, 5.0), epsilon, solver_on(2, n), 3)
+               for n in (8, 4, 2)]
+    assert [kernel.out.shape for kernel in kernels] == [(2, 3, 4)] * 3
+    assert [kernel.tau for kernel in kernels] == [1 / 8, 1 / 4, 1 / 2]
+    assert [kernel.eps for kernel in kernels] == [0.05] * 3
+    assert kernels[0].amplitude == (1.0, 5.0)
+    assert StepKernel("heat", (1.0,), epsilon, solver_on(2, 8), 1).out.shape == (1, 1, 4)
     with pytest.raises(ValueError, match="amplitude"):
-        StepKernel("heat", 1.0, epsilon, solvers, 1)
-    for wrong in ([np.zeros((3, 2))] * 2, [np.zeros((3, 2))] * 2 + [np.zeros((2, 2))]):
-        with pytest.raises(ValueError, match="3 blocks of 3 rows"):
-            next(kernel.run(0.5, wrong))
+        StepKernel("heat", 1.0, epsilon, solver_on(2, 8), 1)
+    for wrong in (np.zeros((2, 2)), np.zeros(3), np.zeros((3, 2, 1))):
+        with pytest.raises(ValueError, match="a block of 3 rows"):
+            next(kernels[0].run(0.5, wrong))
     inc = [np.full((3, 4), 0.1), np.empty((3, 0)), np.full((3, 2), -0.1)]
-    taken = [(g, n, state.shape) for g, n, state in
-             kernel.run(np.full(4, 0.5), inc, at=(None, None, (6,)), first=(1, 3, 5))]
-    assert taken == [(0, 1, (2, 3, 4)), (0, 2, (2, 3, 4)), (2, 6, (2, 3, 4)),
-                     (0, 3, (2, 3, 4)), (0, 4, (2, 3, 4))]
-    np.testing.assert_array_equal(kernel.out[1], 0.5)  # no step: still the start
+    taken = [(g, n, state.shape)
+             for g, (kernel, steps, at, first) in enumerate(zip(kernels, inc, (None, None, (6,)),
+                                                                 (1, 3, 5)))
+             for n, state in kernel.run(np.full(4, 0.5), steps, at, first)]
+    assert taken == [(0, 1, (2, 3, 4)), (0, 2, (2, 3, 4)), (0, 3, (2, 3, 4)),
+                     (0, 4, (2, 3, 4)), (2, 6, (2, 3, 4))]
+    np.testing.assert_array_equal(kernels[1].out, 0.5)  # no step: still the start
 
 
 def per_run_oracle(config, start, paths, n_steps, amplitude, variant):
@@ -663,12 +707,12 @@ def per_run_oracle(config, start, paths, n_steps, amplitude, variant):
 
 @pytest.mark.parametrize("L", [3, 9])
 def test_block_stack_matches_per_run_oracle_bitwise(monkeypatch, L):
-    # One kernel per variant steps every (N, a) run of the block; each run
-    # must still be its own run, byte for byte, on the dense (d = 9) and
-    # the banded (d = 81) solver.  In chunks of 7 fine steps, no coarse N
-    # steps in the first chunk; N = 6 and N = 4 step in the third and N = 5
-    # does not, N = 5 and N = 4 in the seventh and N = 6 does not, so the
-    # groups of a round split into runs; every run resumes eight times.
+    # One kernel per (N, variant) steps every amplitude's run of the block;
+    # each run must still be its own run, byte for byte, on the dense
+    # (d = 9) and the banded (d = 81) solver.  In chunks of 7 fine steps, no
+    # coarse N steps in the first chunk; N = 6 and N = 4 step in the third
+    # and N = 5 does not, N = 5 and N = 4 in the seventh and N = 6 does not;
+    # every run resumes eight times.
     assert (L * L > DENSE_LIMIT) == (L == 9)
     n_fine, ladder, chunk = 60, (6, 5, 4), 7
     monkeypatch.setattr(experiments, "CHUNK", chunk)
@@ -699,11 +743,11 @@ def test_trajectory_history_and_validation():
     # One step per increment column, and the final state alone on request.
     u0, solver = benchmark_setup(4)
     kernel = benchmark_kernel("splitting", solver)
-    history = [(n, state.copy()) for _, n, state in kernel.run(u0, (QUARTERS[None],))]
+    history = [(n, state.copy()) for n, state in kernel.run(u0, QUARTERS[None])]
     assert [n for n, _ in history] == [1, 2, 3, 4]
-    [(_, n, final)] = kernel.run(u0, (QUARTERS[None],), at=((4,),))
+    [(n, final)] = kernel.run(u0, QUARTERS[None], at=(4,))
     assert n == 4 and final.tobytes() == history[-1][1].tobytes()
-    assert [n for _, n, _ in kernel.run(u0, (QUARTERS[None, :3],))] == [1, 2, 3]
+    assert [n for n, _ in kernel.run(u0, QUARTERS[None, :3])] == [1, 2, 3]
 
 
 def test_constant_start_stays_constant_along_noisy_trajectory():
