@@ -32,9 +32,9 @@ print(assemble_stiffness(mesh).toarray())
 
 A = assemble_stiffness(mesh)
 ones = np.ones(4)
-print("\nrow sums A @ 1 =", A @ ones, " (zero: no flux in or out of the domain)")
+print("\nrow sums A 1 =", A.apply(ones), " (zero: no flux in or out of the domain)")
 alternating = np.array([1.0, -1.0, -1.0, 1.0])
-print("checkerboard mode is an eigenvector:", A @ alternating, "= 4 * mode")
+print("checkerboard mode is an eigenvector:", A.apply(alternating), "= 4 * mode")
 
 buf = io.StringIO()
 export_mesh_csv(mesh, buf)

@@ -360,7 +360,7 @@ def _fit_loglog(taus, errors):
         raise ValueError("need at least two points to fit a convergence order")
     if np.any(taus <= 0) or np.any(errors <= 0):
         raise ValueError("convergence fit needs positive step sizes and errors")
-    if np.unique(taus).size < 2:
+    if (taus == taus[0]).all():  # np.unique would import numpy.ma, 15 ms
         raise ValueError("step sizes are degenerate (all equal)")
     slope, intercept = np.polyfit(np.log(taus), np.log(errors), 1)
     return float(slope), float(intercept)

@@ -9,28 +9,143 @@ a whole stack of right-hand sides.  The cell count d selects the form:
   propagator (M + tau A)^{-1} M, transposed as ``markov_t``, so one heat
   substep on a (p, d) stack is a single matrix product;
 * larger d: a banded Cholesky factor whose bandwidth is read from the
-  assembled sparsity (L on the uniform L x L grid).
+  assembled sparsity (L on the uniform L x L grid); no d x d matrix is
+  built.
+
+The factors come from the LAPACK in numpy's own BLAS (``dpotrf``/``dpotrs``
+and ``dpbtrf``/``dpbtrs``, the routines behind scipy's ``cho_factor``,
+``cho_solve``, ``cholesky_banded`` and ``cho_solve_banded``), called through
+ctypes; where numpy does not export all four, from ``scipy.linalg.lapack``.
 """
 
 from __future__ import annotations
 
+import ctypes
+from functools import cache, partial
+from typing import Callable, NamedTuple
+
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sps
 
 __all__ = ["ShiftedSolver", "DENSE_LIMIT"]
 
 # Systems up to this size are held as dense matrices, larger ones as bands.
 DENSE_LIMIT = 64
 
+# Names of the LAPACK routines with 64-bit integers in numpy's BLAS: the
+# scipy-openblas of numpy 2 wheels, the openblas64_ of numpy 1 wheels.
+LAPACK_SYMBOLS = tuple((f"scipy_{name}_64_", f"{name}_64_")
+                       for name in ("dpotrf", "dpotrs", "dpbtrf", "dpbtrs"))
+
+
+@cache
+def _numpy_blas():
+    """numpy's extension module that holds its matmul, loaded by ctypes (None if it cannot be)."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1
+        from numpy.core import _multiarray_umath as umath
+    try:
+        return ctypes.CDLL(umath.__file__)
+    except OSError:
+        return None
+
+
+def numpy_symbol(names):
+    """(function, name) of the first of ``names`` that numpy's BLAS exports, or (None, None)."""
+    lib = _numpy_blas()
+    for name in names:
+        if lib is not None and hasattr(lib, name):
+            return lib[name], name
+    return None, None
+
+
+def _fortran(routine, *args):
+    """The info of a LAPACK routine called on the upper triangle with ``args`` and info.
+
+    Integers go by reference as 64-bit, arrays by address; the trailing
+    length of the character argument is 1.
+    """
+    info = ctypes.c_int64()
+    routine(b"U", *(ctypes.c_void_p(a.ctypes.data) if isinstance(a, np.ndarray)
+                    else ctypes.byref(ctypes.c_int64(a)) for a in args),
+            ctypes.byref(info), ctypes.c_size_t(1))
+    return info.value
+
+
+class Lapack(NamedTuple):
+    """The four LAPACK routines of the factors, each in place on C arrays that hold Fortran ones.
+
+    A C-contiguous (d, d) matrix, (p, d) stack of right-hand sides or
+    (d, u + 1) band is, read in Fortran order, the symmetric matrix, the
+    d x p right-hand side or the (u + 1) x d upper band storage LAPACK
+    takes.  ``potrf(a)`` and ``pbtrf(band)`` return the info of the
+    factorization; ``potrs(factor, b)`` and ``pbtrs(factor, b)`` solve
+    for b.  ``route`` names where the routines come from.
+    """
+
+    route: str
+    potrf: Callable
+    potrs: Callable
+    pbtrf: Callable
+    pbtrs: Callable
+
+
+@cache
+def lapack() -> Lapack:
+    """The routines from numpy's BLAS if it exports all of ``LAPACK_SYMBOLS``, else from scipy."""
+    found = [numpy_symbol(names) for names in LAPACK_SYMBOLS]
+    if all(routine is not None for routine, _ in found):
+        potrf, potrs, pbtrf, pbtrs = (partial(_fortran, routine) for routine, _ in found)
+        return Lapack(
+            ", ".join(name for _, name in found),
+            lambda a: potrf(len(a), a, len(a)),
+            lambda c, b: potrs(len(c), b.size // len(c), c, len(c), b, len(c)),
+            lambda band: pbtrf(len(band), band.shape[1] - 1, band, band.shape[1]),
+            lambda c, b: pbtrs(len(c), c.shape[1] - 1, b.size // len(c), c, c.shape[1], b,
+                               len(c)))
+    from scipy.linalg import lapack as sla
+
+    def into(target, result):
+        target.T[...] = result[0]
+        return result[1]
+
+    return Lapack("scipy.linalg.lapack",
+                  lambda a: into(a, sla.dpotrf(a.T, clean=0, overwrite_a=1)),
+                  lambda c, b: into(b, sla.dpotrs(c.T, b.T, overwrite_b=1)),
+                  lambda band: into(band, sla.dpbtrf(band.T, overwrite_ab=1)),
+                  lambda c, b: into(b, sla.dpbtrs(c.T, b.T, overwrite_b=1)))
+
+
+def _factor(routine, matrix):
+    """``matrix`` factored in place by ``routine``; LinAlgError if it is not positive definite."""
+    info = routine(matrix)
+    if info:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
+    return matrix
+
+
+def upper_band(stencil):
+    """The upper band of a symmetric stencil: entry (i, j), i <= j, at [j, u + i - j] of (d, u + 1).
+
+    u is the widest distance of an entry from the diagonal (L on the L x L
+    grid); read in Fortran order, the array is LAPACK's upper band storage.
+    """
+    rows, cols, vals = stencil.entries()
+    upper = rows <= cols
+    rows, cols = rows[upper], cols[upper]
+    u = int((cols - rows).max())
+    band = np.zeros((len(stencil.cols), u + 1))
+    band[cols, u + rows - cols] = vals[upper]
+    return band
+
 
 class ShiftedSolver:
     """Solver for (M + tau A) x = b on a fixed mesh and time step.
 
-    Holds the mass diagonal, the step size tau and the shifted matrix so
-    a step kernel can reach them, and prefactors the shifted matrix once.
-    All per-call state is local, so one solver instance can serve
-    concurrent solves.
+    Holds the mass diagonal, the step size tau and the shifted matrix, as
+    a ``Stencil`` (``shifted``), so a step kernel can reach them, and
+    prefactors the shifted matrix once.  All per-call state is local, so
+    one solver instance can serve concurrent solves.
 
     Right-hand sides may be a single field of shape (d,) or a stack of
     fields of shape (p, d); the output matches the input shape.
@@ -42,32 +157,29 @@ class ShiftedSolver:
         self.mass_diag = np.asarray(mass_diag, dtype=float)
         self.tau = float(tau)
         self.n = self.mass_diag.shape[0]
-        self.shifted = (sps.diags(self.mass_diag) + tau * stiffness).tocsr()
-
+        self.shifted = stiffness.shifted(self.mass_diag, self.tau)
         if self.n <= DENSE_LIMIT:
             self._dense = self.shifted.toarray()
-            self._chol = sla.cho_factor(self._dense)
-            self.markov_t = sla.cho_solve(self._chol, np.diag(self.mass_diag)).T
+            self._chol = _factor(lapack().potrf, self._dense.copy())
+            # (M + tau A)^{-1} M in Fortran order, so in C order its transpose
+            self.markov_t = np.diag(self.mass_diag)
+            lapack().potrs(self._chol, self.markov_t)
         else:
-            # Upper band storage: entry (i, j), i <= j, sits at [u + i - j, j].
-            coo = self.shifted.tocoo()
-            upper = coo.row <= coo.col
-            row, col = coo.row[upper], coo.col[upper]
-            u = int((col - row).max())
-            self._band = np.zeros((u + 1, self.n))
-            self._band[u + row - col, col] = coo.data[upper]
-            self._band_chol = sla.cholesky_banded(self._band)
+            self._band = upper_band(self.shifted)
+            self._band_chol = _factor(lapack().pbtrf, self._band.copy())
 
     def solve(self, b):
         """Solve (M + tau A) x = b for one field or a (p, d) stack."""
-        b = np.asarray(b, dtype=float)
-        if b.ndim not in (1, 2):
-            raise ValueError("right-hand side must be 1-d or 2-d")
+        b = np.array(b, dtype=float, order="C")  # a copy, solved in place
+        if b.ndim not in (1, 2) or b.shape[-1] != self.n:
+            raise ValueError(f"right-hand side must be a field or a stack of {self.n} cells")
         # Non-finite values pass through, so the callers' finiteness
         # checks report them as NumericalFailure.
         if self.n <= DENSE_LIMIT:
-            return sla.cho_solve(self._chol, b.T, check_finite=False).T
-        return sla.cho_solve_banded((self._band_chol, False), b.T, check_finite=False).T
+            lapack().potrs(self._chol, b)
+        else:
+            lapack().pbtrs(self._band_chol, b)
+        return b
 
     def solve_with_diagonal(self, extra, b):
         """Solve (M + tau A + diag(extra[i])) x[i] = b[i] for each row i.
@@ -84,12 +196,11 @@ class ShiftedSolver:
             cells = np.arange(self.n)
             jac[:, cells, cells] += extra
             return np.linalg.solve(jac, b[..., None])[..., 0]
-        out = np.empty_like(b)
-        band = self._band.copy()
-        for i, (shift, rhs) in enumerate(zip(extra, b)):
-            band[-1] = self._band[-1] + shift
-            out[i] = sla.cho_solve_banded((sla.cholesky_banded(band), False), rhs,
-                                          check_finite=False)
+        out = np.array(b, order="C")
+        for shift, x in zip(extra, out):
+            band = self._band.copy()
+            band[:, -1] += shift
+            lapack().pbtrs(_factor(lapack().pbtrf, band), x)
         return out
 
     def apply_markov(self, x, out=None):

@@ -1,11 +1,15 @@
 /* The rounds of a StepKernel over its C-contiguous (A, P, D) stack:
- * amplitudes, paths, cells.
+ * amplitudes, paths, cells; the stencil product of the Newton residual; and
+ * the inverse normal CDF of the increments.
  *
  * Each value is computed by the same IEEE operations in the same order as
  * the ufuncs of scheme._numpy_passes, and the heat product by the very
- * cblas_dgemm call np.matmul makes, so the two agree byte for byte.  Build
- * with -ffp-contract=off (no fused multiply-add) and without -ffast-math.
+ * cblas_dgemm call np.matmul makes, so the two agree byte for byte; the
+ * other two agree so with scipy's CSR product and scipy.special.ndtri.
+ * Build with -ffp-contract=off (no fused multiply-add), without
+ * -ffast-math, and link libm.
  */
+#include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 
@@ -109,4 +113,111 @@ CLONES void acfv_rounds(const struct run *r, int stages, int j0, int j1)
                      r->dw_p, tile, cells);
         }
     }
+}
+
+/* y = A x for each of the k rows of x, k x d and row-major, where row i of
+ * the d x d stencil A holds vals[i w + s] at column cols[i w + s], s < w
+ * (column -1: no entry).  Each sum starts from 0 and adds the products in
+ * slot order, as scipy's CSR product does, so the two agree byte for byte;
+ * the sums of a row advance slot by slot, independent of each other. */
+void acfv_stencil(double *restrict y, const double *restrict x, const int64_t *cols,
+                  const double *vals, ptrdiff_t k, ptrdiff_t d, ptrdiff_t w)
+{
+    for (ptrdiff_t r = 0; r < k; r++, x += d, y += d) {
+        for (ptrdiff_t i = 0; i < d; i++)
+            y[i] = 0.0;
+        for (ptrdiff_t s = 0; s < w; s++)
+            for (ptrdiff_t i = 0; i < d; i++)
+                if (cols[i * w + s] >= 0)
+                    y[i] += vals[i * w + s] * x[cols[i * w + s]];
+    }
+}
+
+/* The inverse of the standard normal CDF, in place on x[0..n-1]: Cephes
+ * ndtri, as scipy.special.ndtri computes it, with the same coefficients,
+ * the same Horner order and the C library's log and sqrt, so the two agree
+ * byte for byte. */
+static const double NDTRI_P0[5] = {
+    -5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+    1.39312609387279679503E1, -1.23916583867381258016E0,
+};
+static const double NDTRI_Q0[8] = {
+    1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+    -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+    1.59056225126211695515E1, -1.18331621121330003142E0,
+};
+/* z = sqrt(-2 log y) in [2, 8): y in (exp(-32), exp(-2)] */
+static const double NDTRI_P1[9] = {
+    4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+    4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+    -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4,
+};
+static const double NDTRI_Q1[8] = {
+    1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+    1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+    -3.80806407691578277194E-2, -9.33259480895457427372E-4,
+};
+/* z in [8, 64): y in (exp(-2048), exp(-32)] */
+static const double NDTRI_P2[9] = {
+    3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+    1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+    3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9,
+};
+static const double NDTRI_Q2[8] = {
+    6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+    2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+    2.89247864745380683936E-6, 6.79019408009981274425E-9,
+};
+
+/* c[0] x^n + ... + c[n]; with a leading 1 not stored, x^n + c[0] x^(n-1) + ... */
+static double polevl(double x, const double *c, int n)
+{
+    double ans = *c++;
+    do
+        ans = ans * x + *c++;
+    while (--n);
+    return ans;
+}
+
+static double p1evl(double x, const double *c, int n)
+{
+    double ans = x + *c++;
+    while (--n)
+        ans = ans * x + *c++;
+    return ans;
+}
+
+static double ndtri(double y0)
+{
+    const double exp_m2 = 0.13533528323661269189;  /* exp(-2) */
+    if (y0 == 0.0)
+        return -INFINITY;
+    if (y0 == 1.0)
+        return INFINITY;
+    if (y0 < 0.0 || y0 > 1.0)
+        return NAN;
+    int negate = 1;
+    double y = y0;
+    if (y > 1.0 - exp_m2) {
+        y = 1.0 - y;
+        negate = 0;
+    }
+    if (y > exp_m2) {
+        y = y - 0.5;
+        const double y2 = y * y;
+        const double x = y + y * (y2 * polevl(y2, NDTRI_P0, 4) / p1evl(y2, NDTRI_Q0, 8));
+        return x * 2.50662827463100050242E0;  /* sqrt(2 pi) */
+    }
+    const double x = sqrt(-2.0 * log(y));
+    const double x0 = x - log(x) / x;
+    const double z = 1.0 / x;
+    const double x1 = x < 8.0 ? z * polevl(z, NDTRI_P1, 8) / p1evl(z, NDTRI_Q1, 8)
+                              : z * polevl(z, NDTRI_P2, 8) / p1evl(z, NDTRI_Q2, 8);
+    return negate ? -(x0 - x1) : x0 - x1;
+}
+
+void acfv_ndtri(double *x, ptrdiff_t n)
+{
+    for (ptrdiff_t i = 0; i < n; i++)
+        x[i] = ndtri(x[i]);
 }

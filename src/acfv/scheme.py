@@ -44,7 +44,7 @@ import numpy as np
 
 from .constraint import psi_eps
 from .errors import NumericalFailure
-from .linalg import DENSE_LIMIT, ShiftedSolver
+from .linalg import DENSE_LIMIT, ShiftedSolver, numpy_symbol
 
 __all__ = ["EpsilonSchedule", "StepKernel"]
 
@@ -289,10 +289,11 @@ def _matmul_rounds(rounds, u, w, markov, stages, j0, j1):
 
 
 def build_passes(cc, flags=FLAGS, source=SOURCE, directory=None) -> Path:
-    """Path of ``source`` compiled by ``cc`` with ``flags``, built into ``directory`` unless there.
+    """Path of ``source`` compiled by ``cc`` with ``flags`` and libm into ``directory``.
 
-    ``directory`` defaults to ``$XDG_CACHE_HOME/acfv``, else ``~/.cache/acfv``.
-    The library's name holds the sha256 of the source, the flags and
+    Nothing is built when the library is there already.  ``directory``
+    defaults to ``$XDG_CACHE_HOME/acfv``, else ``~/.cache/acfv``.  The
+    library's name holds the sha256 of the source, the flags and
     ``cc --version``.  It is written under a name of its own process and
     then moved into place, so concurrent builders never load half a file.
     """
@@ -307,8 +308,8 @@ def build_passes(cc, flags=FLAGS, source=SOURCE, directory=None) -> Path:
         directory.mkdir(parents=True, exist_ok=True)
         tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
         try:
-            subprocess.run([*cc, *flags, "-o", str(tmp), str(source)], capture_output=True,
-                           check=True)
+            subprocess.run([*cc, *flags, "-o", str(tmp), str(source), "-lm"],
+                           capture_output=True, check=True)
             os.replace(tmp, lib)
         finally:
             tmp.unlink(missing_ok=True)
@@ -327,7 +328,9 @@ def passes(blas=True):
     probe through it equals the numpy passes byte for byte, and the
     description says so.  ``passes(False)`` neither looks the symbol up nor
     runs the probe, which sets up numpy's BLAS: a process whose runs never
-    take the product in C (banded or one-path runs) does without it.
+    take the product in C (banded or one-path runs) does without it.  The
+    library's other entries, ``acfv_ndtri`` and ``acfv_stencil``, serve
+    ``stochastic`` and ``assembly`` through ``compiled_library``.
     """
     if blas:
         bind, described = passes(False)
@@ -351,24 +354,20 @@ def passes(blas=True):
     # ctypes passes as the pointer and C ints the function takes; declaring
     # them converts every argument again, 1.2 us of a 6.4 us round on a
     # (1, 128, 16) stack where rounds go one by one.
-    lib.acfv_rounds.restype = None
+    lib.acfv_rounds.restype = lib.acfv_ndtri.restype = lib.acfv_stencil.restype = None
     return partial(_compiled_passes, lib, None), f"compiled ({cc}, {' '.join(FLAGS)})"
 
 
+def compiled_library():
+    """The compiled passes.c of this process (see ``passes``), or None on the numpy passes."""
+    bind = passes(False)[0]
+    return None if bind is _numpy_passes else bind.args[0]
+
+
 def _numpy_dgemm():
-    """(address, name) of the first of ``DGEMM_SYMBOLS`` numpy's matmul module reaches, or Nones."""
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy 1
-        from numpy.core import _multiarray_umath as umath
-    try:
-        module = ctypes.CDLL(umath.__file__)
-    except OSError:
-        return None, None
-    for name in DGEMM_SYMBOLS:
-        if hasattr(module, name):
-            return ctypes.cast(getattr(module, name), ctypes.c_void_p).value, name
-    return None, None
+    """(address, name) of the first of ``DGEMM_SYMBOLS`` numpy's BLAS exports, or Nones."""
+    gemm, name = numpy_symbol(DGEMM_SYMBOLS)
+    return (None if gemm is None else ctypes.cast(gemm, ctypes.c_void_p).value), name
 
 
 def _probe(bind):
@@ -399,7 +398,7 @@ def _newton(solver, eps, u, w):
     tol, rows = NEWTON_TOL * mass.min(), np.arange(len(u))
     for _ in range(NEWTON_MAX_ITER):
         v = u[rows]
-        residual = (solver.shifted @ v.T).T + tau * mass * psi_eps(v, eps) - rhs[rows]
+        residual = solver.shifted.apply(v) + tau * mass * psi_eps(v, eps) - rhs[rows]
         res_norm = np.max(np.abs(residual), axis=1)
         open_rows = ~(res_norm <= tol)
         if not open_rows.any():

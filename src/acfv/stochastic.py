@@ -31,10 +31,13 @@ plain pairwise sums in the last bit.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
-from scipy.special import ndtri
+from numpy.random import Philox  # loaded with acfv, so forked pool workers inherit it
 
 from .errors import ConfigError
+from .scheme import compiled_library
 from .textio import text_stream
 
 __all__ = [
@@ -68,7 +71,7 @@ def increment_chunks(seed, path_indices, horizon, n_fine, chunk):
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     # random_raw gives the words of Generator.integers(0, 2**64, dtype=uint64)
-    bitgens = [np.random.Philox(key=np.array([int(seed), idx], dtype=np.uint64))
+    bitgens = [Philox(key=np.array([int(seed), idx], dtype=np.uint64))
                for idx in map(int, path_indices)]
     sigma = np.sqrt(horizon / n_fine)
     # Snap to the lattice that keeps all partial sums exact, see module docstring.
@@ -81,12 +84,27 @@ def increment_chunks(seed, path_indices, horizon, n_fine, chunk):
             np.add(bits, 0.5, out=row)
         out *= 2.0 ** -53
         np.minimum(out, 1.0 - 2.0 ** -53, out=out)
-        ndtri(out, out=out)
+        _ndtri(out)
         out *= sigma
         out /= quantum
         np.round(out, out=out)
         out *= quantum
         yield out
+
+
+def _ndtri(u):
+    """The C-contiguous float array u replaced by the inverse normal CDF of its values.
+
+    Through ``acfv_ndtri`` of the compiled passes (see ``scheme.passes``),
+    a port of the Cephes ``ndtri`` that ``scipy.special.ndtri`` evaluates,
+    equal to it byte for byte; on the numpy passes, by scipy's.
+    """
+    lib = compiled_library()
+    if lib is None:
+        from scipy.special import ndtri
+        ndtri(u, out=u)
+    else:
+        lib.acfv_ndtri(ctypes.c_void_p(u.ctypes.data), ctypes.c_ssize_t(u.size))
 
 
 def sample_increment_block(seed, path_indices, horizon, n_fine) -> np.ndarray:

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+from acfv import linalg
 from acfv.assembly import assemble_mass, assemble_stiffness
+from acfv.config import FULL_N_LIST
 from acfv.linalg import DENSE_LIMIT, ShiftedSolver
 from acfv.mesh import build_uniform_mesh
 
@@ -139,3 +142,75 @@ def test_rejects_bad_tau():
     mesh = build_uniform_mesh(2)
     with pytest.raises(ValueError):
         ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), 0.0)
+
+
+def scipy_solver_bytes(solver, b, extra):
+    """What the solver's factors, propagator and solves are by scipy.linalg, as bytes."""
+    if solver.n <= DENSE_LIMIT:
+        chol = sla.cho_factor(solver.shifted.toarray())
+        return [chol[0].T.tobytes(),  # Fortran order: the solver holds the factor so
+                sla.cho_solve(chol, np.diag(solver.mass_diag)).T.tobytes(),
+                sla.cho_solve(chol, b.T).T.tobytes(), sla.cho_solve(chol, b[0]).tobytes()]
+    band = linalg.upper_band(solver.shifted).T  # LAPACK's (u + 1, d) upper band storage
+    shifted = [band.copy() for _ in extra]
+    for matrix, shift in zip(shifted, extra):
+        matrix[-1] += shift
+    return [sla.cholesky_banded(band).T.tobytes(),
+            sla.cho_solve_banded((sla.cholesky_banded(band), False), b.T).T.tobytes(),
+            np.array([sla.cho_solve_banded((sla.cholesky_banded(matrix), False), row)
+                      for matrix, row in zip(shifted, b)]).tobytes()]
+
+
+def solver_bytes(solver, b, extra):
+    """The same as ``scipy_solver_bytes``, from the solver."""
+    if solver.n <= DENSE_LIMIT:
+        return [solver._chol.tobytes(), solver.markov_t.tobytes(), solver.solve(b).tobytes(),
+                solver.solve(b[0]).tobytes()]
+    return [solver._band_chol.tobytes(), solver.solve(b).tobytes(),
+            solver.solve_with_diagonal(extra, b).tobytes()]
+
+
+def lapack_cases():
+    """(L, tau): dense meshes over the paper ladder and finer steps, banded ones at three taus."""
+    ladder = (*FULL_N_LIST, 16, 32, 64, 128, 256, 40320, 80640, 161280)
+    return ([(L, 1.0 / n) for L in range(1, 9) for n in ladder]
+            + [(L, tau) for L in (9, 12, 16) for tau in (1.0 / 8, 1.0 / 210, 0.37)])
+
+
+def test_numpy_lapack_equals_scipy_linalg_bytewise():
+    # The dense factor and propagator for L = 1..8 at tau = 1/N over the
+    # paper ladder, 16..256 and 40320..161280, and the band factor, the
+    # banded solves and the banded Newton solves for L = 9, 12, 16: numpy's
+    # own LAPACK gives scipy.linalg's bytes.
+    rng = np.random.default_rng(47)
+    for L, tau in lapack_cases():
+        solver = make_solver(L, tau)
+        b = rng.standard_normal((3, L * L))
+        extra = rng.uniform(0.0, 5.0, size=(3, L * L)) * (rng.random((3, L * L)) < 0.4)
+        assert solver_bytes(solver, b, extra) == scipy_solver_bytes(solver, b, extra), (L, tau)
+
+
+def test_scipy_lapack_route_gives_the_same_bytes(monkeypatch):
+    # Where numpy's BLAS exports no 64-bit LAPACK, the same four routines
+    # come from scipy.linalg.lapack, with the same results.
+    rng = np.random.default_rng(53)
+    cases = [(L, tau, rng.standard_normal((3, L * L)), rng.uniform(0.0, 5.0, (3, L * L)))
+             for L, tau in ((1, 0.5), (4, 1.0 / 210), (8, 1.0 / 40320), (9, 0.37), (16, 0.125))]
+
+    def results():
+        return [solver_bytes(make_solver(L, tau), b, extra) for L, tau, b, extra in cases]
+
+    numpy_route = results()
+    monkeypatch.setattr(linalg, "LAPACK_SYMBOLS", (("acfv_no_such_dpotrf",),) * 4)
+    linalg.lapack.cache_clear()
+    try:
+        assert linalg.lapack().route == "scipy.linalg.lapack"
+        assert results() == numpy_route
+    finally:
+        linalg.lapack.cache_clear()
+
+
+def test_factor_of_an_indefinite_matrix_raises():
+    for matrix in (np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([[-1.0]])):
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            linalg._factor(linalg.lapack().potrf, matrix)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import acfv
-from acfv import cli, scheme
+from acfv import cli, linalg, scheme
 from acfv.scheme import FLAGS, SOURCE, build_passes
 
 CC = os.environ.get("CC") or "cc"
@@ -84,3 +84,58 @@ def test_missing_compiler_falls_back_to_numpy_with_the_same_bytes(tmp_path, monk
     assert b"\npasses = numpy\n" in fallback.pop("manifest.txt")
     built.pop("manifest.txt")
     assert fallback == built and set(built) == {"error.csv", "fit.csv"}
+
+
+# Tiny runs of four commands in one process, scipy optionally blocked;
+# prints (marked by @) the exit codes and the scipy modules loaded.
+NO_SCIPY_CHILD = """
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None
+from pathlib import Path
+from acfv import cli
+runs = {"convergence": "L = 3\\nN_max = 48\\nN_list = 6,12,24\\nN_p = 6\\na = 1,30\\n",
+        "splitting-error": "L = 3\\nN_max = 32\\nN_list = 16,32\\nN_p = 4\\na = 10\\n"
+                           "eps_rule = fixed\\neps_c = 0.05\\n",
+        "expectation": "L = 9\\nN = 4\\nN_max = 4\\nN_p = 4\\na = 1\\ncheckpoints = 2,4\\n",
+        "simulate": "L = 2\\nN = 8\\nN_max = 8\\n"}
+for command, keys in runs.items():
+    config = Path(sys.argv[2], command + ".cfg")
+    config.write_text(keys)
+    out = str(Path(sys.argv[2], command))
+    print("@exit", cli.main([command, "--config", str(config), "--out", out]))
+print("@scipy", *sorted(name for name, module in sys.modules.items()
+              if name.split(".")[0] == "scipy" and module is not None))
+"""
+
+
+def run_scipy_child(tmp_path, mode, **env):
+    """Exit codes of NO_SCIPY_CHILD's four commands and the scipy modules it loaded."""
+    env = dict(os.environ, ACFV_WORKERS="1", **env,
+               PYTHONPATH=os.pathsep.join([str(Path(acfv.__file__).parents[1]),
+                                           os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run([sys.executable, "-c", NO_SCIPY_CHILD, mode, str(tmp_path)], env=env,
+                           text=True, capture_output=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    ours = [line.split()[1:] for line in child.stdout.splitlines() if line.startswith("@")]
+    return [code for code, in ours[:-1]], ours[-1]
+
+
+@needs_cc
+@pytest.mark.skipif(linalg.lapack().route == "scipy.linalg.lapack",
+                    reason="numpy's BLAS exports no 64-bit LAPACK here")
+def test_compiled_route_imports_no_scipy(tmp_path):
+    # With scipy blocked, tiny convergence, coupled splitting-error, banded
+    # (d = 81) expectation and simulate runs exit 0: their factors come
+    # from numpy's own LAPACK, their Gaussians from the compiled ndtri and
+    # their operators from numpy arrays.
+    codes, modules = run_scipy_child(tmp_path, "blocked")
+    assert codes == ["0"] * 4 and modules == []
+
+
+def test_numpy_passes_import_scipy_special_only(tmp_path):
+    # Without a C compiler the Gaussians come from scipy.special.ndtri;
+    # nothing imports scipy.linalg or scipy.sparse.
+    codes, modules = run_scipy_child(tmp_path, "open", CC=str(tmp_path / "no-such-cc"))
+    assert codes == ["0"] * 4 and "scipy.special" in modules
+    assert not [name for name in modules if name.startswith(("scipy.linalg", "scipy.sparse"))]

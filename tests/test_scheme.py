@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
 from acfv import benchmark, experiments, scheme
 from acfv.assembly import assemble_mass, assemble_stiffness
@@ -353,16 +354,26 @@ def oracle_splitting(u, d_w, params, solver):
     return c + params.eps / (params.eps + params.tau) * (r - c)
 
 
+def csr(stencil):
+    """A stencil's entries as a scipy CSR matrix, the oracle of its row sums."""
+    rows, cols, vals = stencil.entries()
+    return sps.csr_matrix((vals, (rows, cols)), shape=(len(stencil.cols),) * 2)
+
+
 def oracle_coupled(u, d_w, params, solver):
-    """Batched semismooth Newton from the splitting guess, freezing converged rows."""
+    """Batched semismooth Newton from the splitting guess, freezing converged rows.
+
+    The residual is a CSR product: each row summed from 0 in column order.
+    """
     tau, eps, mass = params.tau, params.eps, solver.mass_diag
+    shifted = csr(solver.shifted)
     c = np.clip(u, 0.0, 1.0)
     rhs = mass * (u + params.amplitude * c * (1.0 - c) * d_w[:, None])
     out = oracle_splitting(u, d_w, params, solver)
     rows = np.arange(len(out))
     for _ in range(100):
         v = out[rows]
-        residual = ((solver.shifted @ v.T).T + tau * mass * ((v - np.clip(v, 0.0, 1.0)) / eps)
+        residual = ((shifted @ v.T).T + tau * mass * ((v - np.clip(v, 0.0, 1.0)) / eps)
                     - rhs[rows])
         res_norm = np.max(np.abs(residual), axis=1)
         open_rows = ~(res_norm <= 1e-11 * mass.min())

@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+from acfv import scheme, stochastic
 from acfv.benchmark import QUARTER_INCREMENTS
 from scipy.special import ndtri
 
@@ -87,6 +88,27 @@ def test_chunks_side_by_side_equal_the_block(chunk):
     chunks = list(increment_chunks(5, range(3, 6), 2.0, 96, chunk))
     assert [c.shape for c in chunks[:-1]] == [(3, chunk)] * (len(chunks) - 1)
     assert np.hstack(chunks).tobytes() == block.tobytes()
+
+
+def test_compiled_ndtri_equals_scipy_bytewise():
+    # The compiled Cephes port against scipy.special.ndtri: 2^21 random
+    # lattice uniforms (k + 1/2) 2^-53, the 2e5 smallest and largest lattice
+    # points (2^-54 and 1 - 2^-53 at the ends), 1e5 ulps either side of the
+    # branch points exp(-2) and 1 - exp(-2), of 0.5, 1e-300 and 2^-40, and
+    # the values outside (0, 1).
+    if scheme.compiled_library() is None:
+        pytest.skip("the compiled passes did not build here (no C compiler)")
+    rng = np.random.default_rng(59)
+    lattice = (rng.integers(0, 2 ** 53, 2 ** 21, dtype=np.uint64) + 0.5) * 2.0 ** -53
+    ends = (np.arange(200_000) + 0.5) * 2.0 ** -53
+    ulps = np.arange(-100_000, 100_001)
+    around = [(np.array(x).view(np.int64) + ulps).view(float)
+              for x in (np.exp(-2.0), 1.0 - np.exp(-2.0), 0.5, 1e-300, 2.0 ** -40)]
+    u = np.concatenate([lattice, ends, 1.0 - ends, *around,
+                        [2.0 ** -54, 1.0 - 2.0 ** -53, 0.0, -0.0, 1.0, -1.0, 2.0, 5e-324]])
+    got = u.copy()
+    stochastic._ndtri(got)
+    assert got.tobytes() == ndtri(u).tobytes()
 
 
 def test_sums_below_the_fine_step_limit_are_exact():
