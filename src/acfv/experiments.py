@@ -186,12 +186,15 @@ def _require_finite_results(what, amplitude, places, values):
 
 
 def _map_blocks(fn, config: StudyConfig, args, workers):
-    """[fn(config, *args, lo, hi) for each path block], in path order, from one pool."""
+    """[fn(config, *args, lo, hi) for each path block], in path order, from one pool.
+
+    A fork pool starts all its workers at once, so it holds one per block at most.
+    """
     blocks = [(lo, min(lo + PATH_BLOCK, config.n_paths))
               for lo in range(0, config.n_paths, PATH_BLOCK)]
     if workers <= 1 or len(blocks) <= 1:
         return [fn(config, *args, lo, hi) for lo, hi in blocks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
         futures = [pool.submit(fn, config, *args, lo, hi) for lo, hi in blocks]
         return [future.result() for future in futures]
 

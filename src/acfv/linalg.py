@@ -31,32 +31,24 @@ __all__ = ["ShiftedSolver", "DENSE_LIMIT"]
 # Systems up to this size are held as dense matrices, larger ones as bands.
 DENSE_LIMIT = 64
 
-# Names of the LAPACK routines with 64-bit integers in numpy's BLAS: the
-# scipy-openblas of numpy 2 wheels, the openblas64_ of numpy 1 wheels.
-LAPACK_SYMBOLS = tuple((f"scipy_{name}_64_", f"{name}_64_")
-                       for name in ("dpotrf", "dpotrs", "dpbtrf", "dpbtrs"))
+# The LAPACK routines with 64-bit integers in numpy's BLAS (numpy 2's scipy-openblas).
+LAPACK_SYMBOLS = tuple(f"scipy_{name}_64_" for name in ("dpotrf", "dpotrs", "dpbtrf", "dpbtrs"))
 
 
 @cache
 def _numpy_blas():
     """numpy's extension module that holds its matmul, loaded by ctypes (None if it cannot be)."""
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy 1
-        from numpy.core import _multiarray_umath as umath
+    from numpy._core import _multiarray_umath as umath
     try:
         return ctypes.CDLL(umath.__file__)
     except OSError:
         return None
 
 
-def numpy_symbol(names):
-    """(function, name) of the first of ``names`` that numpy's BLAS exports, or (None, None)."""
+def numpy_symbol(name):
+    """The function ``name`` of numpy's BLAS, or None where numpy does not export it."""
     lib = _numpy_blas()
-    for name in names:
-        if lib is not None and hasattr(lib, name):
-            return lib[name], name
-    return None, None
+    return None if lib is None else getattr(lib, name, None)
 
 
 def _fortran(routine, *args):
@@ -93,11 +85,11 @@ class Lapack(NamedTuple):
 @cache
 def lapack() -> Lapack:
     """The routines from numpy's BLAS if it exports all of ``LAPACK_SYMBOLS``, else from scipy."""
-    found = [numpy_symbol(names) for names in LAPACK_SYMBOLS]
-    if all(routine is not None for routine, _ in found):
-        potrf, potrs, pbtrf, pbtrs = (partial(_fortran, routine) for routine, _ in found)
+    found = [numpy_symbol(name) for name in LAPACK_SYMBOLS]
+    if all(routine is not None for routine in found):
+        potrf, potrs, pbtrf, pbtrs = (partial(_fortran, routine) for routine in found)
         return Lapack(
-            ", ".join(name for _, name in found),
+            ", ".join(LAPACK_SYMBOLS),
             lambda a: potrf(len(a), a, len(a)),
             lambda c, b: potrs(len(c), b.size // len(c), c, len(c), b, len(c)),
             lambda band: pbtrf(len(band), band.shape[1] - 1, band, band.shape[1]),

@@ -22,11 +22,12 @@ the noise term, the heat product and the resolvent.  The rounds are
 compiled C (``passes.c``, built at the first kernel into a per-user
 cache), which steps a dense splitting or heat run from one yield to the
 next in one call, its product through numpy's own ``cblas_dgemm``; or
-their numpy ufunc form.  A coupled run, whose Newton iteration runs in
-Python, and a banded one, whose solves do, go round by round.  Calling a
-kernel takes one step; ``StepKernel.run`` steps a whole increment block in
-one loop that yields only after the steps its caller names, and a later
-call can resume from the kernel's buffer with the next block.
+their numpy ufunc form.  Every other run goes round by round through one
+loop, ``StepKernel._stepper``, with a coupled run's Newton iteration after
+each resolvent.  Calling a kernel takes one step; ``StepKernel.run`` steps
+a whole increment block in one loop that yields only after the steps its
+caller names, and a later call can resume from the kernel's buffer with the
+next block.
 """
 
 from __future__ import annotations
@@ -65,9 +66,8 @@ FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 # product and the resolvent.
 NOISE, PRODUCT, RESOLVENT = 1, 2, 4
 
-# Names of cblas_dgemm with 64-bit integers in numpy's BLAS: the
-# scipy-openblas of numpy 2 wheels, the openblas64_ of numpy 1 wheels.
-DGEMM_SYMBOLS = ("scipy_cblas_dgemm64_", "cblas_dgemm64_")
+# cblas_dgemm with 64-bit integers in numpy's BLAS (numpy 2's scipy-openblas).
+DGEMM_SYMBOL = "scipy_cblas_dgemm64_"
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,9 @@ class StepKernel:
         self._bind = (passes() if self._markov is not None and paths > 1 else passes(False))[0]
         # Above the dense limit each amplitude applies the banded factor to
         # its own p rows: one solve over all A p rows was slower at d = 256,
-        # as its buffers outgrow the L2 cache.  The Newton rows are all A p.
+        # as its buffers outgrow the L2 cache.  A dense product is one
+        # np.matmul over the stack: one call per amplitude was slower.  The
+        # Newton rows are all A p.
         self._solves = list(zip(self._noisy, self.out))
         self._rows = self.out.reshape(-1, d), self._noisy.reshape(-1, d)
 
@@ -179,26 +181,30 @@ class StepKernel:
     def _stepper(self, d_w):
         """``step(j0, j1)``: rounds j0..j1-1, d_w their (rounds, p) increments.
 
-        A dense splitting or heat run takes them in one call of its passes.
-        A coupled run goes round by round, its Newton iteration after each
-        resolvent, and so does a banded run, its solves between the noise
-        and the resolvent.
+        Where the rounds take the product in C, a splitting or heat run
+        takes them in one call.  Every other run goes through the one loop
+        here, round by round: the noise, the product (in C, or in Python:
+        np.matmul over the stack, or one banded solve per amplitude), the
+        resolvent, and for a coupled run the Newton iteration.
         """
-        rounds = self._bind(self.out, self._noisy, self._amplitude, self._kappa, d_w,
-                            self._markov)
+        rounds, product_in_c = self._bind(self.out, self._noisy, self._amplitude, self._kappa,
+                                          d_w, self._markov)
         resolve = 0 if self.variant == "heat" else RESOLVENT
         coupled = self.variant == "coupled"
-        if self._markov is not None and not coupled:
+        if product_in_c and not coupled:
             return partial(rounds, NOISE | PRODUCT | resolve)
 
         def step(j0, j1):
             for j in range(j0, j1):
-                if self._markov is not None:
+                if product_in_c:
                     rounds(NOISE | PRODUCT | resolve, j, j + 1)
                 else:
                     rounds(NOISE, j, j + 1)
-                    for w_a, out_a in self._solves:
-                        self._solver.apply_markov(w_a, out=out_a)
+                    if self._markov is not None:
+                        np.matmul(self._noisy, self._markov, out=self.out)
+                    else:
+                        for w_a, out_a in self._solves:
+                            self._solver.apply_markov(w_a, out=out_a)
                     if resolve:
                         rounds(resolve, j, j + 1)
                 if coupled:
@@ -207,17 +213,15 @@ class StepKernel:
         return step
 
 
-def _numpy_passes(u, w, amplitude, kappa, d_w, markov):
-    """A run's rounds as ufuncs and ``np.matmul``: the fallback and the oracle of passes.c.
+def _numpy_passes(u, w, amplitude, kappa, d_w):
+    """A run's noise and resolvent stages as ufuncs: the fallback and the oracle of passes.c.
 
     ``u`` and ``w`` are the run's (A, p, d) state and noisy buffers,
-    ``amplitude`` is (A,), ``kappa`` a float, ``d_w`` (rounds, p) and
-    ``markov`` the d x d propagator (None above the dense limit).
+    ``amplitude`` is (A,), ``kappa`` a float and ``d_w`` (rounds, p).
     Returns ``rounds(stages, j0, j1)``, which takes rounds j0..j1-1 through
     the stages named: NOISE sets w = (((c a)(1 - c)) dW) + u with round j's
-    increments, PRODUCT u = w markov and RESOLVENT u = c + (u - c) kappa,
-    each c = clip(u).  As in passes.c, a noise after a resolvent of the same
-    call takes that resolvent's c, which gives the same w.
+    increments and RESOLVENT u = c + (u - c) kappa, each c = clip(u).  The
+    product is the kernel's, between the two (see ``StepKernel._stepper``).
     """
     c, one_minus_c = np.empty_like(u), np.empty_like(u)
     zero, one = np.zeros(()), np.ones(())  # ufuncs are quicker with 0-d arrays than floats
@@ -228,15 +232,12 @@ def _numpy_passes(u, w, amplitude, kappa, d_w, markov):
     def rounds(stages, j0, j1):
         for j in range(j0, j1):
             if stages & NOISE:
-                if j == j0 or not stages & RESOLVENT:
-                    u.clip(zero, one, out=c)
+                u.clip(zero, one, out=c)
                 np.multiply(c, amplitude, out=w)
                 np.subtract(one, c, out=one_minus_c)
                 np.multiply(w, one_minus_c, out=w)
                 np.multiply(w, d_w[j], out=w)
                 np.add(w, u, out=w)
-            if stages & PRODUCT:
-                np.matmul(w, markov, out=u)
             if stages & RESOLVENT:
                 u.clip(zero, one, out=c)
                 np.subtract(u, c, out=u)
@@ -244,6 +245,11 @@ def _numpy_passes(u, w, amplitude, kappa, d_w, markov):
                 np.add(c, u, out=u)
 
     return rounds
+
+
+def _numpy_bind(u, w, amplitude, kappa, d_w, markov):
+    """(rounds, False): the numpy passes bound to a run, whose product the kernel takes."""
+    return _numpy_passes(u, w, amplitude, kappa, d_w), False
 
 
 class _Run(ctypes.Structure):
@@ -255,13 +261,14 @@ class _Run(ctypes.Structure):
 
 
 def _compiled_passes(lib, gemm, u, w, amplitude, kappa, d_w, markov):
-    """``_numpy_passes`` as calls into the compiled library, its pointers bound once.
+    """(rounds, product_in_c): ``_numpy_passes`` as calls into the compiled library.
 
-    The product runs in C through ``gemm`` (numpy's own ``cblas_dgemm``)
-    where np.matmul calls it as well, with the propagator as it is: on a
-    dense run with no dimension 1, for which np.matmul takes gemv or a loop
-    of its own, and a C-contiguous propagator.  Elsewhere, or with ``gemm``
-    None, rounds with the product go one by one around np.matmul.
+    The run's pointers are bound once.  The rounds take PRODUCT in C,
+    through ``gemm`` (numpy's own ``cblas_dgemm``), where np.matmul calls
+    it as well, with the propagator as it is: on a dense run with no
+    dimension 1, for which np.matmul takes gemv or a loop of its own, and a
+    C-contiguous propagator.  Elsewhere, or with ``gemm`` None, they take
+    NOISE and RESOLVENT only, and the kernel's one loop the product.
     """
     direct = (gemm is not None and markov is not None and min(u.shape[-2:]) > 1
               and markov.flags.c_contiguous)
@@ -270,22 +277,7 @@ def _compiled_passes(lib, gemm, u, w, amplitude, kappa, d_w, markov):
                gemm if direct else None, kappa, *u.shape,
                *(s // u.itemsize for s in d_w.strides))
     run.arrays = arrays  # the buffers outlive every call through the pointers
-    rounds = partial(lib.acfv_rounds, ctypes.byref(run))
-    if direct or markov is None:
-        return rounds
-    return partial(_matmul_rounds, rounds, u, w, markov)
-
-
-def _matmul_rounds(rounds, u, w, markov, stages, j0, j1):
-    """``rounds`` of stages j0..j1-1, one by one with PRODUCT as np.matmul between the others."""
-    if not stages & PRODUCT:
-        rounds(stages, j0, j1)
-        return
-    for j in range(j0, j1):
-        rounds(stages & NOISE, j, j + 1)
-        np.matmul(w, markov, out=u)
-        if stages & RESOLVENT:
-            rounds(RESOLVENT, j, j + 1)
+    return partial(lib.acfv_rounds, ctypes.byref(run)), direct
 
 
 def build_passes(cc, flags=FLAGS, source=SOURCE, directory=None) -> Path:
@@ -324,7 +316,7 @@ def passes(blas=True):
     ``$XDG_CACHE_HOME/acfv`` (else ``~/.cache/acfv``); when there is no
     compiler, the build fails or the cache cannot be written, the numpy
     passes.  With ``blas``, the product of the compiled passes runs through
-    numpy's own ``cblas_dgemm`` if one of ``DGEMM_SYMBOLS`` is found and a
+    numpy's own ``cblas_dgemm`` if numpy exports ``DGEMM_SYMBOL`` and a
     probe through it equals the numpy passes byte for byte, and the
     description says so.  ``passes(False)`` neither looks the symbol up nor
     runs the probe, which sets up numpy's BLAS: a process whose runs never
@@ -334,22 +326,22 @@ def passes(blas=True):
     """
     if blas:
         bind, described = passes(False)
-        if bind is _numpy_passes:
+        if bind is _numpy_bind:
             return bind, described
         lib = bind.args[0]
-        gemm, name = _numpy_dgemm()
+        gemm = _numpy_dgemm()
         if gemm is None:
             how = "rounds one by one: no 64-bit cblas_dgemm in numpy"
         elif not _probe(partial(_compiled_passes, lib, gemm)):
-            gemm, how = None, f"rounds one by one: {name} differs from np.matmul"
+            gemm, how = None, f"rounds one by one: {DGEMM_SYMBOL} differs from np.matmul"
         else:
-            how = f"rounds in one call through {name}"
+            how = f"rounds in one call through {DGEMM_SYMBOL}"
         return partial(_compiled_passes, lib, gemm), f"{described}; {how}"
     cc = os.environ.get("CC") or "cc"
     try:
         lib = ctypes.CDLL(str(build_passes(cc)))
     except (OSError, subprocess.SubprocessError):
-        return _numpy_passes, "numpy"
+        return _numpy_bind, "numpy"
     # No argtypes: a call passes a byref(_Run) and three Python ints, which
     # ctypes passes as the pointer and C ints the function takes; declaring
     # them converts every argument again, 1.2 us of a 6.4 us round on a
@@ -361,26 +353,29 @@ def passes(blas=True):
 def compiled_library():
     """The compiled passes.c of this process (see ``passes``), or None on the numpy passes."""
     bind = passes(False)[0]
-    return None if bind is _numpy_passes else bind.args[0]
+    return None if bind is _numpy_bind else bind.args[0]
 
 
 def _numpy_dgemm():
-    """(address, name) of the first of ``DGEMM_SYMBOLS`` numpy's BLAS exports, or Nones."""
-    gemm, name = numpy_symbol(DGEMM_SYMBOLS)
-    return (None if gemm is None else ctypes.cast(gemm, ctypes.c_void_p).value), name
+    """The address of ``DGEMM_SYMBOL`` in numpy's BLAS, or None where numpy does not export it."""
+    gemm = numpy_symbol(DGEMM_SYMBOL)
+    return None if gemm is None else ctypes.cast(gemm, ctypes.c_void_p).value
 
 
 def _probe(bind):
-    """Whether two rounds of ``bind`` on a small random stack equal the numpy passes by bytes."""
+    """Whether two rounds of ``bind`` in one call equal, by bytes, those of the numpy loop."""
     rng = np.random.default_rng(0)
     u = rng.uniform(-0.5, 1.5, (2, 3, 5))
-    args = (np.array([0.5, 7.0]), 0.25, rng.standard_normal((2, 3)), rng.standard_normal((5, 5)))
-    states = []
-    for passes in (bind, _numpy_passes):
-        state = u.copy()
-        passes(state, np.empty_like(u), *args)(NOISE | PRODUCT | RESOLVENT, 0, 2)
-        states.append(state.tobytes())
-    return states[0] == states[1]
+    args = (np.array([0.5, 7.0]), 0.25, rng.standard_normal((2, 3)))
+    markov = rng.standard_normal((5, 5))
+    one_call, state, w = u.copy(), u.copy(), np.empty_like(u)
+    bind(one_call, np.empty_like(u), *args, markov)[0](NOISE | PRODUCT | RESOLVENT, 0, 2)
+    rounds = _numpy_passes(state, w, *args)
+    for j in range(2):
+        rounds(NOISE, j, j + 1)
+        np.matmul(w, markov, out=state)
+        rounds(RESOLVENT, j, j + 1)
+    return one_call.tobytes() == state.tobytes()
 
 
 def _newton(solver, eps, u, w):

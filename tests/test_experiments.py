@@ -2,6 +2,7 @@
 
 import io
 import tracemalloc
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -273,6 +274,41 @@ def test_workers_do_not_change_results():
     parallel = convergence_study(config, workers=2)[0]
     np.testing.assert_array_equal(serial.errors, parallel.errors)
     assert serial.slope == parallel.slope
+
+
+def test_worker_pool_holds_at_most_one_worker_per_block(monkeypatch):
+    # A stand-in pool records its size and runs each call in this process,
+    # so no worker process starts.
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    config = StudyConfig(cells_per_axis=2, n_fine=8, n_steps_list=(4,),
+                         n_paths=2 * PATH_BLOCK + 1, amplitudes=(1.0,)).validate()
+    blocks = [(0, PATH_BLOCK), (PATH_BLOCK, 2 * PATH_BLOCK), (2 * PATH_BLOCK, 2 * PATH_BLOCK + 1)]
+
+    def block(config, lo, hi):
+        return lo, hi
+
+    for workers, pool in ((64, 3), (2, 2)):
+        assert experiments._map_blocks(block, config, (), workers) == blocks
+        assert sizes.pop() == pool
+    assert experiments._map_blocks(block, config, (), 1) == blocks
+    assert sizes == []  # one worker: no pool
 
 
 def test_format_float_roundtrips():

@@ -201,7 +201,7 @@ def test_scipy_lapack_route_gives_the_same_bytes(monkeypatch):
         return [solver_bytes(make_solver(L, tau), b, extra) for L, tau, b, extra in cases]
 
     numpy_route = results()
-    monkeypatch.setattr(linalg, "LAPACK_SYMBOLS", (("acfv_no_such_dpotrf",),) * 4)
+    monkeypatch.setattr(linalg, "LAPACK_SYMBOLS", ("acfv_no_such_dpotrf",) * 4)
     linalg.lapack.cache_clear()
     try:
         assert linalg.lapack().route == "scipy.linalg.lapack"

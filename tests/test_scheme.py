@@ -62,7 +62,7 @@ def run_states(kernel, u0, increments):
 
 def numpy_passes(blas=True):
     """A stand-in for ``scheme.passes``: the numpy passes."""
-    return scheme._numpy_passes, "numpy"
+    return scheme._numpy_bind, "numpy"
 
 
 def each_passes(monkeypatch):
@@ -542,13 +542,14 @@ def rebuilt_passes(monkeypatch, **attributes):
 
 def needs_one_call_rounds():
     """Skip without a C compiler or numpy's 64-bit dgemm; else the rounds must pass the self-check."""
-    if scheme.passes()[1] == "numpy" or scheme._numpy_dgemm()[0] is None:
+    if scheme.passes()[1] == "numpy" or scheme._numpy_dgemm() is None:
         pytest.skip("no compiled one-call rounds here (no C compiler or no 64-bit dgemm)")
     assert "rounds in one call through" in scheme.passes()[1]
 
 
-@pytest.mark.parametrize("variant", ["splitting", "heat"])
-def test_one_call_rounds_match_rounds_one_by_one_and_numpy_bitwise(monkeypatch, variant):
+@pytest.mark.parametrize("variant, paths", [("splitting", 6), ("heat", 6), ("splitting", 1)],
+                         ids=["splitting", "heat", "splitting-one-path"])
+def test_one_call_rounds_match_rounds_one_by_one_and_numpy_bitwise(monkeypatch, variant, paths):
     # d = 16 (dense), 3 step sizes (one kernel each) by 3 amplitudes and 6
     # paths.  The kernels take 9, 5 and 7 steps in the first chunk and 8, 8
     # and none in the second, which resumes from each kernel's buffer, and
@@ -557,7 +558,8 @@ def test_one_call_rounds_match_rounds_one_by_one_and_numpy_bitwise(monkeypatch, 
     # -0.0, 5e-324, 1 + 2^-52, NaN and a row of -0.0 whose first increment
     # is positive, so its noisy row is -0.0.  The one-call rounds, the
     # compiled rounds one by one (no BLAS symbol) and the numpy passes yield
-    # the same bytes.
+    # the same bytes.  With one path (the first row), whose product
+    # np.matmul takes by gemv, every route goes round by round.
     needs_one_call_rounds()
     solvers = [solver_on(4, n) for n in (40, 24, 16)]
     rng = np.random.default_rng(4)
@@ -568,16 +570,17 @@ def test_one_call_rounds_match_rounds_one_by_one_and_numpy_bitwise(monkeypatch, 
               for counts in ((9, 5, 7), (8, 8, 0))]
     for inc in chunks[0]:
         inc[1, 0] = 0.25
+    start, chunks = start[:paths], [[inc[:paths] for inc in chunk] for chunk in chunks]
     at = ((3, 7, 12, 17), (2, 9, 13), (4, 11))
 
     def yields():
-        kernels = [StepKernel(variant, (0.0, 2.0, 9.0), EpsilonSchedule.fixed(0.05), solver, 6)
-                   for solver in solvers]
+        kernels = [StepKernel(variant, (0.0, 2.0, 9.0), EpsilonSchedule.fixed(0.05), solver,
+                              paths) for solver in solvers]
         got = chunked_yields(kernels, start, chunks, at)
         return got, b"".join(kernel.out.tobytes() for kernel in kernels)
 
     one_call = yields()
-    with rebuilt_passes(monkeypatch, DGEMM_SYMBOLS=("acfv_no_such_dgemm",)) as (_, described):
+    with rebuilt_passes(monkeypatch, DGEMM_SYMBOL="acfv_no_such_dgemm") as (_, described):
         assert described.endswith("rounds one by one: no 64-bit cblas_dgemm in numpy")
         one_by_one = yields()
     monkeypatch.setattr(scheme, "passes", numpy_passes)
@@ -599,13 +602,15 @@ def test_resolvent_clip_serves_the_next_noise_bitwise():
     u[1, 2] = -0.0
     args = (np.array([0.0, 7.0]), 0.25, rng.standard_normal((2, 3)))
     calls = {scheme.passes()[0]: [(scheme.NOISE | scheme.RESOLVENT, 0, 2)],
-             scheme._numpy_passes: [(scheme.NOISE | scheme.RESOLVENT, 0, 1),
-                                    (scheme.NOISE, 1, 2), (scheme.RESOLVENT, 1, 2)]}
+             scheme._numpy_bind: [(scheme.NOISE, 0, 1), (scheme.RESOLVENT, 0, 1),
+                                  (scheme.NOISE, 1, 2), (scheme.RESOLVENT, 1, 2)]}
     states = []
     for bind, rounds in calls.items():
         state, noisy = u.copy(), np.empty_like(u)
+        bound, product_in_c = bind(state, noisy, *args, None)
+        assert not product_in_c  # no propagator: no product in C
         for call in rounds:
-            bind(state, noisy, *args, None)(*call)
+            bound(*call)
         states.append((state.tobytes(), noisy.tobytes()))
     assert states[0] == states[1]
 
@@ -640,7 +645,7 @@ def test_failed_self_check_falls_back_to_rounds_one_by_one(monkeypatch):
         return b"".join(kernel.out.tobytes() for kernel in kernels)
 
     with rebuilt_passes(monkeypatch, _numpy_passes=one_ulp_off) as (bind, described):
-        name = scheme._numpy_dgemm()[1]
+        name = scheme.DGEMM_SYMBOL
         assert described.endswith(f"rounds one by one: {name} differs from np.matmul")
         fallback = kernels()
     assert bind.args[1] is None  # no BLAS call from C
