@@ -67,7 +67,8 @@ class Stencil:
 
         Each row sums its entries' products from 0 in ascending column
         order, as a CSR product does, so the two agree bit for bit: in the
-        compiled ``acfv_stencil`` (see ``scheme.passes``), else in numpy.
+        compiled ``acfv_stencil`` (see ``scheme.compiled_library``), else in
+        numpy.
         """
         x = np.ascontiguousarray(x, dtype=float)
         rows = x.reshape(-1, len(self.cols))

@@ -145,10 +145,14 @@ def config_from_mapping(mapping: dict, base_dir: str = ".") -> StudyConfig:
     if eps_p is not None and not abs(eps_p) < float("inf"):
         raise ConfigError(f"'eps_p' must be finite, got {eps_p}")
     if rule is None:
+        if eps_c is not None or eps_p is not None:
+            raise ConfigError(f"'{'eps_c' if eps_c is not None else 'eps_p'}' needs eps_rule")
         epsilon = StudyConfig().epsilon
     elif rule == "fixed":
         if eps_c is None:
             raise ConfigError("eps_rule = fixed needs eps_c")
+        if eps_p is not None:
+            raise ConfigError("eps_rule = fixed does not read 'eps_p'")
         epsilon = EpsilonSchedule.fixed(eps_c)
     elif rule == "power":
         if eps_c is None or eps_p is None:
@@ -291,4 +295,4 @@ def build_manifest(command: str, config: StudyConfig) -> RunManifest:
                  for line in lines]
     payload = "\n".join([command] + lines)
     run_id = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
-    return RunManifest(command=command, config=config, run_id=run_id, passes=passes()[1])
+    return RunManifest(command=command, config=config, run_id=run_id, passes=passes())

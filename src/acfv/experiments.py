@@ -126,8 +126,8 @@ class StudyConfig:
                               f"got {self.half_width}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}")
-        if self.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
+        if not 0 <= self.seed < 2 ** 64:  # a Philox key word
+            raise ConfigError(f"seed must be an integer in 0..2^64 - 1, got {self.seed}")
         if not self.amplitudes or not all(0 <= a < np.inf for a in self.amplitudes):
             raise ConfigError(f"'a' must be nonempty, nonnegative and finite, "
                               f"got {self.amplitudes}")

@@ -136,7 +136,9 @@ class ShiftedSolver:
 
     Holds the mass diagonal, the step size tau and the shifted matrix, as
     a ``Stencil`` (``shifted``), so a step kernel can reach them, and
-    prefactors the shifted matrix once.  All per-call state is local, so
+    prefactors the shifted matrix once: ``markov_t`` (dense) or
+    ``band_factor`` (banded, the (d, u + 1) upper band Cholesky factor)
+    serves a kernel's heat product.  All per-call state is local, so
     one solver instance can serve concurrent solves.
 
     Right-hand sides may be a single field of shape (d,) or a stack of
@@ -158,7 +160,7 @@ class ShiftedSolver:
             lapack().potrs(self._chol, self.markov_t)
         else:
             self._band = upper_band(self.shifted)
-            self._band_chol = _factor(lapack().pbtrf, self._band.copy())
+            self.band_factor = _factor(lapack().pbtrf, self._band.copy())
 
     def solve(self, b):
         """Solve (M + tau A) x = b for one field or a (p, d) stack."""
@@ -170,7 +172,7 @@ class ShiftedSolver:
         if self.n <= DENSE_LIMIT:
             lapack().potrs(self._chol, b)
         else:
-            lapack().pbtrs(self._band_chol, b)
+            lapack().pbtrs(self.band_factor, b)
         return b
 
     def solve_with_diagonal(self, extra, b):

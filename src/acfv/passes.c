@@ -4,32 +4,36 @@
  *
  * Each value is computed by the same IEEE operations in the same order as
  * the ufuncs of scheme._numpy_passes, and the heat product by the very
- * cblas_dgemm call np.matmul makes, so the two agree byte for byte; the
- * other two agree so with scipy's CSR product and scipy.special.ndtri.
- * Build with -ffp-contract=off (no fused multiply-add), without
- * -ffast-math, and link libm.
+ * numpy BLAS call the numpy passes make (the cblas_dgemm of np.matmul, or
+ * the dpbtrs of ShiftedSolver.apply_markov), so the two agree byte for
+ * byte; the other two agree so with scipy's CSR product and
+ * scipy.special.ndtri.  Build with -ffp-contract=off (no fused
+ * multiply-add), without -ffast-math, and link libm.
  */
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 
-/* The stages of a round, as scheme.NOISE, PRODUCT and RESOLVENT. */
-enum { NOISE = 1, PRODUCT = 2, RESOLVENT = 4 };
-
-/* cblas_dgemm with 64-bit integers, as numpy's BLAS exports it. */
+/* cblas_dgemm and Fortran dpbtrs with 64-bit integers, as numpy's BLAS exports them. */
 typedef void dgemm64(int order, int trans_a, int trans_b, int64_t m, int64_t n, int64_t k,
                      double alpha, const double *a, int64_t lda, const double *b,
                      int64_t ldb, double beta, double *c, int64_t ldc);
+typedef void dpbtrs64(const char *uplo, const int64_t *n, const int64_t *kd, const int64_t *nrhs,
+                      const double *ab, const int64_t *ldab, double *b, const int64_t *ldb,
+                      int64_t *info, size_t uplo_len);
 
 /* A run, as scheme._Run lays it out.  The increment of path p in round j
- * is dw[j * dw_j + p * dw_p], in elements; the propagator is the D x D
- * row-major matrix at markov. */
+ * is dw[j * dw_j + p * dw_p], in elements.  The heat product is gemm with
+ * the D x D row-major propagator at op or, with gemm NULL, pbtrs with the
+ * D x band upper band factor at op.  A heat run has no resolvent. */
 struct run {
     double *u, *w;
-    const double *amp, *dw, *markov;
+    const double *amp, *dw, *op, *mass;
     dgemm64 *gemm;
+    dpbtrs64 *pbtrs;
     double kappa;
-    ptrdiff_t amps, paths, cells, dw_j, dw_p;
+    int64_t amps, paths, cells, band, dw_j, dw_p;
+    int resolve;
 };
 
 /* Cells clipped at once into a local buffer. */
@@ -89,28 +93,34 @@ INLINE void pass(double *restrict u, double *restrict w, int res, double k, doub
     }
 }
 
-/* Rounds j0..j1-1 through the stages named, each amplitude's tile of
- * p x d cells through all of them in turn, so that it stays in cache: the
- * noise into w, then u = w markov as np.matmul computes it, then the
+/* Rounds j0..j1-1, each amplitude's tile of p x d cells through all of
+ * them in turn, so that it stays in cache: the noise into w, then the heat
+ * product into u by the very BLAS call of the numpy passes, then the
  * resolvent, in one pass with the next round's noise.  Tiles are
  * independent, so the order of rounds within each is all that matters. */
-CLONES void acfv_rounds(const struct run *r, int stages, int j0, int j1)
+CLONES void acfv_rounds(const struct run *r, int j0, int j1)
 {
-    const ptrdiff_t paths = r->paths, cells = r->cells, tile = paths * cells;
+    const int64_t paths = r->paths, cells = r->cells, tile = paths * cells, kd = r->band - 1;
     const double k = r->kappa;
+    int64_t info;
     for (ptrdiff_t a = 0; a < r->amps; a++) {
         double *u = r->u + a * tile, *w = r->w + a * tile;
         const double am = r->amp[a];
         for (ptrdiff_t j = j0; j < j1; j++) {
             const double *dw = r->dw + j * r->dw_j;
-            if ((stages & NOISE) && (j == j0 || !(stages & RESOLVENT)))
+            if (j == j0 || !r->resolve)
                 pass(u, w, 0, k, am, dw, r->dw_p, tile, cells);
-            if (stages & PRODUCT)  /* CblasRowMajor, CblasNoTrans, CblasNoTrans */
-                r->gemm(101, 111, 111, paths, cells, cells, 1.0, w, cells, r->markov, cells,
-                        0.0, u, cells);
-            if (stages & RESOLVENT)
-                pass(u, w, 1, k, am, (stages & NOISE) && j + 1 < j1 ? dw + r->dw_j : NULL,
-                     r->dw_p, tile, cells);
+            if (r->gemm)  /* u = w op: CblasRowMajor, CblasNoTrans, CblasNoTrans */
+                r->gemm(101, 111, 111, paths, cells, cells, 1.0, w, cells, r->op, cells, 0.0,
+                        u, cells);
+            else {  /* u = w mass, solved in place: ShiftedSolver.apply_markov */
+                for (ptrdiff_t i = 0; i < tile; i += cells)
+                    for (ptrdiff_t c = 0; c < cells; c++)
+                        u[i + c] = w[i + c] * r->mass[c];
+                r->pbtrs("U", &cells, &kd, &paths, r->op, &r->band, u, &cells, &info, 1);
+            }
+            if (r->resolve)
+                pass(u, w, 1, k, am, j + 1 < j1 ? dw + r->dw_j : NULL, r->dw_p, tile, cells);
         }
     }
 }

@@ -17,17 +17,18 @@ it reads (eps = eps(tau)).  The variants:
 A kernel steps the runs of one step size at A amplitudes as one (A, p, d)
 stack of p per-path fields of d cells, with one increment per path that
 the amplitudes share; each step size has a kernel of its own.  A round
-takes each amplitude's tile of p x d cells in turn through three stages:
-the noise term, the heat product and the resolvent.  The rounds are
-compiled C (``passes.c``, built at the first kernel into a per-user
-cache), which steps a dense splitting or heat run from one yield to the
-next in one call, its product through numpy's own ``cblas_dgemm``; or
-their numpy ufunc form.  Every other run goes round by round through one
-loop, ``StepKernel._stepper``, with a coupled run's Newton iteration after
-each resolvent.  Calling a kernel takes one step; ``StepKernel.run`` steps
-a whole increment block in one loop that yields only after the steps its
-caller names, and a later call can resume from the kernel's buffer with the
-next block.
+takes each amplitude's tile of p x d cells in turn through the noise term,
+the heat product and (but in a heat run) the resolvent.  The rounds take
+one of two routes, fixed when the kernel is built: compiled C
+(``passes.c``, built at the first kernel into a per-user cache), whose
+product calls numpy's own ``cblas_dgemm`` (dense, more than one path) or
+``dpbtrs`` (banded); or their numpy form around ``np.matmul`` or
+``ShiftedSolver.apply_markov``, everywhere else.  Either steps a splitting
+or heat run from one yield to the next in one call; a coupled run goes
+round by round, its Newton iteration after each.  Calling a kernel takes
+one step; ``StepKernel.run`` steps a whole increment block in one loop that
+yields only after the steps its caller names, and a later call can resume
+from the kernel's buffer with the next block.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 
 from .constraint import psi_eps
 from .errors import NumericalFailure
-from .linalg import DENSE_LIMIT, ShiftedSolver, numpy_symbol
+from .linalg import DENSE_LIMIT, LAPACK_SYMBOLS, lapack, numpy_symbol
 
 __all__ = ["EpsilonSchedule", "StepKernel"]
 
@@ -61,10 +62,6 @@ NEWTON_TOL = 1e-11
 # build flags (no fused multiply-add, no fast math, no host-specific code).
 SOURCE = Path(__file__).with_name("passes.c")
 FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
-
-# The stages of a round, as passes.c numbers them: the noise term, the heat
-# product and the resolvent.
-NOISE, PRODUCT, RESOLVENT = 1, 2, 4
 
 # cblas_dgemm with 64-bit integers in numpy's BLAS (numpy 2's scipy-openblas).
 DGEMM_SYMBOL = "scipy_cblas_dgemm64_"
@@ -118,7 +115,7 @@ class StepKernel:
     w = u + ((a c)(1 - c)) dW, the heat propagator, then the resolvent
     c + (r - c) kappa, each c a clip to [0, 1] of the tile's current state,
     in the order of ``diffusion_g`` and ``resolvent``; the rounds are
-    compiled C or numpy (see ``passes``), equal byte for byte, so every run
+    compiled C or numpy (see ``_bind``), equal byte for byte, so every run
     equals those formulas bit for bit, as if it were stepped alone.
     """
 
@@ -128,19 +125,12 @@ class StepKernel:
             raise ValueError("amplitude must be >= 0")
         self.variant, self.amplitude = variant, tuple(self._amplitude.tolist())
         self.tau, self.eps = solver.tau, epsilon.value(solver.tau)
-        self._solver, self._kappa = solver, self.eps / (self.eps + self.tau)
+        self._solver = solver
+        self._kappa = None if variant == "heat" else self.eps / (self.eps + self.tau)
         d, shape = solver.n, (len(self._amplitude), paths, solver.n)
         self._noisy, self.out = np.empty(shape), np.empty(shape)
-        self._markov = solver.markov_t if d <= DENSE_LIMIT else None
-        # numpy's dgemm is looked up and checked only where C may call it
-        self._bind = (passes() if self._markov is not None and paths > 1 else passes(False))[0]
-        # Above the dense limit each amplitude applies the banded factor to
-        # its own p rows: one solve over all A p rows was slower at d = 256,
-        # as its buffers outgrow the L2 cache.  A dense product is one
-        # np.matmul over the stack: one call per amplitude was slower.  The
-        # Newton rows are all A p.
-        self._solves = list(zip(self._noisy, self.out))
-        self._rows = self.out.reshape(-1, d), self._noisy.reshape(-1, d)
+        self._bind = _bind(solver, paths)
+        self._rows = self.out.reshape(-1, d), self._noisy.reshape(-1, d)  # Newton's rows
 
     def __call__(self, u_prev, d_w):
         """One step of every run, d_w one increment per path, into ``out``."""
@@ -181,64 +171,71 @@ class StepKernel:
     def _stepper(self, d_w):
         """``step(j0, j1)``: rounds j0..j1-1, d_w their (rounds, p) increments.
 
-        Where the rounds take the product in C, a splitting or heat run
-        takes them in one call.  Every other run goes through the one loop
-        here, round by round: the noise, the product (in C, or in Python:
-        np.matmul over the stack, or one banded solve per amplitude), the
-        resolvent, and for a coupled run the Newton iteration.
+        A splitting or heat run takes them in one call of its rounds; a
+        coupled run round by round, its Newton iteration after each.
         """
-        rounds, product_in_c = self._bind(self.out, self._noisy, self._amplitude, self._kappa,
-                                          d_w, self._markov)
-        resolve = 0 if self.variant == "heat" else RESOLVENT
-        coupled = self.variant == "coupled"
-        if product_in_c and not coupled:
-            return partial(rounds, NOISE | PRODUCT | resolve)
+        rounds = self._bind(self.out, self._noisy, self._amplitude, self._kappa, d_w)
+        if self.variant != "coupled":
+            return rounds
 
         def step(j0, j1):
             for j in range(j0, j1):
-                if product_in_c:
-                    rounds(NOISE | PRODUCT | resolve, j, j + 1)
-                else:
-                    rounds(NOISE, j, j + 1)
-                    if self._markov is not None:
-                        np.matmul(self._noisy, self._markov, out=self.out)
-                    else:
-                        for w_a, out_a in self._solves:
-                            self._solver.apply_markov(w_a, out=out_a)
-                    if resolve:
-                        rounds(resolve, j, j + 1)
-                if coupled:
-                    _newton(self._solver, self.eps, *self._rows)
+                rounds(j, j + 1)
+                _newton(self._solver, self.eps, *self._rows)
 
         return step
 
 
-def _numpy_passes(u, w, amplitude, kappa, d_w):
-    """A run's noise and resolvent stages as ufuncs: the fallback and the oracle of passes.c.
+def _bind(solver, paths):
+    """The rounds ``bind(u, w, amplitude, kappa, d_w)`` of ``paths`` paths on ``solver``.
+
+    Compiled where C can make the numpy passes' own BLAS call: dgemm on a
+    dense run of more than one path and cell (else np.matmul takes gemv),
+    if it passed the probe, or dpbtrs on a banded run whose factor came from
+    numpy's LAPACK.  Everywhere else the numpy passes.
+    """
+    lib, dense = compiled_library(), solver.n <= DENSE_LIMIT
+    if lib is not None and dense and min(paths, solver.n) > 1 and (gemm := _dgemm()[0]):
+        return partial(_compiled_passes, lib, solver.markov_t, None, gemm, None)
+    if lib is not None and not dense and lapack().route != "scipy.linalg.lapack":
+        return partial(_compiled_passes, lib, solver.band_factor,
+                       np.ascontiguousarray(solver.mass_diag), None, _address(LAPACK_SYMBOLS[3]))
+    if dense:
+        return partial(_numpy_passes, lambda w, u: np.matmul(w, solver.markov_t, out=u))
+    # per amplitude: one solve of all A p rows was slower at d = 256 (L2 cache)
+    return partial(_numpy_passes,
+                   lambda w, u: [solver.apply_markov(w_a, out=u_a) for w_a, u_a in zip(w, u)])
+
+
+def _numpy_passes(product, u, w, amplitude, kappa, d_w):
+    """A run's rounds as ufuncs around ``product``: the fallback and the oracle of passes.c.
 
     ``u`` and ``w`` are the run's (A, p, d) state and noisy buffers,
-    ``amplitude`` is (A,), ``kappa`` a float and ``d_w`` (rounds, p).
-    Returns ``rounds(stages, j0, j1)``, which takes rounds j0..j1-1 through
-    the stages named: NOISE sets w = (((c a)(1 - c)) dW) + u with round j's
-    increments and RESOLVENT u = c + (u - c) kappa, each c = clip(u).  The
-    product is the kernel's, between the two (see ``StepKernel._stepper``).
+    ``amplitude`` is (A,), ``kappa`` a float (None: no resolvent, a heat
+    run), ``d_w`` (rounds, p) and ``product(w, u)`` the heat product of the
+    whole stack into u.  Returns ``rounds(j0, j1)``, which takes rounds
+    j0..j1-1 in turn: the noise w = (((c a)(1 - c)) dW) + u with round j's
+    increments, the product, and the resolvent u = c + (u - c) kappa, each
+    c = clip(u).  As in passes.c, a noise after a resolvent of the same call
+    takes that resolvent's c, which gives the same w.
     """
     c, one_minus_c = np.empty_like(u), np.empty_like(u)
     zero, one = np.zeros(()), np.ones(())  # ufuncs are quicker with 0-d arrays than floats
     # one column per amplitude and path; a lone amplitude as 0-d
     amplitude = amplitude[:, None, None] if len(amplitude) > 1 else amplitude.reshape(())
-    kappa, d_w = np.array(kappa), d_w[:, None, :, None]
+    resolve, kappa, d_w = kappa is not None, np.array(kappa), d_w[:, None, :, None]
 
-    def rounds(stages, j0, j1):
+    def rounds(j0, j1):
         for j in range(j0, j1):
-            if stages & NOISE:
+            if j == j0 or not resolve:
                 u.clip(zero, one, out=c)
-                np.multiply(c, amplitude, out=w)
-                np.subtract(one, c, out=one_minus_c)
-                np.multiply(w, one_minus_c, out=w)
-                np.multiply(w, d_w[j], out=w)
-                np.add(w, u, out=w)
-            if stages & RESOLVENT:
+            np.multiply(c, amplitude, out=w)
+            np.subtract(one, c, out=one_minus_c)
+            np.multiply(w, one_minus_c, out=w)
+            np.multiply(w, d_w[j], out=w)
+            np.add(w, u, out=w)
+            product(w, u)
+            if resolve:
                 u.clip(zero, one, out=c)
                 np.subtract(u, c, out=u)
                 np.multiply(u, kappa, out=u)
@@ -247,37 +244,28 @@ def _numpy_passes(u, w, amplitude, kappa, d_w):
     return rounds
 
 
-def _numpy_bind(u, w, amplitude, kappa, d_w, markov):
-    """(rounds, False): the numpy passes bound to a run, whose product the kernel takes."""
-    return _numpy_passes(u, w, amplitude, kappa, d_w), False
-
-
 class _Run(ctypes.Structure):
     """A run as passes.c reads it: buffers, BLAS call, kappa, sizes, strides in elements."""
 
-    _fields_ = ([(name, ctypes.c_void_p) for name in ("u", "w", "amp", "dw", "markov", "gemm")]
+    _fields_ = ([(name, ctypes.c_void_p) for name in "u w amp dw op mass gemm pbtrs".split()]
                 + [("kappa", ctypes.c_double)]
-                + [(name, ctypes.c_ssize_t) for name in ("amps", "paths", "cells", "dw_j", "dw_p")])
+                + [(name, ctypes.c_int64) for name in "amps paths cells band dw_j dw_p".split()]
+                + [("resolve", ctypes.c_int)])
 
 
-def _compiled_passes(lib, gemm, u, w, amplitude, kappa, d_w, markov):
-    """(rounds, product_in_c): ``_numpy_passes`` as calls into the compiled library.
+def _compiled_passes(lib, op, mass, gemm, pbtrs, u, w, amplitude, kappa, d_w):
+    """``_numpy_passes`` as calls into the compiled library, the run's pointers bound once.
 
-    The run's pointers are bound once.  The rounds take PRODUCT in C,
-    through ``gemm`` (numpy's own ``cblas_dgemm``), where np.matmul calls
-    it as well, with the propagator as it is: on a dense run with no
-    dimension 1, for which np.matmul takes gemv or a loop of its own, and a
-    C-contiguous propagator.  Elsewhere, or with ``gemm`` None, they take
-    NOISE and RESOLVENT only, and the kernel's one loop the product.
+    The product is ``gemm`` (numpy's ``cblas_dgemm``) with ``op`` the (d, d)
+    propagator, or with ``gemm`` None, ``mass`` times the noisy rows solved
+    by ``pbtrs`` (numpy's ``dpbtrs``) with ``op`` the (d, u + 1) band factor.
     """
-    direct = (gemm is not None and markov is not None and min(u.shape[-2:]) > 1
-              and markov.flags.c_contiguous)
-    arrays = (u, w, amplitude, d_w, markov)
-    run = _Run(*(a.ctypes.data for a in arrays[:4]), markov.ctypes.data if direct else None,
-               gemm if direct else None, kappa, *u.shape,
-               *(s // u.itemsize for s in d_w.strides))
+    arrays = (u, w, amplitude, d_w, op, mass)
+    run = _Run(*(None if a is None else a.ctypes.data for a in arrays), gemm, pbtrs,
+               0.0 if kappa is None else kappa, *u.shape, op.shape[1],
+               *(s // u.itemsize for s in d_w.strides), kappa is not None)
     run.arrays = arrays  # the buffers outlive every call through the pointers
-    return partial(lib.acfv_rounds, ctypes.byref(run)), direct
+    return partial(lib.acfv_rounds, ctypes.byref(run))
 
 
 def build_passes(cc, flags=FLAGS, source=SOURCE, directory=None) -> Path:
@@ -309,73 +297,64 @@ def build_passes(cc, flags=FLAGS, source=SOURCE, directory=None) -> Path:
 
 
 @cache
-def passes(blas=True):
-    """(bind, description) of the passes this process runs, loaded at the first call.
-
-    The compiled passes, built by ``$CC`` (else ``cc``) into
-    ``$XDG_CACHE_HOME/acfv`` (else ``~/.cache/acfv``); when there is no
-    compiler, the build fails or the cache cannot be written, the numpy
-    passes.  With ``blas``, the product of the compiled passes runs through
-    numpy's own ``cblas_dgemm`` if numpy exports ``DGEMM_SYMBOL`` and a
-    probe through it equals the numpy passes byte for byte, and the
-    description says so.  ``passes(False)`` neither looks the symbol up nor
-    runs the probe, which sets up numpy's BLAS: a process whose runs never
-    take the product in C (banded or one-path runs) does without it.  The
-    library's other entries, ``acfv_ndtri`` and ``acfv_stencil``, serve
-    ``stochastic`` and ``assembly`` through ``compiled_library``.
-    """
-    if blas:
-        bind, described = passes(False)
-        if bind is _numpy_bind:
-            return bind, described
-        lib = bind.args[0]
-        gemm = _numpy_dgemm()
-        if gemm is None:
-            how = "rounds one by one: no 64-bit cblas_dgemm in numpy"
-        elif not _probe(partial(_compiled_passes, lib, gemm)):
-            gemm, how = None, f"rounds one by one: {DGEMM_SYMBOL} differs from np.matmul"
-        else:
-            how = f"rounds in one call through {DGEMM_SYMBOL}"
-        return partial(_compiled_passes, lib, gemm), f"{described}; {how}"
-    cc = os.environ.get("CC") or "cc"
-    try:
-        lib = ctypes.CDLL(str(build_passes(cc)))
-    except (OSError, subprocess.SubprocessError):
-        return _numpy_bind, "numpy"
-    # No argtypes: a call passes a byref(_Run) and three Python ints, which
-    # ctypes passes as the pointer and C ints the function takes; declaring
-    # them converts every argument again, 1.2 us of a 6.4 us round on a
-    # (1, 128, 16) stack where rounds go one by one.
-    lib.acfv_rounds.restype = lib.acfv_ndtri.restype = lib.acfv_stencil.restype = None
-    return partial(_compiled_passes, lib, None), f"compiled ({cc}, {' '.join(FLAGS)})"
-
-
 def compiled_library():
-    """The compiled passes.c of this process (see ``passes``), or None on the numpy passes."""
-    bind = passes(False)[0]
-    return None if bind is _numpy_bind else bind.args[0]
+    """The compiled passes.c of this process, loaded at the first call; None on the numpy passes.
+
+    Built by ``$CC`` (else ``cc``) into ``$XDG_CACHE_HOME/acfv`` (else
+    ``~/.cache/acfv``); when there is no compiler, the build fails or the
+    cache cannot be written, every kernel runs the numpy passes.  Besides
+    ``acfv_rounds``, its ``acfv_ndtri`` and ``acfv_stencil`` serve
+    ``stochastic`` and ``assembly``.
+    """
+    try:
+        lib = ctypes.CDLL(str(build_passes(os.environ.get("CC") or "cc")))
+    except (OSError, subprocess.SubprocessError):
+        return None
+    # No argtypes: ctypes passes a byref(_Run) and two Python ints as the C
+    # function takes them; declaring them converts every argument again,
+    # 1.2 us of a 6.4 us round of a (1, 128, 16) coupled stack.
+    lib.acfv_rounds.restype = lib.acfv_ndtri.restype = lib.acfv_stencil.restype = None
+    return lib
 
 
-def _numpy_dgemm():
-    """The address of ``DGEMM_SYMBOL`` in numpy's BLAS, or None where numpy does not export it."""
-    gemm = numpy_symbol(DGEMM_SYMBOL)
-    return None if gemm is None else ctypes.cast(gemm, ctypes.c_void_p).value
+@cache
+def _dgemm():
+    """(address or None, how dense rounds run): numpy's ``DGEMM_SYMBOL``, if it passes ``_probe``.
+
+    Looked up and probed at the first call, which sets up numpy's BLAS: the
+    first dense kernel of more than one path, or a manifest.
+    """
+    gemm = _address(DGEMM_SYMBOL)
+    if gemm is None:
+        return None, "dense rounds on the numpy passes: no 64-bit cblas_dgemm in numpy"
+    if not _probe(compiled_library(), gemm):
+        return None, f"dense rounds on the numpy passes: {DGEMM_SYMBOL} differs from np.matmul"
+    return gemm, f"rounds in one call through {DGEMM_SYMBOL}"
 
 
-def _probe(bind):
-    """Whether two rounds of ``bind`` in one call equal, by bytes, those of the numpy loop."""
+def passes():
+    """The manifest's ``passes`` line: ``numpy``, or the compiler and how dense rounds run."""
+    if compiled_library() is None:
+        return "numpy"
+    return f"compiled ({os.environ.get('CC') or 'cc'}, {' '.join(FLAGS)}); {_dgemm()[1]}"
+
+
+def _address(name):
+    """The address of the function ``name`` of numpy's BLAS, or None where it is not exported."""
+    function = numpy_symbol(name)
+    return None if function is None else ctypes.cast(function, ctypes.c_void_p).value
+
+
+def _probe(lib, gemm):
+    """Whether two rounds in one compiled call through ``gemm`` equal the numpy passes' bytes."""
     rng = np.random.default_rng(0)
     u = rng.uniform(-0.5, 1.5, (2, 3, 5))
     args = (np.array([0.5, 7.0]), 0.25, rng.standard_normal((2, 3)))
     markov = rng.standard_normal((5, 5))
-    one_call, state, w = u.copy(), u.copy(), np.empty_like(u)
-    bind(one_call, np.empty_like(u), *args, markov)[0](NOISE | PRODUCT | RESOLVENT, 0, 2)
-    rounds = _numpy_passes(state, w, *args)
-    for j in range(2):
-        rounds(NOISE, j, j + 1)
-        np.matmul(w, markov, out=state)
-        rounds(RESOLVENT, j, j + 1)
-    return one_call.tobytes() == state.tobytes()
+    compiled, state = u.copy(), u.copy()
+    _compiled_passes(lib, markov, None, gemm, None, compiled, np.empty_like(u), *args)(0, 2)
+    _numpy_passes(lambda w, v: np.matmul(w, markov, out=v), state, np.empty_like(u), *args)(0, 2)
+    return compiled.tobytes() == state.tobytes()
 
 
 def _newton(solver, eps, u, w):

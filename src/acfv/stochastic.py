@@ -95,9 +95,10 @@ def increment_chunks(seed, path_indices, horizon, n_fine, chunk):
 def _ndtri(u):
     """The C-contiguous float array u replaced by the inverse normal CDF of its values.
 
-    Through ``acfv_ndtri`` of the compiled passes (see ``scheme.passes``),
-    a port of the Cephes ``ndtri`` that ``scipy.special.ndtri`` evaluates,
-    equal to it byte for byte; on the numpy passes, by scipy's.
+    Through ``acfv_ndtri`` of the compiled passes (see
+    ``scheme.compiled_library``), a port of the Cephes ``ndtri`` that
+    ``scipy.special.ndtri`` evaluates, equal to it byte for byte; on the
+    numpy passes, by scipy's.
     """
     lib = compiled_library()
     if lib is None:

@@ -121,8 +121,8 @@ def test_run_id_is_unchanged_and_the_passes_stay_out_of_it(monkeypatch, tmp_path
                "table-repro": "e6892db5a246"}
     copy = tmp_path / "increments.csv"
     copy.write_bytes(Path(packaged_increments_path()).read_bytes())
-    for passes in (scheme.passes()[1], "numpy"):
-        monkeypatch.setattr(config_module, "passes", lambda: (None, passes))
+    for passes in (scheme.passes(), "numpy"):
+        monkeypatch.setattr(config_module, "passes", lambda: passes)
         for command, run_id in run_ids.items():
             config = preset_config(command, "desk")
             manifest = build_manifest(command, config)
@@ -557,3 +557,33 @@ def test_seed_and_paths_overrides(tmp_path):
     manifest = (out / "manifest.txt").read_text()
     assert "seed = 4" in manifest
     assert "n_paths = 2" in manifest
+
+
+@pytest.mark.parametrize("keys, message", [
+    ("eps_c = 0.5\neps_p = 0.2\n", "'eps_c' needs eps_rule"),
+    ("eps_p = 0.2\n", "'eps_p' needs eps_rule"),
+    ("eps_rule = fixed\neps_c = 0.05\neps_p = 0.2\n", "eps_rule = fixed does not read 'eps_p'"),
+], ids=["eps_c-and-eps_p-without-rule", "eps_p-without-rule", "eps_p-with-fixed-rule"])
+def test_eps_keys_the_rule_does_not_read_are_rejected(tmp_path, capsys, keys, message):
+    # Without eps_rule the run takes the default power(c=0.1, p=0.4), and a
+    # fixed rule has no exponent: the keys would be ignored.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("L = 2\nN = 8\nN_max = 8\nN_p = 2\na = 1\n" + keys)
+    out = tmp_path / "o"
+    assert run_cli("expectation", "--config", str(cfg), "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_seed_beyond_64_bits_is_a_configuration_error(tmp_path, capsys):
+    # The seed is a 64-bit word of each path's Philox key.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("L = 2\nN = 4\nN_max = 4\nN_p = 2\na = 1\n")
+    out = tmp_path / "o"
+    assert run_cli("expectation", "--config", str(cfg), "--seed", str(2 ** 64),
+                   "--out", str(out)) == 2
+    assert "seed must be an integer in 0..2^64 - 1" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli("expectation", "--config", str(cfg), "--seed", str(2 ** 64 - 1),
+                   "--out", str(out)) == 0
+    assert (out / "expectation.csv").exists()

@@ -166,7 +166,7 @@ def solver_bytes(solver, b, extra):
     if solver.n <= DENSE_LIMIT:
         return [solver._chol.tobytes(), solver.markov_t.tobytes(), solver.solve(b).tobytes(),
                 solver.solve(b[0]).tobytes()]
-    return [solver._band_chol.tobytes(), solver.solve(b).tobytes(),
+    return [solver.band_factor.tobytes(), solver.solve(b).tobytes(),
             solver.solve_with_diagonal(extra, b).tobytes()]
 
 

@@ -26,7 +26,7 @@ from acfv.mesh import build_uniform_mesh
 mesh = build_uniform_mesh(2)
 solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), 0.125)
 kernel = scheme.StepKernel("splitting", (4.0,), scheme.EpsilonSchedule.fixed(0.05), solver, 2)
-print(scheme.passes()[1], kernel([[0.5, -0.5, 1.5, 0.25], [-0.0, 1.0, 0.9, 0.1]], [0.3, -0.2]).tobytes().hex())
+print(scheme.passes(), kernel([[0.5, -0.5, 1.5, 0.25], [-0.0, 1.0, 0.9, 0.1]], [0.3, -0.2]).tobytes().hex())
 """
 
 
@@ -76,11 +76,11 @@ def test_missing_compiler_falls_back_to_numpy_with_the_same_bytes(tmp_path, monk
 
     built = run(tmp_path / "built")
     monkeypatch.setenv("CC", str(tmp_path / "no-such-cc"))
-    scheme.passes.cache_clear()
+    scheme.compiled_library.cache_clear()
     try:
         fallback = run(tmp_path / "fallback")
     finally:
-        scheme.passes.cache_clear()
+        scheme.compiled_library.cache_clear()
     assert b"\npasses = numpy\n" in fallback.pop("manifest.txt")
     built.pop("manifest.txt")
     assert fallback == built and set(built) == {"error.csv", "fit.csv"}

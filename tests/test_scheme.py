@@ -60,19 +60,25 @@ def run_states(kernel, u0, increments):
     return [state[0].copy() for _, state in kernel.run(u0, np.atleast_2d(increments))]
 
 
-def numpy_passes(blas=True):
-    """A stand-in for ``scheme.passes``: the numpy passes."""
-    return scheme._numpy_bind, "numpy"
+@contextmanager
+def numpy_route(monkeypatch):
+    """Kernels built inside the block bind the numpy passes; yields the list of their binds."""
+    binds, numpy_passes = [], scheme._numpy_passes
+    with monkeypatch.context() as patched:
+        patched.setattr(scheme, "compiled_library", lambda: None)
+        patched.setattr(scheme, "_numpy_passes",
+                        lambda *args: binds.append(args) or numpy_passes(*args))
+        yield binds
 
 
 def each_passes(monkeypatch):
     """Iterate twice: kernels built in the first pass run this process's
-    passes (compiled wherever a C compiler works), in the second the numpy
-    passes."""
-    yield scheme.passes()[1]
-    with monkeypatch.context() as patched:
-        patched.setattr(scheme, "passes", numpy_passes)
+    passes (compiled wherever a C compiler works and the product can run in
+    C), in the second the numpy passes, which must then have run."""
+    yield scheme.passes()
+    with numpy_route(monkeypatch) as binds:
         yield "numpy"
+    assert binds, "no kernel of the second pass ran the numpy passes"
 
 
 def test_epsilon_schedules():
@@ -500,7 +506,7 @@ def test_ragged_stack_compiled_matches_numpy_bitwise(monkeypatch, L, variant):
     # 5 in the first chunk, 6, 6 and none in the second, which resumes from
     # each kernel's buffer.  Every yield of the compiled passes equals the
     # numpy passes byte for byte.
-    if scheme.passes()[1] == "numpy":
+    if scheme.compiled_library() is None:
         pytest.skip("the compiled passes did not build here (no C compiler)")
     solvers = [solver_on(L, n) for n in (40, 24, 16)]
     rng = np.random.default_rng(L)
@@ -514,8 +520,9 @@ def test_ragged_stack_compiled_matches_numpy_bitwise(monkeypatch, L, variant):
                                           solver, 5) for solver in solvers], start, chunks)
 
     compiled = yields()
-    monkeypatch.setattr(scheme, "passes", numpy_passes)
-    assert yields() == compiled
+    with numpy_route(monkeypatch) as binds:
+        assert yields() == compiled
+    assert len(binds) == 6  # one bind per kernel and chunk
     assert [(g, n) for g, n, _ in compiled] == ([(0, n) for n in range(1, 8)]
                                                 + [(1, n) for n in range(1, 4)]
                                                 + [(2, n) for n in range(1, 6)]
@@ -524,46 +531,56 @@ def test_ragged_stack_compiled_matches_numpy_bitwise(monkeypatch, L, variant):
 
 
 @contextmanager
-def rebuilt_passes(monkeypatch, **attributes):
-    """``scheme.passes()`` loaded afresh with the named ``scheme`` attributes patched.
+def reprobed(monkeypatch, **attributes):
+    """numpy's dgemm looked up and probed afresh with the named ``scheme`` attributes patched.
 
-    Kernels built inside the block run those passes; the next call after
-    it loads this process's own passes again.
+    Yields the manifest's ``passes`` line.  Kernels built inside the block
+    see that probe's outcome, with the attributes restored; the next dense
+    kernel after it probes again.
     """
-    with monkeypatch.context() as patched:
-        for name, value in attributes.items():
-            patched.setattr(scheme, name, value)
-        scheme.passes.cache_clear()
-        try:
-            yield scheme.passes()
-        finally:
-            scheme.passes.cache_clear()
+    scheme._dgemm.cache_clear()
+    try:
+        with monkeypatch.context() as patched:
+            for name, value in attributes.items():
+                patched.setattr(scheme, name, value)
+            described = scheme.passes()
+        yield described
+    finally:
+        scheme._dgemm.cache_clear()
 
 
 def needs_one_call_rounds():
     """Skip without a C compiler or numpy's 64-bit dgemm; else the rounds must pass the self-check."""
-    if scheme.passes()[1] == "numpy" or scheme._numpy_dgemm() is None:
+    if scheme.compiled_library() is None or scheme._address(scheme.DGEMM_SYMBOL) is None:
         pytest.skip("no compiled one-call rounds here (no C compiler or no 64-bit dgemm)")
-    assert "rounds in one call through" in scheme.passes()[1]
+    assert "rounds in one call through" in scheme.passes()
 
 
-@pytest.mark.parametrize("variant, paths", [("splitting", 6), ("heat", 6), ("splitting", 1)],
-                         ids=["splitting", "heat", "splitting-one-path"])
-def test_one_call_rounds_match_rounds_one_by_one_and_numpy_bitwise(monkeypatch, variant, paths):
-    # d = 16 (dense), 3 step sizes (one kernel each) by 3 amplitudes and 6
-    # paths.  The kernels take 9, 5 and 7 steps in the first chunk and 8, 8
-    # and none in the second, which resumes from each kernel's buffer, and
-    # each names steps in the middle of a chunk, as expectation checkpoints
-    # do, so that a stretch of rounds in one call ends there.  Edge cells:
-    # -0.0, 5e-324, 1 + 2^-52, NaN and a row of -0.0 whose first increment
-    # is positive, so its noisy row is -0.0.  The one-call rounds, the
-    # compiled rounds one by one (no BLAS symbol) and the numpy passes yield
-    # the same bytes.  With one path (the first row), whose product
-    # np.matmul takes by gemv, every route goes round by round.
+@pytest.mark.parametrize("variant, L, paths",
+                         [("splitting", 4, 6), ("heat", 4, 6), ("splitting", 4, 1),
+                          ("splitting", 9, 6), ("heat", 9, 6), ("splitting", 16, 6),
+                          ("heat", 16, 6)],
+                         ids=["splitting", "heat", "splitting-one-path", "banded-9-splitting",
+                              "banded-9-heat", "banded-16-splitting", "banded-16-heat"])
+def test_one_call_rounds_match_rounds_one_by_one_and_numpy_bitwise(monkeypatch, variant, L,
+                                                                     paths):
+    # 3 step sizes (one kernel each) by 3 amplitudes (dense, d = 16) or 2
+    # (banded, d = 81 and 256) and 6 paths.  The kernels take 9, 5 and 7
+    # steps in the first chunk and 8, 8 and none in the second, which
+    # resumes from each kernel's buffer, and each names steps in the middle
+    # of a chunk, as expectation checkpoints do, so that a stretch of rounds
+    # in one call ends there.  Edge cells: -0.0, 5e-324, 1 + 2^-52, NaN and
+    # a row of -0.0 whose first increment is positive, so its noisy row is
+    # -0.0.  The rounds in one call, the same rounds one call per round
+    # (every step yielded) and the numpy passes yield the same bytes.  With
+    # one path, whose product np.matmul takes by gemv, the kernels run the
+    # numpy passes on every route.
     needs_one_call_rounds()
-    solvers = [solver_on(4, n) for n in (40, 24, 16)]
+    d = L * L
+    solvers = [solver_on(L, n) for n in (40, 24, 16)]
+    amplitudes = (0.0, 2.0, 9.0) if d <= DENSE_LIMIT else (2.0, 9.0)
     rng = np.random.default_rng(4)
-    start = rng.uniform(-0.6, 1.6, (6, 16))
+    start = rng.uniform(-0.6, 1.6, (6, d))
     start[0, :4] = (-0.0, 5e-324, 1.0 + 2.0 ** -52, np.nan)
     start[1] = -0.0
     chunks = [[rng.standard_normal((6, k)) * 0.3 for k in counts]
@@ -573,57 +590,59 @@ def test_one_call_rounds_match_rounds_one_by_one_and_numpy_bitwise(monkeypatch, 
     start, chunks = start[:paths], [[inc[:paths] for inc in chunk] for chunk in chunks]
     at = ((3, 7, 12, 17), (2, 9, 13), (4, 11))
 
-    def yields():
-        kernels = [StepKernel(variant, (0.0, 2.0, 9.0), EpsilonSchedule.fixed(0.05), solver,
-                              paths) for solver in solvers]
+    def yields(at):
+        kernels = [StepKernel(variant, amplitudes, EpsilonSchedule.fixed(0.05), solver, paths)
+                   for solver in solvers]
         got = chunked_yields(kernels, start, chunks, at)
         return got, b"".join(kernel.out.tobytes() for kernel in kernels)
 
-    one_call = yields()
-    with rebuilt_passes(monkeypatch, DGEMM_SYMBOL="acfv_no_such_dgemm") as (_, described):
-        assert described.endswith("rounds one by one: no 64-bit cblas_dgemm in numpy")
-        one_by_one = yields()
-    monkeypatch.setattr(scheme, "passes", numpy_passes)
-    assert yields() == one_by_one == one_call
+    one_call = yields(at)
+    every, final = yields(None)
+    one_by_one = [(g, n, state) for g, n, state in every if n in at[g]], final
+    with numpy_route(monkeypatch):
+        assert yields(at) == one_by_one == one_call
     assert [(g, n) for g, n, _ in one_call[0]] == [(0, 3), (0, 7), (1, 2), (2, 4), (0, 12),
                                                    (0, 17), (1, 9), (1, 13)]
 
 
-def test_resolvent_clip_serves_the_next_noise_bitwise():
-    # Without the product, round 0's resolvent and round 1's noise are one
-    # pass in C, on the clip of the resolvent's input; called round by
-    # round, the numpy passes clip the resolvent's output again.  Cells
-    # where the two clips differ (-0.0 in, +0.0 out) and the other edge
-    # cells give the same bytes.
-    needs_one_call_rounds()
+def test_resolvent_clip_serves_the_next_noise_bitwise(monkeypatch):
+    # In one call the compiled rounds take round 0's resolvent and round
+    # 1's noise in one pass, on the clip of the resolvent's input; called
+    # round by round, the numpy passes clip the resolvent's output again.
+    # The banded product keeps a row of -0.0 (zero increments) at -0.0,
+    # where the two clips differ (-0.0 in, +0.0 out); those cells and the
+    # other edge cells give the same bytes.
+    solver = solver_on(9, 16)
+    if scheme._bind(solver, 3).func is not scheme._compiled_passes:
+        pytest.skip("no compiled banded rounds here (no C compiler or no numpy LAPACK)")
     rng = np.random.default_rng(5)
-    u = rng.uniform(-0.6, 1.6, (2, 3, 8))
-    u[0, 0] = (-0.0, 5e-324, -5e-324, 1.0 + 2.0 ** -52, np.nan, np.inf, -np.inf, 1.0)
-    u[1, 2] = -0.0
-    args = (np.array([0.0, 7.0]), 0.25, rng.standard_normal((2, 3)))
-    calls = {scheme.passes()[0]: [(scheme.NOISE | scheme.RESOLVENT, 0, 2)],
-             scheme._numpy_bind: [(scheme.NOISE, 0, 1), (scheme.RESOLVENT, 0, 1),
-                                  (scheme.NOISE, 1, 2), (scheme.RESOLVENT, 1, 2)]}
-    states = []
-    for bind, rounds in calls.items():
-        state, noisy = u.copy(), np.empty_like(u)
-        bound, product_in_c = bind(state, noisy, *args, None)
-        assert not product_in_c  # no propagator: no product in C
-        for call in rounds:
-            bound(*call)
-        states.append((state.tobytes(), noisy.tobytes()))
-    assert states[0] == states[1]
+    u = rng.uniform(-0.6, 1.6, (2, 3, 81))
+    u[0, 0, :8] = (-0.0, 5e-324, -5e-324, 1.0 + 2.0 ** -52, np.nan, np.inf, -np.inf, 1.0)
+    u[:, 2] = -0.0
+    d_w = rng.standard_normal((2, 3))
+    d_w[:, 2] = 0.0
+    assert np.signbit(solver.apply_markov(u[:, 2])).any()  # a -0.0 into the resolvent
+    args = (np.array([0.0, 7.0]), 0.25, d_w)
+    compiled, noisy = u.copy(), np.empty_like(u)
+    scheme._bind(solver, 3)(compiled, noisy, *args)(0, 2)
+    state, numpy_noisy = u.copy(), np.empty_like(u)
+    with numpy_route(monkeypatch):
+        rounds = scheme._bind(solver, 3)(state, numpy_noisy, *args)
+    rounds(0, 1)
+    rounds(1, 2)
+    assert (compiled.tobytes(), noisy.tobytes()) == (state.tobytes(), numpy_noisy.tobytes())
 
 
-def test_failed_self_check_falls_back_to_rounds_one_by_one(monkeypatch):
-    # With the probe's numpy rounds one ulp off, the self-check fails: the
-    # compiled rounds then go one by one around np.matmul, and still give
-    # the bytes of the numpy passes.
+def test_failed_self_check_falls_back_to_the_numpy_passes(monkeypatch):
+    # With no dgemm symbol in numpy, or with the probe's numpy rounds one
+    # ulp off, the self-check fails: dense kernels then run the numpy
+    # passes, the manifest says why, and they give the bytes of the
+    # compiled rounds.
     needs_one_call_rounds()
     numpy_rounds = scheme._numpy_passes
 
-    def one_ulp_off(u, *args):
-        rounds = numpy_rounds(u, *args)
+    def one_ulp_off(product, u, *args):
+        rounds = numpy_rounds(product, u, *args)
 
         def off(*call):
             rounds(*call)
@@ -634,46 +653,47 @@ def test_failed_self_check_falls_back_to_rounds_one_by_one(monkeypatch):
     start = np.random.default_rng(6).uniform(-0.6, 1.6, (5, 16))
     increments = [np.full((5, 8), 0.3), np.full((5, 4), -0.2)]
 
-    def kernels():
-        return [StepKernel("splitting", (3.0,), EpsilonSchedule.fixed(0.05), solver, 5)
-                for solver in solvers]
-
-    def final(kernels):
+    def final(route):
+        kernels = [StepKernel("splitting", (3.0,), EpsilonSchedule.fixed(0.05), solver, 5)
+                   for solver in solvers]
         for kernel, inc in zip(kernels, increments):
             for _ in kernel.run(start, inc, at=(inc.shape[1],)):
                 pass
+        assert {kernel._bind.func for kernel in kernels} == {route}
         return b"".join(kernel.out.tobytes() for kernel in kernels)
 
-    with rebuilt_passes(monkeypatch, _numpy_passes=one_ulp_off) as (bind, described):
-        name = scheme.DGEMM_SYMBOL
-        assert described.endswith(f"rounds one by one: {name} differs from np.matmul")
-        fallback = kernels()
-    assert bind.args[1] is None  # no BLAS call from C
-    monkeypatch.setattr(scheme, "passes", numpy_passes)
-    assert final(fallback) == final(kernels())
+    compiled, name = final(scheme._compiled_passes), scheme.DGEMM_SYMBOL
+    with reprobed(monkeypatch, DGEMM_SYMBOL="acfv_no_such_dgemm") as described:
+        assert described.endswith("dense rounds on the numpy passes: "
+                                  "no 64-bit cblas_dgemm in numpy")
+        no_symbol = final(numpy_rounds)
+    with reprobed(monkeypatch, _numpy_passes=one_ulp_off) as described:
+        assert described.endswith(f"dense rounds on the numpy passes: {name} differs "
+                                  "from np.matmul")
+        failed_probe = final(numpy_rounds)
+    assert no_symbol == failed_probe == compiled
 
 
 def test_blas_self_check_waits_for_a_kernel_whose_product_can_run_in_c(monkeypatch):
     # Banded and one-path kernels never call numpy's dgemm from C, so
-    # building them looks no symbol up and runs no probe; the first dense
+    # building them looks no dgemm up and runs no probe; the first dense
     # kernel with more than one path does both, once, and the description
     # asked for later reuses them.
     needs_one_call_rounds()
-    lookups, epsilon = [], EpsilonSchedule.fixed(0.05)
-    numpy_dgemm = scheme._numpy_dgemm
+    lookups, epsilon, address = [], EpsilonSchedule.fixed(0.05), scheme._address
     with monkeypatch.context() as patched:
-        patched.setattr(scheme, "_numpy_dgemm", lambda: lookups.append(1) or numpy_dgemm())
-        scheme.passes.cache_clear()
+        patched.setattr(scheme, "_address", lambda name: lookups.append(name) or address(name))
+        scheme._dgemm.cache_clear()
         try:
             StepKernel("splitting", (1.0,), epsilon, solver_on(9, 4), 5)
             StepKernel("splitting", (1.0,), epsilon, solver_on(4, 4), 1)
-            assert lookups == []
+            assert scheme.DGEMM_SYMBOL not in lookups
             StepKernel("splitting", (1.0,), epsilon, solver_on(4, 4), 2)
             StepKernel("heat", (1.0,), epsilon, solver_on(4, 8), 3)
-            assert "rounds in one call through" in scheme.passes()[1]
-            assert lookups == [1]
+            assert "rounds in one call through" in scheme.passes()
+            assert lookups.count(scheme.DGEMM_SYMBOL) == 1
         finally:
-            scheme.passes.cache_clear()
+            scheme._dgemm.cache_clear()
 
 
 def test_kernel_stack_shapes_and_round_yields():
