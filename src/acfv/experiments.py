@@ -37,7 +37,6 @@ variable for the command-line tools).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,6 +193,8 @@ def _map_blocks(fn, config: StudyConfig, args, workers):
               for lo in range(0, config.n_paths, PATH_BLOCK)]
     if workers <= 1 or len(blocks) <= 1:
         return [fn(config, *args, lo, hi) for lo, hi in blocks]
+    from concurrent.futures import ProcessPoolExecutor  # 16 ms of imports, only for a pool
+
     with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
         futures = [pool.submit(fn, config, *args, lo, hi) for lo, hi in blocks]
         return [future.result() for future in futures]

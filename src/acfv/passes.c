@@ -1,14 +1,16 @@
 /* The rounds of a StepKernel over its C-contiguous (A, P, D) stack:
  * amplitudes, paths, cells; the stencil product of the Newton residual; and
- * the inverse normal CDF of the increments.
+ * the Brownian increments, from numpy's Philox words through the inverse
+ * normal CDF onto the lattice of stochastic.py.
  *
  * Each value is computed by the same IEEE operations in the same order as
  * the ufuncs of scheme._numpy_passes, and the heat product by the very
  * numpy BLAS call the numpy passes make (the cblas_dgemm of np.matmul, or
  * the dpbtrs of ShiftedSolver.apply_markov), so the two agree byte for
- * byte; the other two agree so with scipy's CSR product and
- * scipy.special.ndtri.  Build with -ffp-contract=off (no fused
- * multiply-add), without -ffast-math, and link libm.
+ * byte; the other two agree so with scipy's CSR product and with numpy's
+ * Philox and scipy.special.ndtri.  Build with -ffp-contract=off (no fused
+ * multiply-add), without -ffast-math, and link libm; the Philox product
+ * needs the 128-bit integers of gcc and clang.
  */
 #include <math.h>
 #include <stddef.h>
@@ -143,10 +145,10 @@ void acfv_stencil(double *restrict y, const double *restrict x, const int64_t *c
     }
 }
 
-/* The inverse of the standard normal CDF, in place on x[0..n-1]: Cephes
- * ndtri, as scipy.special.ndtri computes it, with the same coefficients,
- * the same Horner order and the C library's log and sqrt, so the two agree
- * byte for byte. */
+/* The inverse of the standard normal CDF: Cephes ndtri, as
+ * scipy.special.ndtri computes it, with the same coefficients, the same
+ * branches, the same Horner order and the C library's log and sqrt, so the
+ * two agree byte for byte. */
 static const double NDTRI_P0[5] = {
     -5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
     1.39312609387279679503E1, -1.23916583867381258016E0,
@@ -178,6 +180,7 @@ static const double NDTRI_Q2[8] = {
     2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
     2.89247864745380683936E-6, 6.79019408009981274425E-9,
 };
+static const double EXP_M2 = 0.13533528323661269189;  /* exp(-2) */
 
 /* c[0] x^n + ... + c[n]; with a leading 1 not stored, x^n + c[0] x^(n-1) + ... */
 static double polevl(double x, const double *c, int n)
@@ -197,37 +200,131 @@ static double p1evl(double x, const double *c, int n)
     return ans;
 }
 
-static double ndtri(double y0)
+/* Cephes ndtri of y0 where ndtri_block leaves it to scalar code: 0, 1, NaN,
+ * values outside [0, 1], and the far tails, where x = sqrt(-2 log y) >= 8
+ * for y = y0, or 1 - y0 if y0 > 1 - exp(-2). */
+static double ndtri_far(double y0)
 {
-    const double exp_m2 = 0.13533528323661269189;  /* exp(-2) */
     if (y0 == 0.0)
         return -INFINITY;
     if (y0 == 1.0)
         return INFINITY;
     if (y0 < 0.0 || y0 > 1.0)
         return NAN;
-    int negate = 1;
-    double y = y0;
-    if (y > 1.0 - exp_m2) {
-        y = 1.0 - y;
-        negate = 0;
-    }
-    if (y > exp_m2) {
-        y = y - 0.5;
-        const double y2 = y * y;
-        const double x = y + y * (y2 * polevl(y2, NDTRI_P0, 4) / p1evl(y2, NDTRI_Q0, 8));
-        return x * 2.50662827463100050242E0;  /* sqrt(2 pi) */
-    }
+    const int negate = !(y0 > 1.0 - EXP_M2);
+    const double y = negate ? y0 : 1.0 - y0;
     const double x = sqrt(-2.0 * log(y));
     const double x0 = x - log(x) / x;
     const double z = 1.0 / x;
-    const double x1 = x < 8.0 ? z * polevl(z, NDTRI_P1, 8) / p1evl(z, NDTRI_Q1, 8)
-                              : z * polevl(z, NDTRI_P2, 8) / p1evl(z, NDTRI_Q2, 8);
+    const double x1 = z * polevl(z, NDTRI_P2, 8) / p1evl(z, NDTRI_Q2, 8);
     return negate ? -(x0 - x1) : x0 - x1;
 }
 
-void acfv_ndtri(double *x, ptrdiff_t n)
+/* Values drawn or inverted at once into local buffers. */
+#define SAMPLES 512
+
+/* z[i] = ndtri(y[i]), i < n <= SAMPLES.  Cephes' central formula goes
+ * over every value, branch free and written out in the Horner order of
+ * polevl and p1evl, so that it vectorizes.  Then the tails, the values
+ * outside (exp(-2), 1 - exp(-2)]: x = sqrt(-2 log y) and log x one by one,
+ * the rest of the formula for x < 8 again as one vector loop, and
+ * ndtri_far for the others. */
+INLINE void ndtri_block(double *restrict z, const double *restrict y, ptrdiff_t n)
 {
-    for (ptrdiff_t i = 0; i < n; i++)
-        x[i] = ndtri(x[i]);
+    const double *p = NDTRI_P0, *q = NDTRI_Q0;
+    for (ptrdiff_t i = 0; i < n; i++) {
+        const double v = y[i] - 0.5, v2 = v * v;
+        const double num = (((p[0] * v2 + p[1]) * v2 + p[2]) * v2 + p[3]) * v2 + p[4];
+        const double den = (((((((v2 + q[0]) * v2 + q[1]) * v2 + q[2]) * v2 + q[3]) * v2
+                             + q[4]) * v2 + q[5]) * v2 + q[6]) * v2 + q[7];
+        z[i] = (v + v * (v2 * num / den)) * 2.50662827463100050242E0;  /* sqrt(2 pi) */
+    }
+    ptrdiff_t tail[SAMPLES], tails = 0;
+    for (ptrdiff_t i = 0; i < n; i++) {
+        tail[tails] = i;
+        tails += !(y[i] > EXP_M2 && y[i] <= 1.0 - EXP_M2);
+    }
+    double x[SAMPLES], log_x[SAMPLES], r[SAMPLES];
+    for (ptrdiff_t t = 0; t < tails; t++) {
+        const double v = y[tail[t]];
+        x[t] = sqrt(-2.0 * log(v > 1.0 - EXP_M2 ? 1.0 - v : v));
+        log_x[t] = log(x[t]);
+    }
+    p = NDTRI_P1, q = NDTRI_Q1;
+    for (ptrdiff_t t = 0; t < tails; t++) {
+        const double w = 1.0 / x[t];
+        const double num = (((((((p[0] * w + p[1]) * w + p[2]) * w + p[3]) * w + p[4]) * w
+                              + p[5]) * w + p[6]) * w + p[7]) * w + p[8];
+        const double den = (((((((w + q[0]) * w + q[1]) * w + q[2]) * w + q[3]) * w + q[4])
+                             * w + q[5]) * w + q[6]) * w + q[7];
+        r[t] = (x[t] - log_x[t] / x[t]) - w * num / den;
+    }
+    for (ptrdiff_t t = 0; t < tails; t++) {
+        const double v = y[tail[t]];
+        z[tail[t]] = !(x[t] < 8.0) ? ndtri_far(v) : v > 1.0 - EXP_M2 ? r[t] : -r[t];
+    }
+}
+
+/* x[i] = ndtri(x[i]) for i < n, as scipy.special.ndtri(x, out=x). */
+CLONES void acfv_ndtri(double *x, ptrdiff_t n)
+{
+    double y[SAMPLES];
+    for (ptrdiff_t lo = 0; lo < n; lo += SAMPLES) {
+        const ptrdiff_t m = n - lo < SAMPLES ? n - lo : SAMPLES;
+        for (ptrdiff_t i = 0; i < m; i++)
+            y[i] = x[lo + i];
+        ndtri_block(x + lo, y, m);
+    }
+}
+
+/* The Philox4x64-10 block of numpy's Philox(key=[k0, k1]) at counter
+ * (ctr, 0, 0, 0): Random123's ten rounds, the key bumped between them. */
+INLINE void philox(uint64_t out[4], uint64_t ctr, uint64_t k0, uint64_t k1)
+{
+    uint64_t c0 = ctr, c1 = 0, c2 = 0, c3 = 0;
+    for (int round = 0; round < 10; round++) {
+        if (round) {
+            k0 += 0x9E3779B97F4A7C15u;
+            k1 += 0xBB67AE8584CAA73Bu;
+        }
+        const __uint128_t p0 = (__uint128_t)0xD2E7470EE14C6C93u * c0;
+        const __uint128_t p1 = (__uint128_t)0xCA5A826395121157u * c2;
+        c0 = (uint64_t)(p1 >> 64) ^ c1 ^ k0;
+        c1 = (uint64_t)p1;
+        c2 = (uint64_t)(p0 >> 64) ^ c3 ^ k1;
+        c3 = (uint64_t)p0;
+    }
+    out[0] = c0, out[1] = c1, out[2] = c2, out[3] = c3;
+}
+
+/* The fine increments of steps first..first+m-1 of the p paths keys[0..p-1]
+ * into the row-major p x m out, by the numpy operations of
+ * stochastic.increment_chunks in their order.  numpy's Philox starts from
+ * counter 0 and raises it before each block of four words, so the word of
+ * step s is word s % 4 of the block at counter s / 4 + 1.  Each word w gives
+ * the uniform min(((w >> 11) + 1/2) 2^-53, 1 - 2^-53), its ndtri z the
+ * increment rint(z sigma / quantum) quantum. */
+CLONES void acfv_increments(double *out, const uint64_t *keys, ptrdiff_t p, ptrdiff_t m,
+                            uint64_t seed, int64_t first, double sigma, double quantum)
+{
+    double y[SAMPLES], z[SAMPLES];
+    uint64_t word[4];
+    for (ptrdiff_t r = 0; r < p; r++) {
+        uint64_t ctr = (uint64_t)first / 4 + 1;
+        int k = first % 4;
+        philox(word, ctr, seed, keys[r]);
+        for (ptrdiff_t lo = 0; lo < m; lo += SAMPLES) {
+            const ptrdiff_t n = m - lo < SAMPLES ? m - lo : SAMPLES;
+            for (ptrdiff_t i = 0; i < n; i++) {
+                if (k == 4)
+                    philox(word, ++ctr, seed, keys[r]), k = 0;
+                const double u = ((double)(word[k++] >> 11) + 0.5) * 0x1p-53;
+                y[i] = u < 1.0 - 0x1p-53 ? u : 1.0 - 0x1p-53;
+            }
+            ndtri_block(z, y, n);
+            double *row = out + r * m + lo;
+            for (ptrdiff_t i = 0; i < n; i++)
+                row[i] = nearbyint(z[i] * sigma / quantum) * quantum;
+        }
+    }
 }

@@ -303,17 +303,22 @@ def compiled_library():
     Built by ``$CC`` (else ``cc``) into ``$XDG_CACHE_HOME/acfv`` (else
     ``~/.cache/acfv``); when there is no compiler, the build fails or the
     cache cannot be written, every kernel runs the numpy passes.  Besides
-    ``acfv_rounds``, its ``acfv_ndtri`` and ``acfv_stencil`` serve
-    ``stochastic`` and ``assembly``.
+    ``acfv_rounds``, its ``acfv_increments`` and ``acfv_stencil`` serve
+    ``stochastic`` and ``assembly``; ``acfv_ndtri``, the inverse normal CDF
+    the sampler applies, is exported for the tests' scipy oracle.
     """
     try:
         lib = ctypes.CDLL(str(build_passes(os.environ.get("CC") or "cc")))
     except (OSError, subprocess.SubprocessError):
         return None
-    # No argtypes: ctypes passes a byref(_Run) and two Python ints as the C
-    # function takes them; declaring them converts every argument again,
-    # 1.2 us of a 6.4 us round of a (1, 128, 16) coupled stack.
-    lib.acfv_rounds.restype = lib.acfv_ndtri.restype = lib.acfv_stencil.restype = None
+    # No argtypes for the rounds: ctypes passes a byref(_Run) and two Python
+    # ints as the C function takes them; declaring them converts every
+    # argument again, 1.2 us of a 6.4 us round of a (1, 128, 16) coupled stack.
+    for function in (lib.acfv_rounds, lib.acfv_stencil, lib.acfv_increments, lib.acfv_ndtri):
+        function.restype = None
+    lib.acfv_increments.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t,
+                                    ctypes.c_ssize_t, ctypes.c_uint64, ctypes.c_int64,
+                                    ctypes.c_double, ctypes.c_double)
     return lib
 
 
@@ -347,10 +352,11 @@ def _address(name):
 
 def _probe(lib, gemm):
     """Whether two rounds in one compiled call through ``gemm`` equal the numpy passes' bytes."""
-    rng = np.random.default_rng(0)
-    u = rng.uniform(-0.5, 1.5, (2, 3, 5))
-    args = (np.array([0.5, 7.0]), 0.25, rng.standard_normal((2, 3)))
-    markov = rng.standard_normal((5, 5))
+    # sines of 1, 2, ...: full mantissas of either sign, without loading numpy.random
+    wave = np.sin(np.arange(1.0, 62.0))
+    u = wave[:30].reshape(2, 3, 5) + 0.5  # cells below 0, inside and above 1
+    args = (np.array([0.5, 7.0]), 0.25, wave[30:36].reshape(2, 3))
+    markov = wave[36:].reshape(5, 5)
     compiled, state = u.copy(), u.copy()
     _compiled_passes(lib, markov, None, gemm, None, compiled, np.empty_like(u), *args)(0, 2)
     _numpy_passes(lambda w, v: np.matmul(w, markov, out=v), state, np.empty_like(u), *args)(0, 2)

@@ -7,7 +7,11 @@ count or how many other paths were drawn first.  Gaussians come from
 the inverse normal CDF applied to (k + 1/2) 2^-53 uniforms, avoiding
 any rejection loop.  ``increment_chunks`` streams a block of paths
 through time, one chunk of fine steps at a time, and the chunks put
-side by side are the whole paths bit for bit.
+side by side are the whole paths bit for bit.  Each chunk is one call of
+``acfv_increments`` in the compiled passes (see
+``scheme.compiled_library``), which computes numpy's Philox words from
+their counters and Cephes' ``ndtri``; without a compiler, numpy's
+``Philox`` and ``scipy.special.ndtri`` give the same bytes.
 
 Each increment is snapped to a power-of-two lattice with quantum
 q = 2^(floor(log2 sigma) - 30) > sigma 2^-31 (a relative perturbation
@@ -31,10 +35,7 @@ plain pairwise sums in the last bit.
 
 from __future__ import annotations
 
-import ctypes
-
 import numpy as np
-from numpy.random import Philox  # loaded with acfv, so forked pool workers inherit it
 
 from .errors import ConfigError
 from .scheme import compiled_library
@@ -58,60 +59,87 @@ MAX_FINE_STEPS = int(2.0 ** 53 / (8.3 * 2.0 ** 31))
 def increment_chunks(seed, path_indices, horizon, n_fine, chunk):
     """Fine increments of several paths, in time chunks of ``chunk`` steps.
 
-    Yields (p, m) arrays, one row per path of ``path_indices``, with
-    m = chunk except for a shorter last chunk; put side by side they are
-    the ``n_fine`` increments of each path.  Each increment has variance
-    horizon/n_fine, and row i is a pure function of (seed,
-    path_indices[i], n_fine): one Philox generator per path continues
-    its stream from chunk to chunk, and a row does not depend on the
-    other rows of the block.  Each chunk is a new array.
+    Returns an iterator of (p, m) arrays, one row per path of
+    ``path_indices``, with m = chunk except for a shorter last chunk; put
+    side by side they are the ``n_fine`` increments of each path.  Each
+    increment has variance horizon/n_fine, and row i is a pure function of
+    (seed, path_indices[i], n_fine): the increment of fine step s is drawn
+    from Philox word s of the key (seed, path_indices[i]), and a row does
+    not depend on the other rows of the block.  Each chunk is a new array.
+    The arguments are checked at the call: seed and path indices are
+    64-bit words, horizon is positive and finite, n_fine in
+    1..MAX_FINE_STEPS and chunk at least 1; else a ValueError names the
+    argument.
     """
-    if n_fine < 1:
-        raise ValueError("n_fine must be >= 1")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    # random_raw gives the words of Generator.integers(0, 2**64, dtype=uint64)
-    bitgens = [Philox(key=np.array([int(seed), idx], dtype=np.uint64))
-               for idx in map(int, path_indices)]
+    seed, keys = _word(seed, "seed"), [_word(index, "path index") for index in path_indices]
+    if not 0 < horizon < np.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    if not 1 <= n_fine <= MAX_FINE_STEPS:
+        raise ValueError(f"n_fine must be in 1..{MAX_FINE_STEPS}, got {n_fine}")
+    if not chunk >= 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     sigma = np.sqrt(horizon / n_fine)
     # Snap to the lattice that keeps all partial sums exact, see module docstring.
     quantum = 2.0 ** (np.floor(np.log2(sigma)) - 30)
-    for first in range(0, n_fine, chunk):
-        out = np.empty((len(bitgens), min(chunk, n_fine - first)))
+    draw = _draw(seed, keys, sigma, quantum)
+    return (draw(first, min(chunk, n_fine - first)) for first in range(0, n_fine, chunk))
+
+
+def _word(value, name):
+    """``value`` as an int, a ValueError naming it unless it is a 64-bit word (a Philox key)."""
+    value = int(value)
+    if not 0 <= value < 2 ** 64:
+        raise ValueError(f"{name} must be in 0..2^64 - 1, got {value}")
+    return value
+
+
+def _draw(seed, keys, sigma, quantum):
+    """``draw(first, m)``: the (len(keys), m) increments of fine steps first..first+m-1.
+
+    One ``acfv_increments`` call of the compiled passes.  Without them,
+    one numpy ``Philox`` per path, which continues its stream, so the
+    calls must come in order of ``first`` from 0, and
+    ``scipy.special.ndtri``: the oracle of the compiled sampler.
+    """
+    lib = compiled_library()
+    if lib is not None:
+        keys = np.array(keys, dtype=np.uint64)
+
+        def draw(first, m):
+            out = np.empty((len(keys), m))
+            lib.acfv_increments(out.ctypes.data, keys.ctypes.data, len(keys), m, seed, first,
+                                sigma, quantum)
+            return out
+
+        return draw
+    from numpy.random import Philox
+    from scipy.special import ndtri
+
+    # random_raw gives the words of Generator.integers(0, 2**64, dtype=uint64)
+    bitgens = [Philox(key=np.array([seed, key], dtype=np.uint64)) for key in keys]
+
+    def draw(first, m):
+        out = np.empty((len(bitgens), m))
         for row, bitgen in zip(out, bitgens):
-            bits = bitgen.random_raw(len(row))
+            bits = bitgen.random_raw(m)
             bits >>= np.uint64(11)
             np.add(bits, 0.5, out=row)
         out *= 2.0 ** -53
         np.minimum(out, 1.0 - 2.0 ** -53, out=out)
-        _ndtri(out)
+        ndtri(out, out=out)
         out *= sigma
         out /= quantum
         np.round(out, out=out)
         out *= quantum
-        yield out
+        return out
 
-
-def _ndtri(u):
-    """The C-contiguous float array u replaced by the inverse normal CDF of its values.
-
-    Through ``acfv_ndtri`` of the compiled passes (see
-    ``scheme.compiled_library``), a port of the Cephes ``ndtri`` that
-    ``scipy.special.ndtri`` evaluates, equal to it byte for byte; on the
-    numpy passes, by scipy's.
-    """
-    lib = compiled_library()
-    if lib is None:
-        from scipy.special import ndtri
-        ndtri(u, out=u)
-    else:
-        lib.acfv_ndtri(ctypes.c_void_p(u.ctypes.data), ctypes.c_ssize_t(u.size))
+    return draw
 
 
 def sample_increment_block(seed, path_indices, horizon, n_fine) -> np.ndarray:
     """Fine increments of several paths, one row of ``n_fine`` per path.
 
-    The whole block as one chunk of ``increment_chunks``.
+    The whole block as one chunk of ``increment_chunks``, which checks the arguments.
     """
     return next(increment_chunks(seed, path_indices, horizon, n_fine, n_fine))
 

@@ -1,5 +1,6 @@
 """Monte Carlo studies: configs, oracles, determinism and CSV output."""
 
+import concurrent.futures
 import io
 import tracemalloc
 from concurrent.futures import Future
@@ -278,7 +279,8 @@ def test_workers_do_not_change_results():
 
 def test_worker_pool_holds_at_most_one_worker_per_block(monkeypatch):
     # A stand-in pool records its size and runs each call in this process,
-    # so no worker process starts.
+    # so no worker process starts; _map_blocks imports the pool class from
+    # concurrent.futures only when it opens one.
     sizes = []
 
     class InProcessPool:
@@ -296,7 +298,7 @@ def test_worker_pool_holds_at_most_one_worker_per_block(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     config = StudyConfig(cells_per_axis=2, n_fine=8, n_steps_list=(4,),
                          n_paths=2 * PATH_BLOCK + 1, amplitudes=(1.0,)).validate()
     blocks = [(0, PATH_BLOCK), (PATH_BLOCK, 2 * PATH_BLOCK), (2 * PATH_BLOCK, 2 * PATH_BLOCK + 1)]

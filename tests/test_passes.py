@@ -87,13 +87,17 @@ def test_missing_compiler_falls_back_to_numpy_with_the_same_bytes(tmp_path, monk
 
 
 # Tiny runs of four commands in one process, scipy optionally blocked;
-# prints (marked by @) the exit codes and the scipy modules loaded.
+# prints (marked by @) the exit codes, the scipy modules loaded, and which
+# of numpy.random and the process pool's module were loaded after the
+# import and after the runs.
 NO_SCIPY_CHILD = """
 import sys
 if sys.argv[1] == "blocked":
     sys.modules["scipy"] = None
 from pathlib import Path
 from acfv import cli
+LAZY = ("numpy.random", "concurrent.futures.process")
+print("@lazy", *[name for name in LAZY if name in sys.modules])
 runs = {"convergence": "L = 3\\nN_max = 48\\nN_list = 6,12,24\\nN_p = 6\\na = 1,30\\n",
         "splitting-error": "L = 3\\nN_max = 32\\nN_list = 16,32\\nN_p = 4\\na = 10\\n"
                            "eps_rule = fixed\\neps_c = 0.05\\n",
@@ -104,21 +108,28 @@ for command, keys in runs.items():
     config.write_text(keys)
     out = str(Path(sys.argv[2], command))
     print("@exit", cli.main([command, "--config", str(config), "--out", out]))
+print("@lazy", *[name for name in LAZY if name in sys.modules])
 print("@scipy", *sorted(name for name, module in sys.modules.items()
               if name.split(".")[0] == "scipy" and module is not None))
 """
 
 
 def run_scipy_child(tmp_path, mode, **env):
-    """Exit codes of NO_SCIPY_CHILD's four commands and the scipy modules it loaded."""
+    """NO_SCIPY_CHILD's output: {"exit": its four exit codes, "scipy": the
+    scipy modules it loaded, "lazy": [the LAZY modules loaded after the
+    import, and after the runs]}."""
     env = dict(os.environ, ACFV_WORKERS="1", **env,
                PYTHONPATH=os.pathsep.join([str(Path(acfv.__file__).parents[1]),
                                            os.environ.get("PYTHONPATH", "")]))
     child = subprocess.run([sys.executable, "-c", NO_SCIPY_CHILD, mode, str(tmp_path)], env=env,
                            text=True, capture_output=True, timeout=300)
     assert child.returncode == 0, child.stderr
-    ours = [line.split()[1:] for line in child.stdout.splitlines() if line.startswith("@")]
-    return [code for code, in ours[:-1]], ours[-1]
+    out = {"exit": [], "scipy": [], "lazy": []}
+    for tag, *rest in (line[1:].split() for line in child.stdout.splitlines()
+                       if line.startswith("@")):
+        out[tag].append(rest)
+    return {"exit": [code for code, in out["exit"]], "scipy": out["scipy"][0],
+            "lazy": out["lazy"]}
 
 
 @needs_cc
@@ -127,15 +138,20 @@ def run_scipy_child(tmp_path, mode, **env):
 def test_compiled_route_imports_no_scipy(tmp_path):
     # With scipy blocked, tiny convergence, coupled splitting-error, banded
     # (d = 81) expectation and simulate runs exit 0: their factors come
-    # from numpy's own LAPACK, their Gaussians from the compiled ndtri and
-    # their operators from numpy arrays.
-    codes, modules = run_scipy_child(tmp_path, "blocked")
-    assert codes == ["0"] * 4 and modules == []
+    # from numpy's own LAPACK, their increments from the compiled sampler
+    # and their operators from numpy arrays.  Nor is numpy.random loaded,
+    # not even by the manifest's BLAS probe, or the process pool, which
+    # one-worker runs never open.
+    child = run_scipy_child(tmp_path, "blocked")
+    assert child == {"exit": ["0"] * 4, "scipy": [], "lazy": [[], []]}
 
 
 def test_numpy_passes_import_scipy_special_only(tmp_path):
-    # Without a C compiler the Gaussians come from scipy.special.ndtri;
-    # nothing imports scipy.linalg or scipy.sparse.
-    codes, modules = run_scipy_child(tmp_path, "open", CC=str(tmp_path / "no-such-cc"))
-    assert codes == ["0"] * 4 and "scipy.special" in modules
-    assert not [name for name in modules if name.startswith(("scipy.linalg", "scipy.sparse"))]
+    # Without a C compiler the Gaussians come from numpy's Philox and
+    # scipy.special.ndtri, loaded by the first run; nothing imports
+    # scipy.linalg or scipy.sparse.
+    child = run_scipy_child(tmp_path, "open", CC=str(tmp_path / "no-such-cc"))
+    assert child["exit"] == ["0"] * 4 and "scipy.special" in child["scipy"]
+    assert not [name for name in child["scipy"]
+                if name.startswith(("scipy.linalg", "scipy.sparse"))]
+    assert child["lazy"] == [[], ["numpy.random"]]

@@ -1,5 +1,6 @@
 """Path generation, streamed path sums, their exactness and the diffusion coefficient."""
 
+import ctypes
 import io
 
 import numpy as np
@@ -90,24 +91,80 @@ def test_chunks_side_by_side_equal_the_block(chunk):
     assert np.hstack(chunks).tobytes() == block.tobytes()
 
 
+@pytest.fixture(params=["compiled", "numpy"])
+def route(request, monkeypatch):
+    """The sampler's route: compiled (skipped without a compiler), or Philox and scipy's ndtri."""
+    if request.param == "numpy":
+        monkeypatch.setattr(stochastic, "compiled_library", lambda: None)
+    elif scheme.compiled_library() is None:
+        pytest.skip("the compiled passes did not build here (no C compiler)")
+    return request.param
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, 1024])
+def test_chunks_equal_the_documented_map_at_the_ends_of_the_key_words(route, chunk):
+    # Seeds 0 and 2^64 - 1, path indices 0, 2^63 and 2^64 - 1, and 1030
+    # steps, not a multiple of 4, so chunks start and end at every word of
+    # a Philox block.
+    keys = [0, 2 ** 63, 2 ** 64 - 1]
+    for seed in (0, 2 ** 64 - 1):
+        block = np.array([documented_increments(seed, key, 1.5, 1030) for key in keys])
+        chunks = list(increment_chunks(seed, keys, 1.5, 1030, chunk))
+        assert np.hstack(chunks).tobytes() == block.tobytes()
+
+
+def test_paper_length_paths_equal_the_documented_map(route):
+    keys = [0, 1, 255, 2 ** 64 - 1]
+    block = np.array([documented_increments(0, key, 1.0, 40320) for key in keys])
+    assert np.hstack(list(increment_chunks(0, keys, 1.0, 40320, 1024))).tobytes() == \
+        block.tobytes()
+    assert sample_increment_block(0, keys, 1.0, 40320).tobytes() == block.tobytes()
+
+
+# (seed, path indices, horizon, n_fine, chunk) outside the contract, and the argument named
+BAD_ARGUMENTS = [
+    ((0, [0], np.nan, 4, 4), "horizon"), ((0, [0], np.inf, 4, 4), "horizon"),
+    ((0, [0], 0.0, 4, 4), "horizon"), ((0, [0], 1.0, 0, 4), "n_fine"),
+    ((0, [0], 1.0, MAX_FINE_STEPS + 1, 4), "n_fine"), ((0, [3, -1], 1.0, 4, 4), "path index"),
+    ((0, [2 ** 64], 1.0, 4, 4), "path index"), ((-1, [0], 1.0, 4, 4), "seed"),
+    ((2 ** 64, [0], 1.0, 4, 4), "seed"), ((0, [0], 1.0, 4, 0), "chunk"),
+]
+
+
+@pytest.mark.parametrize("args, name", BAD_ARGUMENTS,
+                         ids=[f"{name}-{i}" for i, (_, name) in enumerate(BAD_ARGUMENTS)])
+def test_arguments_outside_the_contract_are_rejected_at_the_call(route, args, name):
+    # NaN or infinite horizons gave NaN increments, more than MAX_FINE_STEPS
+    # a path whose sums are not exact, and words outside 0..2^64 - 1 would
+    # wrap through the compiled sampler's uint64.
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        increment_chunks(*args)
+    if name != "chunk":
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            sample_increment_block(*args[:4])
+
+
 def test_compiled_ndtri_equals_scipy_bytewise():
     # The compiled Cephes port against scipy.special.ndtri: 2^21 random
     # lattice uniforms (k + 1/2) 2^-53, the 2e5 smallest and largest lattice
     # points (2^-54 and 1 - 2^-53 at the ends), 1e5 ulps either side of the
-    # branch points exp(-2) and 1 - exp(-2), of 0.5, 1e-300 and 2^-40, and
-    # the values outside (0, 1).
-    if scheme.compiled_library() is None:
+    # branch points exp(-2) and 1 - exp(-2) (central formula or tail),
+    # exp(-32) and 1 - exp(-32) (z = 8 in the tail), of 0.5, 1e-300 and
+    # 2^-40, and the values outside (0, 1).
+    lib = scheme.compiled_library()
+    if lib is None:
         pytest.skip("the compiled passes did not build here (no C compiler)")
     rng = np.random.default_rng(59)
     lattice = (rng.integers(0, 2 ** 53, 2 ** 21, dtype=np.uint64) + 0.5) * 2.0 ** -53
     ends = (np.arange(200_000) + 0.5) * 2.0 ** -53
     ulps = np.arange(-100_000, 100_001)
     around = [(np.array(x).view(np.int64) + ulps).view(float)
-              for x in (np.exp(-2.0), 1.0 - np.exp(-2.0), 0.5, 1e-300, 2.0 ** -40)]
+              for x in (np.exp(-2.0), 1.0 - np.exp(-2.0), np.exp(-32.0), 1.0 - np.exp(-32.0),
+                        0.5, 1e-300, 2.0 ** -40)]
     u = np.concatenate([lattice, ends, 1.0 - ends, *around,
                         [2.0 ** -54, 1.0 - 2.0 ** -53, 0.0, -0.0, 1.0, -1.0, 2.0, 5e-324]])
     got = u.copy()
-    stochastic._ndtri(got)
+    lib.acfv_ndtri(ctypes.c_void_p(got.ctypes.data), ctypes.c_ssize_t(got.size))
     assert got.tobytes() == ndtri(u).tobytes()
 
 
