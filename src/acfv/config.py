@@ -177,10 +177,13 @@ def config_from_mapping(mapping: dict, base_dir: str = ".") -> StudyConfig:
 
 def load_config_file(path, command: str | None = None) -> StudyConfig:
     """The StudyConfig of a config file; with a ``command``, only keys it reads pass."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as handle:
-        mapping = parse_config_text(handle.read(), command)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            mapping = parse_config_text(handle.read(), command)
+    except OSError as exc:
+        raise ConfigError(f"config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
     return config_from_mapping(mapping, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
@@ -245,8 +248,8 @@ def preset_config(command: str, name: str) -> StudyConfig:
 class RunManifest:
     """Resolved configuration of one run plus its content hash.
 
-    ``passes`` names the implementation of the step passes the process ran
-    (see ``scheme.passes``); it is recorded, but kept out of the hash.
+    ``passes`` names the step passes the process loaded (see
+    ``scheme.passes``); it is recorded, but kept out of the hash.
     """
 
     command: str

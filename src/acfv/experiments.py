@@ -120,9 +120,10 @@ class StudyConfig:
             raise ConfigError("L must be >= 1")
         if self.n_paths < 1:
             raise ConfigError("N_p must be >= 1")
-        if not 0 < self.half_width < np.inf:
-            raise ConfigError(f"'domain_half_width' must be positive and finite, "
-                              f"got {self.half_width}")
+        side = 2.0 * self.half_width / self.cells_per_axis
+        if not (self.half_width > 0 and 0 < side * side < np.inf):
+            raise ConfigError(f"'domain_half_width' must be positive and finite, with a "
+                              f"positive and finite cell area (2w/L)^2, got {self.half_width}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}")
         if not 0 <= self.seed < 2 ** 64:  # a Philox key word

@@ -195,7 +195,7 @@ def _bind(solver, paths):
     numpy's LAPACK.  Everywhere else the numpy passes.
     """
     lib, dense = compiled_library(), solver.n <= DENSE_LIMIT
-    if lib is not None and dense and min(paths, solver.n) > 1 and (gemm := _dgemm()[0]):
+    if lib is not None and dense and min(paths, solver.n) > 1 and (gemm := _dgemm()):
         return partial(_compiled_passes, lib, solver.markov_t, None, gemm, None)
     if lib is not None and not dense and lapack().route != "scipy.linalg.lapack":
         return partial(_compiled_passes, lib, solver.band_factor,
@@ -324,24 +324,20 @@ def compiled_library():
 
 @cache
 def _dgemm():
-    """(address or None, how dense rounds run): numpy's ``DGEMM_SYMBOL``, if it passes ``_probe``.
+    """The address of numpy's ``DGEMM_SYMBOL`` if it is exported and passes ``_probe``, else None.
 
-    Looked up and probed at the first call, which sets up numpy's BLAS: the
-    first dense kernel of more than one path, or a manifest.
+    Looked up and probed at the first call, which sets up numpy's BLAS:
+    ``_bind``'s, for the first dense kernel of more than one path.
     """
     gemm = _address(DGEMM_SYMBOL)
-    if gemm is None:
-        return None, "dense rounds on the numpy passes: no 64-bit cblas_dgemm in numpy"
-    if not _probe(compiled_library(), gemm):
-        return None, f"dense rounds on the numpy passes: {DGEMM_SYMBOL} differs from np.matmul"
-    return gemm, f"rounds in one call through {DGEMM_SYMBOL}"
+    return gemm if gemm is not None and _probe(compiled_library(), gemm) else None
 
 
 def passes():
-    """The manifest's ``passes`` line: ``numpy``, or the compiler and how dense rounds run."""
+    """The manifest's ``passes``: the library loaded, ``compiled (<cc>, <flags>)`` or ``numpy``."""
     if compiled_library() is None:
         return "numpy"
-    return f"compiled ({os.environ.get('CC') or 'cc'}, {' '.join(FLAGS)}); {_dgemm()[1]}"
+    return f"compiled ({os.environ.get('CC') or 'cc'}, {' '.join(FLAGS)})"
 
 
 def _address(name):

@@ -86,8 +86,23 @@ def test_path_file_resolved_relative_to_config(tmp_path):
     cfg.write_text("N = 4\npath_file = paths.csv\n")
     config = load_config_file(cfg)
     assert config.path_file == str(tmp_path / "paths.csv")
-    with pytest.raises(ConfigError, match="not found"):
+    with pytest.raises(ConfigError, match="missing.cfg: No such file or directory"):
         load_config_file(tmp_path / "missing.cfg")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda path: path.mkdir(), "Is a directory"),
+    (lambda path: path.write_bytes(b"N = 4\n# caf\xe9\n"),
+     "is not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 in position 11"),
+], ids=["directory", "latin-1"])
+def test_unreadable_config_file_is_a_configuration_error(tmp_path, capsys, make, message):
+    cfg = tmp_path / "run.cfg"
+    make(cfg)
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: config file {cfg}" in err and message in err
+    assert not out.exists()
 
 
 def test_presets_are_valid():
@@ -427,17 +442,24 @@ def test_failed_command_writes_nothing(tmp_path, command, keys):
     ("expectation", "N = 8\nN_p = 2\na = nan\n", "'a' must be nonempty, nonnegative and finite"),
     ("expectation", "N = 8\nN_p = 2\na = 1\ndomain_half_width = nan\n",
      "'domain_half_width' must be positive and finite"),
+    ("expectation", "N = 8\nN_p = 2\na = 1\ndomain_half_width = 1e-200\n",
+     "'domain_half_width' must be positive and finite, with a positive and finite cell area"),
+    ("expectation", "N = 8\nN_p = 2\na = 1\ndomain_half_width = 1e200\n",
+     "'domain_half_width' must be positive and finite, with a positive and finite cell area"),
     ("expectation", "N = 8\nN_p = 2\na = 1\nT = nan\neps_rule = fixed\neps_c = 0.05\n",
      "'T' must be positive and finite"),
     ("expectation", "N = 8\nN_p = 2\na = 1\neps_rule = fixed\neps_c = nan\n",
      "'eps_c' must be positive and finite"),
     ("expectation", "N = 8\nN_p = 2\na = 1\neps_rule = power\neps_c = 0.1\neps_p = nan\n",
      "'eps_p' must be finite"),
-], ids=["expectation-N-0", "simulate-N-0", "a-nan", "domain_half_width-nan", "T-nan-fixed-eps",
-        "eps_c-nan", "eps_p-nan"])
+], ids=["expectation-N-0", "simulate-N-0", "a-nan", "domain_half_width-nan",
+        "domain_half_width-cell-area-underflows", "domain_half_width-cell-area-overflows",
+        "T-nan-fixed-eps", "eps_c-nan", "eps_p-nan"])
 def test_values_that_cannot_run_are_configuration_errors(tmp_path, capsys, command, keys,
                                                          message):
     # N = 0 is a step count, not an unset N; NaN fails every range check.
+    # At L = 2 a half width of 1e-200 gives a cell area of 0 (every study
+    # value would read 0) and one of 1e200 an infinite one.
     cfg = tmp_path / "run.cfg"
     cfg.write_text("L = 2\n" + keys)
     out = tmp_path / "o"

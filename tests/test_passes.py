@@ -17,7 +17,8 @@ CC = os.environ.get("CC") or "cc"
 needs_cc = pytest.mark.skipif(shutil.which(shlex.split(CC)[0]) is None,
                               reason="no C compiler")
 
-# One splitting step of a lone run; prints the passes that ran and the state's bytes.
+# One splitting step of a lone run; prints the passes loaded, the kernel's
+# rounds and the state's bytes.
 CHILD = """
 from acfv import scheme
 from acfv.assembly import assemble_mass, assemble_stiffness
@@ -26,7 +27,8 @@ from acfv.mesh import build_uniform_mesh
 mesh = build_uniform_mesh(2)
 solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), 0.125)
 kernel = scheme.StepKernel("splitting", (4.0,), scheme.EpsilonSchedule.fixed(0.05), solver, 2)
-print(scheme.passes(), kernel([[0.5, -0.5, 1.5, 0.25], [-0.0, 1.0, 0.9, 0.1]], [0.3, -0.2]).tobytes().hex())
+print(scheme.passes(), kernel._bind.func.__name__,
+      kernel([[0.5, -0.5, 1.5, 0.25], [-0.0, 1.0, 0.9, 0.1]], [0.3, -0.2]).tobytes().hex())
 """
 
 
@@ -46,7 +48,8 @@ def test_concurrent_builds_into_an_empty_cache_both_load(tmp_path):
     outputs = [child.communicate(timeout=120)[0] for child in children]
     assert [child.returncode for child in children] == [0, 0]
     assert outputs[0] == outputs[1]
-    assert outputs[0].startswith(f"compiled ({CC}, {' '.join(FLAGS)}); ")
+    rounds = "_compiled_passes" if scheme._dgemm() is not None else "_numpy_passes"
+    assert outputs[0].startswith(f"compiled ({CC}, {' '.join(FLAGS)}) {rounds} ")
     [lib] = (cache / "acfv").iterdir()  # one library, no temporary file left
     assert lib.name.startswith("passes-") and lib.suffix == ".so"
 
@@ -140,8 +143,8 @@ def test_compiled_route_imports_no_scipy(tmp_path):
     # (d = 81) expectation and simulate runs exit 0: their factors come
     # from numpy's own LAPACK, their increments from the compiled sampler
     # and their operators from numpy arrays.  Nor is numpy.random loaded,
-    # not even by the manifest's BLAS probe, or the process pool, which
-    # one-worker runs never open.
+    # not even by the dgemm probe of the first dense kernel of more than
+    # one path, or the process pool, which one-worker runs never open.
     child = run_scipy_child(tmp_path, "blocked")
     assert child == {"exit": ["0"] * 4, "scipy": [], "lazy": [[], []]}
 

@@ -10,6 +10,7 @@ import scipy.sparse as sps
 
 from acfv import benchmark, experiments, scheme
 from acfv.assembly import assemble_mass, assemble_stiffness
+from acfv.config import build_manifest, preset_config
 from acfv.constraint import psi_eps, resolvent
 from acfv.errors import NumericalFailure
 from acfv.experiments import StudyConfig, require_finite, write_states_csv
@@ -72,12 +73,13 @@ def numpy_route(monkeypatch):
 
 
 def each_passes(monkeypatch):
-    """Iterate twice: kernels built in the first pass run this process's
-    passes (compiled wherever a C compiler works and the product can run in
-    C), in the second the numpy passes, which must then have run."""
-    yield scheme.passes()
+    """Iterate twice: kernels built in the first pass run the rounds
+    ``_bind`` picks (compiled wherever a C compiler works and the product
+    can run in C), in the second the numpy passes, which must then have
+    run."""
+    yield
     with numpy_route(monkeypatch) as binds:
-        yield "numpy"
+        yield
     assert binds, "no kernel of the second pass ran the numpy passes"
 
 
@@ -534,17 +536,17 @@ def test_ragged_stack_compiled_matches_numpy_bitwise(monkeypatch, L, variant):
 def reprobed(monkeypatch, **attributes):
     """numpy's dgemm looked up and probed afresh with the named ``scheme`` attributes patched.
 
-    Yields the manifest's ``passes`` line.  Kernels built inside the block
-    see that probe's outcome, with the attributes restored; the next dense
-    kernel after it probes again.
+    Yields that probe's outcome, ``scheme._dgemm()``.  Kernels built inside
+    the block see it, with the attributes restored; the next dense kernel
+    after it probes again.
     """
     scheme._dgemm.cache_clear()
     try:
         with monkeypatch.context() as patched:
             for name, value in attributes.items():
                 patched.setattr(scheme, name, value)
-            described = scheme.passes()
-        yield described
+            gemm = scheme._dgemm()
+        yield gemm
     finally:
         scheme._dgemm.cache_clear()
 
@@ -553,7 +555,7 @@ def needs_one_call_rounds():
     """Skip without a C compiler or numpy's 64-bit dgemm; else the rounds must pass the self-check."""
     if scheme.compiled_library() is None or scheme._address(scheme.DGEMM_SYMBOL) is None:
         pytest.skip("no compiled one-call rounds here (no C compiler or no 64-bit dgemm)")
-    assert "rounds in one call through" in scheme.passes()
+    assert scheme._dgemm() is not None
 
 
 @pytest.mark.parametrize("variant, L, paths",
@@ -636,8 +638,7 @@ def test_resolvent_clip_serves_the_next_noise_bitwise(monkeypatch):
 def test_failed_self_check_falls_back_to_the_numpy_passes(monkeypatch):
     # With no dgemm symbol in numpy, or with the probe's numpy rounds one
     # ulp off, the self-check fails: dense kernels then run the numpy
-    # passes, the manifest says why, and they give the bytes of the
-    # compiled rounds.
+    # passes, which give the bytes of the compiled rounds.
     needs_one_call_rounds()
     numpy_rounds = scheme._numpy_passes
 
@@ -663,35 +664,37 @@ def test_failed_self_check_falls_back_to_the_numpy_passes(monkeypatch):
         return b"".join(kernel.out.tobytes() for kernel in kernels)
 
     compiled, name = final(scheme._compiled_passes), scheme.DGEMM_SYMBOL
-    with reprobed(monkeypatch, DGEMM_SYMBOL="acfv_no_such_dgemm") as described:
-        assert described.endswith("dense rounds on the numpy passes: "
-                                  "no 64-bit cblas_dgemm in numpy")
+    with reprobed(monkeypatch, DGEMM_SYMBOL="acfv_no_such_dgemm") as gemm:
+        assert gemm is None
         no_symbol = final(numpy_rounds)
-    with reprobed(monkeypatch, _numpy_passes=one_ulp_off) as described:
-        assert described.endswith(f"dense rounds on the numpy passes: {name} differs "
-                                  "from np.matmul")
+    with reprobed(monkeypatch, _numpy_passes=one_ulp_off) as gemm:
+        assert gemm is None and scheme._address(name) is not None
         failed_probe = final(numpy_rounds)
     assert no_symbol == failed_probe == compiled
 
 
 def test_blas_self_check_waits_for_a_kernel_whose_product_can_run_in_c(monkeypatch):
-    # Banded and one-path kernels never call numpy's dgemm from C, so
-    # building them looks no dgemm up and runs no probe; the first dense
-    # kernel with more than one path does both, once, and the description
-    # asked for later reuses them.
+    # A manifest names the library the process loaded, and banded and
+    # one-path kernels never call numpy's dgemm from C, so none of them
+    # looks dgemm up or runs the probe; the first dense kernel with more
+    # than one path does both, once, and later kernels reuse them.
     needs_one_call_rounds()
-    lookups, epsilon, address = [], EpsilonSchedule.fixed(0.05), scheme._address
+    calls, epsilon = [], EpsilonSchedule.fixed(0.05)
+    address, probe = scheme._address, scheme._probe
     with monkeypatch.context() as patched:
-        patched.setattr(scheme, "_address", lambda name: lookups.append(name) or address(name))
+        patched.setattr(scheme, "_address", lambda name: calls.append(name) or address(name))
+        patched.setattr(scheme, "_probe", lambda *args: calls.append("probe") or probe(*args))
         scheme._dgemm.cache_clear()
         try:
+            build_manifest("expectation", preset_config("expectation", "desk"))
+            assert scheme.passes().startswith("compiled (")
             StepKernel("splitting", (1.0,), epsilon, solver_on(9, 4), 5)
             StepKernel("splitting", (1.0,), epsilon, solver_on(4, 4), 1)
-            assert scheme.DGEMM_SYMBOL not in lookups
-            StepKernel("splitting", (1.0,), epsilon, solver_on(4, 4), 2)
+            assert scheme.DGEMM_SYMBOL not in calls and "probe" not in calls
+            kernel = StepKernel("splitting", (1.0,), epsilon, solver_on(4, 4), 2)
             StepKernel("heat", (1.0,), epsilon, solver_on(4, 8), 3)
-            assert "rounds in one call through" in scheme.passes()
-            assert lookups.count(scheme.DGEMM_SYMBOL) == 1
+            assert kernel._bind.func is scheme._compiled_passes
+            assert calls.count(scheme.DGEMM_SYMBOL) == calls.count("probe") == 1
         finally:
             scheme._dgemm.cache_clear()
 
