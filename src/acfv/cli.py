@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Commands bind configuration files (or built-in presets) to the study
-drivers and, once the run has succeeded, write CSV artifacts plus a run
-manifest into the output directory: a failed command writes nothing.
+Commands bind configuration files (a preset is a packaged one) to the study
+drivers and, once the run has succeeded, write CSV artifacts and then a
+run manifest into the output directory: a failed command writes nothing.
 Exit codes: 0 success, 1 a check failed, 2 configuration error, 3
 numerical failure.  The worker count for Monte Carlo path
 blocks is taken from the ACFV_WORKERS environment variable; everything
@@ -15,6 +15,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -66,38 +67,41 @@ def _resolve_config(args) -> StudyConfig:
         config = replace(config, n_paths=args.paths)
     if args.out is not None:
         config = replace(config, out_dir=args.out)
-    if args.command == "table-repro":
-        # The benchmark scenario runs on the injected path, and the
-        # manifest records it.
-        config = replace(benchmark.SCENARIO, path_file=config.path_file,
-                         out_dir=config.out_dir)
     if os.path.exists(config.out_dir) and not os.path.isdir(config.out_dir):
         raise ConfigError(f"output directory {config.out_dir} exists and is not a directory")
     return config.validate()
 
 
-def _prepare_out(command: str, config: StudyConfig) -> str:
+def _prepare_out(command: str, config: StudyConfig, csvs: dict) -> list:
+    """Write the CSVs (name -> path writer), then the manifest; return the CSV paths."""
     manifest = build_manifest(command, config)
+    targets = [os.path.join(config.out_dir, name) for name in csvs]
+    target = config.out_dir
     try:
-        os.makedirs(config.out_dir, exist_ok=True)
-        with open(os.path.join(config.out_dir, "manifest.txt"), "w", encoding="ascii") as fh:
+        os.makedirs(target, exist_ok=True)
+        for target, write in zip(targets, csvs.values()):
+            write(target)
+        target = os.path.join(config.out_dir, "manifest.txt")
+        with open(target, "w", encoding="ascii") as fh:
             fh.write(manifest.text())
     except OSError as exc:
-        raise ConfigError(f"output directory {config.out_dir}: {exc.strerror}") from exc
+        what = "directory" if target == config.out_dir else "file"
+        raise ConfigError(f"output {what} {target}: {exc.strerror}") from exc
     print(f"run {manifest.run_id} [{command}] -> {config.out_dir}")
-    return config.out_dir
+    return targets
 
 
 def cmd_table_repro(config: StudyConfig) -> int:
     if config.path_file is None:
         raise ConfigError("table-repro needs path_file (the injected driving increments)")
     report = benchmark.run_benchmark_tables(config.path_file)
-    out_dir = _prepare_out("table-repro", config)
+    _prepare_out("table-repro", config, {
+        f"{name}.csv": partial(write_states_csv, states=states, first_step=1)
+        for name, states in report.tables.items()})
     for name, states in report.tables.items():
         print(name)
         for n, state in enumerate(states, start=1):
             print(f"  n={n}  " + "  ".join(f"{v: .8f}" for v in state))
-        write_states_csv(os.path.join(out_dir, f"{name}.csv"), states, first_step=1)
     verdict = "PASS" if report.passed else "FAIL"
     print(f"max deviation from reference tables: {report.max_deviation:.3g} "
           f"(tolerance {benchmark.TABLE_TOLERANCE:g}) {verdict}")
@@ -122,8 +126,8 @@ def cmd_simulate(config: StudyConfig) -> int:
     # Path 0 runs as a one-row block.
     _, u0, runs = run_block(config, None, path, {n_steps: None}, (config.variant,))
     states = [u0] + [state[0].copy() for _, _, _, (state,) in runs]
-    target = os.path.join(_prepare_out("simulate", config), "trajectory.csv")
-    write_states_csv(target, states, first_step=0)
+    target, = _prepare_out("simulate", config, {
+        "trajectory.csv": partial(write_states_csv, states=states, first_step=0)})
     print(f"wrote {target} ({n_steps} steps, variant {config.variant}, "
           f"final mean {format_float(float(np.mean(states[-1])))})")
     return EXIT_OK
@@ -131,8 +135,8 @@ def cmd_simulate(config: StudyConfig) -> int:
 
 def cmd_expectation(config: StudyConfig) -> int:
     results = expectation_study(config, workers=_workers())
-    target = os.path.join(_prepare_out("expectation", config), "expectation.csv")
-    write_expectation_csv(target, results)
+    target, = _prepare_out("expectation", config, {
+        "expectation.csv": partial(write_expectation_csv, results=results)})
     for r in results:
         print(f"a={r.amplitude:g} n={r.checkpoint} E={r.mean:.8f} drift={r.drift:.8f}")
     print(f"wrote {target}")
@@ -145,11 +149,9 @@ def cmd_convergence(config: StudyConfig) -> int:
         raise ConfigError(f"'N_list' holds N_max = {n_fine}, the reference run "
                           "every error is measured against")
     curves = convergence_study(config, workers=_workers())
-    out_dir = _prepare_out("convergence", config)
-    errors_target = os.path.join(out_dir, "error.csv")
-    fit_target = os.path.join(out_dir, "fit.csv")
-    write_error_csv(errors_target, curves)
-    write_fit_csv(fit_target, curves)
+    errors_target, fit_target = _prepare_out("convergence", config, {
+        "error.csv": partial(write_error_csv, curves=curves),
+        "fit.csv": partial(write_fit_csv, curves=curves)})
     for curve in curves:
         print(f"a={curve.amplitude:g}: order m = {curve.slope:.6f}")
     print(f"wrote {errors_target} and {fit_target}")
@@ -158,11 +160,9 @@ def cmd_convergence(config: StudyConfig) -> int:
 
 def cmd_splitting_error(config: StudyConfig) -> int:
     curve = splitting_error_study(config, workers=_workers())
-    out_dir = _prepare_out("splitting-error", config)
-    errors_target = os.path.join(out_dir, "splitting_error.csv")
-    fit_target = os.path.join(out_dir, "splitting_error_fit.csv")
-    write_error_csv(errors_target, [curve])
-    write_fit_csv(fit_target, [curve])
+    errors_target, fit_target = _prepare_out("splitting-error", config, {
+        "splitting_error.csv": partial(write_error_csv, curves=[curve]),
+        "splitting_error_fit.csv": partial(write_fit_csv, curves=[curve])})
     print(f"a={curve.amplitude:g}: gap slope m = {curve.slope:.6f}")
     print(f"wrote {errors_target} and {fit_target}")
     return EXIT_OK

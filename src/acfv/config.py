@@ -24,12 +24,15 @@ Recognized keys::
                        and simulate)
     out_dir            output directory
 
-A file read for a command holds only keys that command reads (see
-``keys_read``); any other key is rejected with its line, even at its
-default.  table-repro reads ``path_file`` and ``out_dir`` only.
+``_KEYS`` gives each key's StudyConfig field, its parser and the
+commands that read it.  A file read for a command holds only keys that
+command reads (see ``keys_read``); any other key is rejected with its
+line, even at its default.  table-repro reads ``path_file`` and
+``out_dir`` only, and runs them on the fixed benchmark scenario.
 
 Relative ``path_file`` entries are resolved against the directory of
-the configuration file.
+the configuration file.  Every preset is such a file, packaged as
+``presets/<command>-<name>.cfg`` and read through the same parser.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, fields, replace
+from importlib import resources
 
 from . import benchmark
 from .errors import ConfigError
@@ -49,36 +53,45 @@ __all__ = [
     "config_from_mapping",
     "keys_read",
     "preset_config",
-    "packaged_increments_path",
     "RunManifest",
     "build_manifest",
 ]
 
-_INT_KEYS = {"L", "N", "N_max", "N_p", "seed"}
-_FLOAT_KEYS = {"T", "domain_half_width", "eps_c", "eps_p"}
-_INT_LIST_KEYS = {"N_list", "checkpoints"}
-_FLOAT_LIST_KEYS = {"a"}
-_STR_KEYS = {"eps_rule", "variant", "path_file", "out_dir"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _INT_LIST_KEYS | _FLOAT_LIST_KEYS | _STR_KEYS
 
-# The keys each command reads.  The Monte Carlo studies draw their own
-# paths from (seed, path index), so they take no path_file.
-_STUDY_KEYS = {"T", "L", "N_max", "a", "eps_rule", "eps_c", "eps_p", "seed",
-               "domain_half_width", "out_dir"}
-_KEYS_READ = {
-    "table-repro": {"path_file", "out_dir"},
-    "simulate": _STUDY_KEYS | {"N", "variant", "path_file"},
-    "expectation": _STUDY_KEYS | {"N", "N_p", "variant", "checkpoints"},
-    "convergence": _STUDY_KEYS | {"N_list", "N_p", "variant"},
-    "splitting-error": _STUDY_KEYS | {"N_list", "N_p"},
+def _list_of(kind):
+    return lambda value: tuple(kind(v) for v in value.split(",") if v.strip())
+
+
+# Config key -> (StudyConfig field, parser, the commands that read it).  The
+# Monte Carlo studies draw their own paths from (seed, path index), so they
+# take no path_file.  The eps keys together set ``epsilon``.
+_STUDIES = ("simulate", "expectation", "convergence", "splitting-error")
+_KEYS = {
+    "domain_half_width": ("half_width", float, _STUDIES),
+    "T": ("horizon", float, _STUDIES),
+    "L": ("cells_per_axis", int, _STUDIES),
+    "N": ("n_steps", int, ("simulate", "expectation")),
+    "N_max": ("n_fine", int, _STUDIES),
+    "N_list": ("n_steps_list", _list_of(int), ("convergence", "splitting-error")),
+    "N_p": ("n_paths", int, _STUDIES[1:]),
+    "a": ("amplitudes", _list_of(float), _STUDIES),
+    "eps_rule": ("epsilon", str, _STUDIES),
+    "eps_c": ("epsilon", float, _STUDIES),
+    "eps_p": ("epsilon", float, _STUDIES),
+    "seed": ("seed", int, _STUDIES),
+    "variant": ("variant", str, ("simulate", "expectation", "convergence")),
+    "checkpoints": ("checkpoints", _list_of(int), ("expectation",)),
+    "path_file": ("path_file", str, ("table-repro", "simulate")),
+    "out_dir": ("out_dir", str, ("table-repro", *_STUDIES)),
 }
 
 
 def keys_read(command: str, with_path_file: bool = False) -> set:
     """The config keys ``command`` reads; simulate on an injected path reads no seed."""
+    read = {key for key, (_, _, commands) in _KEYS.items() if command in commands}
     if command == "simulate" and with_path_file:
-        return _KEYS_READ[command] - {"seed"}
-    return _KEYS_READ[command]
+        read.discard("seed")
+    return read
 
 
 def parse_config_text(text: str, command: str | None = None) -> dict:
@@ -94,22 +107,13 @@ def parse_config_text(text: str, command: str | None = None) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         key_lines[key] = lineno
         try:
-            if key in _INT_KEYS:
-                out[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                out[key] = float(value)
-            elif key in _INT_LIST_KEYS:
-                out[key] = tuple(int(v) for v in value.split(",") if v.strip())
-            elif key in _FLOAT_LIST_KEYS:
-                out[key] = tuple(float(v) for v in value.split(",") if v.strip())
-            else:
-                out[key] = value
+            out[key] = _KEYS[key][1](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     if command is not None:
@@ -120,21 +124,10 @@ def parse_config_text(text: str, command: str | None = None) -> dict:
     return out
 
 
-# Config key -> StudyConfig field, where the two names differ.  The eps
-# keys together set ``epsilon``.
-_FIELDS = {
-    "T": "horizon", "L": "cells_per_axis",
-    "N": "n_steps", "N_max": "n_fine", "N_list": "n_steps_list",
-    "N_p": "n_paths", "a": "amplitudes",
-    "domain_half_width": "half_width",
-}
-
-
 def config_from_mapping(mapping: dict, base_dir: str = ".") -> StudyConfig:
     """Build a StudyConfig from a parsed mapping; its ``validate`` checks the values.
 
-    Validation waits for the command to resolve the config: table-repro
-    fills in its fixed scenario first.
+    Validation waits for the command line's overrides.
     """
     mapping = dict(mapping)
     rule = mapping.pop("eps_rule", None)
@@ -165,18 +158,18 @@ def config_from_mapping(mapping: dict, base_dir: str = ".") -> StudyConfig:
     if path_file is not None and not os.path.isabs(path_file):
         path_file = os.path.normpath(os.path.join(base_dir, path_file))
 
-    kwargs = {"epsilon": epsilon, "path_file": path_file}
-    for key, value in mapping.items():
-        kwargs[_FIELDS.get(key, key)] = value
     try:
-        config = StudyConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    return config
+        values = {_KEYS[key][0]: value for key, value in mapping.items()}
+    except KeyError as exc:
+        raise ConfigError(f"unknown key {exc}") from None
+    return StudyConfig(epsilon=epsilon, path_file=path_file, **values)
 
 
 def load_config_file(path, command: str | None = None) -> StudyConfig:
-    """The StudyConfig of a config file; with a ``command``, only keys it reads pass."""
+    """The StudyConfig of a config file; with a ``command``, only keys it reads pass.
+
+    table-repro runs the file's path_file and out_dir on ``benchmark.SCENARIO``.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             mapping = parse_config_text(handle.read(), command)
@@ -184,64 +177,19 @@ def load_config_file(path, command: str | None = None) -> StudyConfig:
         raise ConfigError(f"config file {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
-    return config_from_mapping(mapping, base_dir=os.path.dirname(os.path.abspath(path)))
-
-
-def packaged_increments_path() -> str:
-    """Filesystem path of the packaged benchmark driving increments."""
-    return str(benchmark.increments_file())
-
-
-# Step counts of the refinement ladder used by the full-scale studies.
-FULL_N_LIST = (210, 280, 360, 504, 630, 840, 1008, 1260, 1680, 2520, 3360, 4032, 5040)
-
-
-def _benchmark_run() -> StudyConfig:
-    """The benchmark scenario on its packaged driving path."""
-    return replace(benchmark.SCENARIO, path_file=packaged_increments_path(), out_dir="out")
-
-
-_PRESETS = {
-    ("table-repro", "desk"): _benchmark_run,
-    ("table-repro", "paper"): _benchmark_run,
-    ("simulate", "desk"): _benchmark_run,
-    ("simulate", "paper"): lambda: StudyConfig(
-        cells_per_axis=5, n_steps=2048, n_fine=2048, amplitudes=(10.0,),
-        out_dir="out"),
-    ("expectation", "desk"): lambda: StudyConfig(
-        cells_per_axis=5, n_steps=512, n_fine=512, n_paths=1000,
-        amplitudes=(1.0, 3.0, 10.0, 40.0), checkpoints=(2, 64, 512),
-        out_dir="out"),
-    ("expectation", "paper"): lambda: StudyConfig(
-        cells_per_axis=5, n_steps=2048, n_fine=2048, n_paths=3000,
-        amplitudes=(1.0, 3.0, 10.0, 40.0), checkpoints=(2, 64, 2048),
-        out_dir="out"),
-    # Seed 1 gives a representative run; at 200 paths the fitted order
-    # for moderate amplitudes still scatters by about +-0.2 across seeds.
-    ("convergence", "desk"): lambda: StudyConfig(
-        cells_per_axis=4, n_fine=4032,
-        n_steps_list=(42, 56, 84, 112, 168, 252, 336, 504),
-        n_paths=200, amplitudes=(1.0, 5.0, 60.0), seed=1, out_dir="out"),
-    ("convergence", "paper"): lambda: StudyConfig(
-        cells_per_axis=4, n_fine=40320, n_steps_list=FULL_N_LIST,
-        n_paths=9000, amplitudes=(1.0, 5.0, 30.0, 60.0), out_dir="out"),
-    ("splitting-error", "desk"): lambda: StudyConfig(
-        cells_per_axis=4, n_fine=256, n_steps_list=(16, 32, 64, 128, 256),
-        n_paths=100, amplitudes=(10.0,),
-        epsilon=EpsilonSchedule.fixed(0.05), out_dir="out"),
-}
-# The gap study has no larger reference-scale variant; the full preset
-# just adds paths.
-_PRESETS[("splitting-error", "paper")] = lambda: replace(
-    _PRESETS[("splitting-error", "desk")](), n_paths=500)
+    config = config_from_mapping(mapping, base_dir=os.path.dirname(os.path.abspath(path)))
+    if command == "table-repro":
+        config = replace(benchmark.SCENARIO, path_file=config.path_file,
+                         out_dir=config.out_dir)
+    return config
 
 
 def preset_config(command: str, name: str) -> StudyConfig:
-    """Built-in configuration for a command, 'desk' scale or full 'paper' scale."""
-    try:
-        return _PRESETS[(command, name)]().validate()
-    except KeyError:
-        raise ConfigError(f"no {name!r} preset for command {command!r}") from None
+    """The packaged ``presets/<command>-<name>.cfg``: 'desk' scale or full 'paper' scale."""
+    path = resources.files("acfv").joinpath("presets", f"{command}-{name}.cfg")
+    if not path.is_file():
+        raise ConfigError(f"no {name!r} preset for command {command!r}")
+    return load_config_file(str(path), command).validate()
 
 
 @dataclass

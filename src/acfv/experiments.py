@@ -221,11 +221,16 @@ def run_block(config: StudyConfig, initial_state, paths, at, variants):
     chunk all of one N's come before the next N's.  The views are kernel
     buffers (see ``StepKernel.run``); the last one yielded for a (k, N)
     stays valid, as no later step of that N overwrites it.  After the last
-    chunk, each (k, N)'s final states are checked to be finite.
+    chunk, each (k, N)'s final states are checked to be finite.  A
+    non-finite default start field, or an M + tau A that does not factor,
+    raises NumericalFailure before any step.
     """
     mesh = build_uniform_mesh(config.cells_per_axis, config.half_width)
     u0 = (default_initial_state(mesh) if initial_state is None
           else np.asarray(initial_state, dtype=float))
+    if initial_state is None and not np.isfinite(u0).all():
+        raise NumericalFailure(f"non-finite start field at domain_half_width="
+                               f"{config.half_width:g}, L={config.cells_per_axis}")
     mass, stiffness = assemble_mass(mesh), assemble_stiffness(mesh)
     if isinstance(paths, range):
         lo, n_fine = paths.start, config.resolved_n_fine()
@@ -239,7 +244,11 @@ def run_block(config: StudyConfig, initial_state, paths, at, variants):
     def runs():
         kernels = {}
         for n in order:
-            solver = ShiftedSolver(mass, stiffness, config.horizon / n)
+            try:
+                solver = ShiftedSolver(mass, stiffness, config.horizon / n)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalFailure(f"M + tau A does not factor at tau="
+                                       f"{config.horizon / n:g}, N={n}: {exc}") from exc
             kernels[n] = [StepKernel(variant, config.amplitudes, config.epsilon, solver,
                                      len(start)) for variant in variants]
         taken = dict.fromkeys(order, 0)

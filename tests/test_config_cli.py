@@ -1,6 +1,6 @@
 """Configuration parsing, presets, manifests and the command-line interface."""
 
-import dataclasses
+import argparse
 import os
 import re
 from dataclasses import replace
@@ -11,12 +11,13 @@ import pytest
 
 from acfv import benchmark, cli, scheme
 from acfv import config as config_module
-from acfv.config import (build_manifest, config_from_mapping, keys_read, load_config_file,
-                         packaged_increments_path, parse_config_text,
-                         preset_config)
+from acfv.config import (build_manifest, config_from_mapping, load_config_file,
+                         parse_config_text, preset_config)
 from acfv.errors import ConfigError
-from acfv.experiments import PATH_BLOCK, StudyConfig, format_float
+from acfv.experiments import PATH_BLOCK, format_float
 from acfv.scheme import EpsilonSchedule
+
+INCREMENTS = str(benchmark.increments_file())
 
 
 def test_parse_config_text():
@@ -62,10 +63,10 @@ def test_documented_keys_match_parser():
     table = config_module.__doc__.split("Recognized keys::")[1]
     doc_keys = {line.split()[0] for line in table.splitlines()
                 if re.match(r"    \S", line)}
-    assert doc_keys == config_module._ALL_KEYS
+    assert doc_keys == set(config_module._KEYS)
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     listed = re.search(r"the keys\s*\(([^)]*)\)", readme).group(1)
-    assert set(re.findall(r"`([^`]+)`", listed)) == config_module._ALL_KEYS
+    assert set(re.findall(r"`([^`]+)`", listed)) == set(config_module._KEYS)
 
 
 def test_mapping_to_config():
@@ -79,6 +80,8 @@ def test_mapping_to_config():
         config_from_mapping({"N": 8, "eps_rule": "fixed"})
     with pytest.raises(ConfigError, match="eps_rule"):
         config_from_mapping({"N": 8, "eps_rule": "cubic", "eps_c": 1.0})
+    with pytest.raises(ConfigError, match="unknown key 'wavelength'"):
+        config_from_mapping({"N": 8, "wavelength": 7})
 
 
 def test_path_file_resolved_relative_to_config(tmp_path):
@@ -135,7 +138,7 @@ def test_run_id_is_unchanged_and_the_passes_stay_out_of_it(monkeypatch, tmp_path
                "splitting-error": "b46d8433821b", "simulate": "4a604cc45d01",
                "table-repro": "e6892db5a246"}
     copy = tmp_path / "increments.csv"
-    copy.write_bytes(Path(packaged_increments_path()).read_bytes())
+    copy.write_bytes(Path(INCREMENTS).read_bytes())
     for passes in (scheme.passes(), "numpy"):
         monkeypatch.setattr(config_module, "passes", lambda: passes)
         for command, run_id in run_ids.items():
@@ -184,7 +187,7 @@ def test_table_repro_preset_passes(tmp_path, capsys):
 
 def test_table_repro_manifest_records_the_scenario_that_ran(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"path_file = {packaged_increments_path()}\n")
+    cfg.write_text(f"path_file = {INCREMENTS}\n")
     out = tmp_path / "run"
     assert run_cli("table-repro", "--config", str(cfg), "--out", str(out)) == 0
     manifest = (out / "manifest.txt").read_text().splitlines()
@@ -206,7 +209,7 @@ def test_table_repro_requires_path_file(tmp_path):
 
 def test_table_repro_detects_perturbed_increments(tmp_path, capsys):
     values = [float(line) for line in
-              open(packaged_increments_path(), encoding="ascii")]
+              open(INCREMENTS, encoding="ascii")]
     values[2] += 1e-3
     perturbed = tmp_path / "paths.csv"
     perturbed.write_text("".join(f"{v:.17g}\n" for v in values))
@@ -294,7 +297,7 @@ def test_monte_carlo_commands_reject_path_file(tmp_path, command, keys):
 
 # What each command needs to run; a case adds the key under test.
 BASE_KEYS = {
-    "table-repro": f"path_file = {packaged_increments_path()}\n",
+    "table-repro": f"path_file = {INCREMENTS}\n",
     "simulate": "L = 2\nN = 4\n",
 }
 MONTE_CARLO_BASE = "L = 2\nN_p = 2\na = 10\n"
@@ -318,8 +321,8 @@ MONTE_CARLO_BASE = "L = 2\nN_p = 2\na = 10\n"
     ("simulate", "N_p = 7\n", "N_p"),
     ("simulate", "N_p = 1\n", "N_p"),
     ("simulate", "checkpoints = 2\n", "checkpoints"),
-    ("simulate", f"path_file = {packaged_increments_path()}\nseed = 3\n", "seed"),
-    ("simulate", f"path_file = {packaged_increments_path()}\nN_max = 8\n", "N_max"),
+    ("simulate", f"path_file = {INCREMENTS}\nseed = 3\n", "seed"),
+    ("simulate", f"path_file = {INCREMENTS}\nN_max = 8\n", "N_max"),
     ("expectation", "N = 8\nN_list = 8\n", "N_list"),
     ("convergence", "N = 8\nN_max = 32\nN_list = 8,16\n", "N"),
 ], ids=["convergence-checkpoints", "splitting-error-heat", "splitting-error-coupled",
@@ -351,28 +354,58 @@ def test_overrides_reject_keys_the_command_does_not_read(tmp_path, capsys, comma
     assert not out.exists()
 
 
-def test_shipped_configs_and_presets_pass_the_key_check():
-    configs = Path(__file__).resolve().parents[1] / "configs"
-    for name, command in [("table_repro", "table-repro"), ("desk_expectation", "expectation"),
-                          ("desk_convergence", "convergence"),
-                          ("full_convergence", "convergence"),
-                          ("desk_splitting_error", "splitting-error")]:
-        load_config_file(configs / f"{name}.cfg", command)
-    # A preset sets only fields its command reads; table-repro's is the scenario.
-    fields = {"T": "horizon", "L": "cells_per_axis", "N": "n_steps", "N_max": "n_fine",
-              "N_list": "n_steps_list", "N_p": "n_paths", "a": "amplitudes",
-              "domain_half_width": "half_width", "eps_rule": "epsilon"}
-    default = StudyConfig()
-    for command in ("simulate", "expectation", "convergence", "splitting-error"):
-        for preset in ("desk", "paper"):
-            config = preset_config(command, preset)
-            read = {fields.get(key, key)
-                    for key in keys_read(command, config.path_file is not None)}
-            assert all(getattr(config, f.name) == getattr(default, f.name)
-                       for f in dataclasses.fields(config) if f.name not in read)
+def test_table_repro_presets_are_the_scenario_on_its_packaged_path():
     for preset in ("desk", "paper"):
-        assert preset_config("table-repro", preset) == replace(
-            benchmark.SCENARIO, path_file=packaged_increments_path(), out_dir="out")
+        config = preset_config("table-repro", preset)
+        assert Path(config.path_file).resolve() == Path(INCREMENTS).resolve()
+        assert config == replace(benchmark.SCENARIO, path_file=config.path_file)
+
+
+def test_presets_are_one_file_per_command_and_name():
+    commands = next(action for action in cli._build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    offered = {(command, name) for command, parser in commands.choices.items()
+               for action in parser._actions if action.dest == "preset"
+               for name in action.choices}
+    assert len(offered) == 10
+    presets = Path(config_module.__file__).parent / "presets"
+    assert sorted(p.name for p in presets.iterdir()) == sorted(
+        f"{command}-{name}.cfg" for command, name in offered)
+
+
+def test_paper_preset_run_ids_are_pinned():
+    # Computed when the presets were Python literals; the files give the same configs.
+    run_ids = {"table-repro": "e6892db5a246", "simulate": "ae8da315a735",
+               "expectation": "5a1e87eb475f", "convergence": "000bb4c8ab7f",
+               "splitting-error": "a16fb4c4713e"}
+    for command, run_id in run_ids.items():
+        assert build_manifest(command, preset_config(command, "paper")).run_id == run_id
+
+
+def test_a_csv_that_cannot_be_written_exits_2_without_a_manifest(tmp_path, capsys):
+    out = tmp_path / "o"
+    (out / "fit.csv").mkdir(parents=True)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("L = 2\nN_max = 32\nN_list = 8,16\nN_p = 2\na = 1\n")
+    assert run_cli("convergence", "--config", str(cfg), "--out", str(out)) == 2
+    assert f"output file {out / 'fit.csv'}: Is a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["error.csv", "fit.csv"]
+
+
+@pytest.mark.parametrize("width, message", [
+    ("1e-8", "M + tau A does not factor at tau=0.125, N=8"),
+    ("1e60", "non-finite start field at domain_half_width=1e+60, L=5"),
+], ids=["tiny", "huge"])
+def test_a_domain_the_scheme_cannot_run_exits_numerical(tmp_path, capsys, width, message):
+    # At 1e-8 the mass term vanishes beside tau A, so M + tau A is singular
+    # to rounding; at 1e60 the start field overflows before any step.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"L = 5\nN = 8\nN_p = 2\na = 1\ndomain_half_width = {width}\n")
+    out = tmp_path / "o"
+    with np.errstate(over="ignore"):
+        assert run_cli("expectation", "--config", str(cfg), "--out", str(out)) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_non_finite_results_exit_numerical(tmp_path, capsys):

@@ -6,7 +6,7 @@ import scipy.linalg as sla
 
 from acfv import linalg
 from acfv.assembly import assemble_mass, assemble_stiffness
-from acfv.config import FULL_N_LIST
+from acfv.config import preset_config
 from acfv.linalg import DENSE_LIMIT, ShiftedSolver
 from acfv.mesh import build_uniform_mesh
 
@@ -172,7 +172,8 @@ def solver_bytes(solver, b, extra):
 
 def lapack_cases():
     """(L, tau): dense meshes over the paper ladder and finer steps, banded ones at three taus."""
-    ladder = (*FULL_N_LIST, 16, 32, 64, 128, 256, 40320, 80640, 161280)
+    ladder = (*preset_config("convergence", "paper").n_steps_list,
+              16, 32, 64, 128, 256, 40320, 80640, 161280)
     return ([(L, 1.0 / n) for L in range(1, 9) for n in ladder]
             + [(L, tau) for L in (9, 12, 16) for tau in (1.0 / 8, 1.0 / 210, 0.37)])
 
