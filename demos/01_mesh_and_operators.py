@@ -9,15 +9,12 @@ Laplacian and the mass matrix is (2/L)^2 times the identity.
 Run:  python demos/01_mesh_and_operators.py
 """
 
-import io
-
 import numpy as np
 
-from acfv import assemble_mass, assemble_stiffness, build_uniform_mesh, export_mesh_csv
+from acfv import assemble_mass, assemble_stiffness, build_uniform_mesh
 
 for L in (1, 2, 5):
     mesh = build_uniform_mesh(L)
-    mesh.validate()
     print(f"L={L}: {mesh.n_cells} cells of area {mesh.cell_measures[0]:.4f}, "
           f"{mesh.n_edges} interior edges, h={mesh.h:.6f}")
 
@@ -35,8 +32,3 @@ ones = np.ones(4)
 print("\nrow sums A 1 =", A.apply(ones), " (zero: no flux in or out of the domain)")
 alternating = np.array([1.0, -1.0, -1.0, 1.0])
 print("checkerboard mode is an eigenvector:", A.apply(alternating), "= 4 * mode")
-
-buf = io.StringIO()
-export_mesh_csv(mesh, buf)
-print("\nCSV summary of the 2x2 mesh:")
-print(buf.getvalue())

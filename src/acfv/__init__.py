@@ -15,29 +15,23 @@ from .assembly import assemble_mass, assemble_stiffness
 from .constraint import psi_eps, resolvent
 from .errors import ConfigError, NumericalFailure
 from .experiments import (ErrorCurve, ExpectationResult, StudyConfig,
-                          convergence_study, expectation_study,
-                          fit_convergence_order, splitting_error_study)
+                          convergence_study, expectation_study, splitting_error_study)
 from .linalg import ShiftedSolver
-from .mesh import (Mesh, build_uniform_mesh, cell_average,
-                   default_initial_state, export_mesh_csv,
-                   squared_l2_distance)
+from .mesh import Mesh, build_uniform_mesh, cell_average, default_initial_state
 from .scheme import EpsilonSchedule, StepKernel
-from .stochastic import (diffusion_g, dump_increments, load_increments,
-                         sample_increment_block)
+from .stochastic import diffusion_g, load_increments, sample_increment_block
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Mesh", "build_uniform_mesh", "cell_average", "default_initial_state",
-    "squared_l2_distance", "export_mesh_csv",
     "assemble_mass", "assemble_stiffness",
     "ShiftedSolver",
     "psi_eps", "resolvent",
-    "sample_increment_block", "diffusion_g",
-    "dump_increments", "load_increments",
+    "sample_increment_block", "diffusion_g", "load_increments",
     "EpsilonSchedule", "StepKernel",
     "StudyConfig", "ExpectationResult", "ErrorCurve",
     "expectation_study",
-    "convergence_study", "fit_convergence_order", "splitting_error_study",
+    "convergence_study", "splitting_error_study",
     "ConfigError", "NumericalFailure",
 ]

@@ -3,10 +3,10 @@
 Commands bind configuration files (a preset is a packaged one) to the study
 drivers and, once the run has succeeded, write CSV artifacts and then a
 run manifest into the output directory: a failed command writes nothing.
-Exit codes: 0 success, 1 a check failed, 2 configuration error, 3
-numerical failure.  The worker count for Monte Carlo path
-blocks is taken from the ACFV_WORKERS environment variable; everything
-else comes from the configuration.
+Exit codes: 0 success, 1 a check failed, 2 configuration error (also a
+run too large for memory), 3 numerical failure.  The worker count for
+Monte Carlo path blocks is taken from the ACFV_WORKERS environment
+variable; everything else comes from the configuration.
 """
 
 from __future__ import annotations
@@ -211,6 +211,10 @@ def main(argv=None) -> int:
         return handler(config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"configuration error: {args.command} does not fit in memory: {exc}",
+              file=sys.stderr)
         return EXIT_CONFIG
     except NumericalFailure as exc:
         detail = "" if exc.residual is None else f" (residual {exc.residual})"

@@ -55,9 +55,7 @@ __all__ = [
     "ErrorCurve",
     "expectation_study",
     "convergence_study",
-    "fit_convergence_order",
     "splitting_error_study",
-    "splitting_gap_errors",
     "write_expectation_csv",
     "write_error_csv",
     "write_fit_csv",
@@ -226,8 +224,9 @@ def run_block(config: StudyConfig, initial_state, paths, at, variants):
     raises NumericalFailure before any step.
     """
     mesh = build_uniform_mesh(config.cells_per_axis, config.half_width)
-    u0 = (default_initial_state(mesh) if initial_state is None
-          else np.asarray(initial_state, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+        u0 = (default_initial_state(mesh) if initial_state is None
+              else np.asarray(initial_state, dtype=float))
     if initial_state is None and not np.isfinite(u0).all():
         raise NumericalFailure(f"non-finite start field at domain_half_width="
                                f"{config.half_width:g}, L={config.cells_per_axis}")
@@ -380,11 +379,6 @@ def _fit_loglog(taus, errors):
     return float(slope), float(intercept)
 
 
-def fit_convergence_order(taus, errors) -> float:
-    """Least-squares slope of log error against log step size."""
-    return _fit_loglog(taus, errors)[0]
-
-
 def _curve(config, amplitude, n_list, errors):
     errors = np.asarray(errors, dtype=float)
     for n, error in zip(n_list, errors):
@@ -446,20 +440,7 @@ def splitting_error_study(config: StudyConfig, initial_state=None,
         raise ConfigError("splitting-error study needs a fixed epsilon")
     if len(config.n_steps_list) < 2:
         raise ConfigError("splitting-error study needs at least two entries in N_list")
-    n_list, errors = splitting_gap_errors(config, initial_state, workers)
-    return _curve(config, config.amplitudes[0], n_list, errors)
-
-
-def splitting_gap_errors(config: StudyConfig, initial_state=None, workers=1):
-    """The raw gap profile behind splitting_error_study.
-
-    Returns (step counts, errors) without fitting anything, so
-    degenerate profiles (all zeros, as with amplitude zero and a
-    constant initial state) are observable.
-    """
     config.validate()
-    if not config.n_steps_list:
-        raise ConfigError("gap profile needs step counts in N_list")
     if len(config.amplitudes) != 1:
         raise ConfigError("the gap study runs one amplitude at a time")
     amplitude = config.amplitudes[0]
@@ -468,7 +449,7 @@ def splitting_gap_errors(config: StudyConfig, initial_state=None, workers=1):
     errors = [float(np.vstack([part[n] for part in parts]).mean(axis=0).max())
               for n in n_list]
     _require_finite_results("gap", amplitude, [f"N={n}" for n in n_list], errors)
-    return n_list, errors
+    return _curve(config, amplitude, n_list, errors)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,8 @@
 """Cell-centered finite-volume meshes on the square domain (-w, w)^2.
 
 A mesh is stored as flat arrays of cell and interior-edge data: cell
-measures m_K, edge measures m_sigma and center distances d_{K|L}.  Only
-the uniform square-grid generator is provided, but the data model is
-generic enough to hold any admissible mesh (cell centers joined by
-straight lines orthogonal to the shared edges), so pre-built meshes
-could be loaded later without touching the operators built on top.
+measures m_K, edge measures m_sigma and center distances d_{K|L}.
+``build_uniform_mesh`` is the one mesh source.
 
 Exterior edges carry no flux under the homogeneous Neumann boundary
 condition and are therefore not stored at all.
@@ -18,15 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .textio import text_stream
-
 __all__ = [
     "Mesh",
     "build_uniform_mesh",
     "cell_average",
-    "squared_l2_distance",
     "default_initial_state",
-    "export_mesh_csv",
     "INITIAL_X_COEFFS",
     "INITIAL_Y_COEFFS",
 ]
@@ -47,9 +40,9 @@ class Mesh:
     cell_centers : (n_cells, 2) float array
     cell_measures : (n_cells,) float array
         Areas m_K, all strictly positive.
-    cell_bounds : (n_cells, 4) float array or None
-        Axis-aligned bounds (x_lo, x_hi, y_lo, y_hi) per cell; present
-        for rectangle-cell meshes, needed for exact cell averages.
+    cell_bounds : (n_cells, 4) float array
+        Axis-aligned bounds (x_lo, x_hi, y_lo, y_hi) per cell, for exact
+        cell averages.
     edge_cells : (n_edges, 2) int array
         Interior edges as (K, L) cell index pairs, K < L.
     edge_measures : (n_edges,) float array
@@ -62,7 +55,7 @@ class Mesh:
 
     cell_centers: np.ndarray
     cell_measures: np.ndarray
-    cell_bounds: np.ndarray | None
+    cell_bounds: np.ndarray
     edge_cells: np.ndarray
     edge_measures: np.ndarray
     edge_distances: np.ndarray
@@ -71,8 +64,7 @@ class Mesh:
     def __post_init__(self):
         for arr in (self.cell_centers, self.cell_measures, self.cell_bounds,
                     self.edge_cells, self.edge_measures, self.edge_distances):
-            if arr is not None:
-                arr.setflags(write=False)
+            arr.setflags(write=False)
 
     @property
     def n_cells(self) -> int:
@@ -81,27 +73,6 @@ class Mesh:
     @property
     def n_edges(self) -> int:
         return self.edge_cells.shape[0]
-
-    @property
-    def domain_measure(self) -> float:
-        return float(self.cell_measures.sum())
-
-    def validate(self):
-        """Check the structural mesh invariants, raising ValueError on failure."""
-        n = self.n_cells
-        if not np.all(np.isfinite(self.cell_measures)) or np.any(self.cell_measures <= 0):
-            raise ValueError("cell measures must be finite and positive")
-        if self.n_edges:
-            K, L = self.edge_cells[:, 0], self.edge_cells[:, 1]
-            if np.any(K == L):
-                raise ValueError("an interior edge must join two distinct cells")
-            if np.any(K < 0) or np.any(L >= n) or np.any(K >= n) or np.any(L < 0):
-                raise ValueError("edge references a nonexistent cell")
-            pairs = {tuple(sorted(p)) for p in self.edge_cells.tolist()}
-            if len(pairs) != self.n_edges:
-                raise ValueError("duplicate interior edge")
-            if np.any(self.edge_measures <= 0) or np.any(self.edge_distances <= 0):
-                raise ValueError("edge measures and center distances must be positive")
 
 
 def build_uniform_mesh(cells_per_axis: int, half_width: float = 1.0) -> Mesh:
@@ -174,8 +145,6 @@ def cell_average(x_coeffs, y_coeffs, mesh: Mesh) -> np.ndarray:
     computed from closed-form antiderivatives, so the result is exact
     up to rounding for any polynomial degree.
     """
-    if mesh.cell_bounds is None:
-        raise ValueError("cell_average needs rectangle cell bounds")
     b = mesh.cell_bounds
     return _segment_means(x_coeffs, b[:, 0], b[:, 1]) * _segment_means(y_coeffs, b[:, 2], b[:, 3])
 
@@ -183,26 +152,3 @@ def cell_average(x_coeffs, y_coeffs, mesh: Mesh) -> np.ndarray:
 def default_initial_state(mesh: Mesh) -> np.ndarray:
     """Cell averages of the built-in quartic initial profile."""
     return cell_average(INITIAL_X_COEFFS, INITIAL_Y_COEFFS, mesh)
-
-
-def squared_l2_distance(u, v, mesh: Mesh) -> float:
-    """Squared L2(domain) distance of two piecewise-constant fields.
-
-    Returns sum over cells of m_K (u_K - v_K)^2.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != (mesh.n_cells,) or v.shape != (mesh.n_cells,):
-        raise ValueError(
-            f"fields must have shape ({mesh.n_cells},), got {u.shape} and {v.shape}")
-    d = u - v
-    return float(np.dot(mesh.cell_measures, d * d))
-
-
-def export_mesh_csv(mesh: Mesh, target) -> None:
-    """Write a cell summary (index, center, measure) as CSV for debugging."""
-    with text_stream(target, "w") as out:
-        out.write("cell_index,center_x,center_y,m_K\n")
-        for n in range(mesh.n_cells):
-            cx, cy = mesh.cell_centers[n]
-            out.write(f"{n},{cx:.17g},{cy:.17g},{mesh.cell_measures[n]:.17g}\n")

@@ -25,10 +25,11 @@ product calls numpy's own ``cblas_dgemm`` (dense, more than one path) or
 ``dpbtrs`` (banded); or their numpy form around ``np.matmul`` or
 ``ShiftedSolver.apply_markov``, everywhere else.  Either steps a splitting
 or heat run from one yield to the next in one call; a coupled run goes
-round by round, its Newton iteration after each.  Calling a kernel takes
-one step; ``StepKernel.run`` steps a whole increment block in one loop that
-yields only after the steps its caller names, and a later call can resume
-from the kernel's buffer with the next block.
+round by round, its Newton iteration after each.  ``StepKernel.run`` is
+the one way to step a kernel: it steps a whole increment block in one loop
+that yields only after the steps its caller names, and a later call can
+resume from the kernel's buffer with the next block; one step is a (p, 1)
+block.
 """
 
 from __future__ import annotations
@@ -131,13 +132,6 @@ class StepKernel:
         self._noisy, self.out = np.empty(shape), np.empty(shape)
         self._bind = _bind(solver, paths)
         self._rows = self.out.reshape(-1, d), self._noisy.reshape(-1, d)  # Newton's rows
-
-    def __call__(self, u_prev, d_w):
-        """One step of every run, d_w one increment per path, into ``out``."""
-        d_w = np.broadcast_to(np.asarray(d_w, dtype=float), self.out.shape[1:2])
-        for _ in self.run(u_prev, d_w[:, None]):
-            pass
-        return self.out
 
     def run(self, u0, increments, at=None, first=1):
         """Step u0 once per increment column; yield (n, out) after each step n in ``at``.

@@ -47,7 +47,6 @@ __all__ = [
     "sample_increment_block",
     "coarse_chunks",
     "diffusion_g",
-    "dump_increments",
     "load_increments",
 ]
 
@@ -195,15 +194,8 @@ def diffusion_g(x, amplitude):
     return float(out) if out.ndim == 0 else out
 
 
-def dump_increments(increments, target) -> None:
-    """Write increments as CSV, one value per row, full precision."""
-    with text_stream(target, "w") as out:
-        for v in np.asarray(increments):
-            out.write(f"{v:.17g}\n")
-
-
 def load_increments(source) -> np.ndarray:
-    """Read increments written by dump_increments (or by hand).
+    """Read increments, one value per line (an injected ``path_file``).
 
     Blank lines and lines starting with '#' are ignored, so injected
     reference paths can carry comments.  A file that cannot be read or

@@ -131,7 +131,8 @@ def matrix_suite(seed=20250, cases=1000) -> list:
 def _random_kernels(rng, max_steps, variants):
     """L and a kernel per variant on a random L x L mesh, tau = 1/N (N < max_steps), eps and a.
 
-    Each kernel steps one field: its ``out`` is (1, 1, L * L).
+    Each kernel steps one field: its ``out`` is (1, 1, L * L), and
+    ``(_, out), = kernel.run(u, [[d_w]])`` takes one step.
     """
     L = int(rng.integers(1, 6))
     mesh = build_uniform_mesh(L)
@@ -152,8 +153,8 @@ def structure_suite(seed=20251, cases=200) -> list:
         L, kernels = _random_kernels(rng, 5, ("splitting", "coupled"))
         u = np.full(L * L, float(rng.uniform(0.0, 1.0)))
         d_w = float(rng.standard_normal() * np.sqrt(kernels[0].tau))
-        for step in kernels:
-            out = step(u, d_w)
+        for kernel in kernels:
+            (_, out), = kernel.run(u, [[d_w]])
             worst = max(worst, float(out.max() - out.min()))
     results.append(CheckResult("constant states stay constant", worst <= 1e-10,
                                f"max spread after one step = {worst:.3g}"))
@@ -163,20 +164,22 @@ def structure_suite(seed=20251, cases=200) -> list:
         L, kernels = _random_kernels(rng, 9, ("splitting", "coupled"))
         c = float(rng.integers(0, 2))
         d_w = float(rng.standard_normal())
-        for step in kernels:
-            out = step(np.full(L * L, c), d_w)
+        for kernel in kernels:
+            (_, out), = kernel.run(np.full(L * L, c), [[d_w]])
             worst = max(worst, float(np.max(np.abs(out - c))))
     results.append(CheckResult("0 and 1 are stationary", worst <= 1e-12,
                                f"max |step(c) - c| for c in {{0,1}} = {worst:.3g}"))
 
     worst = 0.0
     for _ in range(cases):
-        L, (step,) = _random_kernels(rng, 9, ("splitting",))
+        L, (kernel,) = _random_kernels(rng, 9, ("splitting",))
         d_w = float(rng.standard_normal())
         below = -rng.uniform(0.0, 3.0, size=L * L)
-        worst = max(worst, float(step(below, d_w).max()))
+        (_, out), = kernel.run(below, [[d_w]])
+        worst = max(worst, float(out.max()))
         above = 1.0 + rng.uniform(0.0, 3.0, size=L * L)
-        worst = max(worst, float(1.0 - step(above, d_w).min()))
+        (_, out), = kernel.run(above, [[d_w]])
+        worst = max(worst, float(1.0 - out.min()))
     results.append(CheckResult("one-sided states stay trapped", worst <= 1e-10,
                                f"max excursion back across the threshold = {worst:.3g}"))
     return results

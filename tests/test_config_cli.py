@@ -3,13 +3,15 @@
 import argparse
 import os
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from acfv import benchmark, cli, scheme
+import acfv
+from acfv import benchmark, cli, experiments, scheme
 from acfv import config as config_module
 from acfv.config import (build_manifest, config_from_mapping, load_config_file,
                          parse_config_text, preset_config)
@@ -67,6 +69,18 @@ def test_documented_keys_match_parser():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     listed = re.search(r"the keys\s*\(([^)]*)\)", readme).group(1)
     assert set(re.findall(r"`([^`]+)`", listed)) == set(config_module._KEYS)
+
+
+def test_package_exports_match_the_readme_library():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme.split("\n## Library\n")[1].split("\n## ")[0]
+    for name in acfv.__all__:
+        assert f"`{name}`" in library, name
+    listed = re.search(r"The package root exports (.*?)\n\n", library, re.S).group(1)
+    exports = re.findall(r"`([^`]+)`", listed)
+    assert sorted(exports) == sorted(acfv.__all__)
+    for name in exports:
+        assert getattr(acfv, name) is not None
 
 
 def test_mapping_to_config():
@@ -402,9 +416,27 @@ def test_a_domain_the_scheme_cannot_run_exits_numerical(tmp_path, capsys, width,
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"L = 5\nN = 8\nN_p = 2\na = 1\ndomain_half_width = {width}\n")
     out = tmp_path / "o"
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():  # no numpy warning: the message says it all
+        warnings.simplefilter("error")
         assert run_cli("expectation", "--config", str(cfg), "--out", str(out)) == 3
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["table-repro", "simulate", "expectation", "convergence",
+                                     "splitting-error"])
+def test_a_run_too_large_for_memory_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                               command):
+    # As numpy fails to allocate the cells of L = 100000; nothing is allocated here.
+    def build_uniform_mesh(cells_per_axis, half_width):
+        raise MemoryError(f"Unable to allocate the cells of L = {cells_per_axis}")
+
+    monkeypatch.setattr(experiments, "build_uniform_mesh", build_uniform_mesh)
+    out = tmp_path / "o"
+    assert run_cli(command, "--preset", "desk", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {command} does not fit in memory: ")
+    assert "Unable to allocate the cells of L = " in err
     assert not out.exists()
 
 

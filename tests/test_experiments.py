@@ -11,11 +11,10 @@ import pytest
 
 from acfv import cli, experiments
 from acfv.errors import ConfigError, NumericalFailure
-from acfv.experiments import (PATH_BLOCK, ErrorCurve, StudyConfig, _mean_errors,
-                              convergence_study, expectation_study, fit_convergence_order,
+from acfv.experiments import (PATH_BLOCK, ErrorCurve, StudyConfig, _fit_loglog,
+                              _mean_errors, convergence_study, expectation_study,
                               format_float, run_block, splitting_error_study,
-                              splitting_gap_errors, write_error_csv,
-                              write_expectation_csv, write_fit_csv)
+                              write_error_csv, write_expectation_csv, write_fit_csv)
 from acfv.scheme import EpsilonSchedule
 from acfv.stochastic import MAX_FINE_STEPS
 
@@ -204,27 +203,28 @@ def test_errors_decrease_with_refinement():
 
 def test_fit_exact_power_laws():
     taus = np.array([0.5, 0.25, 0.125, 0.0625])
-    assert fit_convergence_order(taus, 3.0 * taus) == pytest.approx(1.0, abs=1e-12)
-    assert fit_convergence_order(taus, 5.0 * taus ** 2) == pytest.approx(2.0, abs=1e-12)
+    assert _fit_loglog(taus, 3.0 * taus) == pytest.approx((1.0, np.log(3.0)), abs=1e-12)
+    assert _fit_loglog(taus, 5.0 * taus ** 2) == pytest.approx((2.0, np.log(5.0)), abs=1e-12)
     # scaling the errors moves the intercept, never the slope
-    assert fit_convergence_order(taus, 700.0 * taus) == pytest.approx(1.0, abs=1e-12)
+    assert _fit_loglog(taus, 700.0 * taus)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fit_rejects_degenerate_input():
     with pytest.raises(ValueError):
-        fit_convergence_order([0.5], [1.0])
+        _fit_loglog([0.5], [1.0])
     with pytest.raises(ValueError):
-        fit_convergence_order([0.5, 0.5], [1.0, 2.0])
+        _fit_loglog([0.5, 0.5], [1.0, 2.0])
     with pytest.raises(ValueError):
-        fit_convergence_order([0.5, 0.25], [1.0, 0.0])
+        _fit_loglog([0.5, 0.25], [1.0, 0.0])
 
 
 def test_splitting_gap_zero_for_quiet_constant_state():
     config = StudyConfig(cells_per_axis=3, n_fine=16, n_steps_list=(4, 8),
                          n_paths=4, amplitudes=(0.0,),
                          epsilon=EpsilonSchedule.fixed(0.05), seed=1).validate()
-    _, errors = splitting_gap_errors(config, initial_state=np.full(9, 0.4))
-    assert errors == [0.0, 0.0]
+    # Both methods agree exactly, so the gap has no log-log fit.
+    with pytest.raises(NumericalFailure, match="error 0 at a=0, N=4"):
+        splitting_error_study(config, initial_state=np.full(9, 0.4))
 
 
 def test_splitting_gap_positive_on_active_states():
@@ -234,8 +234,7 @@ def test_splitting_gap_positive_on_active_states():
     config = StudyConfig(cells_per_axis=2, n_fine=64, n_steps_list=(32, 64),
                          n_paths=8, amplitudes=(10.0,),
                          epsilon=EpsilonSchedule.fixed(0.05), seed=2).validate()
-    _, errs = splitting_gap_errors(config, initial_state=start)
-    assert min(errs) > 0
+    assert min(splitting_error_study(config, initial_state=start).errors) > 0
 
 
 def test_non_finite_states_fail_loudly():
@@ -256,6 +255,17 @@ def test_splitting_error_study_needs_fixed_eps():
                          epsilon=EpsilonSchedule.power(0.1, 0.4)).validate()
     with pytest.raises(ConfigError):
         splitting_error_study(config)
+
+
+def test_splitting_error_study_runs_one_amplitude_over_two_step_counts():
+    config = StudyConfig(cells_per_axis=2, n_fine=16, n_steps_list=(8, 16), n_paths=2,
+                         amplitudes=(1.0, 2.0), epsilon=EpsilonSchedule.fixed(0.05))
+    with pytest.raises(ConfigError, match="one amplitude at a time"):
+        splitting_error_study(config)
+    with pytest.raises(ConfigError, match="at least two entries in N_list"):
+        splitting_error_study(replace(config, n_steps_list=(8,), amplitudes=(1.0,)))
+    with pytest.raises(ConfigError, match="'T' must be positive"):
+        splitting_error_study(replace(config, horizon=0.0, amplitudes=(1.0,)))
 
 
 def test_study_results_are_reproducible():

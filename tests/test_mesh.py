@@ -1,14 +1,10 @@
-"""Mesh geometry, exact cell averages and the discrete L2 distance."""
-
-import io
+"""Mesh geometry and exact cell averages."""
 
 import numpy as np
 import pytest
 
-from acfv.mesh import (INITIAL_X_COEFFS, INITIAL_Y_COEFFS, Mesh,
-                       build_uniform_mesh, cell_average,
-                       default_initial_state, export_mesh_csv,
-                       squared_l2_distance)
+from acfv.mesh import (INITIAL_X_COEFFS, INITIAL_Y_COEFFS, build_uniform_mesh,
+                       cell_average, default_initial_state)
 
 # Cell averages of the default profile on the 2x2 mesh, known to 8 digits.
 U0_L2 = (0.20088542, 0.05244792, 0.72953125, 0.19046875)
@@ -69,9 +65,9 @@ def test_cell_ordering_x_fastest():
 @pytest.mark.parametrize("L", range(1, 9))
 def test_uniform_mesh_invariants(L):
     mesh = build_uniform_mesh(L)
-    mesh.validate()
-    assert abs(mesh.domain_measure - 4.0) <= 1e-12 * 4.0
+    assert abs(mesh.cell_measures.sum() - 4.0) <= 1e-12 * 4.0
     assert mesh.n_edges == 2 * L * (L - 1)
+    assert (mesh.edge_cells[:, 0] < mesh.edge_cells[:, 1]).all()
     counts = np.zeros(mesh.n_cells, dtype=int)
     for K, Lc in mesh.edge_cells:
         counts[K] += 1
@@ -85,32 +81,6 @@ def test_rejects_degenerate_parameters():
         build_uniform_mesh(0)
     with pytest.raises(ValueError):
         build_uniform_mesh(3, half_width=0.0)
-
-
-def test_validate_catches_broken_edges():
-    mesh = build_uniform_mesh(2)
-    broken = Mesh(
-        cell_centers=mesh.cell_centers.copy(),
-        cell_measures=mesh.cell_measures.copy(),
-        cell_bounds=mesh.cell_bounds.copy(),
-        edge_cells=np.array([[0, 0], [1, 2], [2, 3], [1, 3]]),
-        edge_measures=mesh.edge_measures.copy(),
-        edge_distances=mesh.edge_distances.copy(),
-        h=mesh.h,
-    )
-    with pytest.raises(ValueError, match="distinct"):
-        broken.validate()
-    duplicated = Mesh(
-        cell_centers=mesh.cell_centers.copy(),
-        cell_measures=mesh.cell_measures.copy(),
-        cell_bounds=mesh.cell_bounds.copy(),
-        edge_cells=np.array([[0, 1], [1, 0], [2, 3], [1, 3]]),
-        edge_measures=mesh.edge_measures.copy(),
-        edge_distances=mesh.edge_distances.copy(),
-        h=mesh.h,
-    )
-    with pytest.raises(ValueError, match="duplicate"):
-        duplicated.validate()
 
 
 def test_initial_state_reference_values():
@@ -136,39 +106,6 @@ def test_cell_average_constants_and_linearity():
     lhs = cell_average(p1 + p2, q, mesh)
     rhs = cell_average(p1, q, mesh) + cell_average(p2, q, mesh)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
-
-
-def test_squared_l2_distance_examples():
-    mesh1 = build_uniform_mesh(1)
-    assert squared_l2_distance([1.0], [0.0], mesh1) == pytest.approx(4.0)
-    mesh2 = build_uniform_mesh(2)
-    u = np.array([1.0, 0.0, 0.0, 0.0])
-    assert squared_l2_distance(u, np.zeros(4), mesh2) == pytest.approx(1.0)
-    assert squared_l2_distance(u, u, mesh2) == 0.0
-
-
-def test_squared_l2_distance_properties():
-    mesh = build_uniform_mesh(4)
-    rng = np.random.default_rng(5)
-    u = rng.standard_normal(16)
-    v = rng.standard_normal(16)
-    assert squared_l2_distance(u, v, mesh) == pytest.approx(
-        squared_l2_distance(v, u, mesh), rel=1e-15)
-    assert squared_l2_distance(v + 3.0 * (u - v), v, mesh) == pytest.approx(
-        9.0 * squared_l2_distance(u, v, mesh), rel=1e-12)
-    with pytest.raises(ValueError):
-        squared_l2_distance(u[:5], v, mesh)
-
-
-def test_mesh_csv_export():
-    mesh = build_uniform_mesh(2)
-    buf = io.StringIO()
-    export_mesh_csv(mesh, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "cell_index,center_x,center_y,m_K"
-    assert len(lines) == 5
-    assert lines[1].split(",")[0] == "0"
-    assert float(lines[1].split(",")[3]) == 1.0
 
 
 def test_mesh_arrays_immutable():

@@ -27,8 +27,8 @@ from acfv.mesh import build_uniform_mesh
 mesh = build_uniform_mesh(2)
 solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), 0.125)
 kernel = scheme.StepKernel("splitting", (4.0,), scheme.EpsilonSchedule.fixed(0.05), solver, 2)
-print(scheme.passes(), kernel._bind.func.__name__,
-      kernel([[0.5, -0.5, 1.5, 0.25], [-0.0, 1.0, 0.9, 0.1]], [0.3, -0.2]).tobytes().hex())
+(_, out), = kernel.run([[0.5, -0.5, 1.5, 0.25], [-0.0, 1.0, 0.9, 0.1]], [[0.3], [-0.2]])
+print(scheme.passes(), kernel._bind.func.__name__, out.tobytes().hex())
 """
 
 

@@ -4,8 +4,8 @@ import io
 
 import numpy as np
 
-from acfv.mesh import build_uniform_mesh, export_mesh_csv
-from acfv.stochastic import dump_increments, load_increments
+from acfv.experiments import write_states_csv
+from acfv.stochastic import load_increments
 from acfv.textio import text_stream
 
 
@@ -23,15 +23,14 @@ def test_text_stream_path_and_stream_targets(tmp_path):
     with text_stream(path) as lines:
         assert list(lines) == ["a,b\n"]
 
-    # The writers give a path the same bytes they give a stream.
-    mesh = build_uniform_mesh(2)
+    # A writer gives a path the same bytes it gives a stream, and a reader
+    # takes either.
+    states = [np.array([0.5, -1e-300]), np.array([1.0 / 3.0, -0.0])]
     buf = io.StringIO()
-    export_mesh_csv(mesh, buf)
-    export_mesh_csv(mesh, path)
+    write_states_csv(buf, states, 0)
+    write_states_csv(path, states, 0)
     assert path.read_bytes() == buf.getvalue().encode("ascii")
+    path.write_text("0.5\n-1e-300\n0.33333333333333331\n")
     values = np.array([0.5, -1e-300, 1.0 / 3.0])
-    buf = io.StringIO()
-    dump_increments(values, buf)
-    dump_increments(values, path)
-    assert path.read_bytes() == buf.getvalue().encode("ascii")
     np.testing.assert_array_equal(load_increments(path), values)
+    np.testing.assert_array_equal(load_increments(io.StringIO(path.read_text())), values)
