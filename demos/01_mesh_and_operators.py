@@ -11,7 +11,7 @@ Run:  python demos/01_mesh_and_operators.py
 
 import numpy as np
 
-from acfv import assemble_mass, assemble_stiffness, build_uniform_mesh
+from acfv import assemble_mass, assemble_stiffness, band_product, band_to_dense, build_uniform_mesh
 
 for L in (1, 2, 5):
     mesh = build_uniform_mesh(L)
@@ -24,11 +24,13 @@ for n, (cx, cy) in enumerate(mesh.cell_centers):
     print(f"  cell {n}: ({cx:+.1f}, {cy:+.1f})")
 
 print("\nmass diagonal:", assemble_mass(mesh))
-print("stiffness matrix:")
-print(assemble_stiffness(mesh).toarray())
-
+# The stiffness is held as the upper band LAPACK factors: row j holds the
+# entries (j - 2, j), (j - 1, j) and (j, j) of the 2 x 2 grid's matrix.
 A = assemble_stiffness(mesh)
+print("stiffness matrix:")
+print(band_to_dense(A))
+
 ones = np.ones(4)
-print("\nrow sums A 1 =", A.apply(ones), " (zero: no flux in or out of the domain)")
+print("\nrow sums A 1 =", band_product(A, ones), " (zero: no flux in or out of the domain)")
 alternating = np.array([1.0, -1.0, -1.0, 1.0])
-print("checkerboard mode is an eigenvector:", A.apply(alternating), "= 4 * mode")
+print("checkerboard mode is an eigenvector:", band_product(A, alternating), "= 4 * mode")

@@ -16,9 +16,9 @@ from .constraint import psi_eps, resolvent
 from .errors import ConfigError, NumericalFailure
 from .experiments import (ErrorCurve, ExpectationResult, StudyConfig,
                           convergence_study, expectation_study, splitting_error_study)
-from .linalg import ShiftedSolver
+from .linalg import ShiftedSolver, band_to_dense
 from .mesh import Mesh, build_uniform_mesh, cell_average, default_initial_state
-from .scheme import EpsilonSchedule, StepKernel
+from .scheme import EpsilonSchedule, StepKernel, band_product
 from .stochastic import diffusion_g, load_increments, sample_increment_block
 
 __version__ = "0.1.0"
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Mesh", "build_uniform_mesh", "cell_average", "default_initial_state",
     "assemble_mass", "assemble_stiffness",
-    "ShiftedSolver",
+    "ShiftedSolver", "band_to_dense", "band_product",
     "psi_eps", "resolvent",
     "sample_increment_block", "diffusion_g", "load_increments",
     "EpsilonSchedule", "StepKernel",

@@ -169,6 +169,8 @@ def cmd_splitting_error(config: StudyConfig) -> int:
 
 
 def cmd_validate(seed: int) -> int:
+    if seed < 0:  # numpy's generators take nonnegative seeds only
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     checks = validation.run_all(seed=seed)
     for check in checks:
         print(check.line())

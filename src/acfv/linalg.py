@@ -8,9 +8,9 @@ a whole stack of right-hand sides.  The cell count d selects the form:
 * d <= DENSE_LIMIT: a dense Cholesky factor, plus the dense Markov
   propagator (M + tau A)^{-1} M, transposed as ``markov_t``, so one heat
   substep on a (p, d) stack is a single matrix product;
-* larger d: a banded Cholesky factor whose bandwidth is read from the
-  assembled sparsity (L on the uniform L x L grid); no d x d matrix is
-  built.
+* larger d: a banded Cholesky factor of the band itself, whose bandwidth
+  is the stiffness band's (L on the uniform L x L grid); no d x d matrix
+  is built.
 
 The factors come from the LAPACK in numpy's own BLAS (``dpotrf``/``dpotrs``
 and ``dpbtrf``/``dpbtrs``, the routines behind scipy's ``cho_factor``,
@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-__all__ = ["ShiftedSolver", "DENSE_LIMIT"]
+__all__ = ["ShiftedSolver", "DENSE_LIMIT", "band_to_dense"]
 
 # Systems up to this size are held as dense matrices, larger ones as bands.
 DENSE_LIMIT = 64
@@ -116,30 +116,29 @@ def _factor(routine, matrix):
     return matrix
 
 
-def upper_band(stencil):
-    """The upper band of a symmetric stencil: entry (i, j), i <= j, at [j, u + i - j] of (d, u + 1).
+def band_to_dense(band):
+    """The symmetric (d, d) matrix whose upper band is the (d, u + 1) ``band``.
 
-    u is the widest distance of an entry from the diagonal (L on the L x L
-    grid); read in Fortran order, the array is LAPACK's upper band storage.
+    Entry (i, j), i <= j, is band[j, u + i - j], as is entry (j, i).
     """
-    rows, cols, vals = stencil.entries()
-    upper = rows <= cols
-    rows, cols = rows[upper], cols[upper]
-    u = int((cols - rows).max())
-    band = np.zeros((len(stencil.cols), u + 1))
-    band[cols, u + rows - cols] = vals[upper]
-    return band
+    d, u = band.shape[0], band.shape[1] - 1
+    cols, slots = np.nonzero(np.arange(d)[:, None] >= u - np.arange(u + 1))  # i >= 0
+    rows = cols - u + slots
+    dense = np.zeros((d, d))
+    dense[rows, cols] = dense[cols, rows] = band[cols, slots]
+    return dense
 
 
 class ShiftedSolver:
     """Solver for (M + tau A) x = b on a fixed mesh and time step.
 
-    Holds the mass diagonal, the step size tau and the shifted matrix, as
-    a ``Stencil`` (``shifted``), so a step kernel can reach them, and
+    Holds the mass diagonal, the step size tau and the shifted matrix as
+    its (d, u + 1) upper band ``band`` (tau times the stiffness band, the
+    mass added to its diagonal), so a step kernel can reach them, and
     prefactors the shifted matrix once: ``markov_t`` (dense) or
-    ``band_factor`` (banded, the (d, u + 1) upper band Cholesky factor)
-    serves a kernel's heat product.  All per-call state is local, so
-    one solver instance can serve concurrent solves.
+    ``band_factor`` (banded, the upper band Cholesky factor) serves a
+    kernel's heat product.  All per-call state is local, so one solver
+    instance can serve concurrent solves.
 
     Right-hand sides may be a single field of shape (d,) or a stack of
     fields of shape (p, d); the output matches the input shape.
@@ -151,16 +150,16 @@ class ShiftedSolver:
         self.mass_diag = np.asarray(mass_diag, dtype=float)
         self.tau = float(tau)
         self.n = self.mass_diag.shape[0]
-        self.shifted = stiffness.shifted(self.mass_diag, self.tau)
+        self.band = self.tau * stiffness
+        self.band[:, -1] += self.mass_diag
         if self.n <= DENSE_LIMIT:
-            self._dense = self.shifted.toarray()
+            self._dense = band_to_dense(self.band)
             self._chol = _factor(lapack().potrf, self._dense.copy())
             # (M + tau A)^{-1} M in Fortran order, so in C order its transpose
             self.markov_t = np.diag(self.mass_diag)
             lapack().potrs(self._chol, self.markov_t)
         else:
-            self._band = upper_band(self.shifted)
-            self.band_factor = _factor(lapack().pbtrf, self._band.copy())
+            self.band_factor = _factor(lapack().pbtrf, self.band.copy())
 
     def solve(self, b):
         """Solve (M + tau A) x = b for one field or a (p, d) stack."""
@@ -192,7 +191,7 @@ class ShiftedSolver:
             return np.linalg.solve(jac, b[..., None])[..., 0]
         out = np.array(b, order="C")
         for shift, x in zip(extra, out):
-            band = self._band.copy()
+            band = self.band.copy()
             band[:, -1] += shift
             lapack().pbtrs(_factor(lapack().pbtrf, band), x)
         return out

@@ -1,5 +1,5 @@
 /* The rounds of a StepKernel over its C-contiguous (A, P, D) stack:
- * amplitudes, paths, cells; the stencil product of the Newton residual; and
+ * amplitudes, paths, cells; the band product of the Newton residual; and
  * the Brownian increments, from numpy's Philox words through the inverse
  * normal CDF onto the lattice of stochastic.py.
  *
@@ -7,10 +7,10 @@
  * the ufuncs of scheme._numpy_passes, and the heat product by the very
  * numpy BLAS call the numpy passes make (the cblas_dgemm of np.matmul, or
  * the dpbtrs of ShiftedSolver.apply_markov), so the two agree byte for
- * byte; the other two agree so with scipy's CSR product and with numpy's
- * Philox and scipy.special.ndtri.  Build with -ffp-contract=off (no fused
- * multiply-add), without -ffast-math, and link libm; the Philox product
- * needs the 128-bit integers of gcc and clang.
+ * byte; the other two agree so with the numpy form of scheme.band_product
+ * and with numpy's Philox and scipy.special.ndtri.  Build with
+ * -ffp-contract=off (no fused multiply-add), without -ffast-math, and link
+ * libm; the Philox product needs the 128-bit integers of gcc and clang.
  */
 #include <math.h>
 #include <stddef.h>
@@ -127,21 +127,25 @@ CLONES void acfv_rounds(const struct run *r, int j0, int j1)
     }
 }
 
-/* y = A x for each of the k rows of x, k x d and row-major, where row i of
- * the d x d stencil A holds vals[i w + s] at column cols[i w + s], s < w
- * (column -1: no entry).  Each sum starts from 0 and adds the products in
- * slot order, as scipy's CSR product does, so the two agree byte for byte;
- * the sums of a row advance slot by slot, independent of each other. */
-void acfv_stencil(double *restrict y, const double *restrict x, const int64_t *cols,
-                  const double *vals, ptrdiff_t k, ptrdiff_t d, ptrdiff_t w)
+/* y = A x for each of the k = rows rows of x, k x d and row-major, where A
+ * is the symmetric d x d matrix (d = cells) whose upper band of u =
+ * half_width diagonals is the row-major d x (u + 1) band: entry (i, j),
+ * i <= j, at band[j (u + 1) + u + i - j].  Each sum starts from 0 and adds
+ * the products of the band's slots, zeros too, in ascending column order,
+ * as scheme.band_product's numpy form does; the sums of a row advance
+ * diagonal by diagonal, independent of each other. */
+CLONES void acfv_band_product(double *restrict y, const double *restrict x, const double *band,
+                              int rows, int cells, int half_width)
 {
+    const ptrdiff_t k = rows, d = cells, u = half_width, reach = u < d ? u : d - 1;
     for (ptrdiff_t r = 0; r < k; r++, x += d, y += d) {
         for (ptrdiff_t i = 0; i < d; i++)
             y[i] = 0.0;
-        for (ptrdiff_t s = 0; s < w; s++)
-            for (ptrdiff_t i = 0; i < d; i++)
-                if (cols[i * w + s] >= 0)
-                    y[i] += vals[i * w + s] * x[cols[i * w + s]];
+        for (ptrdiff_t s = -reach; s <= reach; s++) {  /* entry (i, i + s) at a[i (u + 1)] */
+            const double *a = band + (s < 0 ? u + s : s * (u + 1) + u - s);
+            for (ptrdiff_t i = s < 0 ? -s : 0; i < (s < 0 ? d : d - s); i++)
+                y[i] += a[i * (u + 1)] * x[i + s];
+        }
     }
 }
 

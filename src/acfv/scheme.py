@@ -49,7 +49,7 @@ from .constraint import psi_eps
 from .errors import NumericalFailure
 from .linalg import DENSE_LIMIT, LAPACK_SYMBOLS, lapack, numpy_symbol
 
-__all__ = ["EpsilonSchedule", "StepKernel"]
+__all__ = ["EpsilonSchedule", "StepKernel", "band_product"]
 
 VARIANTS = ("splitting", "coupled", "heat")
 
@@ -297,18 +297,21 @@ def compiled_library():
     Built by ``$CC`` (else ``cc``) into ``$XDG_CACHE_HOME/acfv`` (else
     ``~/.cache/acfv``); when there is no compiler, the build fails or the
     cache cannot be written, every kernel runs the numpy passes.  Besides
-    ``acfv_rounds``, its ``acfv_increments`` and ``acfv_stencil`` serve
-    ``stochastic`` and ``assembly``; ``acfv_ndtri``, the inverse normal CDF
-    the sampler applies, is exported for the tests' scipy oracle.
+    ``acfv_rounds``, its ``acfv_increments`` serves ``stochastic`` and
+    ``acfv_band_product`` serves ``band_product``; ``acfv_ndtri``, the
+    inverse normal CDF the sampler applies, is exported for the tests'
+    scipy oracle.
     """
     try:
         lib = ctypes.CDLL(str(build_passes(os.environ.get("CC") or "cc")))
     except (OSError, subprocess.SubprocessError):
         return None
-    # No argtypes for the rounds: ctypes passes a byref(_Run) and two Python
-    # ints as the C function takes them; declaring them converts every
-    # argument again, 1.2 us of a 6.4 us round of a (1, 128, 16) coupled stack.
-    for function in (lib.acfv_rounds, lib.acfv_stencil, lib.acfv_increments, lib.acfv_ndtri):
+    # No argtypes for the rounds and the band product: ctypes passes byrefs
+    # and Python ints as the C functions take them; declaring them converts
+    # every argument again, 1.2 us of a 6.4 us round of a (1, 128, 16)
+    # coupled stack.
+    for function in (lib.acfv_rounds, lib.acfv_band_product, lib.acfv_increments,
+                     lib.acfv_ndtri):
         function.restype = None
     lib.acfv_increments.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t,
                                     ctypes.c_ssize_t, ctypes.c_uint64, ctypes.c_int64,
@@ -353,6 +356,48 @@ def _probe(lib, gemm):
     return compiled.tobytes() == state.tobytes()
 
 
+def band_product(band, x):
+    """A x for a field x of d cells, or for each row of a (k, d) stack; ``band`` A's upper band.
+
+    ``band`` is (d, u + 1), entry (i, j), i <= j, of the symmetric A at
+    [j, u + i - j] (see ``linalg``).  Each row sums the products of the
+    band's slots, zeros too, from 0 in ascending column order, which gives
+    a CSR product's bits for a finite x: a zero product leaves a finite
+    sum as it is, and a sum from +0 never becomes -0.  In the compiled
+    ``acfv_band_product``, else in numpy, by diagonals.
+    """
+    band, x = np.ascontiguousarray(band, dtype=float), np.ascontiguousarray(x, dtype=float)
+    d, u = band.shape[0], band.shape[1] - 1
+    if x.shape[-1:] != (d,):  # the compiled product reads d cells a row
+        raise ValueError(f"x must be a field or a stack of {d} cells")
+    lib = compiled_library()
+    if lib is not None:
+        out = np.empty(x.shape)
+        lib.acfv_band_product(_pointer(out), _pointer(x), _pointer(band), x.size // d, d, u)
+        return out
+    rows = x.reshape(-1, d)
+    out = np.zeros(rows.shape)
+    reach = min(u, d - 1)
+    for s in range(-reach, reach + 1):  # column i + s of row i
+        if s < 0:
+            out[:, -s:] += band[-s:, u + s] * rows[:, :s]
+        else:
+            out[:, :d - s] += band[s:, u - s] * rows[:, s:]
+    return out.reshape(x.shape)
+
+
+def _pointer(array):
+    """The data address of a C-contiguous array as a ctypes argument.
+
+    Through a ctypes view of a writable buffer, three times quicker than
+    ``array.ctypes``, which serves read-only and empty arrays.
+    """
+    try:
+        return ctypes.byref(ctypes.c_char.from_buffer(array))
+    except (TypeError, ValueError):
+        return ctypes.c_void_p(array.ctypes.data)
+
+
 def _newton(solver, eps, u, w):
     """Semismooth Newton for the coupled step, in place on the (k, d) rows u, from noisy rows w.
 
@@ -368,7 +413,7 @@ def _newton(solver, eps, u, w):
     tol, rows = NEWTON_TOL * mass.min(), np.arange(len(u))
     for _ in range(NEWTON_MAX_ITER):
         v = u[rows]
-        residual = solver.shifted.apply(v) + tau * mass * psi_eps(v, eps) - rhs[rows]
+        residual = band_product(solver.band, v) + tau * mass * psi_eps(v, eps) - rhs[rows]
         res_norm = np.max(np.abs(residual), axis=1)
         open_rows = ~(res_norm <= tol)
         if not open_rows.any():

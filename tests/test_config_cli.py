@@ -185,6 +185,7 @@ def test_validate_takes_only_a_seed(tmp_path):
         with pytest.raises(SystemExit) as exit_info:
             run_cli("validate", option, str(cfg) if option == "--config" else "desk")
         assert exit_info.value.code == 2
+    assert run_cli("validate", "--seed", "-1") == 2  # a configuration error, not a failed check
 
 
 def test_table_repro_preset_passes(tmp_path, capsys):

@@ -7,7 +7,7 @@ import scipy.linalg as sla
 from acfv import linalg
 from acfv.assembly import assemble_mass, assemble_stiffness
 from acfv.config import preset_config
-from acfv.linalg import DENSE_LIMIT, ShiftedSolver
+from acfv.linalg import DENSE_LIMIT, ShiftedSolver, band_to_dense
 from acfv.mesh import build_uniform_mesh
 
 
@@ -54,7 +54,7 @@ def test_against_dense_elimination_oracle():
             tau = float(rng.uniform(0.01, 1.0))
             solver = make_solver(L, tau)
             b = rng.standard_normal(L * L)
-            expected = np.linalg.solve(solver.shifted.toarray(), b)
+            expected = np.linalg.solve(band_to_dense(solver.band), b)
             np.testing.assert_allclose(solver.solve(b), expected, atol=1e-10)
 
 
@@ -64,7 +64,7 @@ def test_banded_path_matches_dense_oracle():
     assert L * L > DENSE_LIMIT
     solver = make_solver(L, 0.37)
     rng = np.random.default_rng(23)
-    dense = solver.shifted.toarray()
+    dense = band_to_dense(solver.band)
     for b in (rng.standard_normal(L * L), rng.standard_normal((5, L * L))):
         x = solver.solve(b)
         np.testing.assert_allclose(x, np.linalg.solve(dense, b.T).T, atol=1e-10)
@@ -79,7 +79,7 @@ def test_diagonal_shift_solves_match_dense_oracle(L):
     extra = rng.uniform(0.0, 5.0, size=(6, L * L)) * (rng.random((6, L * L)) < 0.4)
     b = rng.standard_normal((6, L * L))
     x = solver.solve_with_diagonal(extra, b)
-    dense = solver.shifted.toarray()
+    dense = band_to_dense(solver.band)
     for i in range(6):
         expected = np.linalg.solve(dense + np.diag(extra[i]), b[i])
         np.testing.assert_allclose(x[i], expected, rtol=1e-11, atol=1e-12)
@@ -147,11 +147,11 @@ def test_rejects_bad_tau():
 def scipy_solver_bytes(solver, b, extra):
     """What the solver's factors, propagator and solves are by scipy.linalg, as bytes."""
     if solver.n <= DENSE_LIMIT:
-        chol = sla.cho_factor(solver.shifted.toarray())
+        chol = sla.cho_factor(band_to_dense(solver.band))
         return [chol[0].T.tobytes(),  # Fortran order: the solver holds the factor so
                 sla.cho_solve(chol, np.diag(solver.mass_diag)).T.tobytes(),
                 sla.cho_solve(chol, b.T).T.tobytes(), sla.cho_solve(chol, b[0]).tobytes()]
-    band = linalg.upper_band(solver.shifted).T  # LAPACK's (u + 1, d) upper band storage
+    band = solver.band.T  # LAPACK's (u + 1, d) upper band storage
     shifted = [band.copy() for _ in extra]
     for matrix, shift in zip(shifted, extra):
         matrix[-1] += shift

@@ -14,7 +14,7 @@ from acfv.config import build_manifest, preset_config
 from acfv.constraint import psi_eps, resolvent
 from acfv.errors import NumericalFailure
 from acfv.experiments import StudyConfig, require_finite, write_states_csv
-from acfv.linalg import DENSE_LIMIT, ShiftedSolver
+from acfv.linalg import DENSE_LIMIT, ShiftedSolver, band_to_dense
 from acfv.mesh import build_uniform_mesh, default_initial_state
 from acfv.scheme import EpsilonSchedule, StepKernel
 from acfv.stochastic import coarse_chunks, diffusion_g, sample_increment_block
@@ -306,7 +306,7 @@ def rowwise_newton(u_prev, d_w, params, solver):
 
     ``params`` carries the step's amplitude, tau and eps (see ``lone_params``).
     """
-    dense = solver.shifted.toarray()
+    dense = band_to_dense(solver.band)
     mass, tau, eps = solver.mass_diag, params.tau, params.eps
     rhs = mass * (u_prev + diffusion_g(u_prev, params.amplitude) * d_w)
     u = resolvent(np.linalg.solve(dense, rhs), tau, eps)
@@ -368,19 +368,13 @@ def oracle_splitting(u, d_w, params, solver):
     return c + params.eps / (params.eps + params.tau) * (r - c)
 
 
-def csr(stencil):
-    """A stencil's entries as a scipy CSR matrix, the oracle of its row sums."""
-    rows, cols, vals = stencil.entries()
-    return sps.csr_matrix((vals, (rows, cols)), shape=(len(stencil.cols),) * 2)
-
-
 def oracle_coupled(u, d_w, params, solver):
     """Batched semismooth Newton from the splitting guess, freezing converged rows.
 
     The residual is a CSR product: each row summed from 0 in column order.
     """
     tau, eps, mass = params.tau, params.eps, solver.mass_diag
-    shifted = csr(solver.shifted)
+    shifted = sps.csr_matrix(band_to_dense(solver.band))  # the nonzero entries only
     c = np.clip(u, 0.0, 1.0)
     rhs = mass * (u + params.amplitude * c * (1.0 - c) * d_w[:, None])
     out = oracle_splitting(u, d_w, params, solver)
@@ -470,23 +464,26 @@ def test_kernel_run_matches_per_step_oracle_bitwise(monkeypatch, L, variant):
 @pytest.mark.parametrize("L", [4, 9])
 @pytest.mark.parametrize("variant", ["splitting", "heat", "coupled"])
 def test_step_kernel_nan_row_ends_in_numerical_failure(monkeypatch, L, variant):
-    solver, stack, d_w = edge_case_setup(L)
-    stack[4, 3] = np.nan
-    for _ in each_passes(monkeypatch):
-        kernel = edge_case_kernel(variant, 7.0, solver, len(stack))
-        params = lone_params(kernel)
-        if variant == "coupled":
-            with pytest.raises(NumericalFailure):
-                advance(kernel, stack, d_w[:, 0])
-            continue
-        got, expected = stack, stack
-        for n in range(d_w.shape[1]):
-            got = advance(kernel, got, d_w[:, n])
-            expected = ORACLES[variant](expected, d_w[:, n], params, solver)
-            assert got[0].tobytes() == expected.tobytes()
-        assert np.isnan(got[0]).any(axis=1).tolist() == [False] * 4 + [True, False]
-        with pytest.raises(NumericalFailure, match="path 4"):
-            require_finite(got[0], params.amplitude, 16)
+    # A NaN or an inf cell; the Newton residual's band product meets an inf
+    # with zero slots too, where 0 inf gives NaN, and still fails loudly.
+    for bad in (np.nan, np.inf):
+        solver, stack, d_w = edge_case_setup(L)
+        stack[4, 3] = bad
+        for _ in each_passes(monkeypatch):
+            kernel = edge_case_kernel(variant, 7.0, solver, len(stack))
+            params = lone_params(kernel)
+            if variant == "coupled":
+                with pytest.raises(NumericalFailure), np.errstate(invalid="ignore"):
+                    advance(kernel, stack, d_w[:, 0])
+                continue
+            got, expected = stack, stack
+            for n in range(d_w.shape[1]):
+                got = advance(kernel, got, d_w[:, n])
+                expected = ORACLES[variant](expected, d_w[:, n], params, solver)
+                assert got[0].tobytes() == expected.tobytes()
+            assert (~np.isfinite(got[0])).any(axis=1).tolist() == [False] * 4 + [True, False]
+            with pytest.raises(NumericalFailure, match="path 4"):
+                require_finite(got[0], params.amplitude, 16)
 
 
 def chunked_yields(kernels, start, chunks, at=None):
