@@ -37,7 +37,6 @@ the configuration file.  Every preset is such a file, packaged as
 
 from __future__ import annotations
 
-import hashlib
 import os
 from dataclasses import dataclass, fields, replace
 from importlib import resources
@@ -45,7 +44,7 @@ from importlib import resources
 from . import benchmark
 from .errors import ConfigError
 from .experiments import StudyConfig, format_float
-from .scheme import EpsilonSchedule, passes
+from .scheme import EpsilonSchedule, passes, sha256
 
 __all__ = [
     "parse_config_text",
@@ -239,11 +238,11 @@ def build_manifest(command: str, config: StudyConfig) -> RunManifest:
     if config.path_file is not None:
         try:
             with open(config.path_file, "rb") as fh:
-                digest = hashlib.sha256(fh.read()).hexdigest()
+                digest = sha256(fh.read()).hexdigest()
         except OSError as exc:
             raise ConfigError(f"increment file {config.path_file}: {exc.strerror}") from exc
         lines = [f"path_file = sha256:{digest}" if line.startswith("path_file = ") else line
                  for line in lines]
     payload = "\n".join([command] + lines)
-    run_id = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
+    run_id = sha256(payload.encode("utf-8")).hexdigest()[:12]
     return RunManifest(command=command, config=config, run_id=run_id, passes=passes())

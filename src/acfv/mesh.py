@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 __all__ = [
     "Mesh",
@@ -134,7 +133,15 @@ def _segment_means(coeffs, lo, hi):
     """Exact mean of a polynomial over [lo, hi], via its antiderivative."""
     c = np.asarray(coeffs, dtype=float)
     anti = np.concatenate([[0.0], c / np.arange(1, c.size + 1)])
-    return (npoly.polyval(hi, anti) - npoly.polyval(lo, anti)) / (hi - lo)
+    return (_polyval(hi, anti) - _polyval(lo, anti)) / (hi - lo)
+
+
+def _polyval(x, c):
+    """The polynomial of ascending coefficients c at x, as numpy's ``polyval`` computes it."""
+    value = c[-1] + x * 0
+    for coefficient in c[-2::-1]:
+        value = coefficient + value * x
+    return value
 
 
 def cell_average(x_coeffs, y_coeffs, mesh: Mesh) -> np.ndarray:

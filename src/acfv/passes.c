@@ -1,14 +1,16 @@
 /* The rounds of a StepKernel over its C-contiguous (A, P, D) stack:
- * amplitudes, paths, cells; the band product of the Newton residual; and
- * the Brownian increments, from numpy's Philox words through the inverse
- * normal CDF onto the lattice of stochastic.py.
+ * amplitudes, paths, cells; the band product of the Newton residual; the
+ * Brownian increments, from numpy's Philox words through the inverse
+ * normal CDF onto the lattice of stochastic.py; and the coarse increments
+ * of a step ladder, as differences of the running path sums.
  *
  * Each value is computed by the same IEEE operations in the same order as
  * the ufuncs of scheme._numpy_passes, and the heat product by the very
  * numpy BLAS call the numpy passes make (the cblas_dgemm of np.matmul, or
  * the dpbtrs of ShiftedSolver.apply_markov), so the two agree byte for
- * byte; the other two agree so with the numpy form of scheme.band_product
- * and with numpy's Philox and scipy.special.ndtri.  Build with
+ * byte; the other three agree so with the numpy form of
+ * scheme.band_product, with numpy's Philox and scipy.special.ndtri, and
+ * with the numpy form of stochastic.coarse_chunks.  Build with
  * -ffp-contract=off (no fused multiply-add), without -ffast-math, and link
  * libm; the Philox product needs the 128-bit integers of gcc and clang.
  */
@@ -330,5 +332,45 @@ CLONES void acfv_increments(double *out, const uint64_t *keys, ptrdiff_t p, ptrd
             for (ptrdiff_t i = 0; i < n; i++)
                 row[i] = nearbyint(z[i] * sigma / quantum) * quantum;
         }
+    }
+}
+
+/* The coarse increments of one chunk of the path sums: the p rows of the
+ * row-major p x m chunk of fine increments, as stochastic.coarse_chunks
+ * takes them.  Row r's running sum S starts from carry[r], the sum before
+ * the chunk, and is left there after it.  Step count i of the counts takes
+ * ratio[i] > 1 fine steps a step; its steps end at the local fine indices
+ * first[i], first[i] + ratio[i], ... <= m, whose count k is out[i]'s row
+ * length, and each of the p x k increments out[i][r k + j] is S at its end
+ * minus last[i p + r], S at the step's start, which then becomes S at its
+ * end.  The sums S_j = S_(j-1) + x_j and the differences are numpy's cumsum
+ * and diff in their order; S is summed SAMPLES steps at a time into a local
+ * buffer, so a chunk may have any length. */
+void acfv_ladder(double *const *out, const double *chunk, ptrdiff_t p, ptrdiff_t m,
+                 double *carry, double *last, const int64_t *ratio, const int64_t *first,
+                 ptrdiff_t counts)
+{
+    double s[SAMPLES + 1];
+    for (ptrdiff_t r = 0; r < p; r++) {
+        const double *x = chunk + r * m;
+        double sum = carry[r];
+        for (ptrdiff_t lo = 0; lo < m; lo += SAMPLES) {
+            const ptrdiff_t n = m - lo < SAMPLES ? m - lo : SAMPLES;
+            s[0] = sum;  /* s[j]: S after lo + j fine steps */
+            for (ptrdiff_t j = 0; j < n; j++)
+                s[j + 1] = s[j] + x[lo + j];
+            sum = s[n];
+            for (ptrdiff_t i = 0; i < counts; i++) {
+                const int64_t q = ratio[i], k = m < first[i] ? 0 : (m - first[i]) / q + 1;
+                double *prev = last + i * p + r;
+                /* the first step of count i that ends after lo */
+                int64_t j = lo < first[i] ? 0 : (lo - first[i]) / q + 1;
+                for (int64_t end = first[i] + j * q; end <= lo + n; end += q, j++) {
+                    out[i][r * k + j] = s[end - lo] - *prev;
+                    *prev = s[end - lo];
+                }
+            }
+        }
+        carry[r] = sum;
     }
 }

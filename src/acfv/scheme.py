@@ -35,13 +35,22 @@ block.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
 import shlex
 import subprocess
 from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
+
+# CPython's own sha256, as random.py takes sha512: hashlib would map OpenSSL's
+# libcrypto into every process for the run_id and the library cache key.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -275,8 +284,8 @@ def build_passes(cc, flags=FLAGS, source=SOURCE, directory=None) -> Path:
         directory = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "acfv"
     cc, directory = shlex.split(cc), Path(directory)
     version = subprocess.run([*cc, "--version"], capture_output=True, check=True).stdout
-    key = hashlib.sha256(b"\0".join([Path(source).read_bytes(), " ".join(flags).encode(),
-                                     version])).hexdigest()
+    key = sha256(b"\0".join([Path(source).read_bytes(), " ".join(flags).encode(),
+                             version])).hexdigest()
     lib = directory / f"passes-{key[:16]}.so"
     if not lib.exists():
         directory.mkdir(parents=True, exist_ok=True)
@@ -297,10 +306,10 @@ def compiled_library():
     Built by ``$CC`` (else ``cc``) into ``$XDG_CACHE_HOME/acfv`` (else
     ``~/.cache/acfv``); when there is no compiler, the build fails or the
     cache cannot be written, every kernel runs the numpy passes.  Besides
-    ``acfv_rounds``, its ``acfv_increments`` serves ``stochastic`` and
-    ``acfv_band_product`` serves ``band_product``; ``acfv_ndtri``, the
-    inverse normal CDF the sampler applies, is exported for the tests'
-    scipy oracle.
+    ``acfv_rounds``, its ``acfv_increments`` and ``acfv_ladder`` serve
+    ``stochastic`` and ``acfv_band_product`` serves ``band_product``;
+    ``acfv_ndtri``, the inverse normal CDF the sampler applies, is exported
+    for the tests' scipy oracle.
     """
     try:
         lib = ctypes.CDLL(str(build_passes(os.environ.get("CC") or "cc")))
@@ -311,11 +320,13 @@ def compiled_library():
     # every argument again, 1.2 us of a 6.4 us round of a (1, 128, 16)
     # coupled stack.
     for function in (lib.acfv_rounds, lib.acfv_band_product, lib.acfv_increments,
-                     lib.acfv_ndtri):
+                     lib.acfv_ladder, lib.acfv_ndtri):
         function.restype = None
     lib.acfv_increments.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t,
                                     ctypes.c_ssize_t, ctypes.c_uint64, ctypes.c_int64,
                                     ctypes.c_double, ctypes.c_double)
+    lib.acfv_ladder.argtypes = (*[ctypes.c_void_p] * 2, *[ctypes.c_ssize_t] * 2,
+                                *[ctypes.c_void_p] * 4, ctypes.c_ssize_t)
     return lib
 
 
@@ -378,11 +389,13 @@ def band_product(band, x):
     rows = x.reshape(-1, d)
     out = np.zeros(rows.shape)
     reach = min(u, d - 1)
-    for s in range(-reach, reach + 1):  # column i + s of row i
-        if s < 0:
-            out[:, -s:] += band[-s:, u + s] * rows[:, :s]
-        else:
-            out[:, :d - s] += band[s:, u - s] * rows[:, s:]
+    # silent, as in C: a zero slot times an inf cell gives NaN, which its caller reports
+    with np.errstate(invalid="ignore"):
+        for s in range(-reach, reach + 1):  # column i + s of row i
+            if s < 0:
+                out[:, -s:] += band[-s:, u + s] * rows[:, :s]
+            else:
+                out[:, :d - s] += band[s:, u - s] * rows[:, s:]
     return out.reshape(x.shape)
 
 

@@ -30,10 +30,15 @@ per coarse interval, bit for bit, which is what makes common-random-number
 comparisons across step counts reproducible to the last bit.  A path
 that is not on the lattice (an injected ``path_file``) keeps its fine
 increments, but its coarse ones are S differences and may differ from
-plain pairwise sums in the last bit.
+plain pairwise sums in the last bit.  The whole ladder of a chunk is one
+``acfv_ladder`` call of the compiled passes, which sums S and takes the
+differences in the order of the numpy form, a ``cumsum`` and a ``diff``
+per step count, so the two give the same bytes on any input.
 """
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 
@@ -151,33 +156,78 @@ def coarse_chunks(chunks, n_fine, step_counts):
     ``n_fine``.  Yields one dict per chunk, {N: (p, k) increments of the k
     coarse steps of N whose interval ends in the chunk}, in the order of
     ``step_counts`` and leaving out the N with no such step.  N = n_fine
-    gets the chunk itself.  A coarse increment is the difference of the
-    running path sum at its two ends, so it may span chunk edges and no
-    array longer than a chunk is built (see the module docstring for why
-    these differences are exact).
+    gets the chunk itself, every other N a new array.  A coarse increment
+    is the difference of the running path sum at its two ends, so it may
+    span chunk edges and no array longer than a chunk is built (see the
+    module docstring for why these differences are exact).
     """
     if any(n < 1 or n_fine % n for n in step_counts):
         raise ValueError(f"step counts {tuple(step_counts)} must divide fine count {n_fine}")
-    ratios = {n: n_fine // n for n in step_counts}
-    done, carry, last_end = 0, 0.0, {}
+    ladder, done = _ladder({n: n_fine // n for n in step_counts}), 0
     for chunk in chunks:
+        yield ladder(chunk, done)
+        done += chunk.shape[1]
+
+
+def _ladder(ratios):
+    """``ladder(chunk, done)``: the dict of ``coarse_chunks`` for the chunk after ``done`` steps.
+
+    ``ratios`` maps each step count to its fine steps a step.  The chunks
+    must come in order, as the path sums carry over from one to the next.
+    One ``acfv_ladder`` call of the compiled passes.  Without them, a
+    ``cumsum`` of the chunk after the carried sum, and per step count a
+    ``diff`` of the sums at its step ends: the oracle of the compiled
+    ladder, which makes the same IEEE operations in the same order.
+    """
+    lib = compiled_library()
+    if lib is not None:
+        summed = [n for n, ratio in ratios.items() if ratio > 1]
+        ratio = np.array([ratios[n] for n in summed], dtype=np.int64)
+        carry = last = None  # each path's sum, and its sum at each count's last end
+
+        def ladder(chunk, done):
+            nonlocal carry, last
+            rows = np.ascontiguousarray(chunk, dtype=float)
+            p, m = rows.shape
+            if carry is None:
+                carry, last = np.zeros(p), np.zeros((len(summed), p))
+            if p != len(carry):  # the C code reads p sums from carry
+                raise ValueError(f"a chunk of {p} paths after chunks of {len(carry)}")
+            first = ratio - done % ratio  # local fine index of each count's first end
+            sums = [np.empty((p, max(0, (m - f) // r + 1)))
+                    for f, r in zip(first.tolist(), ratio.tolist())]
+            lib.acfv_ladder((ctypes.c_void_p * len(sums))(*(s.ctypes.data for s in sums)),
+                            rows.ctypes.data, p, m, carry.ctypes.data, last.ctypes.data,
+                            ratio.ctypes.data, first.ctypes.data, len(sums))
+            coarse = dict(zip(summed, sums))
+            return {n: chunk if r == 1 else coarse[n] for n, r in ratios.items()
+                    if r == 1 or coarse[n].shape[1]}
+
+        return ladder
+    carry, last_end = 0.0, {}
+
+    def ladder(chunk, done):
+        nonlocal carry
         # path[:, j] is the path sum after done + j fine steps
         path = np.empty((len(chunk), chunk.shape[1] + 1))
         path[:, 0], path[:, 1:] = carry, chunk
-        np.cumsum(path, axis=1, out=path)
         coarse = {}
-        for n, ratio in ratios.items():
-            # local indices of the ends of N's steps in this chunk
-            ends = np.arange(ratio - done % ratio, chunk.shape[1] + 1, ratio)
-            if ratio == 1:
-                coarse[n] = chunk
-            elif len(ends):
-                sums = path[:, ends]
-                coarse[n] = np.diff(sums, axis=1, prepend=last_end.get(n, 0.0))
-                last_end[n] = sums[:, -1:]
-        done, carry = done + chunk.shape[1], path[:, -1].copy()
-        del path  # not held while the chunk is stepped
-        yield coarse
+        # silent, as in C: an off-lattice path may overflow or meet inf - inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.cumsum(path, axis=1, out=path)
+            for n, ratio in ratios.items():
+                # local indices of the ends of N's steps in this chunk
+                ends = np.arange(ratio - done % ratio, chunk.shape[1] + 1, ratio)
+                if ratio == 1:
+                    coarse[n] = chunk
+                elif len(ends):
+                    sums = path[:, ends]
+                    coarse[n] = np.diff(sums, axis=1, prepend=last_end.get(n, 0.0))
+                    last_end[n] = sums[:, -1:]
+        carry = path[:, -1].copy()
+        return coarse
+
+    return ladder
 
 
 def diffusion_g(x, amplitude):

@@ -1,8 +1,11 @@
 """Configuration parsing, presets, manifests and the command-line interface."""
 
 import argparse
+import hashlib
 import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -165,6 +168,37 @@ def test_run_id_is_unchanged_and_the_passes_stay_out_of_it(monkeypatch, tmp_path
                 assert f"\npath_file = {config.path_file}\n" in manifest.text()
                 moved = build_manifest(command, replace(config, path_file=str(copy)))
                 assert moved.run_id == run_id
+
+
+def test_run_id_is_the_sha256_of_the_command_and_its_config():
+    # acfv takes sha256 from CPython's own module; hashlib's is the oracle.
+    for command in ("convergence", "simulate"):  # without and with a path_file
+        config = preset_config(command, "desk")
+        manifest = build_manifest(command, config)
+        lines = manifest.text().splitlines()[3:]  # the config, after the header
+        if config.path_file is not None:
+            digest = hashlib.sha256(Path(config.path_file).read_bytes()).hexdigest()
+            lines = [f"path_file = sha256:{digest}" if line.startswith("path_file = ")
+                     else line for line in lines]
+        payload = "\n".join([command, *lines]).encode()
+        assert manifest.run_id == hashlib.sha256(payload).hexdigest()[:12]
+
+
+def test_a_desk_run_loads_neither_openssl_nor_numpy_polynomial(tmp_path):
+    # hashlib maps OpenSSL's libcrypto for two digests, numpy.polynomial
+    # costs 6 ms of import for one Horner loop.  Without a compiler scipy
+    # loads both, so the compiled route alone is checked.
+    if scheme.compiled_library() is None:
+        pytest.skip("the compiled passes did not build here (no C compiler)")
+    child = ("import sys\nfrom acfv import cli\n"
+             f"code = cli.main(['convergence', '--preset', 'desk', '--out', {str(tmp_path)!r}])\n"
+             "print(code, [m for m in ('_hashlib', 'numpy.polynomial') if m in sys.modules])\n")
+    env = dict(os.environ, ACFV_WORKERS="1",
+               PYTHONPATH=os.pathsep.join([str(Path(acfv.__file__).parents[1]),
+                                           os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.stdout.splitlines()[-1] == "0 []", done.stderr
 
 
 def run_cli(*argv):

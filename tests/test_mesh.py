@@ -96,6 +96,28 @@ def test_cell_average_matches_quadrature_oracle():
         np.testing.assert_allclose(exact, oracle, rtol=1e-12, atol=1e-14)
 
 
+def polyval_segment_means(coeffs, lo, hi):
+    """Oracle: the exact means by numpy's ``polyval`` of the antiderivative."""
+    c = np.asarray(coeffs, dtype=float)
+    anti = np.concatenate([[0.0], c / np.arange(1, c.size + 1)])
+    return (np.polynomial.polynomial.polyval(hi, anti)
+            - np.polynomial.polynomial.polyval(lo, anti)) / (hi - lo)
+
+
+@pytest.mark.parametrize("half_width", [1.0, 0.3, 1e-8, 1e-150, 1e-300, 1e60, 1e100, 1e300])
+def test_initial_state_keeps_the_bytes_of_numpy_polyval(half_width):
+    # The mesh's own Horner loop in polyval's order, down to the overflows
+    # and NaNs of extreme domains.
+    for L in range(1, 17):
+        mesh = build_uniform_mesh(L, half_width)
+        b = mesh.cell_bounds
+        with np.errstate(all="ignore"):
+            expected = (polyval_segment_means(INITIAL_X_COEFFS, b[:, 0], b[:, 1])
+                        * polyval_segment_means(INITIAL_Y_COEFFS, b[:, 2], b[:, 3]))
+            got = default_initial_state(mesh)
+        assert got.tobytes() == expected.tobytes(), L
+
+
 def test_cell_average_constants_and_linearity():
     mesh = build_uniform_mesh(3)
     np.testing.assert_allclose(cell_average([2.5], [1.0], mesh), 2.5, rtol=1e-15)

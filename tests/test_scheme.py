@@ -463,9 +463,11 @@ def test_kernel_run_matches_per_step_oracle_bitwise(monkeypatch, L, variant):
 
 @pytest.mark.parametrize("L", [4, 9])
 @pytest.mark.parametrize("variant", ["splitting", "heat", "coupled"])
+@pytest.mark.filterwarnings("error")
 def test_step_kernel_nan_row_ends_in_numerical_failure(monkeypatch, L, variant):
     # A NaN or an inf cell; the Newton residual's band product meets an inf
-    # with zero slots too, where 0 inf gives NaN, and still fails loudly.
+    # with zero slots too, where 0 inf gives NaN, and still fails loudly,
+    # with no numpy warning on either route.
     for bad in (np.nan, np.inf):
         solver, stack, d_w = edge_case_setup(L)
         stack[4, 3] = bad
@@ -473,7 +475,7 @@ def test_step_kernel_nan_row_ends_in_numerical_failure(monkeypatch, L, variant):
             kernel = edge_case_kernel(variant, 7.0, solver, len(stack))
             params = lone_params(kernel)
             if variant == "coupled":
-                with pytest.raises(NumericalFailure), np.errstate(invalid="ignore"):
+                with pytest.raises(NumericalFailure):
                     advance(kernel, stack, d_w[:, 0])
                 continue
             got, expected = stack, stack

@@ -235,6 +235,57 @@ def test_aggregate_stacked_paths():
                                                            24, (6,))[6][0])
 
 
+def off_lattice_block(n_fine):
+    """Five rows off the increment lattice: draws with +-0.0 and subnormals among
+    them, swings of +-1e300, a row that turns inf then NaN, and one of signed zeros."""
+    rng = np.random.default_rng(31)
+    block = rng.standard_normal((5, n_fine)) / 7
+    cols = rng.permutation(n_fine)
+    block[0, cols[:n_fine // 3]] = np.resize([0.0, -0.0, 5e-324, -5e-324, 2.2e-308], n_fine // 3)
+    block[1, cols[:n_fine // 5]] = np.resize([1e300, -1e300, 1e300], n_fine // 5)
+    block[2, [n_fine // 4, n_fine // 2, 3 * n_fine // 4]] = np.inf, -np.inf, np.nan
+    block[3] = np.resize([-0.0, 0.0, -0.0], n_fine)
+    block[4, -1] = np.nan
+    return block
+
+
+def ladder_bytes(chunks, n_fine, step_counts):
+    """Per chunk, the (N, shape, bytes) of every entry coarse_chunks yields, in its order."""
+    return [[(n, inc.shape, inc.tobytes()) for n, inc in coarse.items()]
+            for coarse in coarse_chunks(chunks, n_fine, step_counts)]
+
+
+@pytest.mark.parametrize("n_fine, chunk, step_counts", [
+    (2520, 1, (2520, 1, 2, 3, 5, 8, 9, 35, 72, 120, 315)),
+    (2520, 7, (2520, 1, 2, 3, 5, 8, 9, 35, 72, 120, 315)),
+    (2520, 1024, (2520, 1, 2, 3, 5, 8, 9, 35, 72, 120, 315)),
+    (5000, 5000, (5000, 1, 2, 4, 5, 8, 10, 40, 125, 625)),
+], ids=["chunk-1", "chunk-7", "chunk-1024", "one-chunk-5000"])
+@pytest.mark.parametrize("kind", ["lattice", "off-lattice"])
+@pytest.mark.filterwarnings("error")
+def test_compiled_ladder_equals_the_numpy_form_bytewise(monkeypatch, kind, n_fine, chunk,
+                                                        step_counts):
+    # The compiled acfv_ladder against the cumsum and diff of the numpy
+    # form, byte for byte, on any input, and both silent where sums overflow
+    # or meet inf - inf; chunks of 7 hold no end of most step counts, and
+    # the one chunk of 5000 runs past the ladder's buffer.
+    if scheme.compiled_library() is None:
+        pytest.skip("the compiled passes did not build here (no C compiler)")
+    block = (sample_increment_block(4, range(3), 1.0, n_fine) if kind == "lattice"
+             else off_lattice_block(n_fine))
+    chunks = split(block, chunk)
+    compiled = ladder_bytes(chunks, n_fine, step_counts)
+    assert all(coarse[n_fine] is part for coarse, part in
+               zip(coarse_chunks(chunks, n_fine, step_counts), chunks))
+    monkeypatch.setattr(stochastic, "compiled_library", lambda: None)
+    assert ladder_bytes(chunks, n_fine, step_counts) == compiled
+    if chunk == 7:
+        assert min(len(coarse) for coarse in compiled) == 1  # N = n_fine alone
+    if kind == "off-lattice":
+        flat = np.hstack([np.frombuffer(data) for coarse in compiled for _, _, data in coarse])
+        assert np.isnan(flat).any() and np.isinf(flat).any() and (flat == 1e300).any()
+
+
 def test_diffusion_support_and_values():
     assert diffusion_g(0.0, 3.0) == 0.0
     assert diffusion_g(1.0, 3.0) == 0.0
