@@ -1,4 +1,4 @@
-"""Strong time-convergence order, and how noise degrades it.
+"""Strong time-convergence order, and how strong noise lowers it.
 
 For a ladder of step counts N, each Monte Carlo sample drives the run
 at N and the run at the finest N_max with the same Brownian path
@@ -6,11 +6,16 @@ at N and the run at the finest N_max with the same Brownian path
 distance at the final time is recorded.  The log-log slope against the
 step size is the computational convergence order.
 
-With weak noise the order sits near 1.  With strong noise the penalty
-is constantly active and the order collapses; at full scale the
-reference orders for this setup are about 1.06 (a=1), 1.02 (a=5),
-0.23 (a=30) and 0.14 (a=60).  The desk-scale run below shows the same
-pattern in a few seconds; expect a few percent of scatter at 200 paths.
+With weak noise the order sits near 1.  At large amplitudes it drops:
+at full scale the reference orders for this setup are about 1.06 (a=1),
+1.02 (a=5), 0.23 (a=30) and 0.14 (a=60).  Three causes are ruled out by
+single-seed runs.  The penalty: the `heat` variant, which has none,
+gives 0.31 and 0.34 at a=30 and 60.  The eps schedule: a fixed eps gives
+the same orders.  The splitting: the coupled variant, which does not
+split, has the same time error within its standard error.  The open
+lead is the explicit Euler noise term (ROADMAP items 2 and 10).  The
+desk-scale run below shows the drop in a few seconds; expect a few
+percent of scatter at 200 paths.
 
 Run:  python demos/05_convergence_order.py
 """

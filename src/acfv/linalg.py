@@ -15,7 +15,9 @@ a whole stack of right-hand sides.  The cell count d selects the form:
 The factors come from the LAPACK in numpy's own BLAS (``dpotrf``/``dpotrs``
 and ``dpbtrf``/``dpbtrs``, the routines behind scipy's ``cho_factor``,
 ``cho_solve``, ``cholesky_banded`` and ``cho_solve_banded``), called through
-ctypes; where numpy does not export all four, from ``scipy.linalg.lapack``.
+ctypes.  ``numpy_blas`` also gives the kernels the ``cblas_dgemm`` and
+``cblas_dgemv`` of their heat products; a numpy that does not export all
+six routines is a ConfigError.
 """
 
 from __future__ import annotations
@@ -26,29 +28,36 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = ["ShiftedSolver", "DENSE_LIMIT", "band_to_dense"]
 
 # Systems up to this size are held as dense matrices, larger ones as bands.
 DENSE_LIMIT = 64
 
-# The LAPACK routines with 64-bit integers in numpy's BLAS (numpy 2's scipy-openblas).
-LAPACK_SYMBOLS = tuple(f"scipy_{name}_64_" for name in ("dpotrf", "dpotrs", "dpbtrf", "dpbtrs"))
+# The routines of numpy's BLAS (numpy 2's scipy-openblas, 64-bit integers)
+# that acfv calls: the heat products, then the Cholesky factors and solves.
+BLAS_SYMBOLS = ("scipy_cblas_dgemm64_", "scipy_cblas_dgemv64_",
+                *(f"scipy_{name}_64_" for name in ("dpotrf", "dpotrs", "dpbtrf", "dpbtrs")))
 
 
 @cache
-def _numpy_blas():
-    """numpy's extension module that holds its matmul, loaded by ctypes (None if it cannot be)."""
+def numpy_blas():
+    """The routines of ``BLAS_SYMBOLS`` in numpy's BLAS, by name, loaded at the first call.
+
+    From numpy's extension module that holds its matmul, through ctypes; a
+    ConfigError names the first routine it does not export.
+    """
     from numpy._core import _multiarray_umath as umath
     try:
-        return ctypes.CDLL(umath.__file__)
-    except OSError:
-        return None
-
-
-def numpy_symbol(name):
-    """The function ``name`` of numpy's BLAS, or None where numpy does not export it."""
-    lib = _numpy_blas()
-    return None if lib is None else getattr(lib, name, None)
+        lib = ctypes.CDLL(umath.__file__)
+    except OSError as exc:
+        raise ConfigError(f"cannot load numpy's BLAS from {umath.__file__}: {exc}") from exc
+    for name in BLAS_SYMBOLS:
+        if not hasattr(lib, name):
+            raise ConfigError(f"numpy's BLAS ({umath.__file__}) exports no {name}; "
+                              "acfv needs numpy >= 2 as its wheels ship it")
+    return {name: getattr(lib, name) for name in BLAS_SYMBOLS}
 
 
 def _fortran(routine, *args):
@@ -72,10 +81,9 @@ class Lapack(NamedTuple):
     d x p right-hand side or the (u + 1) x d upper band storage LAPACK
     takes.  ``potrf(a)`` and ``pbtrf(band)`` return the info of the
     factorization; ``potrs(factor, b)`` and ``pbtrs(factor, b)`` solve
-    for b.  ``route`` names where the routines come from.
+    for b.
     """
 
-    route: str
     potrf: Callable
     potrs: Callable
     pbtrf: Callable
@@ -84,28 +92,14 @@ class Lapack(NamedTuple):
 
 @cache
 def lapack() -> Lapack:
-    """The routines from numpy's BLAS if it exports all of ``LAPACK_SYMBOLS``, else from scipy."""
-    found = [numpy_symbol(name) for name in LAPACK_SYMBOLS]
-    if all(routine is not None for routine in found):
-        potrf, potrs, pbtrf, pbtrs = (partial(_fortran, routine) for routine in found)
-        return Lapack(
-            ", ".join(LAPACK_SYMBOLS),
-            lambda a: potrf(len(a), a, len(a)),
-            lambda c, b: potrs(len(c), b.size // len(c), c, len(c), b, len(c)),
-            lambda band: pbtrf(len(band), band.shape[1] - 1, band, band.shape[1]),
-            lambda c, b: pbtrs(len(c), c.shape[1] - 1, b.size // len(c), c, c.shape[1], b,
-                               len(c)))
-    from scipy.linalg import lapack as sla
-
-    def into(target, result):
-        target.T[...] = result[0]
-        return result[1]
-
-    return Lapack("scipy.linalg.lapack",
-                  lambda a: into(a, sla.dpotrf(a.T, clean=0, overwrite_a=1)),
-                  lambda c, b: into(b, sla.dpotrs(c.T, b.T, overwrite_b=1)),
-                  lambda band: into(band, sla.dpbtrf(band.T, overwrite_ab=1)),
-                  lambda c, b: into(b, sla.dpbtrs(c.T, b.T, overwrite_b=1)))
+    """The routines from numpy's BLAS (see ``numpy_blas``)."""
+    potrf, potrs, pbtrf, pbtrs = (partial(_fortran, numpy_blas()[name])
+                                  for name in BLAS_SYMBOLS[2:])
+    return Lapack(
+        lambda a: potrf(len(a), a, len(a)),
+        lambda c, b: potrs(len(c), b.size // len(c), c, len(c), b, len(c)),
+        lambda band: pbtrf(len(band), band.shape[1] - 1, band, band.shape[1]),
+        lambda c, b: pbtrs(len(c), c.shape[1] - 1, b.size // len(c), c, c.shape[1], b, len(c)))
 
 
 def _factor(routine, matrix):

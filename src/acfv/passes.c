@@ -5,12 +5,11 @@
  * of a step ladder, as differences of the running path sums.
  *
  * Each value is computed by the same IEEE operations in the same order as
- * the ufuncs of scheme._numpy_passes, and the heat product by the very
- * numpy BLAS call the numpy passes make (the cblas_dgemm of np.matmul, or
- * the dpbtrs of ShiftedSolver.apply_markov), so the two agree byte for
- * byte; the other three agree so with the numpy form of
- * scheme.band_product, with numpy's Philox and scipy.special.ndtri, and
- * with the numpy form of stochastic.coarse_chunks.  Build with
+ * the ufuncs of the numpy forms in tests/oracles.py, the tests' byte
+ * oracle, and the heat product by the very numpy BLAS call np.matmul or
+ * ShiftedSolver.apply_markov makes (cblas_dgemm, cblas_dgemv or dpbtrs),
+ * so the two agree byte for byte; the sampler agrees so with numpy's
+ * Philox and scipy.special.ndtri.  Build with
  * -ffp-contract=off (no fused multiply-add), without -ffast-math, and link
  * libm; the Philox product needs the 128-bit integers of gcc and clang.
  */
@@ -18,22 +17,26 @@
 #include <stddef.h>
 #include <stdint.h>
 
-/* cblas_dgemm and Fortran dpbtrs with 64-bit integers, as numpy's BLAS exports them. */
+/* cblas_dgemm, cblas_dgemv and Fortran dpbtrs with 64-bit integers, as numpy exports them. */
 typedef void dgemm64(int order, int trans_a, int trans_b, int64_t m, int64_t n, int64_t k,
                      double alpha, const double *a, int64_t lda, const double *b,
                      int64_t ldb, double beta, double *c, int64_t ldc);
+typedef void dgemv64(int order, int trans, int64_t m, int64_t n, double alpha, const double *a,
+                     int64_t lda, const double *x, int64_t incx, double beta, double *y,
+                     int64_t incy);
 typedef void dpbtrs64(const char *uplo, const int64_t *n, const int64_t *kd, const int64_t *nrhs,
                       const double *ab, const int64_t *ldab, double *b, const int64_t *ldb,
                       int64_t *info, size_t uplo_len);
 
 /* A run, as scheme._Run lays it out.  The increment of path p in round j
- * is dw[j * dw_j + p * dw_p], in elements.  The heat product is gemm with
- * the D x D row-major propagator at op or, with gemm NULL, pbtrs with the
- * D x band upper band factor at op.  A heat run has no resolvent. */
+ * is dw[j * dw_j + p * dw_p], in elements.  The heat product is gemm or
+ * gemv, whichever is not NULL, with the D x D row-major propagator at op,
+ * else pbtrs with the D x band upper band factor at op.  No resolvent in a heat run. */
 struct run {
     double *u, *w;
     const double *amp, *dw, *op, *mass;
     dgemm64 *gemm;
+    dgemv64 *gemv;
     dpbtrs64 *pbtrs;
     double kappa;
     int64_t amps, paths, cells, band, dw_j, dw_p;
@@ -99,8 +102,8 @@ INLINE void pass(double *restrict u, double *restrict w, int res, double k, doub
 
 /* Rounds j0..j1-1, each amplitude's tile of p x d cells through all of
  * them in turn, so that it stays in cache: the noise into w, then the heat
- * product into u by the very BLAS call of the numpy passes, then the
- * resolvent, in one pass with the next round's noise.  Tiles are
+ * product into u by the very BLAS call of np.matmul or apply_markov, then
+ * the resolvent, in one pass with the next round's noise.  Tiles are
  * independent, so the order of rounds within each is all that matters. */
 CLONES void acfv_rounds(const struct run *r, int j0, int j1)
 {
@@ -117,6 +120,9 @@ CLONES void acfv_rounds(const struct run *r, int j0, int j1)
             if (r->gemm)  /* u = w op: CblasRowMajor, CblasNoTrans, CblasNoTrans */
                 r->gemm(101, 111, 111, paths, cells, cells, 1.0, w, cells, r->op, cells, 0.0,
                         u, cells);
+            else if (r->gemv)  /* each row u = op^T w: CblasRowMajor, CblasTrans */
+                for (ptrdiff_t i = 0; i < tile; i += cells)
+                    r->gemv(101, 112, cells, cells, 1.0, r->op, cells, w + i, 1, 0.0, u + i, 1);
             else {  /* u = w mass, solved in place: ShiftedSolver.apply_markov */
                 for (ptrdiff_t i = 0; i < tile; i += cells)
                     for (ptrdiff_t c = 0; c < cells; c++)
@@ -134,7 +140,7 @@ CLONES void acfv_rounds(const struct run *r, int j0, int j1)
  * half_width diagonals is the row-major d x (u + 1) band: entry (i, j),
  * i <= j, at band[j (u + 1) + u + i - j].  Each sum starts from 0 and adds
  * the products of the band's slots, zeros too, in ascending column order,
- * as scheme.band_product's numpy form does; the sums of a row advance
+ * as its numpy form in tests/oracles.py does; the sums of a row advance
  * diagonal by diagonal, independent of each other. */
 CLONES void acfv_band_product(double *restrict y, const double *restrict x, const double *band,
                               int rows, int cells, int half_width)
@@ -304,8 +310,8 @@ INLINE void philox(uint64_t out[4], uint64_t ctr, uint64_t k0, uint64_t k1)
 }
 
 /* The fine increments of steps first..first+m-1 of the p paths keys[0..p-1]
- * into the row-major p x m out, by the numpy operations of
- * stochastic.increment_chunks in their order.  numpy's Philox starts from
+ * into the row-major p x m out, by the numpy operations of the sampler's
+ * form in tests/oracles.py in their order.  numpy's Philox starts from
  * counter 0 and raises it before each block of four words, so the word of
  * step s is word s % 4 of the block at counter s / 4 + 1.  Each word w gives
  * the uniform min(((w >> 11) + 1/2) 2^-53, 1 - 2^-53), its ndtri z the

@@ -18,14 +18,15 @@ A kernel steps the runs of one step size at A amplitudes as one (A, p, d)
 stack of p per-path fields of d cells, with one increment per path that
 the amplitudes share; each step size has a kernel of its own.  A round
 takes each amplitude's tile of p x d cells in turn through the noise term,
-the heat product and (but in a heat run) the resolvent.  The rounds take
-one of two routes, fixed when the kernel is built: compiled C
-(``passes.c``, built at the first kernel into a per-user cache), whose
-product calls numpy's own ``cblas_dgemm`` (dense, more than one path) or
-``dpbtrs`` (banded); or their numpy form around ``np.matmul`` or
-``ShiftedSolver.apply_markov``, everywhere else.  Either steps a splitting
-or heat run from one yield to the next in one call; a coupled run goes
-round by round, its Newton iteration after each.  ``StepKernel.run`` is
+the heat product and (but in a heat run) the resolvent.  The rounds are
+compiled C (``passes.c``, built at the first kernel into a per-user
+cache), whose product is the very call of numpy's own BLAS that
+``np.matmul`` or ``ShiftedSolver.apply_markov`` makes: ``cblas_dgemm`` on
+a dense run of more than one path and cell, ``cblas_dgemv`` on one of one
+path or one cell, ``dpbtrs`` on a banded run.  Their numpy form, the
+tests' byte oracle, is in ``tests/oracles.py``.  A splitting or heat run
+steps from one yield to the next in one call; a coupled run goes round by
+round, its Newton iteration after each.  ``StepKernel.run`` is
 the one way to step a kernel: it steps a whole increment block in one loop
 that yields only after the steps its caller names, and a later call can
 resume from the kernel's buffer with the next block; one step is a (p, 1)
@@ -55,8 +56,8 @@ except ImportError:
 import numpy as np
 
 from .constraint import psi_eps
-from .errors import NumericalFailure
-from .linalg import DENSE_LIMIT, LAPACK_SYMBOLS, lapack, numpy_symbol
+from .errors import ConfigError, NumericalFailure
+from .linalg import DENSE_LIMIT, numpy_blas
 
 __all__ = ["EpsilonSchedule", "StepKernel", "band_product"]
 
@@ -73,8 +74,8 @@ NEWTON_TOL = 1e-11
 SOURCE = Path(__file__).with_name("passes.c")
 FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
-# cblas_dgemm with 64-bit integers in numpy's BLAS (numpy 2's scipy-openblas).
-DGEMM_SYMBOL = "scipy_cblas_dgemm64_"
+# Lines of a failed compiler's stderr that its ConfigError quotes.
+STDERR_LINES = 10
 
 
 @dataclass(frozen=True)
@@ -124,9 +125,9 @@ class StepKernel:
     takes each amplitude's tile of p x d cells through the noise term
     w = u + ((a c)(1 - c)) dW, the heat propagator, then the resolvent
     c + (r - c) kappa, each c a clip to [0, 1] of the tile's current state,
-    in the order of ``diffusion_g`` and ``resolvent``; the rounds are
-    compiled C or numpy (see ``_bind``), equal byte for byte, so every run
-    equals those formulas bit for bit, as if it were stepped alone.
+    in the order of ``diffusion_g`` and ``resolvent``; the compiled rounds
+    (see ``_bind``) make the same IEEE operations, so every run equals
+    those formulas bit for bit, as if it were stepped alone.
     """
 
     def __init__(self, variant, amplitudes, epsilon: EpsilonSchedule, solver, paths):
@@ -190,81 +191,46 @@ class StepKernel:
 
 
 def _bind(solver, paths):
-    """The rounds ``bind(u, w, amplitude, kappa, d_w)`` of ``paths`` paths on ``solver``.
+    """The compiled rounds ``bind(u, w, amplitude, kappa, d_w)`` of ``paths`` paths on ``solver``.
 
-    Compiled where C can make the numpy passes' own BLAS call: dgemm on a
-    dense run of more than one path and cell (else np.matmul takes gemv),
-    if it passed the probe, or dpbtrs on a banded run whose factor came from
-    numpy's LAPACK.  Everywhere else the numpy passes.
+    Their product is the BLAS call of ``np.matmul`` on a dense run: dgemm,
+    or dgemv with one path or one cell; on a banded run, the mass times
+    the noisy rows solved by dpbtrs, as ``ShiftedSolver.apply_markov`` does.
     """
-    lib, dense = compiled_library(), solver.n <= DENSE_LIMIT
-    if lib is not None and dense and min(paths, solver.n) > 1 and (gemm := _dgemm()):
-        return partial(_compiled_passes, lib, solver.markov_t, None, gemm, None)
-    if lib is not None and not dense and lapack().route != "scipy.linalg.lapack":
+    lib = compiled_library()
+    if solver.n > DENSE_LIMIT:
         return partial(_compiled_passes, lib, solver.band_factor,
-                       np.ascontiguousarray(solver.mass_diag), None, _address(LAPACK_SYMBOLS[3]))
-    if dense:
-        return partial(_numpy_passes, lambda w, u: np.matmul(w, solver.markov_t, out=u))
-    # per amplitude: one solve of all A p rows was slower at d = 256 (L2 cache)
-    return partial(_numpy_passes,
-                   lambda w, u: [solver.apply_markov(w_a, out=u_a) for w_a, u_a in zip(w, u)])
-
-
-def _numpy_passes(product, u, w, amplitude, kappa, d_w):
-    """A run's rounds as ufuncs around ``product``: the fallback and the oracle of passes.c.
-
-    ``u`` and ``w`` are the run's (A, p, d) state and noisy buffers,
-    ``amplitude`` is (A,), ``kappa`` a float (None: no resolvent, a heat
-    run), ``d_w`` (rounds, p) and ``product(w, u)`` the heat product of the
-    whole stack into u.  Returns ``rounds(j0, j1)``, which takes rounds
-    j0..j1-1 in turn: the noise w = (((c a)(1 - c)) dW) + u with round j's
-    increments, the product, and the resolvent u = c + (u - c) kappa, each
-    c = clip(u).  As in passes.c, a noise after a resolvent of the same call
-    takes that resolvent's c, which gives the same w.
-    """
-    c, one_minus_c = np.empty_like(u), np.empty_like(u)
-    zero, one = np.zeros(()), np.ones(())  # ufuncs are quicker with 0-d arrays than floats
-    # one column per amplitude and path; a lone amplitude as 0-d
-    amplitude = amplitude[:, None, None] if len(amplitude) > 1 else amplitude.reshape(())
-    resolve, kappa, d_w = kappa is not None, np.array(kappa), d_w[:, None, :, None]
-
-    def rounds(j0, j1):
-        for j in range(j0, j1):
-            if j == j0 or not resolve:
-                u.clip(zero, one, out=c)
-            np.multiply(c, amplitude, out=w)
-            np.subtract(one, c, out=one_minus_c)
-            np.multiply(w, one_minus_c, out=w)
-            np.multiply(w, d_w[j], out=w)
-            np.add(w, u, out=w)
-            product(w, u)
-            if resolve:
-                u.clip(zero, one, out=c)
-                np.subtract(u, c, out=u)
-                np.multiply(u, kappa, out=u)
-                np.add(c, u, out=u)
-
-    return rounds
+                       np.ascontiguousarray(solver.mass_diag), pbtrs=_address("scipy_dpbtrs_64_"))
+    if min(paths, solver.n) > 1:
+        return partial(_compiled_passes, lib, solver.markov_t, None,
+                       gemm=_address("scipy_cblas_dgemm64_"))
+    return partial(_compiled_passes, lib, solver.markov_t, None,
+                   gemv=_address("scipy_cblas_dgemv64_"))
 
 
 class _Run(ctypes.Structure):
     """A run as passes.c reads it: buffers, BLAS call, kappa, sizes, strides in elements."""
 
-    _fields_ = ([(name, ctypes.c_void_p) for name in "u w amp dw op mass gemm pbtrs".split()]
+    _fields_ = ([(name, ctypes.c_void_p) for name in "u w amp dw op mass gemm gemv pbtrs".split()]
                 + [("kappa", ctypes.c_double)]
                 + [(name, ctypes.c_int64) for name in "amps paths cells band dw_j dw_p".split()]
                 + [("resolve", ctypes.c_int)])
 
 
-def _compiled_passes(lib, op, mass, gemm, pbtrs, u, w, amplitude, kappa, d_w):
-    """``_numpy_passes`` as calls into the compiled library, the run's pointers bound once.
+def _compiled_passes(lib, op, mass, u, w, amplitude, kappa, d_w, gemm=None, gemv=None,
+                     pbtrs=None):
+    """A run's ``rounds(j0, j1)``: one call into the compiled library, its pointers bound once.
 
-    The product is ``gemm`` (numpy's ``cblas_dgemm``) with ``op`` the (d, d)
-    propagator, or with ``gemm`` None, ``mass`` times the noisy rows solved
-    by ``pbtrs`` (numpy's ``dpbtrs``) with ``op`` the (d, u + 1) band factor.
+    ``u`` and ``w`` are the run's (A, p, d) state and noisy buffers,
+    ``amplitude`` is (A,), ``kappa`` a float (None: no resolvent, a heat
+    run) and ``d_w`` (rounds, p).  The product is one of numpy's BLAS
+    routines, by address: ``gemm`` (``cblas_dgemm``) or ``gemv``
+    (``cblas_dgemv``) with ``op`` the (d, d) propagator, or ``pbtrs``
+    (``dpbtrs``) with ``op`` the (d, u + 1) band factor and ``mass`` the
+    mass diagonal.
     """
     arrays = (u, w, amplitude, d_w, op, mass)
-    run = _Run(*(None if a is None else a.ctypes.data for a in arrays), gemm, pbtrs,
+    run = _Run(*(None if a is None else a.ctypes.data for a in arrays), gemm, gemv, pbtrs,
                0.0 if kappa is None else kappa, *u.shape, op.shape[1],
                *(s // u.itemsize for s in d_w.strides), kappa is not None)
     run.arrays = arrays  # the buffers outlive every call through the pointers
@@ -279,42 +245,65 @@ def build_passes(cc, flags=FLAGS, source=SOURCE, directory=None) -> Path:
     library's name holds the sha256 of the source, the flags and
     ``cc --version``.  It is written under a name of its own process and
     then moved into place, so concurrent builders never load half a file.
+    A compiler that cannot be run or fails, or a directory that cannot be
+    made, is a ConfigError that names it and the cause.
     """
     if directory is None:
         directory = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "acfv"
-    cc, directory = shlex.split(cc), Path(directory)
-    version = subprocess.run([*cc, "--version"], capture_output=True, check=True).stdout
+    command, directory = shlex.split(cc), Path(directory)
+    version = _compile(cc, [*command, "--version"])
     key = sha256(b"\0".join([Path(source).read_bytes(), " ".join(flags).encode(),
                              version])).hexdigest()
     lib = directory / f"passes-{key[:16]}.so"
     if not lib.exists():
-        directory.mkdir(parents=True, exist_ok=True)
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cache directory {directory} of the compiled passes: "
+                              f"{exc.strerror}") from exc
         tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
         try:
-            subprocess.run([*cc, *flags, "-o", str(tmp), str(source), "-lm"],
-                           capture_output=True, check=True)
+            _compile(cc, [*command, *flags, "-o", str(tmp), str(source), "-lm"])
             os.replace(tmp, lib)
         finally:
             tmp.unlink(missing_ok=True)
     return lib
 
 
-@cache
-def compiled_library():
-    """The compiled passes.c of this process, loaded at the first call; None on the numpy passes.
+def _compile(cc, command):
+    """The stdout of the compiler ``cc`` run as ``command``.
 
-    Built by ``$CC`` (else ``cc``) into ``$XDG_CACHE_HOME/acfv`` (else
-    ``~/.cache/acfv``); when there is no compiler, the build fails or the
-    cache cannot be written, every kernel runs the numpy passes.  Besides
-    ``acfv_rounds``, its ``acfv_increments`` and ``acfv_ladder`` serve
-    ``stochastic`` and ``acfv_band_product`` serves ``band_product``;
-    ``acfv_ndtri``, the inverse normal CDF the sampler applies, is exported
-    for the tests' scipy oracle.
+    A ConfigError if it cannot run or fails, which names ``cc`` and quotes
+    the last ``STDERR_LINES`` lines of its stderr.
     """
     try:
-        lib = ctypes.CDLL(str(build_passes(os.environ.get("CC") or "cc")))
-    except (OSError, subprocess.SubprocessError):
-        return None
+        return subprocess.run(command, capture_output=True, check=True).stdout
+    except OSError as exc:
+        raise ConfigError(f"C compiler {cc!r} ($CC, else cc) cannot run: {exc.strerror}; "
+                          "acfv builds its compiled passes with it") from exc
+    except subprocess.CalledProcessError as exc:
+        stderr = exc.stderr.decode(errors="replace").splitlines()[-STDERR_LINES:]
+        raise ConfigError("\n".join([f"C compiler {cc!r} ($CC, else cc) failed with exit "
+                                     f"{exc.returncode}:", *stderr])) from exc
+
+
+@cache
+def compiled_library():
+    """The compiled passes.c of this process, built and loaded at the first call.
+
+    Built by ``$CC`` (else ``cc``) into ``$XDG_CACHE_HOME/acfv`` (else
+    ``~/.cache/acfv``); a library that cannot be built or loaded is a
+    ConfigError (see ``build_passes``).  Besides ``acfv_rounds``, its
+    ``acfv_increments`` and ``acfv_ladder`` serve ``stochastic`` and
+    ``acfv_band_product`` serves ``band_product``; ``acfv_ndtri``, the
+    inverse normal CDF the sampler applies, is exported for the tests'
+    scipy oracle.
+    """
+    path = build_passes(os.environ.get("CC") or "cc")
+    try:
+        lib = ctypes.CDLL(str(path))
+    except OSError as exc:
+        raise ConfigError(f"cannot load the compiled passes {path}: {exc}") from exc
     # No argtypes for the rounds and the band product: ctypes passes byrefs
     # and Python ints as the C functions take them; declaring them converts
     # every argument again, 1.2 us of a 6.4 us round of a (1, 128, 16)
@@ -330,41 +319,15 @@ def compiled_library():
     return lib
 
 
-@cache
-def _dgemm():
-    """The address of numpy's ``DGEMM_SYMBOL`` if it is exported and passes ``_probe``, else None.
-
-    Looked up and probed at the first call, which sets up numpy's BLAS:
-    ``_bind``'s, for the first dense kernel of more than one path.
-    """
-    gemm = _address(DGEMM_SYMBOL)
-    return gemm if gemm is not None and _probe(compiled_library(), gemm) else None
-
-
 def passes():
-    """The manifest's ``passes``: the library loaded, ``compiled (<cc>, <flags>)`` or ``numpy``."""
-    if compiled_library() is None:
-        return "numpy"
+    """The manifest's ``passes``: the library loaded, ``compiled (<cc>, <flags>)``."""
+    compiled_library()
     return f"compiled ({os.environ.get('CC') or 'cc'}, {' '.join(FLAGS)})"
 
 
 def _address(name):
-    """The address of the function ``name`` of numpy's BLAS, or None where it is not exported."""
-    function = numpy_symbol(name)
-    return None if function is None else ctypes.cast(function, ctypes.c_void_p).value
-
-
-def _probe(lib, gemm):
-    """Whether two rounds in one compiled call through ``gemm`` equal the numpy passes' bytes."""
-    # sines of 1, 2, ...: full mantissas of either sign, without loading numpy.random
-    wave = np.sin(np.arange(1.0, 62.0))
-    u = wave[:30].reshape(2, 3, 5) + 0.5  # cells below 0, inside and above 1
-    args = (np.array([0.5, 7.0]), 0.25, wave[30:36].reshape(2, 3))
-    markov = wave[36:].reshape(5, 5)
-    compiled, state = u.copy(), u.copy()
-    _compiled_passes(lib, markov, None, gemm, None, compiled, np.empty_like(u), *args)(0, 2)
-    _numpy_passes(lambda w, v: np.matmul(w, markov, out=v), state, np.empty_like(u), *args)(0, 2)
-    return compiled.tobytes() == state.tobytes()
+    """The address of the routine ``name`` of numpy's BLAS (see ``linalg.numpy_blas``)."""
+    return ctypes.cast(numpy_blas()[name], ctypes.c_void_p).value
 
 
 def band_product(band, x):
@@ -374,29 +337,18 @@ def band_product(band, x):
     [j, u + i - j] (see ``linalg``).  Each row sums the products of the
     band's slots, zeros too, from 0 in ascending column order, which gives
     a CSR product's bits for a finite x: a zero product leaves a finite
-    sum as it is, and a sum from +0 never becomes -0.  In the compiled
-    ``acfv_band_product``, else in numpy, by diagonals.
+    sum as it is, and a sum from +0 never becomes -0.  One call of the compiled
+    ``acfv_band_product``; its numpy form, by diagonals, is in
+    ``tests/oracles.py``.
     """
     band, x = np.ascontiguousarray(band, dtype=float), np.ascontiguousarray(x, dtype=float)
     d, u = band.shape[0], band.shape[1] - 1
     if x.shape[-1:] != (d,):  # the compiled product reads d cells a row
         raise ValueError(f"x must be a field or a stack of {d} cells")
-    lib = compiled_library()
-    if lib is not None:
-        out = np.empty(x.shape)
-        lib.acfv_band_product(_pointer(out), _pointer(x), _pointer(band), x.size // d, d, u)
-        return out
-    rows = x.reshape(-1, d)
-    out = np.zeros(rows.shape)
-    reach = min(u, d - 1)
-    # silent, as in C: a zero slot times an inf cell gives NaN, which its caller reports
-    with np.errstate(invalid="ignore"):
-        for s in range(-reach, reach + 1):  # column i + s of row i
-            if s < 0:
-                out[:, -s:] += band[-s:, u + s] * rows[:, :s]
-            else:
-                out[:, :d - s] += band[s:, u - s] * rows[:, s:]
-    return out.reshape(x.shape)
+    out = np.empty(x.shape)
+    compiled_library().acfv_band_product(_pointer(out), _pointer(x), _pointer(band),
+                                         x.size // d, d, u)
+    return out
 
 
 def _pointer(array):

@@ -10,8 +10,9 @@ through time, one chunk of fine steps at a time, and the chunks put
 side by side are the whole paths bit for bit.  Each chunk is one call of
 ``acfv_increments`` in the compiled passes (see
 ``scheme.compiled_library``), which computes numpy's Philox words from
-their counters and Cephes' ``ndtri``; without a compiler, numpy's
-``Philox`` and ``scipy.special.ndtri`` give the same bytes.
+their counters and Cephes' ``ndtri``: numpy's ``Philox`` and
+``scipy.special.ndtri``, the sampler's form in ``tests/oracles.py``, give
+the same bytes.
 
 Each increment is snapped to a power-of-two lattice with quantum
 q = 2^(floor(log2 sigma) - 30) > sigma 2^-31 (a relative perturbation
@@ -32,8 +33,9 @@ that is not on the lattice (an injected ``path_file``) keeps its fine
 increments, but its coarse ones are S differences and may differ from
 plain pairwise sums in the last bit.  The whole ladder of a chunk is one
 ``acfv_ladder`` call of the compiled passes, which sums S and takes the
-differences in the order of the numpy form, a ``cumsum`` and a ``diff``
-per step count, so the two give the same bytes on any input.
+differences in the order of a ``cumsum`` and a ``diff`` per step count,
+the numpy form in ``tests/oracles.py``, so the two give the same bytes
+on any input.
 """
 
 from __future__ import annotations
@@ -100,41 +102,14 @@ def _word(value, name):
 def _draw(seed, keys, sigma, quantum):
     """``draw(first, m)``: the (len(keys), m) increments of fine steps first..first+m-1.
 
-    One ``acfv_increments`` call of the compiled passes.  Without them,
-    one numpy ``Philox`` per path, which continues its stream, so the
-    calls must come in order of ``first`` from 0, and
-    ``scipy.special.ndtri``: the oracle of the compiled sampler.
+    One ``acfv_increments`` call of the compiled passes.
     """
-    lib = compiled_library()
-    if lib is not None:
-        keys = np.array(keys, dtype=np.uint64)
-
-        def draw(first, m):
-            out = np.empty((len(keys), m))
-            lib.acfv_increments(out.ctypes.data, keys.ctypes.data, len(keys), m, seed, first,
-                                sigma, quantum)
-            return out
-
-        return draw
-    from numpy.random import Philox
-    from scipy.special import ndtri
-
-    # random_raw gives the words of Generator.integers(0, 2**64, dtype=uint64)
-    bitgens = [Philox(key=np.array([seed, key], dtype=np.uint64)) for key in keys]
+    lib, keys = compiled_library(), np.array(keys, dtype=np.uint64)
 
     def draw(first, m):
-        out = np.empty((len(bitgens), m))
-        for row, bitgen in zip(out, bitgens):
-            bits = bitgen.random_raw(m)
-            bits >>= np.uint64(11)
-            np.add(bits, 0.5, out=row)
-        out *= 2.0 ** -53
-        np.minimum(out, 1.0 - 2.0 ** -53, out=out)
-        ndtri(out, out=out)
-        out *= sigma
-        out /= quantum
-        np.round(out, out=out)
-        out *= quantum
+        out = np.empty((len(keys), m))
+        lib.acfv_increments(out.ctypes.data, keys.ctypes.data, len(keys), m, seed, first,
+                            sigma, quantum)
         return out
 
     return draw
@@ -174,58 +149,30 @@ def _ladder(ratios):
 
     ``ratios`` maps each step count to its fine steps a step.  The chunks
     must come in order, as the path sums carry over from one to the next.
-    One ``acfv_ladder`` call of the compiled passes.  Without them, a
-    ``cumsum`` of the chunk after the carried sum, and per step count a
-    ``diff`` of the sums at its step ends: the oracle of the compiled
-    ladder, which makes the same IEEE operations in the same order.
+    One ``acfv_ladder`` call of the compiled passes.
     """
     lib = compiled_library()
-    if lib is not None:
-        summed = [n for n, ratio in ratios.items() if ratio > 1]
-        ratio = np.array([ratios[n] for n in summed], dtype=np.int64)
-        carry = last = None  # each path's sum, and its sum at each count's last end
-
-        def ladder(chunk, done):
-            nonlocal carry, last
-            rows = np.ascontiguousarray(chunk, dtype=float)
-            p, m = rows.shape
-            if carry is None:
-                carry, last = np.zeros(p), np.zeros((len(summed), p))
-            if p != len(carry):  # the C code reads p sums from carry
-                raise ValueError(f"a chunk of {p} paths after chunks of {len(carry)}")
-            first = ratio - done % ratio  # local fine index of each count's first end
-            sums = [np.empty((p, max(0, (m - f) // r + 1)))
-                    for f, r in zip(first.tolist(), ratio.tolist())]
-            lib.acfv_ladder((ctypes.c_void_p * len(sums))(*(s.ctypes.data for s in sums)),
-                            rows.ctypes.data, p, m, carry.ctypes.data, last.ctypes.data,
-                            ratio.ctypes.data, first.ctypes.data, len(sums))
-            coarse = dict(zip(summed, sums))
-            return {n: chunk if r == 1 else coarse[n] for n, r in ratios.items()
-                    if r == 1 or coarse[n].shape[1]}
-
-        return ladder
-    carry, last_end = 0.0, {}
+    summed = [n for n, ratio in ratios.items() if ratio > 1]
+    ratio = np.array([ratios[n] for n in summed], dtype=np.int64)
+    carry = last = None  # each path's sum, and its sum at each count's last end
 
     def ladder(chunk, done):
-        nonlocal carry
-        # path[:, j] is the path sum after done + j fine steps
-        path = np.empty((len(chunk), chunk.shape[1] + 1))
-        path[:, 0], path[:, 1:] = carry, chunk
-        coarse = {}
-        # silent, as in C: an off-lattice path may overflow or meet inf - inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.cumsum(path, axis=1, out=path)
-            for n, ratio in ratios.items():
-                # local indices of the ends of N's steps in this chunk
-                ends = np.arange(ratio - done % ratio, chunk.shape[1] + 1, ratio)
-                if ratio == 1:
-                    coarse[n] = chunk
-                elif len(ends):
-                    sums = path[:, ends]
-                    coarse[n] = np.diff(sums, axis=1, prepend=last_end.get(n, 0.0))
-                    last_end[n] = sums[:, -1:]
-        carry = path[:, -1].copy()
-        return coarse
+        nonlocal carry, last
+        rows = np.ascontiguousarray(chunk, dtype=float)
+        p, m = rows.shape
+        if carry is None:
+            carry, last = np.zeros(p), np.zeros((len(summed), p))
+        if p != len(carry):  # the C code reads p sums from carry
+            raise ValueError(f"a chunk of {p} paths after chunks of {len(carry)}")
+        first = ratio - done % ratio  # local fine index of each count's first end
+        sums = [np.empty((p, max(0, (m - f) // r + 1)))
+                for f, r in zip(first.tolist(), ratio.tolist())]
+        lib.acfv_ladder((ctypes.c_void_p * len(sums))(*(s.ctypes.data for s in sums)),
+                        rows.ctypes.data, p, m, carry.ctypes.data, last.ctypes.data,
+                        ratio.ctypes.data, first.ctypes.data, len(sums))
+        coarse = dict(zip(summed, sums))
+        return {n: chunk if r == 1 else coarse[n] for n, r in ratios.items()
+                if r == 1 or coarse[n].shape[1]}
 
     return ladder
 

@@ -1,0 +1,172 @@
+"""The numpy forms of the compiled stages in ``passes.c``: the tests' byte oracle.
+
+Each form makes the IEEE operations of its compiled stage in the same
+order, through numpy ufuncs, and the heat product through the very numpy
+call whose BLAS routine the compiled rounds call (``np.matmul`` or
+``ShiftedSolver.apply_markov``), so the two agree byte for byte:
+
+* ``bind`` and ``passes``: a kernel's rounds (``scheme._bind``);
+* ``band_product``: ``scheme.band_product``, by diagonals;
+* ``draw``: the sampler's chunks (``stochastic._draw``), from numpy's
+  ``Philox`` and ``scipy.special.ndtri``;
+* ``ladder``: the step ladder (``stochastic._ladder``), a ``cumsum`` and a
+  ``diff`` per step count.
+
+``numpy_route`` swaps all four into the package for a block, so that a
+whole command runs on them.
+"""
+
+from collections import Counter
+from contextlib import contextmanager
+from functools import partial
+
+import numpy as np
+from numpy.random import Philox
+from scipy.special import ndtri
+
+import acfv
+from acfv import scheme, stochastic, validation
+from acfv.linalg import DENSE_LIMIT
+
+
+def bind(solver, paths):
+    """``scheme._bind`` in numpy: the rounds around ``np.matmul`` or ``apply_markov``."""
+    if solver.n <= DENSE_LIMIT:
+        return partial(passes, lambda w, u: np.matmul(w, solver.markov_t, out=u))
+    # per amplitude: one solve of all A p rows was slower at d = 256 (L2 cache)
+    return partial(passes,
+                   lambda w, u: [solver.apply_markov(w_a, out=u_a) for w_a, u_a in zip(w, u)])
+
+
+def passes(product, u, w, amplitude, kappa, d_w):
+    """A run's rounds as ufuncs around ``product``.
+
+    ``u`` and ``w`` are the run's (A, p, d) state and noisy buffers,
+    ``amplitude`` is (A,), ``kappa`` a float (None: no resolvent, a heat
+    run), ``d_w`` (rounds, p) and ``product(w, u)`` the heat product of the
+    whole stack into u.  Returns ``rounds(j0, j1)``, which takes rounds
+    j0..j1-1 in turn: the noise w = (((c a)(1 - c)) dW) + u with round j's
+    increments, the product, and the resolvent u = c + (u - c) kappa, each
+    c = clip(u).  As in passes.c, a noise after a resolvent of the same call
+    takes that resolvent's c, which gives the same w.
+    """
+    c, one_minus_c = np.empty_like(u), np.empty_like(u)
+    zero, one = np.zeros(()), np.ones(())
+    # one column per amplitude and path; a lone amplitude as 0-d
+    amplitude = amplitude[:, None, None] if len(amplitude) > 1 else amplitude.reshape(())
+    resolve, kappa, d_w = kappa is not None, np.array(kappa), d_w[:, None, :, None]
+
+    def rounds(j0, j1):
+        for j in range(j0, j1):
+            if j == j0 or not resolve:
+                u.clip(zero, one, out=c)
+            np.multiply(c, amplitude, out=w)
+            np.subtract(one, c, out=one_minus_c)
+            np.multiply(w, one_minus_c, out=w)
+            np.multiply(w, d_w[j], out=w)
+            np.add(w, u, out=w)
+            product(w, u)
+            if resolve:
+                u.clip(zero, one, out=c)
+                np.subtract(u, c, out=u)
+                np.multiply(u, kappa, out=u)
+                np.add(c, u, out=u)
+
+    return rounds
+
+
+def band_product(band, x):
+    """``scheme.band_product`` in numpy: each row summed from 0, diagonal by diagonal."""
+    band, x = np.ascontiguousarray(band, dtype=float), np.ascontiguousarray(x, dtype=float)
+    d, u = band.shape[0], band.shape[1] - 1
+    rows = x.reshape(-1, d)
+    out = np.zeros(rows.shape)
+    reach = min(u, d - 1)
+    # silent, as in C: a zero slot times an inf cell gives NaN, which its caller reports
+    with np.errstate(invalid="ignore"):
+        for s in range(-reach, reach + 1):  # column i + s of row i
+            if s < 0:
+                out[:, -s:] += band[-s:, u + s] * rows[:, :s]
+            else:
+                out[:, :d - s] += band[s:, u - s] * rows[:, s:]
+    return out.reshape(x.shape)
+
+
+def draw(seed, keys, sigma, quantum):
+    """``stochastic._draw`` in numpy: one ``Philox`` per path and ``scipy.special.ndtri``.
+
+    Each Philox continues its stream, so the calls of ``draw(first, m)``
+    must come in order of ``first`` from 0.
+    """
+    # random_raw gives the words of Generator.integers(0, 2**64, dtype=uint64)
+    bitgens = [Philox(key=np.array([seed, key], dtype=np.uint64)) for key in keys]
+
+    def draw(first, m):
+        out = np.empty((len(bitgens), m))
+        for row, bitgen in zip(out, bitgens):
+            bits = bitgen.random_raw(m)
+            bits >>= np.uint64(11)
+            np.add(bits, 0.5, out=row)
+        out *= 2.0 ** -53
+        np.minimum(out, 1.0 - 2.0 ** -53, out=out)
+        ndtri(out, out=out)
+        out *= sigma
+        out /= quantum
+        np.round(out, out=out)
+        out *= quantum
+        return out
+
+    return draw
+
+
+def ladder(ratios):
+    """``stochastic._ladder`` in numpy: the cumsum of each chunk after the carried sum,
+    and per step count the diff of the sums at its step ends."""
+    carry, last_end = 0.0, {}
+
+    def ladder(chunk, done):
+        nonlocal carry
+        # path[:, j] is the path sum after done + j fine steps
+        path = np.empty((len(chunk), chunk.shape[1] + 1))
+        path[:, 0], path[:, 1:] = carry, chunk
+        coarse = {}
+        # silent, as in C: an off-lattice path may overflow or meet inf - inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.cumsum(path, axis=1, out=path)
+            for n, ratio in ratios.items():
+                # local indices of the ends of N's steps in this chunk
+                ends = np.arange(ratio - done % ratio, chunk.shape[1] + 1, ratio)
+                if ratio == 1:
+                    coarse[n] = chunk
+                elif len(ends):
+                    sums = path[:, ends]
+                    coarse[n] = np.diff(sums, axis=1, prepend=last_end.get(n, 0.0))
+                    last_end[n] = sums[:, -1:]
+        carry = path[:, -1].copy()
+        return coarse
+
+    return ladder
+
+
+@contextmanager
+def numpy_route(monkeypatch):
+    """For the block, every compiled stage of the package swapped for its numpy form.
+
+    Yields a Counter of the calls of each form ("bind", "band_product",
+    "draw", "ladder"), so that a test can tell the swap took.
+    """
+    calls = Counter()
+
+    def counted(name, form):
+        def call(*args):
+            calls[name] += 1
+            return form(*args)
+        return call
+
+    with monkeypatch.context() as patched:
+        patched.setattr(scheme, "_bind", counted("bind", bind))
+        for module in (acfv, scheme, validation):  # each holds band_product by name
+            patched.setattr(module, "band_product", counted("band_product", band_product))
+        patched.setattr(stochastic, "_draw", counted("draw", draw))
+        patched.setattr(stochastic, "_ladder", counted("ladder", ladder))
+        yield calls

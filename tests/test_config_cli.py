@@ -156,7 +156,7 @@ def test_run_id_is_unchanged_and_the_passes_stay_out_of_it(monkeypatch, tmp_path
                "table-repro": "e6892db5a246"}
     copy = tmp_path / "increments.csv"
     copy.write_bytes(Path(INCREMENTS).read_bytes())
-    for passes in (scheme.passes(), "numpy"):
+    for passes in (scheme.passes(), "compiled (clang, -O2)"):
         monkeypatch.setattr(config_module, "passes", lambda: passes)
         for command, run_id in run_ids.items():
             config = preset_config(command, "desk")
@@ -186,10 +186,7 @@ def test_run_id_is_the_sha256_of_the_command_and_its_config():
 
 def test_a_desk_run_loads_neither_openssl_nor_numpy_polynomial(tmp_path):
     # hashlib maps OpenSSL's libcrypto for two digests, numpy.polynomial
-    # costs 6 ms of import for one Horner loop.  Without a compiler scipy
-    # loads both, so the compiled route alone is checked.
-    if scheme.compiled_library() is None:
-        pytest.skip("the compiled passes did not build here (no C compiler)")
+    # costs 6 ms of import for one Horner loop.
     child = ("import sys\nfrom acfv import cli\n"
              f"code = cli.main(['convergence', '--preset', 'desk', '--out', {str(tmp_path)!r}])\n"
              "print(code, [m for m in ('_hashlib', 'numpy.polynomial') if m in sys.modules])\n")

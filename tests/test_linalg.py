@@ -7,6 +7,7 @@ import scipy.linalg as sla
 from acfv import linalg
 from acfv.assembly import assemble_mass, assemble_stiffness
 from acfv.config import preset_config
+from acfv.errors import ConfigError
 from acfv.linalg import DENSE_LIMIT, ShiftedSolver, band_to_dense
 from acfv.mesh import build_uniform_mesh
 
@@ -191,24 +192,17 @@ def test_numpy_lapack_equals_scipy_linalg_bytewise():
         assert solver_bytes(solver, b, extra) == scipy_solver_bytes(solver, b, extra), (L, tau)
 
 
-def test_scipy_lapack_route_gives_the_same_bytes(monkeypatch):
-    # Where numpy's BLAS exports no 64-bit LAPACK, the same four routines
-    # come from scipy.linalg.lapack, with the same results.
-    rng = np.random.default_rng(53)
-    cases = [(L, tau, rng.standard_normal((3, L * L)), rng.uniform(0.0, 5.0, (3, L * L)))
-             for L, tau in ((1, 0.5), (4, 1.0 / 210), (8, 1.0 / 40320), (9, 0.37), (16, 0.125))]
-
-    def results():
-        return [solver_bytes(make_solver(L, tau), b, extra) for L, tau, b, extra in cases]
-
-    numpy_route = results()
-    monkeypatch.setattr(linalg, "LAPACK_SYMBOLS", ("acfv_no_such_dpotrf",) * 4)
-    linalg.lapack.cache_clear()
+def test_a_numpy_without_a_blas_routine_is_a_config_error(monkeypatch):
+    # acfv calls six routines of numpy's BLAS; a numpy that lacks one is a
+    # ConfigError (exit 2 from the CLI) that names it.
+    assert len(linalg.BLAS_SYMBOLS) == 6 and linalg.numpy_blas().keys() == {*linalg.BLAS_SYMBOLS}
+    monkeypatch.setattr(linalg, "BLAS_SYMBOLS", (*linalg.BLAS_SYMBOLS, "acfv_no_such_dgemv"))
+    linalg.numpy_blas.cache_clear()
     try:
-        assert linalg.lapack().route == "scipy.linalg.lapack"
-        assert results() == numpy_route
+        with pytest.raises(ConfigError, match="exports no acfv_no_such_dgemv;"):
+            linalg.numpy_blas()
     finally:
-        linalg.lapack.cache_clear()
+        linalg.numpy_blas.cache_clear()
 
 
 def test_factor_of_an_indefinite_matrix_raises():

@@ -1,8 +1,8 @@
-"""The compiled step passes: their build cache, concurrent builds and the numpy fallback."""
+"""The compiled passes: their build cache, concurrent and failed builds, and
+whole commands against the numpy form of every compiled stage."""
 
 import os
-import shlex
-import shutil
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -10,15 +10,15 @@ from pathlib import Path
 import pytest
 
 import acfv
-from acfv import cli, linalg, scheme
+from acfv import cli
 from acfv.scheme import FLAGS, SOURCE, build_passes
+from oracles import numpy_route
 
 CC = os.environ.get("CC") or "cc"
-needs_cc = pytest.mark.skipif(shutil.which(shlex.split(CC)[0]) is None,
-                              reason="no C compiler")
+ROOT = Path(__file__).parents[1]
 
-# One splitting step of a lone run; prints the passes loaded, the kernel's
-# rounds and the state's bytes.
+# One splitting step of a lone run; prints the passes loaded and the
+# state's bytes.
 CHILD = """
 from acfv import scheme
 from acfv.assembly import assemble_mass, assemble_stiffness
@@ -28,7 +28,7 @@ mesh = build_uniform_mesh(2)
 solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), 0.125)
 kernel = scheme.StepKernel("splitting", (4.0,), scheme.EpsilonSchedule.fixed(0.05), solver, 2)
 (_, out), = kernel.run([[0.5, -0.5, 1.5, 0.25], [-0.0, 1.0, 0.9, 0.1]], [[0.3], [-0.2]])
-print(scheme.passes(), kernel._bind.func.__name__, out.tobytes().hex())
+print(scheme.passes(), out.tobytes().hex())
 """
 
 
@@ -37,24 +37,26 @@ def test_build_flags_keep_ieee_semantics():
     assert not any("fast-math" in flag or "march" in flag for flag in FLAGS)
 
 
-@needs_cc
+def child_env(**env):
+    """The environment of a child process that imports this checkout's acfv, with ``env``."""
+    return dict(os.environ, **env,
+                PYTHONPATH=os.pathsep.join([str(Path(acfv.__file__).parents[1]),
+                                            os.environ.get("PYTHONPATH", "")]))
+
+
 def test_concurrent_builds_into_an_empty_cache_both_load(tmp_path):
     cache = tmp_path / "cache"
-    env = dict(os.environ, XDG_CACHE_HOME=str(cache),
-               PYTHONPATH=os.pathsep.join([str(Path(acfv.__file__).parents[1]),
-                                           os.environ.get("PYTHONPATH", "")]))
+    env = child_env(XDG_CACHE_HOME=str(cache))
     children = [subprocess.Popen([sys.executable, "-c", CHILD], env=env, text=True,
                                  stdout=subprocess.PIPE) for _ in range(2)]
     outputs = [child.communicate(timeout=120)[0] for child in children]
     assert [child.returncode for child in children] == [0, 0]
     assert outputs[0] == outputs[1]
-    rounds = "_compiled_passes" if scheme._dgemm() is not None else "_numpy_passes"
-    assert outputs[0].startswith(f"compiled ({CC}, {' '.join(FLAGS)}) {rounds} ")
+    assert outputs[0].startswith(f"compiled ({CC}, {' '.join(FLAGS)}) ")
     [lib] = (cache / "acfv").iterdir()  # one library, no temporary file left
     assert lib.name.startswith("passes-") and lib.suffix == ".so"
 
 
-@needs_cc
 def test_changed_source_or_flags_builds_a_new_library(tmp_path):
     cache = tmp_path / "cache"
     lib = build_passes(CC, directory=cache)
@@ -68,35 +70,42 @@ def test_changed_source_or_flags_builds_a_new_library(tmp_path):
     assert sorted(cache.iterdir()) == sorted([lib, changed, flagged])
 
 
-def test_missing_compiler_falls_back_to_numpy_with_the_same_bytes(tmp_path, monkeypatch):
-    config = tmp_path / "run.cfg"
-    config.write_text("L = 3\nN_max = 48\nN_list = 6,12,24\nN_p = 6\na = 1,30\n"
-                      "eps_rule = power\neps_c = 0.1\neps_p = 0.4\n")
+def test_a_failed_build_exits_2_and_says_why(tmp_path):
+    # With one compiled route, the error is the user's only diagnosis: a
+    # compiler that is not there, a cache path that is a file, and a
+    # compiler that fails, whose last lines of stderr the message quotes.
+    # Nothing is written.
+    cache, not_a_directory, broken = tmp_path / "cache", tmp_path / "a-file", tmp_path / "broken-cc"
+    not_a_directory.write_text("")
+    broken.write_text('#!/bin/sh\ncase "$1" in --version) echo broken 1.0;; '
+                      '*) echo "broken-cc: error: out of registers" >&2; exit 3;; esac\n')
+    broken.chmod(0o755)
+    cases = [({"CC": str(tmp_path / "no-such-cc"), "XDG_CACHE_HOME": str(cache)},
+              f"C compiler {str(tmp_path / 'no-such-cc')!r} ($CC, else cc) cannot run: "
+              "No such file or directory"),
+             ({"XDG_CACHE_HOME": str(not_a_directory)},
+              f"cache directory {not_a_directory / 'acfv'} of the compiled passes: "
+              "Not a directory"),
+             ({"CC": str(broken), "XDG_CACHE_HOME": str(cache)},
+              f"C compiler {str(broken)!r} ($CC, else cc) failed with exit 3:\n"
+              "broken-cc: error: out of registers\n")]
+    for env, cause in cases:
+        out = tmp_path / "out"
+        child = subprocess.run([sys.executable, "-m", "acfv.cli", "convergence", "--preset",
+                                "desk", "--out", str(out)], env=child_env(**env),
+                               capture_output=True, text=True, timeout=120)
+        assert (child.returncode, child.stdout) == (2, ""), child.stderr
+        assert child.stderr.startswith(f"configuration error: {cause}"), child.stderr
+        assert not out.exists()
 
-    def run(out):
-        assert cli.main(["convergence", "--config", str(config), "--out", str(out)]) == 0
-        return {path.name: path.read_bytes() for path in out.iterdir()}
 
-    built = run(tmp_path / "built")
-    monkeypatch.setenv("CC", str(tmp_path / "no-such-cc"))
-    scheme.compiled_library.cache_clear()
-    try:
-        fallback = run(tmp_path / "fallback")
-    finally:
-        scheme.compiled_library.cache_clear()
-    assert b"\npasses = numpy\n" in fallback.pop("manifest.txt")
-    built.pop("manifest.txt")
-    assert fallback == built and set(built) == {"error.csv", "fit.csv"}
-
-
-# Tiny runs of four commands in one process, scipy optionally blocked;
-# prints (marked by @) the exit codes, the scipy modules loaded, and which
-# of numpy.random and the process pool's module were loaded after the
-# import and after the runs.
+# Tiny runs of four commands in one process, scipy blocked; prints (marked
+# by @) the exit codes, the scipy modules loaded, and which of numpy.random
+# and the process pool's module were loaded after the import and after the
+# runs.
 NO_SCIPY_CHILD = """
 import sys
-if sys.argv[1] == "blocked":
-    sys.modules["scipy"] = None
+sys.modules["scipy"] = None
 from pathlib import Path
 from acfv import cli
 LAZY = ("numpy.random", "concurrent.futures.process")
@@ -107,9 +116,9 @@ runs = {"convergence": "L = 3\\nN_max = 48\\nN_list = 6,12,24\\nN_p = 6\\na = 1,
         "expectation": "L = 9\\nN = 4\\nN_max = 4\\nN_p = 4\\na = 1\\ncheckpoints = 2,4\\n",
         "simulate": "L = 2\\nN = 8\\nN_max = 8\\n"}
 for command, keys in runs.items():
-    config = Path(sys.argv[2], command + ".cfg")
+    config = Path(sys.argv[1], command + ".cfg")
     config.write_text(keys)
-    out = str(Path(sys.argv[2], command))
+    out = str(Path(sys.argv[1], command))
     print("@exit", cli.main([command, "--config", str(config), "--out", out]))
 print("@lazy", *[name for name in LAZY if name in sys.modules])
 print("@scipy", *sorted(name for name, module in sys.modules.items()
@@ -117,15 +126,13 @@ print("@scipy", *sorted(name for name, module in sys.modules.items()
 """
 
 
-def run_scipy_child(tmp_path, mode, **env):
+def run_scipy_child(tmp_path):
     """NO_SCIPY_CHILD's output: {"exit": its four exit codes, "scipy": the
     scipy modules it loaded, "lazy": [the LAZY modules loaded after the
     import, and after the runs]}."""
-    env = dict(os.environ, ACFV_WORKERS="1", **env,
-               PYTHONPATH=os.pathsep.join([str(Path(acfv.__file__).parents[1]),
-                                           os.environ.get("PYTHONPATH", "")]))
-    child = subprocess.run([sys.executable, "-c", NO_SCIPY_CHILD, mode, str(tmp_path)], env=env,
-                           text=True, capture_output=True, timeout=300)
+    child = subprocess.run([sys.executable, "-c", NO_SCIPY_CHILD, str(tmp_path)],
+                           env=child_env(ACFV_WORKERS="1"), text=True, capture_output=True,
+                           timeout=300)
     assert child.returncode == 0, child.stderr
     out = {"exit": [], "scipy": [], "lazy": []}
     for tag, *rest in (line[1:].split() for line in child.stdout.splitlines()
@@ -135,26 +142,69 @@ def run_scipy_child(tmp_path, mode, **env):
             "lazy": out["lazy"]}
 
 
-@needs_cc
-@pytest.mark.skipif(linalg.lapack().route == "scipy.linalg.lapack",
-                    reason="numpy's BLAS exports no 64-bit LAPACK here")
 def test_compiled_route_imports_no_scipy(tmp_path):
     # With scipy blocked, tiny convergence, coupled splitting-error, banded
     # (d = 81) expectation and simulate runs exit 0: their factors come
     # from numpy's own LAPACK, their increments from the compiled sampler
     # and their operators from numpy arrays.  Nor is numpy.random loaded,
-    # not even by the dgemm probe of the first dense kernel of more than
-    # one path, or the process pool, which one-worker runs never open.
-    child = run_scipy_child(tmp_path, "blocked")
+    # or the process pool, which one-worker runs never open.
+    child = run_scipy_child(tmp_path)
     assert child == {"exit": ["0"] * 4, "scipy": [], "lazy": [[], []]}
 
 
-def test_numpy_passes_import_scipy_special_only(tmp_path):
-    # Without a C compiler the Gaussians come from numpy's Philox and
-    # scipy.special.ndtri, loaded by the first run; nothing imports
-    # scipy.linalg or scipy.sparse.
-    child = run_scipy_child(tmp_path, "open", CC=str(tmp_path / "no-such-cc"))
-    assert child["exit"] == ["0"] * 4 and "scipy.special" in child["scipy"]
-    assert not [name for name in child["scipy"]
-                if name.startswith(("scipy.linalg", "scipy.sparse"))]
-    assert child["lazy"] == [[], ["numpy.random"]]
+# A banded (d = 81) expectation run of two 256-path blocks.
+BANDED = "L = 9\nN = 64\nN_max = 64\nN_p = 300\na = 1,10\ncheckpoints = 8,64\n"
+
+
+@pytest.mark.parametrize("command, options, stages", [
+    ("convergence", ["--preset", "desk"], {"bind", "draw", "ladder"}),
+    ("expectation", ["--preset", "desk"], {"bind", "draw", "ladder"}),
+    ("splitting-error", ["--preset", "desk"], {"bind", "draw", "ladder", "band_product"}),
+    ("simulate", ["--preset", "desk"], {"bind", "ladder"}),
+    ("table-repro", ["--preset", "desk"], {"bind", "ladder"}),
+    ("convergence", ["--preset", "desk", "--paths", "257"], {"bind", "draw", "ladder"}),
+    ("expectation", ["--config", "banded.cfg"], {"bind", "draw", "ladder"}),
+], ids=["convergence", "expectation", "splitting-error", "simulate", "table-repro",
+        "convergence-257", "banded-expectation"])
+def test_commands_write_the_csvs_of_their_numpy_form(monkeypatch, tmp_path, command, options,
+                                                      stages):
+    # Each command's CSVs, from the compiled stages and from their numpy
+    # forms: the desk presets (simulate and table-repro take one path, by
+    # gemv); 257 paths, whose second block holds one path; and a banded
+    # run of two blocks, by dpbtrs.  One worker, in this process.
+    monkeypatch.setenv("ACFV_WORKERS", "1")
+    monkeypatch.chdir(tmp_path)
+    Path("banded.cfg").write_text(BANDED)
+
+    def csvs(out):
+        assert cli.main([command, *options, "--out", out]) == 0
+        return {path.name: path.read_bytes() for path in Path(out).glob("*.csv")}
+
+    compiled = csvs("compiled")
+    with numpy_route(monkeypatch) as calls:
+        assert csvs("numpy") == compiled and compiled
+    assert set(calls) == stages
+
+
+def test_validate_prints_the_bytes_of_its_numpy_form(monkeypatch, capsys):
+    # The structure suite steps one-path kernels, the coupled ones through
+    # the Newton residual's band product, as do the matrix checks.
+    assert cli.main(["validate"]) == 0
+    compiled = capsys.readouterr().out
+    with numpy_route(monkeypatch) as calls:
+        assert cli.main(["validate"]) == 0
+    assert capsys.readouterr().out == compiled
+    assert set(calls) == {"bind", "band_product"}
+
+
+@pytest.mark.parametrize("demo", ["01_mesh_and_operators", "03_structure_properties"])
+def test_demos_print_the_bytes_of_their_numpy_form(monkeypatch, capsys, demo):
+    # Demos 01 and 03 reach the band product and the kernels through the
+    # public API.
+    path = str(ROOT / "demos" / f"{demo}.py")
+    runpy.run_path(path, run_name="__main__")
+    compiled = capsys.readouterr().out
+    with numpy_route(monkeypatch) as calls:
+        runpy.run_path(path, run_name="__main__")
+    assert capsys.readouterr().out == compiled
+    assert calls

@@ -1,7 +1,6 @@
 """Steppers against the frozen benchmark tables and the structure theorems."""
 
 import io
-from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +9,6 @@ import scipy.sparse as sps
 
 from acfv import benchmark, experiments, scheme
 from acfv.assembly import assemble_mass, assemble_stiffness
-from acfv.config import build_manifest, preset_config
 from acfv.constraint import psi_eps, resolvent
 from acfv.errors import NumericalFailure
 from acfv.experiments import StudyConfig, require_finite, write_states_csv
@@ -18,6 +16,7 @@ from acfv.linalg import DENSE_LIMIT, ShiftedSolver, band_to_dense
 from acfv.mesh import build_uniform_mesh, default_initial_state
 from acfv.scheme import EpsilonSchedule, StepKernel
 from acfv.stochastic import coarse_chunks, diffusion_g, sample_increment_block
+from oracles import bind, numpy_route
 
 QUARTERS = np.array(benchmark.QUARTER_INCREMENTS)
 # The two-step increments: pairwise sums of the quarters.
@@ -67,26 +66,14 @@ def run_states(kernel, u0, increments):
     return [state[0].copy() for _, state in kernel.run(u0, np.atleast_2d(increments))]
 
 
-@contextmanager
-def numpy_route(monkeypatch):
-    """Kernels built inside the block bind the numpy passes; yields the list of their binds."""
-    binds, numpy_passes = [], scheme._numpy_passes
-    with monkeypatch.context() as patched:
-        patched.setattr(scheme, "compiled_library", lambda: None)
-        patched.setattr(scheme, "_numpy_passes",
-                        lambda *args: binds.append(args) or numpy_passes(*args))
-        yield binds
-
-
 def each_passes(monkeypatch):
-    """Iterate twice: kernels built in the first pass run the rounds
-    ``_bind`` picks (compiled wherever a C compiler works and the product
-    can run in C), in the second the numpy passes, which must then have
-    run."""
+    """Iterate twice: kernels built in the first pass run the compiled
+    rounds, in the second their numpy form in ``oracles``, which must then
+    have run."""
     yield
-    with numpy_route(monkeypatch) as binds:
+    with numpy_route(monkeypatch) as calls:
         yield
-    assert binds, "no kernel of the second pass ran the numpy passes"
+    assert calls["bind"], "no kernel of the second pass ran the numpy form"
 
 
 def test_epsilon_schedules():
@@ -260,6 +247,34 @@ def test_heat_kernel_mass_identity():
         loaded = u + diffusion_g(u, 6.0) * d_w
         [out] = step(kernel, u, d_w)
         assert mass @ out == pytest.approx(mass @ loaded, rel=1e-10)
+
+
+@pytest.mark.parametrize("L", range(1, 17))
+def test_heat_product_conserves_the_mass_to_a_few_ulps(L):
+    # 1^T M P = 1^T M, as A 1 = 0 and A is symmetric.  At amplitude 0 a heat
+    # round is w = u, then u = P w, so one step of the kernel is P x, by
+    # gemv (one path or one cell), gemm (d <= 64) or dpbtrs (d > 64).  Rows:
+    # normal and uniform draws, -0.0, 5e-324, +-1e300, and subnormals among
+    # uniform draws; one at a time and all six in one stack.  The drift
+    # |1^T M P x - 1^T M x| is read in ulps of 1^T M |x|, the sums taken by
+    # np.dot.  Measured with numpy 2.4.6's OpenBLAS on an AVX-512 Xeon: at
+    # worst 2 ulps dense and 10 banded on these rows, 4 and 11 on another
+    # draw of the same kinds, so k = 8 and 16.
+    mesh = build_uniform_mesh(L)
+    rng = np.random.default_rng(L)
+    d = L * L
+    stack = np.array([rng.standard_normal(d), rng.uniform(0, 1, d), np.full(d, -0.0),
+                      np.full(d, 5e-324), rng.choice([-1e300, 1e300], d),
+                      np.where(rng.random(d) < 0.5, 5e-324, rng.uniform(0, 1, d))])
+    k = 8 if d <= DENSE_LIMIT else 16
+    for n_steps in (8, 210, 40320):
+        solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), 1.0 / n_steps)
+        mass = solver.mass_diag
+        for rows in [stack[i:i + 1] for i in range(len(stack))] + [stack]:
+            kernel = lone_kernel("heat", 0.0, EpsilonSchedule.fixed(0.05), solver, len(rows))
+            for x, px in zip(rows, step(kernel, rows, np.full(len(rows), 0.7))):
+                drift = abs(mass @ px - mass @ x)
+                assert drift <= k * np.spacing(mass @ np.abs(x)), (n_steps, x[0])
 
 
 def test_stacked_states_match_single_paths():
@@ -511,10 +526,8 @@ def test_ragged_stack_compiled_matches_numpy_bitwise(monkeypatch, L, variant):
     # Three step sizes by two amplitudes, one kernel per step size, each
     # taking its own number of steps in a chunk, as in run_block: 7, 3 and
     # 5 in the first chunk, 6, 6 and none in the second, which resumes from
-    # each kernel's buffer.  Every yield of the compiled passes equals the
-    # numpy passes byte for byte.
-    if scheme.compiled_library() is None:
-        pytest.skip("the compiled passes did not build here (no C compiler)")
+    # each kernel's buffer.  Every yield of the compiled passes equals their
+    # numpy form byte for byte.
     solvers = [solver_on(L, n) for n in (40, 24, 16)]
     rng = np.random.default_rng(L)
     start = rng.uniform(-0.6, 1.6, (5, L * L))
@@ -527,9 +540,9 @@ def test_ragged_stack_compiled_matches_numpy_bitwise(monkeypatch, L, variant):
                                           solver, 5) for solver in solvers], start, chunks)
 
     compiled = yields()
-    with numpy_route(monkeypatch) as binds:
+    with numpy_route(monkeypatch) as calls:
         assert yields() == compiled
-    assert len(binds) == 6  # one bind per kernel and chunk
+    assert calls["bind"] == 3  # one bind per kernel
     assert [(g, n) for g, n, _ in compiled] == ([(0, n) for n in range(1, 8)]
                                                 + [(1, n) for n in range(1, 4)]
                                                 + [(2, n) for n in range(1, 6)]
@@ -537,58 +550,38 @@ def test_ragged_stack_compiled_matches_numpy_bitwise(monkeypatch, L, variant):
                                                 + [(1, n) for n in range(4, 10)])
 
 
-@contextmanager
-def reprobed(monkeypatch, **attributes):
-    """numpy's dgemm looked up and probed afresh with the named ``scheme`` attributes patched.
-
-    Yields that probe's outcome, ``scheme._dgemm()``.  Kernels built inside
-    the block see it, with the attributes restored; the next dense kernel
-    after it probes again.
-    """
-    scheme._dgemm.cache_clear()
-    try:
-        with monkeypatch.context() as patched:
-            for name, value in attributes.items():
-                patched.setattr(scheme, name, value)
-            gemm = scheme._dgemm()
-        yield gemm
-    finally:
-        scheme._dgemm.cache_clear()
-
-
-def needs_one_call_rounds():
-    """Skip without a C compiler or numpy's 64-bit dgemm; else the rounds must pass the self-check."""
-    if scheme.compiled_library() is None or scheme._address(scheme.DGEMM_SYMBOL) is None:
-        pytest.skip("no compiled one-call rounds here (no C compiler or no 64-bit dgemm)")
-    assert scheme._dgemm() is not None
-
-
 @pytest.mark.parametrize("variant, L, paths",
                          [("splitting", 4, 6), ("heat", 4, 6), ("splitting", 4, 1),
+                          ("splitting", 1, 1), ("splitting", 1, 5), ("coupled", 4, 1),
                           ("splitting", 9, 6), ("heat", 9, 6), ("splitting", 16, 6),
                           ("heat", 16, 6)],
-                         ids=["splitting", "heat", "splitting-one-path", "banded-9-splitting",
+                         ids=["splitting", "heat", "splitting-one-path", "one-cell-one-path",
+                              "one-cell", "coupled-one-path", "banded-9-splitting",
                               "banded-9-heat", "banded-16-splitting", "banded-16-heat"])
 def test_one_call_rounds_match_rounds_one_by_one_and_numpy_bitwise(monkeypatch, variant, L,
                                                                      paths):
-    # 3 step sizes (one kernel each) by 3 amplitudes (dense, d = 16) or 2
-    # (banded, d = 81 and 256) and 6 paths.  The kernels take 9, 5 and 7
-    # steps in the first chunk and 8, 8 and none in the second, which
-    # resumes from each kernel's buffer, and each names steps in the middle
-    # of a chunk, as expectation checkpoints do, so that a stretch of rounds
-    # in one call ends there.  Edge cells: -0.0, 5e-324, 1 + 2^-52, NaN and
-    # a row of -0.0 whose first increment is positive, so its noisy row is
+    # 3 step sizes (one kernel each) by 3 amplitudes (dense, d = 1 or 16)
+    # or 2 (banded, d = 81 and 256) and 6 paths (1 or 5 where named).  The
+    # kernels take 9, 5 and 7 steps in the first chunk and 8, 8 and none in
+    # the second, which resumes from each kernel's buffer, and each names
+    # steps in the middle of a chunk, as expectation checkpoints do, so that
+    # a stretch of rounds in one call ends there.  Edge cells in the first
+    # row (but with one cell): -0.0, 5e-324, 1 + 2^-52 and NaN, or 1.25 in
+    # a lone row, which the NaN would fill, and in a coupled run; a second
+    # row of -0.0 whose first increment is positive, so its noisy row is
     # -0.0.  The rounds in one call, the same rounds one call per round
-    # (every step yielded) and the numpy passes yield the same bytes.  With
-    # one path, whose product np.matmul takes by gemv, the kernels run the
-    # numpy passes on every route.
-    needs_one_call_rounds()
+    # (every step yielded) and their numpy form yield the same bytes.  With
+    # one path np.matmul takes the product by gemv, with one cell by a loop
+    # of its own or a dot, where the compiled rounds call gemv row by row;
+    # a coupled run of one path is the shape of ``acfv validate``'s kernels.
     d = L * L
     solvers = [solver_on(L, n) for n in (40, 24, 16)]
     amplitudes = (0.0, 2.0, 9.0) if d <= DENSE_LIMIT else (2.0, 9.0)
     rng = np.random.default_rng(4)
     start = rng.uniform(-0.6, 1.6, (6, d))
-    start[0, :4] = (-0.0, 5e-324, 1.0 + 2.0 ** -52, np.nan)
+    if d > 1:  # a NaN cell only beside other rows, and not in a coupled run's Newton iteration
+        nan = np.nan if paths > 1 and variant != "coupled" else 1.25
+        start[0, :4] = (-0.0, 5e-324, 1.0 + 2.0 ** -52, nan)
     start[1] = -0.0
     chunks = [[rng.standard_normal((6, k)) * 0.3 for k in counts]
               for counts in ((9, 5, 7), (8, 8, 0))]
@@ -612,16 +605,14 @@ def test_one_call_rounds_match_rounds_one_by_one_and_numpy_bitwise(monkeypatch, 
                                                    (0, 17), (1, 9), (1, 13)]
 
 
-def test_resolvent_clip_serves_the_next_noise_bitwise(monkeypatch):
+def test_resolvent_clip_serves_the_next_noise_bitwise():
     # In one call the compiled rounds take round 0's resolvent and round
     # 1's noise in one pass, on the clip of the resolvent's input; called
-    # round by round, the numpy passes clip the resolvent's output again.
+    # round by round, their numpy form clips the resolvent's output again.
     # The banded product keeps a row of -0.0 (zero increments) at -0.0,
     # where the two clips differ (-0.0 in, +0.0 out); those cells and the
     # other edge cells give the same bytes.
     solver = solver_on(9, 16)
-    if scheme._bind(solver, 3).func is not scheme._compiled_passes:
-        pytest.skip("no compiled banded rounds here (no C compiler or no numpy LAPACK)")
     rng = np.random.default_rng(5)
     u = rng.uniform(-0.6, 1.6, (2, 3, 81))
     u[0, 0, :8] = (-0.0, 5e-324, -5e-324, 1.0 + 2.0 ** -52, np.nan, np.inf, -np.inf, 1.0)
@@ -633,75 +624,10 @@ def test_resolvent_clip_serves_the_next_noise_bitwise(monkeypatch):
     compiled, noisy = u.copy(), np.empty_like(u)
     scheme._bind(solver, 3)(compiled, noisy, *args)(0, 2)
     state, numpy_noisy = u.copy(), np.empty_like(u)
-    with numpy_route(monkeypatch):
-        rounds = scheme._bind(solver, 3)(state, numpy_noisy, *args)
+    rounds = bind(solver, 3)(state, numpy_noisy, *args)
     rounds(0, 1)
     rounds(1, 2)
     assert (compiled.tobytes(), noisy.tobytes()) == (state.tobytes(), numpy_noisy.tobytes())
-
-
-def test_failed_self_check_falls_back_to_the_numpy_passes(monkeypatch):
-    # With no dgemm symbol in numpy, or with the probe's numpy rounds one
-    # ulp off, the self-check fails: dense kernels then run the numpy
-    # passes, which give the bytes of the compiled rounds.
-    needs_one_call_rounds()
-    numpy_rounds = scheme._numpy_passes
-
-    def one_ulp_off(product, u, *args):
-        rounds = numpy_rounds(product, u, *args)
-
-        def off(*call):
-            rounds(*call)
-            np.nextafter(u, np.inf, out=u)
-        return off
-
-    solvers = [solver_on(4, n) for n in (8, 4)]
-    start = np.random.default_rng(6).uniform(-0.6, 1.6, (5, 16))
-    increments = [np.full((5, 8), 0.3), np.full((5, 4), -0.2)]
-
-    def final(route):
-        kernels = [StepKernel("splitting", (3.0,), EpsilonSchedule.fixed(0.05), solver, 5)
-                   for solver in solvers]
-        for kernel, inc in zip(kernels, increments):
-            for _ in kernel.run(start, inc, at=(inc.shape[1],)):
-                pass
-        assert {kernel._bind.func for kernel in kernels} == {route}
-        return b"".join(kernel.out.tobytes() for kernel in kernels)
-
-    compiled, name = final(scheme._compiled_passes), scheme.DGEMM_SYMBOL
-    with reprobed(monkeypatch, DGEMM_SYMBOL="acfv_no_such_dgemm") as gemm:
-        assert gemm is None
-        no_symbol = final(numpy_rounds)
-    with reprobed(monkeypatch, _numpy_passes=one_ulp_off) as gemm:
-        assert gemm is None and scheme._address(name) is not None
-        failed_probe = final(numpy_rounds)
-    assert no_symbol == failed_probe == compiled
-
-
-def test_blas_self_check_waits_for_a_kernel_whose_product_can_run_in_c(monkeypatch):
-    # A manifest names the library the process loaded, and banded and
-    # one-path kernels never call numpy's dgemm from C, so none of them
-    # looks dgemm up or runs the probe; the first dense kernel with more
-    # than one path does both, once, and later kernels reuse them.
-    needs_one_call_rounds()
-    calls, epsilon = [], EpsilonSchedule.fixed(0.05)
-    address, probe = scheme._address, scheme._probe
-    with monkeypatch.context() as patched:
-        patched.setattr(scheme, "_address", lambda name: calls.append(name) or address(name))
-        patched.setattr(scheme, "_probe", lambda *args: calls.append("probe") or probe(*args))
-        scheme._dgemm.cache_clear()
-        try:
-            build_manifest("expectation", preset_config("expectation", "desk"))
-            assert scheme.passes().startswith("compiled (")
-            StepKernel("splitting", (1.0,), epsilon, solver_on(9, 4), 5)
-            StepKernel("splitting", (1.0,), epsilon, solver_on(4, 4), 1)
-            assert scheme.DGEMM_SYMBOL not in calls and "probe" not in calls
-            kernel = StepKernel("splitting", (1.0,), epsilon, solver_on(4, 4), 2)
-            StepKernel("heat", (1.0,), epsilon, solver_on(4, 8), 3)
-            assert kernel._bind.func is scheme._compiled_passes
-            assert calls.count(scheme.DGEMM_SYMBOL) == calls.count("probe") == 1
-        finally:
-            scheme._dgemm.cache_clear()
 
 
 def test_kernel_stack_shapes_and_round_yields():

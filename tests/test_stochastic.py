@@ -1,6 +1,7 @@
 """Path generation, streamed path sums, their exactness and the diffusion coefficient."""
 
 import ctypes
+import hashlib
 import io
 
 import numpy as np
@@ -8,10 +9,13 @@ import pytest
 
 from acfv import scheme, stochastic
 from acfv.benchmark import QUARTER_INCREMENTS
+from acfv.config import preset_config
+from acfv.experiments import CHUNK
 from scipy.special import ndtri
 
 from acfv.stochastic import (MAX_FINE_STEPS, coarse_chunks, diffusion_g,
                              increment_chunks, load_increments, sample_increment_block)
+import oracles
 
 
 def one_path(seed, path_index, horizon, n_fine):
@@ -92,11 +96,9 @@ def test_chunks_side_by_side_equal_the_block(chunk):
 
 @pytest.fixture(params=["compiled", "numpy"])
 def route(request, monkeypatch):
-    """The sampler's route: compiled (skipped without a compiler), or Philox and scipy's ndtri."""
+    """The sampler's chunks: compiled, or their numpy form, Philox and scipy's ndtri."""
     if request.param == "numpy":
-        monkeypatch.setattr(stochastic, "compiled_library", lambda: None)
-    elif scheme.compiled_library() is None:
-        pytest.skip("the compiled passes did not build here (no C compiler)")
+        monkeypatch.setattr(stochastic, "_draw", oracles.draw)
     return request.param
 
 
@@ -151,8 +153,6 @@ def test_compiled_ndtri_equals_scipy_bytewise():
     # exp(-32) and 1 - exp(-32) (z = 8 in the tail), of 0.5, 1e-300 and
     # 2^-40, and the values outside (0, 1).
     lib = scheme.compiled_library()
-    if lib is None:
-        pytest.skip("the compiled passes did not build here (no C compiler)")
     rng = np.random.default_rng(59)
     lattice = (rng.integers(0, 2 ** 53, 2 ** 21, dtype=np.uint64) + 0.5) * 2.0 ** -53
     ends = (np.arange(200_000) + 0.5) * 2.0 ** -53
@@ -269,21 +269,37 @@ def test_compiled_ladder_equals_the_numpy_form_bytewise(monkeypatch, kind, n_fin
     # form, byte for byte, on any input, and both silent where sums overflow
     # or meet inf - inf; chunks of 7 hold no end of most step counts, and
     # the one chunk of 5000 runs past the ladder's buffer.
-    if scheme.compiled_library() is None:
-        pytest.skip("the compiled passes did not build here (no C compiler)")
     block = (sample_increment_block(4, range(3), 1.0, n_fine) if kind == "lattice"
              else off_lattice_block(n_fine))
     chunks = split(block, chunk)
     compiled = ladder_bytes(chunks, n_fine, step_counts)
     assert all(coarse[n_fine] is part for coarse, part in
                zip(coarse_chunks(chunks, n_fine, step_counts), chunks))
-    monkeypatch.setattr(stochastic, "compiled_library", lambda: None)
+    monkeypatch.setattr(stochastic, "_ladder", oracles.ladder)
     assert ladder_bytes(chunks, n_fine, step_counts) == compiled
     if chunk == 7:
         assert min(len(coarse) for coarse in compiled) == 1  # N = n_fine alone
     if kind == "off-lattice":
         flat = np.hstack([np.frombuffer(data) for coarse in compiled for _, _, data in coarse])
         assert np.isnan(flat).any() and np.isinf(flat).any() and (flat == 1e300).any()
+
+
+def test_paper_block_increments_and_ladder_equal_the_numpy_form_bytewise(monkeypatch):
+    # A paper-scale block, 256 paths of 40320 fine steps in chunks of
+    # CHUNK, and its coarse increments over the paper's step ladder: the
+    # compiled sampler and ladder against numpy's Philox, scipy's ndtri and
+    # the cumsum and diff, chunk by chunk, compared by sha256.
+    ladder = (40320, *preset_config("convergence", "paper").n_steps_list)
+
+    def digests():
+        return [{n: hashlib.sha256(inc.tobytes()).hexdigest() for n, inc in coarse.items()}
+                for coarse in coarse_chunks(increment_chunks(0, range(256), 1.0, 40320, CHUNK),
+                                            40320, ladder)]
+
+    compiled = digests()
+    monkeypatch.setattr(stochastic, "_draw", oracles.draw)
+    monkeypatch.setattr(stochastic, "_ladder", oracles.ladder)
+    assert digests() == compiled
 
 
 def test_diffusion_support_and_values():
