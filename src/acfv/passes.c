@@ -28,19 +28,19 @@ typedef void dpbtrs64(const char *uplo, const int64_t *n, const int64_t *kd, con
                       const double *ab, const int64_t *ldab, double *b, const int64_t *ldb,
                       int64_t *info, size_t uplo_len);
 
-/* A run, as scheme._Run lays it out.  The increment of path p in round j
- * is dw[j * dw_j + p * dw_p], in elements.  The heat product is gemm or
- * gemv, whichever is not NULL, with the D x D row-major propagator at op,
- * else pbtrs with the D x band upper band factor at op.  No resolvent in a heat run. */
+/* A kernel's run, as scheme._Run lays it out, bound once when the kernel is
+ * built.  The heat product is gemm or gemv, whichever is not NULL, with the
+ * D x D row-major propagator at op, else pbtrs with the D x band upper band
+ * factor at op.  No resolvent in a heat run. */
 struct run {
     double *u, *w;
-    const double *amp, *dw, *op, *mass;
+    const double *amp, *op, *mass;
+    double kappa;
+    int64_t amps, paths, cells, band;
+    int resolve;
     dgemm64 *gemm;
     dgemv64 *gemv;
     dpbtrs64 *pbtrs;
-    double kappa;
-    int64_t amps, paths, cells, band, dw_j, dw_p;
-    int resolve;
 };
 
 /* Cells clipped at once into a local buffer. */
@@ -100,12 +100,12 @@ INLINE void pass(double *restrict u, double *restrict w, int res, double k, doub
     }
 }
 
-/* Rounds j0..j1-1, each amplitude's tile of p x d cells through all of
- * them in turn, so that it stays in cache: the noise into w, then the heat
- * product into u by the very BLAS call of np.matmul or apply_markov, then
- * the resolvent, in one pass with the next round's noise.  Tiles are
- * independent, so the order of rounds within each is all that matters. */
-CLONES void acfv_rounds(const struct run *r, int j0, int j1)
+/* Rounds j0..j1-1, each amplitude's tile of p x d cells through all of them in turn, so
+ * that it stays in cache: the noise into w, path p taking dw[j * dw_j + p * dw_p] in round
+ * j, then the heat product into u by the very BLAS call of np.matmul or apply_markov, then
+ * the resolvent, in one pass with the next round's noise.  Tiles are independent, so the
+ * order of rounds within each is all that matters. */
+CLONES void acfv_rounds(const struct run *r, const double *dw, int dw_j, int dw_p, int j0, int j1)
 {
     const int64_t paths = r->paths, cells = r->cells, tile = paths * cells, kd = r->band - 1;
     const double k = r->kappa;
@@ -114,9 +114,9 @@ CLONES void acfv_rounds(const struct run *r, int j0, int j1)
         double *u = r->u + a * tile, *w = r->w + a * tile;
         const double am = r->amp[a];
         for (ptrdiff_t j = j0; j < j1; j++) {
-            const double *dw = r->dw + j * r->dw_j;
+            const double *d = dw + j * (ptrdiff_t)dw_j;
             if (j == j0 || !r->resolve)
-                pass(u, w, 0, k, am, dw, r->dw_p, tile, cells);
+                pass(u, w, 0, k, am, d, dw_p, tile, cells);
             if (r->gemm)  /* u = w op: CblasRowMajor, CblasNoTrans, CblasNoTrans */
                 r->gemm(101, 111, 111, paths, cells, cells, 1.0, w, cells, r->op, cells, 0.0,
                         u, cells);
@@ -130,7 +130,7 @@ CLONES void acfv_rounds(const struct run *r, int j0, int j1)
                 r->pbtrs("U", &cells, &kd, &paths, r->op, &r->band, u, &cells, &info, 1);
             }
             if (r->resolve)
-                pass(u, w, 1, k, am, j + 1 < j1 ? dw + r->dw_j : NULL, r->dw_p, tile, cells);
+                pass(u, w, 1, k, am, j + 1 < j1 ? d + dw_j : NULL, dw_p, tile, cells);
         }
     }
 }

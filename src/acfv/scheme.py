@@ -121,7 +121,8 @@ class StepKernel:
     kappa = eps/(eps + tau) from its ShiftedSolver; ``amplitudes`` holds the
     A noise amplitudes; ``paths`` is the number p of fields per run, each
     of the solver's d cells.  The kernel keeps a noisy buffer and ``out``,
-    the states after the last step taken, both of shape (A, p, d).  A round
+    the states after the last step taken, both of shape (A, p, d), and binds
+    its compiled rounds to them once, when it is built.  A round
     takes each amplitude's tile of p x d cells through the noise term
     w = u + ((a c)(1 - c)) dW, the heat propagator, then the resolvent
     c + (r - c) kappa, each c a clip to [0, 1] of the tile's current state,
@@ -140,7 +141,7 @@ class StepKernel:
         self._kappa = None if variant == "heat" else self.eps / (self.eps + self.tau)
         d, shape = solver.n, (len(self._amplitude), paths, solver.n)
         self._noisy, self.out = np.empty(shape), np.empty(shape)
-        self._bind = _bind(solver, paths)
+        self._rounds = _bind(solver, self.out, self._noisy, self._amplitude, self._kappa)
         self._rows = self.out.reshape(-1, d), self._noisy.reshape(-1, d)  # Newton's rows
 
     def run(self, u0, increments, at=None, first=1):
@@ -154,8 +155,8 @@ class StepKernel:
         and valid until the generator resumes (the last one until the
         kernel runs again).  ``run(kernel.out, more, at, first=n + 1)``
         resumes a run after its step n, bit for bit as if it had not
-        stopped.  The rounds from one yield to the next go in one call
-        where the run allows (see ``_stepper``).
+        stopped.  A splitting or heat run takes the rounds from one yield to
+        the next in one call, a coupled run one round a call (``_coupled``).
         """
         if u0 is not self.out:
             np.copyto(self.out, u0)
@@ -163,7 +164,8 @@ class StepKernel:
         # the compiled rounds read p rows of the block through its strides
         if increments.ndim != 2 or len(increments) != self.out.shape[1]:
             raise ValueError(f"increments must be a block of {self.out.shape[1]} rows")
-        step, done = self._stepper(increments.T), 0
+        rounds, done = self._rounds(increments.T), 0
+        step = partial(self._coupled, rounds) if self.variant == "coupled" else rounds
         for j in range(increments.shape[1]):
             if at is None or first + j in at:
                 step(done, j + 1)
@@ -172,69 +174,55 @@ class StepKernel:
         if done < increments.shape[1]:
             step(done, increments.shape[1])
 
-    def _stepper(self, d_w):
-        """``step(j0, j1)``: rounds j0..j1-1, d_w their (rounds, p) increments.
-
-        A splitting or heat run takes them in one call of its rounds; a
-        coupled run round by round, its Newton iteration after each.
-        """
-        rounds = self._bind(self.out, self._noisy, self._amplitude, self._kappa, d_w)
-        if self.variant != "coupled":
-            return rounds
-
-        def step(j0, j1):
-            for j in range(j0, j1):
-                rounds(j, j + 1)
-                _newton(self._solver, self.eps, *self._rows)
-
-        return step
+    def _coupled(self, rounds, j0, j1):
+        """Rounds j0..j1-1 of ``rounds(j0, j1)`` one at a time, the Newton iteration after each."""
+        for j in range(j0, j1):
+            rounds(j, j + 1)
+            _newton(self._solver, self.eps, *self._rows)
 
 
-def _bind(solver, paths):
-    """The compiled rounds ``bind(u, w, amplitude, kappa, d_w)`` of ``paths`` paths on ``solver``.
+def _bind(solver, u, w, amplitude, kappa):
+    """The compiled rounds of a kernel, bound once: ``over(d_w)`` gives ``rounds(j0, j1)``.
 
-    Their product is the BLAS call of ``np.matmul`` on a dense run: dgemm,
-    or dgemv with one path or one cell; on a banded run, the mass times
-    the noisy rows solved by dpbtrs, as ``ShiftedSolver.apply_markov`` does.
+    ``u`` and ``w`` are the kernel's (A, p, d) state and noisy buffers,
+    ``amplitude`` is (A,) and ``kappa`` a float (None: no resolvent, a heat
+    run); they and the product are bound into one ``_Run`` here, and a call
+    of ``rounds`` passes ``acfv_rounds`` only the address and strides of the
+    (rounds, p) increments ``d_w`` and the round range.  The product is the
+    BLAS call of ``np.matmul`` on a dense run: dgemm, or dgemv with one path
+    or one cell; on a banded run, the mass times the noisy rows solved by
+    dpbtrs, as ``ShiftedSolver.apply_markov`` does.
     """
     lib = compiled_library()
     if solver.n > DENSE_LIMIT:
-        return partial(_compiled_passes, lib, solver.band_factor,
-                       np.ascontiguousarray(solver.mass_diag), pbtrs=_address("scipy_dpbtrs_64_"))
-    if min(paths, solver.n) > 1:
-        return partial(_compiled_passes, lib, solver.markov_t, None,
-                       gemm=_address("scipy_cblas_dgemm64_"))
-    return partial(_compiled_passes, lib, solver.markov_t, None,
-                   gemv=_address("scipy_cblas_dgemv64_"))
+        op, mass = solver.band_factor, np.ascontiguousarray(solver.mass_diag)
+        product = {"pbtrs": _address("scipy_dpbtrs_64_")}
+    else:
+        op, mass = solver.markov_t, None
+        product = ({"gemm": _address("scipy_cblas_dgemm64_")} if min(u.shape[1], solver.n) > 1
+                   else {"gemv": _address("scipy_cblas_dgemv64_")})
+    arrays = (u, w, amplitude, op, mass)
+    run = _Run(*(None if a is None else a.ctypes.data for a in arrays),
+               0.0 if kappa is None else kappa, *u.shape, op.shape[1], kappa is not None,
+               **product)
+    run.arrays = arrays  # the buffers outlive every call through the pointers
+    call, bound = lib.acfv_rounds, ctypes.byref(run)
+
+    def over(d_w):
+        return partial(call, bound, ctypes.c_void_p(d_w.ctypes.data),
+                       *(s // d_w.itemsize for s in d_w.strides))
+
+    return over
 
 
 class _Run(ctypes.Structure):
-    """A run as passes.c reads it: buffers, BLAS call, kappa, sizes, strides in elements."""
+    """A kernel's run as passes.c reads it: buffers, BLAS call, kappa, sizes."""
 
-    _fields_ = ([(name, ctypes.c_void_p) for name in "u w amp dw op mass gemm gemv pbtrs".split()]
+    _fields_ = ([(name, ctypes.c_void_p) for name in "u w amp op mass".split()]
                 + [("kappa", ctypes.c_double)]
-                + [(name, ctypes.c_int64) for name in "amps paths cells band dw_j dw_p".split()]
-                + [("resolve", ctypes.c_int)])
-
-
-def _compiled_passes(lib, op, mass, u, w, amplitude, kappa, d_w, gemm=None, gemv=None,
-                     pbtrs=None):
-    """A run's ``rounds(j0, j1)``: one call into the compiled library, its pointers bound once.
-
-    ``u`` and ``w`` are the run's (A, p, d) state and noisy buffers,
-    ``amplitude`` is (A,), ``kappa`` a float (None: no resolvent, a heat
-    run) and ``d_w`` (rounds, p).  The product is one of numpy's BLAS
-    routines, by address: ``gemm`` (``cblas_dgemm``) or ``gemv``
-    (``cblas_dgemv``) with ``op`` the (d, d) propagator, or ``pbtrs``
-    (``dpbtrs``) with ``op`` the (d, u + 1) band factor and ``mass`` the
-    mass diagonal.
-    """
-    arrays = (u, w, amplitude, d_w, op, mass)
-    run = _Run(*(None if a is None else a.ctypes.data for a in arrays), gemm, gemv, pbtrs,
-               0.0 if kappa is None else kappa, *u.shape, op.shape[1],
-               *(s // u.itemsize for s in d_w.strides), kappa is not None)
-    run.arrays = arrays  # the buffers outlive every call through the pointers
-    return partial(lib.acfv_rounds, ctypes.byref(run))
+                + [(name, ctypes.c_int64) for name in "amps paths cells band".split()]
+                + [("resolve", ctypes.c_int)]
+                + [(name, ctypes.c_void_p) for name in "gemm gemv pbtrs".split()])
 
 
 def build_passes(cc, flags=FLAGS, source=SOURCE, directory=None) -> Path:

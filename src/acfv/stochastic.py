@@ -71,7 +71,9 @@ def increment_chunks(seed, path_indices, horizon, n_fine, chunk):
     increment has variance horizon/n_fine, and row i is a pure function of
     (seed, path_indices[i], n_fine): the increment of fine step s is drawn
     from Philox word s of the key (seed, path_indices[i]), and a row does
-    not depend on the other rows of the block.  Each chunk is a new array.
+    not depend on the other rows of the block.  Every chunk is drawn into
+    one buffer of the block, as a C-contiguous view valid until the next
+    chunk is drawn: a caller that keeps a chunk copies it.
     The arguments are checked at the call: seed and path indices are
     64-bit words, horizon is positive and finite, n_fine in
     1..MAX_FINE_STEPS and chunk at least 1; else a ValueError names the
@@ -87,8 +89,10 @@ def increment_chunks(seed, path_indices, horizon, n_fine, chunk):
     sigma = np.sqrt(horizon / n_fine)
     # Snap to the lattice that keeps all partial sums exact, see module docstring.
     quantum = 2.0 ** (np.floor(np.log2(sigma)) - 30)
-    draw = _draw(seed, keys, sigma, quantum)
-    return (draw(first, min(chunk, n_fine - first)) for first in range(0, n_fine, chunk))
+    draw, p = _draw(seed, keys, sigma, quantum), len(keys)
+    buffer = np.empty(p * min(chunk, n_fine))
+    return (draw(buffer[:p * m].reshape(p, m), first)
+            for first in range(0, n_fine, chunk) for m in [min(chunk, n_fine - first)])
 
 
 def _word(value, name):
@@ -100,16 +104,15 @@ def _word(value, name):
 
 
 def _draw(seed, keys, sigma, quantum):
-    """``draw(first, m)``: the (len(keys), m) increments of fine steps first..first+m-1.
+    """``draw(out, first)``: the C-contiguous (len(keys), m) ``out``, filled with steps first, ...
 
     One ``acfv_increments`` call of the compiled passes.
     """
     lib, keys = compiled_library(), np.array(keys, dtype=np.uint64)
 
-    def draw(first, m):
-        out = np.empty((len(keys), m))
-        lib.acfv_increments(out.ctypes.data, keys.ctypes.data, len(keys), m, seed, first,
-                            sigma, quantum)
+    def draw(out, first):
+        lib.acfv_increments(out.ctypes.data, keys.ctypes.data, len(keys), out.shape[1], seed,
+                            first, sigma, quantum)
         return out
 
     return draw
@@ -131,7 +134,9 @@ def coarse_chunks(chunks, n_fine, step_counts):
     ``n_fine``.  Yields one dict per chunk, {N: (p, k) increments of the k
     coarse steps of N whose interval ends in the chunk}, in the order of
     ``step_counts`` and leaving out the N with no such step.  N = n_fine
-    gets the chunk itself, every other N a new array.  A coarse increment
+    gets the chunk itself, every other N a C-contiguous view into one
+    buffer of its own, made at the first chunk and valid until the next
+    chunk is summed: a caller that keeps it copies it.  A coarse increment
     is the difference of the running path sum at its two ends, so it may
     span chunk edges and no array longer than a chunk is built (see the
     module docstring for why these differences are exact).
@@ -149,15 +154,17 @@ def _ladder(ratios):
 
     ``ratios`` maps each step count to its fine steps a step.  The chunks
     must come in order, as the path sums carry over from one to the next.
-    One ``acfv_ladder`` call of the compiled passes.
+    Each summed count has one buffer, made at the first chunk (again only at
+    a longer one) for the most steps a chunk can end.  One ``acfv_ladder``
+    call of the compiled passes.
     """
     lib = compiled_library()
     summed = [n for n, ratio in ratios.items() if ratio > 1]
     ratio = np.array([ratios[n] for n in summed], dtype=np.int64)
-    carry = last = None  # each path's sum, and its sum at each count's last end
+    carry = last = buffers = pointers = None  # path sums, sums at each last end, the buffers
 
     def ladder(chunk, done):
-        nonlocal carry, last
+        nonlocal carry, last, buffers, pointers
         rows = np.ascontiguousarray(chunk, dtype=float)
         p, m = rows.shape
         if carry is None:
@@ -165,12 +172,13 @@ def _ladder(ratios):
         if p != len(carry):  # the C code reads p sums from carry
             raise ValueError(f"a chunk of {p} paths after chunks of {len(carry)}")
         first = ratio - done % ratio  # local fine index of each count's first end
-        sums = [np.empty((p, max(0, (m - f) // r + 1)))
-                for f, r in zip(first.tolist(), ratio.tolist())]
-        lib.acfv_ladder((ctypes.c_void_p * len(sums))(*(s.ctypes.data for s in sums)),
-                        rows.ctypes.data, p, m, carry.ctypes.data, last.ctypes.data,
-                        ratio.ctypes.data, first.ctypes.data, len(sums))
-        coarse = dict(zip(summed, sums))
+        steps = [max(0, (m - f) // r + 1) for f, r in zip(first.tolist(), ratio.tolist())]
+        if buffers is None or any(p * k > len(b) for k, b in zip(steps, buffers)):
+            buffers = [np.empty(p * ((m - 1) // r + 1)) for r in ratio.tolist()]
+            pointers = (ctypes.c_void_p * len(buffers))(*(b.ctypes.data for b in buffers))
+        lib.acfv_ladder(pointers, rows.ctypes.data, p, m, carry.ctypes.data, last.ctypes.data,
+                        ratio.ctypes.data, first.ctypes.data, len(buffers))
+        coarse = {n: b[:p * k].reshape(p, k) for n, b, k in zip(summed, buffers, steps)}
         return {n: chunk if r == 1 else coarse[n] for n, r in ratios.items()
                 if r == 1 or coarse[n].shape[1]}
 

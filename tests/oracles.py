@@ -29,13 +29,17 @@ from acfv import scheme, stochastic, validation
 from acfv.linalg import DENSE_LIMIT
 
 
-def bind(solver, paths):
-    """``scheme._bind`` in numpy: the rounds around ``np.matmul`` or ``apply_markov``."""
+def bind(solver, u, w, amplitude, kappa):
+    """``scheme._bind`` in numpy: ``over(d_w)``, the rounds around ``np.matmul`` or
+    ``apply_markov``."""
     if solver.n <= DENSE_LIMIT:
-        return partial(passes, lambda w, u: np.matmul(w, solver.markov_t, out=u))
-    # per amplitude: one solve of all A p rows was slower at d = 256 (L2 cache)
-    return partial(passes,
-                   lambda w, u: [solver.apply_markov(w_a, out=u_a) for w_a, u_a in zip(w, u)])
+        def product(w, u):
+            np.matmul(w, solver.markov_t, out=u)
+    else:
+        def product(w, u):  # per amplitude: one solve of all A p rows was slower at d = 256
+            for w_a, u_a in zip(w, u):
+                solver.apply_markov(w_a, out=u_a)
+    return partial(passes, product, u, w, amplitude, kappa)
 
 
 def passes(product, u, w, amplitude, kappa, d_w):
@@ -95,16 +99,15 @@ def band_product(band, x):
 def draw(seed, keys, sigma, quantum):
     """``stochastic._draw`` in numpy: one ``Philox`` per path and ``scipy.special.ndtri``.
 
-    Each Philox continues its stream, so the calls of ``draw(first, m)``
+    Each Philox continues its stream, so the calls of ``draw(out, first)``
     must come in order of ``first`` from 0.
     """
     # random_raw gives the words of Generator.integers(0, 2**64, dtype=uint64)
     bitgens = [Philox(key=np.array([seed, key], dtype=np.uint64)) for key in keys]
 
-    def draw(first, m):
-        out = np.empty((len(bitgens), m))
+    def draw(out, first):
         for row, bitgen in zip(out, bitgens):
-            bits = bitgen.random_raw(m)
+            bits = bitgen.random_raw(out.shape[1])
             bits >>= np.uint64(11)
             np.add(bits, 0.5, out=row)
         out *= 2.0 ** -53

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from acfv import cli, experiments
+from acfv.config import preset_config
 from acfv.errors import ConfigError, NumericalFailure
 from acfv.experiments import (PATH_BLOCK, ErrorCurve, StudyConfig, _fit_loglog,
                               _mean_errors, convergence_study, expectation_study,
@@ -57,6 +58,26 @@ def test_zero_amplitude_conserves_mean():
     assert len(results) == 2
     for r in results:
         assert r.drift <= 1e-9
+
+
+def test_heat_drift_is_within_3_standard_errors_at_desk_size():
+    # Without the resolvent the mass-weighted mean is a martingale: P keeps
+    # 1'M x and the noise has conditional mean 0, so E[mean_M u_n] =
+    # mean_M u_0 exactly.  At the desk expectation size, seeds 0-7, every
+    # (a, n) of the heat run reads its drift within 3 standard errors of 0,
+    # the errors from the per-path spatial means (the mesh is uniform, so
+    # these are the mass-weighted means): 96 of 96, the largest |z| 2.60.
+    desk = replace(preset_config("expectation", "desk"), variant="heat")
+    z = []
+    for seed in range(8):
+        config = replace(desk, seed=seed)
+        _, u0, runs = run_block(config, None, range(config.n_paths),
+                                {config.n_steps: config.checkpoints}, ("heat",))
+        for _, _, _, (states,) in runs:
+            means = states.mean(axis=1)
+            z.append((means.mean() - u0.mean()) / (means.std(ddof=1) / np.sqrt(len(means))))
+    assert len(z) == 8 * 4 * 3
+    assert np.abs(z).max() <= 3.0, np.abs(z).max()
 
 
 def test_checkpoint_states_are_not_overwritten_by_later_steps():
@@ -123,19 +144,48 @@ def test_results_do_not_depend_on_the_chunk_length(monkeypatch):
         assert outputs() == reference
 
 
+# What a convergence block may hold besides its buffers: the mesh, the
+# operators and solvers, the per-path errors and the Python objects of the
+# run, measured at 24-52 KiB at 64 paths on a 2 x 2 mesh.
+BLOCK_SLACK = 96 * 1024
+
+
+def block_bound(config):
+    """Bytes a convergence block of ``config.n_paths`` paths may trace at its peak.
+
+    One chunk of its fine increments, each summed step count's coarse
+    increments of a chunk, the state and noisy stacks of its kernels (one
+    per step count, N_max too) and BLOCK_SLACK: nothing that grows with the
+    path length.
+    """
+    n_fine, d = config.resolved_n_fine(), config.cells_per_axis ** 2
+    chunk = min(experiments.CHUNK, n_fine)
+    coarse = sum((chunk - 1) // (n_fine // n) + 1 for n in config.n_steps_list if n < n_fine)
+    stacks = 2 * len(config.amplitudes) * (1 + len(config.n_steps_list)) * d
+    return 8 * config.n_paths * (chunk + coarse + stacks) + BLOCK_SLACK
+
+
 def test_a_convergence_block_holds_no_whole_path():
-    # The block's increments alone take p N_max 8 bytes; streamed in
-    # chunks, its whole run stays far below that.
-    paths, n_fine = 64, 2 ** 15
-    config = StudyConfig(cells_per_axis=2, n_fine=n_fine, n_steps_list=(16, 2 ** 13),
-                         n_paths=paths).validate()
-    tracemalloc.start()
-    try:
-        experiments._error_block(config, config.n_steps_list, None, 0, paths)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < paths * n_fine * 8 / 4
+    # The block's increments alone take 64 n_fine 8 bytes; streamed through
+    # buffers made once per block, its traced peak stays within one chunk,
+    # the chunk's coarse increments and the kernels' stacks, plus the
+    # slack: the same bound at two path lengths, as the step counts keep
+    # their ratios.  A block that allocates each chunk and its ladder anew,
+    # and builds the next while the last is held, exceeds it.
+    paths = 64
+    configs = [StudyConfig(cells_per_axis=2, n_fine=n, n_steps_list=(n // 2048, n // 4),
+                           n_paths=paths).validate() for n in (2 ** 15, 2 ** 17)]
+    bound = block_bound(configs[0])
+    assert block_bound(configs[1]) == bound
+    experiments._error_block(configs[0], configs[0].n_steps_list, None, 0, 2)  # warm
+    for config in configs:
+        tracemalloc.start()
+        try:
+            experiments._error_block(config, config.n_steps_list, None, 0, paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (config.n_fine, peak, bound)
 
 
 def test_n_max_is_bounded_by_exact_path_sums():

@@ -1,17 +1,19 @@
 """The compiled passes: their build cache, concurrent and failed builds, and
 whole commands against the numpy form of every compiled stage."""
 
+import hashlib
 import os
 import runpy
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 import acfv
-from acfv import cli
-from acfv.scheme import FLAGS, SOURCE, build_passes
+from acfv import cli, scheme, validation
+from acfv.scheme import FLAGS, SOURCE, StepKernel, build_passes
 from oracles import numpy_route
 
 CC = os.environ.get("CC") or "cc"
@@ -186,25 +188,56 @@ def test_commands_write_the_csvs_of_their_numpy_form(monkeypatch, tmp_path, comm
     assert set(calls) == stages
 
 
+@contextmanager
+def digest(monkeypatch):
+    """For the block, a sha256 over every state ``StepKernel.run`` yields and every
+    ``band_product`` result, in call order: what a printed summary rounds away."""
+    sha = hashlib.sha256()
+    run = StepKernel.run
+
+    def hashed_run(self, *args, **kwargs):
+        for n, state in run(self, *args, **kwargs):
+            sha.update(state.tobytes())
+            yield n, state
+
+    def hashed(product):
+        def call(*args):
+            out = product(*args)
+            sha.update(out.tobytes())
+            return out
+        return call
+
+    with monkeypatch.context() as patched:
+        patched.setattr(StepKernel, "run", hashed_run)
+        for module in (acfv, scheme, validation):  # each holds band_product by name
+            patched.setattr(module, "band_product", hashed(module.band_product))
+        yield sha
+
+
 def test_validate_prints_the_bytes_of_its_numpy_form(monkeypatch, capsys):
     # The structure suite steps one-path kernels, the coupled ones through
-    # the Newton residual's band product, as do the matrix checks.
-    assert cli.main(["validate"]) == 0
+    # the Newton residual's band product, as do the matrix checks; every
+    # state and product, not only the printed summary, keeps its bytes.
+    with digest(monkeypatch) as compiled_sha:
+        assert cli.main(["validate"]) == 0
     compiled = capsys.readouterr().out
-    with numpy_route(monkeypatch) as calls:
+    with numpy_route(monkeypatch) as calls, digest(monkeypatch) as numpy_sha:
         assert cli.main(["validate"]) == 0
     assert capsys.readouterr().out == compiled
+    assert numpy_sha.hexdigest() == compiled_sha.hexdigest() != hashlib.sha256().hexdigest()
     assert set(calls) == {"bind", "band_product"}
 
 
 @pytest.mark.parametrize("demo", ["01_mesh_and_operators", "03_structure_properties"])
 def test_demos_print_the_bytes_of_their_numpy_form(monkeypatch, capsys, demo):
     # Demos 01 and 03 reach the band product and the kernels through the
-    # public API.
+    # public API; every state and product keeps its bytes.
     path = str(ROOT / "demos" / f"{demo}.py")
-    runpy.run_path(path, run_name="__main__")
+    with digest(monkeypatch) as compiled_sha:
+        runpy.run_path(path, run_name="__main__")
     compiled = capsys.readouterr().out
-    with numpy_route(monkeypatch) as calls:
+    with numpy_route(monkeypatch) as calls, digest(monkeypatch) as numpy_sha:
         runpy.run_path(path, run_name="__main__")
     assert capsys.readouterr().out == compiled
+    assert numpy_sha.hexdigest() == compiled_sha.hexdigest() != hashlib.sha256().hexdigest()
     assert calls

@@ -620,11 +620,11 @@ def test_resolvent_clip_serves_the_next_noise_bitwise():
     d_w = rng.standard_normal((2, 3))
     d_w[:, 2] = 0.0
     assert np.signbit(solver.apply_markov(u[:, 2])).any()  # a -0.0 into the resolvent
-    args = (np.array([0.0, 7.0]), 0.25, d_w)
+    args = (np.array([0.0, 7.0]), 0.25)
     compiled, noisy = u.copy(), np.empty_like(u)
-    scheme._bind(solver, 3)(compiled, noisy, *args)(0, 2)
+    scheme._bind(solver, compiled, noisy, *args)(d_w)(0, 2)
     state, numpy_noisy = u.copy(), np.empty_like(u)
-    rounds = bind(solver, 3)(state, numpy_noisy, *args)
+    rounds = bind(solver, state, numpy_noisy, *args)(d_w)
     rounds(0, 1)
     rounds(1, 2)
     assert (compiled.tobytes(), noisy.tobytes()) == (state.tobytes(), numpy_noisy.tobytes())

@@ -28,12 +28,17 @@ def split(fine, chunk):
     return [fine[:, lo:lo + chunk] for lo in range(0, fine.shape[1], chunk)]
 
 
+def kept(chunks):
+    """Copies of the chunks, each valid only until the next is made."""
+    return [chunk.copy() for chunk in chunks]
+
+
 def ladders(chunks, n_fine, step_counts):
     """Each step count's coarse increments, the chunks of coarse_chunks side by side."""
     parts = {n: [] for n in step_counts}
     for coarse in coarse_chunks(chunks, n_fine, step_counts):
         for n, inc in coarse.items():
-            parts[n].append(inc)
+            parts[n].append(inc.copy())
     return {n: np.hstack(inc) for n, inc in parts.items()}
 
 
@@ -89,7 +94,7 @@ def documented_increments(seed, path_index, horizon, n_fine):
 def test_chunks_side_by_side_equal_the_block(chunk):
     block = np.array([documented_increments(5, idx, 2.0, 96) for idx in range(3, 6)])
     assert sample_increment_block(5, range(3, 6), 2.0, 96).tobytes() == block.tobytes()
-    chunks = list(increment_chunks(5, range(3, 6), 2.0, 96, chunk))
+    chunks = kept(increment_chunks(5, range(3, 6), 2.0, 96, chunk))
     assert [c.shape for c in chunks[:-1]] == [(3, chunk)] * (len(chunks) - 1)
     assert np.hstack(chunks).tobytes() == block.tobytes()
 
@@ -110,14 +115,14 @@ def test_chunks_equal_the_documented_map_at_the_ends_of_the_key_words(route, chu
     keys = [0, 2 ** 63, 2 ** 64 - 1]
     for seed in (0, 2 ** 64 - 1):
         block = np.array([documented_increments(seed, key, 1.5, 1030) for key in keys])
-        chunks = list(increment_chunks(seed, keys, 1.5, 1030, chunk))
+        chunks = kept(increment_chunks(seed, keys, 1.5, 1030, chunk))
         assert np.hstack(chunks).tobytes() == block.tobytes()
 
 
 def test_paper_length_paths_equal_the_documented_map(route):
     keys = [0, 1, 255, 2 ** 64 - 1]
     block = np.array([documented_increments(0, key, 1.0, 40320) for key in keys])
-    assert np.hstack(list(increment_chunks(0, keys, 1.0, 40320, 1024))).tobytes() == \
+    assert np.hstack(kept(increment_chunks(0, keys, 1.0, 40320, 1024))).tobytes() == \
         block.tobytes()
     assert sample_increment_block(0, keys, 1.0, 40320).tobytes() == block.tobytes()
 
@@ -217,6 +222,24 @@ def test_aggregation_is_exactly_coherent():
     coarse = ladders(split(path, 64), 360, (120, 24, 90, 6, 180, 12, 60, 4))
     for n_mid, n_coarse in ((120, 24), (90, 6), (180, 12), (60, 4)):
         np.testing.assert_array_equal(reshape_sums(coarse[n_mid], n_coarse), coarse[n_coarse])
+
+
+def test_chunks_share_one_buffer_and_each_step_counts_coarse_blocks_another():
+    # A chunk and its coarse increments are views valid until the next
+    # chunk: the sampler draws every chunk into one buffer of the block, and
+    # the ladder sums each step count's increments into one buffer of its
+    # own; a short last chunk is a C-contiguous prefix of each.
+    views = list(increment_chunks(3, range(4), 1.0, 360, 100))
+    assert all(np.shares_memory(views[0], view) for view in views[1:])
+    assert views[-1].shape == (4, 60) and views[-1].flags.c_contiguous
+    coarse = list(coarse_chunks(increment_chunks(3, range(4), 1.0, 360, 100), 360,
+                                (360, 8, 45, 120)))
+    assert [sorted(c) for c in coarse] == [[8, 45, 120, 360]] * 4
+    for n in (8, 45, 120):
+        assert all(np.shares_memory(coarse[0][n], c[n]) and c[n].flags.c_contiguous
+                   for c in coarse[1:])
+    buffers = [coarse[0][n] for n in (360, 8, 45, 120)]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(buffers) for b in buffers[i + 1:])
 
 
 def test_aggregate_rejects_non_divisors():
