@@ -8,8 +8,9 @@ Three studies are provided.
   [0, 1].
 * Time-refinement error: mean squared L2 distance at the final time
   between the run on the finest grid and the run on a coarser grid,
-  both driven by the same Brownian path per sample.  A log-log fit of
-  error against step size gives the computational convergence order.
+  both driven by the same Brownian path per sample.  The slope of the
+  least-squares line through (log tau, log error), taken in closed form,
+  gives the computational convergence order.
 * Splitting-vs-coupled gap: the largest (over steps) expected maximum
   cell difference between the two-substep method and the fully implicit
   one on shared paths, as a function of the step size.
@@ -214,7 +215,8 @@ def run_block(config: StudyConfig, initial_state, paths, at, variants):
     once.  Returns the mesh, the start field and a generator over the
     runs: it builds one ShiftedSolver per N and one StepKernel per (N,
     variant), which steps the (A, p, d) stack of every amplitude (index k
-    into ``config.amplitudes``).  Chunk by chunk, N by N (by decreasing N),
+    into ``config.amplitudes``) from the start field, broadcast into it by
+    the kernel's first run.  Chunk by chunk, N by N (by decreasing N),
     the kernels of N take the steps of N that end in the chunk and resume
     from their own output in the next chunk.  The generator yields
     (k, N, n, states) after each named step n, one (p, d) view into each
@@ -240,7 +242,6 @@ def run_block(config: StudyConfig, initial_state, paths, at, variants):
     else:
         paths = np.asarray(paths, dtype=float)
         lo, n_fine, chunks = 0, paths.shape[1], [paths]
-    start = np.tile(u0, (len(paths), 1))
     order = sorted(at, reverse=True)
 
     def runs():
@@ -252,12 +253,12 @@ def run_block(config: StudyConfig, initial_state, paths, at, variants):
                 raise NumericalFailure(f"M + tau A does not factor at tau="
                                        f"{config.horizon / n:g}, N={n}: {exc}") from exc
             kernels[n] = [StepKernel(variant, config.amplitudes, config.epsilon, solver,
-                                     len(start)) for variant in variants]
+                                     len(paths)) for variant in variants]
         taken = dict.fromkeys(order, 0)
         for coarse in coarse_chunks(chunks, n_fine, order):
             for n, incs in coarse.items():
                 # strict: every kernel runs to the chunk's end, past its last named step
-                for steps in zip(*(kernel.run(kernel.out if taken[n] else start, incs, at[n],
+                for steps in zip(*(kernel.run(kernel.out if taken[n] else u0, incs, at[n],
                                               taken[n] + 1) for kernel in kernels[n]),
                                  strict=True):
                     for k in range(len(config.amplitudes)):
@@ -370,6 +371,12 @@ class ErrorCurve:
 
 
 def _fit_loglog(taus, errors):
+    """Least-squares slope and intercept of log E against log tau, in closed form.
+
+    With x = log tau, y = log E and weights w_i = (x_i - mean x)/sum_j (x_j - mean x)^2,
+    the slope is sum_i w_i (y_i - mean y) and the intercept mean y - slope mean x:
+    elementwise numpy and sums, no BLAS or LAPACK call.
+    """
     taus = np.asarray(taus, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if taus.size < 2:
@@ -378,8 +385,10 @@ def _fit_loglog(taus, errors):
         raise ValueError("convergence fit needs positive step sizes and errors")
     if (taus == taus[0]).all():  # np.unique would import numpy.ma, 15 ms
         raise ValueError("step sizes are degenerate (all equal)")
-    slope, intercept = np.polyfit(np.log(taus), np.log(errors), 1)
-    return float(slope), float(intercept)
+    x, y = np.log(taus), np.log(errors)
+    centred = x - x.mean()
+    slope = (centred / (centred * centred).sum() * (y - y.mean())).sum()
+    return float(slope), float(y.mean() - slope * x.mean())
 
 
 def _curve(config, amplitude, n_list, errors):

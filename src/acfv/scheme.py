@@ -38,7 +38,7 @@ from __future__ import annotations
 import ctypes
 import os
 import shlex
-import subprocess
+import shutil
 from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
@@ -228,20 +228,29 @@ class _Run(ctypes.Structure):
 def build_passes(cc, flags=FLAGS, source=SOURCE, directory=None) -> Path:
     """Path of ``source`` compiled by ``cc`` with ``flags`` and libm into ``directory``.
 
-    Nothing is built when the library is there already.  ``directory``
-    defaults to ``$XDG_CACHE_HOME/acfv``, else ``~/.cache/acfv``.  The
-    library's name holds the sha256 of the source, the flags and
-    ``cc --version``.  It is written under a name of its own process and
-    then moved into place, so concurrent builders never load half a file.
-    A compiler that cannot be run or fails, or a directory that cannot be
-    made, is a ConfigError that names it and the cause.
+    Nothing is built, and no process started, when the library is there
+    already.  ``directory`` defaults to ``$XDG_CACHE_HOME/acfv``, else
+    ``~/.cache/acfv``.  The library's name holds the sha256 of the source,
+    the flags, ``cc`` and the real path, size and modification time of its
+    executable (the first word of ``cc``, looked up on ``$PATH``), so a
+    rebuilt or replaced compiler builds a new library.  It is written under
+    a name of its own process and then moved into place, so concurrent
+    builders never load half a file.  A compiler that cannot be run or
+    fails, or a directory that cannot be made, is a ConfigError that names
+    it and the cause.
     """
     if directory is None:
         directory = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "acfv"
     command, directory = shlex.split(cc), Path(directory)
-    version = _compile(cc, [*command, "--version"])
-    key = sha256(b"\0".join([Path(source).read_bytes(), " ".join(flags).encode(),
-                             version])).hexdigest()
+    name = command[0] if command else cc
+    try:
+        executable = os.path.realpath(shutil.which(name) or name)
+        stat = os.stat(executable)
+    except OSError as exc:
+        raise _cannot_run(cc, exc) from exc
+    key = sha256(b"\0".join([Path(source).read_bytes(), " ".join(flags).encode(), cc.encode(),
+                             os.fsencode(executable), b"%d %d" % (stat.st_size, stat.st_mtime_ns)])
+                 ).hexdigest()
     lib = directory / f"passes-{key[:16]}.so"
     if not lib.exists():
         try:
@@ -259,20 +268,27 @@ def build_passes(cc, flags=FLAGS, source=SOURCE, directory=None) -> Path:
 
 
 def _compile(cc, command):
-    """The stdout of the compiler ``cc`` run as ``command``.
+    """Run the compiler ``cc`` as ``command``.
 
     A ConfigError if it cannot run or fails, which names ``cc`` and quotes
-    the last ``STDERR_LINES`` lines of its stderr.
+    the last ``STDERR_LINES`` lines of its stderr.  Only a build imports
+    subprocess.
     """
+    import subprocess
+
     try:
-        return subprocess.run(command, capture_output=True, check=True).stdout
+        subprocess.run(command, capture_output=True, check=True)
     except OSError as exc:
-        raise ConfigError(f"C compiler {cc!r} ($CC, else cc) cannot run: {exc.strerror}; "
-                          "acfv builds its compiled passes with it") from exc
+        raise _cannot_run(cc, exc) from exc
     except subprocess.CalledProcessError as exc:
         stderr = exc.stderr.decode(errors="replace").splitlines()[-STDERR_LINES:]
         raise ConfigError("\n".join([f"C compiler {cc!r} ($CC, else cc) failed with exit "
                                      f"{exc.returncode}:", *stderr])) from exc
+
+
+def _cannot_run(cc, exc):
+    return ConfigError(f"C compiler {cc!r} ($CC, else cc) cannot run: {exc.strerror}; "
+                       "acfv builds its compiled passes with it")
 
 
 @cache
@@ -280,8 +296,10 @@ def compiled_library():
     """The compiled passes.c of this process, built and loaded at the first call.
 
     Built by ``$CC`` (else ``cc``) into ``$XDG_CACHE_HOME/acfv`` (else
-    ``~/.cache/acfv``); a library that cannot be built or loaded is a
-    ConfigError (see ``build_passes``).  Besides ``acfv_rounds``, its
+    ``~/.cache/acfv``) unless a library of the same source, flags and
+    compiler is cached there, which loads without starting a process; a
+    library that cannot be built or loaded is a ConfigError (see
+    ``build_passes``).  Besides ``acfv_rounds``, its
     ``acfv_increments`` and ``acfv_ladder`` serve ``stochastic`` and
     ``acfv_band_product`` serves ``band_product``; ``acfv_ndtri``, the
     inverse normal CDF the sampler applies, is exported for the tests'

@@ -259,6 +259,20 @@ def test_fit_exact_power_laws():
     assert _fit_loglog(taus, 700.0 * taus)[0] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_fit_agrees_with_polyfit_on_random_ladders():
+    # np.polyfit (LAPACK's least squares) is the oracle of the closed form.
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        n_list = np.unique(rng.integers(1, 50000, size=rng.integers(2, 16)))
+        if len(n_list) < 2:
+            continue
+        taus = rng.uniform(0.5, 4.0) / n_list
+        errors = rng.uniform(1e-3, 1e3) * taus ** rng.uniform(0.1, 2.5) * np.exp(
+            rng.normal(0.0, 0.3, size=len(taus)))
+        oracle = np.polyfit(np.log(taus), np.log(errors), 1)
+        assert _fit_loglog(taus, errors) == pytest.approx(tuple(oracle), rel=1e-12)
+
+
 def test_fit_rejects_degenerate_input():
     with pytest.raises(ValueError):
         _fit_loglog([0.5], [1.0])

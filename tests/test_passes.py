@@ -4,6 +4,7 @@ whole commands against the numpy form of every compiled stage."""
 import hashlib
 import os
 import runpy
+import shlex
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -72,6 +73,38 @@ def test_changed_source_or_flags_builds_a_new_library(tmp_path):
     assert sorted(cache.iterdir()) == sorted([lib, changed, flagged])
 
 
+def test_a_warm_cache_starts_no_compiler(tmp_path):
+    # $CC is a wrapper that logs each call: a fresh process with the library
+    # cached neither runs it nor imports subprocess, and a rewritten
+    # compiler builds a new library.
+    cache, log, wrapper = tmp_path / "cache", tmp_path / "calls.log", tmp_path / "logged-cc"
+
+    def write_wrapper(note):
+        wrapper.write_text(f'#!/bin/sh\n# {note}\necho "$@" >> {shlex.quote(str(log))}\n'
+                           f'exec {CC} "$@"\n')
+        wrapper.chmod(0o755)
+
+    def fresh_process():
+        child = subprocess.run(
+            [sys.executable, "-c", "import sys\nfrom acfv import scheme\n"
+             "scheme.compiled_library()\nprint('subprocess' in sys.modules)"],
+            env=child_env(CC=str(wrapper), XDG_CACHE_HOME=str(cache)), capture_output=True,
+            text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        return child.stdout.strip()
+
+    write_wrapper("first")
+    assert fresh_process() == "True"  # a cold cache builds
+    calls = log.read_text()
+    assert len(calls.splitlines()) == 1
+    assert fresh_process() == "False"
+    assert log.read_text() == calls
+    write_wrapper("rewritten")
+    assert fresh_process() == "True"
+    assert len(log.read_text().splitlines()) == 2
+    assert len(list((cache / "acfv").iterdir())) == 2
+
+
 def test_a_failed_build_exits_2_and_says_why(tmp_path):
     # With one compiled route, the error is the user's only diagnosis: a
     # compiler that is not there, a cache path that is a file, and a
@@ -79,8 +112,7 @@ def test_a_failed_build_exits_2_and_says_why(tmp_path):
     # Nothing is written.
     cache, not_a_directory, broken = tmp_path / "cache", tmp_path / "a-file", tmp_path / "broken-cc"
     not_a_directory.write_text("")
-    broken.write_text('#!/bin/sh\ncase "$1" in --version) echo broken 1.0;; '
-                      '*) echo "broken-cc: error: out of registers" >&2; exit 3;; esac\n')
+    broken.write_text('#!/bin/sh\necho "broken-cc: error: out of registers" >&2\nexit 3\n')
     broken.chmod(0o755)
     cases = [({"CC": str(tmp_path / "no-such-cc"), "XDG_CACHE_HOME": str(cache)},
               f"C compiler {str(tmp_path / 'no-such-cc')!r} ($CC, else cc) cannot run: "
@@ -102,15 +134,15 @@ def test_a_failed_build_exits_2_and_says_why(tmp_path):
 
 
 # Tiny runs of four commands in one process, scipy blocked; prints (marked
-# by @) the exit codes, the scipy modules loaded, and which of numpy.random
-# and the process pool's module were loaded after the import and after the
-# runs.
+# by @) the exit codes, the scipy modules loaded, and which of numpy.random,
+# the process pool's module and subprocess were loaded after the import and
+# after the runs.
 NO_SCIPY_CHILD = """
 import sys
 sys.modules["scipy"] = None
 from pathlib import Path
 from acfv import cli
-LAZY = ("numpy.random", "concurrent.futures.process")
+LAZY = ("numpy.random", "concurrent.futures.process", "subprocess")
 print("@lazy", *[name for name in LAZY if name in sys.modules])
 runs = {"convergence": "L = 3\\nN_max = 48\\nN_list = 6,12,24\\nN_p = 6\\na = 1,30\\n",
         "splitting-error": "L = 3\\nN_max = 32\\nN_list = 16,32\\nN_p = 4\\na = 10\\n"
@@ -149,7 +181,9 @@ def test_compiled_route_imports_no_scipy(tmp_path):
     # (d = 81) expectation and simulate runs exit 0: their factors come
     # from numpy's own LAPACK, their increments from the compiled sampler
     # and their operators from numpy arrays.  Nor is numpy.random loaded,
-    # or the process pool, which one-worker runs never open.
+    # or the process pool, which one-worker runs never open, or, with the
+    # library cached, subprocess.
+    scheme.compiled_library()
     child = run_scipy_child(tmp_path)
     assert child == {"exit": ["0"] * 4, "scipy": [], "lazy": [[], []]}
 
