@@ -19,7 +19,6 @@ from functools import partial
 
 import numpy as np
 
-from . import benchmark, validation
 from .config import build_manifest, keys_read, load_config_file, preset_config
 from .errors import ConfigError, NumericalFailure
 from .experiments import (StudyConfig, convergence_study, expectation_study,
@@ -92,6 +91,8 @@ def _prepare_out(command: str, config: StudyConfig, csvs: dict) -> list:
 
 
 def cmd_table_repro(config: StudyConfig) -> int:
+    from . import benchmark  # loaded only where it runs, as validation is
+
     if config.path_file is None:
         raise ConfigError("table-repro needs path_file (the injected driving increments)")
     report = benchmark.run_benchmark_tables(config.path_file)
@@ -169,6 +170,8 @@ def cmd_splitting_error(config: StudyConfig) -> int:
 
 
 def cmd_validate(seed: int) -> int:
+    from . import validation
+
     if seed < 0:  # numpy's generators take nonnegative seeds only
         raise ConfigError(f"seed must be >= 0, got {seed}")
     checks = validation.run_all(seed=seed)

@@ -41,7 +41,6 @@ import os
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 
-from . import benchmark
 from .errors import ConfigError
 from .experiments import StudyConfig, format_float
 from .scheme import EpsilonSchedule, passes, sha256
@@ -178,6 +177,8 @@ def load_config_file(path, command: str | None = None) -> StudyConfig:
         raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
     config = config_from_mapping(mapping, base_dir=os.path.dirname(os.path.abspath(path)))
     if command == "table-repro":
+        from . import benchmark  # loaded only by table-repro
+
         config = replace(benchmark.SCENARIO, path_file=config.path_file,
                          out_dir=config.out_dir)
     return config

@@ -16,8 +16,10 @@ The factors come from the LAPACK in numpy's own BLAS (``dpotrf``/``dpotrs``
 and ``dpbtrf``/``dpbtrs``, the routines behind scipy's ``cho_factor``,
 ``cho_solve``, ``cholesky_banded`` and ``cho_solve_banded``), called through
 ctypes.  ``numpy_blas`` also gives the kernels the ``cblas_dgemm`` and
-``cblas_dgemv`` of their heat products; a numpy that does not export all
-six routines is a ConfigError.
+``cblas_dgemv`` of their heat products and the ``dgesv`` of a coupled
+step's dense Newton solves (the kernels solve its banded ones by
+``dpbtrf``/``dpbtrs`` on the shifted band); a numpy that does not export
+all seven routines is a ConfigError.
 """
 
 from __future__ import annotations
@@ -36,9 +38,10 @@ __all__ = ["ShiftedSolver", "DENSE_LIMIT", "band_to_dense"]
 DENSE_LIMIT = 64
 
 # The routines of numpy's BLAS (numpy 2's scipy-openblas, 64-bit integers)
-# that acfv calls: the heat products, then the Cholesky factors and solves.
-BLAS_SYMBOLS = ("scipy_cblas_dgemm64_", "scipy_cblas_dgemv64_",
-                *(f"scipy_{name}_64_" for name in ("dpotrf", "dpotrs", "dpbtrf", "dpbtrs")))
+# that acfv calls: the heat products, the Cholesky factors and solves, and
+# the LU solve of the coupled step's dense Newton systems.
+CHOLESKY = tuple(f"scipy_{name}_64_" for name in ("dpotrf", "dpotrs", "dpbtrf", "dpbtrs"))
+BLAS_SYMBOLS = ("scipy_cblas_dgemm64_", "scipy_cblas_dgemv64_", *CHOLESKY, "scipy_dgesv_64_")
 
 
 @cache
@@ -93,8 +96,7 @@ class Lapack(NamedTuple):
 @cache
 def lapack() -> Lapack:
     """The routines from numpy's BLAS (see ``numpy_blas``)."""
-    potrf, potrs, pbtrf, pbtrs = (partial(_fortran, numpy_blas()[name])
-                                  for name in BLAS_SYMBOLS[2:])
+    potrf, potrs, pbtrf, pbtrs = (partial(_fortran, numpy_blas()[name]) for name in CHOLESKY)
     return Lapack(
         lambda a: potrf(len(a), a, len(a)),
         lambda c, b: potrs(len(c), b.size // len(c), c, len(c), b, len(c)),
@@ -147,8 +149,7 @@ class ShiftedSolver:
         self.band = self.tau * stiffness
         self.band[:, -1] += self.mass_diag
         if self.n <= DENSE_LIMIT:
-            self._dense = band_to_dense(self.band)
-            self._chol = _factor(lapack().potrf, self._dense.copy())
+            self._chol = _factor(lapack().potrf, band_to_dense(self.band))
             # (M + tau A)^{-1} M in Fortran order, so in C order its transpose
             self.markov_t = np.diag(self.mass_diag)
             lapack().potrs(self._chol, self.markov_t)
@@ -167,28 +168,6 @@ class ShiftedSolver:
         else:
             lapack().pbtrs(self.band_factor, b)
         return b
-
-    def solve_with_diagonal(self, extra, b):
-        """Solve (M + tau A + diag(extra[i])) x[i] = b[i] for each row i.
-
-        ``extra`` and ``b`` have shape (k, d); ``extra`` must be
-        nonnegative, which keeps every system positive definite.  These
-        are the semismooth Newton systems of the coupled step, one per
-        path, each with its own active set.
-        """
-        extra = np.asarray(extra, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if self.n <= DENSE_LIMIT:
-            jac = np.broadcast_to(self._dense, (len(b), self.n, self.n)).copy()
-            cells = np.arange(self.n)
-            jac[:, cells, cells] += extra
-            return np.linalg.solve(jac, b[..., None])[..., 0]
-        out = np.array(b, order="C")
-        for shift, x in zip(extra, out):
-            band = self.band.copy()
-            band[:, -1] += shift
-            lapack().pbtrs(_factor(lapack().pbtrf, band), x)
-        return out
 
     def apply_markov(self, x, out=None):
         """Apply (M + tau A)^{-1} M, the monotone one-step heat propagator.

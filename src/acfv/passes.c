@@ -1,13 +1,15 @@
 /* The rounds of a StepKernel over its C-contiguous (A, P, D) stack:
- * amplitudes, paths, cells; the band product of the Newton residual; the
- * Brownian increments, from numpy's Philox words through the inverse
- * normal CDF onto the lattice of stochastic.py; and the coarse increments
- * of a step ladder, as differences of the running path sums.
+ * amplitudes, paths, cells, with a coupled run's semismooth Newton
+ * iteration; the band product; the Brownian increments, from numpy's
+ * Philox words through the inverse normal CDF onto the lattice of
+ * stochastic.py; and the coarse increments of a step ladder, as
+ * differences of the running path sums.
  *
  * Each value is computed by the same IEEE operations in the same order as
  * the ufuncs of the numpy forms in tests/oracles.py, the tests' byte
- * oracle, and the heat product by the very numpy BLAS call np.matmul or
- * ShiftedSolver.apply_markov makes (cblas_dgemm, cblas_dgemv or dpbtrs),
+ * oracle, and the heat product and the Newton solves by the very numpy
+ * BLAS and LAPACK calls np.matmul, ShiftedSolver.apply_markov and
+ * np.linalg.solve make (cblas_dgemm, cblas_dgemv, dpbtrs, dgesv; dpbtrf),
  * so the two agree byte for byte; the sampler agrees so with numpy's
  * Philox and scipy.special.ndtri.  Build with
  * -ffp-contract=off (no fused multiply-add), without -ffast-math, and link
@@ -17,7 +19,8 @@
 #include <stddef.h>
 #include <stdint.h>
 
-/* cblas_dgemm, cblas_dgemv and Fortran dpbtrs with 64-bit integers, as numpy exports them. */
+/* cblas_dgemm, cblas_dgemv and Fortran dpbtrs, dgesv and dpbtrf with 64-bit integers, as
+ * numpy exports them. */
 typedef void dgemm64(int order, int trans_a, int trans_b, int64_t m, int64_t n, int64_t k,
                      double alpha, const double *a, int64_t lda, const double *b,
                      int64_t ldb, double beta, double *c, int64_t ldc);
@@ -27,11 +30,19 @@ typedef void dgemv64(int order, int trans, int64_t m, int64_t n, double alpha, c
 typedef void dpbtrs64(const char *uplo, const int64_t *n, const int64_t *kd, const int64_t *nrhs,
                       const double *ab, const int64_t *ldab, double *b, const int64_t *ldb,
                       int64_t *info, size_t uplo_len);
+typedef void dgesv64(const int64_t *n, const int64_t *nrhs, double *a, const int64_t *lda,
+                     int64_t *ipiv, double *b, const int64_t *ldb, int64_t *info);
+typedef void dpbtrf64(const char *uplo, const int64_t *n, const int64_t *kd, double *ab,
+                      const int64_t *ldab, int64_t *info, size_t uplo_len);
 
 /* A kernel's run, as scheme._Run lays it out, bound once when the kernel is
  * built.  The heat product is gemm or gemv, whichever is not NULL, with the
  * D x D row-major propagator at op, else pbtrs with the D x band upper band
- * factor at op.  No resolvent in a heat run. */
+ * factor at op.  No resolvent in a heat run.  A coupled run (shifted not
+ * NULL) has the D x (half + 1) upper band of M + tau A at shifted, a
+ * scratch of D cells and the Jacobian (D x D for gesv, D x band for pbtrf
+ * and pbtrs), pivots for gesv, and its Newton constants; the rounds leave
+ * the largest residual of the rows that did not converge in residual. */
 struct run {
     double *u, *w;
     const double *amp, *op, *mass;
@@ -41,6 +52,13 @@ struct run {
     dgemm64 *gemm;
     dgemv64 *gemv;
     dpbtrs64 *pbtrs;
+    const double *shifted;
+    double *scratch;
+    int64_t *ipiv;
+    double tau, eps, tol, residual;
+    int64_t half, iterations;
+    dgesv64 *gesv;
+    dpbtrf64 *pbtrf;
 };
 
 /* Cells clipped at once into a local buffer. */
@@ -100,22 +118,112 @@ INLINE void pass(double *restrict u, double *restrict w, int res, double k, doub
     }
 }
 
+/* y = A x for one row x of d cells, A the symmetric d x d matrix whose
+ * upper band of u diagonals is the row-major d x (u + 1) band: entry
+ * (i, j), i <= j, at band[j (u + 1) + u + i - j].  The sum starts from 0
+ * and adds the products of the band's slots, zeros too, in ascending
+ * column order, as its numpy form in tests/oracles.py does; the sums
+ * advance diagonal by diagonal, independent of each other. */
+INLINE void band_row(double *restrict y, const double *restrict x, const double *band,
+                     ptrdiff_t d, ptrdiff_t u)
+{
+    const ptrdiff_t reach = u < d ? u : d - 1;
+    for (ptrdiff_t i = 0; i < d; i++)
+        y[i] = 0.0;
+    for (ptrdiff_t s = -reach; s <= reach; s++) {  /* entry (i, i + s) at a[i (u + 1)] */
+        const double *a = band + (s < 0 ? u + s : s * (u + 1) + u - s);
+        for (ptrdiff_t i = s < 0 ? -s : 0; i < (s < 0 ? d : d - s); i++)
+            y[i] += a[i * (u + 1)] * x[i + s];
+    }
+}
+
+/* max(a, b), NaN if either is, as np.max takes it. */
+INLINE double max_nan(double a, double b)
+{
+    return a != a || b <= a ? a : b;
+}
+
+/* The semismooth Newton iteration of one row v of a coupled run, in place,
+ * from its noisy row w: (M + tau A) v + tau M psi(v) = M w, psi(v) =
+ * (v - clip(v)) / eps.  Each iteration takes the residual
+ * r = (A v + (tau M) psi(v)) - M w, A v by band_row, and stops once every
+ * |r_i| <= tol; else it solves the active-set Jacobian, M + tau A with
+ * ((tau / eps) M_i) active_i added to its diagonal (active: v_i < 0 or
+ * v_i > 1), for x = J^-1 r by dgesv on the dense matrix (symmetric, so its
+ * C order is LAPACK's) or dpbtrf and dpbtrs on a copy of the band, and
+ * takes v = v - x.  Returns 0 once converged, else 1: the row is still
+ * open after the run's iterations, as a NaN residual always is, or its
+ * Jacobian did not factor, which a finite one always does (it is
+ * positive definite).  *norm is max |r_i| of the last check. */
+INLINE int newton(const struct run *r, double *restrict v, const double *restrict w,
+                  double *norm)
+{
+    const int64_t d = r->cells, u = r->half, one = 1, ldab = u + 1;
+    const double tau = r->tau, eps = r->eps, *mass = r->mass;
+    double *res = r->scratch, *jac = res + d;
+    int64_t info = 0;
+    for (int64_t it = 0; it < r->iterations; it++) {
+        band_row(res, v, r->shifted, d, u);
+        double m = 0.0;
+        for (ptrdiff_t i = 0; i < d; i++) {
+            const double c = v[i] < 0.0 ? 0.0 : (v[i] > 1.0 ? 1.0 : v[i]);
+            res[i] = (res[i] + (tau * mass[i]) * ((v[i] - c) / eps)) - mass[i] * w[i];
+            m = max_nan(m, fabs(res[i]));
+        }
+        *norm = m;
+        if (m <= r->tol)
+            return 0;
+        if (r->gesv) {  /* the dense shifted matrix, as band_to_dense */
+            for (ptrdiff_t i = 0; i < d * d; i++)
+                jac[i] = 0.0;
+            for (ptrdiff_t j = 0; j < d; j++)
+                for (ptrdiff_t s = 0; s <= u && s <= j; s++)
+                    jac[(j - s) * d + j] = jac[j * d + j - s] = r->shifted[j * ldab + u - s];
+        } else {
+            for (ptrdiff_t i = 0; i < d * ldab; i++)
+                jac[i] = r->shifted[i];
+        }
+        const ptrdiff_t step = r->gesv ? d + 1 : ldab, at = r->gesv ? 0 : u;  /* (i, i) */
+        for (ptrdiff_t i = 0; i < d; i++)
+            jac[i * step + at] += ((tau / eps) * mass[i]) * (double)(v[i] < 0.0 || v[i] > 1.0);
+        if (r->gesv)
+            r->gesv(&d, &one, jac, &d, r->ipiv, res, &d, &info);
+        else {
+            r->pbtrf("U", &d, &u, jac, &ldab, &info, 1);
+            if (!info)
+                r->pbtrs("U", &d, &u, &one, jac, &ldab, res, &d, &info, 1);
+        }
+        if (info)
+            return 1;
+        for (ptrdiff_t i = 0; i < d; i++)
+            v[i] = v[i] - res[i];
+    }
+    return 1;
+}
+
 /* Rounds j0..j1-1, each amplitude's tile of p x d cells through all of them in turn, so
  * that it stays in cache: the noise into w, path p taking dw[j * dw_j + p * dw_p] in round
  * j, then the heat product into u by the very BLAS call of np.matmul or apply_markov, then
- * the resolvent, in one pass with the next round's noise.  Tiles are independent, so the
- * order of rounds within each is all that matters. */
-CLONES void acfv_rounds(const struct run *r, const double *dw, int dw_j, int dw_p, int j0, int j1)
+ * the resolvent, in one pass with the next round's noise but in a coupled run, whose
+ * Newton iteration then takes each row of u from this round's w.  Tiles are independent,
+ * so the order of rounds within each is all that matters.  Returns 0, or 1 if a row's
+ * Newton iteration failed, with the largest residual over the failed rows of every tile
+ * in the earliest round where one failed left in r->residual; no tile takes a round
+ * past it, and the states are then undefined. */
+CLONES int acfv_rounds(struct run *r, const double *dw, int dw_j, int dw_p, int j0, int j1)
 {
     const int64_t paths = r->paths, cells = r->cells, tile = paths * cells, kd = r->band - 1;
     const double k = r->kappa;
+    const int fused = r->resolve && !r->shifted;  /* a resolvent takes the next noise */
     int64_t info;
+    int status = 0;
+    ptrdiff_t stop = j1;
     for (ptrdiff_t a = 0; a < r->amps; a++) {
         double *u = r->u + a * tile, *w = r->w + a * tile;
         const double am = r->amp[a];
-        for (ptrdiff_t j = j0; j < j1; j++) {
+        for (ptrdiff_t j = j0; j < stop; j++) {
             const double *d = dw + j * (ptrdiff_t)dw_j;
-            if (j == j0 || !r->resolve)
+            if (j == j0 || !fused)
                 pass(u, w, 0, k, am, d, dw_p, tile, cells);
             if (r->gemm)  /* u = w op: CblasRowMajor, CblasNoTrans, CblasNoTrans */
                 r->gemm(101, 111, 111, paths, cells, cells, 1.0, w, cells, r->op, cells, 0.0,
@@ -130,31 +238,31 @@ CLONES void acfv_rounds(const struct run *r, const double *dw, int dw_j, int dw_
                 r->pbtrs("U", &cells, &kd, &paths, r->op, &r->band, u, &cells, &info, 1);
             }
             if (r->resolve)
-                pass(u, w, 1, k, am, j + 1 < j1 ? d + dw_j : NULL, dw_p, tile, cells);
+                pass(u, w, 1, k, am, fused && j + 1 < j1 ? d + dw_j : NULL, dw_p, tile, cells);
+            if (!r->shifted)
+                continue;
+            int failed = 0;
+            double worst = 0.0, norm = NAN;  /* NaN: never checked */
+            for (ptrdiff_t i = 0; i < tile; i += cells)
+                if (newton(r, u + i, w + i, &norm))
+                    failed = 1, worst = max_nan(worst, norm);
+            if (failed) {  /* the earliest such round yet; one of an earlier tile counts too */
+                r->residual = status && j + 1 == stop ? max_nan(r->residual, worst) : worst;
+                status = 1, stop = j + 1;
+            }
         }
     }
+    return status;
 }
 
-/* y = A x for each of the k = rows rows of x, k x d and row-major, where A
- * is the symmetric d x d matrix (d = cells) whose upper band of u =
- * half_width diagonals is the row-major d x (u + 1) band: entry (i, j),
- * i <= j, at band[j (u + 1) + u + i - j].  Each sum starts from 0 and adds
- * the products of the band's slots, zeros too, in ascending column order,
- * as its numpy form in tests/oracles.py does; the sums of a row advance
- * diagonal by diagonal, independent of each other. */
+/* y = A x for each of the k = rows rows of x, k x d and row-major (d =
+ * cells), A the symmetric matrix whose upper band of u = half_width
+ * diagonals is the row-major d x (u + 1) band, as band_row takes it. */
 CLONES void acfv_band_product(double *restrict y, const double *restrict x, const double *band,
                               int rows, int cells, int half_width)
 {
-    const ptrdiff_t k = rows, d = cells, u = half_width, reach = u < d ? u : d - 1;
-    for (ptrdiff_t r = 0; r < k; r++, x += d, y += d) {
-        for (ptrdiff_t i = 0; i < d; i++)
-            y[i] = 0.0;
-        for (ptrdiff_t s = -reach; s <= reach; s++) {  /* entry (i, i + s) at a[i (u + 1)] */
-            const double *a = band + (s < 0 ? u + s : s * (u + 1) + u - s);
-            for (ptrdiff_t i = s < 0 ? -s : 0; i < (s < 0 ? d : d - s); i++)
-                y[i] += a[i * (u + 1)] * x[i + s];
-        }
-    }
+    for (ptrdiff_t r = 0; r < rows; r++, x += cells, y += cells)
+        band_row(y, x, band, cells, half_width);
 }
 
 /* The inverse of the standard normal CDF: Cephes ndtri, as

@@ -23,14 +23,15 @@ compiled C (``passes.c``, built at the first kernel into a per-user
 cache), whose product is the very call of numpy's own BLAS that
 ``np.matmul`` or ``ShiftedSolver.apply_markov`` makes: ``cblas_dgemm`` on
 a dense run of more than one path and cell, ``cblas_dgemv`` on one of one
-path or one cell, ``dpbtrs`` on a banded run.  Their numpy form, the
-tests' byte oracle, is in ``tests/oracles.py``.  A splitting or heat run
-steps from one yield to the next in one call; a coupled run goes round by
-round, its Newton iteration after each.  ``StepKernel.run`` is
-the one way to step a kernel: it steps a whole increment block in one loop
-that yields only after the steps its caller names, and a later call can
-resume from the kernel's buffer with the next block; one step is a (p, 1)
-block.
+path or one cell, ``dpbtrs`` on a banded run.  A coupled round then runs
+the semismooth Newton iteration on each path's row in C too, its solves
+the ``dgesv`` of ``np.linalg.solve`` (dense) or ``dpbtrf`` and ``dpbtrs``
+on the shifted band (banded).  Their numpy form, the tests' byte oracle,
+is in ``tests/oracles.py``.  Every run steps from one yield to the next in
+one call.  ``StepKernel.run`` is the one way to step a kernel: it steps a
+whole increment block in one loop that yields only after the steps its
+caller names, and a later call can resume from the kernel's buffer with
+the next block; one step is a (p, 1) block.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ except ImportError:
 
 import numpy as np
 
-from .constraint import psi_eps
 from .errors import ConfigError, NumericalFailure
 from .linalg import DENSE_LIMIT, numpy_blas
 
@@ -64,8 +64,9 @@ __all__ = ["EpsilonSchedule", "StepKernel", "band_product"]
 VARIANTS = ("splitting", "coupled", "heat")
 
 # Iteration cap and residual tolerance of the semismooth Newton loop in
-# the coupled step; the residual is the infinity norm of the defining
-# equation scaled by the smallest cell measure.
+# the coupled step, read when a kernel is built; the residual is the
+# infinity norm of the defining equation scaled by the smallest cell
+# measure.
 NEWTON_MAX_ITER = 100
 NEWTON_TOL = 1e-11
 
@@ -126,9 +127,10 @@ class StepKernel:
     takes each amplitude's tile of p x d cells through the noise term
     w = u + ((a c)(1 - c)) dW, the heat propagator, then the resolvent
     c + (r - c) kappa, each c a clip to [0, 1] of the tile's current state,
-    in the order of ``diffusion_g`` and ``resolvent``; the compiled rounds
-    (see ``_bind``) make the same IEEE operations, so every run equals
-    those formulas bit for bit, as if it were stepped alone.
+    in the order of ``diffusion_g`` and ``resolvent``, and in a coupled run
+    the semismooth Newton iteration on each row from there; the compiled
+    rounds (see ``_bind``) make the same IEEE operations, so every run
+    equals those formulas bit for bit, as if it were stepped alone.
     """
 
     def __init__(self, variant, amplitudes, epsilon: EpsilonSchedule, solver, paths):
@@ -137,12 +139,11 @@ class StepKernel:
             raise ValueError("amplitude must be >= 0")
         self.variant, self.amplitude = variant, tuple(self._amplitude.tolist())
         self.tau, self.eps = solver.tau, epsilon.value(solver.tau)
-        self._solver = solver
-        self._kappa = None if variant == "heat" else self.eps / (self.eps + self.tau)
-        d, shape = solver.n, (len(self._amplitude), paths, solver.n)
+        kappa = None if variant == "heat" else self.eps / (self.eps + self.tau)
+        shape = (len(self._amplitude), paths, solver.n)
         self._noisy, self.out = np.empty(shape), np.empty(shape)
-        self._rounds = _bind(solver, self.out, self._noisy, self._amplitude, self._kappa)
-        self._rows = self.out.reshape(-1, d), self._noisy.reshape(-1, d)  # Newton's rows
+        self._rounds = _bind(solver, self.out, self._noisy, self._amplitude, kappa,
+                             self.eps if variant == "coupled" else None)
 
     def run(self, u0, increments, at=None, first=1):
         """Step u0 once per increment column; yield (n, out) after each step n in ``at``.
@@ -155,8 +156,9 @@ class StepKernel:
         and valid until the generator resumes (the last one until the
         kernel runs again).  ``run(kernel.out, more, at, first=n + 1)``
         resumes a run after its step n, bit for bit as if it had not
-        stopped.  A splitting or heat run takes the rounds from one yield to
-        the next in one call, a coupled run one round a call (``_coupled``).
+        stopped.  The rounds from one yield to the next are one call; a
+        coupled row whose Newton iteration does not converge is a
+        NumericalFailure, after which the kernel's states are undefined.
         """
         if u0 is not self.out:
             np.copyto(self.out, u0)
@@ -165,64 +167,86 @@ class StepKernel:
         if increments.ndim != 2 or len(increments) != self.out.shape[1]:
             raise ValueError(f"increments must be a block of {self.out.shape[1]} rows")
         rounds, done = self._rounds(increments.T), 0
-        step = partial(self._coupled, rounds) if self.variant == "coupled" else rounds
         for j in range(increments.shape[1]):
             if at is None or first + j in at:
-                step(done, j + 1)
+                rounds(done, j + 1)
                 done = j + 1
                 yield first + j, self.out
         if done < increments.shape[1]:
-            step(done, increments.shape[1])
-
-    def _coupled(self, rounds, j0, j1):
-        """Rounds j0..j1-1 of ``rounds(j0, j1)`` one at a time, the Newton iteration after each."""
-        for j in range(j0, j1):
-            rounds(j, j + 1)
-            _newton(self._solver, self.eps, *self._rows)
+            rounds(done, increments.shape[1])
 
 
-def _bind(solver, u, w, amplitude, kappa):
+def _bind(solver, u, w, amplitude, kappa, eps=None):
     """The compiled rounds of a kernel, bound once: ``over(d_w)`` gives ``rounds(j0, j1)``.
 
     ``u`` and ``w`` are the kernel's (A, p, d) state and noisy buffers,
-    ``amplitude`` is (A,) and ``kappa`` a float (None: no resolvent, a heat
-    run); they and the product are bound into one ``_Run`` here, and a call
-    of ``rounds`` passes ``acfv_rounds`` only the address and strides of the
-    (rounds, p) increments ``d_w`` and the round range.  The product is the
-    BLAS call of ``np.matmul`` on a dense run: dgemm, or dgemv with one path
-    or one cell; on a banded run, the mass times the noisy rows solved by
-    dpbtrs, as ``ShiftedSolver.apply_markov`` does.
+    ``amplitude`` is (A,), ``kappa`` a float (None: no resolvent, a heat
+    run) and ``eps`` the penalty's eps of a coupled run (None: no Newton
+    iteration); they and the product are bound into one ``_Run`` here, and
+    a call of ``rounds`` passes ``acfv_rounds`` only the address and strides
+    of the (rounds, p) increments ``d_w`` and the round range.  The product
+    is the BLAS call of ``np.matmul`` on a dense run: dgemm, or dgemv with
+    one path or one cell; on a banded run, the mass times the noisy rows
+    solved by dpbtrs, as ``ShiftedSolver.apply_markov`` does.  A coupled
+    round then takes each row of u, from the splitting step, through the
+    semismooth Newton iteration of (M + tau A) u + tau M psi_eps(u) = M w,
+    strictly monotone so uniquely solvable: at most ``NEWTON_MAX_ITER``
+    solves of the active-set Jacobian M + tau A + (tau/eps) M D (D marks
+    the cells outside [0, 1]) until the residual's infinity norm is at
+    most ``NEWTON_TOL`` times the smallest mass; by numpy's dgesv, the LU
+    of ``np.linalg.solve``, on a dense run, else dpbtrf and dpbtrs on the
+    shifted band.  A row that does not converge, as one whose residual is
+    not finite never does, is a NumericalFailure with the largest residual
+    of the failed rows of its round.
     """
-    lib = compiled_library()
-    if solver.n > DENSE_LIMIT:
-        op, mass = solver.band_factor, np.ascontiguousarray(solver.mass_diag)
-        product = {"pbtrs": _address("scipy_dpbtrs_64_")}
+    lib, d = compiled_library(), solver.n
+    if d > DENSE_LIMIT:
+        op, jacobian = solver.band_factor, solver.band.size
+        routines = {"pbtrs": "scipy_dpbtrs_64_", "pbtrf": "scipy_dpbtrf_64_"}
     else:
-        op, mass = solver.markov_t, None
-        product = ({"gemm": _address("scipy_cblas_dgemm64_")} if min(u.shape[1], solver.n) > 1
-                   else {"gemv": _address("scipy_cblas_dgemv64_")})
-    arrays = (u, w, amplitude, op, mass)
-    run = _Run(*(None if a is None else a.ctypes.data for a in arrays),
-               0.0 if kappa is None else kappa, *u.shape, op.shape[1], kappa is not None,
-               **product)
+        op, jacobian = solver.markov_t, d * d
+        product = "gemm" if min(u.shape[1], d) > 1 else "gemv"
+        routines = {product: f"scipy_cblas_d{product}64_", "gesv": "scipy_dgesv_64_"}
+    arrays = {"u": u, "w": w, "amp": amplitude, "op": op,
+              "mass": np.ascontiguousarray(solver.mass_diag)}
+    if eps is not None:
+        arrays.update(shifted=solver.band, scratch=np.empty(d + jacobian),
+                      ipiv=np.empty(d, dtype=np.int64))
+    run = _Run(**{name: a.ctypes.data for name, a in arrays.items()},
+               **{name: _address(symbol) for name, symbol in routines.items()},
+               kappa=0.0 if kappa is None else kappa, amps=u.shape[0], paths=u.shape[1],
+               cells=d, band=op.shape[1], resolve=kappa is not None, tau=solver.tau,
+               eps=eps or 0.0, tol=NEWTON_TOL * arrays["mass"].min(),
+               half=solver.band.shape[1] - 1, iterations=NEWTON_MAX_ITER)
     run.arrays = arrays  # the buffers outlive every call through the pointers
     call, bound = lib.acfv_rounds, ctypes.byref(run)
 
     def over(d_w):
-        return partial(call, bound, ctypes.c_void_p(d_w.ctypes.data),
+        step = partial(call, bound, ctypes.c_void_p(d_w.ctypes.data),
                        *(s // d_w.itemsize for s in d_w.strides))
+
+        def rounds(j0, j1):
+            if step(j0, j1):
+                raise NumericalFailure(f"semismooth Newton did not converge in "
+                                       f"{run.iterations} iterations", residual=run.residual)
+
+        return rounds
 
     return over
 
 
 class _Run(ctypes.Structure):
-    """A kernel's run as passes.c reads it: buffers, BLAS call, kappa, sizes."""
+    """A kernel's run as passes.c reads it: buffers, BLAS calls, constants, sizes."""
 
     _fields_ = ([(name, ctypes.c_void_p) for name in "u w amp op mass".split()]
                 + [("kappa", ctypes.c_double)]
                 + [(name, ctypes.c_int64) for name in "amps paths cells band".split()]
                 + [("resolve", ctypes.c_int)]
-                + [(name, ctypes.c_void_p) for name in "gemm gemv pbtrs".split()])
+                + [(name, ctypes.c_void_p)
+                   for name in "gemm gemv pbtrs shifted scratch ipiv".split()]
+                + [(name, ctypes.c_double) for name in "tau eps tol residual".split()]
+                + [(name, ctypes.c_int64) for name in "half iterations".split()]
+                + [(name, ctypes.c_void_p) for name in "gesv pbtrf".split()])
 
 
 def build_passes(cc, flags=FLAGS, source=SOURCE, directory=None) -> Path:
@@ -313,9 +337,9 @@ def compiled_library():
     # No argtypes for the rounds and the band product: ctypes passes byrefs
     # and Python ints as the C functions take them; declaring them converts
     # every argument again, 1.2 us of a 6.4 us round of a (1, 128, 16)
-    # coupled stack.
-    for function in (lib.acfv_rounds, lib.acfv_band_product, lib.acfv_increments,
-                     lib.acfv_ladder, lib.acfv_ndtri):
+    # coupled stack.  The rounds return their int status.
+    for function in (lib.acfv_band_product, lib.acfv_increments, lib.acfv_ladder,
+                     lib.acfv_ndtri):
         function.restype = None
     lib.acfv_increments.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t,
                                     ctypes.c_ssize_t, ctypes.c_uint64, ctypes.c_int64,
@@ -367,31 +391,3 @@ def _pointer(array):
         return ctypes.byref(ctypes.c_char.from_buffer(array))
     except (TypeError, ValueError):
         return ctypes.c_void_p(array.ctypes.data)
-
-
-def _newton(solver, eps, u, w):
-    """Semismooth Newton for the coupled step, in place on the (k, d) rows u, from noisy rows w.
-
-    It solves (M + tau A) u + tau M psi_eps(u) = M w, strictly monotone so
-    uniquely solvable, with the active-set Jacobian M + tau A + (tau/eps) M D
-    (D marks the cells outside [0, 1]) from the splitting step in u, which
-    already solves it where the penalty is inactive: no iteration.  Rows are
-    independent: a row leaves the iteration once converged, and a row whose
-    residual is not finite never converges, so it ends in NumericalFailure.
-    """
-    tau, mass = solver.tau, solver.mass_diag
-    rhs = mass * w
-    tol, rows = NEWTON_TOL * mass.min(), np.arange(len(u))
-    for _ in range(NEWTON_MAX_ITER):
-        v = u[rows]
-        residual = band_product(solver.band, v) + tau * mass * psi_eps(v, eps) - rhs[rows]
-        res_norm = np.max(np.abs(residual), axis=1)
-        open_rows = ~(res_norm <= tol)
-        if not open_rows.any():
-            return
-        rows, v, residual = rows[open_rows], v[open_rows], residual[open_rows]
-        active = (v < 0.0) | (v > 1.0)
-        u[rows] = v - solver.solve_with_diagonal((tau / eps) * mass * active, residual)
-    raise NumericalFailure(
-        f"semismooth Newton did not converge in {NEWTON_MAX_ITER} iterations",
-        residual=float(np.max(res_norm[open_rows])))

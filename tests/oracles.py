@@ -1,11 +1,14 @@
 """The numpy forms of the compiled stages in ``passes.c``: the tests' byte oracle.
 
 Each form makes the IEEE operations of its compiled stage in the same
-order, through numpy ufuncs, and the heat product through the very numpy
-call whose BLAS routine the compiled rounds call (``np.matmul`` or
-``ShiftedSolver.apply_markov``), so the two agree byte for byte:
+order, through numpy ufuncs, and the heat product and the Newton solves
+through the very numpy calls whose BLAS and LAPACK routines the compiled
+rounds call (``np.matmul``, ``ShiftedSolver.apply_markov`` and
+``np.linalg.solve``, or ``dpbtrf``/``dpbtrs`` from ``linalg.lapack``), so
+the two agree byte for byte:
 
-* ``bind`` and ``passes``: a kernel's rounds (``scheme._bind``);
+* ``bind`` and ``passes``: a kernel's rounds (``scheme._bind``), with
+  ``newton`` and ``solve_with_diagonal`` a coupled run's Newton iteration;
 * ``band_product``: ``scheme.band_product``, by diagonals;
 * ``draw``: the sampler's chunks (``stochastic._draw``), from numpy's
   ``Philox`` and ``scipy.special.ndtri``;
@@ -26,12 +29,13 @@ from scipy.special import ndtri
 
 import acfv
 from acfv import scheme, stochastic, validation
-from acfv.linalg import DENSE_LIMIT
+from acfv.errors import NumericalFailure
+from acfv.linalg import DENSE_LIMIT, band_to_dense, lapack
 
 
-def bind(solver, u, w, amplitude, kappa):
+def bind(solver, u, w, amplitude, kappa, eps=None):
     """``scheme._bind`` in numpy: ``over(d_w)``, the rounds around ``np.matmul`` or
-    ``apply_markov``."""
+    ``apply_markov``, with ``eps`` each followed by ``newton`` on every row."""
     if solver.n <= DENSE_LIMIT:
         def product(w, u):
             np.matmul(w, solver.markov_t, out=u)
@@ -39,20 +43,24 @@ def bind(solver, u, w, amplitude, kappa):
         def product(w, u):  # per amplitude: one solve of all A p rows was slower at d = 256
             for w_a, u_a in zip(w, u):
                 solver.apply_markov(w_a, out=u_a)
-    return partial(passes, product, u, w, amplitude, kappa)
+    iteration = None if eps is None else partial(newton, solver, eps, scheme.NEWTON_MAX_ITER,
+                                                 u.reshape(-1, solver.n), w.reshape(-1, solver.n))
+    return partial(passes, product, u, w, amplitude, kappa, iteration)
 
 
-def passes(product, u, w, amplitude, kappa, d_w):
+def passes(product, u, w, amplitude, kappa, iteration, d_w):
     """A run's rounds as ufuncs around ``product``.
 
     ``u`` and ``w`` are the run's (A, p, d) state and noisy buffers,
     ``amplitude`` is (A,), ``kappa`` a float (None: no resolvent, a heat
-    run), ``d_w`` (rounds, p) and ``product(w, u)`` the heat product of the
-    whole stack into u.  Returns ``rounds(j0, j1)``, which takes rounds
-    j0..j1-1 in turn: the noise w = (((c a)(1 - c)) dW) + u with round j's
-    increments, the product, and the resolvent u = c + (u - c) kappa, each
-    c = clip(u).  As in passes.c, a noise after a resolvent of the same call
-    takes that resolvent's c, which gives the same w.
+    run), ``iteration`` the Newton iteration of a coupled run (None: none),
+    ``d_w`` (rounds, p) and ``product(w, u)`` the heat product of the whole
+    stack into u.  Returns ``rounds(j0, j1)``, which takes rounds j0..j1-1
+    in turn: the noise w = (((c a)(1 - c)) dW) + u with round j's
+    increments, the product, the resolvent u = c + (u - c) kappa, each
+    c = clip(u), and ``iteration()``.  As in passes.c, a noise after a
+    resolvent of the same call takes that resolvent's c, which gives the
+    same w; after a Newton iteration it clips u again.
     """
     c, one_minus_c = np.empty_like(u), np.empty_like(u)
     zero, one = np.zeros(()), np.ones(())
@@ -62,7 +70,7 @@ def passes(product, u, w, amplitude, kappa, d_w):
 
     def rounds(j0, j1):
         for j in range(j0, j1):
-            if j == j0 or not resolve:
+            if j == j0 or not resolve or iteration:
                 u.clip(zero, one, out=c)
             np.multiply(c, amplitude, out=w)
             np.subtract(one, c, out=one_minus_c)
@@ -75,8 +83,60 @@ def passes(product, u, w, amplitude, kappa, d_w):
                 np.subtract(u, c, out=u)
                 np.multiply(u, kappa, out=u)
                 np.add(c, u, out=u)
+            if iteration:
+                iteration()
 
     return rounds
+
+
+def newton(solver, eps, iterations, u, w):
+    """The coupled step's semismooth Newton iteration in place on the (k, d) rows u from
+    the noisy rows w, all open rows at once.
+
+    The residual (A u + (tau M) psi_eps(u)) - M w, with the band product of
+    ``band_product`` and psi_eps(u) = (u - clip(u)) / eps; a row stays open
+    while its largest |residual| is not <= NEWTON_TOL min(M), so a NaN row
+    never closes, and takes u - J^-1 residual with J the active-set Jacobian
+    (``solve_with_diagonal``).  After ``iterations`` iterations with a row
+    still open, a NumericalFailure with the largest residual of the open
+    rows.
+    """
+    tau, mass = solver.tau, solver.mass_diag
+    rhs = mass * w
+    tol, rows = scheme.NEWTON_TOL * mass.min(), np.arange(len(u))
+    for _ in range(iterations):
+        v = u[rows]
+        residual = (band_product(solver.band, v) + tau * mass * ((v - np.clip(v, 0.0, 1.0)) / eps)
+                    - rhs[rows])
+        res_norm = np.max(np.abs(residual), axis=1)
+        open_rows = ~(res_norm <= tol)
+        if not open_rows.any():
+            return
+        rows, v, residual = rows[open_rows], v[open_rows], residual[open_rows]
+        active = (v < 0.0) | (v > 1.0)
+        u[rows] = v - solve_with_diagonal(solver, (tau / eps) * mass * active, residual)
+    raise NumericalFailure(f"semismooth Newton did not converge in {iterations} iterations",
+                           residual=float(np.max(res_norm[open_rows])))
+
+
+def solve_with_diagonal(solver, extra, b):
+    """x[i] of (M + tau A + diag(extra[i])) x[i] = b[i] for each row i of the (k, d) b.
+
+    By ``np.linalg.solve`` on the dense shifted matrix (numpy's dgesv), else
+    by dpbtrf and dpbtrs on a copy of the band, one row at a time.
+    """
+    if solver.n <= DENSE_LIMIT:
+        jac = np.broadcast_to(band_to_dense(solver.band), (len(b), solver.n, solver.n)).copy()
+        cells = np.arange(solver.n)
+        jac[:, cells, cells] += extra
+        return np.linalg.solve(jac, b[..., None])[..., 0]
+    out = np.array(b, order="C")
+    for shift, x in zip(extra, out):
+        band = solver.band.copy()
+        band[:, -1] += shift
+        assert lapack().pbtrf(band) == 0
+        lapack().pbtrs(band, x)
+    return out
 
 
 def band_product(band, x):

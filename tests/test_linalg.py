@@ -10,6 +10,7 @@ from acfv.config import preset_config
 from acfv.errors import ConfigError
 from acfv.linalg import DENSE_LIMIT, ShiftedSolver, band_to_dense
 from acfv.mesh import build_uniform_mesh
+from oracles import solve_with_diagonal
 
 
 def make_solver(L, tau):
@@ -75,11 +76,13 @@ def test_banded_path_matches_dense_oracle():
 
 @pytest.mark.parametrize("L", [3, 10])
 def test_diagonal_shift_solves_match_dense_oracle(L):
+    # The Newton solves' numpy form, which the compiled coupled rounds
+    # equal byte for byte, against a dense solve of each shifted system.
     solver = make_solver(L, 0.21)
     rng = np.random.default_rng(43)
     extra = rng.uniform(0.0, 5.0, size=(6, L * L)) * (rng.random((6, L * L)) < 0.4)
     b = rng.standard_normal((6, L * L))
-    x = solver.solve_with_diagonal(extra, b)
+    x = solve_with_diagonal(solver, extra, b)
     dense = band_to_dense(solver.band)
     for i in range(6):
         expected = np.linalg.solve(dense + np.diag(extra[i]), b[i])
@@ -168,7 +171,7 @@ def solver_bytes(solver, b, extra):
         return [solver._chol.tobytes(), solver.markov_t.tobytes(), solver.solve(b).tobytes(),
                 solver.solve(b[0]).tobytes()]
     return [solver.band_factor.tobytes(), solver.solve(b).tobytes(),
-            solver.solve_with_diagonal(extra, b).tobytes()]
+            solve_with_diagonal(solver, extra, b).tobytes()]
 
 
 def lapack_cases():
@@ -182,8 +185,8 @@ def lapack_cases():
 def test_numpy_lapack_equals_scipy_linalg_bytewise():
     # The dense factor and propagator for L = 1..8 at tau = 1/N over the
     # paper ladder, 16..256 and 40320..161280, and the band factor, the
-    # banded solves and the banded Newton solves for L = 9, 12, 16: numpy's
-    # own LAPACK gives scipy.linalg's bytes.
+    # banded solves and the banded Newton solves' numpy form for L = 9, 12,
+    # 16: numpy's own LAPACK gives scipy.linalg's bytes.
     rng = np.random.default_rng(47)
     for L, tau in lapack_cases():
         solver = make_solver(L, tau)
@@ -193,9 +196,9 @@ def test_numpy_lapack_equals_scipy_linalg_bytewise():
 
 
 def test_a_numpy_without_a_blas_routine_is_a_config_error(monkeypatch):
-    # acfv calls six routines of numpy's BLAS; a numpy that lacks one is a
+    # acfv calls seven routines of numpy's BLAS; a numpy that lacks one is a
     # ConfigError (exit 2 from the CLI) that names it.
-    assert len(linalg.BLAS_SYMBOLS) == 6 and linalg.numpy_blas().keys() == {*linalg.BLAS_SYMBOLS}
+    assert len(linalg.BLAS_SYMBOLS) == 7 and linalg.numpy_blas().keys() == {*linalg.BLAS_SYMBOLS}
     monkeypatch.setattr(linalg, "BLAS_SYMBOLS", (*linalg.BLAS_SYMBOLS, "acfv_no_such_dgemv"))
     linalg.numpy_blas.cache_clear()
     try:

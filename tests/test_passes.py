@@ -135,14 +135,15 @@ def test_a_failed_build_exits_2_and_says_why(tmp_path):
 
 # Tiny runs of four commands in one process, scipy blocked; prints (marked
 # by @) the exit codes, the scipy modules loaded, and which of numpy.random,
-# the process pool's module and subprocess were loaded after the import and
-# after the runs.
+# the process pool's module, subprocess and the validate and table-repro
+# code were loaded after the import and after the runs.
 NO_SCIPY_CHILD = """
 import sys
 sys.modules["scipy"] = None
 from pathlib import Path
 from acfv import cli
-LAZY = ("numpy.random", "concurrent.futures.process", "subprocess")
+LAZY = ("numpy.random", "concurrent.futures.process", "subprocess", "acfv.validation",
+        "acfv.benchmark")
 print("@lazy", *[name for name in LAZY if name in sys.modules])
 runs = {"convergence": "L = 3\\nN_max = 48\\nN_list = 6,12,24\\nN_p = 6\\na = 1,30\\n",
         "splitting-error": "L = 3\\nN_max = 32\\nN_list = 16,32\\nN_p = 4\\na = 10\\n"
@@ -182,35 +183,43 @@ def test_compiled_route_imports_no_scipy(tmp_path):
     # from numpy's own LAPACK, their increments from the compiled sampler
     # and their operators from numpy arrays.  Nor is numpy.random loaded,
     # or the process pool, which one-worker runs never open, or, with the
-    # library cached, subprocess.
+    # library cached, subprocess, or the code of validate and table-repro.
     scheme.compiled_library()
     child = run_scipy_child(tmp_path)
     assert child == {"exit": ["0"] * 4, "scipy": [], "lazy": [[], []]}
 
 
-# A banded (d = 81) expectation run of two 256-path blocks.
+# A banded (d = 81) expectation run of two 256-path blocks, and a banded
+# coupled gap of two blocks, 256 paths and one.
 BANDED = "L = 9\nN = 64\nN_max = 64\nN_p = 300\na = 1,10\ncheckpoints = 8,64\n"
+BANDED_GAP = ("L = 9\nN_max = 16\nN_list = 4,8\nN_p = 257\na = 10\n"
+              "eps_rule = fixed\neps_c = 0.05\n")
 
 
 @pytest.mark.parametrize("command, options, stages", [
     ("convergence", ["--preset", "desk"], {"bind", "draw", "ladder"}),
     ("expectation", ["--preset", "desk"], {"bind", "draw", "ladder"}),
-    ("splitting-error", ["--preset", "desk"], {"bind", "draw", "ladder", "band_product"}),
+    ("splitting-error", ["--preset", "desk"], {"bind", "draw", "ladder"}),
     ("simulate", ["--preset", "desk"], {"bind", "ladder"}),
     ("table-repro", ["--preset", "desk"], {"bind", "ladder"}),
     ("convergence", ["--preset", "desk", "--paths", "257"], {"bind", "draw", "ladder"}),
     ("expectation", ["--config", "banded.cfg"], {"bind", "draw", "ladder"}),
+    ("splitting-error", ["--config", "banded-gap.cfg"], {"bind", "draw", "ladder"}),
 ], ids=["convergence", "expectation", "splitting-error", "simulate", "table-repro",
-        "convergence-257", "banded-expectation"])
+        "convergence-257", "banded-expectation", "banded-splitting-error"])
 def test_commands_write_the_csvs_of_their_numpy_form(monkeypatch, tmp_path, command, options,
                                                       stages):
     # Each command's CSVs, from the compiled stages and from their numpy
     # forms: the desk presets (simulate and table-repro take one path, by
-    # gemv); 257 paths, whose second block holds one path; and a banded
-    # run of two blocks, by dpbtrs.  One worker, in this process.
+    # gemv); 257 paths, whose second block holds one path; and banded runs
+    # of two blocks, the heat product by dpbtrs and the coupled Newton
+    # solves by dpbtrf and dpbtrs.  The coupled rounds run their Newton
+    # iteration in C, which its numpy form runs itself: no stage calls
+    # band_product.  One worker, in this process.
     monkeypatch.setenv("ACFV_WORKERS", "1")
     monkeypatch.chdir(tmp_path)
     Path("banded.cfg").write_text(BANDED)
+    Path("banded-gap.cfg").write_text(BANDED_GAP)
 
     def csvs(out):
         assert cli.main([command, *options, "--out", out]) == 0
@@ -249,9 +258,9 @@ def digest(monkeypatch):
 
 
 def test_validate_prints_the_bytes_of_its_numpy_form(monkeypatch, capsys):
-    # The structure suite steps one-path kernels, the coupled ones through
-    # the Newton residual's band product, as do the matrix checks; every
-    # state and product, not only the printed summary, keeps its bytes.
+    # The structure suite steps one-path kernels, splitting and coupled, and
+    # the matrix checks take band products; every state and product, not
+    # only the printed summary, keeps its bytes.
     with digest(monkeypatch) as compiled_sha:
         assert cli.main(["validate"]) == 0
     compiled = capsys.readouterr().out

@@ -16,7 +16,7 @@ from acfv.linalg import DENSE_LIMIT, ShiftedSolver, band_to_dense
 from acfv.mesh import build_uniform_mesh, default_initial_state
 from acfv.scheme import EpsilonSchedule, StepKernel
 from acfv.stochastic import coarse_chunks, diffusion_g, sample_increment_block
-from oracles import bind, numpy_route
+from oracles import bind, numpy_route, solve_with_diagonal
 
 QUARTERS = np.array(benchmark.QUARTER_INCREMENTS)
 # The two-step increments: pairwise sums of the quarters.
@@ -386,7 +386,8 @@ def oracle_splitting(u, d_w, params, solver):
 def oracle_coupled(u, d_w, params, solver):
     """Batched semismooth Newton from the splitting guess, freezing converged rows.
 
-    The residual is a CSR product: each row summed from 0 in column order.
+    The residual is a CSR product: each row summed from 0 in column order;
+    the solves are the oracles' numpy form.
     """
     tau, eps, mass = params.tau, params.eps, solver.mass_diag
     shifted = sps.csr_matrix(band_to_dense(solver.band))  # the nonzero entries only
@@ -404,7 +405,7 @@ def oracle_coupled(u, d_w, params, solver):
             return out
         rows, v, residual = rows[open_rows], v[open_rows], residual[open_rows]
         active = (v < 0.0) | (v > 1.0)
-        out[rows] = v - solver.solve_with_diagonal((tau / eps) * mass * active, residual)
+        out[rows] = v - solve_with_diagonal(solver, (tau / eps) * mass * active, residual)
     raise NumericalFailure("oracle Newton did not converge")
 
 
@@ -501,6 +502,84 @@ def test_step_kernel_nan_row_ends_in_numerical_failure(monkeypatch, L, variant):
             assert (~np.isfinite(got[0])).any(axis=1).tolist() == [False] * 4 + [True, False]
             with pytest.raises(NumericalFailure, match="path 4"):
                 require_finite(got[0], params.amplitude, 16)
+
+
+@pytest.mark.parametrize("L", [4, 9])
+def test_newton_iteration_cap_fails_alike_on_both_routes(monkeypatch, L):
+    # With one Newton iteration allowed, a coupled step from a stack with
+    # cells outside [0, 1] does not converge: both routes raise the same
+    # NumericalFailure, its residual the largest over the open rows of the
+    # dense (L = 4) and the banded (L = 9) run.
+    monkeypatch.setattr(scheme, "NEWTON_MAX_ITER", 1)
+    solver, stack, d_w = edge_case_setup(L)
+    residuals = []
+    for _ in each_passes(monkeypatch):
+        kernel = StepKernel("coupled", (0.0, 7.0), EpsilonSchedule.fixed(0.05), solver,
+                            len(stack))
+        with pytest.raises(NumericalFailure, match="did not converge in 1 iterations") as failed:
+            advance(kernel, stack, d_w[:, 0])
+        residuals.append(failed.value.residual)
+    assert residuals[0] == residuals[1] > 0
+
+
+def test_newton_tolerance_closes_a_row_whose_residual_equals_it(monkeypatch):
+    # A row is converged when every |residual| <= NEWTON_TOL min(M).  With
+    # min(M) = 1/4 at L = 4, NEWTON_TOL = 4 r makes the tolerance exactly
+    # r, the largest residual of the splitting guess of one coupled step
+    # from a field with cells outside [0, 1]: the step is that guess, on
+    # both routes.  A tolerance one ulp below r takes a Newton step.
+    solver, eps, amplitude = solver_on(4, 16), 0.05, 7.0
+    mass = solver.mass_diag
+    assert mass.min() == 0.25
+    start, d_w = np.linspace(-0.5, 1.5, 16), np.array([[0.3]])
+    guess, noisy = np.tile(start, (1, 1, 1)), np.empty((1, 1, 16))
+    bind(solver, guess, noisy, np.array([amplitude]), eps / (eps + solver.tau))(d_w.T)(0, 1)
+    v, w = guess[0], noisy[0]
+    residual = (scheme.band_product(solver.band, v)
+                + solver.tau * mass * ((v - np.clip(v, 0.0, 1.0)) / eps)) - mass * w
+    r = np.max(np.abs(residual))
+    assert r > 1e-3  # the penalty is active
+    for tol, converged in ((r, True), (np.nextafter(r, 0.0), False)):
+        monkeypatch.setattr(scheme, "NEWTON_TOL", 4.0 * tol)
+        for _ in each_passes(monkeypatch):
+            kernel = lone_kernel("coupled", amplitude, EpsilonSchedule.fixed(eps), solver)
+            assert (step(kernel, start, 0.3).tobytes() == v.tobytes()) == converged
+
+
+def test_newton_failure_is_the_earliest_failing_round_of_every_amplitude(monkeypatch):
+    # Two Newton iterations allowed.  Stepped alone over 8 rounds, a = 12
+    # fails in round 5, a = 7 and a = 3 in round 3 with smaller residuals,
+    # a = 1 never.  Stacked in that order in one call, whose compiled rounds
+    # take each amplitude through all its rounds in turn, the failure is
+    # round 3's, its residual the larger of a = 7's and a = 3's, on both
+    # routes.
+    monkeypatch.setattr(scheme, "NEWTON_MAX_ITER", 2)
+    solver = solver_on(3, 16)
+    rng = np.random.default_rng(51)
+    start = rng.uniform(0.3, 0.7, (2, 9))
+    d_w = rng.standard_normal((2, 8)) * 0.5
+    amplitudes = (12.0, 7.0, 1.0, 3.0)
+
+    def failure(amplitudes):
+        """(round, residual) of the NumericalFailure of stepping all 8 rounds, or None."""
+        kernel = StepKernel("coupled", amplitudes, EpsilonSchedule.fixed(0.05), solver, 2)
+        n = 0
+        try:
+            for n, _ in kernel.run(start, d_w):
+                pass
+        except NumericalFailure as exc:
+            assert str(exc) == "semismooth Newton did not converge in 2 iterations"
+            return n + 1, exc.residual
+        return None
+
+    alone = {amplitude: failure((amplitude,)) for amplitude in amplitudes}
+    assert alone[1.0] is None and alone[12.0][0] == 5 and alone[7.0][0] == alone[3.0][0] == 3
+    assert alone[12.0][1] > alone[7.0][1] > alone[3.0][1]
+    for _ in each_passes(monkeypatch):
+        kernel = StepKernel("coupled", amplitudes, EpsilonSchedule.fixed(0.05), solver, 2)
+        with pytest.raises(NumericalFailure, match="did not converge in 2 iterations") as failed:
+            next(kernel.run(start, d_w, at=(8,)))
+        assert failed.value.residual == alone[7.0][1]
 
 
 def chunked_yields(kernels, start, chunks, at=None):
