@@ -3,113 +3,32 @@
 The shifted matrix is symmetric positive definite (positive diagonal
 mass plus a positive semi-definite stiffness) and fixed per (mesh, tau),
 so it is factored once and every later call only applies the factor to
-a whole stack of right-hand sides.  The cell count d selects the form:
+a whole stack of right-hand sides.  The factor is the upper band Cholesky
+factor of the band itself, whose bandwidth is the stiffness band's (L on
+the uniform L x L grid); no d x d matrix is factored.  The cell count d
+selects the heat product:
 
-* d <= DENSE_LIMIT: a dense Cholesky factor, plus the dense Markov
-  propagator (M + tau A)^{-1} M, transposed as ``markov_t``, so one heat
-  substep on a (p, d) stack is a single matrix product;
-* larger d: a banded Cholesky factor of the band itself, whose bandwidth
-  is the stiffness band's (L on the uniform L x L grid); no d x d matrix
-  is built.
+* d <= DENSE_LIMIT: the dense Markov propagator (M + tau A)^{-1} M,
+  transposed as ``markov_t``, so one heat substep on a (p, d) stack is a
+  single matrix product;
+* larger d: a solve with the band factor of the mass times the stack.
 
-The factors come from the LAPACK in numpy's own BLAS (``dpotrf``/``dpotrs``
-and ``dpbtrf``/``dpbtrs``, the routines behind scipy's ``cho_factor``,
-``cho_solve``, ``cholesky_banded`` and ``cho_solve_banded``), called through
-ctypes.  ``numpy_blas`` also gives the kernels the ``cblas_dgemm`` and
-``cblas_dgemv`` of their heat products and the ``dgesv`` of a coupled
-step's dense Newton solves (the kernels solve its banded ones by
-``dpbtrf``/``dpbtrs`` on the shifted band); a numpy that does not export
-all seven routines is a ConfigError.
+The factor, its solves and the product are the compiled ``passes.c``
+(``scheme.compiled_library``), each sum in a fixed order, so their bytes
+do not depend on the CPU; their numpy forms are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import ctypes
-from functools import cache, partial
-from typing import Callable, NamedTuple
-
 import numpy as np
 
-from .errors import ConfigError
+from .scheme import _pointer, compiled_library
 
 __all__ = ["ShiftedSolver", "DENSE_LIMIT", "band_to_dense"]
 
-# Systems up to this size are held as dense matrices, larger ones as bands.
+# Systems up to this size take the heat product by the dense propagator,
+# larger ones by the band factor.
 DENSE_LIMIT = 64
-
-# The routines of numpy's BLAS (numpy 2's scipy-openblas, 64-bit integers)
-# that acfv calls: the heat products, the Cholesky factors and solves, and
-# the LU solve of the coupled step's dense Newton systems.
-CHOLESKY = tuple(f"scipy_{name}_64_" for name in ("dpotrf", "dpotrs", "dpbtrf", "dpbtrs"))
-BLAS_SYMBOLS = ("scipy_cblas_dgemm64_", "scipy_cblas_dgemv64_", *CHOLESKY, "scipy_dgesv_64_")
-
-
-@cache
-def numpy_blas():
-    """The routines of ``BLAS_SYMBOLS`` in numpy's BLAS, by name, loaded at the first call.
-
-    From numpy's extension module that holds its matmul, through ctypes; a
-    ConfigError names the first routine it does not export.
-    """
-    from numpy._core import _multiarray_umath as umath
-    try:
-        lib = ctypes.CDLL(umath.__file__)
-    except OSError as exc:
-        raise ConfigError(f"cannot load numpy's BLAS from {umath.__file__}: {exc}") from exc
-    for name in BLAS_SYMBOLS:
-        if not hasattr(lib, name):
-            raise ConfigError(f"numpy's BLAS ({umath.__file__}) exports no {name}; "
-                              "acfv needs numpy >= 2 as its wheels ship it")
-    return {name: getattr(lib, name) for name in BLAS_SYMBOLS}
-
-
-def _fortran(routine, *args):
-    """The info of a LAPACK routine called on the upper triangle with ``args`` and info.
-
-    Integers go by reference as 64-bit, arrays by address; the trailing
-    length of the character argument is 1.
-    """
-    info = ctypes.c_int64()
-    routine(b"U", *(ctypes.c_void_p(a.ctypes.data) if isinstance(a, np.ndarray)
-                    else ctypes.byref(ctypes.c_int64(a)) for a in args),
-            ctypes.byref(info), ctypes.c_size_t(1))
-    return info.value
-
-
-class Lapack(NamedTuple):
-    """The four LAPACK routines of the factors, each in place on C arrays that hold Fortran ones.
-
-    A C-contiguous (d, d) matrix, (p, d) stack of right-hand sides or
-    (d, u + 1) band is, read in Fortran order, the symmetric matrix, the
-    d x p right-hand side or the (u + 1) x d upper band storage LAPACK
-    takes.  ``potrf(a)`` and ``pbtrf(band)`` return the info of the
-    factorization; ``potrs(factor, b)`` and ``pbtrs(factor, b)`` solve
-    for b.
-    """
-
-    potrf: Callable
-    potrs: Callable
-    pbtrf: Callable
-    pbtrs: Callable
-
-
-@cache
-def lapack() -> Lapack:
-    """The routines from numpy's BLAS (see ``numpy_blas``)."""
-    potrf, potrs, pbtrf, pbtrs = (partial(_fortran, numpy_blas()[name]) for name in CHOLESKY)
-    return Lapack(
-        lambda a: potrf(len(a), a, len(a)),
-        lambda c, b: potrs(len(c), b.size // len(c), c, len(c), b, len(c)),
-        lambda band: pbtrf(len(band), band.shape[1] - 1, band, band.shape[1]),
-        lambda c, b: pbtrs(len(c), c.shape[1] - 1, b.size // len(c), c, c.shape[1], b, len(c)))
-
-
-def _factor(routine, matrix):
-    """``matrix`` factored in place by ``routine``; LinAlgError if it is not positive definite."""
-    info = routine(matrix)
-    if info:
-        raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
-    return matrix
 
 
 def band_to_dense(band):
@@ -131,10 +50,17 @@ class ShiftedSolver:
     Holds the mass diagonal, the step size tau and the shifted matrix as
     its (d, u + 1) upper band ``band`` (tau times the stiffness band, the
     mass added to its diagonal), so a step kernel can reach them, and
-    prefactors the shifted matrix once: ``markov_t`` (dense) or
-    ``band_factor`` (banded, the upper band Cholesky factor) serves a
-    kernel's heat product.  All per-call state is local, so one solver
-    instance can serve concurrent solves.
+    prefactors the shifted matrix once: ``factor``, the upper band Cholesky
+    factor in the band's layout, and, for d <= DENSE_LIMIT, ``markov_t``
+    (else None), whose row k solves the system for the mass of cell k.  All
+    per-call state is local, so one solver instance can serve concurrent
+    solves.
+
+    The shifted matrix is rejected, a LinAlgError, if the mass of some cell
+    is lost in rounding when added to the diagonal of tau A, so that the
+    band holds tau A there (singular on any mesh, as A fixes constants),
+    or if a pivot of the factor is not positive.  The first rule reads no
+    sum, so it holds whatever the order of the factor's sums.
 
     Right-hand sides may be a single field of shape (d,) or a stack of
     fields of shape (p, d); the output matches the input shape.
@@ -143,43 +69,49 @@ class ShiftedSolver:
     def __init__(self, mass_diag, stiffness, tau):
         if tau <= 0:
             raise ValueError("tau must be positive")
-        self.mass_diag = np.asarray(mass_diag, dtype=float)
+        self.mass_diag = np.ascontiguousarray(mass_diag, dtype=float)
         self.tau = float(tau)
         self.n = self.mass_diag.shape[0]
         self.band = self.tau * stiffness
-        self.band[:, -1] += self.mass_diag
-        if self.n <= DENSE_LIMIT:
-            self._chol = _factor(lapack().potrf, band_to_dense(self.band))
-            # (M + tau A)^{-1} M in Fortran order, so in C order its transpose
-            self.markov_t = np.diag(self.mass_diag)
-            lapack().potrs(self._chol, self.markov_t)
-        else:
-            self.band_factor = _factor(lapack().pbtrf, self.band.copy())
+        shifted = self.band[:, -1] + self.mass_diag
+        lost = np.flatnonzero(shifted == self.band[:, -1])
+        if lost.size:
+            raise np.linalg.LinAlgError(f"the mass of cell {lost[0]} is lost beside tau A")
+        self.band[:, -1] = shifted
+        self.factor = self.band.copy()
+        info = compiled_library().acfv_band_factor(_pointer(self.factor), self.n,
+                                                   self.band.shape[1] - 1)
+        if info:
+            raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
+        # row k is (M + tau A)^{-1} (M e_k), column k of the propagator, as A is symmetric
+        self.markov_t = self.solve(np.diag(self.mass_diag)) if self.n <= DENSE_LIMIT else None
 
     def solve(self, b):
         """Solve (M + tau A) x = b for one field or a (p, d) stack."""
-        b = np.array(b, dtype=float, order="C")  # a copy, solved in place
-        if b.ndim not in (1, 2) or b.shape[-1] != self.n:
-            raise ValueError(f"right-hand side must be a field or a stack of {self.n} cells")
         # Non-finite values pass through, so the callers' finiteness
         # checks report them as NumericalFailure.
-        if self.n <= DENSE_LIMIT:
-            lapack().potrs(self._chol, b)
-        else:
-            lapack().pbtrs(self.band_factor, b)
-        return b
+        return self._call(b)
 
-    def apply_markov(self, x, out=None):
+    def apply_markov(self, x):
         """Apply (M + tau A)^{-1} M, the monotone one-step heat propagator.
 
         The matrix is entrywise nonnegative and fixes constants, so it
         maps nonnegative fields to nonnegative fields and conserves the
-        mass-weighted total.  ``out``, an array of the input's shape,
-        receives the result; on the dense path it is written directly.
+        mass-weighted total.
         """
-        if self.n <= DENSE_LIMIT:
-            return np.matmul(x, self.markov_t, out=out)
-        if out is None:
-            return self.solve(x * self.mass_diag)
-        out[...] = self.solve(x * self.mass_diag)
-        return out
+        return self._call(x, self.mass_diag)
+
+    def _call(self, x, mass=None):
+        """The compiled solve for x (times ``mass``), or with ``mass`` on a dense solver the
+        product of x with ``markov_t``."""
+        x = np.ascontiguousarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.n:
+            raise ValueError(f"right-hand side must be a field or a stack of {self.n} cells")
+        y, lib, rows = np.empty(x.shape), compiled_library(), x.size // self.n
+        if mass is not None and self.markov_t is not None:
+            lib.acfv_product(_pointer(y), _pointer(x), _pointer(self.markov_t), rows, self.n)
+        else:
+            lib.acfv_band_solve(_pointer(y), _pointer(x), mass if mass is None else _pointer(mass),
+                                _pointer(self.factor), rows, self.n, self.band.shape[1] - 1,
+                                _pointer(np.empty(8 * (self.n + 1))))
+        return y

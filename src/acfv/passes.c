@@ -1,68 +1,49 @@
 /* The rounds of a StepKernel over its C-contiguous (A, P, D) stack:
  * amplitudes, paths, cells, with a coupled run's semismooth Newton
- * iteration; the band product; the Brownian increments, from numpy's
- * Philox words through the inverse normal CDF onto the lattice of
- * stochastic.py; and the coarse increments of a step ladder, as
- * differences of the running path sums.
+ * iteration; the linear algebra they and linalg.ShiftedSolver take, one
+ * upper band Cholesky factor with its solve and one dense product; the band
+ * product; the Brownian increments, from numpy's Philox words through the
+ * inverse normal CDF onto the lattice of stochastic.py; and the coarse
+ * increments of a step ladder, as differences of the running path sums.
  *
  * Each value is computed by the same IEEE operations in the same order as
  * the ufuncs of the numpy forms in tests/oracles.py, the tests' byte
- * oracle, and the heat product and the Newton solves by the very numpy
- * BLAS and LAPACK calls np.matmul, ShiftedSolver.apply_markov and
- * np.linalg.solve make (cblas_dgemm, cblas_dgemv, dpbtrs, dgesv; dpbtrf),
- * so the two agree byte for byte; the sampler agrees so with numpy's
- * Philox and scipy.special.ndtri.  Build with
- * -ffp-contract=off (no fused multiply-add), without -ffast-math, and link
- * libm; the Philox product needs the 128-bit integers of gcc and clang.
+ * oracle, so the two agree byte for byte; every sum runs in a fixed order,
+ * so the bytes depend on the build flags and libm only, not on the CPU.
+ * The sampler agrees so with numpy's Philox and scipy.special.ndtri.  Build
+ * with -ffp-contract=off (no fused multiply-add), without -ffast-math, and
+ * link libm; the Philox product needs the 128-bit integers of gcc and clang,
+ * the solves and the product their vector extensions.
  */
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
-
-/* cblas_dgemm, cblas_dgemv and Fortran dpbtrs, dgesv and dpbtrf with 64-bit integers, as
- * numpy exports them. */
-typedef void dgemm64(int order, int trans_a, int trans_b, int64_t m, int64_t n, int64_t k,
-                     double alpha, const double *a, int64_t lda, const double *b,
-                     int64_t ldb, double beta, double *c, int64_t ldc);
-typedef void dgemv64(int order, int trans, int64_t m, int64_t n, double alpha, const double *a,
-                     int64_t lda, const double *x, int64_t incx, double beta, double *y,
-                     int64_t incy);
-typedef void dpbtrs64(const char *uplo, const int64_t *n, const int64_t *kd, const int64_t *nrhs,
-                      const double *ab, const int64_t *ldab, double *b, const int64_t *ldb,
-                      int64_t *info, size_t uplo_len);
-typedef void dgesv64(const int64_t *n, const int64_t *nrhs, double *a, const int64_t *lda,
-                     int64_t *ipiv, double *b, const int64_t *ldb, int64_t *info);
-typedef void dpbtrf64(const char *uplo, const int64_t *n, const int64_t *kd, double *ab,
-                      const int64_t *ldab, int64_t *info, size_t uplo_len);
+#include <string.h>
 
 /* A kernel's run, as scheme._Run lays it out, bound once when the kernel is
- * built.  The heat product is gemm or gemv, whichever is not NULL, with the
- * D x D row-major propagator at op, else pbtrs with the D x band upper band
- * factor at op.  No resolvent in a heat run.  A coupled run (shifted not
- * NULL) has the D x (half + 1) upper band of M + tau A at shifted, a
- * scratch of D cells and the Jacobian (D x D for gesv, D x band for pbtrf
- * and pbtrs), pivots for gesv, and its Newton constants; the rounds leave
- * the largest residual of the rows that did not converge in residual. */
+ * built.  The heat product takes the D x D row-major propagator at op if
+ * dense, else the D x (half + 1) upper band factor of M + tau A at op.  No
+ * resolvent in a heat run.  A coupled run (shifted not NULL) has the
+ * D x (half + 1) upper band of M + tau A at shifted and its Newton
+ * constants; the rounds leave the largest residual of the rows that did not
+ * converge in residual.  The scratch holds D (half + 10) + 8 doubles: a
+ * Newton residual and Jacobian, then the interleaved rows of a solve. */
 struct run {
     double *u, *w;
-    const double *amp, *op, *mass;
-    double kappa;
-    int64_t amps, paths, cells, band;
-    int resolve;
-    dgemm64 *gemm;
-    dgemv64 *gemv;
-    dpbtrs64 *pbtrs;
-    const double *shifted;
+    const double *amp, *op, *mass, *shifted;
     double *scratch;
-    int64_t *ipiv;
-    double tau, eps, tol, residual;
-    int64_t half, iterations;
-    dgesv64 *gesv;
-    dpbtrf64 *pbtrf;
+    double kappa, tau, eps, tol, residual;
+    int64_t amps, paths, cells, half, iterations;
+    int resolve, dense;
 };
 
 /* Cells clipped at once into a local buffer. */
 #define BLOCK 256
+
+/* Eight doubles: the rows of an interleaved solve, one a lane, and the
+ * columns of the product's register tile; IEEE operations lane by lane. */
+typedef double lanes __attribute__((vector_size(64)));
+#define LANES 8
 
 /* Vector code for the host's widest unit, picked when the library loads,
  * with the helpers inlined into each clone; IEEE operations lane by lane,
@@ -143,14 +124,130 @@ INLINE double max_nan(double a, double b)
     return a != a || b <= a ? a : b;
 }
 
+/* The upper band Cholesky factor U, U^T U = A, in place on the row-major
+ * d x (u + 1) band of the symmetric A (entry (i, j), i <= j, at
+ * band[j (u + 1) + u + i - j], as band_row takes it), where U's entry
+ * (i, j) takes A's.  Column by column, each entry (i, j) from i = j - u (or
+ * 0) down to the diagonal is A(i, j) minus the sum from 0 of the products
+ * U(k, i) U(k, j), k ascending from j - u (or 0), then divided by U(i, i),
+ * or at i = j its square root.  Returns 0, or j + 1 for the first column j
+ * whose pivot, the value under the square root, is not positive (or NaN). */
+int acfv_band_factor(double *f, int d, int u)
+{
+    for (ptrdiff_t j = 0; j < d; j++) {
+        const ptrdiff_t lo = j < u ? 0 : j - u;
+        double *col = f + j * u + u;  /* col[i]: entry (i, j) */
+        for (ptrdiff_t i = lo; i <= j; i++) {
+            const double *row = f + i * u + u;  /* row[k]: entry (k, i) */
+            double s = 0.0;
+            for (ptrdiff_t k = lo; k < i; k++)
+                s = s + row[k] * col[k];
+            s = col[i] - s;
+            if (i < j)
+                col[i] = s / row[i];
+            else if (!(s > 0.0))
+                return (int)j + 1;
+            else
+                col[j] = sqrt(s);
+        }
+    }
+    return 0;
+}
+
+/* y = A^-1 (x scale) for the rows of d cells at x (row r at x + r d) into y, which may be
+ * x, with scale NULL for x alone; A = U^T U with U the factor of acfv_band_factor.  Up to
+ * LANES rows at a time, one a lane, interleaved in the scratch of 8 (d + 1) doubles
+ * (unused lanes solve zeros): the forward solve U^T z = x, then the back solve U y = z,
+ * each cell i in turn (ascending, then descending) x_i minus the sum from 0 of the
+ * products of U's entries with the cells solved before it, k ascending, divided by
+ * U(i, i).  A sum from 0 leaves a row of -0.0 at -0.0. */
+CLONES void acfv_band_solve(double *y, const double *x, const double *scale, const double *f,
+                            int rows, int d, int u, double *scratch)
+{
+    lanes *buf = (lanes *)(((uintptr_t)scratch + 63) & ~(uintptr_t)63);  /* 64-byte aligned */
+    for (ptrdiff_t r0 = 0; r0 < rows; r0 += LANES) {
+        const ptrdiff_t n = rows - r0 < LANES ? rows - r0 : LANES;
+        for (ptrdiff_t c = 0; c < d; c++) {
+            lanes v = {0.0};
+            for (ptrdiff_t l = 0; l < n; l++)
+                v[l] = scale ? x[(r0 + l) * d + c] * scale[c] : x[(r0 + l) * d + c];
+            buf[c] = v;
+        }
+        for (ptrdiff_t i = 0; i < d; i++) {
+            const double *col = f + i * u + u;  /* col[k]: entry (k, i) of U, row i of U^T */
+            lanes s = {0.0};
+            for (ptrdiff_t k = i < u ? 0 : i - u; k < i; k++)
+                s = s + col[k] * buf[k];
+            buf[i] = (buf[i] - s) / col[i];
+        }
+        for (ptrdiff_t i = d - 1; i >= 0; i--) {
+            lanes s = {0.0};
+            for (ptrdiff_t k = i + 1; k < d && k <= i + u; k++)  /* entry (i, k) */
+                s = s + f[k * u + u + i] * buf[k];
+            buf[i] = (buf[i] - s) / f[i * u + u + i];
+        }
+        for (ptrdiff_t c = 0; c < d; c++)
+            for (ptrdiff_t l = 0; l < n; l++)
+                y[(r0 + l) * d + c] = buf[c][l];
+    }
+}
+
+/* The bytes of the first n doubles of LANES: all for n >= LANES, none for n <= 0. */
+INLINE size_t part(ptrdiff_t n)
+{
+    return (size_t)(n < 0 ? 0 : n < LANES ? n : LANES) * sizeof(double);
+}
+
+/* Columns j.. of the rows in[0..LANES-1] of acfv_product into the first n rows of d cells
+ * at y: 2 LANES columns if full, else the d - j left, zeros loaded past them.  The sums
+ * run in registers. */
+INLINE void tile(double *restrict y, const double *const *in, const double *restrict op,
+                 ptrdiff_t d, ptrdiff_t j, ptrdiff_t n, int full)
+{
+    const ptrdiff_t n0 = full ? 2 * LANES : d - j, n1 = n0 - LANES;  /* columns in each half */
+    lanes acc[LANES][2], o[2] = {{0.0}, {0.0}};
+    for (ptrdiff_t k = 0; k < d; k++) {
+        memcpy(&o[0], op + k * d + j, part(n0)), memcpy(&o[1], op + k * d + j + LANES, part(n1));
+#pragma GCC unroll 8
+        for (ptrdiff_t l = 0; l < LANES; l++)
+            for (int h = 0; h < 2; h++)
+                acc[l][h] = k ? acc[l][h] + in[l][k] * o[h] : in[l][k] * o[h];
+    }
+#pragma GCC unroll 8
+    for (ptrdiff_t l = 0; l < LANES; l++)
+        if (l < n)
+            memcpy(y + l * d + j, &acc[l][0], part(n0)),
+                memcpy(y + l * d + j + LANES, &acc[l][1], part(n1));
+}
+
+/* y = x op for the rows of d cells at x (row r at x + r d), op the d x d
+ * row-major matrix: y[r][j] is the product x[r][0] op[0][j], then plus
+ * x[r][k] op[k][j] for k ascending, by tiles of LANES rows and 2 LANES
+ * columns.  A last tile of fewer rows reads row 0 again in their place and
+ * stores none of them. */
+CLONES void acfv_product(double *restrict y, const double *restrict x, const double *restrict op,
+                         int rows, int d)
+{
+    for (ptrdiff_t r0 = 0; r0 < rows; r0 += LANES) {
+        const ptrdiff_t n = rows - r0 < LANES ? rows - r0 : LANES;
+        const double *in[LANES];
+        for (ptrdiff_t l = 0; l < LANES; l++)
+            in[l] = x + (r0 + (l < n ? l : 0)) * d;
+        ptrdiff_t j = 0;
+        for (; j + 2 * LANES <= d; j += 2 * LANES)
+            tile(y + r0 * d, in, op, d, j, n, 1);
+        if (j < d)
+            tile(y + r0 * d, in, op, d, j, n, 0);
+    }
+}
+
 /* The semismooth Newton iteration of one row v of a coupled run, in place,
  * from its noisy row w: (M + tau A) v + tau M psi(v) = M w, psi(v) =
  * (v - clip(v)) / eps.  Each iteration takes the residual
  * r = (A v + (tau M) psi(v)) - M w, A v by band_row, and stops once every
- * |r_i| <= tol; else it solves the active-set Jacobian, M + tau A with
- * ((tau / eps) M_i) active_i added to its diagonal (active: v_i < 0 or
- * v_i > 1), for x = J^-1 r by dgesv on the dense matrix (symmetric, so its
- * C order is LAPACK's) or dpbtrf and dpbtrs on a copy of the band, and
+ * |r_i| <= tol; else it solves the active-set Jacobian, the band of
+ * M + tau A with ((tau / eps) M_i) active_i added to its diagonal (active:
+ * v_i < 0 or v_i > 1), for x = J^-1 r by acfv_band_factor and acfv_band_solve, and
  * takes v = v - x.  Returns 0 once converged, else 1: the row is still
  * open after the run's iterations, as a NaN residual always is, or its
  * Jacobian did not factor, which a finite one always does (it is
@@ -158,10 +255,9 @@ INLINE double max_nan(double a, double b)
 INLINE int newton(const struct run *r, double *restrict v, const double *restrict w,
                   double *norm)
 {
-    const int64_t d = r->cells, u = r->half, one = 1, ldab = u + 1;
+    const ptrdiff_t d = r->cells, u = r->half, width = u + 1;
     const double tau = r->tau, eps = r->eps, *mass = r->mass;
     double *res = r->scratch, *jac = res + d;
-    int64_t info = 0;
     for (int64_t it = 0; it < r->iterations; it++) {
         band_row(res, v, r->shifted, d, u);
         double m = 0.0;
@@ -173,28 +269,12 @@ INLINE int newton(const struct run *r, double *restrict v, const double *restric
         *norm = m;
         if (m <= r->tol)
             return 0;
-        if (r->gesv) {  /* the dense shifted matrix, as band_to_dense */
-            for (ptrdiff_t i = 0; i < d * d; i++)
-                jac[i] = 0.0;
-            for (ptrdiff_t j = 0; j < d; j++)
-                for (ptrdiff_t s = 0; s <= u && s <= j; s++)
-                    jac[(j - s) * d + j] = jac[j * d + j - s] = r->shifted[j * ldab + u - s];
-        } else {
-            for (ptrdiff_t i = 0; i < d * ldab; i++)
-                jac[i] = r->shifted[i];
-        }
-        const ptrdiff_t step = r->gesv ? d + 1 : ldab, at = r->gesv ? 0 : u;  /* (i, i) */
+        memcpy(jac, r->shifted, (size_t)(d * width) * sizeof(double));
         for (ptrdiff_t i = 0; i < d; i++)
-            jac[i * step + at] += ((tau / eps) * mass[i]) * (double)(v[i] < 0.0 || v[i] > 1.0);
-        if (r->gesv)
-            r->gesv(&d, &one, jac, &d, r->ipiv, res, &d, &info);
-        else {
-            r->pbtrf("U", &d, &u, jac, &ldab, &info, 1);
-            if (!info)
-                r->pbtrs("U", &d, &u, &one, jac, &ldab, res, &d, &info, 1);
-        }
-        if (info)
+            jac[i * width + u] += ((tau / eps) * mass[i]) * (double)(v[i] < 0.0 || v[i] > 1.0);
+        if (acfv_band_factor(jac, (int)d, (int)u))
             return 1;
+        acfv_band_solve(res, res, NULL, jac, 1, (int)d, (int)u, jac + d * width);
         for (ptrdiff_t i = 0; i < d; i++)
             v[i] = v[i] - res[i];
     }
@@ -203,19 +283,19 @@ INLINE int newton(const struct run *r, double *restrict v, const double *restric
 
 /* Rounds j0..j1-1, each amplitude's tile of p x d cells through all of them in turn, so
  * that it stays in cache: the noise into w, path p taking dw[j * dw_j + p * dw_p] in round
- * j, then the heat product into u by the very BLAS call of np.matmul or apply_markov, then
- * the resolvent, in one pass with the next round's noise but in a coupled run, whose
- * Newton iteration then takes each row of u from this round's w.  Tiles are independent,
- * so the order of rounds within each is all that matters.  Returns 0, or 1 if a row's
- * Newton iteration failed, with the largest residual over the failed rows of every tile
- * in the earliest round where one failed left in r->residual; no tile takes a round
- * past it, and the states are then undefined. */
+ * j, then the heat product into u, by acfv_product with the propagator or acfv_band_solve of w M
+ * with the band factor, then the resolvent, in one pass with the next round's noise but
+ * in a coupled run, whose Newton iteration then takes each row of u from this round's w.
+ * Tiles are independent, so the order of rounds within each is all that matters.  Returns
+ * 0, or 1 if a row's Newton iteration failed, with the largest residual over the failed
+ * rows of every tile in the earliest round where one failed left in r->residual; no tile
+ * takes a round past it, and the states are then undefined. */
 CLONES int acfv_rounds(struct run *r, const double *dw, int dw_j, int dw_p, int j0, int j1)
 {
-    const int64_t paths = r->paths, cells = r->cells, tile = paths * cells, kd = r->band - 1;
+    const int64_t paths = r->paths, cells = r->cells, tile = paths * cells;
     const double k = r->kappa;
     const int fused = r->resolve && !r->shifted;  /* a resolvent takes the next noise */
-    int64_t info;
+    double *solve = r->scratch + cells * (r->half + 2);
     int status = 0;
     ptrdiff_t stop = j1;
     for (ptrdiff_t a = 0; a < r->amps; a++) {
@@ -225,18 +305,10 @@ CLONES int acfv_rounds(struct run *r, const double *dw, int dw_j, int dw_p, int 
             const double *d = dw + j * (ptrdiff_t)dw_j;
             if (j == j0 || !fused)
                 pass(u, w, 0, k, am, d, dw_p, tile, cells);
-            if (r->gemm)  /* u = w op: CblasRowMajor, CblasNoTrans, CblasNoTrans */
-                r->gemm(101, 111, 111, paths, cells, cells, 1.0, w, cells, r->op, cells, 0.0,
-                        u, cells);
-            else if (r->gemv)  /* each row u = op^T w: CblasRowMajor, CblasTrans */
-                for (ptrdiff_t i = 0; i < tile; i += cells)
-                    r->gemv(101, 112, cells, cells, 1.0, r->op, cells, w + i, 1, 0.0, u + i, 1);
-            else {  /* u = w mass, solved in place: ShiftedSolver.apply_markov */
-                for (ptrdiff_t i = 0; i < tile; i += cells)
-                    for (ptrdiff_t c = 0; c < cells; c++)
-                        u[i + c] = w[i + c] * r->mass[c];
-                r->pbtrs("U", &cells, &kd, &paths, r->op, &r->band, u, &cells, &info, 1);
-            }
+            if (r->dense)
+                acfv_product(u, w, r->op, (int)paths, (int)cells);
+            else
+                acfv_band_solve(u, w, r->mass, r->op, (int)paths, (int)cells, (int)r->half, solve);
             if (r->resolve)
                 pass(u, w, 1, k, am, fused && j + 1 < j1 ? d + dw_j : NULL, dw_p, tile, cells);
             if (!r->shifted)

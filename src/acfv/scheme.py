@@ -19,16 +19,15 @@ stack of p per-path fields of d cells, with one increment per path that
 the amplitudes share; each step size has a kernel of its own.  A round
 takes each amplitude's tile of p x d cells in turn through the noise term,
 the heat product and (but in a heat run) the resolvent.  The rounds are
-compiled C (``passes.c``, built at the first kernel into a per-user
-cache), whose product is the very call of numpy's own BLAS that
-``np.matmul`` or ``ShiftedSolver.apply_markov`` makes: ``cblas_dgemm`` on
-a dense run of more than one path and cell, ``cblas_dgemv`` on one of one
-path or one cell, ``dpbtrs`` on a banded run.  A coupled round then runs
-the semismooth Newton iteration on each path's row in C too, its solves
-the ``dgesv`` of ``np.linalg.solve`` (dense) or ``dpbtrf`` and ``dpbtrs``
-on the shifted band (banded).  Their numpy form, the tests' byte oracle,
-is in ``tests/oracles.py``.  Every run steps from one yield to the next in
-one call.  ``StepKernel.run`` is the one way to step a kernel: it steps a
+compiled C (``passes.c``, built at the first kernel or solver into a
+per-user cache), whose product is the one ``ShiftedSolver.apply_markov``
+takes: the fixed-order product with the propagator on a dense run, the
+solve with the band factor of the mass times the noisy rows on a banded
+one.  A coupled round then runs the semismooth Newton iteration on each
+path's row in C too, each solve by the same band Cholesky factor and solve
+on the shifted band.  Their numpy form, the tests' byte oracle, is in
+``tests/oracles.py``.  Every run steps from one yield to the next in one
+call.  ``StepKernel.run`` is the one way to step a kernel: it steps a
 whole increment block in one loop that yields only after the steps its
 caller names, and a later call can resume from the kernel's buffer with
 the next block; one step is a (p, 1) block.
@@ -57,7 +56,6 @@ except ImportError:
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure
-from .linalg import DENSE_LIMIT, numpy_blas
 
 __all__ = ["EpsilonSchedule", "StepKernel", "band_product"]
 
@@ -182,42 +180,34 @@ def _bind(solver, u, w, amplitude, kappa, eps=None):
     ``u`` and ``w`` are the kernel's (A, p, d) state and noisy buffers,
     ``amplitude`` is (A,), ``kappa`` a float (None: no resolvent, a heat
     run) and ``eps`` the penalty's eps of a coupled run (None: no Newton
-    iteration); they and the product are bound into one ``_Run`` here, and
-    a call of ``rounds`` passes ``acfv_rounds`` only the address and strides
-    of the (rounds, p) increments ``d_w`` and the round range.  The product
-    is the BLAS call of ``np.matmul`` on a dense run: dgemm, or dgemv with
-    one path or one cell; on a banded run, the mass times the noisy rows
-    solved by dpbtrs, as ``ShiftedSolver.apply_markov`` does.  A coupled
-    round then takes each row of u, from the splitting step, through the
-    semismooth Newton iteration of (M + tau A) u + tau M psi_eps(u) = M w,
-    strictly monotone so uniquely solvable: at most ``NEWTON_MAX_ITER``
-    solves of the active-set Jacobian M + tau A + (tau/eps) M D (D marks
-    the cells outside [0, 1]) until the residual's infinity norm is at
-    most ``NEWTON_TOL`` times the smallest mass; by numpy's dgesv, the LU
-    of ``np.linalg.solve``, on a dense run, else dpbtrf and dpbtrs on the
-    shifted band.  A row that does not converge, as one whose residual is
-    not finite never does, is a NumericalFailure with the largest residual
-    of the failed rows of its round.
+    iteration); they and the solver's operator are bound into one ``_Run``
+    here, and a call of ``rounds`` passes ``acfv_rounds`` only the address
+    and strides of the (rounds, p) increments ``d_w`` and the round range.
+    The product is ``ShiftedSolver.apply_markov``'s: with ``markov_t`` on a
+    dense run, else the solve of the mass times the noisy rows with the
+    band factor.  A coupled round then takes each row of u, from the
+    splitting step, through the semismooth Newton iteration of
+    (M + tau A) u + tau M psi_eps(u) = M w, strictly monotone so uniquely
+    solvable: at most ``NEWTON_MAX_ITER`` solves of the active-set Jacobian
+    M + tau A + (tau/eps) M D (D marks the cells outside [0, 1]), each by
+    the band Cholesky factor and solve of its band, until the residual's
+    infinity norm is at most ``NEWTON_TOL`` times the smallest mass.  A row
+    that does not converge, as one whose residual is not finite never
+    does, is a NumericalFailure with the largest residual of the failed
+    rows of its round.
     """
-    lib, d = compiled_library(), solver.n
-    if d > DENSE_LIMIT:
-        op, jacobian = solver.band_factor, solver.band.size
-        routines = {"pbtrs": "scipy_dpbtrs_64_", "pbtrf": "scipy_dpbtrf_64_"}
-    else:
-        op, jacobian = solver.markov_t, d * d
-        product = "gemm" if min(u.shape[1], d) > 1 else "gemv"
-        routines = {product: f"scipy_cblas_d{product}64_", "gesv": "scipy_dgesv_64_"}
-    arrays = {"u": u, "w": w, "amp": amplitude, "op": op,
-              "mass": np.ascontiguousarray(solver.mass_diag)}
-    if eps is not None:
-        arrays.update(shifted=solver.band, scratch=np.empty(d + jacobian),
-                      ipiv=np.empty(d, dtype=np.int64))
-    run = _Run(**{name: a.ctypes.data for name, a in arrays.items()},
-               **{name: _address(symbol) for name, symbol in routines.items()},
-               kappa=0.0 if kappa is None else kappa, amps=u.shape[0], paths=u.shape[1],
-               cells=d, band=op.shape[1], resolve=kappa is not None, tau=solver.tau,
-               eps=eps or 0.0, tol=NEWTON_TOL * arrays["mass"].min(),
-               half=solver.band.shape[1] - 1, iterations=NEWTON_MAX_ITER)
+    lib, d, dense = compiled_library(), solver.n, solver.markov_t is not None
+    half = solver.band.shape[1] - 1
+    # a Newton residual and Jacobian, then 8 interleaved rows of a solve (see passes.c)
+    arrays = {"u": u, "w": w, "amp": amplitude, "mass": solver.mass_diag,
+              "op": solver.markov_t if dense else solver.factor,
+              "shifted": solver.band if eps is not None else None,
+              "scratch": np.empty(d * (half + 10) + 8)}
+    run = _Run(**{name: None if a is None else a.ctypes.data for name, a in arrays.items()},
+               kappa=0.0 if kappa is None else kappa, tau=solver.tau, eps=eps or 0.0,
+               tol=NEWTON_TOL * solver.mass_diag.min(), amps=u.shape[0], paths=u.shape[1],
+               cells=d, half=half, iterations=NEWTON_MAX_ITER, resolve=kappa is not None,
+               dense=dense)
     run.arrays = arrays  # the buffers outlive every call through the pointers
     call, bound = lib.acfv_rounds, ctypes.byref(run)
 
@@ -236,17 +226,12 @@ def _bind(solver, u, w, amplitude, kappa, eps=None):
 
 
 class _Run(ctypes.Structure):
-    """A kernel's run as passes.c reads it: buffers, BLAS calls, constants, sizes."""
+    """A kernel's run as passes.c reads it: buffers, constants, sizes, flags."""
 
-    _fields_ = ([(name, ctypes.c_void_p) for name in "u w amp op mass".split()]
-                + [("kappa", ctypes.c_double)]
-                + [(name, ctypes.c_int64) for name in "amps paths cells band".split()]
-                + [("resolve", ctypes.c_int)]
-                + [(name, ctypes.c_void_p)
-                   for name in "gemm gemv pbtrs shifted scratch ipiv".split()]
-                + [(name, ctypes.c_double) for name in "tau eps tol residual".split()]
-                + [(name, ctypes.c_int64) for name in "half iterations".split()]
-                + [(name, ctypes.c_void_p) for name in "gesv pbtrf".split()])
+    _fields_ = ([(name, ctypes.c_void_p) for name in "u w amp op mass shifted scratch".split()]
+                + [(name, ctypes.c_double) for name in "kappa tau eps tol residual".split()]
+                + [(name, ctypes.c_int64) for name in "amps paths cells half iterations".split()]
+                + [(name, ctypes.c_int) for name in "resolve dense".split()])
 
 
 def build_passes(cc, flags=FLAGS, source=SOURCE, directory=None) -> Path:
@@ -323,7 +308,8 @@ def compiled_library():
     ``~/.cache/acfv``) unless a library of the same source, flags and
     compiler is cached there, which loads without starting a process; a
     library that cannot be built or loaded is a ConfigError (see
-    ``build_passes``).  Besides ``acfv_rounds``, its
+    ``build_passes``).  Besides ``acfv_rounds``, its ``acfv_band_factor``,
+    ``acfv_band_solve`` and ``acfv_product`` serve ``linalg.ShiftedSolver``,
     ``acfv_increments`` and ``acfv_ladder`` serve ``stochastic`` and
     ``acfv_band_product`` serves ``band_product``; ``acfv_ndtri``, the
     inverse normal CDF the sampler applies, is exported for the tests'
@@ -334,12 +320,13 @@ def compiled_library():
         lib = ctypes.CDLL(str(path))
     except OSError as exc:
         raise ConfigError(f"cannot load the compiled passes {path}: {exc}") from exc
-    # No argtypes for the rounds and the band product: ctypes passes byrefs
-    # and Python ints as the C functions take them; declaring them converts
-    # every argument again, 1.2 us of a 6.4 us round of a (1, 128, 16)
-    # coupled stack.  The rounds return their int status.
-    for function in (lib.acfv_band_product, lib.acfv_increments, lib.acfv_ladder,
-                     lib.acfv_ndtri):
+    # No argtypes for the rounds and the linear algebra: ctypes passes byrefs,
+    # None and Python ints as the C functions take them; declaring them
+    # converts every argument again, 1.2 us of a 6.4 us round of a
+    # (1, 128, 16) coupled stack.  The rounds and the factor return their
+    # int status.
+    for function in (lib.acfv_band_product, lib.acfv_band_solve, lib.acfv_product,
+                     lib.acfv_increments, lib.acfv_ladder, lib.acfv_ndtri):
         function.restype = None
     lib.acfv_increments.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t,
                                     ctypes.c_ssize_t, ctypes.c_uint64, ctypes.c_int64,
@@ -353,11 +340,6 @@ def passes():
     """The manifest's ``passes``: the library loaded, ``compiled (<cc>, <flags>)``."""
     compiled_library()
     return f"compiled ({os.environ.get('CC') or 'cc'}, {' '.join(FLAGS)})"
-
-
-def _address(name):
-    """The address of the routine ``name`` of numpy's BLAS (see ``linalg.numpy_blas``)."""
-    return ctypes.cast(numpy_blas()[name], ctypes.c_void_p).value
 
 
 def band_product(band, x):

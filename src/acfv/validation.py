@@ -79,7 +79,7 @@ def matrix_suite(seed=20250, cases=1000) -> list:
         L = int(rng.integers(1, 9))
         _, _, a = ops[L]
         x = rng.standard_normal(L * L)
-        worst = min(worst, float(x @ band_product(a, x)) / float(x @ x))
+        worst = min(worst, float((x * band_product(a, x)).sum()) / float((x * x).sum()))
     results.append(CheckResult("stiffness positive semi-definite", worst >= -1e-12,
                                f"min x'Ax/|x|^2 = {worst:.3g}"))
 
@@ -105,8 +105,8 @@ def matrix_suite(seed=20250, cases=1000) -> list:
         L = int(rng.integers(1, 9))
         _, m, _ = ops[L]
         x = rng.standard_normal(L * L)
-        before = float(m @ x)
-        after = float(m @ solvers[L].apply_markov(x))
+        before = float((m * x).sum())
+        after = float((m * solvers[L].apply_markov(x)).sum())
         worst = max(worst, abs(after - before) / max(abs(before), 1e-30))
     results.append(CheckResult("propagator mass conservation", worst <= 1e-10,
                                f"max relative mass change = {worst:.3g}"))

@@ -1,22 +1,21 @@
 """The numpy forms of the compiled stages in ``passes.c``: the tests' byte oracle.
 
 Each form makes the IEEE operations of its compiled stage in the same
-order, through numpy ufuncs, and the heat product and the Newton solves
-through the very numpy calls whose BLAS and LAPACK routines the compiled
-rounds call (``np.matmul``, ``ShiftedSolver.apply_markov`` and
-``np.linalg.solve``, or ``dpbtrf``/``dpbtrs`` from ``linalg.lapack``), so
-the two agree byte for byte:
+order, through numpy ufuncs, so the two agree byte for byte:
 
 * ``bind`` and ``passes``: a kernel's rounds (``scheme._bind``), with
   ``newton`` and ``solve_with_diagonal`` a coupled run's Newton iteration;
+* ``product``, ``band_factor`` and ``band_solve``: the dense heat product,
+  the band Cholesky factor and its solve, which serve the rounds and
+  ``linalg.ShiftedSolver``;
 * ``band_product``: ``scheme.band_product``, by diagonals;
 * ``draw``: the sampler's chunks (``stochastic._draw``), from numpy's
   ``Philox`` and ``scipy.special.ndtri``;
 * ``ladder``: the step ladder (``stochastic._ladder``), a ``cumsum`` and a
   ``diff`` per step count.
 
-``numpy_route`` swaps all four into the package for a block, so that a
-whole command runs on them.
+``numpy_route`` swaps the rounds, the band product, the sampler and the
+ladder into the package for a block, so that a whole command runs on them.
 """
 
 from collections import Counter
@@ -30,31 +29,31 @@ from scipy.special import ndtri
 import acfv
 from acfv import scheme, stochastic, validation
 from acfv.errors import NumericalFailure
-from acfv.linalg import DENSE_LIMIT, band_to_dense, lapack
 
 
 def bind(solver, u, w, amplitude, kappa, eps=None):
-    """``scheme._bind`` in numpy: ``over(d_w)``, the rounds around ``np.matmul`` or
-    ``apply_markov``, with ``eps`` each followed by ``newton`` on every row."""
-    if solver.n <= DENSE_LIMIT:
-        def product(w, u):
-            np.matmul(w, solver.markov_t, out=u)
+    """``scheme._bind`` in numpy: ``over(d_w)``, the rounds around ``product`` with
+    ``markov_t`` or ``band_solve`` of the mass times the noisy rows, with ``eps`` each
+    followed by ``newton`` on every row."""
+    rows = (-1, solver.n)
+    if solver.markov_t is not None:
+        def heat(w, u):
+            u[...] = product(w, solver.markov_t)
     else:
-        def product(w, u):  # per amplitude: one solve of all A p rows was slower at d = 256
-            for w_a, u_a in zip(w, u):
-                solver.apply_markov(w_a, out=u_a)
+        def heat(w, u):
+            u.reshape(rows)[...] = band_solve(solver.factor, w.reshape(rows) * solver.mass_diag)
     iteration = None if eps is None else partial(newton, solver, eps, scheme.NEWTON_MAX_ITER,
-                                                 u.reshape(-1, solver.n), w.reshape(-1, solver.n))
-    return partial(passes, product, u, w, amplitude, kappa, iteration)
+                                                 u.reshape(rows), w.reshape(rows))
+    return partial(passes, heat, u, w, amplitude, kappa, iteration)
 
 
-def passes(product, u, w, amplitude, kappa, iteration, d_w):
-    """A run's rounds as ufuncs around ``product``.
+def passes(heat, u, w, amplitude, kappa, iteration, d_w):
+    """A run's rounds as ufuncs around ``heat``.
 
     ``u`` and ``w`` are the run's (A, p, d) state and noisy buffers,
     ``amplitude`` is (A,), ``kappa`` a float (None: no resolvent, a heat
     run), ``iteration`` the Newton iteration of a coupled run (None: none),
-    ``d_w`` (rounds, p) and ``product(w, u)`` the heat product of the whole
+    ``d_w`` (rounds, p) and ``heat(w, u)`` the heat product of the whole
     stack into u.  Returns ``rounds(j0, j1)``, which takes rounds j0..j1-1
     in turn: the noise w = (((c a)(1 - c)) dW) + u with round j's
     increments, the product, the resolvent u = c + (u - c) kappa, each
@@ -77,7 +76,7 @@ def passes(product, u, w, amplitude, kappa, iteration, d_w):
             np.multiply(w, one_minus_c, out=w)
             np.multiply(w, d_w[j], out=w)
             np.add(w, u, out=w)
-            product(w, u)
+            heat(w, u)
             if resolve:
                 u.clip(zero, one, out=c)
                 np.subtract(u, c, out=u)
@@ -122,21 +121,66 @@ def newton(solver, eps, iterations, u, w):
 def solve_with_diagonal(solver, extra, b):
     """x[i] of (M + tau A + diag(extra[i])) x[i] = b[i] for each row i of the (k, d) b.
 
-    By ``np.linalg.solve`` on the dense shifted matrix (numpy's dgesv), else
-    by dpbtrf and dpbtrs on a copy of the band, one row at a time.
+    Each row's shifted band by ``band_factor`` and ``band_solve``, all rows at once.
     """
-    if solver.n <= DENSE_LIMIT:
-        jac = np.broadcast_to(band_to_dense(solver.band), (len(b), solver.n, solver.n)).copy()
-        cells = np.arange(solver.n)
-        jac[:, cells, cells] += extra
-        return np.linalg.solve(jac, b[..., None])[..., 0]
-    out = np.array(b, order="C")
-    for shift, x in zip(extra, out):
-        band = solver.band.copy()
-        band[:, -1] += shift
-        assert lapack().pbtrf(band) == 0
-        lapack().pbtrs(band, x)
+    jac = np.broadcast_to(solver.band, (len(b), *solver.band.shape)).copy()
+    jac[..., -1] += extra
+    return band_solve(band_factor(jac), b)
+
+
+def product(x, op):
+    """The dense heat product of passes.c: x op for the rows of x, each output the product
+    of k = 0, then plus the product of each k ascending."""
+    # silent, as in C: an inf cell times a zero entry gives NaN
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = x[..., :1] * op[0]
+        for k in range(1, len(op)):
+            out += x[..., k:k + 1] * op[k]
     return out
+
+
+def band_factor(band):
+    """The band Cholesky factor of passes.c for a (d, u + 1) band or a stack of them.
+
+    Entry (i, j), i <= j, at [j, u + i - j] (see ``linalg``); column by
+    column, each entry from the top of the band down is A(i, j) minus the sum
+    from 0 of the products U(k, i) U(k, j), k ascending, then divided by
+    U(i, i), or at the diagonal its square root.  A pivot that is not positive gives NaN
+    (passes.c stops there).
+    """
+    f = np.array(band, dtype=float)
+    d, u = f.shape[-2], f.shape[-1] - 1
+    with np.errstate(invalid="ignore"):
+        for j in range(d):
+            lo = max(0, j - u)
+            for i in range(lo, j + 1):
+                s = np.zeros(f.shape[:-2])
+                for k in range(lo, i):
+                    s = s + f[..., i, u + k - i] * f[..., j, u + k - j]
+                s = f[..., j, u + i - j] - s
+                f[..., j, u + i - j] = s / f[..., i, u] if i < j else np.sqrt(s)
+    return f
+
+
+def band_solve(factor, b):
+    """A^-1 b for each row of the (k, d) b, A = U^T U with U the ``band_factor`` of one band
+    or of one band per row: cell by cell across the rows, forward U^T y = b ascending, then
+    back U x = y descending, each cell minus the sum from 0 of the products with the cells
+    solved before it, k ascending, divided by the diagonal."""
+    x = np.array(b, dtype=float)
+    d, u = factor.shape[-2], factor.shape[-1] - 1
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i in range(d):
+            s = np.zeros(len(x))
+            for k in range(max(0, i - u), i):
+                s += factor[..., i, u + k - i] * x[:, k]
+            x[:, i] = (x[:, i] - s) / factor[..., i, u]
+        for i in reversed(range(d)):
+            s = np.zeros(len(x))
+            for k in range(i + 1, min(d, i + u + 1)):
+                s += factor[..., k, u + i - k] * x[:, k]
+            x[:, i] = (x[:, i] - s) / factor[..., i, u]
+    return x
 
 
 def band_product(band, x):

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from acfv import linalg
 from acfv.assembly import assemble_mass, assemble_stiffness
 from acfv.config import preset_config
-from acfv.errors import ConfigError
 from acfv.linalg import DENSE_LIMIT, ShiftedSolver, band_to_dense
 from acfv.mesh import build_uniform_mesh
-from oracles import solve_with_diagonal
+from oracles import band_factor, band_solve, product, solve_with_diagonal
 
 
 def make_solver(L, tau):
@@ -148,33 +146,7 @@ def test_rejects_bad_tau():
         ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), 0.0)
 
 
-def scipy_solver_bytes(solver, b, extra):
-    """What the solver's factors, propagator and solves are by scipy.linalg, as bytes."""
-    if solver.n <= DENSE_LIMIT:
-        chol = sla.cho_factor(band_to_dense(solver.band))
-        return [chol[0].T.tobytes(),  # Fortran order: the solver holds the factor so
-                sla.cho_solve(chol, np.diag(solver.mass_diag)).T.tobytes(),
-                sla.cho_solve(chol, b.T).T.tobytes(), sla.cho_solve(chol, b[0]).tobytes()]
-    band = solver.band.T  # LAPACK's (u + 1, d) upper band storage
-    shifted = [band.copy() for _ in extra]
-    for matrix, shift in zip(shifted, extra):
-        matrix[-1] += shift
-    return [sla.cholesky_banded(band).T.tobytes(),
-            sla.cho_solve_banded((sla.cholesky_banded(band), False), b.T).T.tobytes(),
-            np.array([sla.cho_solve_banded((sla.cholesky_banded(matrix), False), row)
-                      for matrix, row in zip(shifted, b)]).tobytes()]
-
-
-def solver_bytes(solver, b, extra):
-    """The same as ``scipy_solver_bytes``, from the solver."""
-    if solver.n <= DENSE_LIMIT:
-        return [solver._chol.tobytes(), solver.markov_t.tobytes(), solver.solve(b).tobytes(),
-                solver.solve(b[0]).tobytes()]
-    return [solver.band_factor.tobytes(), solver.solve(b).tobytes(),
-            solve_with_diagonal(solver, extra, b).tobytes()]
-
-
-def lapack_cases():
+def solver_cases():
     """(L, tau): dense meshes over the paper ladder and finer steps, banded ones at three taus."""
     ladder = (*preset_config("convergence", "paper").n_steps_list,
               16, 32, 64, 128, 256, 40320, 80640, 161280)
@@ -182,33 +154,71 @@ def lapack_cases():
             + [(L, tau) for L in (9, 12, 16) for tau in (1.0 / 8, 1.0 / 210, 0.37)])
 
 
-def test_numpy_lapack_equals_scipy_linalg_bytewise():
-    # The dense factor and propagator for L = 1..8 at tau = 1/N over the
-    # paper ladder, 16..256 and 40320..161280, and the band factor, the
-    # banded solves and the banded Newton solves' numpy form for L = 9, 12,
-    # 16: numpy's own LAPACK gives scipy.linalg's bytes.
+def test_factor_solves_and_propagator_equal_their_numpy_form_bytewise():
+    # The compiled band factor, the propagator built from it, the solves of
+    # a stack and of one field and the heat product, dense for L = 1..8 at
+    # tau = 1/N over the paper ladder, 16..256 and 40320..161280, banded
+    # for L = 9, 12, 16: the bytes of their numpy forms in tests/oracles.py.
     rng = np.random.default_rng(47)
-    for L, tau in lapack_cases():
+    for L, tau in solver_cases():
+        solver = make_solver(L, tau)
+        b = rng.standard_normal((9, L * L))
+        factor = band_factor(solver.band)
+        assert solver.factor.tobytes() == factor.tobytes(), (L, tau)
+        assert solver.solve(b).tobytes() == band_solve(factor, b).tobytes(), (L, tau)
+        assert solver.solve(b[0]).tobytes() == band_solve(factor, b[:1])[0].tobytes()
+        if L * L <= DENSE_LIMIT:
+            markov_t = band_solve(factor, np.diag(solver.mass_diag))
+            assert solver.markov_t.tobytes() == markov_t.tobytes(), (L, tau)
+            heat = product(b, markov_t)
+        else:
+            assert solver.markov_t is None
+            heat = band_solve(factor, b * solver.mass_diag)
+        assert solver.apply_markov(b).tobytes() == heat.tobytes(), (L, tau)
+
+
+def test_factor_and_solves_match_scipy_banded_cholesky():
+    # The band factor and its solves against scipy.linalg's LAPACK
+    # (cholesky_banded, cho_solve_banded) to 1e-12, relative, on the same
+    # cases, with the Newton solves' diagonal shifts on the banded ones.
+    rng = np.random.default_rng(53)
+    for L, tau in solver_cases():
         solver = make_solver(L, tau)
         b = rng.standard_normal((3, L * L))
-        extra = rng.uniform(0.0, 5.0, size=(3, L * L)) * (rng.random((3, L * L)) < 0.4)
-        assert solver_bytes(solver, b, extra) == scipy_solver_bytes(solver, b, extra), (L, tau)
+        band = solver.band.T  # LAPACK's (u + 1, d) upper band storage
+        scipy_factor = sla.cholesky_banded(band)
+        np.testing.assert_allclose(solver.factor, scipy_factor.T, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(solver.solve(b), sla.cho_solve_banded((scipy_factor, False),
+                                                                          b.T).T, rtol=1e-12,
+                                   atol=1e-12 * np.abs(solver.solve(b)).max())
+        if L * L > DENSE_LIMIT:
+            extra = rng.uniform(0.0, 5.0, size=(3, L * L)) * (rng.random((3, L * L)) < 0.4)
+            for shift, row, x in zip(extra, b, solve_with_diagonal(solver, extra, b)):
+                shifted = band.copy()
+                shifted[-1] += shift
+                expected = sla.cho_solve_banded((sla.cholesky_banded(shifted), False), row)
+                np.testing.assert_allclose(x, expected, rtol=1e-12,
+                                           atol=1e-12 * np.abs(expected).max())
 
 
-def test_a_numpy_without_a_blas_routine_is_a_config_error(monkeypatch):
-    # acfv calls seven routines of numpy's BLAS; a numpy that lacks one is a
-    # ConfigError (exit 2 from the CLI) that names it.
-    assert len(linalg.BLAS_SYMBOLS) == 7 and linalg.numpy_blas().keys() == {*linalg.BLAS_SYMBOLS}
-    monkeypatch.setattr(linalg, "BLAS_SYMBOLS", (*linalg.BLAS_SYMBOLS, "acfv_no_such_dgemv"))
-    linalg.numpy_blas.cache_clear()
-    try:
-        with pytest.raises(ConfigError, match="exports no acfv_no_such_dgemv;"):
-            linalg.numpy_blas()
-    finally:
-        linalg.numpy_blas.cache_clear()
+def test_a_shift_whose_mass_is_lost_in_rounding_raises():
+    # The mass of a cell below half an ulp of tau A's diagonal leaves the
+    # band at tau A, singular whatever the order of the factor's sums.
+    mesh = build_uniform_mesh(3)
+    stiffness = assemble_stiffness(mesh)
+    with pytest.raises(np.linalg.LinAlgError, match="the mass of cell 0 is lost beside tau A"):
+        ShiftedSolver(np.full(9, 1e-20), stiffness, 0.5)
+    mass = np.full(9, 1e-20)
+    mass[4] = 1.0  # one cell's mass is kept: still rejected
+    with pytest.raises(np.linalg.LinAlgError, match="cell 0 is lost"):
+        ShiftedSolver(mass, stiffness, 0.5)
 
 
 def test_factor_of_an_indefinite_matrix_raises():
-    for matrix in (np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([[-1.0]])):
-        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-            linalg._factor(linalg.lapack().potrf, matrix)
+    # The band of [[1, 2], [2, 1]], and [[-1]]: the pivot of the second
+    # column and of the first is not positive.
+    for mass, stiffness, column in ((np.ones(2), np.array([[0.0, 0.0], [2.0, 0.0]]), 2),
+                                    (np.array([-1.0]), np.zeros((1, 1)), 1)):
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=f"{column}-th leading minor not positive definite"):
+            ShiftedSolver(mass, stiffness, 1.0)

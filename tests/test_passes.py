@@ -180,8 +180,8 @@ def run_scipy_child(tmp_path):
 def test_compiled_route_imports_no_scipy(tmp_path):
     # With scipy blocked, tiny convergence, coupled splitting-error, banded
     # (d = 81) expectation and simulate runs exit 0: their factors come
-    # from numpy's own LAPACK, their increments from the compiled sampler
-    # and their operators from numpy arrays.  Nor is numpy.random loaded,
+    # from the compiled band Cholesky, their increments from the compiled
+    # sampler and their operators from numpy arrays.  Nor is numpy.random loaded,
     # or the process pool, which one-worker runs never open, or, with the
     # library cached, subprocess, or the code of validate and table-repro.
     scheme.compiled_library()
@@ -210,10 +210,10 @@ BANDED_GAP = ("L = 9\nN_max = 16\nN_list = 4,8\nN_p = 257\na = 10\n"
 def test_commands_write_the_csvs_of_their_numpy_form(monkeypatch, tmp_path, command, options,
                                                       stages):
     # Each command's CSVs, from the compiled stages and from their numpy
-    # forms: the desk presets (simulate and table-repro take one path, by
-    # gemv); 257 paths, whose second block holds one path; and banded runs
-    # of two blocks, the heat product by dpbtrs and the coupled Newton
-    # solves by dpbtrf and dpbtrs.  The coupled rounds run their Newton
+    # forms: the desk presets (simulate and table-repro take one path); 257
+    # paths, whose second block holds one path; and banded runs of two
+    # blocks, the heat product by the band solve and the coupled Newton
+    # solves by the band factor and solve.  The coupled rounds run their Newton
     # iteration in C, which its numpy form runs itself: no stage calls
     # band_product.  One worker, in this process.
     monkeypatch.setenv("ACFV_WORKERS", "1")

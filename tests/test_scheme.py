@@ -6,6 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acfv import benchmark, experiments, scheme
 from acfv.assembly import assemble_mass, assemble_stiffness
@@ -253,13 +255,12 @@ def test_heat_kernel_mass_identity():
 def test_heat_product_conserves_the_mass_to_a_few_ulps(L):
     # 1^T M P = 1^T M, as A 1 = 0 and A is symmetric.  At amplitude 0 a heat
     # round is w = u, then u = P w, so one step of the kernel is P x, by
-    # gemv (one path or one cell), gemm (d <= 64) or dpbtrs (d > 64).  Rows:
+    # the fixed-order product (d <= 64) or the band solve (d > 64).  Rows:
     # normal and uniform draws, -0.0, 5e-324, +-1e300, and subnormals among
     # uniform draws; one at a time and all six in one stack.  The drift
     # |1^T M P x - 1^T M x| is read in ulps of 1^T M |x|, the sums taken by
-    # np.dot.  Measured with numpy 2.4.6's OpenBLAS on an AVX-512 Xeon: at
-    # worst 2 ulps dense and 10 banded on these rows, 4 and 11 on another
-    # draw of the same kinds, so k = 8 and 16.
+    # np.dot.  Measured: at worst 3 ulps dense and 7 banded on these rows
+    # and on another draw of the same kinds, so k = 8 and 16.
     mesh = build_uniform_mesh(L)
     rng = np.random.default_rng(L)
     d = L * L
@@ -649,9 +650,8 @@ def test_one_call_rounds_match_rounds_one_by_one_and_numpy_bitwise(monkeypatch, 
     # a lone row, which the NaN would fill, and in a coupled run; a second
     # row of -0.0 whose first increment is positive, so its noisy row is
     # -0.0.  The rounds in one call, the same rounds one call per round
-    # (every step yielded) and their numpy form yield the same bytes.  With
-    # one path np.matmul takes the product by gemv, with one cell by a loop
-    # of its own or a dot, where the compiled rounds call gemv row by row;
+    # (every step yielded) and their numpy form yield the same bytes.  One
+    # path fills one row of the product's tile of eight, one cell one column;
     # a coupled run of one path is the shape of ``acfv validate``'s kernels.
     d = L * L
     solvers = [solver_on(L, n) for n in (40, 24, 16)]
@@ -826,3 +826,31 @@ def test_trajectory_csv_dump():
     assert (n, cell) == ("0", "0")
     assert float(value) == u0[0]
     assert lines[-1] == f"2,3,{states[-1][3]:.17g}"
+
+
+@settings(max_examples=80, deadline=None)
+@given(L=st.integers(1, 10), paths=st.integers(2, 9), variant=st.sampled_from(["splitting", "heat"]),
+       n_steps=st.sampled_from([8, 64, 40320]),
+       amplitude=st.one_of(st.just(0.0), st.floats(0.01, 40.0)), seed=st.integers(0, 2 ** 32 - 1))
+def test_step_map_is_monotone(L, paths, variant, n_steps, amplitude, seed):
+    # u <= v gives S(u) <= S(v), cell by cell, for a splitting or heat step
+    # with a |dW| <= 1, dense and banded (L = 9, 10), v = u or u plus a
+    # random amount or one ulp in each cell.  The heat product and the
+    # resolvent are monotone in floating point: rounding is monotone, the
+    # propagator is nonnegative and the band factor's off-diagonal entries
+    # are not positive.  So is the noise term's exact map, whose slope is
+    # 1 - a dW (1 - 2c) >= 0, but its rounding is not: two cells one ulp
+    # apart may swap by an ulp of w, which the product carries on.  With
+    # a = 0, so no noise, S(u) - S(v) is at most 0; else at most 2^-52, an
+    # ulp of a noisy value in [1, 2): measured on 6000 draws, it reached
+    # 2^-52 only where cells were one ulp apart and 0 elsewhere.
+    rng = np.random.default_rng(seed)
+    solver = solver_on(L, n_steps)
+    u = rng.uniform(-0.5, 1.5, (paths, L * L))
+    moved = rng.random(u.shape)
+    v = np.where(moved < 0.3, u + rng.exponential(0.05, u.shape),
+                 np.where(moved < 0.6, np.nextafter(u, np.inf), u))
+    d_w = rng.uniform(-1.0, 1.0, paths) / amplitude if amplitude else rng.standard_normal(paths)
+    kernel = lone_kernel(variant, amplitude, EpsilonSchedule.fixed(0.05), solver, paths)
+    s_u = step(kernel, u, d_w).copy()
+    assert (s_u - step(kernel, v, d_w)).max() <= (2.0 ** -52 if amplitude else 0.0)
