@@ -198,46 +198,56 @@ INLINE size_t part(ptrdiff_t n)
     return (size_t)(n < 0 ? 0 : n < LANES ? n : LANES) * sizeof(double);
 }
 
-/* Columns j.. of the rows in[0..LANES-1] of acfv_product into the first n rows of d cells
- * at y: 2 LANES columns if full, else the d - j left, zeros loaded past them.  The sums
- * run in registers. */
+/* Columns j.. of the rows in[0..rows-1] of acfv_product into rows of d cells at y: 2 LANES
+ * columns if full, else the d - j left, zeros loaded past them.  The sums run in registers;
+ * rows, LANES or 1, is a constant in each inlined copy. */
 INLINE void tile(double *restrict y, const double *const *in, const double *restrict op,
-                 ptrdiff_t d, ptrdiff_t j, ptrdiff_t n, int full)
+                 ptrdiff_t d, ptrdiff_t j, ptrdiff_t rows, int full)
 {
     const ptrdiff_t n0 = full ? 2 * LANES : d - j, n1 = n0 - LANES;  /* columns in each half */
     lanes acc[LANES][2], o[2] = {{0.0}, {0.0}};
     for (ptrdiff_t k = 0; k < d; k++) {
         memcpy(&o[0], op + k * d + j, part(n0)), memcpy(&o[1], op + k * d + j + LANES, part(n1));
 #pragma GCC unroll 8
-        for (ptrdiff_t l = 0; l < LANES; l++)
+        for (ptrdiff_t l = 0; l < rows; l++)
             for (int h = 0; h < 2; h++)
                 acc[l][h] = k ? acc[l][h] + in[l][k] * o[h] : in[l][k] * o[h];
     }
 #pragma GCC unroll 8
-    for (ptrdiff_t l = 0; l < LANES; l++)
-        if (l < n)
-            memcpy(y + l * d + j, &acc[l][0], part(n0)),
-                memcpy(y + l * d + j + LANES, &acc[l][1], part(n1));
+    for (ptrdiff_t l = 0; l < rows; l++)
+        memcpy(y + l * d + j, &acc[l][0], part(n0)),
+            memcpy(y + l * d + j + LANES, &acc[l][1], part(n1));
+}
+
+/* All d columns of rows rows, LANES or 1, tile by tile. */
+INLINE void tiles(double *restrict y, const double *const *in, const double *restrict op,
+                  ptrdiff_t d, ptrdiff_t rows)
+{
+    ptrdiff_t j = 0;
+    for (; j + 2 * LANES <= d; j += 2 * LANES)
+        tile(y, in, op, d, j, rows, 1);
+    if (j < d)
+        tile(y, in, op, d, j, rows, 0);
 }
 
 /* y = x op for the rows of d cells at x (row r at x + r d), op the d x d
  * row-major matrix: y[r][j] is the product x[r][0] op[0][j], then plus
  * x[r][k] op[k][j] for k ascending, by tiles of LANES rows and 2 LANES
- * columns.  A last tile of fewer rows reads row 0 again in their place and
- * stores none of them. */
+ * columns, and the rows past the last multiple of LANES by tiles of one
+ * row, which sum in the same order. */
 CLONES void acfv_product(double *restrict y, const double *restrict x, const double *restrict op,
                          int rows, int d)
 {
-    for (ptrdiff_t r0 = 0; r0 < rows; r0 += LANES) {
-        const ptrdiff_t n = rows - r0 < LANES ? rows - r0 : LANES;
+    ptrdiff_t r0 = 0;
+    for (; r0 + LANES <= rows; r0 += LANES) {
         const double *in[LANES];
         for (ptrdiff_t l = 0; l < LANES; l++)
-            in[l] = x + (r0 + (l < n ? l : 0)) * d;
-        ptrdiff_t j = 0;
-        for (; j + 2 * LANES <= d; j += 2 * LANES)
-            tile(y + r0 * d, in, op, d, j, n, 1);
-        if (j < d)
-            tile(y + r0 * d, in, op, d, j, n, 0);
+            in[l] = x + (r0 + l) * d;
+        tiles(y + r0 * d, in, op, d, LANES);
+    }
+    for (; r0 < rows; r0++) {
+        const double *in = x + r0 * d;
+        tiles(y + r0 * d, &in, op, d, 1);
     }
 }
 

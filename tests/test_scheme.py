@@ -650,8 +650,8 @@ def test_one_call_rounds_match_rounds_one_by_one_and_numpy_bitwise(monkeypatch, 
     # a lone row, which the NaN would fill, and in a coupled run; a second
     # row of -0.0 whose first increment is positive, so its noisy row is
     # -0.0.  The rounds in one call, the same rounds one call per round
-    # (every step yielded) and their numpy form yield the same bytes.  One
-    # path fills one row of the product's tile of eight, one cell one column;
+    # (every step yielded) and their numpy form yield the same bytes.  Each
+    # path takes the product's one-row tile, one cell one column;
     # a coupled run of one path is the shape of ``acfv validate``'s kernels.
     d = L * L
     solvers = [solver_on(L, n) for n in (40, 24, 16)]
@@ -828,7 +828,7 @@ def test_trajectory_csv_dump():
     assert lines[-1] == f"2,3,{states[-1][3]:.17g}"
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(L=st.integers(1, 10), paths=st.integers(2, 9), variant=st.sampled_from(["splitting", "heat"]),
        n_steps=st.sampled_from([8, 64, 40320]),
        amplitude=st.one_of(st.just(0.0), st.floats(0.01, 40.0)), seed=st.integers(0, 2 ** 32 - 1))
@@ -841,9 +841,11 @@ def test_step_map_is_monotone(L, paths, variant, n_steps, amplitude, seed):
     # are not positive.  So is the noise term's exact map, whose slope is
     # 1 - a dW (1 - 2c) >= 0, but its rounding is not: two cells one ulp
     # apart may swap by an ulp of w, which the product carries on.  With
-    # a = 0, so no noise, S(u) - S(v) is at most 0; else at most 2^-52, an
-    # ulp of a noisy value in [1, 2): measured on 6000 draws, it reached
-    # 2^-52 only where cells were one ulp apart and 0 elsewhere.
+    # a = 0, so no noise, S(u) - S(v) is at most 0.  Else the gate, 2^-52
+    # (an ulp of a noisy value in [1, 2)), is a measured one, not a proven
+    # bound: over 6000 random draws S(u) - S(v) reached 2^-52 only where
+    # cells were one ulp apart and stayed at 0 elsewhere.  The draws are
+    # derandomized, so every run checks the same examples.
     rng = np.random.default_rng(seed)
     solver = solver_on(L, n_steps)
     u = rng.uniform(-0.5, 1.5, (paths, L * L))
