@@ -27,9 +27,12 @@ chunk and its coarse increments are buffers made once per block, so what
 a block holds does not grow with the path length.
 ``simulate`` and the benchmark tables run their single path through the
 same runner as a one-row block.  Only the steps a study
-reads (convergence: the last, expectation: the checkpoints, the gap:
-all) leave its step loop, and every number it reduces them to is
-checked to be finite.  The block size is a constant, deliberately not
+reads (convergence: the last, expectation: the checkpoints) leave its
+step loop, and every number it reduces them to is checked to be finite.
+The gap study reads no step: its coupled kernels step the splitting ones
+beside them in the compiled rounds, which write each path's gap after
+every step, so each chunk of a step count is one call that yields
+nothing.  The block size is a constant, deliberately not
 tied to the worker count: block results come back in path order and
 are reduced in that order, so a study result is bit-identical no matter
 how many workers computed it.  Worker pools operate on whole blocks, one
@@ -203,7 +206,7 @@ def _map_blocks(fn, config: StudyConfig, args, workers):
         return [future.result() for future in futures]
 
 
-def run_block(config: StudyConfig, initial_state, paths, at, variants):
+def run_block(config: StudyConfig, initial_state, paths, at, variants, gaps=None):
     """Run a block of paths at every amplitude and step count N of ``at``.
 
     ``paths`` is a range of path indices, whose fine increments are
@@ -227,6 +230,12 @@ def run_block(config: StudyConfig, initial_state, paths, at, variants):
     chunk, each (k, N)'s final states are checked to be finite.  A
     non-finite default start field, or an M + tau A that does not factor,
     raises NumericalFailure before any step.
+
+    ``gaps``, with ``variants`` ("splitting", "coupled"), maps each N to an
+    (A, p, N) array: the coupled kernel of N then steps the splitting one
+    beside it (see ``StepKernel``), which takes no call of its own, and
+    writes the gap of each path after each step into it; the yields carry
+    the coupled states alone.
     """
     mesh = build_uniform_mesh(config.cells_per_axis, config.half_width)
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
@@ -252,14 +261,18 @@ def run_block(config: StudyConfig, initial_state, paths, at, variants):
             except np.linalg.LinAlgError as exc:
                 raise NumericalFailure(f"M + tau A does not factor at tau="
                                        f"{config.horizon / n:g}, N={n}: {exc}") from exc
-            kernels[n] = [StepKernel(variant, config.amplitudes, config.epsilon, solver,
-                                     len(paths)) for variant in variants]
+            kernels[n] = []
+            for variant in variants:
+                beside = (kernels[n][0], gaps[n]) if gaps and variant == "coupled" else None
+                kernels[n].append(StepKernel(variant, config.amplitudes, config.epsilon, solver,
+                                             len(paths), beside))
         taken = dict.fromkeys(order, 0)
         for coarse in coarse_chunks(chunks, n_fine, order):
             for n, incs in coarse.items():
+                stepped = kernels[n][1:] if gaps else kernels[n]
                 # strict: every kernel runs to the chunk's end, past its last named step
                 for steps in zip(*(kernel.run(kernel.out if taken[n] else u0, incs, at[n],
-                                              taken[n] + 1) for kernel in kernels[n]),
+                                              taken[n] + 1) for kernel in stepped),
                                  strict=True):
                     for k in range(len(config.amplitudes)):
                         yield k, n, steps[0][0], [states[k] for _, states in steps]
@@ -423,13 +436,17 @@ def convergence_study(config: StudyConfig, initial_state=None, workers=1) -> lis
 # ---------------------------------------------------------------------------
 
 def _splitting_gap_block(config: StudyConfig, n_list, initial_state, lo, hi):
-    """Per-path maximum cell gap between the two methods after every step."""
-    gaps = {n_steps: np.empty((hi - lo, n_steps)) for n_steps in n_list}
-    _, _, runs = run_block(config, initial_state, range(lo, hi), dict.fromkeys(n_list),
-                           ("splitting", "coupled"))
-    for _, n_steps, n, (u_split, u_coupled) in runs:
-        gaps[n_steps][:, n - 1] = np.max(np.abs(u_coupled - u_split), axis=1)
-    return gaps
+    """Per-path maximum cell gap between the two methods after every step.
+
+    The compiled rounds write the gaps as they step both methods, one call
+    per chunk and step count; no step yields.
+    """
+    gaps = {n_steps: np.empty((1, hi - lo, n_steps)) for n_steps in n_list}
+    _, _, runs = run_block(config, initial_state, range(lo, hi), dict.fromkeys(n_list, ()),
+                           ("splitting", "coupled"), gaps)
+    for _ in runs:  # the final states' finite check
+        pass
+    return {n_steps: gap[0] for n_steps, gap in gaps.items()}
 
 
 def splitting_error_study(config: StudyConfig, initial_state=None,

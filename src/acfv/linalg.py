@@ -79,8 +79,9 @@ class ShiftedSolver:
             raise np.linalg.LinAlgError(f"the mass of cell {lost[0]} is lost beside tau A")
         self.band[:, -1] = shifted
         self.factor = self.band.copy()
-        info = compiled_library().acfv_band_factor(_pointer(self.factor), self.n,
-                                                   self.band.shape[1] - 1)
+        width = self.band.shape[1]
+        info = compiled_library().acfv_band_factor(_pointer(self.factor), self.n, width - 1,
+                                                   _pointer(np.empty(8 * (self.n * width + 1))))
         if info:
             raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
         # row k is (M + tau A)^{-1} (M e_k), column k of the propagator, as A is symmetric

@@ -1,10 +1,12 @@
 /* The rounds of a StepKernel over its C-contiguous (A, P, D) stack:
  * amplitudes, paths, cells, with a coupled run's semismooth Newton
- * iteration; the linear algebra they and linalg.ShiftedSolver take, one
- * upper band Cholesky factor with its solve and one dense product; the band
- * product; the Brownian increments, from numpy's Philox words through the
- * inverse normal CDF onto the lattice of stochastic.py; and the coarse
- * increments of a step ladder, as differences of the running path sums.
+ * iteration, eight rows at a time in vector lanes, and the gap of a coupled
+ * run to the splitting run it steps beside itself; the linear algebra they
+ * and linalg.ShiftedSolver take, one upper band Cholesky factor of eight
+ * lanes with its solve and one dense product; the band product; the
+ * Brownian increments, from numpy's Philox words through the inverse normal
+ * CDF onto the lattice of stochastic.py; and the coarse increments of a
+ * step ladder, as differences of the running path sums.
  *
  * Each value is computed by the same IEEE operations in the same order as
  * the ufuncs of the numpy forms in tests/oracles.py, the tests' byte
@@ -13,7 +15,7 @@
  * The sampler agrees so with numpy's Philox and scipy.special.ndtri.  Build
  * with -ffp-contract=off (no fused multiply-add), without -ffast-math, and
  * link libm; the Philox product needs the 128-bit integers of gcc and clang,
- * the solves and the product their vector extensions.
+ * the lanes their vector extensions.
  */
 #include <math.h>
 #include <stddef.h>
@@ -26,38 +28,50 @@
  * resolvent in a heat run.  A coupled run (shifted not NULL) has the
  * D x (half + 1) upper band of M + tau A at shifted and its Newton
  * constants; the rounds leave the largest residual of the rows that did not
- * converge in residual.  The scratch holds D (half + 10) + 8 doubles: a
- * Newton residual and Jacobian, then the interleaved rows of a solve. */
+ * converge in residual.  A coupled run may step a splitting run of the same
+ * (amps, paths, cells) stack beside itself (beside not NULL), each round
+ * first, and then writes each row's gap, the largest |coupled - splitting|
+ * over its cells, after round j of a call at gap[a gap_a + p gap_p + j] for
+ * amplitude a and path p.  The scratch holds LANES (D (half + 5) + 1)
+ * doubles in a coupled run, else LANES (D + 1): the interleaved rows of a
+ * Newton iteration (see newton) or of a solve. */
 struct run {
     double *u, *w;
     const double *amp, *op, *mass, *shifted;
-    double *scratch;
+    double *scratch, *gap;
+    struct run *beside;
     double kappa, tau, eps, tol, residual;
-    int64_t amps, paths, cells, half, iterations;
+    int64_t amps, paths, cells, half, iterations, gap_a, gap_p;
     int resolve, dense;
 };
 
 /* Cells clipped at once into a local buffer. */
 #define BLOCK 256
 
-/* Eight doubles: the rows of an interleaved solve, one a lane, and the
- * columns of the product's register tile; IEEE operations lane by lane. */
+/* Eight doubles: the rows of an interleaved solve, band product or Newton
+ * iteration, one a lane, and the columns of the product's register tile;
+ * IEEE operations lane by lane.  A mask, as a comparison of lanes gives it,
+ * has every bit of a lane set where it holds, else none. */
 typedef double lanes __attribute__((vector_size(64)));
+typedef int64_t mask __attribute__((vector_size(64)));
 #define LANES 8
 
 /* Vector code for the host's widest unit, picked when the library loads,
  * with the helpers inlined into each clone; IEEE operations lane by lane,
- * so every clone gives the same bytes. */
+ * so every clone gives the same bytes.  Defined on the command line, CLONES
+ * builds one copy instead: -DCLONES= the plain one, as the tests build it
+ * to compare the clones' bytes. */
+#ifndef CLONES
 #if defined(__x86_64__) && defined(__linux__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
 #define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
-#define INLINE static inline __attribute__((always_inline))
+#endif
 #endif
 #endif
 #ifndef CLONES
 #define CLONES
-#define INLINE static inline
 #endif
+#define INLINE static inline __attribute__((always_inline))
 
 /* c = ndarray.clip(u, 0.0, 1.0), which keeps -0.0, and NaN with its
  * payload.  A loop of its own: fused with the arithmetic that reads c,
@@ -99,96 +113,177 @@ INLINE void pass(double *restrict u, double *restrict w, int res, double k, doub
     }
 }
 
-/* y = A x for one row x of d cells, A the symmetric d x d matrix whose
- * upper band of u diagonals is the row-major d x (u + 1) band: entry
- * (i, j), i <= j, at band[j (u + 1) + u + i - j].  The sum starts from 0
- * and adds the products of the band's slots, zeros too, in ascending
- * column order, as its numpy form in tests/oracles.py does; the sums
- * advance diagonal by diagonal, independent of each other. */
-INLINE void band_row(double *restrict y, const double *restrict x, const double *band,
-                     ptrdiff_t d, ptrdiff_t u)
-{
-    const ptrdiff_t reach = u < d ? u : d - 1;
-    for (ptrdiff_t i = 0; i < d; i++)
-        y[i] = 0.0;
-    for (ptrdiff_t s = -reach; s <= reach; s++) {  /* entry (i, i + s) at a[i (u + 1)] */
-        const double *a = band + (s < 0 ? u + s : s * (u + 1) + u - s);
-        for (ptrdiff_t i = s < 0 ? -s : 0; i < (s < 0 ? d : d - s); i++)
-            y[i] += a[i * (u + 1)] * x[i + s];
-    }
-}
-
 /* max(a, b), NaN if either is, as np.max takes it. */
 INLINE double max_nan(double a, double b)
 {
     return a != a || b <= a ? a : b;
 }
 
-/* The upper band Cholesky factor U, U^T U = A, in place on the row-major
- * d x (u + 1) band of the symmetric A (entry (i, j), i <= j, at
- * band[j (u + 1) + u + i - j], as band_row takes it), where U's entry
- * (i, j) takes A's.  Column by column, each entry (i, j) from i = j - u (or
- * 0) down to the diagonal is A(i, j) minus the sum from 0 of the products
- * U(k, i) U(k, j), k ascending from j - u (or 0), then divided by U(i, i),
- * or at i = j its square root.  Returns 0, or j + 1 for the first column j
- * whose pivot, the value under the square root, is not positive (or NaN). */
-int acfv_band_factor(double *f, int d, int u)
+/* a in the lanes where m holds, else b, bit for bit. */
+INLINE lanes pick(mask m, lanes a, lanes b)
 {
-    for (ptrdiff_t j = 0; j < d; j++) {
-        const ptrdiff_t lo = j < u ? 0 : j - u;
-        double *col = f + j * u + u;  /* col[i]: entry (i, j) */
-        for (ptrdiff_t i = lo; i <= j; i++) {
-            const double *row = f + i * u + u;  /* row[k]: entry (k, i) */
-            double s = 0.0;
-            for (ptrdiff_t k = lo; k < i; k++)
-                s = s + row[k] * col[k];
-            s = col[i] - s;
-            if (i < j)
-                col[i] = s / row[i];
-            else if (!(s > 0.0))
-                return (int)j + 1;
-            else
-                col[j] = sqrt(s);
-        }
-    }
-    return 0;
+    return (lanes)((m & (mask)a) | (~m & (mask)b));
 }
 
-/* y = A^-1 (x scale) for the rows of d cells at x (row r at x + r d) into y, which may be
- * x, with scale NULL for x alone; A = U^T U with U the factor of acfv_band_factor.  Up to
- * LANES rows at a time, one a lane, interleaved in the scratch of 8 (d + 1) doubles
- * (unused lanes solve zeros): the forward solve U^T z = x, then the back solve U y = z,
- * each cell i in turn (ascending, then descending) x_i minus the sum from 0 of the
- * products of U's entries with the cells solved before it, k ascending, divided by
+/* Whether m holds in some lane. */
+INLINE int any(mask m)
+{
+    int set = 0;
+    for (int l = 0; l < LANES; l++)
+        set |= m[l] != 0;
+    return set;
+}
+
+/* The lanes of a scratch buffer, from its first 64-byte boundary on. */
+INLINE lanes *aligned(double *scratch)
+{
+    return (lanes *)(((uintptr_t)scratch + 63) & ~(uintptr_t)63);
+}
+
+/* The n <= LANES rows of d cells at x (row l at x + l d) into the lanes
+ * buf[0..d-1], times scale[c] in cell c unless scale is NULL; zeros in the
+ * lanes past n. */
+INLINE void gather(lanes *restrict buf, const double *restrict x, const double *scale,
+                   ptrdiff_t n, ptrdiff_t d)
+{
+    for (ptrdiff_t c = 0; c < d; c++) {
+        lanes v = {0.0};
+        for (ptrdiff_t l = 0; l < n; l++)
+            v[l] = scale ? x[l * d + c] * scale[c] : x[l * d + c];
+        buf[c] = v;
+    }
+}
+
+/* The first n lanes of buf[0..d-1] into the n rows of d cells at y. */
+INLINE void scatter(double *restrict y, const lanes *restrict buf, ptrdiff_t n, ptrdiff_t d)
+{
+    for (ptrdiff_t c = 0; c < d; c++)
+        for (ptrdiff_t l = 0; l < n; l++)
+            y[l * d + c] = buf[c][l];
+}
+
+/* y = A x for the rows of d cells interleaved in the lanes x, A the
+ * symmetric d x d matrix whose upper band of u diagonals is the row-major
+ * d x (u + 1) band: entry (i, j), i <= j, at band[j (u + 1) + u + i - j].
+ * Each sum starts from 0 and adds the products of the band's slots, zeros
+ * too, in ascending column order, as its numpy form in tests/oracles.py
+ * does; the sums advance diagonal by diagonal, independent of each other. */
+INLINE void band_rows(lanes *restrict y, const lanes *restrict x, const double *band,
+                      ptrdiff_t d, ptrdiff_t u)
+{
+    const ptrdiff_t reach = u < d ? u : d - 1;
+    for (ptrdiff_t i = 0; i < d; i++)
+        y[i] = (lanes){0.0};
+    for (ptrdiff_t s = -reach; s <= reach; s++) {  /* entry (i, i + s) at a[i (u + 1)] */
+        const double *a = band + (s < 0 ? u + s : s * (u + 1) + u - s);
+        for (ptrdiff_t i = s < 0 ? -s : 0; i < (s < 0 ? d : d - s); i++)
+            y[i] = y[i] + a[i * (u + 1)] * x[i + s];
+    }
+}
+
+/* The upper band Cholesky factor U, U^T U = A, of each lane into the
+ * interleaved row-major d x (u + 1) bands f, A the symmetric matrix whose
+ * upper band is the row-major d x (u + 1) band plus, unless add is NULL,
+ * add[i] on the diagonal: entry (i, j), i <= j, at [j (u + 1) + u + i - j]
+ * of each, as band_rows takes it.  Column by column, each entry (i, j) from
+ * i = j - u (or 0) down to the diagonal is A(i, j) minus the sum from 0 of
+ * the products U(k, i) U(k, j), k ascending from j - u (or 0), then
+ * divided by U(i, i), or at i = j its square root.  Returns per lane 0, or
+ * j + 1 for the first column j whose pivot, the value under the square
+ * root, is not positive (or NaN); the lane's later entries are then
+ * undefined. */
+INLINE mask factor(lanes *f, const double *band, const lanes *add, ptrdiff_t d, ptrdiff_t u)
+{
+    mask info = {0};
+    for (ptrdiff_t j = 0; j < d; j++) {
+        const ptrdiff_t lo = j < u ? 0 : j - u;
+        const double *a = band + j * u + u;  /* a[i]: entry (i, j) of the band */
+        lanes *col = f + j * u + u;  /* col[i]: entry (i, j) */
+        for (ptrdiff_t i = lo; i <= j; i++) {
+            const lanes *row = f + i * u + u;  /* row[k]: entry (k, i) */
+            lanes s = {0.0};
+            for (ptrdiff_t k = lo; k < i; k++)
+                s = s + row[k] * col[k];
+            if (i < j) {
+                col[i] = (a[i] - s) / row[i];
+                continue;
+            }
+            s = add ? (a[j] + add[j]) - s : a[j] - s;
+            info |= ~(s > 0.0) & (info == 0) & (j + 1);
+            for (int l = 0; l < LANES; l++)
+                col[j][l] = sqrt(s[l]);
+        }
+    }
+    return info;
+}
+
+/* Entry at of the factor f times x, and x over it, lane by lane: with own,
+ * each lane's own factor, f its interleaved lanes; else the one band f
+ * that every lane shares, its entry a scalar operand, which the vector
+ * extension broadcasts in one instruction (gcc 12 builds a literal
+ * {e, ..., e} from eight loads). */
+INLINE lanes times(const void *f, ptrdiff_t at, int own, lanes x)
+{
+    return own ? ((const lanes *)f)[at] * x : ((const double *)f)[at] * x;
+}
+
+INLINE lanes over(lanes x, const void *f, ptrdiff_t at, int own)
+{
+    return own ? x / ((const lanes *)f)[at] : x / ((const double *)f)[at];
+}
+
+/* x = A^-1 x in place for the rows of d cells interleaved in the lanes x,
+ * A = U^T U with U the factor f, in acfv_band_factor's layout, as times
+ * and over take it (own a constant in each inlined copy).  The forward
+ * solve U^T z = x, then the back solve U y = z, each cell i in turn
+ * (ascending, then descending) x_i minus the sum from 0 of the products of
+ * U's entries with the cells solved before it, k ascending, divided by
  * U(i, i).  A sum from 0 leaves a row of -0.0 at -0.0. */
+INLINE void solve(lanes *x, const void *f, int own, ptrdiff_t d, ptrdiff_t u)
+{
+    for (ptrdiff_t i = 0; i < d; i++) {
+        const ptrdiff_t col = i * u + u;  /* col + k: entry (k, i) of U, row i of U^T */
+        lanes s = {0.0};
+        for (ptrdiff_t k = i < u ? 0 : i - u; k < i; k++)
+            s = s + times(f, col + k, own, x[k]);
+        x[i] = over(x[i] - s, f, col + i, own);
+    }
+    for (ptrdiff_t i = d - 1; i >= 0; i--) {
+        lanes s = {0.0};
+        for (ptrdiff_t k = i + 1; k < d && k <= i + u; k++)  /* entry (i, k) */
+            s = s + times(f, k * u + u + i, own, x[k]);
+        x[i] = over(x[i] - s, f, i * u + u + i, own);
+    }
+}
+
+/* The factor of factor in place on one row-major d x (u + 1) band f, for
+ * linalg.ShiftedSolver: factored in every lane of the scratch of
+ * LANES (d (u + 1) + 1) doubles, and the first lane copied back; the slots
+ * outside the matrix keep their values.  Returns 0, or j + 1 for the first
+ * column j whose pivot is not positive (or NaN). */
+int acfv_band_factor(double *f, int d, int u, double *scratch)
+{
+    lanes *buf = aligned(scratch);
+    const int64_t info = factor(buf, f, NULL, d, u)[0];
+    for (ptrdiff_t j = 0; j < d; j++)
+        for (ptrdiff_t i = j < u ? 0 : j - u; i <= j; i++)
+            f[j * u + u + i] = buf[j * u + u + i][0];
+    return (int)info;
+}
+
+/* y = A^-1 (x scale) for the rows of d cells at x (row r at x + r d) into
+ * y, which may be x, with scale NULL for x alone; A = U^T U with U the
+ * factor of acfv_band_factor.  Up to LANES rows at a time, one a lane,
+ * interleaved in the scratch of LANES (d + 1) doubles, by solve. */
 CLONES void acfv_band_solve(double *y, const double *x, const double *scale, const double *f,
                             int rows, int d, int u, double *scratch)
 {
-    lanes *buf = (lanes *)(((uintptr_t)scratch + 63) & ~(uintptr_t)63);  /* 64-byte aligned */
+    lanes *buf = aligned(scratch);
     for (ptrdiff_t r0 = 0; r0 < rows; r0 += LANES) {
         const ptrdiff_t n = rows - r0 < LANES ? rows - r0 : LANES;
-        for (ptrdiff_t c = 0; c < d; c++) {
-            lanes v = {0.0};
-            for (ptrdiff_t l = 0; l < n; l++)
-                v[l] = scale ? x[(r0 + l) * d + c] * scale[c] : x[(r0 + l) * d + c];
-            buf[c] = v;
-        }
-        for (ptrdiff_t i = 0; i < d; i++) {
-            const double *col = f + i * u + u;  /* col[k]: entry (k, i) of U, row i of U^T */
-            lanes s = {0.0};
-            for (ptrdiff_t k = i < u ? 0 : i - u; k < i; k++)
-                s = s + col[k] * buf[k];
-            buf[i] = (buf[i] - s) / col[i];
-        }
-        for (ptrdiff_t i = d - 1; i >= 0; i--) {
-            lanes s = {0.0};
-            for (ptrdiff_t k = i + 1; k < d && k <= i + u; k++)  /* entry (i, k) */
-                s = s + f[k * u + u + i] * buf[k];
-            buf[i] = (buf[i] - s) / f[i * u + u + i];
-        }
-        for (ptrdiff_t c = 0; c < d; c++)
-            for (ptrdiff_t l = 0; l < n; l++)
-                y[(r0 + l) * d + c] = buf[c][l];
+        gather(buf, x + r0 * d, scale, n, d);
+        solve(buf, f, 0, d, u);
+        scatter(y + r0 * d, buf, n, d);
     }
 }
 
@@ -251,100 +346,149 @@ CLONES void acfv_product(double *restrict y, const double *restrict x, const dou
     }
 }
 
-/* The semismooth Newton iteration of one row v of a coupled run, in place,
- * from its noisy row w: (M + tau A) v + tau M psi(v) = M w, psi(v) =
+/* The semismooth Newton iteration of a coupled run on its n <= LANES rows
+ * of d cells at v (row l at v + l d), in place, from their noisy rows at w,
+ * one row a lane: (M + tau A) v + tau M psi(v) = M w, psi(v) =
  * (v - clip(v)) / eps.  Each iteration takes the residual
- * r = (A v + (tau M) psi(v)) - M w, A v by band_row, and stops once every
- * |r_i| <= tol; else it solves the active-set Jacobian, the band of
- * M + tau A with ((tau / eps) M_i) active_i added to its diagonal (active:
- * v_i < 0 or v_i > 1), for x = J^-1 r by acfv_band_factor and acfv_band_solve, and
- * takes v = v - x.  Returns 0 once converged, else 1: the row is still
- * open after the run's iterations, as a NaN residual always is, or its
- * Jacobian did not factor, which a finite one always does (it is
- * positive definite).  *norm is max |r_i| of the last check. */
+ * r = (A v + (tau M) psi(v)) - M w, A v by band_rows, and closes a lane
+ * once every |r_i| <= tol; the lanes still open take the active-set
+ * Jacobian, the band of M + tau A with ((tau / eps) M_i) active_i added to
+ * its diagonal (active: v_i < 0 or v_i > 1), factor it and solve for
+ * x = J^-1 r, and take v = v - x.  A lane fails if its Jacobian did not
+ * factor, which a finite one always does (it is positive definite), or if
+ * it is still open after the run's iterations, as one with a NaN residual
+ * always is.  Each lane makes the IEEE operations of its row iterated
+ * alone, and the lanes past n, zeros, close at once.  Returns 1 if a row
+ * failed, with *worst the max_nan of it and the last |r| norm of each
+ * failed row in row order, else 0. */
 INLINE int newton(const struct run *r, double *restrict v, const double *restrict w,
-                  double *norm)
+                  ptrdiff_t n, double *worst)
 {
-    const ptrdiff_t d = r->cells, u = r->half, width = u + 1;
+    const ptrdiff_t d = r->cells, u = r->half;
     const double tau = r->tau, eps = r->eps, *mass = r->mass;
-    double *res = r->scratch, *jac = res + d;
+    const lanes zero = {0.0}, one = zero + 1.0;
+    const mask magnitude = ~(mask)-zero;  /* all bits but the sign */
+    lanes *x = aligned(r->scratch), *b = x + d, *res = b + d, *add = res + d, *jac = add + d;
+    lanes norm = zero + NAN;
+    mask open = {0}, failed = {0};
+    for (ptrdiff_t l = 0; l < n; l++)
+        open[l] = -1;
+    gather(x, v, NULL, n, d);
+    gather(b, w, mass, n, d);  /* M w */
     for (int64_t it = 0; it < r->iterations; it++) {
-        band_row(res, v, r->shifted, d, u);
-        double m = 0.0;
+        band_rows(res, x, r->shifted, d, u);
+        lanes m = zero;
         for (ptrdiff_t i = 0; i < d; i++) {
-            const double c = v[i] < 0.0 ? 0.0 : (v[i] > 1.0 ? 1.0 : v[i]);
-            res[i] = (res[i] + (tau * mass[i]) * ((v[i] - c) / eps)) - mass[i] * w[i];
-            m = max_nan(m, fabs(res[i]));
+            const lanes c = pick(x[i] < zero, zero, pick(x[i] > one, one, x[i]));
+            res[i] = (res[i] + (tau * mass[i]) * ((x[i] - c) / eps)) - b[i];
+            const lanes size = (lanes)((mask)res[i] & magnitude);
+            m = pick((m != m) | (size <= m), m, size);  /* max_nan */
         }
-        *norm = m;
-        if (m <= r->tol)
-            return 0;
-        memcpy(jac, r->shifted, (size_t)(d * width) * sizeof(double));
+        norm = pick(open, m, norm);
+        open &= ~(m <= r->tol);
+        if (!any(open))
+            break;
+        for (ptrdiff_t i = 0; i < d; i++) {
+            const lanes active = (lanes)(((x[i] < zero) | (x[i] > one)) & (mask)one);
+            add[i] = ((tau / eps) * mass[i]) * active;
+        }
+        const mask bad = factor(jac, r->shifted, add, d, u) != 0;
+        failed |= open & bad, open &= ~bad;
+        solve(res, jac, 1, d, u);
         for (ptrdiff_t i = 0; i < d; i++)
-            jac[i * width + u] += ((tau / eps) * mass[i]) * (double)(v[i] < 0.0 || v[i] > 1.0);
-        if (acfv_band_factor(jac, (int)d, (int)u))
-            return 1;
-        acfv_band_solve(res, res, NULL, jac, 1, (int)d, (int)u, jac + d * width);
-        for (ptrdiff_t i = 0; i < d; i++)
-            v[i] = v[i] - res[i];
+            x[i] = pick(open, x[i] - res[i], x[i]);
     }
-    return 1;
+    failed |= open;
+    scatter(v, x, n, d);
+    int any_failed = 0;
+    for (ptrdiff_t l = 0; l < n; l++)
+        if (failed[l])
+            any_failed = 1, *worst = max_nan(*worst, norm[l]);
+    return any_failed;
 }
 
-/* Rounds j0..j1-1, each amplitude's tile of p x d cells through all of them in turn, so
- * that it stays in cache: the noise into w, path p taking dw[j * dw_j + p * dw_p] in round
- * j, then the heat product into u, by acfv_product with the propagator or acfv_band_solve of w M
- * with the band factor, then the resolvent, in one pass with the next round's noise but
- * in a coupled run, whose Newton iteration then takes each row of u from this round's w.
- * Tiles are independent, so the order of rounds within each is all that matters.  Returns
- * 0, or 1 if a row's Newton iteration failed, with the largest residual over the failed
- * rows of every tile in the earliest round where one failed left in r->residual; no tile
- * takes a round past it, and the states are then undefined. */
+/* Round j of the call's rounds j0..j1-1 on amplitude a's tile of p x d
+ * cells of run r: the noise into w, path p taking dw[j * dw_j + p * dw_p],
+ * then the heat product into u, by acfv_product with the propagator or
+ * acfv_band_solve of w M with the band factor, then the resolvent, in one
+ * pass with round j + 1's noise but in a coupled run, whose Newton
+ * iteration then takes the tile's rows, LANES at a time, from this round's
+ * w.  Returns 1 if a row's iteration failed, with *worst as newton leaves
+ * it, else 0. */
+INLINE int round_tile(const struct run *r, ptrdiff_t a, ptrdiff_t j, const double *dw,
+                      ptrdiff_t dw_j, ptrdiff_t dw_p, ptrdiff_t j0, ptrdiff_t j1, double *worst)
+{
+    const ptrdiff_t paths = r->paths, cells = r->cells, tile = paths * cells;
+    const int fused = r->resolve && !r->shifted;  /* a resolvent takes the next noise */
+    double *u = r->u + a * tile, *w = r->w + a * tile;
+    const double *d = dw + j * dw_j, k = r->kappa, am = r->amp[a];
+    if (j == j0 || !fused)
+        pass(u, w, 0, k, am, d, dw_p, tile, cells);
+    if (r->dense)
+        acfv_product(u, w, r->op, (int)paths, (int)cells);
+    else
+        acfv_band_solve(u, w, r->mass, r->op, (int)paths, (int)cells, (int)r->half, r->scratch);
+    if (r->resolve)
+        pass(u, w, 1, k, am, fused && j + 1 < j1 ? d + dw_j : NULL, dw_p, tile, cells);
+    int failed = 0;
+    for (ptrdiff_t p = 0; r->shifted && p < paths; p += LANES)
+        failed |= newton(r, u + p * cells, w + p * cells, paths - p < LANES ? paths - p : LANES,
+                         worst);
+    return failed;
+}
+
+/* Rounds j0..j1-1, each amplitude's tile through all of them in turn, so
+ * that it stays in cache, by round_tile; in a pair the splitting run's
+ * tile first in each round, then the coupled run's, then the gap of each
+ * row.  Tiles are independent, so the order of rounds within each is all
+ * that matters.  Returns 0, or 1 if a row's Newton iteration failed, with
+ * the largest residual over the failed rows of every tile in the earliest
+ * round where one failed left in r->residual; no tile takes a round past
+ * it, and the states are then undefined. */
 CLONES int acfv_rounds(struct run *r, const double *dw, int dw_j, int dw_p, int j0, int j1)
 {
-    const int64_t paths = r->paths, cells = r->cells, tile = paths * cells;
-    const double k = r->kappa;
-    const int fused = r->resolve && !r->shifted;  /* a resolvent takes the next noise */
-    double *solve = r->scratch + cells * (r->half + 2);
+    const ptrdiff_t paths = r->paths, cells = r->cells, tile = paths * cells;
     int status = 0;
     ptrdiff_t stop = j1;
-    for (ptrdiff_t a = 0; a < r->amps; a++) {
-        double *u = r->u + a * tile, *w = r->w + a * tile;
-        const double am = r->amp[a];
+    for (ptrdiff_t a = 0; a < r->amps; a++)
         for (ptrdiff_t j = j0; j < stop; j++) {
-            const double *d = dw + j * (ptrdiff_t)dw_j;
-            if (j == j0 || !fused)
-                pass(u, w, 0, k, am, d, dw_p, tile, cells);
-            if (r->dense)
-                acfv_product(u, w, r->op, (int)paths, (int)cells);
-            else
-                acfv_band_solve(u, w, r->mass, r->op, (int)paths, (int)cells, (int)r->half, solve);
-            if (r->resolve)
-                pass(u, w, 1, k, am, fused && j + 1 < j1 ? d + dw_j : NULL, dw_p, tile, cells);
-            if (!r->shifted)
-                continue;
+            const struct run *runs[2] = {r->beside, r};  /* one inlined round_tile */
+            double worst = 0.0;
             int failed = 0;
-            double worst = 0.0, norm = NAN;  /* NaN: never checked */
-            for (ptrdiff_t i = 0; i < tile; i += cells)
-                if (newton(r, u + i, w + i, &norm))
-                    failed = 1, worst = max_nan(worst, norm);
-            if (failed) {  /* the earliest such round yet; one of an earlier tile counts too */
+            for (int q = !r->beside; q < 2; q++)
+                failed = round_tile(runs[q], a, j, dw, dw_j, dw_p, j0, j1, &worst);
+            if (failed) {
+                /* the earliest such round yet; one of an earlier tile counts too */
                 r->residual = status && j + 1 == stop ? max_nan(r->residual, worst) : worst;
                 status = 1, stop = j + 1;
             }
+            for (ptrdiff_t p = 0; r->beside && p < paths; p++) {
+                const double *c = r->u + a * tile + p * cells;
+                const double *s = r->beside->u + a * tile + p * cells;
+                double m = 0.0;
+                for (ptrdiff_t i = 0; i < cells; i++)
+                    m = max_nan(m, fabs(c[i] - s[i]));
+                r->gap[a * r->gap_a + p * r->gap_p + j] = m;
+            }
         }
-    }
     return status;
 }
 
 /* y = A x for each of the k = rows rows of x, k x d and row-major (d =
  * cells), A the symmetric matrix whose upper band of u = half_width
- * diagonals is the row-major d x (u + 1) band, as band_row takes it. */
-CLONES void acfv_band_product(double *restrict y, const double *restrict x, const double *band,
-                              int rows, int cells, int half_width)
+ * diagonals is the row-major d x (u + 1) band, as band_rows takes it: up
+ * to LANES rows at a time, interleaved in the scratch of LANES (2 d + 1)
+ * doubles. */
+void acfv_band_product(double *y, const double *x, const double *band, int rows,
+                              int cells, int half_width, double *scratch)
 {
-    for (ptrdiff_t r = 0; r < rows; r++, x += cells, y += cells)
-        band_row(y, x, band, cells, half_width);
+    lanes *in = aligned(scratch), *out = in + cells;
+    for (ptrdiff_t r0 = 0; r0 < rows; r0 += LANES) {
+        const ptrdiff_t n = rows - r0 < LANES ? rows - r0 : LANES;
+        gather(in, x + (ptrdiff_t)r0 * cells, NULL, n, cells);
+        band_rows(out, in, band, cells, half_width);
+        scatter(y + r0 * cells, out, n, cells);
+    }
 }
 
 /* The inverse of the standard normal CDF: Cephes ndtri, as

@@ -23,9 +23,12 @@ compiled C (``passes.c``, built at the first kernel or solver into a
 per-user cache), whose product is the one ``ShiftedSolver.apply_markov``
 takes: the fixed-order product with the propagator on a dense run, the
 solve with the band factor of the mass times the noisy rows on a banded
-one.  A coupled round then runs the semismooth Newton iteration on each
-path's row in C too, each solve by the same band Cholesky factor and solve
-on the shifted band.  Their numpy form, the tests' byte oracle, is in
+one.  A coupled round then runs the semismooth Newton iteration in C too,
+on the paths' rows eight at a time, one row a vector lane, each solve by
+the same band Cholesky factor and solve on the shifted band.  A coupled
+kernel may step a splitting kernel of its stack beside itself, round by
+round, and write the gap between the two after every step (the
+splitting-error study).  Their numpy form, the tests' byte oracle, is in
 ``tests/oracles.py``.  Every run steps from one yield to the next in one
 call.  ``StepKernel.run`` is the one way to step a kernel: it steps a
 whole increment block in one loop that yields only after the steps its
@@ -129,9 +132,17 @@ class StepKernel:
     the semismooth Newton iteration on each row from there; the compiled
     rounds (see ``_bind``) make the same IEEE operations, so every run
     equals those formulas bit for bit, as if it were stepped alone.
+
+    ``beside`` pairs a coupled kernel with a splitting one: (kernel, gaps),
+    a splitting kernel of the same (A, p, d) stack and an (A, p, N) float
+    array.  Each round of this kernel's runs then steps that kernel first,
+    on the same increments, which takes no call of its own, and writes
+    gaps[k, i, n - 1], the largest |coupled - splitting| over the cells of
+    path i at amplitude k after step n.
     """
 
-    def __init__(self, variant, amplitudes, epsilon: EpsilonSchedule, solver, paths):
+    def __init__(self, variant, amplitudes, epsilon: EpsilonSchedule, solver, paths,
+                 beside=None):
         self._amplitude = np.array(amplitudes, dtype=float)
         if self._amplitude.ndim != 1 or not (self._amplitude >= 0).all():
             raise ValueError("amplitude must be >= 0")
@@ -140,8 +151,17 @@ class StepKernel:
         kappa = None if variant == "heat" else self.eps / (self.eps + self.tau)
         shape = (len(self._amplitude), paths, solver.n)
         self._noisy, self.out = np.empty(shape), np.empty(shape)
+        if beside is not None:
+            partner, gaps = beside
+            if (variant != "coupled" or partner.variant != "splitting"
+                    or partner.out.shape != shape or gaps.dtype != float
+                    or gaps.shape[:2] != shape[:2] or gaps.strides[2] != gaps.itemsize):
+                raise ValueError("a coupled kernel steps a splitting kernel of its own stack "
+                                 "beside itself, into an (A, p, N) float array of gaps")
+        self._beside = beside
         self._rounds = _bind(solver, self.out, self._noisy, self._amplitude, kappa,
-                             self.eps if variant == "coupled" else None)
+                             self.eps if variant == "coupled" else None,
+                             None if beside is None else beside[0])
 
     def run(self, u0, increments, at=None, first=1):
         """Step u0 once per increment column; yield (n, out) after each step n in ``at``.
@@ -150,7 +170,8 @@ class StepKernel:
         first + 1, ... as columns read in place (k may be 0); ``at`` names
         the steps to yield after (None: every step).  Every amplitude takes
         the same increments.  ``u0``, broadcast to ``out``, is copied into
-        it unless it is ``out``.  A yielded state is read-only to the caller
+        it, and into a paired splitting kernel's ``out``, unless it is
+        ``out``.  A yielded state is read-only to the caller
         and valid until the generator resumes (the last one until the
         kernel runs again).  ``run(kernel.out, more, at, first=n + 1)``
         resumes a run after its step n, bit for bit as if it had not
@@ -158,13 +179,21 @@ class StepKernel:
         coupled row whose Newton iteration does not converge is a
         NumericalFailure, after which the kernel's states are undefined.
         """
-        if u0 is not self.out:
-            np.copyto(self.out, u0)
         increments = np.asarray(increments, dtype=float)
         # the compiled rounds read p rows of the block through its strides
         if increments.ndim != 2 or len(increments) != self.out.shape[1]:
             raise ValueError(f"increments must be a block of {self.out.shape[1]} rows")
-        rounds, done = self._rounds(increments.T), 0
+        columns = ()  # a pair's gaps from step first on
+        if self._beside is not None:
+            partner, gaps = self._beside
+            if first - 1 + increments.shape[1] > gaps.shape[2]:
+                raise ValueError(f"the gaps hold {gaps.shape[2]} steps")
+            if u0 is not self.out:
+                np.copyto(partner.out, u0)
+            columns = (gaps[:, :, first - 1:],)
+        if u0 is not self.out:
+            np.copyto(self.out, u0)
+        rounds, done = self._rounds(increments.T, *columns), 0
         for j in range(increments.shape[1]):
             if at is None or first + j in at:
                 rounds(done, j + 1)
@@ -174,7 +203,7 @@ class StepKernel:
             rounds(done, increments.shape[1])
 
 
-def _bind(solver, u, w, amplitude, kappa, eps=None):
+def _bind(solver, u, w, amplitude, kappa, eps=None, beside=None):
     """The compiled rounds of a kernel, bound once: ``over(d_w)`` gives ``rounds(j0, j1)``.
 
     ``u`` and ``w`` are the kernel's (A, p, d) state and noisy buffers,
@@ -185,33 +214,45 @@ def _bind(solver, u, w, amplitude, kappa, eps=None):
     and strides of the (rounds, p) increments ``d_w`` and the round range.
     The product is ``ShiftedSolver.apply_markov``'s: with ``markov_t`` on a
     dense run, else the solve of the mass times the noisy rows with the
-    band factor.  A coupled round then takes each row of u, from the
-    splitting step, through the semismooth Newton iteration of
-    (M + tau A) u + tau M psi_eps(u) = M w, strictly monotone so uniquely
-    solvable: at most ``NEWTON_MAX_ITER`` solves of the active-set Jacobian
-    M + tau A + (tau/eps) M D (D marks the cells outside [0, 1]), each by
-    the band Cholesky factor and solve of its band, until the residual's
-    infinity norm is at most ``NEWTON_TOL`` times the smallest mass.  A row
-    that does not converge, as one whose residual is not finite never
-    does, is a NumericalFailure with the largest residual of the failed
-    rows of its round.
+    band factor.  A coupled round then takes the rows of u, from the
+    splitting step, eight at a time through the semismooth Newton iteration
+    of (M + tau A) u + tau M psi_eps(u) = M w, strictly monotone so uniquely
+    solvable, one row a vector lane that makes the IEEE operations of the
+    row iterated alone: at most ``NEWTON_MAX_ITER`` solves of the
+    active-set Jacobian M + tau A + (tau/eps) M D (D marks the cells outside
+    [0, 1]), each by the band Cholesky factor and solve of its band, until
+    the residual's infinity norm is at most ``NEWTON_TOL`` times the
+    smallest mass.  A row that does not converge, as one whose residual is
+    not finite never does, is a NumericalFailure with the largest residual
+    of the failed rows of its round.
+
+    ``beside``, a splitting kernel of the same stack, pairs a coupled run
+    with that kernel's: ``over(d_w, gaps)`` gives rounds that each step the
+    splitting tile first, then the coupled one, and then write each row's
+    largest |coupled - splitting| over its cells into column j of the
+    (A, p, rounds) ``gaps`` after round j.
     """
     lib, d, dense = compiled_library(), solver.n, solver.markov_t is not None
     half = solver.band.shape[1] - 1
-    # a Newton residual and Jacobian, then 8 interleaved rows of a solve (see passes.c)
+    # the interleaved rows of a solve, or of a coupled run's Newton iteration (see passes.c)
+    rows = d * (half + 5) if eps is not None else d
     arrays = {"u": u, "w": w, "amp": amplitude, "mass": solver.mass_diag,
               "op": solver.markov_t if dense else solver.factor,
               "shifted": solver.band if eps is not None else None,
-              "scratch": np.empty(d * (half + 10) + 8)}
+              "scratch": np.empty(8 * (rows + 1))}
     run = _Run(**{name: None if a is None else a.ctypes.data for name, a in arrays.items()},
+               beside=None if beside is None else ctypes.addressof(beside._rounds.run),
                kappa=0.0 if kappa is None else kappa, tau=solver.tau, eps=eps or 0.0,
                tol=NEWTON_TOL * solver.mass_diag.min(), amps=u.shape[0], paths=u.shape[1],
                cells=d, half=half, iterations=NEWTON_MAX_ITER, resolve=kappa is not None,
                dense=dense)
-    run.arrays = arrays  # the buffers outlive every call through the pointers
+    run.arrays, run.partner = arrays, beside  # outlive every call through the pointers
     call, bound = lib.acfv_rounds, ctypes.byref(run)
 
-    def over(d_w):
+    def over(d_w, gaps=None):
+        if gaps is not None:
+            run.gap = gaps.ctypes.data
+            run.gap_a, run.gap_p = (s // gaps.itemsize for s in gaps.strides[:2])
         step = partial(call, bound, ctypes.c_void_p(d_w.ctypes.data),
                        *(s // d_w.itemsize for s in d_w.strides))
 
@@ -222,15 +263,18 @@ def _bind(solver, u, w, amplitude, kappa, eps=None):
 
         return rounds
 
+    over.run = run
     return over
 
 
 class _Run(ctypes.Structure):
     """A kernel's run as passes.c reads it: buffers, constants, sizes, flags."""
 
-    _fields_ = ([(name, ctypes.c_void_p) for name in "u w amp op mass shifted scratch".split()]
+    _fields_ = ([(name, ctypes.c_void_p)
+                 for name in "u w amp op mass shifted scratch gap beside".split()]
                 + [(name, ctypes.c_double) for name in "kappa tau eps tol residual".split()]
-                + [(name, ctypes.c_int64) for name in "amps paths cells half iterations".split()]
+                + [(name, ctypes.c_int64)
+                   for name in "amps paths cells half iterations gap_a gap_p".split()]
                 + [(name, ctypes.c_int) for name in "resolve dense".split()])
 
 
@@ -359,7 +403,7 @@ def band_product(band, x):
         raise ValueError(f"x must be a field or a stack of {d} cells")
     out = np.empty(x.shape)
     compiled_library().acfv_band_product(_pointer(out), _pointer(x), _pointer(band),
-                                         x.size // d, d, u)
+                                         x.size // d, d, u, _pointer(np.empty(8 * (2 * d + 1))))
     return out
 
 

@@ -6,8 +6,10 @@ every study.  The checks mirror the structural guarantees of the
 discretization: operator symmetry and positive semi-definiteness, the
 monotonicity and mass conservation of the one-step heat propagator, the
 resolvent inversion identity, propagation of spatially constant states,
-stationarity of 0 and 1, and one-sided trapping of fields that start
-entirely below 0 or above 1.
+stationarity of 0 and 1, one-sided trapping of fields that start
+entirely below 0 or above 1, coupled steps whose recomputed Newton residual
+meets its tolerance, and coupled steps equal to splitting ones where the
+penalty is idle.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .assembly import assemble_mass, assemble_stiffness
 from .constraint import psi_eps, resolvent
 from .linalg import ShiftedSolver
 from .mesh import build_uniform_mesh
-from .scheme import EpsilonSchedule, StepKernel, band_product
+from .scheme import NEWTON_TOL, EpsilonSchedule, StepKernel, band_product
 
 __all__ = ["CheckResult", "matrix_suite", "structure_suite", "run_all"]
 
@@ -139,7 +141,7 @@ def _random_kernels(rng, max_steps, variants):
 
 
 def structure_suite(seed=20251, cases=200) -> list:
-    """Constant propagation, stationary states and one-sided trapping."""
+    """Constant propagation, stationary states, one-sided trapping and the coupled step."""
     rng = np.random.default_rng(seed)
     results = []
 
@@ -177,7 +179,40 @@ def structure_suite(seed=20251, cases=200) -> list:
         worst = max(worst, float(1.0 - out.min()))
     results.append(CheckResult("one-sided states stay trapped", worst <= 1e-10,
                                f"max excursion back across the threshold = {worst:.3g}"))
+
+    # Nine rows a step: one full group of the Newton iteration's eight lanes
+    # and one partial, on a dense (L = 4) and a banded (L = 9) solver.
+    worst, same, steps = 0.0, 0, cases // 20
+    for L in (4, 9) * steps:
+        solver, (split, coupled) = _lane_kernels(L)
+        tau, eps, amplitude, mass = coupled.tau, coupled.eps, coupled.amplitude[0], solver.mass_diag
+        u = rng.uniform(-1.0, 2.0, (9, L * L))
+        d_w = rng.standard_normal((9, 1)) * np.sqrt(tau)
+        (_, out), = coupled.run(u, d_w)
+        v, c = out[0], np.clip(u, 0.0, 1.0)
+        w = (c * amplitude) * (1.0 - c) * d_w + u  # the noisy rows, as the rounds form them
+        residual = (band_product(solver.band, v) + (tau * mass) * ((v - np.clip(v, 0.0, 1.0)) / eps)
+                    - mass * w)
+        worst = max(worst, float(np.max(np.abs(residual))) / (NEWTON_TOL * mass.min()))
+        # well inside [0, 1] with a small increment, the penalty stays idle
+        inside, d_w = rng.uniform(0.25, 0.75, (9, L * L)), rng.uniform(-0.01, 0.01, (9, 1))
+        (_, ours), = split.run(inside, d_w)
+        (_, theirs), = coupled.run(inside, d_w)
+        same += ours.tobytes() == theirs.tobytes()
+    results.append(CheckResult("coupled steps from outside [0, 1] solve their equation",
+                               worst <= 1.0, f"max |residual| / (NEWTON_TOL min M) = {worst:.3g}"))
+    results.append(CheckResult("coupled equals splitting where the penalty is idle",
+                               same == 2 * steps, f"{same}/{2 * steps} steps equal bit for bit"))
     return results
+
+
+def _lane_kernels(L):
+    """The solver of the L x L mesh at tau = 1/16, and its splitting and coupled kernels of 9
+    fields at a = 7 and eps = 0.05."""
+    mesh = build_uniform_mesh(L)
+    solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), 1.0 / 16)
+    return solver, [StepKernel(variant, (7.0,), EpsilonSchedule.fixed(0.05), solver, 9)
+                    for variant in ("splitting", "coupled")]
 
 
 def run_all(seed=20252) -> list:

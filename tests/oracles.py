@@ -4,7 +4,9 @@ Each form makes the IEEE operations of its compiled stage in the same
 order, through numpy ufuncs, so the two agree byte for byte:
 
 * ``bind`` and ``passes``: a kernel's rounds (``scheme._bind``), with
-  ``newton`` and ``solve_with_diagonal`` a coupled run's Newton iteration;
+  ``newton`` and ``solve_with_diagonal`` a coupled run's Newton iteration,
+  all open rows at once, and ``paired`` the rounds of a coupled run that
+  steps a splitting one beside it and takes their gap;
 * ``product``, ``band_factor`` and ``band_solve``: the dense heat product,
   the band Cholesky factor and its solve, which serve the rounds and
   ``linalg.ShiftedSolver``;
@@ -31,10 +33,12 @@ from acfv import scheme, stochastic, validation
 from acfv.errors import NumericalFailure
 
 
-def bind(solver, u, w, amplitude, kappa, eps=None):
+def bind(solver, u, w, amplitude, kappa, eps=None, beside=None):
     """``scheme._bind`` in numpy: ``over(d_w)``, the rounds around ``product`` with
     ``markov_t`` or ``band_solve`` of the mass times the noisy rows, with ``eps`` each
-    followed by ``newton`` on every row."""
+    followed by ``newton`` on every row; with the splitting kernel ``beside``,
+    ``over(d_w, gaps)``, whose rounds each step that kernel one round, then this one, then
+    take each row's gap (``paired``)."""
     rows = (-1, solver.n)
     if solver.markov_t is not None:
         def heat(w, u):
@@ -44,7 +48,24 @@ def bind(solver, u, w, amplitude, kappa, eps=None):
             u.reshape(rows)[...] = band_solve(solver.factor, w.reshape(rows) * solver.mass_diag)
     iteration = None if eps is None else partial(newton, solver, eps, scheme.NEWTON_MAX_ITER,
                                                  u.reshape(rows), w.reshape(rows))
-    return partial(passes, heat, u, w, amplitude, kappa, iteration)
+    over = partial(passes, heat, u, w, amplitude, kappa, iteration)
+    return over if beside is None else partial(paired, over, beside, u)
+
+
+def paired(over, beside, u, d_w, gaps):
+    """The rounds of a coupled run ``over`` paired with the splitting kernel ``beside``, step
+    by step as the gap study took them before it moved into the compiled rounds: round j of
+    ``beside``, round j of ``over`` (its states ``u``), then column j of the (A, p, rounds)
+    ``gaps``, the largest |coupled - splitting| of each row."""
+    coupled, splitting = over(d_w), beside._rounds(d_w)
+
+    def rounds(j0, j1):
+        for j in range(j0, j1):
+            splitting(j, j + 1)
+            coupled(j, j + 1)
+            gaps[:, :, j] = np.max(np.abs(u - beside.out), axis=2)
+
+    return rounds
 
 
 def passes(heat, u, w, amplitude, kappa, iteration, d_w):

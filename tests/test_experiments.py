@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from acfv import cli, experiments
+from acfv import cli, experiments, scheme
 from acfv.config import preset_config
 from acfv.errors import ConfigError, NumericalFailure
 from acfv.experiments import (PATH_BLOCK, ErrorCurve, StudyConfig, _fit_loglog,
@@ -18,6 +18,7 @@ from acfv.experiments import (PATH_BLOCK, ErrorCurve, StudyConfig, _fit_loglog,
                               write_error_csv, write_expectation_csv, write_fit_csv)
 from acfv.scheme import EpsilonSchedule
 from acfv.stochastic import MAX_FINE_STEPS
+from oracles import numpy_route
 
 
 def small_config(**overrides):
@@ -280,6 +281,36 @@ def test_fit_rejects_degenerate_input():
         _fit_loglog([0.5, 0.5], [1.0, 2.0])
     with pytest.raises(ValueError):
         _fit_loglog([0.5, 0.25], [1.0, 0.0])
+
+
+@pytest.mark.parametrize("L", [4, 9])
+@pytest.mark.parametrize("paths", [16, 257])
+def test_gap_blocks_match_their_per_step_numpy_form_bitwise(monkeypatch, L, paths):
+    # One block (16 paths) and two (257, the second of one path), dense
+    # (L = 4) and banded (L = 9), in chunks of 8 fine steps: the compiled
+    # rounds step both methods and take the gaps in one call per block,
+    # chunk and step count, and their numpy form, which steps round by round
+    # and takes each step's gap in numpy, gives the same bytes.
+    monkeypatch.setattr(experiments, "CHUNK", 8)
+    config = StudyConfig(cells_per_axis=L, n_fine=16, n_steps_list=(4, 16), n_paths=paths,
+                         amplitudes=(10.0,), epsilon=EpsilonSchedule.fixed(0.05),
+                         seed=3).validate()
+    start = np.linspace(-0.4, 1.3, L * L)
+
+    def gaps():
+        blocks = experiments._map_blocks(experiments._splitting_gap_block, config,
+                                         ((4, 16), start), 1)
+        return [block[n].tobytes() for block in blocks for n in (4, 16)]
+
+    lib, calls = scheme.compiled_library(), []
+    rounds = lib.acfv_rounds
+    with monkeypatch.context() as patched:
+        patched.setattr(lib, "acfv_rounds", lambda *args: calls.append(1) or rounds(*args))
+        compiled = gaps()
+    assert len(calls) == len(range(0, paths, PATH_BLOCK)) * 2 * 2  # blocks, chunks, N
+    with numpy_route(monkeypatch) as numpy_calls:
+        assert gaps() == compiled
+    assert numpy_calls["bind"]
 
 
 def test_splitting_gap_zero_for_quiet_constant_state():

@@ -8,13 +8,19 @@ import shlex
 import subprocess
 import sys
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import acfv
 from acfv import cli, scheme, validation
-from acfv.scheme import FLAGS, SOURCE, StepKernel, build_passes
+from acfv.assembly import assemble_mass, assemble_stiffness
+from acfv.linalg import ShiftedSolver
+from acfv.mesh import build_uniform_mesh
+from acfv.scheme import FLAGS, EpsilonSchedule, StepKernel, build_passes
+from acfv.stochastic import sample_increment_block
 from oracles import numpy_route
 
 CC = os.environ.get("CC") or "cc"
@@ -61,16 +67,64 @@ def test_concurrent_builds_into_an_empty_cache_both_load(tmp_path):
 
 
 def test_changed_source_or_flags_builds_a_new_library(tmp_path):
-    cache = tmp_path / "cache"
-    lib = build_passes(CC, directory=cache)
+    # The cache key, on a stand-in source that builds in a fraction of the
+    # time of passes.c.
+    cache, source = tmp_path / "cache", tmp_path / "stand-in.c"
+    source.write_text("int stand_in(void) { return 0; }\n")
+    lib = build_passes(CC, source=source, directory=cache)
     built = lib.stat().st_mtime_ns
-    assert build_passes(CC, directory=cache) == lib and lib.stat().st_mtime_ns == built
-    source = tmp_path / "passes.c"
-    source.write_text(SOURCE.read_text() + "/* changed */\n")
+    assert build_passes(CC, source=source, directory=cache) == lib
+    assert lib.stat().st_mtime_ns == built
+    flagged = build_passes(CC, flags=("-O2", *FLAGS[1:]), source=source, directory=cache)
+    source.write_text(source.read_text() + "/* changed */\n")
     changed = build_passes(CC, source=source, directory=cache)
-    flagged = build_passes(CC, flags=("-O2", *FLAGS[1:]), directory=cache)
     assert len({lib, changed, flagged}) == 3
     assert sorted(cache.iterdir()) == sorted([lib, changed, flagged])
+
+
+def cpu_flags():
+    """The flags of the first CPU in /proc/cpuinfo, none where it cannot be read."""
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return set()
+    return next((set(line.split(":", 1)[1].split()) for line in lines
+                 if line.startswith("flags")), set())
+
+
+def stage_bytes():
+    """The states of three splitting and coupled steps of 9 paths (a full group of
+    eight lanes and one row), dense (L = 4) and banded (L = 9), and 9 paths' increments."""
+    out, rng = [], np.random.default_rng(9)
+    for L in (4, 9):
+        mesh = build_uniform_mesh(L)
+        solver = ShiftedSolver(assemble_mass(mesh), assemble_stiffness(mesh), 1 / 16)
+        start, d_w = rng.uniform(-0.6, 1.6, (9, L * L)), rng.standard_normal((9, 3)) * 0.3
+        for variant in ("splitting", "coupled"):
+            kernel = StepKernel(variant, (7.0,), EpsilonSchedule.fixed(0.05), solver, 9)
+            out += [state.tobytes() for _, state in kernel.run(start, d_w)]
+    return out + [sample_increment_block(0, range(9), 1.0, 64).tobytes()]
+
+
+@pytest.mark.parametrize("clone", ["default", "avx2"])
+def test_every_clone_gives_the_bytes_of_the_host_library(monkeypatch, clone):
+    # The library picks the clone of the host's widest vector unit, so the
+    # others never run here: built alone by a CLONES defined on the command
+    # line, plain x86-64 and (where the CPU has it) AVX2 code steps, solves
+    # and samples to the bytes of the host's clone.
+    if clone == "avx2" and "avx2" not in cpu_flags():
+        pytest.skip("the CPU has no AVX2")
+    host, host_library = stage_bytes(), scheme.compiled_library()
+    define = "-DCLONES=" if clone == "default" else '-DCLONES=__attribute__((target("avx2")))'
+    scheme.compiled_library.cache_clear()
+    try:
+        with monkeypatch.context() as patched:
+            patched.setattr(scheme, "build_passes", partial(build_passes,
+                                                            flags=(*FLAGS, define)))
+            assert scheme.compiled_library()._name != host_library._name
+            assert stage_bytes() == host
+    finally:
+        scheme.compiled_library.cache_clear()
 
 
 def test_a_warm_cache_starts_no_compiler(tmp_path):

@@ -1,7 +1,9 @@
 """Steppers against the frozen benchmark tables and the structure theorems."""
 
 import io
+from functools import cache
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from acfv.linalg import DENSE_LIMIT, ShiftedSolver, band_to_dense
 from acfv.mesh import build_uniform_mesh, default_initial_state
 from acfv.scheme import EpsilonSchedule, StepKernel
 from acfv.stochastic import coarse_chunks, diffusion_g, sample_increment_block
+import oracles
 from oracles import bind, numpy_route, solve_with_diagonal
 
 QUARTERS = np.array(benchmark.QUARTER_INCREMENTS)
@@ -581,6 +584,83 @@ def test_newton_failure_is_the_earliest_failing_round_of_every_amplitude(monkeyp
         with pytest.raises(NumericalFailure, match="did not converge in 2 iterations") as failed:
             next(kernel.run(start, d_w, at=(8,)))
         assert failed.value.residual == alone[7.0][1]
+
+
+def newton_solves(solver, rows):
+    """The solves of the Newton iteration of a coupled step from each row alone, with a zero
+    increment and eps = 0.05: calls of the oracle's ``solve_with_diagonal``."""
+    eps = 0.05
+    u, w = rows[None].copy(), np.empty((1, *rows.shape))
+    bind(solver, u, w, np.zeros(1), eps / (eps + solver.tau))(np.zeros((1, len(rows))))(0, 1)
+    solves = []
+    for v, noisy in zip(u[0], w[0]):
+        calls = []
+        with mock.patch.object(oracles, "solve_with_diagonal",
+                               lambda *args: calls.append(1) or solve_with_diagonal(*args)):
+            oracles.newton(solver, eps, scheme.NEWTON_MAX_ITER, v[None].copy(), noisy[None])
+        solves.append(len(calls))
+    return np.minimum(solves, 2)
+
+
+@cache
+def lane_pool(L):
+    """A seeded pool of rows on the L x L mesh, by the Newton solves of their coupled step at
+    tau = 1/16 with a zero increment (2: two or more): fields inside [0, 1] take none, shallow
+    negative ones one, and small ones about 0 one to three."""
+    solver, rng, d = solver_on(L, 16), np.random.default_rng(L), L * L
+    pool = np.vstack([rng.uniform(0.3, 0.7, (6, d)), -rng.uniform(0.01, 0.03, (6, d)),
+                      rng.uniform(-0.05, 0.05, (24, d))])
+    solves = newton_solves(solver, pool)
+    return [pool[solves == kind] for kind in range(3)]
+
+
+def lane_rows(L, kinds):
+    """Rows of ``lane_pool(L)`` whose coupled steps take kinds[i] solves (2: two or more)."""
+    drawn = [iter(rows) for rows in lane_pool(L)]
+    return np.array([next(drawn[kind]) for kind in kinds])
+
+
+@pytest.mark.parametrize("L", [4, 9])
+@pytest.mark.parametrize("rows", [1, 7, 8, 9, 17])
+def test_newton_lane_groups_match_numpy_bitwise(monkeypatch, L, rows):
+    # The compiled Newton iteration takes a tile's rows eight at a time, one
+    # a vector lane, each lane stopping at its own convergence: 1, 7, 8, 9
+    # and 17 rows (a partial group, a full one, a full one and one row, two
+    # and one row) whose first coupled step takes 0, 1 and >= 2 solves in
+    # turn, then two steps with noise, on a dense (L = 4) and a banded
+    # (L = 9) solver.  Each state equals the numpy form's byte for byte.
+    solver = solver_on(L, 16)
+    kinds = [row % 3 for row in range(rows)]
+    start = lane_rows(L, kinds)
+    assert newton_solves(solver, start).tolist() == kinds
+    d_w = np.random.default_rng(rows).standard_normal((rows, 3)) * 0.3
+    d_w[:, 0] = 0.0
+    got = []
+    for _ in each_passes(monkeypatch):
+        kernel = lone_kernel("coupled", 7.0, EpsilonSchedule.fixed(0.05), solver, rows)
+        got.append(run_states(kernel, start, d_w))
+    assert [state.tobytes() for state in got[0]] == [state.tobytes() for state in got[1]]
+
+
+@pytest.mark.parametrize("L", [4, 9])
+def test_a_row_at_the_iteration_cap_fails_its_lane_group_alike_on_both_routes(monkeypatch, L):
+    # Two Newton iterations allowed: rows of 0 and 1 solves converge, and
+    # row 3 of nine, which takes two or more, fails inside the full group of
+    # eight whose other rows converge, beside a partial group of one.  At two
+    # amplitudes, whose tiles both fail in round 1, both routes raise the
+    # failure of that round, the oracle's residual: the largest over the
+    # failed rows of both tiles.
+    solver = solver_on(L, 16)
+    start = lane_rows(L, [0, 1, 0, 2, 1, 0, 1, 0, 1])
+    monkeypatch.setattr(scheme, "NEWTON_MAX_ITER", 2)
+    d_w = np.zeros((9, 2))
+    failures = []
+    for _ in each_passes(monkeypatch):
+        kernel = StepKernel("coupled", (7.0, 3.0), EpsilonSchedule.fixed(0.05), solver, 9)
+        with pytest.raises(NumericalFailure, match="did not converge in 2 iterations") as failed:
+            next(kernel.run(start, d_w))
+        failures.append(failed.value.residual)
+    assert failures[0] == failures[1] > scheme.NEWTON_TOL * solver.mass_diag.min()
 
 
 def chunked_yields(kernels, start, chunks, at=None):
