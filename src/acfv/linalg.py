@@ -14,8 +14,10 @@ selects the heat product:
 * larger d: a solve with the band factor of the mass times the stack.
 
 The factor, its solves and the product are the compiled ``passes.c``
-(``scheme.compiled_library``), each sum in a fixed order, so their bytes
-do not depend on the CPU; their numpy forms are in ``tests/oracles.py``.
+(``scheme.compiled_library``), which take a stack's rows eight at a time,
+one row a vector lane, as the step kernels' rounds do, each sum in a fixed
+order, so their bytes do not depend on the CPU; their numpy forms are in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -110,7 +112,8 @@ class ShiftedSolver:
             raise ValueError(f"right-hand side must be a field or a stack of {self.n} cells")
         y, lib, rows = np.empty(x.shape), compiled_library(), x.size // self.n
         if mass is not None and self.markov_t is not None:
-            lib.acfv_product(_pointer(y), _pointer(x), _pointer(self.markov_t), rows, self.n)
+            lib.acfv_product(_pointer(y), _pointer(x), _pointer(self.markov_t), rows, self.n,
+                             _pointer(np.empty(8 * (2 * self.n + 1))))
         else:
             lib.acfv_band_solve(_pointer(y), _pointer(x), mass if mass is None else _pointer(mass),
                                 _pointer(self.factor), rows, self.n, self.band.shape[1] - 1,

@@ -1,12 +1,12 @@
 /* The rounds of a StepKernel over its C-contiguous (A, P, D) stack:
- * amplitudes, paths, cells, with a coupled run's semismooth Newton
- * iteration, eight rows at a time in vector lanes, and the gap of a coupled
- * run to the splitting run it steps beside itself; the linear algebra they
- * and linalg.ShiftedSolver take, one upper band Cholesky factor of eight
- * lanes with its solve and one dense product; the band product; the
- * Brownian increments, from numpy's Philox words through the inverse normal
- * CDF onto the lattice of stochastic.py; and the coarse increments of a
- * step ladder, as differences of the running path sums.
+ * amplitudes, paths, cells, eight rows at a time in vector lanes, with a
+ * coupled run's semismooth Newton iteration and the gap of a coupled run to
+ * the splitting run it steps beside itself; the linear algebra they and
+ * linalg.ShiftedSolver take, one upper band Cholesky factor of eight lanes
+ * with its solve and one dense product; the band product; the Brownian
+ * increments, from numpy's Philox words through the inverse normal CDF onto
+ * the lattice of stochastic.py; and the coarse increments of a step ladder,
+ * as differences of the running path sums.
  *
  * Each value is computed by the same IEEE operations in the same order as
  * the ufuncs of the numpy forms in tests/oracles.py, the tests' byte
@@ -32,11 +32,14 @@
  * (amps, paths, cells) stack beside itself (beside not NULL), each round
  * first, and then writes each row's gap, the largest |coupled - splitting|
  * over its cells, after round j of a call at gap[a gap_a + p gap_p + j] for
- * amplitude a and path p.  The scratch holds LANES (D (half + 5) + 1)
- * doubles in a coupled run, else LANES (D + 1): the interleaved rows of a
- * Newton iteration (see newton) or of a solve. */
+ * amplitude a and path p.  The scratch holds 2 P int64, the order of the
+ * rows and the step of each (see order_rows), then the lanes of a group of
+ * rows:
+ * LANES (D (half + 5) + 1) doubles in a coupled run, the state, the noise
+ * and the buffers of the Newton iteration (see newton), else LANES (2 D + 1),
+ * the state and the noise. */
 struct run {
-    double *u, *w;
+    double *u;
     const double *amp, *op, *mass, *shifted;
     double *scratch, *gap;
     struct run *beside;
@@ -45,13 +48,11 @@ struct run {
     int resolve, dense;
 };
 
-/* Cells clipped at once into a local buffer. */
-#define BLOCK 256
-
-/* Eight doubles: the rows of an interleaved solve, band product or Newton
- * iteration, one a lane, and the columns of the product's register tile;
- * IEEE operations lane by lane.  A mask, as a comparison of lanes gives it,
- * has every bit of a lane set where it holds, else none. */
+/* Eight doubles: the rows of a group, one a lane, as the rounds, the solve,
+ * the band product and the dense product take them; IEEE operations lane by
+ * lane.  A mask, as a comparison of lanes gives it, has every bit of a lane
+ * set where it holds, else none.  No function returns lanes or a mask: a
+ * vector wider than the default build's unit changes the ABI. */
 typedef double lanes __attribute__((vector_size(64)));
 typedef int64_t mask __attribute__((vector_size(64)));
 #define LANES 8
@@ -73,46 +74,6 @@ typedef int64_t mask __attribute__((vector_size(64)));
 #endif
 #define INLINE static inline __attribute__((always_inline))
 
-/* c = ndarray.clip(u, 0.0, 1.0), which keeps -0.0, and NaN with its
- * payload.  A loop of its own: fused with the arithmetic that reads c,
- * gcc vectorizes it only if comparisons may not trap (-fno-trapping-math). */
-INLINE void clip01(double *restrict c, const double *restrict u, ptrdiff_t n)
-{
-    for (ptrdiff_t i = 0; i < n; i++)
-        c[i] = u[i] < 0.0 ? 0.0 : (u[i] > 1.0 ? 1.0 : u[i]);
-}
-
-/* One pass over the n cells of a tile, c = clip(u) of the cells on entry:
- * with res, the resolvent u = c + (u - c) k; with dw, then the noise
- * w = (((c a) (1 - c)) dW) + u, row p of d cells taking dw[p * dw_p]; res
- * or dw or both.  After the resolvent this c serves for the clip of the
- * new u: the two differ at most in the sign of a zero or the quiet bit of
- * a NaN, which give the same w. */
-INLINE void pass(double *restrict u, double *restrict w, int res, double k, double am,
-                 const double *dw, ptrdiff_t dw_p, ptrdiff_t n, ptrdiff_t cells)
-{
-    double c[BLOCK];
-    ptrdiff_t row_end = cells;  /* the end of the row of the next cell */
-    for (ptrdiff_t lo = 0; lo < n; lo += BLOCK, u += BLOCK, w += BLOCK) {
-        const ptrdiff_t m = n - lo < BLOCK ? n - lo : BLOCK;
-        clip01(c, u, m);
-        if (!dw)
-            for (ptrdiff_t i = 0; i < m; i++)
-                u[i] = c[i] + (u[i] - c[i]) * k;
-        for (ptrdiff_t i = 0; dw && i < m;) {
-            const ptrdiff_t end = row_end - lo < m ? row_end - lo : m;
-            const double d = *dw;
-            for (; i < end; i++) {
-                if (res)
-                    u[i] = c[i] + (u[i] - c[i]) * k;
-                w[i] = ((c[i] * am) * (1.0 - c[i])) * d + u[i];
-            }
-            if (lo + i == row_end)
-                row_end += cells, dw += dw_p;
-        }
-    }
-}
-
 /* max(a, b), NaN if either is, as np.max takes it. */
 INLINE double max_nan(double a, double b)
 {
@@ -120,18 +81,17 @@ INLINE double max_nan(double a, double b)
 }
 
 /* a in the lanes where m holds, else b, bit for bit. */
-INLINE lanes pick(mask m, lanes a, lanes b)
-{
-    return (lanes)((m & (mask)a) | (~m & (mask)b));
-}
+#define PICK(m, a, b) ((lanes)(((m) & (mask)(a)) | (~(m) & (mask)(b))))
 
-/* Whether m holds in some lane. */
-INLINE int any(mask m)
+/* ndarray.clip(x, 0.0, 1.0) of the lanes x, which keeps -0.0, and NaN with
+ * its payload. */
+#define CLIP(x) PICK((x) < 0.0, (lanes){0.0}, PICK((x) > 1.0, (lanes){0.0} + 1.0, (x)))
+
+/* m = max_nan(m, |x|) lane by lane. */
+INLINE void max_abs(lanes *m, const lanes *x)
 {
-    int set = 0;
-    for (int l = 0; l < LANES; l++)
-        set |= m[l] != 0;
-    return set;
+    const lanes size = (lanes)((mask)*x & ~(mask)-(lanes){0.0});  /* all bits but the sign */
+    *m = PICK((*m != *m) | (size <= *m), *m, size);
 }
 
 /* The lanes of a scratch buffer, from its first 64-byte boundary on. */
@@ -140,26 +100,30 @@ INLINE lanes *aligned(double *scratch)
     return (lanes *)(((uintptr_t)scratch + 63) & ~(uintptr_t)63);
 }
 
-/* The n <= LANES rows of d cells at x (row l at x + l d) into the lanes
- * buf[0..d-1], times scale[c] in cell c unless scale is NULL; zeros in the
- * lanes past n. */
-INLINE void gather(lanes *restrict buf, const double *restrict x, const double *scale,
-                   ptrdiff_t n, ptrdiff_t d)
+/* The n <= LANES rows of d cells at x into the lanes buf[0..d-1], row l
+ * at x + rows[l] d, or at x + l d if rows is NULL, times scale[c] in cell c
+ * unless scale is NULL; zeros in the lanes past n. */
+INLINE void gather(lanes *restrict buf, const double *restrict x, const ptrdiff_t *rows,
+                   const double *scale, ptrdiff_t n, ptrdiff_t d)
 {
     for (ptrdiff_t c = 0; c < d; c++) {
         lanes v = {0.0};
-        for (ptrdiff_t l = 0; l < n; l++)
-            v[l] = scale ? x[l * d + c] * scale[c] : x[l * d + c];
+        for (ptrdiff_t l = 0; l < n; l++) {
+            const double e = x[(rows ? rows[l] : l) * d + c];
+            v[l] = scale ? e * scale[c] : e;
+        }
         buf[c] = v;
     }
 }
 
-/* The first n lanes of buf[0..d-1] into the n rows of d cells at y. */
-INLINE void scatter(double *restrict y, const lanes *restrict buf, ptrdiff_t n, ptrdiff_t d)
+/* The first n lanes of buf[0..d-1] into the n rows of d cells at y, as
+ * gather takes them. */
+INLINE void scatter(double *restrict y, const ptrdiff_t *rows, const lanes *restrict buf,
+                    ptrdiff_t n, ptrdiff_t d)
 {
     for (ptrdiff_t c = 0; c < d; c++)
         for (ptrdiff_t l = 0; l < n; l++)
-            y[l * d + c] = buf[c][l];
+            y[(rows ? rows[l] : l) * d + c] = buf[c][l];
 }
 
 /* y = A x for the rows of d cells interleaved in the lanes x, A the
@@ -181,6 +145,38 @@ INLINE void band_rows(lanes *restrict y, const lanes *restrict x, const double *
     }
 }
 
+/* Output columns of the dense product summed at once, in registers. */
+#define COLUMNS 16
+
+/* y = x op for the rows of d cells interleaved in the lanes x, op the d x d
+ * row-major matrix: y[j] is the product x[0] op[0][j], then plus
+ * x[k] op[k][j] for k ascending, COLUMNS columns at a time, then the
+ * columns left one by one, which sum in the same order. */
+INLINE void product(lanes *restrict y, const lanes *restrict x, const double *restrict op,
+                    ptrdiff_t d)
+{
+    ptrdiff_t j = 0;
+    for (; j + COLUMNS <= d; j += COLUMNS) {
+        lanes acc[COLUMNS];
+#pragma GCC unroll 16
+        for (int c = 0; c < COLUMNS; c++)
+            acc[c] = x[0] * op[j + c];
+        for (ptrdiff_t k = 1; k < d; k++)
+#pragma GCC unroll 16
+            for (int c = 0; c < COLUMNS; c++)
+                acc[c] = acc[c] + x[k] * op[k * d + j + c];
+#pragma GCC unroll 16
+        for (int c = 0; c < COLUMNS; c++)
+            y[j + c] = acc[c];
+    }
+    for (; j < d; j++) {
+        lanes acc = x[0] * op[j];
+        for (ptrdiff_t k = 1; k < d; k++)
+            acc = acc + x[k] * op[k * d + j];
+        y[j] = acc;
+    }
+}
+
 /* The upper band Cholesky factor U, U^T U = A, of each lane into the
  * interleaved row-major d x (u + 1) bands f, A the symmetric matrix whose
  * upper band is the row-major d x (u + 1) band plus, unless add is NULL,
@@ -188,13 +184,14 @@ INLINE void band_rows(lanes *restrict y, const lanes *restrict x, const double *
  * of each, as band_rows takes it.  Column by column, each entry (i, j) from
  * i = j - u (or 0) down to the diagonal is A(i, j) minus the sum from 0 of
  * the products U(k, i) U(k, j), k ascending from j - u (or 0), then
- * divided by U(i, i), or at i = j its square root.  Returns per lane 0, or
- * j + 1 for the first column j whose pivot, the value under the square
- * root, is not positive (or NaN); the lane's later entries are then
+ * divided by U(i, i), or at i = j its square root.  Leaves in info per lane
+ * 0, or j + 1 for the first column j whose pivot, the value under the
+ * square root, is not positive (or NaN); the lane's later entries are then
  * undefined. */
-INLINE mask factor(lanes *f, const double *band, const lanes *add, ptrdiff_t d, ptrdiff_t u)
+INLINE void factor(lanes *f, const double *band, const lanes *add, ptrdiff_t d, ptrdiff_t u,
+                   mask *info)
 {
-    mask info = {0};
+    *info = (mask){0};
     for (ptrdiff_t j = 0; j < d; j++) {
         const ptrdiff_t lo = j < u ? 0 : j - u;
         const double *a = band + j * u + u;  /* a[i]: entry (i, j) of the band */
@@ -209,12 +206,11 @@ INLINE mask factor(lanes *f, const double *band, const lanes *add, ptrdiff_t d, 
                 continue;
             }
             s = add ? (a[j] + add[j]) - s : a[j] - s;
-            info |= ~(s > 0.0) & (info == 0) & (j + 1);
+            *info |= ~(s > 0.0) & (*info == 0) & (j + 1);
             for (int l = 0; l < LANES; l++)
                 col[j][l] = sqrt(s[l]);
         }
     }
-    return info;
 }
 
 /* Entry at of the factor f times x, and x over it, lane by lane: with own,
@@ -222,19 +218,14 @@ INLINE mask factor(lanes *f, const double *band, const lanes *add, ptrdiff_t d, 
  * that every lane shares, its entry a scalar operand, which the vector
  * extension broadcasts in one instruction (gcc 12 builds a literal
  * {e, ..., e} from eight loads). */
-INLINE lanes times(const void *f, ptrdiff_t at, int own, lanes x)
-{
-    return own ? ((const lanes *)f)[at] * x : ((const double *)f)[at] * x;
-}
-
-INLINE lanes over(lanes x, const void *f, ptrdiff_t at, int own)
-{
-    return own ? x / ((const lanes *)f)[at] : x / ((const double *)f)[at];
-}
+#define TIMES(f, at, own, x) \
+    ((own) ? ((const lanes *)(f))[at] * (x) : ((const double *)(f))[at] * (x))
+#define OVER(x, f, at, own) \
+    ((own) ? (x) / ((const lanes *)(f))[at] : (x) / ((const double *)(f))[at])
 
 /* x = A^-1 x in place for the rows of d cells interleaved in the lanes x,
- * A = U^T U with U the factor f, in acfv_band_factor's layout, as times
- * and over take it (own a constant in each inlined copy).  The forward
+ * A = U^T U with U the factor f, in acfv_band_factor's layout, as TIMES
+ * and OVER take it (own a constant in each inlined copy).  The forward
  * solve U^T z = x, then the back solve U y = z, each cell i in turn
  * (ascending, then descending) x_i minus the sum from 0 of the products of
  * U's entries with the cells solved before it, k ascending, divided by
@@ -245,14 +236,14 @@ INLINE void solve(lanes *x, const void *f, int own, ptrdiff_t d, ptrdiff_t u)
         const ptrdiff_t col = i * u + u;  /* col + k: entry (k, i) of U, row i of U^T */
         lanes s = {0.0};
         for (ptrdiff_t k = i < u ? 0 : i - u; k < i; k++)
-            s = s + times(f, col + k, own, x[k]);
-        x[i] = over(x[i] - s, f, col + i, own);
+            s = s + TIMES(f, col + k, own, x[k]);
+        x[i] = OVER(x[i] - s, f, col + i, own);
     }
     for (ptrdiff_t i = d - 1; i >= 0; i--) {
         lanes s = {0.0};
         for (ptrdiff_t k = i + 1; k < d && k <= i + u; k++)  /* entry (i, k) */
-            s = s + times(f, k * u + u + i, own, x[k]);
-        x[i] = over(x[i] - s, f, i * u + u + i, own);
+            s = s + TIMES(f, k * u + u + i, own, x[k]);
+        x[i] = OVER(x[i] - s, f, i * u + u + i, own);
     }
 }
 
@@ -264,11 +255,12 @@ INLINE void solve(lanes *x, const void *f, int own, ptrdiff_t d, ptrdiff_t u)
 int acfv_band_factor(double *f, int d, int u, double *scratch)
 {
     lanes *buf = aligned(scratch);
-    const int64_t info = factor(buf, f, NULL, d, u)[0];
+    mask info;
+    factor(buf, f, NULL, d, u, &info);
     for (ptrdiff_t j = 0; j < d; j++)
         for (ptrdiff_t i = j < u ? 0 : j - u; i <= j; i++)
             f[j * u + u + i] = buf[j * u + u + i][0];
-    return (int)info;
+    return (int)info[0];
 }
 
 /* y = A^-1 (x scale) for the rows of d cells at x (row r at x + r d) into
@@ -281,125 +273,79 @@ CLONES void acfv_band_solve(double *y, const double *x, const double *scale, con
     lanes *buf = aligned(scratch);
     for (ptrdiff_t r0 = 0; r0 < rows; r0 += LANES) {
         const ptrdiff_t n = rows - r0 < LANES ? rows - r0 : LANES;
-        gather(buf, x + r0 * d, scale, n, d);
+        gather(buf, x + r0 * d, NULL, scale, n, d);
         solve(buf, f, 0, d, u);
-        scatter(y + r0 * d, buf, n, d);
+        scatter(y + r0 * d, NULL, buf, n, d);
     }
-}
-
-/* The bytes of the first n doubles of LANES: all for n >= LANES, none for n <= 0. */
-INLINE size_t part(ptrdiff_t n)
-{
-    return (size_t)(n < 0 ? 0 : n < LANES ? n : LANES) * sizeof(double);
-}
-
-/* Columns j.. of the rows in[0..rows-1] of acfv_product into rows of d cells at y: 2 LANES
- * columns if full, else the d - j left, zeros loaded past them.  The sums run in registers;
- * rows, LANES or 1, is a constant in each inlined copy. */
-INLINE void tile(double *restrict y, const double *const *in, const double *restrict op,
-                 ptrdiff_t d, ptrdiff_t j, ptrdiff_t rows, int full)
-{
-    const ptrdiff_t n0 = full ? 2 * LANES : d - j, n1 = n0 - LANES;  /* columns in each half */
-    lanes acc[LANES][2], o[2] = {{0.0}, {0.0}};
-    for (ptrdiff_t k = 0; k < d; k++) {
-        memcpy(&o[0], op + k * d + j, part(n0)), memcpy(&o[1], op + k * d + j + LANES, part(n1));
-#pragma GCC unroll 8
-        for (ptrdiff_t l = 0; l < rows; l++)
-            for (int h = 0; h < 2; h++)
-                acc[l][h] = k ? acc[l][h] + in[l][k] * o[h] : in[l][k] * o[h];
-    }
-#pragma GCC unroll 8
-    for (ptrdiff_t l = 0; l < rows; l++)
-        memcpy(y + l * d + j, &acc[l][0], part(n0)),
-            memcpy(y + l * d + j + LANES, &acc[l][1], part(n1));
-}
-
-/* All d columns of rows rows, LANES or 1, tile by tile. */
-INLINE void tiles(double *restrict y, const double *const *in, const double *restrict op,
-                  ptrdiff_t d, ptrdiff_t rows)
-{
-    ptrdiff_t j = 0;
-    for (; j + 2 * LANES <= d; j += 2 * LANES)
-        tile(y, in, op, d, j, rows, 1);
-    if (j < d)
-        tile(y, in, op, d, j, rows, 0);
 }
 
 /* y = x op for the rows of d cells at x (row r at x + r d), op the d x d
- * row-major matrix: y[r][j] is the product x[r][0] op[0][j], then plus
- * x[r][k] op[k][j] for k ascending, by tiles of LANES rows and 2 LANES
- * columns, and the rows past the last multiple of LANES by tiles of one
- * row, which sum in the same order. */
-CLONES void acfv_product(double *restrict y, const double *restrict x, const double *restrict op,
-                         int rows, int d)
+ * row-major matrix, as product takes it: up to LANES rows at a time,
+ * interleaved in the scratch of LANES (2 d + 1) doubles. */
+CLONES void acfv_product(double *y, const double *x, const double *op, int rows, int d,
+                         double *scratch)
 {
-    ptrdiff_t r0 = 0;
-    for (; r0 + LANES <= rows; r0 += LANES) {
-        const double *in[LANES];
-        for (ptrdiff_t l = 0; l < LANES; l++)
-            in[l] = x + (r0 + l) * d;
-        tiles(y + r0 * d, in, op, d, LANES);
-    }
-    for (; r0 < rows; r0++) {
-        const double *in = x + r0 * d;
-        tiles(y + r0 * d, &in, op, d, 1);
+    lanes *in = aligned(scratch), *out = in + d;
+    for (ptrdiff_t r0 = 0; r0 < rows; r0 += LANES) {
+        const ptrdiff_t n = rows - r0 < LANES ? rows - r0 : LANES;
+        gather(in, x + r0 * d, NULL, NULL, n, d);
+        product(out, in, op, d);
+        scatter(y + r0 * d, NULL, out, n, d);
     }
 }
 
 /* The semismooth Newton iteration of a coupled run on its n <= LANES rows
- * of d cells at v (row l at v + l d), in place, from their noisy rows at w,
- * one row a lane: (M + tau A) v + tau M psi(v) = M w, psi(v) =
- * (v - clip(v)) / eps.  Each iteration takes the residual
- * r = (A v + (tau M) psi(v)) - M w, A v by band_rows, and closes a lane
- * once every |r_i| <= tol; the lanes still open take the active-set
- * Jacobian, the band of M + tau A with ((tau / eps) M_i) active_i added to
- * its diagonal (active: v_i < 0 or v_i > 1), factor it and solve for
- * x = J^-1 r, and take v = v - x.  A lane fails if its Jacobian did not
- * factor, which a finite one always does (it is positive definite), or if
- * it is still open after the run's iterations, as one with a NaN residual
- * always is.  Each lane makes the IEEE operations of its row iterated
- * alone, and the lanes past n, zeros, close at once.  Returns 1 if a row
- * failed, with *worst the max_nan of it and the last |r| norm of each
- * failed row in row order, else 0. */
-INLINE int newton(const struct run *r, double *restrict v, const double *restrict w,
-                  ptrdiff_t n, double *worst)
+ * of d cells in the lanes x, in place, from their noisy rows in the lanes
+ * b, which it scales to M w, with the lanes after b as its buffers:
+ * (M + tau A) v + tau M psi(v) = M w, psi(v) = (v - clip(v)) / eps.  Each
+ * iteration takes the residual r = (A v + (tau M) psi(v)) - M w, A v by
+ * band_rows, and closes a lane once every |r_i| <= tol; the lanes still
+ * open take the active-set Jacobian, the band of M + tau A with
+ * ((tau / eps) M_i) active_i added to its diagonal (active: v_i < 0 or
+ * v_i > 1), factor it and solve for x = J^-1 r, and take v = v - x.  A lane
+ * fails if its Jacobian did not factor, which a finite one always does (it
+ * is positive definite), or if it is still open after the run's
+ * iterations, as one with a NaN residual always is.  Each lane makes the
+ * IEEE operations of its row iterated alone, and the lanes past n never
+ * open.  Returns 1 if a row failed, with *worst the max_nan of it and the
+ * last |r| norm of each failed row in lane order, else 0. */
+INLINE int newton(const struct run *r, lanes *restrict x, lanes *restrict b, ptrdiff_t n,
+                  double *worst)
 {
     const ptrdiff_t d = r->cells, u = r->half;
     const double tau = r->tau, eps = r->eps, *mass = r->mass;
-    const lanes zero = {0.0}, one = zero + 1.0;
-    const mask magnitude = ~(mask)-zero;  /* all bits but the sign */
-    lanes *x = aligned(r->scratch), *b = x + d, *res = b + d, *add = res + d, *jac = add + d;
-    lanes norm = zero + NAN;
-    mask open = {0}, failed = {0};
+    const lanes one = (lanes){0.0} + 1.0;
+    lanes *res = b + d, *add = res + d, *jac = add + d;
+    lanes norm = (lanes){0.0} + NAN;
+    mask open = {0}, failed = {0}, bad;
     for (ptrdiff_t l = 0; l < n; l++)
         open[l] = -1;
-    gather(x, v, NULL, n, d);
-    gather(b, w, mass, n, d);  /* M w */
+    for (ptrdiff_t i = 0; i < d; i++)
+        b[i] = b[i] * mass[i];
     for (int64_t it = 0; it < r->iterations; it++) {
         band_rows(res, x, r->shifted, d, u);
-        lanes m = zero;
+        lanes m = {0.0};
         for (ptrdiff_t i = 0; i < d; i++) {
-            const lanes c = pick(x[i] < zero, zero, pick(x[i] > one, one, x[i]));
+            const lanes c = CLIP(x[i]);
             res[i] = (res[i] + (tau * mass[i]) * ((x[i] - c) / eps)) - b[i];
-            const lanes size = (lanes)((mask)res[i] & magnitude);
-            m = pick((m != m) | (size <= m), m, size);  /* max_nan */
+            max_abs(&m, &res[i]);
         }
-        norm = pick(open, m, norm);
+        norm = PICK(open, m, norm);
         open &= ~(m <= r->tol);
-        if (!any(open))
+        if (!memcmp(&open, &(mask){0}, sizeof open))  /* no lane open */
             break;
         for (ptrdiff_t i = 0; i < d; i++) {
-            const lanes active = (lanes)(((x[i] < zero) | (x[i] > one)) & (mask)one);
+            const lanes active = (lanes)(((x[i] < 0.0) | (x[i] > 1.0)) & (mask)one);
             add[i] = ((tau / eps) * mass[i]) * active;
         }
-        const mask bad = factor(jac, r->shifted, add, d, u) != 0;
+        factor(jac, r->shifted, add, d, u, &bad);
+        bad = bad != 0;
         failed |= open & bad, open &= ~bad;
         solve(res, jac, 1, d, u);
         for (ptrdiff_t i = 0; i < d; i++)
-            x[i] = pick(open, x[i] - res[i], x[i]);
+            x[i] = PICK(open, x[i] - res[i], x[i]);
     }
     failed |= open;
-    scatter(v, x, n, d);
     int any_failed = 0;
     for (ptrdiff_t l = 0; l < n; l++)
         if (failed[l])
@@ -407,70 +353,125 @@ INLINE int newton(const struct run *r, double *restrict v, const double *restric
     return any_failed;
 }
 
-/* Round j of the call's rounds j0..j1-1 on amplitude a's tile of p x d
- * cells of run r: the noise into w, path p taking dw[j * dw_j + p * dw_p],
- * then the heat product into u, by acfv_product with the propagator or
- * acfv_band_solve of w M with the band factor, then the resolvent, in one
- * pass with round j + 1's noise but in a coupled run, whose Newton
- * iteration then takes the tile's rows, LANES at a time, from this round's
+/* Round j of run r on the n rows of a group at amplitude a, held in the
+ * lanes x, their increments in the lanes dw: the noise
+ * w = (((c a) (1 - c)) dW) + x into the lanes after x, then the heat
+ * product into x, the product with the propagator, or the solve of w M
+ * with the band factor, then the resolvent x = c + (x - c) kappa, each c a
+ * clip of x as it is then, and in a coupled run the Newton iteration from
  * w.  Returns 1 if a row's iteration failed, with *worst as newton leaves
  * it, else 0. */
-INLINE int round_tile(const struct run *r, ptrdiff_t a, ptrdiff_t j, const double *dw,
-                      ptrdiff_t dw_j, ptrdiff_t dw_p, ptrdiff_t j0, ptrdiff_t j1, double *worst)
+INLINE int round_lanes(const struct run *r, lanes *restrict x, const lanes *dw, ptrdiff_t a,
+                       ptrdiff_t n, double *worst)
 {
-    const ptrdiff_t paths = r->paths, cells = r->cells, tile = paths * cells;
-    const int fused = r->resolve && !r->shifted;  /* a resolvent takes the next noise */
-    double *u = r->u + a * tile, *w = r->w + a * tile;
-    const double *d = dw + j * dw_j, k = r->kappa, am = r->amp[a];
-    if (j == j0 || !fused)
-        pass(u, w, 0, k, am, d, dw_p, tile, cells);
+    const ptrdiff_t d = r->cells;
+    const double am = r->amp[a], k = r->kappa;
+    lanes *w = x + d;
+    for (ptrdiff_t i = 0; i < d; i++) {
+        const lanes c = CLIP(x[i]);
+        w[i] = ((c * am) * (1.0 - c)) * *dw + x[i];
+    }
     if (r->dense)
-        acfv_product(u, w, r->op, (int)paths, (int)cells);
-    else
-        acfv_band_solve(u, w, r->mass, r->op, (int)paths, (int)cells, (int)r->half, r->scratch);
-    if (r->resolve)
-        pass(u, w, 1, k, am, fused && j + 1 < j1 ? d + dw_j : NULL, dw_p, tile, cells);
-    int failed = 0;
-    for (ptrdiff_t p = 0; r->shifted && p < paths; p += LANES)
-        failed |= newton(r, u + p * cells, w + p * cells, paths - p < LANES ? paths - p : LANES,
-                         worst);
-    return failed;
+        product(x, w, r->op, d);
+    else {
+        for (ptrdiff_t i = 0; i < d; i++)
+            x[i] = w[i] * r->mass[i];
+        solve(x, r->op, 0, d, r->half);
+    }
+    for (ptrdiff_t i = 0; r->resolve && i < d; i++) {
+        const lanes c = CLIP(x[i]);
+        x[i] = c + (x[i] - c) * k;
+    }
+    return r->shifted ? newton(r, x, w, n, worst) : 0;
 }
 
-/* Rounds j0..j1-1, each amplitude's tile through all of them in turn, so
- * that it stays in cache, by round_tile; in a pair the splitting run's
- * tile first in each round, then the coupled run's, then the gap of each
- * row.  Tiles are independent, so the order of rounds within each is all
- * that matters.  Returns 0, or 1 if a row's Newton iteration failed, with
- * the largest residual over the failed rows of every tile in the earliest
- * round where one failed left in r->residual; no tile takes a round past
- * it, and the states are then undefined. */
+/* The step of a row of d cells at x in order_rows: 63 less the top six bits
+ * of the exponent of its largest |x_i|, NaN cells passed over. */
+INLINE int step_of(const double *x, ptrdiff_t d)
+{
+    double m = 0.0;
+    for (ptrdiff_t i = 0; i < d; i++)
+        m = fabs(x[i]) > m ? fabs(x[i]) : m;
+    uint64_t bits;
+    memcpy(&bits, &m, sizeof bits);
+    return 63 - (int)(bits >> 57);
+}
+
+/* The order of the p rows of d cells at u in which acfv_rounds groups
+ * them into lanes: by the binary exponent of their largest |u_i|, in steps
+ * of 32 (64 steps in all), from the largest down, each step in row order;
+ * each row's step into step[row].
+ * A row whose cells all sink toward the subnormal range, as one held below
+ * 0 does while each resolvent multiplies it by kappa, makes each vector
+ * instruction that holds it in a lane take a microcode assist on x86; so
+ * ordered, such rows share their groups with each other, not with rows of
+ * ordinary size.  Lanes are independent, so the order changes no value. */
+INLINE void order_rows(ptrdiff_t *order, ptrdiff_t *step, const double *u, ptrdiff_t p,
+                       ptrdiff_t d)
+{
+    ptrdiff_t at[65] = {0};  /* at[s + 1]: the rows of step s, then the first row past it */
+    for (ptrdiff_t row = 0; row < p; row++)
+        at[(step[row] = step_of(u + row * d, d)) + 1]++;
+    for (int s = 0; s < 64; s++)
+        at[s + 1] += at[s];
+    for (ptrdiff_t row = 0; row < p; row++)
+        order[at[step[row]]++] = row;
+}
+
+/* Rounds j0..j1-1, the paths of each amplitude LANES at a time in the
+ * order of order_rows, which the scratch's first p int64 hold: each group
+ * of rows gathered into its run's scratch once, taken through all of the
+ * rounds by round_lanes, path p taking dw[j dw_j + p dw_p] in round j, and
+ * scattered back.  In a pair the splitting run's group first in each
+ * round, then the coupled run's, then the gap of each row; the coupled
+ * run's rows give the order of both.  Rows are independent, so the order
+ * of rounds within each is all that matters.  Returns 0, or 1 if a row's
+ * Newton iteration failed, with the largest residual over the failed rows
+ * of every group in the earliest round where one failed, merged by max_nan
+ * in the order of the groups, left in r->residual; no group takes a round
+ * past it, and the states are then undefined. */
 CLONES int acfv_rounds(struct run *r, const double *dw, int dw_j, int dw_p, int j0, int j1)
 {
-    const ptrdiff_t paths = r->paths, cells = r->cells, tile = paths * cells;
+    const ptrdiff_t paths = r->paths, d = r->cells;
+    struct run *runs[2] = {r->beside, r};  /* one inlined round_lanes */
+    ptrdiff_t *order = (ptrdiff_t *)r->scratch, *step = order + paths;
+    lanes *x[2] = {r->beside ? aligned(r->beside->scratch + 2 * paths) : NULL,
+                   aligned(r->scratch + 2 * paths)};
     int status = 0;
     ptrdiff_t stop = j1;
-    for (ptrdiff_t a = 0; a < r->amps; a++)
-        for (ptrdiff_t j = j0; j < stop; j++) {
-            const struct run *runs[2] = {r->beside, r};  /* one inlined round_tile */
-            double worst = 0.0;
-            int failed = 0;
+    for (ptrdiff_t a = 0; a < r->amps; a++) {
+        const ptrdiff_t base = a * paths * d;  /* amplitude a's rows */
+        order_rows(order, step, r->u + base, paths, d);
+        for (ptrdiff_t p = 0; p < paths; p += LANES) {
+            const ptrdiff_t n = paths - p < LANES ? paths - p : LANES, *rows = order + p;
             for (int q = !r->beside; q < 2; q++)
-                failed = round_tile(runs[q], a, j, dw, dw_j, dw_p, j0, j1, &worst);
-            if (failed) {
-                /* the earliest such round yet; one of an earlier tile counts too */
-                r->residual = status && j + 1 == stop ? max_nan(r->residual, worst) : worst;
-                status = 1, stop = j + 1;
+                gather(x[q], runs[q]->u + base, rows, NULL, n, d);
+            for (ptrdiff_t j = j0; j < stop; j++) {
+                lanes dW = {0.0};
+                for (ptrdiff_t l = 0; l < n; l++)
+                    dW[l] = dw[j * dw_j + rows[l] * dw_p];
+                double worst = 0.0;
+                for (int q = !r->beside; q < 2; q++)
+                    if (round_lanes(runs[q], x[q], &dW, a, n, &worst)) {
+                        /* the earliest such round yet; one of an earlier group counts too */
+                        r->residual = status && j + 1 == stop ? max_nan(r->residual, worst)
+                                                              : worst;
+                        status = 1, stop = j + 1;
+                    }
+                if (!r->beside)
+                    continue;
+                lanes gap = {0.0};
+                for (ptrdiff_t i = 0; i < d; i++) {
+                    const lanes diff = x[1][i] - x[0][i];
+                    max_abs(&gap, &diff);
+                }
+                for (ptrdiff_t l = 0; l < n; l++)
+                    r->gap[a * r->gap_a + rows[l] * r->gap_p + j] = gap[l];
             }
-            for (ptrdiff_t p = 0; r->beside && p < paths; p++) {
-                const double *c = r->u + a * tile + p * cells;
-                const double *s = r->beside->u + a * tile + p * cells;
-                double m = 0.0;
-                for (ptrdiff_t i = 0; i < cells; i++)
-                    m = max_nan(m, fabs(c[i] - s[i]));
-                r->gap[a * r->gap_a + p * r->gap_p + j] = m;
-            }
+            for (int q = !r->beside; q < 2; q++)
+                scatter(runs[q]->u + base, rows, x[q], n, d);
         }
+    }
     return status;
 }
 
@@ -479,15 +480,15 @@ CLONES int acfv_rounds(struct run *r, const double *dw, int dw_j, int dw_p, int 
  * diagonals is the row-major d x (u + 1) band, as band_rows takes it: up
  * to LANES rows at a time, interleaved in the scratch of LANES (2 d + 1)
  * doubles. */
-void acfv_band_product(double *y, const double *x, const double *band, int rows,
-                              int cells, int half_width, double *scratch)
+void acfv_band_product(double *y, const double *x, const double *band, int rows, int cells,
+                       int half_width, double *scratch)
 {
     lanes *in = aligned(scratch), *out = in + cells;
     for (ptrdiff_t r0 = 0; r0 < rows; r0 += LANES) {
         const ptrdiff_t n = rows - r0 < LANES ? rows - r0 : LANES;
-        gather(in, x + (ptrdiff_t)r0 * cells, NULL, n, cells);
+        gather(in, x + r0 * cells, NULL, NULL, n, cells);
         band_rows(out, in, band, cells, half_width);
-        scatter(y + r0 * cells, out, n, cells);
+        scatter(y + r0 * cells, NULL, out, n, cells);
     }
 }
 
@@ -528,22 +529,17 @@ static const double NDTRI_Q2[8] = {
 };
 static const double EXP_M2 = 0.13533528323661269189;  /* exp(-2) */
 
-/* c[0] x^n + ... + c[n]; with a leading 1 not stored, x^n + c[0] x^(n-1) + ... */
-static double polevl(double x, const double *c, int n)
+/* w P(w) / Q(w), the tail formula of ndtri for w = 1 / x with (P, Q) =
+ * (NDTRI_P1, NDTRI_Q1) or (NDTRI_P2, NDTRI_Q2): Cephes' polevl(w, P, 8) and
+ * p1evl(w, Q, 8), Q's leading 1 not stored, written out in their Horner
+ * order. */
+INLINE double tail_term(double w, const double *p, const double *q)
 {
-    double ans = *c++;
-    do
-        ans = ans * x + *c++;
-    while (--n);
-    return ans;
-}
-
-static double p1evl(double x, const double *c, int n)
-{
-    double ans = x + *c++;
-    while (--n)
-        ans = ans * x + *c++;
-    return ans;
+    const double num = (((((((p[0] * w + p[1]) * w + p[2]) * w + p[3]) * w + p[4]) * w
+                          + p[5]) * w + p[6]) * w + p[7]) * w + p[8];
+    const double den = (((((((w + q[0]) * w + q[1]) * w + q[2]) * w + q[3]) * w + q[4])
+                         * w + q[5]) * w + q[6]) * w + q[7];
+    return w * num / den;
 }
 
 /* Cephes ndtri of y0 where ndtri_block leaves it to scalar code: 0, 1, NaN,
@@ -561,8 +557,7 @@ static double ndtri_far(double y0)
     const double y = negate ? y0 : 1.0 - y0;
     const double x = sqrt(-2.0 * log(y));
     const double x0 = x - log(x) / x;
-    const double z = 1.0 / x;
-    const double x1 = z * polevl(z, NDTRI_P2, 8) / p1evl(z, NDTRI_Q2, 8);
+    const double x1 = tail_term(1.0 / x, NDTRI_P2, NDTRI_Q2);
     return negate ? -(x0 - x1) : x0 - x1;
 }
 
@@ -596,15 +591,8 @@ INLINE void ndtri_block(double *restrict z, const double *restrict y, ptrdiff_t 
         x[t] = sqrt(-2.0 * log(v > 1.0 - EXP_M2 ? 1.0 - v : v));
         log_x[t] = log(x[t]);
     }
-    p = NDTRI_P1, q = NDTRI_Q1;
-    for (ptrdiff_t t = 0; t < tails; t++) {
-        const double w = 1.0 / x[t];
-        const double num = (((((((p[0] * w + p[1]) * w + p[2]) * w + p[3]) * w + p[4]) * w
-                              + p[5]) * w + p[6]) * w + p[7]) * w + p[8];
-        const double den = (((((((w + q[0]) * w + q[1]) * w + q[2]) * w + q[3]) * w + q[4])
-                             * w + q[5]) * w + q[6]) * w + q[7];
-        r[t] = (x[t] - log_x[t] / x[t]) - w * num / den;
-    }
+    for (ptrdiff_t t = 0; t < tails; t++)
+        r[t] = (x[t] - log_x[t] / x[t]) - tail_term(1.0 / x[t], NDTRI_P1, NDTRI_Q1);
     for (ptrdiff_t t = 0; t < tails; t++) {
         const double v = y[tail[t]];
         z[tail[t]] = !(x[t] < 8.0) ? ndtri_far(v) : v > 1.0 - EXP_M2 ? r[t] : -r[t];

@@ -17,17 +17,15 @@ it reads (eps = eps(tau)).  The variants:
 A kernel steps the runs of one step size at A amplitudes as one (A, p, d)
 stack of p per-path fields of d cells, with one increment per path that
 the amplitudes share; each step size has a kernel of its own.  A round
-takes each amplitude's tile of p x d cells in turn through the noise term,
-the heat product and (but in a heat run) the resolvent.  The rounds are
-compiled C (``passes.c``, built at the first kernel or solver into a
-per-user cache), whose product is the one ``ShiftedSolver.apply_markov``
-takes: the fixed-order product with the propagator on a dense run, the
-solve with the band factor of the mass times the noisy rows on a banded
-one.  A coupled round then runs the semismooth Newton iteration in C too,
-on the paths' rows eight at a time, one row a vector lane, each solve by
-the same band Cholesky factor and solve on the shifted band.  A coupled
-kernel may step a splitting kernel of its stack beside itself, round by
-round, and write the gap between the two after every step (the
+takes each row through the noise term, the heat product (that of
+``ShiftedSolver.apply_markov``) and (but in a heat run) the resolvent.
+The rounds are compiled C (``passes.c``, built at the first kernel or
+solver into a per-user cache), which takes each amplitude's paths eight
+at a time, one row a vector lane, through every round of a call; a
+coupled round then runs the semismooth Newton iteration on the same
+lanes, each solve by the band Cholesky factor and solve of its Jacobian.
+A coupled kernel may step a splitting kernel of its stack beside itself,
+round by round, and write the gap between the two after every step (the
 splitting-error study).  Their numpy form, the tests' byte oracle, is in
 ``tests/oracles.py``.  Every run steps from one yield to the next in one
 call.  ``StepKernel.run`` is the one way to step a kernel: it steps a
@@ -122,12 +120,11 @@ class StepKernel:
     The kernel reads tau = solver.tau, eps = epsilon(tau) and
     kappa = eps/(eps + tau) from its ShiftedSolver; ``amplitudes`` holds the
     A noise amplitudes; ``paths`` is the number p of fields per run, each
-    of the solver's d cells.  The kernel keeps a noisy buffer and ``out``,
-    the states after the last step taken, both of shape (A, p, d), and binds
-    its compiled rounds to them once, when it is built.  A round
-    takes each amplitude's tile of p x d cells through the noise term
-    w = u + ((a c)(1 - c)) dW, the heat propagator, then the resolvent
-    c + (r - c) kappa, each c a clip to [0, 1] of the tile's current state,
+    of the solver's d cells.  The kernel keeps ``out``, the states after
+    the last step taken, of shape (A, p, d), and binds its compiled rounds
+    to it once, when it is built.  A round takes each row through the noise
+    term w = u + ((a c)(1 - c)) dW, the heat propagator, then the resolvent
+    c + (r - c) kappa, each c a clip to [0, 1] of the row's current state,
     in the order of ``diffusion_g`` and ``resolvent``, and in a coupled run
     the semismooth Newton iteration on each row from there; the compiled
     rounds (see ``_bind``) make the same IEEE operations, so every run
@@ -150,7 +147,7 @@ class StepKernel:
         self.tau, self.eps = solver.tau, epsilon.value(solver.tau)
         kappa = None if variant == "heat" else self.eps / (self.eps + self.tau)
         shape = (len(self._amplitude), paths, solver.n)
-        self._noisy, self.out = np.empty(shape), np.empty(shape)
+        self.out = np.empty(shape)
         if beside is not None:
             partner, gaps = beside
             if (variant != "coupled" or partner.variant != "splitting"
@@ -159,7 +156,7 @@ class StepKernel:
                 raise ValueError("a coupled kernel steps a splitting kernel of its own stack "
                                  "beside itself, into an (A, p, N) float array of gaps")
         self._beside = beside
-        self._rounds = _bind(solver, self.out, self._noisy, self._amplitude, kappa,
+        self._rounds = _bind(solver, self.out, self._amplitude, kappa,
                              self.eps if variant == "coupled" else None,
                              None if beside is None else beside[0])
 
@@ -203,43 +200,46 @@ class StepKernel:
             rounds(done, increments.shape[1])
 
 
-def _bind(solver, u, w, amplitude, kappa, eps=None, beside=None):
+def _bind(solver, u, amplitude, kappa, eps=None, beside=None):
     """The compiled rounds of a kernel, bound once: ``over(d_w)`` gives ``rounds(j0, j1)``.
 
-    ``u`` and ``w`` are the kernel's (A, p, d) state and noisy buffers,
-    ``amplitude`` is (A,), ``kappa`` a float (None: no resolvent, a heat
-    run) and ``eps`` the penalty's eps of a coupled run (None: no Newton
-    iteration); they and the solver's operator are bound into one ``_Run``
-    here, and a call of ``rounds`` passes ``acfv_rounds`` only the address
-    and strides of the (rounds, p) increments ``d_w`` and the round range.
-    The product is ``ShiftedSolver.apply_markov``'s: with ``markov_t`` on a
-    dense run, else the solve of the mass times the noisy rows with the
-    band factor.  A coupled round then takes the rows of u, from the
-    splitting step, eight at a time through the semismooth Newton iteration
+    ``u`` is the kernel's (A, p, d) state buffer, ``amplitude`` is (A,),
+    ``kappa`` a float (None: no resolvent, a heat run) and ``eps`` the
+    penalty's eps of a coupled run (None: no Newton iteration); they and
+    the solver's operator are bound into one ``_Run`` here, and a call of
+    ``rounds`` passes ``acfv_rounds`` only the address and strides of the
+    (rounds, p) increments ``d_w`` and the round range.  The rounds take
+    each amplitude's paths eight at a time, one row a vector lane, through
+    every round of the call, the rows grouped by the size of their largest
+    cell (see passes.c).  The product is ``ShiftedSolver.apply_markov``'s:
+    with ``markov_t`` on a dense run, else the solve of the mass times the
+    noisy rows w with the band factor.  A coupled round then takes the
+    lanes, from the splitting step, through the semismooth Newton iteration
     of (M + tau A) u + tau M psi_eps(u) = M w, strictly monotone so uniquely
-    solvable, one row a vector lane that makes the IEEE operations of the
-    row iterated alone: at most ``NEWTON_MAX_ITER`` solves of the
-    active-set Jacobian M + tau A + (tau/eps) M D (D marks the cells outside
-    [0, 1]), each by the band Cholesky factor and solve of its band, until
-    the residual's infinity norm is at most ``NEWTON_TOL`` times the
-    smallest mass.  A row that does not converge, as one whose residual is
-    not finite never does, is a NumericalFailure with the largest residual
-    of the failed rows of its round.
+    solvable, each lane making the IEEE operations of its row iterated
+    alone: at most ``NEWTON_MAX_ITER`` solves of the active-set Jacobian
+    M + tau A + (tau/eps) M D (D marks the cells outside [0, 1]), each by
+    the band Cholesky factor and solve of its band, until the residual's
+    infinity norm is at most ``NEWTON_TOL`` times the smallest mass.  A row
+    that does not converge, as one whose residual is not finite never does,
+    is a NumericalFailure with the largest residual of the failed rows of
+    its round.
 
     ``beside``, a splitting kernel of the same stack, pairs a coupled run
     with that kernel's: ``over(d_w, gaps)`` gives rounds that each step the
-    splitting tile first, then the coupled one, and then write each row's
+    splitting rows first, then the coupled ones, and then write each row's
     largest |coupled - splitting| over its cells into column j of the
     (A, p, rounds) ``gaps`` after round j.
     """
     lib, d, dense = compiled_library(), solver.n, solver.markov_t is not None
     half = solver.band.shape[1] - 1
-    # the interleaved rows of a solve, or of a coupled run's Newton iteration (see passes.c)
-    rows = d * (half + 5) if eps is not None else d
-    arrays = {"u": u, "w": w, "amp": amplitude, "mass": solver.mass_diag,
+    # the order and step of the rows, then the lanes of a group and its Newton
+    # iteration (passes.c)
+    rows = d * (half + 5) if eps is not None else 2 * d
+    arrays = {"u": u, "amp": amplitude, "mass": solver.mass_diag,
               "op": solver.markov_t if dense else solver.factor,
               "shifted": solver.band if eps is not None else None,
-              "scratch": np.empty(8 * (rows + 1))}
+              "scratch": np.empty(2 * u.shape[1] + 8 * (rows + 1))}
     run = _Run(**{name: None if a is None else a.ctypes.data for name, a in arrays.items()},
                beside=None if beside is None else ctypes.addressof(beside._rounds.run),
                kappa=0.0 if kappa is None else kappa, tau=solver.tau, eps=eps or 0.0,
@@ -271,7 +271,7 @@ class _Run(ctypes.Structure):
     """A kernel's run as passes.c reads it: buffers, constants, sizes, flags."""
 
     _fields_ = ([(name, ctypes.c_void_p)
-                 for name in "u w amp op mass shifted scratch gap beside".split()]
+                 for name in "u amp op mass shifted scratch gap beside".split()]
                 + [(name, ctypes.c_double) for name in "kappa tau eps tol residual".split()]
                 + [(name, ctypes.c_int64)
                    for name in "amps paths cells half iterations gap_a gap_p".split()]

@@ -33,13 +33,13 @@ from acfv import scheme, stochastic, validation
 from acfv.errors import NumericalFailure
 
 
-def bind(solver, u, w, amplitude, kappa, eps=None, beside=None):
+def bind(solver, u, amplitude, kappa, eps=None, beside=None):
     """``scheme._bind`` in numpy: ``over(d_w)``, the rounds around ``product`` with
     ``markov_t`` or ``band_solve`` of the mass times the noisy rows, with ``eps`` each
     followed by ``newton`` on every row; with the splitting kernel ``beside``,
     ``over(d_w, gaps)``, whose rounds each step that kernel one round, then this one, then
-    take each row's gap (``paired``)."""
-    rows = (-1, solver.n)
+    take each row's gap (``paired``).  The noisy rows go to a buffer of its own."""
+    rows, w = (-1, solver.n), np.empty_like(u)
     if solver.markov_t is not None:
         def heat(w, u):
             u[...] = product(w, solver.markov_t)
@@ -71,16 +71,17 @@ def paired(over, beside, u, d_w, gaps):
 def passes(heat, u, w, amplitude, kappa, iteration, d_w):
     """A run's rounds as ufuncs around ``heat``.
 
-    ``u`` and ``w`` are the run's (A, p, d) state and noisy buffers,
+    ``u`` and ``w`` are the run's (A, p, d) state and noise buffers,
     ``amplitude`` is (A,), ``kappa`` a float (None: no resolvent, a heat
     run), ``iteration`` the Newton iteration of a coupled run (None: none),
     ``d_w`` (rounds, p) and ``heat(w, u)`` the heat product of the whole
     stack into u.  Returns ``rounds(j0, j1)``, which takes rounds j0..j1-1
     in turn: the noise w = (((c a)(1 - c)) dW) + u with round j's
     increments, the product, the resolvent u = c + (u - c) kappa, each
-    c = clip(u), and ``iteration()``.  As in passes.c, a noise after a
-    resolvent of the same call takes that resolvent's c, which gives the
-    same w; after a Newton iteration it clips u again.
+    c = clip(u), and ``iteration()``.  passes.c clips u afresh for each
+    noise; here a noise after a resolvent of the same call takes that
+    resolvent's c, which gives the same w, and one after a Newton iteration
+    clips u again.
     """
     c, one_minus_c = np.empty_like(u), np.empty_like(u)
     zero, one = np.zeros(()), np.ones(())

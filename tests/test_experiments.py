@@ -155,14 +155,14 @@ def block_bound(config):
     """Bytes a convergence block of ``config.n_paths`` paths may trace at its peak.
 
     One chunk of its fine increments, each summed step count's coarse
-    increments of a chunk, the state and noisy stacks of its kernels (one
-    per step count, N_max too) and BLOCK_SLACK: nothing that grows with the
-    path length.
+    increments of a chunk, the state stacks of its kernels (one per step
+    count, N_max too) and BLOCK_SLACK: nothing that grows with the path
+    length.
     """
     n_fine, d = config.resolved_n_fine(), config.cells_per_axis ** 2
     chunk = min(experiments.CHUNK, n_fine)
     coarse = sum((chunk - 1) // (n_fine // n) + 1 for n in config.n_steps_list if n < n_fine)
-    stacks = 2 * len(config.amplitudes) * (1 + len(config.n_steps_list)) * d
+    stacks = len(config.amplitudes) * (1 + len(config.n_steps_list)) * d
     return 8 * config.n_paths * (chunk + coarse + stacks) + BLOCK_SLACK
 
 

@@ -71,6 +71,12 @@ def run_states(kernel, u0, increments):
     return [state[0].copy() for _, state in kernel.run(u0, np.atleast_2d(increments))]
 
 
+def noise(u, amplitude, d_w):
+    """A round's noisy rows w = (((c a)(1 - c)) dW) + u, c = clip(u), as the rounds form them."""
+    c = np.clip(u, 0.0, 1.0)
+    return ((c * amplitude) * (1.0 - c)) * d_w + u
+
+
 def each_passes(monkeypatch):
     """Iterate twice: kernels built in the first pass run the compiled
     rounds, in the second their numpy form in ``oracles``, which must then
@@ -536,9 +542,9 @@ def test_newton_tolerance_closes_a_row_whose_residual_equals_it(monkeypatch):
     mass = solver.mass_diag
     assert mass.min() == 0.25
     start, d_w = np.linspace(-0.5, 1.5, 16), np.array([[0.3]])
-    guess, noisy = np.tile(start, (1, 1, 1)), np.empty((1, 1, 16))
-    bind(solver, guess, noisy, np.array([amplitude]), eps / (eps + solver.tau))(d_w.T)(0, 1)
-    v, w = guess[0], noisy[0]
+    guess = np.tile(start, (1, 1, 1))
+    bind(solver, guess, np.array([amplitude]), eps / (eps + solver.tau))(d_w.T)(0, 1)
+    v, w = guess[0], noise(start, amplitude, 0.3)
     residual = (scheme.band_product(solver.band, v)
                 + solver.tau * mass * ((v - np.clip(v, 0.0, 1.0)) / eps)) - mass * w
     r = np.max(np.abs(residual))
@@ -554,9 +560,12 @@ def test_newton_failure_is_the_earliest_failing_round_of_every_amplitude(monkeyp
     # Two Newton iterations allowed.  Stepped alone over 8 rounds, a = 12
     # fails in round 5, a = 7 and a = 3 in round 3 with smaller residuals,
     # a = 1 never.  Stacked in that order in one call, whose compiled rounds
-    # take each amplitude through all its rounds in turn, the failure is
-    # round 3's, its residual the larger of a = 7's and a = 3's, on both
-    # routes.
+    # take each group of rows through all its rounds in turn, the failure
+    # is round 3's, its residual the larger of a = 7's and a = 3's, on both
+    # routes.  So too within one amplitude: at a = 12, nine paths, the
+    # first lane group the two rows four times over, whose row 0 fails in
+    # round 5, and the second row 1 with the increments that give it its
+    # noise at a = 7, which fails in round 3 with a smaller residual.
     monkeypatch.setattr(scheme, "NEWTON_MAX_ITER", 2)
     solver = solver_on(3, 16)
     rng = np.random.default_rng(51)
@@ -564,9 +573,10 @@ def test_newton_failure_is_the_earliest_failing_round_of_every_amplitude(monkeyp
     d_w = rng.standard_normal((2, 8)) * 0.5
     amplitudes = (12.0, 7.0, 1.0, 3.0)
 
-    def failure(amplitudes):
+    def failure(amplitudes, start, d_w):
         """(round, residual) of the NumericalFailure of stepping all 8 rounds, or None."""
-        kernel = StepKernel("coupled", amplitudes, EpsilonSchedule.fixed(0.05), solver, 2)
+        kernel = StepKernel("coupled", amplitudes, EpsilonSchedule.fixed(0.05), solver,
+                            len(start))
         n = 0
         try:
             for n, _ in kernel.run(start, d_w):
@@ -576,24 +586,31 @@ def test_newton_failure_is_the_earliest_failing_round_of_every_amplitude(monkeyp
             return n + 1, exc.residual
         return None
 
-    alone = {amplitude: failure((amplitude,)) for amplitude in amplitudes}
+    alone = {amplitude: failure((amplitude,), start, d_w) for amplitude in amplitudes}
     assert alone[1.0] is None and alone[12.0][0] == 5 and alone[7.0][0] == alone[3.0][0] == 3
     assert alone[12.0][1] > alone[7.0][1] > alone[3.0][1]
+    rows = np.vstack([*[start] * 4, start[1]])
+    rows_d_w = np.vstack([*[d_w] * 4, d_w[1] * (7 / 12)])
+    groups = failure((12.0,), rows[:8], rows_d_w[:8]), failure((12.0,), rows[8:], rows_d_w[8:])
+    assert groups[0] == alone[12.0] and groups[1][0] == 3 and groups[1][1] < groups[0][1]
     for _ in each_passes(monkeypatch):
-        kernel = StepKernel("coupled", amplitudes, EpsilonSchedule.fixed(0.05), solver, 2)
-        with pytest.raises(NumericalFailure, match="did not converge in 2 iterations") as failed:
-            next(kernel.run(start, d_w, at=(8,)))
-        assert failed.value.residual == alone[7.0][1]
+        for amplitudes, start, d_w, expected in ((amplitudes, start, d_w, alone[7.0]),
+                                                 ((12.0,), rows, rows_d_w, groups[1])):
+            kernel = StepKernel("coupled", amplitudes, EpsilonSchedule.fixed(0.05), solver,
+                                len(start))
+            with pytest.raises(NumericalFailure, match="did not converge in 2") as failed:
+                next(kernel.run(start, d_w, at=(8,)))
+            assert failed.value.residual == expected[1]
 
 
 def newton_solves(solver, rows):
     """The solves of the Newton iteration of a coupled step from each row alone, with a zero
     increment and eps = 0.05: calls of the oracle's ``solve_with_diagonal``."""
     eps = 0.05
-    u, w = rows[None].copy(), np.empty((1, *rows.shape))
-    bind(solver, u, w, np.zeros(1), eps / (eps + solver.tau))(np.zeros((1, len(rows))))(0, 1)
+    u = rows[None].copy()
+    bind(solver, u, np.zeros(1), eps / (eps + solver.tau))(np.zeros((1, len(rows))))(0, 1)
     solves = []
-    for v, noisy in zip(u[0], w[0]):
+    for v, noisy in zip(u[0], noise(rows, 0.0, 0.0)):
         calls = []
         with mock.patch.object(oracles, "solve_with_diagonal",
                                lambda *args: calls.append(1) or solve_with_diagonal(*args)):
@@ -623,7 +640,7 @@ def lane_rows(L, kinds):
 @pytest.mark.parametrize("L", [4, 9])
 @pytest.mark.parametrize("rows", [1, 7, 8, 9, 17])
 def test_newton_lane_groups_match_numpy_bitwise(monkeypatch, L, rows):
-    # The compiled Newton iteration takes a tile's rows eight at a time, one
+    # The compiled Newton iteration takes a stack's rows eight at a time, one
     # a vector lane, each lane stopping at its own convergence: 1, 7, 8, 9
     # and 17 rows (a partial group, a full one, a full one and one row, two
     # and one row) whose first coupled step takes 0, 1 and >= 2 solves in
@@ -647,9 +664,9 @@ def test_a_row_at_the_iteration_cap_fails_its_lane_group_alike_on_both_routes(mo
     # Two Newton iterations allowed: rows of 0 and 1 solves converge, and
     # row 3 of nine, which takes two or more, fails inside the full group of
     # eight whose other rows converge, beside a partial group of one.  At two
-    # amplitudes, whose tiles both fail in round 1, both routes raise the
+    # amplitudes, whose rows both fail in round 1, both routes raise the
     # failure of that round, the oracle's residual: the largest over the
-    # failed rows of both tiles.
+    # failed rows of both amplitudes.
     solver = solver_on(L, 16)
     start = lane_rows(L, [0, 1, 0, 2, 1, 0, 1, 0, 1])
     monkeypatch.setattr(scheme, "NEWTON_MAX_ITER", 2)
@@ -680,14 +697,16 @@ def chunked_yields(kernels, start, chunks, at=None):
     return got
 
 
-@pytest.mark.parametrize("L", [3, 9])
+@pytest.mark.parametrize("L", [3, 5, 8, 9])
 @pytest.mark.parametrize("variant", ["splitting", "heat", "coupled"])
 def test_ragged_stack_compiled_matches_numpy_bitwise(monkeypatch, L, variant):
     # Three step sizes by two amplitudes, one kernel per step size, each
     # taking its own number of steps in a chunk, as in run_block: 7, 3 and
     # 5 in the first chunk, 6, 6 and none in the second, which resumes from
     # each kernel's buffer.  Every yield of the compiled passes equals their
-    # numpy form byte for byte.
+    # numpy form byte for byte.  The dense product sums 16 columns at a
+    # time, then the columns left one by one: d = 9 is nine of them, d = 25
+    # one block and nine, d = 64 four blocks; d = 81 is banded.
     solvers = [solver_on(L, n) for n in (40, 24, 16)]
     rng = np.random.default_rng(L)
     start = rng.uniform(-0.6, 1.6, (5, L * L))
@@ -730,9 +749,10 @@ def test_one_call_rounds_match_rounds_one_by_one_and_numpy_bitwise(monkeypatch, 
     # a lone row, which the NaN would fill, and in a coupled run; a second
     # row of -0.0 whose first increment is positive, so its noisy row is
     # -0.0.  The rounds in one call, the same rounds one call per round
-    # (every step yielded) and their numpy form yield the same bytes.  Each
-    # path takes the product's one-row tile, one cell one column;
-    # a coupled run of one path is the shape of ``acfv validate``'s kernels.
+    # (every step yielded) and their numpy form yield the same bytes.  Six
+    # paths fill six lanes of a group and one path one lane, one cell one
+    # column of the product; a coupled run of one path is the shape of
+    # ``acfv validate``'s kernels.
     d = L * L
     solvers = [solver_on(L, n) for n in (40, 24, 16)]
     amplitudes = (0.0, 2.0, 9.0) if d <= DENSE_LIMIT else (2.0, 9.0)
@@ -764,13 +784,41 @@ def test_one_call_rounds_match_rounds_one_by_one_and_numpy_bitwise(monkeypatch, 
                                                    (0, 17), (1, 9), (1, 13)]
 
 
+@pytest.mark.parametrize("L", [4, 9])
+@pytest.mark.parametrize("variant", ["splitting", "heat", "coupled"])
+def test_rows_of_every_magnitude_match_numpy_bitwise(monkeypatch, L, variant):
+    # The compiled rounds group the rows into lanes by the exponent of
+    # their largest cell, so that rows sinking toward the subnormal range
+    # share their groups: rows of ordinary size interleaved with rows scaled
+    # to 1e-200, 1e-300 and 1e-310 (subnormal), zeros, -0.0 and, but in a
+    # coupled run, 1e100 and rows with a NaN or an inf cell.  Four rounds
+    # in one call at two amplitudes, on a dense (L = 4) and a banded (L = 9)
+    # solver, equal the numpy form's bytes.
+    d = L * L
+    scales = [1.0, 1e-300, 1e-310, 1e-200, 0.0, 1.0, 1e-310, 1.0, 1e-300]
+    if variant != "coupled":
+        scales += [1e100, 1.0, 1.0]
+    rng = np.random.default_rng(L)
+    start = rng.uniform(-0.6, 1.6, (len(scales), d)) * np.array(scales)[:, None]
+    start[7] = -0.0
+    if variant != "coupled":
+        start[-2, 0], start[-1, 0] = np.nan, np.inf
+    d_w = rng.standard_normal((len(scales), 4)) * 0.3
+    got = []
+    for _ in each_passes(monkeypatch):
+        kernel = StepKernel(variant, (2.0, 9.0), EpsilonSchedule.fixed(0.05), solver_on(L, 16),
+                            len(scales))
+        got.append([state.tobytes() for _, state in kernel.run(start, d_w, at=(2, 4))])
+    assert got[0] == got[1]
+
+
 def test_resolvent_clip_serves_the_next_noise_bitwise():
-    # In one call the compiled rounds take round 0's resolvent and round
-    # 1's noise in one pass, on the clip of the resolvent's input; called
-    # round by round, their numpy form clips the resolvent's output again.
+    # Called for two rounds at once, the numpy form takes round 1's noise on
+    # the clip of round 0's resolvent input; called round by round, it clips
+    # the resolvent's output again, as the compiled rounds do in every round.
     # The banded product keeps a row of -0.0 (zero increments) at -0.0,
     # where the two clips differ (-0.0 in, +0.0 out); those cells and the
-    # other edge cells give the same bytes.
+    # other edge cells give the same states on all three.
     solver = solver_on(9, 16)
     rng = np.random.default_rng(5)
     u = rng.uniform(-0.6, 1.6, (2, 3, 81))
@@ -780,13 +828,13 @@ def test_resolvent_clip_serves_the_next_noise_bitwise():
     d_w[:, 2] = 0.0
     assert np.signbit(solver.apply_markov(u[:, 2])).any()  # a -0.0 into the resolvent
     args = (np.array([0.0, 7.0]), 0.25)
-    compiled, noisy = u.copy(), np.empty_like(u)
-    scheme._bind(solver, compiled, noisy, *args)(d_w)(0, 2)
-    state, numpy_noisy = u.copy(), np.empty_like(u)
-    rounds = bind(solver, state, numpy_noisy, *args)(d_w)
+    compiled, one_call, by_round = u.copy(), u.copy(), u.copy()
+    scheme._bind(solver, compiled, *args)(d_w)(0, 2)
+    bind(solver, one_call, *args)(d_w)(0, 2)
+    rounds = bind(solver, by_round, *args)(d_w)
     rounds(0, 1)
     rounds(1, 2)
-    assert (compiled.tobytes(), noisy.tobytes()) == (state.tobytes(), numpy_noisy.tobytes())
+    assert compiled.tobytes() == one_call.tobytes() == by_round.tobytes()
 
 
 def test_kernel_stack_shapes_and_round_yields():
