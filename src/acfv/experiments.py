@@ -142,9 +142,15 @@ class StudyConfig:
         if not 1 <= n_fine <= MAX_FINE_STEPS:
             raise ConfigError(f"N_max must be in 1..{MAX_FINE_STEPS}, the longest path "
                               f"whose sums stay exact, got {n_fine}")
-        for n in (*self.n_steps_list, *(() if self.n_steps is None else (self.n_steps,))):
+        for n in (n_fine, *self.n_steps_list, *(() if self.n_steps is None else (self.n_steps,))):
             if n < 1 or n_fine % n:
                 raise ConfigError(f"step count {n} must divide N_max={n_fine}")
+            try:  # tau = T/n and its eps, at N_max and at each step count
+                if not self.horizon / n > 0:
+                    raise ValueError("the step size T/N is 0")
+                self.epsilon.value(self.horizon / n)
+            except ValueError as exc:
+                raise ConfigError(f"{exc} at N={n}") from exc
         for key, values, what in (("N_list", self.n_steps_list, "step count"),
                                   ("checkpoints", self.checkpoints, "checkpoint"),
                                   ("a", self.amplitudes, "amplitude")):
@@ -155,10 +161,6 @@ class StudyConfig:
             for n in self.checkpoints:
                 if not 1 <= n <= self.n_steps:
                     raise ConfigError(f"checkpoint {n} outside 1..{self.n_steps}")
-        try:
-            self.epsilon.value(self.horizon / n_fine)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         return self
 
 

@@ -102,20 +102,20 @@ class ShiftedSolver:
         maps nonnegative fields to nonnegative fields and conserves the
         mass-weighted total.
         """
-        return self._call(x, self.mass_diag)
+        return self._call(x, mass=True)
 
-    def _call(self, x, mass=None):
-        """The compiled solve for x (times ``mass``), or with ``mass`` on a dense solver the
-        product of x with ``markov_t``."""
+    def _call(self, x, mass=False):
+        """The compiled solve for x, or with ``mass`` for x times the mass, which a dense
+        solver takes as the product of x with ``markov_t``."""
         x = np.ascontiguousarray(x, dtype=float)
         if x.ndim not in (1, 2) or x.shape[-1] != self.n:
             raise ValueError(f"right-hand side must be a field or a stack of {self.n} cells")
         y, lib, rows = np.empty(x.shape), compiled_library(), x.size // self.n
-        if mass is not None and self.markov_t is not None:
+        if mass and self.markov_t is not None:
             lib.acfv_product(_pointer(y), _pointer(x), _pointer(self.markov_t), rows, self.n,
                              _pointer(np.empty(8 * (2 * self.n + 1))))
         else:
-            lib.acfv_band_solve(_pointer(y), _pointer(x), mass if mass is None else _pointer(mass),
+            lib.acfv_band_solve(_pointer(y), _pointer(x * self.mass_diag if mass else x),
                                 _pointer(self.factor), rows, self.n, self.band.shape[1] - 1,
                                 _pointer(np.empty(8 * (self.n + 1))))
         return y

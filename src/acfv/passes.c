@@ -57,15 +57,15 @@ typedef double lanes __attribute__((vector_size(64)));
 typedef int64_t mask __attribute__((vector_size(64)));
 #define LANES 8
 
-/* Vector code for the host's widest unit, picked when the library loads,
- * with the helpers inlined into each clone; IEEE operations lane by lane,
- * so every clone gives the same bytes.  Defined on the command line, CLONES
- * builds one copy instead: -DCLONES= the plain one, as the tests build it
- * to compare the clones' bytes. */
+/* The hot entries, the rounds and the increments, as AVX-512 code where the
+ * host has it, picked at load, else plain x86-64, the helpers inlined into
+ * each; IEEE operations lane by lane, so both give the same bytes.  Defined
+ * on the command line, CLONES builds one copy instead: -DCLONES= the plain
+ * one, as the tests build it to compare the clones' bytes. */
 #ifndef CLONES
 #if defined(__x86_64__) && defined(__linux__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
-#define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#define CLONES __attribute__((target_clones("avx512f", "default")))
 #endif
 #endif
 #endif
@@ -100,18 +100,15 @@ INLINE lanes *aligned(double *scratch)
     return (lanes *)(((uintptr_t)scratch + 63) & ~(uintptr_t)63);
 }
 
-/* The n <= LANES rows of d cells at x into the lanes buf[0..d-1], row l
- * at x + rows[l] d, or at x + l d if rows is NULL, times scale[c] in cell c
- * unless scale is NULL; zeros in the lanes past n. */
+/* The n <= LANES rows of d cells at x into the lanes buf[0..d-1], row l at
+ * x + rows[l] d, or at x + l d if rows is NULL; zeros in the lanes past n. */
 INLINE void gather(lanes *restrict buf, const double *restrict x, const ptrdiff_t *rows,
-                   const double *scale, ptrdiff_t n, ptrdiff_t d)
+                   ptrdiff_t n, ptrdiff_t d)
 {
     for (ptrdiff_t c = 0; c < d; c++) {
         lanes v = {0.0};
-        for (ptrdiff_t l = 0; l < n; l++) {
-            const double e = x[(rows ? rows[l] : l) * d + c];
-            v[l] = scale ? e * scale[c] : e;
-        }
+        for (ptrdiff_t l = 0; l < n; l++)
+            v[l] = x[(rows ? rows[l] : l) * d + c];
         buf[c] = v;
     }
 }
@@ -263,17 +260,17 @@ int acfv_band_factor(double *f, int d, int u, double *scratch)
     return (int)info[0];
 }
 
-/* y = A^-1 (x scale) for the rows of d cells at x (row r at x + r d) into
- * y, which may be x, with scale NULL for x alone; A = U^T U with U the
- * factor of acfv_band_factor.  Up to LANES rows at a time, one a lane,
- * interleaved in the scratch of LANES (d + 1) doubles, by solve. */
-CLONES void acfv_band_solve(double *y, const double *x, const double *scale, const double *f,
-                            int rows, int d, int u, double *scratch)
+/* y = A^-1 x for the rows of d cells at x (row r at x + r d) into y, which
+ * may be x; A = U^T U with U the factor of acfv_band_factor.  Up to LANES
+ * rows at a time, one a lane, interleaved in the scratch of LANES (d + 1)
+ * doubles, by solve. */
+void acfv_band_solve(double *y, const double *x, const double *f, int rows, int d, int u,
+                     double *scratch)
 {
     lanes *buf = aligned(scratch);
     for (ptrdiff_t r0 = 0; r0 < rows; r0 += LANES) {
         const ptrdiff_t n = rows - r0 < LANES ? rows - r0 : LANES;
-        gather(buf, x + r0 * d, NULL, scale, n, d);
+        gather(buf, x + r0 * d, NULL, n, d);
         solve(buf, f, 0, d, u);
         scatter(y + r0 * d, NULL, buf, n, d);
     }
@@ -282,13 +279,13 @@ CLONES void acfv_band_solve(double *y, const double *x, const double *scale, con
 /* y = x op for the rows of d cells at x (row r at x + r d), op the d x d
  * row-major matrix, as product takes it: up to LANES rows at a time,
  * interleaved in the scratch of LANES (2 d + 1) doubles. */
-CLONES void acfv_product(double *y, const double *x, const double *op, int rows, int d,
-                         double *scratch)
+void acfv_product(double *y, const double *x, const double *op, int rows, int d,
+                  double *scratch)
 {
     lanes *in = aligned(scratch), *out = in + d;
     for (ptrdiff_t r0 = 0; r0 < rows; r0 += LANES) {
         const ptrdiff_t n = rows - r0 < LANES ? rows - r0 : LANES;
-        gather(in, x + r0 * d, NULL, NULL, n, d);
+        gather(in, x + r0 * d, NULL, n, d);
         product(out, in, op, d);
         scatter(y + r0 * d, NULL, out, n, d);
     }
@@ -445,7 +442,7 @@ CLONES int acfv_rounds(struct run *r, const double *dw, int dw_j, int dw_p, int 
         for (ptrdiff_t p = 0; p < paths; p += LANES) {
             const ptrdiff_t n = paths - p < LANES ? paths - p : LANES, *rows = order + p;
             for (int q = !r->beside; q < 2; q++)
-                gather(x[q], runs[q]->u + base, rows, NULL, n, d);
+                gather(x[q], runs[q]->u + base, rows, n, d);
             for (ptrdiff_t j = j0; j < stop; j++) {
                 lanes dW = {0.0};
                 for (ptrdiff_t l = 0; l < n; l++)
@@ -486,7 +483,7 @@ void acfv_band_product(double *y, const double *x, const double *band, int rows,
     lanes *in = aligned(scratch), *out = in + cells;
     for (ptrdiff_t r0 = 0; r0 < rows; r0 += LANES) {
         const ptrdiff_t n = rows - r0 < LANES ? rows - r0 : LANES;
-        gather(in, x + r0 * cells, NULL, NULL, n, cells);
+        gather(in, x + r0 * cells, NULL, n, cells);
         band_rows(out, in, band, cells, half_width);
         scatter(y + r0 * cells, NULL, out, n, cells);
     }
@@ -600,7 +597,7 @@ INLINE void ndtri_block(double *restrict z, const double *restrict y, ptrdiff_t 
 }
 
 /* x[i] = ndtri(x[i]) for i < n, as scipy.special.ndtri(x, out=x). */
-CLONES void acfv_ndtri(double *x, ptrdiff_t n)
+void acfv_ndtri(double *x, ptrdiff_t n)
 {
     double y[SAMPLES];
     for (ptrdiff_t lo = 0; lo < n; lo += SAMPLES) {

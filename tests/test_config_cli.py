@@ -549,14 +549,21 @@ def test_failed_command_writes_nothing(tmp_path, command, keys):
      "'eps_c' must be positive and finite"),
     ("expectation", "N = 8\nN_p = 2\na = 1\neps_rule = power\neps_c = 0.1\neps_p = nan\n",
      "'eps_p' must be finite"),
+    ("convergence", "T = 2e8\nN_max = 4\nN_list = 1,2\nN_p = 1\na = 1\neps_rule = power\n"
+     "eps_c = 0.1\neps_p = -40\n", "epsilon schedule produced invalid value 0.0 at N=1"),
+    ("expectation", "T = 1e-320\nN = 100000\nN_max = 100000\na = 1\neps_rule = fixed\n"
+     "eps_c = 0.1\n", "the step size T/N is 0 at N=100000"),
 ], ids=["expectation-N-0", "simulate-N-0", "a-nan", "domain_half_width-nan",
         "domain_half_width-cell-area-underflows", "domain_half_width-cell-area-overflows",
-        "T-nan-fixed-eps", "eps_c-nan", "eps_p-nan"])
+        "T-nan-fixed-eps", "eps_c-nan", "eps_p-nan", "eps-underflows-at-coarse-N",
+        "step-size-underflows"])
 def test_values_that_cannot_run_are_configuration_errors(tmp_path, capsys, command, keys,
                                                          message):
     # N = 0 is a step count, not an unset N; NaN fails every range check.
     # At L = 2 a half width of 1e-200 gives a cell area of 0 (every study
-    # value would read 0) and one of 1e200 an infinite one.
+    # value would read 0) and one of 1e200 an infinite one.  A power-rule eps
+    # that is positive at N_max may underflow at a coarser step count, and
+    # a tiny T makes a step size of 0.
     cfg = tmp_path / "run.cfg"
     cfg.write_text("L = 2\n" + keys)
     out = tmp_path / "o"

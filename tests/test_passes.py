@@ -82,16 +82,6 @@ def test_changed_source_or_flags_builds_a_new_library(tmp_path):
     assert sorted(cache.iterdir()) == sorted([lib, changed, flagged])
 
 
-def cpu_flags():
-    """The flags of the first CPU in /proc/cpuinfo, none where it cannot be read."""
-    try:
-        lines = Path("/proc/cpuinfo").read_text().splitlines()
-    except OSError:
-        return set()
-    return next((set(line.split(":", 1)[1].split()) for line in lines
-                 if line.startswith("flags")), set())
-
-
 def stage_bytes():
     """The states of three splitting and coupled steps of 9 paths (a full group of
     eight lanes and one row), dense (L = 4) and banded (L = 9), and 9 paths' increments."""
@@ -106,16 +96,13 @@ def stage_bytes():
     return out + [sample_increment_block(0, range(9), 1.0, 64).tobytes()]
 
 
-@pytest.mark.parametrize("clone", ["default", "avx2"])
-def test_every_clone_gives_the_bytes_of_the_host_library(monkeypatch, clone):
-    # The library picks the clone of the host's widest vector unit, so the
-    # others never run here: built alone by a CLONES defined on the command
-    # line, plain x86-64 and (where the CPU has it) AVX2 code steps, solves
-    # and samples to the bytes of the host's clone.
-    if clone == "avx2" and "avx2" not in cpu_flags():
-        pytest.skip("the CPU has no AVX2")
+@pytest.mark.parametrize("define", ["-DCLONES="], ids=["default"])
+def test_every_clone_gives_the_bytes_of_the_host_library(monkeypatch, define):
+    # The library picks the AVX-512 clone where the host has it, so the
+    # plain one may never run here: built alone by a CLONES defined on the
+    # command line, plain x86-64 code steps, solves and samples to the bytes
+    # of the host's clone.
     host, host_library = stage_bytes(), scheme.compiled_library()
-    define = "-DCLONES=" if clone == "default" else '-DCLONES=__attribute__((target("avx2")))'
     scheme.compiled_library.cache_clear()
     try:
         with monkeypatch.context() as patched:
