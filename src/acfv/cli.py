@@ -125,8 +125,8 @@ def cmd_simulate(config: StudyConfig) -> int:
     if n_fine % n_steps:
         raise ConfigError(f"N={n_steps} must divide the {n_fine} fine increments")
     # Path 0 runs as a one-row block.
-    _, u0, runs = run_block(config, None, path, {n_steps: None}, (config.variant,))
-    states = [u0] + [state[0].copy() for _, _, _, (state,) in runs]
+    _, u0, runs = run_block(config, None, path, {n_steps: None}, config.variant)
+    states = [u0] + [state[0].copy() for _, _, _, state in runs]
     target, = _prepare_out("simulate", config, {
         "trajectory.csv": partial(write_states_csv, states=states, first_step=0)})
     print(f"wrote {target} ({n_steps} steps, variant {config.variant}, "

@@ -22,16 +22,16 @@ solver per step count and streams the block through time in chunks of
 CHUNK fine steps.  Each chunk is sampled once, summed into the coarse
 increments of every step count (differences of the running path sum,
 see ``stochastic.coarse_chunks``) and stepped at every amplitude and step
-count on those shared paths, one stack per step count and variant.  The
+count on those shared paths, one stack per step count.  The
 chunk and its coarse increments are buffers made once per block, so what
 a block holds does not grow with the path length.
 ``simulate`` and the benchmark tables run their single path through the
 same runner as a one-row block.  Only the steps a study
 reads (convergence: the last, expectation: the checkpoints) leave its
 step loop, and every number it reduces them to is checked to be finite.
-The gap study reads no step: its coupled kernels step the splitting ones
-beside them in the compiled rounds, which write each path's gap after
-every step, so each chunk of a step count is one call that yields
+The gap study reads no step: its coupled kernels step their splitting
+twins beside them in the compiled rounds, which write each path's gap
+after every step, so each chunk of a step count is one call that yields
 nothing.  The block size is a constant, deliberately not
 tied to the worker count: block results come back in path order and
 are reduced in that order, so a study result is bit-identical no matter
@@ -208,7 +208,7 @@ def _map_blocks(fn, config: StudyConfig, args, workers):
         return [future.result() for future in futures]
 
 
-def run_block(config: StudyConfig, initial_state, paths, at, variants, gaps=None):
+def run_block(config: StudyConfig, initial_state, paths, at, variant, gaps=None):
     """Run a block of paths at every amplitude and step count N of ``at``.
 
     ``paths`` is a range of path indices, whose fine increments are
@@ -218,26 +218,25 @@ def run_block(config: StudyConfig, initial_state, paths, at, variants, gaps=None
     count.  ``at[N]`` names the steps whose states the caller reads (None:
     every step).  The mesh, the start field and the operators are built
     once.  Returns the mesh, the start field and a generator over the
-    runs: it builds one ShiftedSolver per N and one StepKernel per (N,
-    variant), which steps the (A, p, d) stack of every amplitude (index k
+    runs: it builds one ShiftedSolver and one StepKernel of ``variant``
+    per N, which steps the (A, p, d) stack of every amplitude (index k
     into ``config.amplitudes``) from the start field, broadcast into it by
     the kernel's first run.  Chunk by chunk, N by N (by decreasing N),
-    the kernels of N take the steps of N that end in the chunk and resume
-    from their own output in the next chunk.  The generator yields
-    (k, N, n, states) after each named step n, one (p, d) view into each
-    variant's stack: steps come in order for each (k, N), and within a
-    chunk all of one N's come before the next N's.  The views are kernel
-    buffers (see ``StepKernel.run``); the last one yielded for a (k, N)
-    stays valid, as no later step of that N overwrites it.  After the last
-    chunk, each (k, N)'s final states are checked to be finite.  A
-    non-finite default start field, or an M + tau A that does not factor,
-    raises NumericalFailure before any step.
+    the kernel of N takes the steps of N that end in the chunk and resumes
+    from its own output in the next chunk.  The generator yields
+    (k, N, n, state) after each named step n, a (p, d) view into the
+    stack: steps come in order for each (k, N), and within a chunk all of
+    one N's come before the next N's.  The views are kernel buffers (see
+    ``StepKernel.run``); the last one yielded for a (k, N) stays valid, as
+    no later step of that N overwrites it.  After the last chunk, each
+    (k, N)'s final states are checked to be finite.  A non-finite default
+    start field, or an M + tau A that does not factor, raises
+    NumericalFailure before any step.
 
-    ``gaps``, with ``variants`` ("splitting", "coupled"), maps each N to an
-    (A, p, N) array: the coupled kernel of N then steps the splitting one
-    beside it (see ``StepKernel``), which takes no call of its own, and
-    writes the gap of each path after each step into it; the yields carry
-    the coupled states alone.
+    ``gaps``, with ``variant`` "coupled", maps each N to an (A, p, N)
+    array: the kernel of N then steps its splitting twin beside itself
+    (see ``StepKernel``) and writes the gap of each path after each step
+    into it; the twin's final states are checked to be finite too.
     """
     mesh = build_uniform_mesh(config.cells_per_axis, config.half_width)
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
@@ -263,25 +262,22 @@ def run_block(config: StudyConfig, initial_state, paths, at, variants, gaps=None
             except np.linalg.LinAlgError as exc:
                 raise NumericalFailure(f"M + tau A does not factor at tau="
                                        f"{config.horizon / n:g}, N={n}: {exc}") from exc
-            kernels[n] = []
-            for variant in variants:
-                beside = (kernels[n][0], gaps[n]) if gaps and variant == "coupled" else None
-                kernels[n].append(StepKernel(variant, config.amplitudes, config.epsilon, solver,
-                                             len(paths), beside))
+            kernels[n] = StepKernel(variant, config.amplitudes, config.epsilon, solver,
+                                    len(paths), None if gaps is None else gaps[n])
         taken = dict.fromkeys(order, 0)
         for coarse in coarse_chunks(chunks, n_fine, order):
             for n, incs in coarse.items():
-                stepped = kernels[n][1:] if gaps else kernels[n]
-                # strict: every kernel runs to the chunk's end, past its last named step
-                for steps in zip(*(kernel.run(kernel.out if taken[n] else u0, incs, at[n],
-                                              taken[n] + 1) for kernel in stepped),
-                                 strict=True):
+                kernel = kernels[n]
+                for step, states in kernel.run(kernel.out if taken[n] else u0, incs, at[n],
+                                               taken[n] + 1):
                     for k in range(len(config.amplitudes)):
-                        yield k, n, steps[0][0], [states[k] for _, states in steps]
+                        yield k, n, step, states[k]
                 taken[n] += incs.shape[1]
         for n_steps in at:
+            kernel = kernels[n_steps]
             for k, amplitude in enumerate(config.amplitudes):
-                require_finite(np.hstack([kernel.out[k] for kernel in kernels[n_steps]]),
+                require_finite(kernel.out[k] if kernel.twin is None
+                               else np.hstack([kernel.twin[k], kernel.out[k]]),
                                amplitude, n_steps, lo)
 
     return mesh, u0, runs()
@@ -310,9 +306,8 @@ class ExpectationResult:
 def _expectation_block(config: StudyConfig, lo, hi):
     """Initial mean, and per (amplitude, checkpoint) the cell sums over the block's paths."""
     cps = config.checkpoints or (config.n_steps,)
-    _, u0, runs = run_block(config, None, range(lo, hi), {config.n_steps: cps},
-                            (config.variant,))
-    sums = {(k, n): state.sum(axis=0) for k, _, n, (state,) in runs}
+    _, u0, runs = run_block(config, None, range(lo, hi), {config.n_steps: cps}, config.variant)
+    sums = {(k, n): state.sum(axis=0) for k, _, n, state in runs}
     return float(u0.mean()), np.array([[sums[k, n] for n in cps]
                                        for k in range(len(config.amplitudes))])
 
@@ -353,8 +348,8 @@ def _error_block(config: StudyConfig, n_list, initial_state, lo, hi):
     n_fine = config.resolved_n_fine()
     # N_max runs once, also when n_list holds it (its error is then zero).
     mesh, _, runs = run_block(config, initial_state, range(lo, hi),
-                              {n: (n,) for n in (n_fine, *n_list)}, (config.variant,))
-    final = {(k, n_steps): state for k, n_steps, _, (state,) in runs}
+                              {n: (n,) for n in (n_fine, *n_list)}, config.variant)
+    final = {(k, n_steps): state for k, n_steps, _, state in runs}
     errors = {}
     for (k, n_steps), state in final.items():
         diff = final[k, n_fine] - state
@@ -445,7 +440,7 @@ def _splitting_gap_block(config: StudyConfig, n_list, initial_state, lo, hi):
     """
     gaps = {n_steps: np.empty((1, hi - lo, n_steps)) for n_steps in n_list}
     _, _, runs = run_block(config, initial_state, range(lo, hi), dict.fromkeys(n_list, ()),
-                           ("splitting", "coupled"), gaps)
+                           "coupled", gaps)
     for _ in runs:  # the final states' finite check
         pass
     return {n_steps: gap[0] for n_steps, gap in gaps.items()}

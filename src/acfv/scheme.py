@@ -24,7 +24,7 @@ solver into a per-user cache), which takes each amplitude's paths eight
 at a time, one row a vector lane, through every round of a call; a
 coupled round then runs the semismooth Newton iteration on the same
 lanes, each solve by the band Cholesky factor and solve of its Jacobian.
-A coupled kernel may step a splitting kernel of its stack beside itself,
+A coupled kernel may step a splitting twin of its own stack beside itself,
 round by round, and write the gap between the two after every step (the
 splitting-error study).  Their numpy form, the tests' byte oracle, is in
 ``tests/oracles.py``.  Every run steps from one yield to the next in one
@@ -130,16 +130,15 @@ class StepKernel:
     rounds (see ``_bind``) make the same IEEE operations, so every run
     equals those formulas bit for bit, as if it were stepped alone.
 
-    ``beside`` pairs a coupled kernel with a splitting one: (kernel, gaps),
-    a splitting kernel of the same (A, p, d) stack and an (A, p, N) float
-    array.  Each round of this kernel's runs then steps that kernel first,
-    on the same increments, which takes no call of its own, and writes
-    gaps[k, i, n - 1], the largest |coupled - splitting| over the cells of
-    path i at amplitude k after step n.
+    ``gaps``, an (A, p, N) float array, gives a coupled kernel a splitting
+    twin: ``twin``, a buffer shaped as ``out`` that each round steps first,
+    on the same increments, as a splitting kernel of the same stack would,
+    before it writes gaps[k, i, n - 1], the largest |coupled - splitting|
+    over the cells of path i at amplitude k after step n.
     """
 
     def __init__(self, variant, amplitudes, epsilon: EpsilonSchedule, solver, paths,
-                 beside=None):
+                 gaps=None):
         self._amplitude = np.array(amplitudes, dtype=float)
         if self._amplitude.ndim != 1 or not (self._amplitude >= 0).all():
             raise ValueError("amplitude must be >= 0")
@@ -147,18 +146,15 @@ class StepKernel:
         self.tau, self.eps = solver.tau, epsilon.value(solver.tau)
         kappa = None if variant == "heat" else self.eps / (self.eps + self.tau)
         shape = (len(self._amplitude), paths, solver.n)
-        self.out = np.empty(shape)
-        if beside is not None:
-            partner, gaps = beside
-            if (variant != "coupled" or partner.variant != "splitting"
-                    or partner.out.shape != shape or gaps.dtype != float
+        self.out, self.twin, self._gaps = np.empty(shape), None, gaps
+        if gaps is not None:
+            if (variant != "coupled" or gaps.dtype != float or gaps.ndim != 3
                     or gaps.shape[:2] != shape[:2] or gaps.strides[2] != gaps.itemsize):
-                raise ValueError("a coupled kernel steps a splitting kernel of its own stack "
-                                 "beside itself, into an (A, p, N) float array of gaps")
-        self._beside = beside
+                raise ValueError("a coupled kernel writes the gaps to its splitting twin "
+                                 "into an (A, p, N) float array")
+            self.twin = np.empty(shape)
         self._rounds = _bind(solver, self.out, self._amplitude, kappa,
-                             self.eps if variant == "coupled" else None,
-                             None if beside is None else beside[0])
+                             self.eps if variant == "coupled" else None, self.twin)
 
     def run(self, u0, increments, at=None, first=1):
         """Step u0 once per increment column; yield (n, out) after each step n in ``at``.
@@ -167,27 +163,26 @@ class StepKernel:
         first + 1, ... as columns read in place (k may be 0); ``at`` names
         the steps to yield after (None: every step).  Every amplitude takes
         the same increments.  ``u0``, broadcast to ``out``, is copied into
-        it, and into a paired splitting kernel's ``out``, unless it is
-        ``out``.  A yielded state is read-only to the caller
-        and valid until the generator resumes (the last one until the
-        kernel runs again).  ``run(kernel.out, more, at, first=n + 1)``
-        resumes a run after its step n, bit for bit as if it had not
-        stopped.  The rounds from one yield to the next are one call; a
-        coupled row whose Newton iteration does not converge is a
-        NumericalFailure, after which the kernel's states are undefined.
+        it, and into ``twin``, unless it is ``out``.  A yielded state is
+        read-only to the caller and valid until the generator resumes (the
+        last one until the kernel runs again).
+        ``run(kernel.out, more, at, first=n + 1)`` resumes a run after its
+        step n, bit for bit as if it had not stopped.  The rounds from one
+        yield to the next are one call; a coupled row whose Newton iteration
+        does not converge is a NumericalFailure, after which the kernel's
+        states are undefined.
         """
         increments = np.asarray(increments, dtype=float)
         # the compiled rounds read p rows of the block through its strides
         if increments.ndim != 2 or len(increments) != self.out.shape[1]:
             raise ValueError(f"increments must be a block of {self.out.shape[1]} rows")
-        columns = ()  # a pair's gaps from step first on
-        if self._beside is not None:
-            partner, gaps = self._beside
-            if first - 1 + increments.shape[1] > gaps.shape[2]:
-                raise ValueError(f"the gaps hold {gaps.shape[2]} steps")
+        columns = ()  # the gaps from step first on
+        if self.twin is not None:
+            if first - 1 + increments.shape[1] > self._gaps.shape[2]:
+                raise ValueError(f"the gaps hold {self._gaps.shape[2]} steps")
             if u0 is not self.out:
-                np.copyto(partner.out, u0)
-            columns = (gaps[:, :, first - 1:],)
+                np.copyto(self.twin, u0)
+            columns = (self._gaps[:, :, first - 1:],)
         if u0 is not self.out:
             np.copyto(self.out, u0)
         rounds, done = self._rounds(increments.T, *columns), 0
@@ -200,7 +195,7 @@ class StepKernel:
             rounds(done, increments.shape[1])
 
 
-def _bind(solver, u, amplitude, kappa, eps=None, beside=None):
+def _bind(solver, u, amplitude, kappa, eps=None, twin=None):
     """The compiled rounds of a kernel, bound once: ``over(d_w)`` gives ``rounds(j0, j1)``.
 
     ``u`` is the kernel's (A, p, d) state buffer, ``amplitude`` is (A,),
@@ -225,11 +220,11 @@ def _bind(solver, u, amplitude, kappa, eps=None, beside=None):
     is a NumericalFailure with the largest residual of the failed rows of
     its round.
 
-    ``beside``, a splitting kernel of the same stack, pairs a coupled run
-    with that kernel's: ``over(d_w, gaps)`` gives rounds that each step the
-    splitting rows first, then the coupled ones, and then write each row's
-    largest |coupled - splitting| over its cells into column j of the
-    (A, p, rounds) ``gaps`` after round j.
+    ``twin``, a second (A, p, d) buffer, pairs a coupled run with the
+    splitting run of its stack there, bound here too: ``over(d_w, gaps)``
+    gives rounds that each step the splitting rows first, then the coupled
+    ones, and then write each row's largest |coupled - splitting| over its
+    cells into column j of the (A, p, rounds) ``gaps`` after round j.
     """
     lib, d, dense = compiled_library(), solver.n, solver.markov_t is not None
     half = solver.band.shape[1] - 1
@@ -240,13 +235,14 @@ def _bind(solver, u, amplitude, kappa, eps=None, beside=None):
               "op": solver.markov_t if dense else solver.factor,
               "shifted": solver.band if eps is not None else None,
               "scratch": np.empty(2 * u.shape[1] + 8 * (rows + 1))}
+    partner = None if twin is None else _bind(solver, twin, amplitude, kappa).run
     run = _Run(**{name: None if a is None else a.ctypes.data for name, a in arrays.items()},
-               beside=None if beside is None else ctypes.addressof(beside._rounds.run),
+               beside=None if partner is None else ctypes.addressof(partner),
                kappa=0.0 if kappa is None else kappa, tau=solver.tau, eps=eps or 0.0,
                tol=NEWTON_TOL * solver.mass_diag.min(), amps=u.shape[0], paths=u.shape[1],
                cells=d, half=half, iterations=NEWTON_MAX_ITER, resolve=kappa is not None,
                dense=dense)
-    run.arrays, run.partner = arrays, beside  # outlive every call through the pointers
+    run.arrays, run.partner = arrays, partner  # outlive every call through the pointers
     call, bound = lib.acfv_rounds, ctypes.byref(run)
 
     def over(d_w, gaps=None):

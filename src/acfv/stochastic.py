@@ -204,17 +204,28 @@ def load_increments(source) -> np.ndarray:
 
     Blank lines and lines starting with '#' are ignored, so injected
     reference paths can carry comments.  A file that cannot be read or
-    holds no values, or a line that is not a number, is a ConfigError
-    naming the file.
+    holds no values is a ConfigError naming the file, and a line that is
+    not a finite number (``abc``, or ``nan``, ``inf`` and ``1e400``, which
+    a run would step into a non-finite state) one naming the file and the
+    line.
     """
     try:
         with text_stream(source) as lines:
-            values = [float(line) for line in map(str.strip, lines)
-                      if line and not line.startswith("#")]
+            entries = [(number, line) for number, line in enumerate(map(str.strip, lines), 1)
+                       if line and not line.startswith("#")]
     except OSError as exc:
         raise ConfigError(f"increment file {source}: {exc.strerror}") from exc
-    except ValueError as exc:
+    except ValueError as exc:  # not ASCII
         raise ConfigError(f"increment file {source}: {exc}") from exc
-    if not values:
+    if not entries:
         raise ConfigError(f"increment file {source} contains no values")
-    return np.array(values)
+    values = np.empty(len(entries))
+    for i, (number, line) in enumerate(entries):
+        try:
+            values[i] = float(line)
+        except ValueError:
+            values[i] = np.nan
+        if not np.isfinite(values[i]):
+            raise ConfigError(f"increment file {source}, line {number}: {line!r} "
+                              "is not a finite number")
+    return values

@@ -274,23 +274,19 @@ def test_simulate_writes_trajectory(tmp_path):
     assert len(lines) == 1 + 5 * 4  # steps 0..4 on four cells
 
 
-def test_simulate_non_finite_path_exits_numerical(tmp_path):
-    (tmp_path / "paths.csv").write_text("0.1\nnan\n-0.2\n0.3\n")
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("L = 2\nN = 4\na = 5\npath_file = paths.csv\n")
-    out = tmp_path / "sim"
-    assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 3
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command, keys, lines", [
-    ("simulate", "L = 2\nN = 4\n", None),
-    ("simulate", "L = 2\nN = 4\n", "abc\n"),
-    ("table-repro", "", "abc\n"),
-    ("table-repro", "", "0.1\n0.2\n0.3\n"),
+@pytest.mark.parametrize("command, keys, lines, named", [
+    ("simulate", "L = 2\nN = 4\n", None, ""),
+    ("simulate", "L = 2\nN = 4\n", "abc\n", ", line 1: 'abc' is not a finite number"),
+    ("table-repro", "", "\n0.1\nabc\n", ", line 3: 'abc' is not a finite number"),
+    ("table-repro", "", "0.1\n0.2\n0.3\n", ""),
+    ("simulate", "L = 2\nN = 4\na = 5\n", "0.1\nnan\n-0.2\n0.3\n", ", line 2: 'nan'"),
+    ("simulate", "L = 2\nN = 4\na = 5\n", "0.1\n-0.2\n-inf\n0.3\n", ", line 3: '-inf'"),
+    ("table-repro", "", "# a comment\n0.1\nnan\n-0.2\n0.3\n", ", line 3: 'nan'"),
+    ("table-repro", "", "0.1\n-0.2\n1e400\n0.3\n", ", line 3: '1e400'"),
 ], ids=["simulate-missing", "simulate-not-a-number", "table-repro-not-a-number",
-        "table-repro-three-increments"])
-def test_bad_path_file_is_a_configuration_error(tmp_path, capsys, command, keys, lines):
+        "table-repro-three-increments", "simulate-nan", "simulate-inf", "table-repro-nan",
+        "table-repro-overflow"])
+def test_bad_path_file_is_a_configuration_error(tmp_path, capsys, command, keys, lines, named):
     path = tmp_path / "paths.csv"
     if lines is not None:
         path.write_text(lines)
@@ -298,7 +294,7 @@ def test_bad_path_file_is_a_configuration_error(tmp_path, capsys, command, keys,
     cfg.write_text(keys + "path_file = paths.csv\n")
     out = tmp_path / "o"
     assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
-    assert str(path) in capsys.readouterr().err
+    assert f"{path}{named}" in capsys.readouterr().err
     assert not out.exists()
 
 

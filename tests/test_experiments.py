@@ -73,8 +73,8 @@ def test_heat_drift_is_within_3_standard_errors_at_desk_size():
     for seed in range(8):
         config = replace(desk, seed=seed)
         _, u0, runs = run_block(config, None, range(config.n_paths),
-                                {config.n_steps: config.checkpoints}, ("heat",))
-        for _, _, _, (states,) in runs:
+                                {config.n_steps: config.checkpoints}, "heat")
+        for _, _, _, states in runs:
             means = states.mean(axis=1)
             z.append((means.mean() - u0.mean()) / (means.std(ddof=1) / np.sqrt(len(means))))
     assert len(z) == 8 * 4 * 3
@@ -96,29 +96,52 @@ def test_checkpoint_states_are_not_overwritten_by_later_steps():
     assert len({r.mean for r in together if r.amplitude == 4.0}) == 3
 
 
-@pytest.mark.parametrize("variants", [("splitting",), ("heat",), ("splitting", "coupled")])
-def test_block_runner_yields_exactly_the_steps_asked_for(variants):
+@pytest.mark.parametrize("variant", ["splitting", "heat", "coupled"])
+def test_block_runner_yields_exactly_the_steps_asked_for(variant):
     config = small_config(n_steps=None, n_fine=64, n_steps_list=(16, 64), checkpoints=(),
                           epsilon=EpsilonSchedule.fixed(0.05), amplitudes=(7.0, 2.0))
     start = np.linspace(-0.4, 1.3, 9)  # the penalty is active from the first step
 
-    def collect(at):
-        _, _, runs = run_block(config, start, range(3, 8), at, variants)
-        return {(k, n_steps, n): [state.tobytes() for state in states]
-                for k, n_steps, n, states in runs}
+    def collect(at, gaps=None):
+        _, _, runs = run_block(config, start, range(3, 8), at, variant, gaps)
+        return {(k, n_steps, n): state.tobytes() for k, n_steps, n, state in runs}
 
     # The one chunk takes the steps of N = 64, then those of N = 16, each
     # at every amplitude in turn.
     every = collect(dict.fromkeys((16, 64)))
     assert list(every) == [(k, n_steps, n) for n_steps in (64, 16) for n in range(1, n_steps + 1)
                            for k in (0, 1)]
-    assert all(len(states) == len(variants) for states in every.values())
     assert every[0, 64, 64] != every[1, 64, 64]
+    if variant == "coupled":  # a splitting twin beside the coupled run leaves it as it is
+        gaps = {n: np.empty((2, 5, n)) for n in (16, 64)}
+        assert collect(dict.fromkeys((16, 64)), gaps) == every
     some = collect({64: (1, 30), 16: (16,)})
     assert list(some) == [(0, 64, 1), (1, 64, 1), (0, 64, 30), (1, 64, 30),
                           (0, 16, 16), (1, 16, 16)]
     for key, states in some.items():
         assert states == every[key]
+
+
+@pytest.mark.parametrize("L", [4, 9])
+@pytest.mark.parametrize("variant", ["splitting", "coupled", "heat"])
+def test_a_path_steps_to_the_same_bytes_alone_and_in_a_block(variant, L):
+    # Each row takes a vector lane of its own, so the rows that share its
+    # block (19 paths: three lane groups, the last of three rows) leave its
+    # bytes as they are, with the dense (d = 16) and the banded (d = 81)
+    # heat product.
+    config = small_config(cells_per_axis=L, n_steps=None, n_fine=64, n_steps_list=(16, 64),
+                          checkpoints=(), epsilon=EpsilonSchedule.fixed(0.05),
+                          amplitudes=(7.0, 60.0))
+    start = np.linspace(-0.4, 1.3, L * L)  # the penalty is active from the first step
+
+    def path_5(paths):
+        _, _, runs = run_block(config, start, paths, dict.fromkeys((16, 64)), variant)
+        return {(k, n_steps, n): state[5 - paths.start].tobytes()
+                for k, n_steps, n, state in runs}
+
+    alone = path_5(range(5, 6))
+    assert len(alone) == 2 * (16 + 64)
+    assert path_5(range(19)) == alone
 
 
 def test_results_do_not_depend_on_the_chunk_length(monkeypatch):
@@ -131,9 +154,11 @@ def test_results_do_not_depend_on_the_chunk_length(monkeypatch):
     at = {360: (1, 200, 360), 8: None, 45: (7, 45)}
 
     def outputs():
-        _, _, runs = run_block(config, start, range(2, 5), at, ("splitting", "coupled"))
-        steps = {(k, n_steps, n): [state.tobytes() for state in states]
-                 for k, n_steps, n, states in runs}
+        steps = {}
+        for variant in ("splitting", "coupled"):
+            _, _, runs = run_block(config, start, range(2, 5), at, variant)
+            steps.update({(variant, k, n_steps, n): state.tobytes()
+                          for k, n_steps, n, state in runs})
         errors = experiments._error_block(config, (8, 24, 45, 120), start, 0, 5)
         gaps = experiments._splitting_gap_block(replace(config, amplitudes=(30.0,)),
                                                 (8, 45), start, 0, 5)
@@ -342,6 +367,25 @@ def test_non_finite_states_fail_loudly():
         convergence_study(config, initial_state=start)
     with pytest.raises(NumericalFailure):
         splitting_error_study(config, initial_state=start)
+
+
+def test_a_non_finite_twin_state_fails_loudly(monkeypatch):
+    # A gap run yields no step, so the final check alone sees the splitting
+    # twins' states: a non-finite one is named by a, N and its path, the
+    # step counts checked in the order ``at`` gives them.
+    class PoisonedTwin(scheme.StepKernel):
+        def run(self, *args, **kwargs):
+            yield from super().run(*args, **kwargs)
+            self.twin[0, 1, 4] = np.nan
+
+    monkeypatch.setattr(experiments, "StepKernel", PoisonedTwin)
+    config = StudyConfig(cells_per_axis=3, n_fine=16, n_steps_list=(8, 16), n_paths=3,
+                         amplitudes=(2.0,), epsilon=EpsilonSchedule.fixed(0.05),
+                         seed=1).validate()
+    gaps = {n: np.empty((1, 3, n)) for n in (8, 16)}
+    _, _, runs = run_block(config, None, range(4, 7), {8: (), 16: ()}, "coupled", gaps)
+    with pytest.raises(NumericalFailure, match="non-finite state at a=2, N=8, path 5"):
+        list(runs)
 
 
 def test_splitting_error_study_needs_fixed_eps():

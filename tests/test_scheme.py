@@ -863,6 +863,37 @@ def test_kernel_stack_shapes_and_round_yields():
     np.testing.assert_array_equal(kernels[1].out, 0.5)  # no step: still the start
 
 
+def test_a_gap_kernel_steps_its_twin_as_a_splitting_kernel_would():
+    # Only a coupled kernel takes gaps, an (A, p, N) float array whose steps
+    # lie next to each other.  Its twin then ends, byte for byte, where a
+    # splitting kernel of the same stack does, and its own states where a
+    # coupled kernel's do, over a run that resumes once.
+    epsilon, solver, amplitudes = EpsilonSchedule.fixed(0.05), solver_on(3, 16), (7.0, 2.0)
+    for variant in ("splitting", "heat"):
+        with pytest.raises(ValueError, match="a coupled kernel writes the gaps"):
+            StepKernel(variant, amplitudes, epsilon, solver, 5, gaps=np.empty((2, 5, 16)))
+    for wrong in (np.empty((1, 5, 16)), np.empty((2, 4, 16)), np.empty((2, 5)),
+                  np.empty((2, 5, 16), dtype=np.float32), np.empty((2, 5, 32))[:, :, ::2]):
+        with pytest.raises(ValueError, match="a coupled kernel writes the gaps"):
+            StepKernel("coupled", amplitudes, epsilon, solver, 5, gaps=wrong)
+    gaps = np.empty((2, 5, 16))
+    paired = StepKernel("coupled", amplitudes, epsilon, solver, 5, gaps=gaps)
+    assert paired.twin.shape == paired.out.shape == (2, 5, 9)
+    with pytest.raises(ValueError, match="the gaps hold 16 steps"):
+        next(paired.run(0.5, np.zeros((5, 17))))
+    coupled, splitting = (StepKernel(variant, amplitudes, epsilon, solver, 5)
+                          for variant in ("coupled", "splitting"))
+    start = np.linspace(-0.4, 1.3, 9)  # the penalty is active from the first step
+    d_w = np.random.default_rng(4).normal(0.0, 0.25, (5, 16))
+    for kernel in (paired, coupled, splitting):
+        assert list(kernel.run(start, d_w[:, :6], at=())) == []
+        assert list(kernel.run(kernel.out, d_w[:, 6:], at=(), first=7)) == []
+    assert paired.twin.tobytes() == splitting.out.tobytes()
+    assert paired.out.tobytes() == coupled.out.tobytes()
+    np.testing.assert_array_equal(gaps[:, :, -1],
+                                  np.abs(coupled.out - splitting.out).max(axis=2))
+
+
 def per_run_oracle(config, start, paths, n_steps, amplitude, variant):
     """The state bytes after each step of one (N, a) run stepped alone by the plain formulas.
 
@@ -884,9 +915,9 @@ def per_run_oracle(config, start, paths, n_steps, amplitude, variant):
 
 @pytest.mark.parametrize("L", [3, 9])
 def test_block_stack_matches_per_run_oracle_bitwise(monkeypatch, L):
-    # One kernel per (N, variant) steps every amplitude's run of the block;
-    # each run must still be its own run, byte for byte, on the dense
-    # (d = 9) and the banded (d = 81) solver.  In chunks of 7 fine steps, no
+    # One kernel per N steps every amplitude's run of the block, a block per
+    # variant; each run must still be its own run, byte for byte, on the
+    # dense (d = 9) and the banded (d = 81) solver.  In chunks of 7 fine steps, no
     # coarse N steps in the first chunk; N = 6 and N = 4 step in the third
     # and N = 5 does not, N = 5 and N = 4 in the seventh and N = 6 does not;
     # every run resumes eight times.
@@ -901,18 +932,17 @@ def test_block_stack_matches_per_run_oracle_bitwise(monkeypatch, L):
                          amplitudes=(1.0, 9.0), epsilon=EpsilonSchedule.power(0.1, 0.4),
                          seed=3).validate()
     start = np.linspace(-0.4, 1.3, L * L)  # the penalty is active at once
-    paths, variants = range(2, 6), ("splitting", "heat", "coupled")
-    _, _, runs = experiments.run_block(config, start, paths, dict.fromkeys((n_fine, *ladder)),
-                                       variants)
-    got = {}
-    for k, n_steps, n, states in runs:
-        for variant, state in zip(variants, states):
-            got.setdefault((variant, k, n_steps), []).append((n, state.tobytes()))
-    for variant in variants:
+    paths = range(2, 6)
+    for variant in ("splitting", "heat", "coupled"):
+        _, _, runs = experiments.run_block(config, start, paths,
+                                           dict.fromkeys((n_fine, *ladder)), variant)
+        got = {}
+        for k, n_steps, n, state in runs:
+            got.setdefault((k, n_steps), []).append((n, state.tobytes()))
         for k, amplitude in enumerate(config.amplitudes):
             for n_steps in (n_fine, *ladder):
                 oracle = per_run_oracle(config, start, paths, n_steps, amplitude, variant)
-                assert got[variant, k, n_steps] == list(enumerate(oracle, 1)), \
+                assert got[k, n_steps] == list(enumerate(oracle, 1)), \
                     (variant, amplitude, n_steps)
 
 
