@@ -35,13 +35,16 @@ after every step, so each chunk of a step count is one call that yields
 nothing.  The block size is a constant, deliberately not
 tied to the worker count: block results come back in path order and
 are reduced in that order, so a study result is bit-identical no matter
-how many workers computed it.  Worker pools operate on whole blocks, one
-pool per study call (set workers > 1, or the ACFV_WORKERS environment
-variable for the command-line tools).
+how many workers computed it.  Workers take whole blocks: with workers > 1
+(or the ACFV_WORKERS environment variable for the command-line tools) a
+study call forks its children once, and the calling process computes a
+share of the blocks too (see ``_map_blocks``).
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,20 +195,77 @@ def _require_finite_results(what, amplitude, places, values):
                 f"non-finite {what} at a={format_float(amplitude)}, {place}")
 
 
-def _map_blocks(fn, config: StudyConfig, args, workers):
-    """[fn(config, *args, lo, hi) for each path block], in path order, from one pool.
+def _run_share(fn, config, args, blocks):
+    """(results, None) for every block in order, or (results so far, the first exception)."""
+    done = []
+    try:
+        for lo, hi in blocks:
+            done.append(fn(config, *args, lo, hi))
+    except Exception as exc:
+        return done, exc
+    return done, None
 
-    A fork pool starts all its workers at once, so it holds one per block at most.
+
+def _map_blocks(fn, config: StudyConfig, args, workers):
+    """[fn(config, *args, lo, hi) for each path block], in path order.
+
+    With w = min(workers, blocks), w - 1 forked children and this process
+    share the blocks: share s is every w-th block from block s, and this
+    process computes share 0, so one worker or one block forks nothing.  A
+    child pickles its share's results, or the exception that stopped it,
+    into its own pipe and leaves by os._exit, so it flushes none of this
+    process's buffers.  The first block in path order that did not complete
+    raises its exception, as in one process; a child that ended without a
+    result is a RuntimeError that names its blocks.  Every child is reaped
+    on every path out.  A fork copies only the calling thread, so workers > 1
+    assumes a caller that runs no other threads (Python 3.12 and later warn
+    of this when they do).
     """
     blocks = [(lo, min(lo + PATH_BLOCK, config.n_paths))
               for lo in range(0, config.n_paths, PATH_BLOCK)]
-    if workers <= 1 or len(blocks) <= 1:
-        return [fn(config, *args, lo, hi) for lo, hi in blocks]
-    from concurrent.futures import ProcessPoolExecutor  # 16 ms of imports, only for a pool
+    w = max(1, min(workers, len(blocks)))
+    pipes, running = [], []
+    try:
+        for share in range(1, w):
+            read, write = os.pipe()
+            pipes.append(os.fdopen(read, "rb"))
+            with os.fdopen(write, "wb") as out:  # this process closes its write end
+                pid = os.fork()
+                if pid == 0:  # the child never returns from here
+                    status = 1
+                    try:
+                        out.write(pickle.dumps(_run_share(fn, config, args, blocks[share::w])))
+                        out.flush()
+                        status = 0
+                    finally:
+                        os._exit(status)
+                running.append(pid)
+        shares = [_run_share(fn, config, args, blocks[::w])]
+        for share, (pipe, pid) in enumerate(zip(pipes, list(running)), 1):
+            payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            running.remove(pid)
+            if status or not payload:
+                shares.append(([], RuntimeError(
+                    f"the worker of path blocks {blocks[share::w]} ended without a "
+                    f"result (wait status {status})")))
+            else:
+                shares.append(pickle.loads(payload))
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in running:  # left only by a failure in this process
+            from signal import SIGKILL  # 1 ms of import, so not at start-up
 
-    with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-        futures = [pool.submit(fn, config, *args, lo, hi) for lo, hi in blocks]
-        return [future.result() for future in futures]
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+    results = []
+    for i in range(len(blocks)):
+        done, exc = shares[i % w]
+        if i // w == len(done):
+            raise exc
+        results.append(done[i // w])
+    return results
 
 
 def run_block(config: StudyConfig, initial_state, paths, at, variant, gaps=None):

@@ -639,15 +639,16 @@ def test_config_and_preset_are_exclusive(tmp_path):
         "expectation-two-amplitudes"])
 def test_outputs_identical_across_worker_counts(tmp_path, monkeypatch, command, keys,
                                                 outputs):
-    # More paths than two blocks, so the pool really splits the work.
-    assert 600 > 2 * PATH_BLOCK
+    # Three blocks, split 2/1 at two workers and 1/1/1 at three.
+    assert 2 * PATH_BLOCK < 600 <= 3 * PATH_BLOCK
     cfg = tmp_path / "run.cfg"
     cfg.write_text(keys + "L = 2\nN_p = 600\nseed = 9\n")
-    for workers in ("1", "2"):
+    for workers in ("1", "2", "3"):
         monkeypatch.setenv("ACFV_WORKERS", workers)
         assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / workers)) == 0
     for name in outputs:
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+        assert ((tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+                == (tmp_path / "3" / name).read_bytes())
 
 
 def test_bad_worker_env(tmp_path, monkeypatch):

@@ -1,15 +1,17 @@
 """Monte Carlo studies: configs, oracles, determinism and CSV output."""
 
-import concurrent.futures
 import io
+import os
+import signal
+import time
 import tracemalloc
-from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from acfv import cli, experiments, scheme
+from acfv import (assemble_mass, assemble_stiffness, band_to_dense, build_uniform_mesh, cli,
+                  default_initial_state, experiments, scheme)
 from acfv.config import preset_config
 from acfv.errors import ConfigError, NumericalFailure
 from acfv.experiments import (PATH_BLOCK, ErrorCurve, StudyConfig, _fit_loglog,
@@ -277,6 +279,30 @@ def test_errors_decrease_with_refinement():
     assert errors[0] > errors[1] > errors[2] > 0
 
 
+def test_convergence_at_zero_amplitude_is_the_closed_form_backward_euler_error():
+    # At a = 0 the noise term vanishes and the default start field lies in
+    # [0, 1], which the heat flow keeps, so the resolvent is the identity
+    # and every path is u_N = ((M + tau A)^-1 M)^N u0.  With S = M^-1/2 A
+    # M^-1/2 = Q diag(lam) Q^T, the squared M-norm gap of N to N_max is
+    # sum_k c_k^2 ((1 + lam_k / N_max)^-N_max - (1 + lam_k / N)^-N)^2, c =
+    # Q^T M^1/2 u0 (T = 1).  No seed enters and no band: the study's errors
+    # and fitted order equal the closed form's to 1e-6 relative.
+    mesh = build_uniform_mesh(4)
+    u0, mass = default_initial_state(mesh), assemble_mass(mesh)
+    assert 0 <= u0.min() and u0.max() <= 1
+    stiffness = band_to_dense(assemble_stiffness(mesh))
+    lam, q = np.linalg.eigh(stiffness / np.sqrt(np.outer(mass, mass)))
+    c = q.T @ (np.sqrt(mass) * u0)
+    n_max, n_list = 64, (4, 8, 16)
+    exact = np.array([((c * ((1 + lam / n_max) ** -n_max - (1 + lam / n) ** -n)) ** 2).sum()
+                      for n in n_list])
+    config = StudyConfig(cells_per_axis=4, n_fine=n_max, n_steps_list=n_list, n_paths=3,
+                         amplitudes=(0.0,)).validate()
+    [curve] = convergence_study(config)
+    np.testing.assert_allclose(curve.errors, exact, rtol=1e-6)
+    assert curve.slope == pytest.approx(_fit_loglog(1.0 / np.array(n_list), exact)[0], rel=1e-6)
+
+
 def test_fit_exact_power_laws():
     taus = np.array([0.5, 0.25, 0.125, 0.0625])
     assert _fit_loglog(taus, 3.0 * taus) == pytest.approx((1.0, np.log(3.0)), abs=1e-12)
@@ -426,40 +452,146 @@ def test_workers_do_not_change_results():
     assert serial.slope == parallel.slope
 
 
-def test_worker_pool_holds_at_most_one_worker_per_block(monkeypatch):
-    # A stand-in pool records its size and runs each call in this process,
-    # so no worker process starts; _map_blocks imports the pool class from
-    # concurrent.futures only when it opens one.
-    sizes = []
+def three_block_config():
+    """A config of three path blocks, the last of one path."""
+    return StudyConfig(cells_per_axis=2, n_fine=8, n_steps_list=(4,),
+                       n_paths=2 * PATH_BLOCK + 1, amplitudes=(1.0,)).validate()
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
+THREE_BLOCKS = [(0, PATH_BLOCK), (PATH_BLOCK, 2 * PATH_BLOCK),
+                (2 * PATH_BLOCK, 2 * PATH_BLOCK + 1)]
 
-        def __exit__(self, *exc):
-            return False
 
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    config = StudyConfig(cells_per_axis=2, n_fine=8, n_steps_list=(4,),
-                         n_paths=2 * PATH_BLOCK + 1, amplitudes=(1.0,)).validate()
-    blocks = [(0, PATH_BLOCK), (PATH_BLOCK, 2 * PATH_BLOCK), (2 * PATH_BLOCK, 2 * PATH_BLOCK + 1)]
+
+@pytest.fixture
+def within_30_s():
+    """Fail, rather than hang, a test whose waits have not ended in 30 s (forked
+    children do not inherit the alarm)."""
+    def expire(signum, frame):
+        raise TimeoutError("still waiting after 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_worker_pool_holds_at_most_one_worker_per_block(monkeypatch, tmp_path):
+    # _map_blocks forks min(workers, blocks) - 1 children and computes the
+    # first share itself; one worker forks none.  Each block reports the
+    # process that ran it: the shares are every w-th block, each run once.
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    calls = tmp_path / "calls"
 
     def block(config, lo, hi):
-        return lo, hi
+        with open(calls, "a") as log:
+            log.write(f"{lo}\n")
+        return lo, hi, os.getpid()
 
-    for workers, pool in ((64, 3), (2, 2)):
-        assert experiments._map_blocks(block, config, (), workers) == blocks
-        assert sizes.pop() == pool
-    assert experiments._map_blocks(block, config, (), 1) == blocks
-    assert sizes == []  # one worker: no pool
+    parent = os.getpid()
+    for workers, children in ((64, 2), (3, 2), (2, 1), (1, 0)):
+        results = experiments._map_blocks(block, three_block_config(), (), workers)
+        assert [(lo, hi) for lo, hi, _ in results] == THREE_BLOCKS
+        assert len(forks) == children
+        share = min(workers, 3)
+        pids = [pid for _, _, pid in results]
+        assert pids[::share] == [parent] * len(pids[::share])
+        assert parent not in pids[1:share]
+        assert len(set(pids)) == share
+        assert sorted(map(int, calls.read_text().split())) == [lo for lo, _ in THREE_BLOCKS]
+        calls.unlink()
+        forks.clear()
+        assert_no_child_left()
+
+
+def test_a_childs_failure_reraises_in_path_order():
+    # A NumericalFailure raised in a child comes back with its type,
+    # message and residual.  When several blocks fail, the first in path
+    # order raises, as at one worker: here block 2 (this process's share at
+    # two workers) and block 1 (the child's) both fail.
+    parent = os.getpid()
+
+    def block(config, lo, hi):
+        if os.getpid() != parent or lo == 2 * PATH_BLOCK:
+            raise NumericalFailure(f"stalled at path {lo}", residual=lo + 0.5)
+        return lo
+
+    with pytest.raises(NumericalFailure, match=f"^stalled at path {PATH_BLOCK}$") as failure:
+        experiments._map_blocks(block, three_block_config(), (), 2)
+    assert type(failure.value) is NumericalFailure
+    assert failure.value.residual == PATH_BLOCK + 0.5
+    assert_no_child_left()
+
+
+def test_a_numerical_failure_in_a_child_exits_3_as_at_one_worker(tmp_path, monkeypatch,
+                                                                  capsys):
+    # 300 paths: the second block (44 paths) is the child's at two workers.
+    # Its kernels leave a non-finite state in path 259, which the block's
+    # own finite check reports: the same exit code and stderr line at one
+    # and at two workers, and no output written.
+    class PoisonedKernel(scheme.StepKernel):
+        def run(self, *args, **kwargs):
+            yield from super().run(*args, **kwargs)
+            if self.out.shape[1] == 300 - PATH_BLOCK:
+                self.out[0, 3, 1] = np.nan
+
+    monkeypatch.setattr(experiments, "StepKernel", PoisonedKernel)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("L = 2\nN = 8\nN_p = 300\na = 1\ncheckpoints = 4,8\n")
+    errs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("ACFV_WORKERS", workers)
+        out = tmp_path / workers
+        assert cli.main(["expectation", "--config", str(cfg), "--out", str(out)]) == 3
+        assert not out.exists()
+        errs.append(capsys.readouterr().err)
+        assert_no_child_left()
+    assert errs[0] == errs[1] == "numerical failure: non-finite state at a=1, N=8, path 259\n"
+
+
+@pytest.mark.parametrize("death, status", [(lambda: os._exit(1), 1 << 8),
+                                           (lambda: os.kill(os.getpid(), signal.SIGKILL),
+                                            signal.SIGKILL)],
+                         ids=["exit", "killed"])
+def test_a_child_that_dies_without_a_result_is_an_error(within_30_s, death, status):
+    # No partial result and no hang: the error names the child's blocks and
+    # its wait status.
+    parent = os.getpid()
+
+    def block(config, lo, hi):
+        if os.getpid() != parent:
+            death()
+        return lo
+
+    with pytest.raises(RuntimeError) as failure:
+        experiments._map_blocks(block, three_block_config(), (), 2)
+    assert str(failure.value) == (f"the worker of path blocks {THREE_BLOCKS[1:2]} ended "
+                                  f"without a result (wait status {status})")
+    assert_no_child_left()
+
+
+def test_children_are_reaped_when_this_processs_share_fails(within_30_s):
+    # A failure of this process's share raises once the children are read
+    # and reaped; an interrupt kills them (the children would sleep for a
+    # minute) and reaps them before it propagates.
+    parent = os.getpid()
+
+    def block(config, fail, lo, hi):
+        if os.getpid() == parent:
+            raise fail
+        time.sleep(60 if isinstance(fail, KeyboardInterrupt) else 0.05)
+        return lo
+
+    for fail in (NumericalFailure("this share failed"), KeyboardInterrupt()):
+        with pytest.raises(type(fail)):
+            experiments._map_blocks(block, three_block_config(), (fail,), 3)
+        assert_no_child_left()
 
 
 def test_format_float_roundtrips():

@@ -174,22 +174,23 @@ def test_a_failed_build_exits_2_and_says_why(tmp_path):
         assert not out.exists()
 
 
-# Tiny runs of four commands in one process, scipy blocked; prints (marked
-# by @) the exit codes, the scipy modules loaded, and which of numpy.random,
-# the process pool's module, subprocess and the validate and table-repro
-# code were loaded after the import and after the runs.
+# Tiny runs of four commands in one process at two workers, scipy blocked;
+# prints (marked by @) the exit codes, the scipy modules loaded, and which
+# of numpy.random, the process pools' modules, subprocess and the validate
+# and table-repro code were loaded after the import and after the runs.  The
+# expectation run's 300 paths are two blocks, so it forks a worker.
 NO_SCIPY_CHILD = """
 import sys
 sys.modules["scipy"] = None
 from pathlib import Path
 from acfv import cli
-LAZY = ("numpy.random", "concurrent.futures.process", "subprocess", "acfv.validation",
-        "acfv.benchmark")
+LAZY = ("numpy.random", "concurrent.futures", "multiprocessing", "subprocess",
+        "acfv.validation", "acfv.benchmark")
 print("@lazy", *[name for name in LAZY if name in sys.modules])
 runs = {"convergence": "L = 3\\nN_max = 48\\nN_list = 6,12,24\\nN_p = 6\\na = 1,30\\n",
         "splitting-error": "L = 3\\nN_max = 32\\nN_list = 16,32\\nN_p = 4\\na = 10\\n"
                            "eps_rule = fixed\\neps_c = 0.05\\n",
-        "expectation": "L = 9\\nN = 4\\nN_max = 4\\nN_p = 4\\na = 1\\ncheckpoints = 2,4\\n",
+        "expectation": "L = 9\\nN = 4\\nN_max = 4\\nN_p = 300\\na = 1\\ncheckpoints = 2,4\\n",
         "simulate": "L = 2\\nN = 8\\nN_max = 8\\n"}
 for command, keys in runs.items():
     config = Path(sys.argv[1], command + ".cfg")
@@ -207,7 +208,7 @@ def run_scipy_child(tmp_path):
     scipy modules it loaded, "lazy": [the LAZY modules loaded after the
     import, and after the runs]}."""
     child = subprocess.run([sys.executable, "-c", NO_SCIPY_CHILD, str(tmp_path)],
-                           env=child_env(ACFV_WORKERS="1"), text=True, capture_output=True,
+                           env=child_env(ACFV_WORKERS="2"), text=True, capture_output=True,
                            timeout=300)
     assert child.returncode == 0, child.stderr
     out = {"exit": [], "scipy": [], "lazy": []}
@@ -223,8 +224,9 @@ def test_compiled_route_imports_no_scipy(tmp_path):
     # (d = 81) expectation and simulate runs exit 0: their factors come
     # from the compiled band Cholesky, their increments from the compiled
     # sampler and their operators from numpy arrays.  Nor is numpy.random loaded,
-    # or the process pool, which one-worker runs never open, or, with the
-    # library cached, subprocess, or the code of validate and table-repro.
+    # or concurrent.futures or multiprocessing, although the expectation run
+    # forks a worker, or, with the library cached, subprocess, or the code of
+    # validate and table-repro.
     scheme.compiled_library()
     child = run_scipy_child(tmp_path)
     assert child == {"exit": ["0"] * 4, "scipy": [], "lazy": [[], []]}
